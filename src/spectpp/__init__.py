@@ -35,7 +35,6 @@ from .sampler import (
 )
 from .evaluation import (
     KsReport,
-    MetricRecord,
     categorical_emd,
     ks_statistic,
     likelihood_discrepancy,

@@ -332,25 +332,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(a, out * (g - inner))
-
-    return _from_op(out, (a,), backward)
-
-
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)

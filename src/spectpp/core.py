@@ -25,9 +25,10 @@ LOG_RATIO_MAX = 709.0
 _MASK64 = (1 << 64) - 1
 
 
-def clamped_exp(log_value: float) -> float:
-    """exp() of a log-ratio, clamped so the result is finite and nonzero."""
-    return math.exp(min(max(log_value, LOG_RATIO_MIN), LOG_RATIO_MAX))
+def clamped_exp(log_value):
+    """exp() of log-ratios, scalar or array, clamped so each result is
+    finite and nonzero."""
+    return np.exp(np.clip(log_value, LOG_RATIO_MIN, LOG_RATIO_MAX))
 
 
 @dataclass(frozen=True)
@@ -152,16 +153,6 @@ class RngStream:
 
     def shuffled(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)
-
-
-def uniform01(rng: RngStream) -> float:
-    """One uniform draw in [0, 1)."""
-    return float(rng.uniform())
-
-
-def standard_normal(rng: RngStream) -> float:
-    """One standard normal draw."""
-    return float(rng.normal())
 
 
 # ---------------------------------------------------------------------------

@@ -31,29 +31,6 @@ class KsReport:
     plot_data: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    """Named scalar metrics for one experiment row; absent metrics are None."""
-
-    delta_l: float | None = None
-    d_ks: float | None = None
-    d_ws_t: float | None = None
-    d_ws_k: float | None = None
-    alpha: float | None = None
-    t_ar: float | None = None
-    t_sd: float | None = None
-    speedup: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.t_ar is not None and self.t_sd is not None and self.speedup is not None:
-            if abs(self.speedup - self.t_ar / self.t_sd) > 1e-9 * max(1.0, abs(self.speedup)):
-                raise ValueError("speedup must equal t_ar / t_sd")
-
-    @classmethod
-    def with_speedup(cls, t_ar: float, t_sd: float, **kw) -> "MetricRecord":
-        return cls(t_ar=t_ar, t_sd=t_sd, speedup=t_ar / t_sd, **kw)
-
-
 def time_rescale(seq: EventSequence, process: GroundTruthProcess) -> np.ndarray:
     """Compensator increments between consecutive events (first from 0),
     summed over event types; Exponential(1) iid when the process is right."""

@@ -77,10 +77,17 @@ class ModelConfig:
         return 2 * self.embed_dim + 1 if self.attention == "attnhp" else self.embed_dim
 
 
+def _check_finite(name: str, value: np.ndarray) -> None:
+    if not np.isfinite(value).all():
+        raise FloatingPointError(f"{name} contain non-finite values")
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Log-normal mixture over a positive interval: simplex weights,
-    component log-means, positive component scales."""
+    component log-means, positive component scales. Each array has shape
+    (M,) for one mixture or (R, M) for R stacked rows; checks run along the
+    last axis."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -88,23 +95,27 @@ class MixtureParams:
 
     def __post_init__(self) -> None:
         for name in ("weights", "means", "scales"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-9 or np.any(self.weights < 0):
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            _check_finite(f"mixture {name}", value)
+            object.__setattr__(self, name, value)
+        if (abs(self.weights.sum(axis=-1) - 1.0) > 1e-9).any() or (self.weights < 0).any():
             raise ValueError("weights must form a simplex")
-        if np.any(self.scales <= 0):
+        if (self.scales <= 0).any():
             raise ValueError("scales must be positive")
 
 
 @dataclass(frozen=True)
 class MarkDistribution:
-    """Categorical distribution over the K mark values."""
+    """Categorical distribution over the K mark values, shape (K,) or (R, K)
+    for R stacked rows."""
 
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities",
-                           np.atleast_1d(np.asarray(self.probabilities, dtype=float)))
-        if abs(float(np.sum(self.probabilities)) - 1.0) > 1e-9 or np.any(self.probabilities < 0):
+        value = np.atleast_1d(np.asarray(self.probabilities, dtype=float))
+        _check_finite("mark probabilities", value)
+        object.__setattr__(self, "probabilities", value)
+        if (abs(value.sum(axis=-1) - 1.0) > 1e-9).any() or (value < 0).any():
             raise ValueError("probabilities must form a simplex")
 
 
@@ -236,13 +247,6 @@ def _temporal_encoding_tensor(times: np.ndarray, params: dict[str, Tensor],
                   ad.mul(ad.cos(arg), Tensor(1.0 - even)))
 
 
-def temporal_encoding(t: float, checkpoint: ModelCheckpoint) -> np.ndarray:
-    """The (D,) encoding of a single timestamp under the checkpoint's variant."""
-    out = _temporal_encoding_tensor(np.array([float(t)]), checkpoint.param_tensors(),
-                                    checkpoint.config)
-    return out.data[0]
-
-
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
@@ -305,20 +309,6 @@ def _context_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tens
     return ad.concat([init, h], axis=0)
 
 
-def embed_events(seq: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
-    """Mark embedding plus temporal encoding, one row per event."""
-    x, _ = _embed_tensor(seq.times, seq.marks, checkpoint.param_tensors(), checkpoint.config)
-    return x.data
-
-
-def encode_history(seq: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
-    """(N, D) history embeddings; row i summarizes events up to and including i."""
-    if len(seq) == 0:
-        raise ValueError("encode_history requires a nonempty prefix")
-    return _encode_tensor(seq.times, seq.marks, checkpoint.param_tensors(),
-                          checkpoint.config).data
-
-
 # ---------------------------------------------------------------------------
 # decoder heads
 # ---------------------------------------------------------------------------
@@ -339,79 +329,62 @@ def _head_tensors(ctx: Tensor, params: dict[str, Tensor], config: ModelConfig):
     return log_w, mu, sigma, mark_logits
 
 
-def _mixture_from_rows(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> MixtureParams:
-    return MixtureParams(np.exp(log_w), mu, sigma)
-
-
-def _mark_from_logits(logits: np.ndarray) -> MarkDistribution:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return MarkDistribution(e / e.sum())
-
-
-def mixture_head(h: np.ndarray, checkpoint: ModelCheckpoint) -> MixtureParams:
-    """Decode one history embedding into interval mixture parameters."""
-    ctx = Tensor(np.asarray(h, dtype=float).reshape(1, -1))
-    log_w, mu, sigma, _ = _head_tensors(ctx, checkpoint.param_tensors(), checkpoint.config)
-    return _mixture_from_rows(log_w.data[0], mu.data[0], sigma.data[0])
-
-
-def mark_head(h: np.ndarray, checkpoint: ModelCheckpoint) -> MarkDistribution:
-    """Decode one history embedding into a mark distribution."""
-    ctx = Tensor(np.asarray(h, dtype=float).reshape(1, -1))
-    _, _, _, logits = _head_tensors(ctx, checkpoint.param_tensors(), checkpoint.config)
-    return _mark_from_logits(logits.data[0])
+def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+                   mark_logits: np.ndarray) -> tuple[MixtureParams, MarkDistribution]:
+    """Head outputs as distributions; leading axes are kept as rows."""
+    e = np.exp(mark_logits - mark_logits.max(axis=-1, keepdims=True))
+    return (MixtureParams(np.exp(log_w), mu, sigma),
+            MarkDistribution(e / e.sum(axis=-1, keepdims=True)))
 
 
 def position_distributions(events: EventSequence,
-                           checkpoint: ModelCheckpoint) -> tuple[list[MixtureParams], list[MarkDistribution]]:
+                           checkpoint: ModelCheckpoint) -> tuple[MixtureParams, MarkDistribution]:
     """Next-event distributions at every position, from one batched forward.
 
-    Entry i conditions on events[:i] (entry 0 is the begin-of-sequence
-    context), so the lists have length N+1. Equality of these rows with
+    Row i conditions on events[:i] (row 0 is the begin-of-sequence
+    context), so both arrays have N+1 rows. Equality of these rows with
     per-prefix recomputation is what makes batched verification valid.
     """
     params = checkpoint.param_tensors()
     ctx = _context_tensor(events.times, events.marks, params, checkpoint.config)
-    log_w, mu, sigma, logits = _head_tensors(ctx, params, checkpoint.config)
-    mixtures = [_mixture_from_rows(log_w.data[i], mu.data[i], sigma.data[i])
-                for i in range(ctx.data.shape[0])]
-    marks = [_mark_from_logits(logits.data[i]) for i in range(ctx.data.shape[0])]
-    return mixtures, marks
+    heads = _head_tensors(ctx, params, checkpoint.config)
+    return _distributions(*(t.data for t in heads))
 
 
 def next_event_distributions(events: EventSequence,
                              checkpoint: ModelCheckpoint) -> tuple[MixtureParams, MarkDistribution]:
-    """Distributions of the next interval and mark given the events so far."""
+    """Distributions of the next interval and mark given the events so far:
+    the last row of position_distributions, with the heads run on that row
+    only."""
     params = checkpoint.param_tensors()
-    config = checkpoint.config
-    if len(events) == 0:
-        ctx = ad.reshape(params["initial_context"], (1, config.embed_dim))
-    else:
-        h = _encode_tensor(events.times, events.marks, params, config)
-        ctx = h[-1:, :]
-    log_w, mu, sigma, logits = _head_tensors(ctx, params, config)
-    return (_mixture_from_rows(log_w.data[0], mu.data[0], sigma.data[0]),
-            _mark_from_logits(logits.data[0]))
+    ctx = _context_tensor(events.times, events.marks, params, checkpoint.config)
+    heads = _head_tensors(ctx[-1:, :], params, checkpoint.config)
+    return _distributions(*(t.data[0] for t in heads))
 
 
 # ---------------------------------------------------------------------------
 # mixture density, CDF, sampling
 # ---------------------------------------------------------------------------
 
-def mixture_logpdf(tau: float, params: MixtureParams) -> float:
-    """Log-density of the log-normal mixture at tau > 0, via log-sum-exp."""
-    if tau <= 0:
+def mixture_logpdf(tau, params: MixtureParams):
+    """Log-density of the log-normal mixture at tau > 0, via log-sum-exp.
+
+    ``tau`` broadcasts against the leading (row) axes of the parameters:
+    many values against one mixture, or one value per stacked row. A scalar
+    against one mixture gives a float, anything else an array.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not (tau > 0).all():
         raise ValueError("tau must be positive")
-    log_tau = math.log(tau)
-    z = (log_tau - params.means) / params.scales
-    with np.errstate(divide="ignore"):
+    log_tau = np.log(tau)[..., np.newaxis]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = (log_tau - params.means) / params.scales
         comps = np.log(params.weights) - log_tau - np.log(params.scales) \
             - 0.5 * _LOG_2PI - 0.5 * z * z
-    m = np.max(comps)
-    if not np.isfinite(m):
-        return float("-inf")
-    return float(m + np.log(np.sum(np.exp(comps - m))))
+        m = comps.max(axis=-1, keepdims=True)
+        out = m + np.log(np.exp(comps - m).sum(axis=-1, keepdims=True))
+    out = np.where(np.isfinite(m), out, -np.inf)[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def mixture_cdf(tau: float, params: MixtureParams) -> float:
@@ -437,9 +410,12 @@ def sample_interval(params: MixtureParams, rng: RngStream) -> tuple[float, float
     returns (tau, log-density of tau under the full mixture)."""
     component = rng.categorical(params.weights)
     eps = float(rng.normal())
-    tau = math.exp(params.means[component] + params.scales[component] * eps)
-    if tau <= 0.0 or math.isinf(tau):
-        raise FloatingPointError("sampled interval under- or overflowed")
+    try:
+        tau = math.exp(params.means[component] + params.scales[component] * eps)
+    except OverflowError:
+        raise FloatingPointError("sampled interval overflowed") from None
+    if not 0.0 < tau < math.inf:
+        raise FloatingPointError(f"sampled interval {tau} is not a positive finite number")
     return tau, mixture_logpdf(tau, params)
 
 

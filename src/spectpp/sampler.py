@@ -63,7 +63,7 @@ class DraftBatch:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("candidate times must strictly increase")
         if not all(math.isfinite(c.interval_logpdf) for c in self.candidates):
-            raise ValueError("draft log-densities must be finite")
+            raise FloatingPointError("draft log-densities must be finite")
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -131,6 +131,8 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
         stats.target_forward_passes += 1
         tau, _ = sample_interval(mixture, stream)
         t_next = _last_time(events) + tau
+        if not math.isfinite(t_next):
+            raise FloatingPointError(f"non-finite event time {t_next}")
         if t_next > t_end:
             break
         mark = stream.categorical(mark_dist.probabilities)
@@ -170,16 +172,6 @@ def draft(draft_model: ModelCheckpoint, history: list[Event] | EventSequence, ga
     return DraftBatch(tuple(candidates))
 
 
-def _mixture_logpdf_many(taus: np.ndarray, params: MixtureParams) -> np.ndarray:
-    log_taus = np.log(taus).reshape(-1, 1)
-    z = (log_taus - params.means) / params.scales
-    with np.errstate(divide="ignore"):
-        comps = np.log(params.weights) - log_taus - np.log(params.scales) \
-            - 0.5 * math.log(2.0 * math.pi) - 0.5 * z * z
-    m = comps.max(axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(comps - m), axis=1, keepdims=True))).ravel()
-
-
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
                                    rng: RngStream,
                                    max_proposals: int = RESIDUAL_MAX_PROPOSALS) -> tuple[float, int, bool]:
@@ -199,9 +191,13 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
         comps = np.searchsorted(np.cumsum(g_target.weights),
                                 gen.random(chunk) * np.sum(g_target.weights), side="right")
         comps = np.minimum(comps, len(g_target.weights) - 1)
-        taus = np.exp(g_target.means[comps] + g_target.scales[comps] * gen.standard_normal(chunk))
-        log_t = _mixture_logpdf_many(taus, g_target)
-        log_d = _mixture_logpdf_many(taus, g_draft)
+        with np.errstate(over="ignore", under="ignore"):
+            taus = np.exp(g_target.means[comps]
+                          + g_target.scales[comps] * gen.standard_normal(chunk))
+        if not np.all((taus > 0.0) & (taus < np.inf)):
+            raise FloatingPointError("residual interval proposal under- or overflowed")
+        log_t = mixture_logpdf(taus, g_target)
+        log_d = mixture_logpdf(taus, g_draft)
         accept_prob = np.maximum(0.0, 1.0 - np.exp(np.minimum(0.0, log_d - log_t)))
         hits = np.nonzero(gen.random(chunk) < accept_prob)[0]
         if hits.size:
@@ -267,74 +263,46 @@ def verify(target: ModelCheckpoint, history: list[Event] | EventSequence, batch:
     if residual_rng is None:
         residual_rng = rng.child("residual")
 
-    interval_ratios = np.empty(gamma)
-    mark_ratios = np.empty(gamma)
-    for l, cand in enumerate(batch.candidates):
-        g_t = mixture_logpdf(cand.interval, mixtures[n_hist + l])
-        if math.isnan(g_t) or g_t == math.inf:
-            raise FloatingPointError("non-finite target interval density")
-        interval_ratios[l] = clamped_exp(g_t - cand.interval_logpdf)
-        f_t = float(mark_dists[n_hist + l].probabilities[cand.mark])
-        f_d = float(cand.mark_distribution.probabilities[cand.mark])
-        mark_ratios[l] = clamped_exp(
-            (math.log(f_t) if f_t > 0 else -math.inf)
-            - (math.log(f_d) if f_d > 0 else -math.inf))
+    # Candidate l is scored by row n_hist + l. The density is evaluated on
+    # every row in one call; rows outside the candidates get tau = 1, unread.
+    rows = slice(n_hist, n_hist + gamma)
+    taus = np.ones(len(combined) + 1)
+    taus[rows] = [c.interval for c in batch.candidates]
+    g_t = mixture_logpdf(taus, mixtures)[rows]
+    if np.any(np.isnan(g_t) | (g_t == np.inf)):
+        raise FloatingPointError("non-finite target interval density")
+    g_d = np.array([c.interval_logpdf for c in batch.candidates])
+    marks = [c.mark for c in batch.candidates]
+    f_t = mark_dists.probabilities[np.arange(n_hist, n_hist + gamma), marks]
+    f_d = np.array([c.mark_distribution.probabilities[c.mark] for c in batch.candidates])
+    interval_ratios = clamped_exp(g_t - g_d)
+    with np.errstate(divide="ignore"):
+        mark_ratios = clamped_exp(np.log(f_t) - np.log(f_d))
+    records = tuple(PositionRecord(*map(float, values))
+                    for values in zip(interval_ratios, mark_ratios, u_interval, u_mark))
 
-    records = tuple(
-        PositionRecord(float(interval_ratios[l]), float(mark_ratios[l]),
-                       float(u_interval[l]), float(u_mark[l]))
-        for l in range(gamma)
-    )
-
-    def prev_time(l: int) -> float:
-        if l > 0:
-            return batch.candidates[l - 1].time
-        return events[-1].time if events else 0.0
-
-    def draw_residual_interval(l: int) -> float:
-        value, _, fell_back = _residual_interval_sample_info(
-            mixtures[n_hist + l], batch.candidates[l].interval_params, residual_rng)
-        if fell_back and stats is not None:
-            stats.residual_fallbacks += 1
-        return value
-
-    if policy == "alg1-literal":
-        interval_fail = np.nonzero(u_interval >= interval_ratios)[0]
-        mark_fail = np.nonzero(u_mark >= mark_ratios)[0]
-        fails = [int(interval_fail[0]) if interval_fail.size else gamma,
-                 int(mark_fail[0]) if mark_fail.size else gamma]
-        accepted = min(fails)
-        replacement = None
-        if accepted < gamma:
-            tau = draw_residual_interval(accepted)
-            mark = residual_mark_sample(mark_dists[n_hist + accepted],
-                                        batch.candidates[accepted].mark_distribution,
-                                        residual_rng)
-            replacement = Event(prev_time(accepted) + tau, mark)
-        if stats is not None:
-            stats.events_accepted += accepted
-            stats.replacement_events += int(replacement is not None)
-        return VerificationOutcome(accepted, replacement, records, gamma)
-
-    accepted = 0
+    interval_ok = u_interval < interval_ratios
+    mark_ok = u_mark < mark_ratios
+    rejected = np.flatnonzero(~(interval_ok & mark_ok))
+    accepted = int(rejected[0]) if rejected.size else gamma
     replacement = None
-    for l, cand in enumerate(batch.candidates):
-        interval_ok = u_interval[l] < interval_ratios[l]
-        mark_ok = u_mark[l] < mark_ratios[l]
-        if interval_ok and mark_ok:
-            accepted += 1
-            continue
-        if interval_ok:
-            # interval stands; only the mark is resampled
-            mark = residual_mark_sample(mark_dists[n_hist + l], cand.mark_distribution,
-                                        residual_rng)
-            replacement = Event(cand.time, mark)
-        else:
-            tau = draw_residual_interval(l)
-            mark = cand.mark if mark_ok else residual_mark_sample(
-                mark_dists[n_hist + l], cand.mark_distribution, residual_rng)
-            replacement = Event(prev_time(l) + tau, mark)
-        break
+    if accepted < gamma:
+        # "adjusted" resamples only what was rejected; "alg1-literal" both
+        literal = policy == "alg1-literal"
+        cand = batch.candidates[accepted]
+        row = n_hist + accepted
+        g_row = MixtureParams(mixtures.weights[row], mixtures.means[row], mixtures.scales[row])
+        f_row = MarkDistribution(mark_dists.probabilities[row])
+        event_time, mark = cand.time, cand.mark
+        if literal or not interval_ok[accepted]:
+            tau, _, fell_back = _residual_interval_sample_info(
+                g_row, cand.interval_params, residual_rng)
+            if fell_back and stats is not None:
+                stats.residual_fallbacks += 1
+            event_time = _last_time(combined[:row]) + tau
+        if literal or not mark_ok[accepted]:
+            mark = residual_mark_sample(f_row, cand.mark_distribution, residual_rng)
+        replacement = Event(event_time, mark)
     if stats is not None:
         stats.events_accepted += accepted
         stats.replacement_events += int(replacement is not None)
@@ -364,6 +332,8 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
             events.append(Event(cand.time, cand.mark))
         if outcome.replacement is not None:
             events.append(outcome.replacement)
+    if not math.isfinite(_last_time(events)):
+        raise FloatingPointError(f"non-finite event time {_last_time(events)}")
     kept = tuple(e for e in events if e.time <= t_end)
     stats.wall_seconds = time.perf_counter() - start
     return EventSequence(kept, t_end), stats

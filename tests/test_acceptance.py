@@ -6,9 +6,11 @@ statistical checks use pinned seeds so every run is identical.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from spectpp.model import (
     ModelConfig,
     _loglik_tensor,
     init_checkpoint,
+    load_checkpoint,
     mixture_logpdf,
-    save_checkpoint,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -40,12 +42,10 @@ HAWKES_2D = HawkesParams(
     beta=np.full((2, 2), 2.0),
 )
 
-HEAD_PARAMS = (
-    "mark_embedding", "initial_context", "decoder_proj",
-    "mix_weight_proj", "mix_weight_bias", "mix_mean_proj", "mix_mean_bias",
-    "mix_scale_proj", "mix_scale_bias", "mark_hidden_proj", "mark_hidden_bias",
-    "mark_out_proj", "mark_out_bias",
-)
+_ABLATION = Path(__file__).resolve().parent.parent / "scripts" / "gamma_ablation.py"
+_spec = importlib.util.spec_from_file_location("gamma_ablation", _ABLATION)
+gamma_ablation = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gamma_ablation)
 
 
 def report(criterion: int, name: str, passed: bool, detail: str, started: float) -> None:
@@ -54,26 +54,14 @@ def report(criterion: int, name: str, passed: bool, detail: str, started: float)
           f"[{time.perf_counter() - started:.1f}s]", flush=True)
 
 
-def layered_identity_pair(noise: float = 0.0):
-    """20-layer target with zero residual contributions and a 1-layer draft
-    sharing its embedding and decoder heads, so both emit identical
-    distributions; optional noise shifts the draft's mixture means."""
-    target_config = ModelConfig(embed_dim=48, n_components=16, n_marks=2,
-                                n_heads=2, n_layers=20)
-    target = init_checkpoint(target_config, RngStream(100))
-    for layer in range(target_config.n_layers):
-        target.params[f"layers.{layer}.v"][:] = 0.0
-    draft_config = ModelConfig(embed_dim=48, n_components=16, n_marks=2,
-                               n_heads=1, n_layers=1)
-    draft = init_checkpoint(draft_config, RngStream(101))
-    draft.params["layers.0.v"][:] = 0.0
-    for name in HEAD_PARAMS:
-        draft.params[name] = target.params[name].copy()
-    if noise:
-        draft.params["mix_mean_bias"] = draft.params["mix_mean_bias"] + noise
-    return target, draft
+def controlled_pair(out_dir, noise: float = 0.0):
+    """Checkpoint paths of the 20-layer target whose layers add nothing and
+    the 1-layer draft that shares its embedding and heads; noise shifts the
+    draft's mixture means."""
+    return gamma_ablation.build_pair(out_dir, n_layers=20, embed_dim=48, noise=noise, seed=100)
 
 
+@pytest.mark.slow
 def test_criterion_1_thinning_fidelity():
     started = time.perf_counter()
     seeds = (11, 22, 33)
@@ -111,8 +99,8 @@ def test_criterion_2_residual_sampler_oracle():
         hi = max(float(np.max(g_t.means + 12 * g_t.scales)),
                  float(np.max(g_d.means + 12 * g_d.scales)))
         taus = np.exp(np.linspace(lo, hi, 60001))
-        dens = np.maximum(0.0, np.exp(S._mixture_logpdf_many(taus, g_t))
-                          - np.exp(S._mixture_logpdf_many(taus, g_d)))
+        dens = np.maximum(0.0, np.exp(mixture_logpdf(taus, g_t))
+                          - np.exp(mixture_logpdf(taus, g_d)))
         masses = 0.5 * (dens[1:] + dens[:-1]) * np.diff(taus)
         cdf = np.concatenate([[0.0], np.cumsum(masses)])
         if cdf[-1] < 0.05:
@@ -152,6 +140,7 @@ def test_criterion_3_mark_law_exactness():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_sd_equals_ar_distribution():
     started = time.perf_counter()
     history = sequence_from_arrays([0.4, 1.0, 1.7], [0, 1, 2], math.inf)
@@ -188,9 +177,9 @@ def test_criterion_4_sd_equals_ar_distribution():
     assert ok
 
 
-def test_criterion_5_speedup_controlled_construction():
+def test_criterion_5_speedup_controlled_construction(tmp_path):
     started = time.perf_counter()
-    target, draft = layered_identity_pair()
+    target, draft = map(load_checkpoint, controlled_pair(tmp_path))
     t_ar = t_sd = 0.0
     accepted = drafted = 0
     for run in range(3):
@@ -209,14 +198,13 @@ def test_criterion_5_speedup_controlled_construction():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_gamma_ablation_shape(tmp_path):
     started = time.perf_counter()
-    target, draft = layered_identity_pair(noise=0.5)
-    save_checkpoint(tmp_path / "target.json", target)
-    save_checkpoint(tmp_path / "draft.json", draft)
+    target, draft = controlled_pair(tmp_path, noise=0.5)
     out = tmp_path / "bench"
     cli._execute("bench", {
-        "target": str(tmp_path / "target.json"), "draft": str(tmp_path / "draft.json"),
+        "target": str(target), "draft": str(draft),
         "gamma_grid": [1, 5, 10, 20, 40, 60], "repetitions": 3, "runs": 4,
         "t_end": 120.0, "seed": 5, "policy": "adjusted"}, out)
     with open(out / "bench.csv", newline="") as fh:
@@ -298,9 +286,7 @@ def test_criterion_9_manifest_replay_determinism(tmp_path):
         {"embed_dim": 8, "n_components": 4, "n_marks": 1}))
     (tmp_path / "train_config.json").write_text(json.dumps(
         {"learning_rate": 0.01, "batch_size": 8, "max_epochs": 2, "patience": 2, "seed": 3}))
-    target, draft = layered_identity_pair(noise=0.3)
-    save_checkpoint(tmp_path / "target.json", target)
-    save_checkpoint(tmp_path / "draft.json", draft)
+    controlled_pair(tmp_path, noise=0.3)
 
     commands = {
         "simulate": ["simulate", "--process", str(tmp_path / "hawkes.json"), "--n", "10",

@@ -229,6 +229,17 @@ def test_numerical_failure_maps_to_exit_3(runner, workspace, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_non_finite_model_output_maps_to_exit_3(runner, workspace):
+    # 30 default-initialised thp layers overflow the residual stream: NaN heads
+    deep = init_checkpoint(ModelConfig(embed_dim=16, n_marks=2, n_layers=30), RngStream(3))
+    save_checkpoint(workspace / "deep.json", deep)
+    result = runner.invoke(cli.main, ["sample", "--mode", "sd", "--target",
+                                      str(workspace / "deep.json"), "--draft",
+                                      str(workspace / "draft.json"), "--gamma", "5",
+                                      "--t-end", "100", "--out", str(workspace / "deepfail")])
+    assert result.exit_code == 3, result.output
+
+
 def test_bad_gamma_grid_is_usage_error(runner, workspace):
     result = runner.invoke(cli.main, ["bench", "--target", str(workspace / "target.json"),
                                       "--draft", str(workspace / "draft.json"),

@@ -13,8 +13,6 @@ from spectpp.core import (
     clamped_exp,
     read_sequences,
     sequence_from_arrays,
-    standard_normal,
-    uniform01,
     validate_sequence,
     write_sequences,
 )
@@ -46,12 +44,12 @@ def test_mark_out_of_range_rejected():
 
 
 def test_rng_is_reproducible():
-    a = [uniform01(RngStream(42, 7)) for _ in range(5)]
-    b = [uniform01(RngStream(42, 7)) for _ in range(5)]
+    a = [RngStream(42, 7).uniform() for _ in range(5)]
+    b = [RngStream(42, 7).uniform() for _ in range(5)]
     # fresh streams restart from the beginning
-    assert uniform01(RngStream(42, 7)) == a[0]
+    assert RngStream(42, 7).uniform() == a[0]
     stream1, stream2 = RngStream(42, 7), RngStream(42, 7)
-    assert [uniform01(stream1) for _ in range(5)] == [uniform01(stream2) for _ in range(5)]
+    assert [stream1.uniform() for _ in range(5)] == [stream2.uniform() for _ in range(5)]
     assert a == b
 
 
@@ -59,7 +57,7 @@ def test_child_streams_are_stable_and_distinct():
     root = RngStream(3)
     assert root.child("draft").stream == RngStream(3).child("draft").stream
     assert root.child("draft").stream != root.child("verify").stream
-    assert uniform01(root.child("draft")) != uniform01(root.child("verify"))
+    assert root.child("draft").uniform() != root.child("verify").uniform()
 
 
 def test_uniform_mean_monte_carlo():
@@ -81,7 +79,7 @@ def test_uniform_in_unit_interval():
 
 def test_standard_normal_single_draw_changes_state():
     stream = RngStream(5)
-    assert standard_normal(stream) != standard_normal(stream)
+    assert stream.normal() != stream.normal()
 
 
 def test_distinct_streams_look_independent():

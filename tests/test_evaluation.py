@@ -201,15 +201,6 @@ def test_delta_l_rejects_eventless_sets():
         E.mean_loglik_per_event([EventSequence((), 5.0)], lambda s: -1.0)
 
 
-# -- metric record -----------------------------------------------------------------------
-
-def test_metric_record_speedup_consistency():
-    record = E.MetricRecord.with_speedup(t_ar=2.0, t_sd=0.5)
-    assert record.speedup == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        E.MetricRecord(t_ar=2.0, t_sd=0.5, speedup=1.0)
-
-
 # -- next-event divergence ----------------------------------------------------------------
 
 def test_next_event_divergence_baseline_and_identical_draft():

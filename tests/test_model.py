@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from spectpp import model as M
-from spectpp.autodiff import grad_check
+from spectpp.autodiff import Tensor, grad_check
 from spectpp.core import EventSequence, RngStream, sequence_from_arrays
 
 
@@ -30,38 +30,58 @@ def random_checkpoint(config, seed, scale=None):
     return ckpt
 
 
+def temporal_encoding(t, ckpt):
+    times = np.array([float(t)])
+    return M._temporal_encoding_tensor(times, ckpt.param_tensors(), ckpt.config).data[0]
+
+
+def embed_events(seq, ckpt):
+    x, _ = M._embed_tensor(seq.times, seq.marks, ckpt.param_tensors(), ckpt.config)
+    return x.data
+
+
+def encode_history(seq, ckpt):
+    return M._encode_tensor(seq.times, seq.marks, ckpt.param_tensors(), ckpt.config).data
+
+
+def decode(h, ckpt):
+    """The (mixture, mark distribution) pair of one history embedding."""
+    heads = M._head_tensors(Tensor(np.reshape(h, (1, -1))), ckpt.param_tensors(), ckpt.config)
+    return M._distributions(*(t.data[0] for t in heads))
+
+
 # -- temporal encoding ---------------------------------------------------------
 
 def test_thp_encoding_at_zero():
     ckpt = M.init_checkpoint(tiny_config(), RngStream(0))
-    z = M.temporal_encoding(0.0, ckpt)
+    z = temporal_encoding(0.0, ckpt)
     assert np.array_equal(z[0::2], np.zeros(4))
     assert np.array_equal(z[1::2], np.ones(4))
 
 
 def test_thp_encoding_d2_t1():
     ckpt = M.init_checkpoint(tiny_config(embed_dim=2, n_heads=1), RngStream(0))
-    z = M.temporal_encoding(1.0, ckpt)
+    z = temporal_encoding(1.0, ckpt)
     assert z == pytest.approx([math.sin(1.0), math.cos(1.0)], rel=1e-12)
 
 
 def test_attnhp_encoding_all_sine_zero_at_zero():
     ckpt = M.init_checkpoint(tiny_config(encoding="attnhp"), RngStream(0))
-    assert np.array_equal(M.temporal_encoding(0.0, ckpt), np.zeros(8))
+    assert np.array_equal(temporal_encoding(0.0, ckpt), np.zeros(8))
 
 
 def test_sahp_encoding_uses_learnable_frequencies():
     ckpt = M.init_checkpoint(tiny_config(encoding="sahp"), RngStream(0))
-    base = M.temporal_encoding(1.5, ckpt)
+    base = temporal_encoding(1.5, ckpt)
     ckpt.params["time_freq"] = ckpt.params["time_freq"] * 2.0
-    assert not np.allclose(base, M.temporal_encoding(1.5, ckpt))
+    assert not np.allclose(base, temporal_encoding(1.5, ckpt))
     # direct evaluation of the sinusoid with shifted phase
     d = 8
     j = np.arange(d)
     expo = (j - (j % 2)) / d
     arg = j / np.power(10000.0, expo) + 2.0 * 1.5
     want = np.where(j % 2 == 0, np.sin(arg), np.cos(arg))
-    assert M.temporal_encoding(1.5, ckpt) == pytest.approx(want, rel=1e-12)
+    assert temporal_encoding(1.5, ckpt) == pytest.approx(want, rel=1e-12)
 
 
 # -- embedding and encoder ------------------------------------------------------
@@ -70,29 +90,29 @@ def test_embed_events_zero_embedding_matrix():
     ckpt = M.init_checkpoint(tiny_config(), RngStream(1))
     ckpt.params["mark_embedding"] = np.zeros_like(ckpt.params["mark_embedding"])
     seq = sequence_from_arrays([0.3, 1.7], [0, 1], 10.0)
-    x = M.embed_events(seq, ckpt)
-    want = np.stack([M.temporal_encoding(0.3, ckpt), M.temporal_encoding(1.7, ckpt)])
+    x = embed_events(seq, ckpt)
+    want = np.stack([temporal_encoding(0.3, ckpt), temporal_encoding(1.7, ckpt)])
     assert np.array_equal(x, want)
 
 
 def test_embed_events_adds_mark_row():
     ckpt = M.init_checkpoint(tiny_config(n_marks=1), RngStream(2))
     seq = sequence_from_arrays([0.5], [0], 10.0)
-    x = M.embed_events(seq, ckpt)
-    want = ckpt.params["mark_embedding"][0] + M.temporal_encoding(0.5, ckpt)
+    x = embed_events(seq, ckpt)
+    want = ckpt.params["mark_embedding"][0] + temporal_encoding(0.5, ckpt)
     assert np.allclose(x[0], want, atol=1e-15)
 
 
 def test_embed_events_shape():
     ckpt = M.init_checkpoint(tiny_config(), RngStream(3))
     seq = sequence_from_arrays(np.arange(1.0, 8.0), np.zeros(7, dtype=int), 10.0)
-    assert M.embed_events(seq, ckpt).shape == (7, 8)
+    assert embed_events(seq, ckpt).shape == (7, 8)
 
 
 def test_embed_rejects_out_of_range_mark():
     ckpt = M.init_checkpoint(tiny_config(n_marks=2), RngStream(3))
     with pytest.raises(ValueError):
-        M.embed_events(sequence_from_arrays([1.0], [2], 10.0), ckpt)
+        embed_events(sequence_from_arrays([1.0], [2], 10.0), ckpt)
 
 
 def test_zero_value_projections_make_encoder_identity():
@@ -101,16 +121,16 @@ def test_zero_value_projections_make_encoder_identity():
         for layer in range(layers):
             ckpt.params[f"layers.{layer}.v"] = np.zeros_like(ckpt.params[f"layers.{layer}.v"])
         seq = sequence_from_arrays([0.4, 1.0, 2.2], [0, 1, 0], 10.0)
-        assert np.array_equal(M.encode_history(seq, ckpt), M.embed_events(seq, ckpt))
+        assert np.array_equal(encode_history(seq, ckpt), embed_events(seq, ckpt))
 
 
 def test_single_event_standard_attention_adds_value_vector():
     # with one event the attention weight on itself is 1, so h = x + v
     ckpt = M.init_checkpoint(tiny_config(), RngStream(5))
     seq = sequence_from_arrays([0.7], [1], 10.0)
-    x = M.embed_events(seq, ckpt)
+    x = embed_events(seq, ckpt)
     v = x @ ckpt.params["layers.0.v"]
-    assert np.allclose(M.encode_history(seq, ckpt), x + v, atol=1e-12)
+    assert np.allclose(encode_history(seq, ckpt), x + v, atol=1e-12)
 
 
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
@@ -119,27 +139,21 @@ def test_causality_is_bit_exact(encoding):
     ckpt = M.init_checkpoint(config, RngStream(6))
     times = np.array([0.5, 1.0, 2.0, 3.5, 4.0])
     marks = np.array([0, 1, 0, 0, 1])
-    base = M.encode_history(sequence_from_arrays(times, marks, 10.0), ckpt)
+    base = encode_history(sequence_from_arrays(times, marks, 10.0), ckpt)
     bumped_times = times.copy()
     bumped_times[3] += 0.25
     bumped_marks = marks.copy()
     bumped_marks[3] = 1
-    bumped = M.encode_history(sequence_from_arrays(bumped_times, bumped_marks, 10.0), ckpt)
+    bumped = encode_history(sequence_from_arrays(bumped_times, bumped_marks, 10.0), ckpt)
     assert np.array_equal(base[:3], bumped[:3])
     assert not np.allclose(base[3:], bumped[3:])
-
-
-def test_encoder_rejects_empty_prefix():
-    ckpt = M.init_checkpoint(tiny_config(), RngStream(6))
-    with pytest.raises(ValueError):
-        M.encode_history(EventSequence((), 5.0), ckpt)
 
 
 # -- heads -----------------------------------------------------------------------
 
 def test_mixture_head_all_zero_weights():
     ckpt = zeroed(M.init_checkpoint(tiny_config(), RngStream(7)))
-    params = M.mixture_head(np.ones(8), ckpt)
+    params, _ = decode(np.ones(8), ckpt)
     assert params.weights == pytest.approx(np.full(4, 0.25))
     assert np.array_equal(params.means, np.zeros(4))
     assert np.array_equal(params.scales, np.ones(4))
@@ -148,7 +162,7 @@ def test_mixture_head_all_zero_weights():
 def test_mixture_head_scale_bias():
     ckpt = zeroed(M.init_checkpoint(tiny_config(), RngStream(7)))
     ckpt.params["mix_scale_bias"] = np.full(4, math.log(2.0))
-    params = M.mixture_head(np.zeros(8), ckpt)
+    params, _ = decode(np.zeros(8), ckpt)
     assert params.scales == pytest.approx(np.full(4, 2.0), rel=1e-12)
 
 
@@ -157,18 +171,17 @@ def test_mixture_and_mark_head_invariants_on_random_checkpoints():
     for i in range(1000):
         ckpt = random_checkpoint(config, seed=i, scale=3.0 if i % 3 else None)
         h = RngStream(10_000 + i).normal(8) * 2.0
-        mix = M.mixture_head(h, ckpt)
+        mix, dist = decode(h, ckpt)
         assert abs(float(np.sum(mix.weights)) - 1.0) < 1e-9
         assert np.all(mix.weights >= 0.0)
         assert np.all(mix.scales > 0.0)
-        dist = M.mark_head(h, ckpt)
         assert abs(float(np.sum(dist.probabilities)) - 1.0) < 1e-9
         assert np.all(dist.probabilities >= 0.0)
 
 
 def test_mark_head_zero_weights_uniform():
     ckpt = zeroed(M.init_checkpoint(tiny_config(n_marks=5), RngStream(8)))
-    dist = M.mark_head(np.ones(8), ckpt)
+    _, dist = decode(np.ones(8), ckpt)
     assert dist.probabilities == pytest.approx(np.full(5, 0.2))
 
 
@@ -177,7 +190,7 @@ def test_mark_head_large_bias_concentrates():
     bias = np.zeros(20)
     bias[0] = 10.0
     ckpt.params["mark_out_bias"] = bias
-    dist = M.mark_head(np.zeros(8), ckpt)
+    _, dist = decode(np.zeros(8), ckpt)
     assert dist.probabilities[0] > 0.999
 
 
@@ -199,6 +212,47 @@ def test_logpdf_rejects_nonpositive_tau():
     params = M.MixtureParams(np.array([1.0]), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         M.mixture_logpdf(0.0, params)
+
+
+def test_logpdf_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(2)
+    one = M.MixtureParams(rng.dirichlet(np.ones(3)), rng.normal(size=3),
+                          rng.uniform(0.3, 1.5, size=3))
+    taus = np.exp(rng.normal(size=50))
+    many = M.mixture_logpdf(taus, one)
+    assert many.shape == (50,)
+    assert np.allclose(many, [M.mixture_logpdf(t, one) for t in taus], rtol=0.0, atol=1e-12)
+
+    # one tau per stacked row; row 1 has a zero-weight component, and in row
+    # 2 the only weighted component underflows, so the density is -inf
+    weights = np.array([[0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 0.0, 1.0]])
+    means = rng.normal(size=(3, 3))
+    scales = np.array([[0.5, 1.0, 1.5], [0.7, 0.7, 0.7], [1.0, 1.0, 1e-200]])
+    stacked = M.MixtureParams(weights, means, scales)
+    row_taus = np.array([0.4, 1.3, math.exp(means[2, 2]) * 2.0])
+    got = M.mixture_logpdf(row_taus, stacked)
+    want = [M.mixture_logpdf(t, M.MixtureParams(w, m, s))
+            for t, w, m, s in zip(row_taus, weights, means, scales)]
+    assert got.shape == (3,)
+    assert np.allclose(got[:2], want[:2], rtol=0.0, atol=1e-12)
+    assert got[2] == want[2] == -math.inf
+
+
+@pytest.mark.parametrize("field", ["weights", "means", "scales"])
+def test_mixture_params_reject_non_finite(field):
+    values = {"weights": np.array([[0.5, 0.5], [0.5, 0.5]]),
+              "means": np.zeros((2, 2)), "scales": np.ones((2, 2))}
+    values[field][1, 0] = math.nan
+    with pytest.raises(FloatingPointError):
+        M.MixtureParams(**values)
+
+
+def test_mark_distribution_rejects_non_finite_and_checks_each_row():
+    with pytest.raises(FloatingPointError):
+        M.MarkDistribution(np.array([[0.5, 0.5], [math.nan, 1.0]]))
+    with pytest.raises(ValueError):
+        M.MarkDistribution(np.array([[0.5, 0.5], [0.2, 0.2]]))
+    assert M.MarkDistribution(np.array([[0.5, 0.5], [0.2, 0.8]])).probabilities.shape == (2, 2)
 
 
 def test_density_integrates_to_one():
@@ -242,6 +296,25 @@ def test_sample_interval_degenerate_scale():
     assert tau == pytest.approx(2.0, abs=1e-9)
 
 
+class NanNormals:
+    """Stub stream whose normal draws are NaN."""
+
+    def categorical(self, probabilities):
+        return 0
+
+    def normal(self, size=None):
+        return math.nan
+
+
+def test_sample_interval_rejects_non_finite_draws():
+    params = M.MixtureParams(np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    with pytest.raises(FloatingPointError):
+        M.sample_interval(params, NanNormals())
+    huge = M.MixtureParams(np.array([1.0]), np.array([1000.0]), np.array([1.0]))
+    with pytest.raises(FloatingPointError):
+        M.sample_interval(huge, RngStream(3))
+
+
 def test_sample_interval_monte_carlo_moments():
     params = M.MixtureParams(np.array([1.0]), np.array([0.0]), np.array([1.0]))
     stream = RngStream(4)
@@ -264,7 +337,9 @@ def test_sample_interval_reports_full_mixture_density():
 def test_empty_sequence_loglik_is_survival_term():
     ckpt = M.init_checkpoint(tiny_config(), RngStream(9))
     mix, _ = M.position_distributions(EventSequence((), 7.0), ckpt)
-    want = math.log(M.mixture_survival(7.0, mix[0]))
+    assert mix.weights.shape == (1, 4)
+    want = math.log(M.mixture_survival(7.0, M.MixtureParams(mix.weights[0], mix.means[0],
+                                                             mix.scales[0])))
     assert M.sequence_loglik(EventSequence((), 7.0), ckpt) == pytest.approx(want, rel=1e-12)
 
 
@@ -309,14 +384,26 @@ def test_batched_forward_matches_prefix_forwards(encoding):
     ckpt = random_checkpoint(config, seed=13)
     seq = sequence_from_arrays([0.2, 0.9, 1.5, 2.8], [0, 2, 1, 0], 10.0)
     mixtures, mark_dists = M.position_distributions(seq, ckpt)
-    assert len(mixtures) == len(seq) + 1
+    assert mixtures.weights.shape == (len(seq) + 1, 4)
+    assert mark_dists.probabilities.shape == (len(seq) + 1, 3)
     for i in range(len(seq) + 1):
         prefix = EventSequence(seq.events[:i], seq.t_end)
         mix_i, mark_i = M.next_event_distributions(prefix, ckpt)
-        assert np.allclose(mixtures[i].weights, mix_i.weights, atol=1e-12)
-        assert np.allclose(mixtures[i].means, mix_i.means, atol=1e-12)
-        assert np.allclose(mixtures[i].scales, mix_i.scales, atol=1e-12)
-        assert np.allclose(mark_dists[i].probabilities, mark_i.probabilities, atol=1e-12)
+        assert mix_i.weights.shape == (4,)
+        assert np.allclose(mixtures.weights[i], mix_i.weights, atol=1e-12)
+        assert np.allclose(mixtures.means[i], mix_i.means, atol=1e-12)
+        assert np.allclose(mixtures.scales[i], mix_i.scales, atol=1e-12)
+        assert np.allclose(mark_dists.probabilities[i], mark_i.probabilities, atol=1e-12)
+
+
+def test_position_distributions_constructs_one_stacked_pair(constructions):
+    ckpt = random_checkpoint(tiny_config(n_layers=2), seed=17)
+    for n in (0, 1, 5, 40):
+        constructions.update(MixtureParams=0, MarkDistribution=0)
+        seq = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 2, 100.0)
+        mixtures, _ = M.position_distributions(seq, ckpt)
+        assert mixtures.weights.shape == (n + 1, 4)
+        assert constructions == {"MixtureParams": 1, "MarkDistribution": 1}
 
 
 # -- checkpoint serialization -------------------------------------------------------

@@ -31,8 +31,8 @@ def residual_cdf_grid(g_t, g_d):
     lo = min(float(np.min(g_t.means - 10 * g_t.scales)), float(np.min(g_d.means - 10 * g_d.scales)))
     hi = max(float(np.max(g_t.means + 10 * g_t.scales)), float(np.max(g_d.means + 10 * g_d.scales)))
     taus = np.exp(np.linspace(lo, hi, 40001))
-    dens = np.maximum(0.0, np.exp(S._mixture_logpdf_many(taus, g_t))
-                      - np.exp(S._mixture_logpdf_many(taus, g_d)))
+    dens = np.maximum(0.0, np.exp(M.mixture_logpdf(taus, g_t))
+                      - np.exp(M.mixture_logpdf(taus, g_d)))
     steps = np.diff(taus)
     masses = 0.5 * (dens[1:] + dens[:-1]) * steps
     cdf = np.concatenate([[0.0], np.cumsum(masses)])
@@ -278,6 +278,16 @@ def test_verify_mark_only_rejection_keeps_interval():
     assert outcome.replacement.time == batch.candidates[1].time
 
 
+def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
+    ckpt = make_checkpoint(15)
+    batch = doctored_batch(S.draft(ckpt, [], gamma=4, rng=RngStream(19).child("draft")))
+    for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 2)):
+        constructions.update(MixtureParams=0, MarkDistribution=0)
+        outcome = S.verify(ckpt, [], batch, FixedUniforms([0.0] * 4, u_mark), RngStream(20))
+        assert outcome.accepted_len == accepted
+        assert constructions == {"MixtureParams": pairs, "MarkDistribution": pairs}
+
+
 def test_verify_counts_one_target_pass_per_iteration():
     target = make_checkpoint(23, n_layers=2)
     draft_model = make_checkpoint(24)
@@ -286,6 +296,46 @@ def test_verify_counts_one_target_pass_per_iteration():
     assert run_stats.target_forward_passes == run_stats.iterations
     assert run_stats.draft_forward_passes == 5 * run_stats.iterations
     assert run_stats.events_drafted == 5 * run_stats.iterations
+
+
+# -- non-finite model output ------------------------------------------------------------
+
+def deep_thp_checkpoint():
+    """Default-initialised 30-layer thp model: without normalisation its
+    residual stream overflows, and its head rows are NaN from the second
+    event on."""
+    return make_checkpoint(0, n_layers=30, embed_dim=16, n_components=8)
+
+
+def bounded_passes(monkeypatch, limit=50):
+    """Fail, instead of hanging, when sampling runs more than ``limit`` forwards."""
+    passes = []
+
+    def counted(forward):
+        def wrapper(events, checkpoint):
+            passes.append(len(events))
+            if len(passes) > limit:
+                raise AssertionError(f"still sampling after {limit} forward passes")
+            return forward(events, checkpoint)
+        return wrapper
+
+    monkeypatch.setattr(S, "next_event_distributions", counted(S.next_event_distributions))
+    monkeypatch.setattr(S, "position_distributions", counted(S.position_distributions))
+    return passes
+
+
+def test_ar_on_non_finite_model_raises(monkeypatch):
+    passes = bounded_passes(monkeypatch)
+    with pytest.raises(FloatingPointError):
+        S.ar_sample(deep_thp_checkpoint(), 100.0, RngStream(42))
+    assert len(passes) == 2
+
+
+def test_sd_on_non_finite_model_raises(monkeypatch):
+    bounded_passes(monkeypatch)
+    with pytest.raises(FloatingPointError):
+        S.tpp_sd_sample(deep_thp_checkpoint(), make_checkpoint(43), 100.0, gamma=5,
+                        rng=RngStream(44))
 
 
 # -- speculative sampling loop ---------------------------------------------------------
