@@ -28,7 +28,6 @@ from .sampler import (
     VerificationOutcome,
     ar_sample,
     draft,
-    residual_interval_sample,
     residual_mark_sample,
     tpp_sd_sample,
     verify,

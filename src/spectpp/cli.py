@@ -61,6 +61,13 @@ def _read_json(path: str) -> dict:
         raise DataError(f"invalid JSON in {path}: {exc}")
 
 
+def _load_config(cls, path: str):
+    try:
+        return cls(**_read_json(path))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad {cls.__name__} file {path}: {exc}")
+
+
 def _load_process(path: str):
     try:
         return process_from_record(_read_json(path))
@@ -119,8 +126,8 @@ def run_train(args: dict, out_dir: Path) -> dict:
     sequences = _load_sequences(args["data"])
     if not sequences:
         raise DataError(f"no sequences in {args['data']}")
-    model_config = ModelConfig(**_read_json(args["model_config"]))
-    train_config = TrainConfig(**_read_json(args["train_config"]))
+    model_config = _load_config(ModelConfig, args["model_config"])
+    train_config = _load_config(TrainConfig, args["train_config"])
     for i, seq in enumerate(sequences):
         report = validate_sequence(seq, model_config.n_marks)
         if not report.ok:
@@ -357,7 +364,7 @@ def train(data, model_config, train_config, out):
     _execute("train", {"data": str(Path(data).resolve()),
                        "model_config": str(Path(model_config).resolve()),
                        "train_config": str(Path(train_config).resolve()),
-                       "seed": _read_json(train_config).get("seed", 0)}, out)
+                       "seed": _load_config(TrainConfig, train_config).seed}, out)
 
 
 @main.command()

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classical import GroundTruthProcess, total_compensator_increments
 from .core import EventSequence, RngStream
-from .model import MarkDistribution, ModelCheckpoint
+from .model import ModelCheckpoint
 from .sampler import ar_next_event, sd_next_event
 
 KS_BAND_COEFFICIENT = 1.36  # 95% confidence band c(alpha)/sqrt(n)
@@ -80,8 +80,6 @@ def wasserstein_1d(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _as_probabilities(dist) -> np.ndarray:
-    if isinstance(dist, MarkDistribution):
-        return dist.probabilities
     arr = np.asarray(dist, dtype=float)
     total = float(np.sum(arr))
     if total <= 0:
@@ -91,8 +89,8 @@ def _as_probabilities(dist) -> np.ndarray:
 
 def categorical_emd(p, q) -> float:
     """Earth mover's distance between mark distributions under the 0/1
-    ground metric, i.e. half the L1 distance. Accepts probability vectors,
-    MarkDistribution, or unnormalized count vectors."""
+    ground metric, i.e. half the L1 distance. Accepts probability vectors
+    or unnormalized count vectors."""
     pp, qq = _as_probabilities(p), _as_probabilities(q)
     if pp.shape != qq.shape:
         raise ValueError("distributions must share the mark cardinality")

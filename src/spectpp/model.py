@@ -33,7 +33,8 @@ ATTENTIONS = ("standard", "attnhp")
 
 
 class CheckpointFormatError(ValueError):
-    """Raised when a checkpoint file has an unsupported format version."""
+    """Raised when a checkpoint file has an unsupported format version, or a
+    configuration or parameters that do not form a model."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,10 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         raise CheckpointFormatError(
             f"unsupported checkpoint format_version {version!r}; "
             f"this build reads version {CHECKPOINT_FORMAT_VERSION}")
-    config = ModelConfig(**doc["config"])
+    try:
+        config = ModelConfig(**doc["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"checkpoint config is not a valid ModelConfig: {exc}")
     params = {}
     for name, entry in doc["params"].items():
         params[name] = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])

@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,57 +42,39 @@ class ZeroResidualError(ValueError):
 
 
 @dataclass(frozen=True)
-class DraftCandidate:
-    """One drafted event with the densities it was sampled under."""
-
-    interval: float
-    time: float
-    mark: int
-    interval_logpdf: float
-    interval_params: MixtureParams
-    mark_distribution: MarkDistribution
-
-
-@dataclass(frozen=True)
 class DraftBatch:
-    """Gamma candidate events drafted autoregressively from the draft model."""
+    """Gamma candidate events drafted autoregressively from the draft model:
+    their times, marks, intervals and interval log-densities as arrays, plus
+    the draft head rows each was sampled under, kept for the residual draw."""
 
-    candidates: tuple[DraftCandidate, ...]
+    times: np.ndarray
+    marks: np.ndarray
+    intervals: np.ndarray
+    interval_logpdf: np.ndarray
+    mixtures: tuple[MixtureParams, ...]
+    mark_dists: tuple[MarkDistribution, ...]
 
     def __post_init__(self) -> None:
-        times = [c.time for c in self.candidates]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("candidate times must strictly increase")
-        if not all(math.isfinite(c.interval_logpdf) for c in self.candidates):
+        if not np.isfinite(self.interval_logpdf).all():
             raise FloatingPointError("draft log-densities must be finite")
 
     def __len__(self) -> int:
-        return len(self.candidates)
-
-
-@dataclass(frozen=True)
-class PositionRecord:
-    """Acceptance bookkeeping for one drafted position."""
-
-    interval_ratio: float
-    mark_ratio: float
-    u_interval: float
-    u_mark: float
+        return len(self.times)
 
 
 @dataclass(frozen=True)
 class VerificationOutcome:
     """Verified prefix length, the replacement event when a rejection
-    occurred, and the per-position acceptance records."""
+    occurred, and the per-position acceptance ratios and uniforms."""
 
     accepted_len: int
     replacement: Event | None
-    records: tuple[PositionRecord, ...]
-    drafted: int
-
-    def __post_init__(self) -> None:
-        if self.accepted_len > self.drafted:
-            raise ValueError("accepted prefix cannot exceed drafted length")
+    interval_ratios: np.ndarray
+    mark_ratios: np.ndarray
+    u_interval: np.ndarray
+    u_mark: np.ndarray
 
 
 @dataclass
@@ -114,8 +97,20 @@ class SampleRunStats:
         return self.events_accepted / self.events_drafted
 
 
-def _last_time(events: list[Event]) -> float:
+def _last_time(events: Sequence[Event]) -> float:
     return events[-1].time if events else 0.0
+
+
+def ar_next_event(target: ModelCheckpoint, history: EventSequence,
+                  rng: RngStream) -> Event:
+    """One autoregressive draw of the next event after the given history:
+    the step that ar_sample repeats."""
+    mixture, mark_dist = next_event_distributions(history, target)
+    tau, _ = sample_interval(mixture, rng)
+    t_next = _last_time(history.events) + tau
+    if not math.isfinite(t_next):
+        raise FloatingPointError(f"non-finite event time {t_next}")
+    return Event(t_next, rng.categorical(mark_dist.probabilities))
 
 
 def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
@@ -127,49 +122,38 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
     stats = SampleRunStats()
     start = time.perf_counter()
     while True:
-        mixture, mark_dist = next_event_distributions(EventSequence(tuple(events), t_end), target)
+        event = ar_next_event(target, EventSequence(tuple(events), t_end), stream)
         stats.target_forward_passes += 1
-        tau, _ = sample_interval(mixture, stream)
-        t_next = _last_time(events) + tau
-        if not math.isfinite(t_next):
-            raise FloatingPointError(f"non-finite event time {t_next}")
-        if t_next > t_end:
+        if event.time > t_end:
             break
-        mark = stream.categorical(mark_dist.probabilities)
-        events.append(Event(t_next, mark))
+        events.append(event)
     stats.wall_seconds = time.perf_counter() - start
     return EventSequence(tuple(events), t_end), stats
 
 
-def ar_next_event(target: ModelCheckpoint, history: EventSequence,
-                  rng: RngStream) -> Event:
-    """One autoregressive draw of the next event after the given history."""
-    mixture, mark_dist = next_event_distributions(history, target)
-    tau, _ = sample_interval(mixture, rng)
-    mark = rng.categorical(mark_dist.probabilities)
-    return Event(_last_time(list(history.events)) + tau, mark)
-
-
-def draft(draft_model: ModelCheckpoint, history: list[Event] | EventSequence, gamma: int,
-          rng: RngStream, stats: SampleRunStats | None = None) -> DraftBatch:
-    """Sample gamma candidate events autoregressively from the draft model,
-    recording the interval log-density and full mark distribution at each."""
+def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rng: RngStream,
+          stats: SampleRunStats) -> DraftBatch:
+    """Sample gamma candidate events autoregressively from the draft model
+    after the history, recording the interval log-density and full mark
+    distribution at each."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    events = list(history.events) if isinstance(history, EventSequence) else list(history)
-    horizon = math.inf
-    candidates = []
+    events = list(history)
+    intervals, logpdfs, mixtures, mark_dists = [], [], [], []
     for _ in range(gamma):
         mixture, mark_dist = next_event_distributions(
-            EventSequence(tuple(events), horizon), draft_model)
-        if stats is not None:
-            stats.draft_forward_passes += 1
+            EventSequence(tuple(events), math.inf), draft_model)
+        stats.draft_forward_passes += 1
         tau, logpdf = sample_interval(mixture, rng)
         mark = rng.categorical(mark_dist.probabilities)
-        event = Event(_last_time(events) + tau, mark)
-        candidates.append(DraftCandidate(tau, event.time, mark, logpdf, mixture, mark_dist))
-        events.append(event)
-    return DraftBatch(tuple(candidates))
+        events.append(Event(_last_time(events) + tau, mark))
+        intervals.append(tau)
+        logpdfs.append(logpdf)
+        mixtures.append(mixture)
+        mark_dists.append(mark_dist)
+    drafted = events[-gamma:]
+    return DraftBatch(np.array([e.time for e in drafted]), np.array([e.mark for e in drafted]),
+                      np.array(intervals), np.array(logpdfs), tuple(mixtures), tuple(mark_dists))
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -209,14 +193,6 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
     return tau, max_proposals, True
 
 
-def residual_interval_sample(g_target: MixtureParams, g_draft: MixtureParams,
-                             rng: RngStream,
-                             max_proposals: int = RESIDUAL_MAX_PROPOSALS) -> float:
-    """Draw from the adjusted interval distribution norm(max(0, g_T - g_D))."""
-    value, _, _ = _residual_interval_sample_info(g_target, g_draft, rng, max_proposals)
-    return value
-
-
 def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
                          rng: RngStream) -> int:
     """Draw a mark from norm(max(0, f_T - f_D))."""
@@ -228,11 +204,11 @@ def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
     return rng.categorical(residual / mass)
 
 
-def verify(target: ModelCheckpoint, history: list[Event] | EventSequence, batch: DraftBatch,
-           rng: RngStream, residual_rng: RngStream | None = None,
-           policy: str = "adjusted",
-           stats: SampleRunStats | None = None) -> VerificationOutcome:
-    """Verify a draft batch with one batched target forward pass.
+def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch, rng: RngStream,
+           residual_rng: RngStream, stats: SampleRunStats,
+           policy: str = "adjusted") -> VerificationOutcome:
+    """Verify a draft batch after the history with one batched target
+    forward pass.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. Under the default
@@ -246,40 +222,32 @@ def verify(target: ModelCheckpoint, history: list[Event] | EventSequence, batch:
     """
     if policy not in ("adjusted", "alg1-literal"):
         raise ValueError("policy must be 'adjusted' or 'alg1-literal'")
-    events = list(history.events) if isinstance(history, EventSequence) else list(history)
+    events = list(history)
     n_hist = len(events)
     gamma = len(batch)
-    combined = events + [Event(c.time, c.mark) for c in batch.candidates]
-    horizon = combined[-1].time if combined else 1.0
+    combined = events + [Event(t, k) for t, k in zip(batch.times.tolist(), batch.marks.tolist())]
     mixtures, mark_dists = position_distributions(
-        EventSequence(tuple(combined), horizon), target)
-    if stats is not None:
-        stats.target_forward_passes += 1
-        stats.iterations += 1
-        stats.events_drafted += gamma
+        EventSequence(tuple(combined), math.inf), target)
+    stats.target_forward_passes += 1
+    stats.iterations += 1
+    stats.events_drafted += gamma
 
     u_interval = np.asarray(rng.uniform(gamma))
     u_mark = np.asarray(rng.uniform(gamma))
-    if residual_rng is None:
-        residual_rng = rng.child("residual")
 
     # Candidate l is scored by row n_hist + l. The density is evaluated on
     # every row in one call; rows outside the candidates get tau = 1, unread.
     rows = slice(n_hist, n_hist + gamma)
     taus = np.ones(len(combined) + 1)
-    taus[rows] = [c.interval for c in batch.candidates]
+    taus[rows] = batch.intervals
     g_t = mixture_logpdf(taus, mixtures)[rows]
     if np.any(np.isnan(g_t) | (g_t == np.inf)):
         raise FloatingPointError("non-finite target interval density")
-    g_d = np.array([c.interval_logpdf for c in batch.candidates])
-    marks = [c.mark for c in batch.candidates]
-    f_t = mark_dists.probabilities[np.arange(n_hist, n_hist + gamma), marks]
-    f_d = np.array([c.mark_distribution.probabilities[c.mark] for c in batch.candidates])
-    interval_ratios = clamped_exp(g_t - g_d)
+    f_t = mark_dists.probabilities[np.arange(n_hist, n_hist + gamma), batch.marks]
+    f_d = np.array([d.probabilities[k] for d, k in zip(batch.mark_dists, batch.marks)])
+    interval_ratios = clamped_exp(g_t - batch.interval_logpdf)
     with np.errstate(divide="ignore"):
         mark_ratios = clamped_exp(np.log(f_t) - np.log(f_d))
-    records = tuple(PositionRecord(*map(float, values))
-                    for values in zip(interval_ratios, mark_ratios, u_interval, u_mark))
 
     interval_ok = u_interval < interval_ratios
     mark_ok = u_mark < mark_ratios
@@ -289,24 +257,42 @@ def verify(target: ModelCheckpoint, history: list[Event] | EventSequence, batch:
     if accepted < gamma:
         # "adjusted" resamples only what was rejected; "alg1-literal" both
         literal = policy == "alg1-literal"
-        cand = batch.candidates[accepted]
         row = n_hist + accepted
         g_row = MixtureParams(mixtures.weights[row], mixtures.means[row], mixtures.scales[row])
         f_row = MarkDistribution(mark_dists.probabilities[row])
-        event_time, mark = cand.time, cand.mark
+        event_time, mark = combined[row].time, combined[row].mark
         if literal or not interval_ok[accepted]:
             tau, _, fell_back = _residual_interval_sample_info(
-                g_row, cand.interval_params, residual_rng)
-            if fell_back and stats is not None:
-                stats.residual_fallbacks += 1
+                g_row, batch.mixtures[accepted], residual_rng)
+            stats.residual_fallbacks += int(fell_back)
             event_time = _last_time(combined[:row]) + tau
         if literal or not mark_ok[accepted]:
-            mark = residual_mark_sample(f_row, cand.mark_distribution, residual_rng)
+            mark = residual_mark_sample(f_row, batch.mark_dists[accepted], residual_rng)
         replacement = Event(event_time, mark)
-    if stats is not None:
-        stats.events_accepted += accepted
-        stats.replacement_events += int(replacement is not None)
-    return VerificationOutcome(accepted, replacement, records, gamma)
+    stats.events_accepted += accepted
+    stats.replacement_events += int(replacement is not None)
+    return VerificationOutcome(accepted, replacement, interval_ratios, mark_ratios,
+                               u_interval, u_mark)
+
+
+def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: Iterable[Event],
+             gamma: int, streams: tuple[RngStream, RngStream, RngStream], policy: str,
+             stats: SampleRunStats) -> list[Event]:
+    """One draft-verify step after ``events``: the accepted prefix of the
+    drafted events plus the replacement, if one was drawn. ``streams`` are
+    the draft, verify and residual streams."""
+    draft_rng, verify_rng, residual_rng = streams
+    batch = draft(draft_model, events, gamma, draft_rng, stats)
+    outcome = verify(target, events, batch, verify_rng, residual_rng, stats, policy)
+    n = outcome.accepted_len
+    emitted = [Event(t, k) for t, k in zip(batch.times[:n].tolist(), batch.marks[:n].tolist())]
+    if outcome.replacement is not None:
+        emitted.append(outcome.replacement)
+    return emitted
+
+
+def _sd_streams(rng: RngStream) -> tuple[RngStream, RngStream, RngStream]:
+    return rng.child("draft"), rng.child("verify"), rng.child("residual")
 
 
 def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: float,
@@ -320,18 +306,11 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     events = list(history.events) if history is not None else []
-    draft_rng = rng.child("draft")
-    verify_rng = rng.child("verify")
-    residual_rng = rng.child("residual")
+    streams = _sd_streams(rng)
     stats = SampleRunStats()
     start = time.perf_counter()
     while _last_time(events) < t_end:
-        batch = draft(draft_model, events, gamma, draft_rng, stats)
-        outcome = verify(target, events, batch, verify_rng, residual_rng, policy, stats)
-        for cand in batch.candidates[:outcome.accepted_len]:
-            events.append(Event(cand.time, cand.mark))
-        if outcome.replacement is not None:
-            events.append(outcome.replacement)
+        events.extend(_sd_step(target, draft_model, events, gamma, streams, policy, stats))
     if not math.isfinite(_last_time(events)):
         raise FloatingPointError(f"non-finite event time {_last_time(events)}")
     kept = tuple(e for e in events if e.time <= t_end)
@@ -343,12 +322,5 @@ def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
                   history: EventSequence, gamma: int, rng: RngStream,
                   policy: str = "adjusted") -> Event:
     """First event emitted by a single draft-verify step after the history."""
-    stats = SampleRunStats()
-    batch = draft(draft_model, history, gamma, rng.child("draft"), stats)
-    outcome = verify(target, history, batch, rng.child("verify"),
-                     rng.child("residual"), policy, stats)
-    if outcome.accepted_len >= 1:
-        first = batch.candidates[0]
-        return Event(first.time, first.mark)
-    assert outcome.replacement is not None
-    return outcome.replacement
+    return _sd_step(target, draft_model, history, gamma, _sd_streams(rng), policy,
+                    SampleRunStats())[0]

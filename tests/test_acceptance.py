@@ -107,7 +107,7 @@ def test_criterion_2_residual_sampler_oracle():
             continue  # nearly identical pair: residual law not meaningfully testable
         cdf = cdf / cdf[-1]
         stream = RngStream(int(gen.integers(0, 2**31)))
-        draws = np.sort([S.residual_interval_sample(g_t, g_d, stream)
+        draws = np.sort([S._residual_interval_sample_info(g_t, g_d, stream)[0]
                          for _ in range(10_000)])
         theo = np.interp(draws, taus, cdf)
         n = draws.size

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from spectpp import cli
-from spectpp.core import RngStream, read_sequences
+from spectpp.core import RngStream, read_sequences, sequence_from_arrays, write_sequences
 from spectpp.model import ModelConfig, init_checkpoint, save_checkpoint
 
 
@@ -256,3 +256,34 @@ def test_checkpoint_version_mismatch_exit_2(runner, workspace):
                                       "--t-end", "5", "--out", str(workspace / "x")])
     assert result.exit_code == 2
     assert "format_version" in result.output
+
+
+@pytest.mark.parametrize("flag, config", [
+    ("--model-config", {"embed_dim": 3, "n_components": 4}),
+    ("--model-config", {"embed_dim": 8, "no_such_field": 1}),
+    ("--train-config", {"learning_rate": -1}),
+    ("--train-config", [0.01, 8]),
+])
+def test_bad_config_file_exit_2(runner, workspace, flag, config):
+    data = workspace / "sequences.jsonl"
+    write_sequences(data, [sequence_from_arrays([0.5, 1.0], [0, 0], 2.0)] * 10)
+    bad = workspace / "bad_config.json"
+    bad.write_text(json.dumps(config))
+    configs = {"--model-config": str(workspace / "model_config.json"),
+               "--train-config": str(workspace / "train_config.json"), flag: str(bad)}
+    result = runner.invoke(cli.main, ["train", "--data", str(data),
+                                      *[a for pair in configs.items() for a in pair],
+                                      "--out", str(workspace / "t")])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "bad_config.json" in result.output
+
+
+def test_checkpoint_bad_config_exit_2(runner, workspace):
+    doc = json.loads((workspace / "target.json").read_text())
+    doc["config"]["no_such_field"] = 1
+    bad = workspace / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(cli.main, ["sample", "--mode", "ar", "--target", str(bad),
+                                      "--t-end", "5", "--out", str(workspace / "x")])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "no_such_field" in result.output

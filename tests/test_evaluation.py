@@ -156,10 +156,8 @@ def test_emd_half_move():
 
 def test_emd_accepts_counts_and_distributions():
     counts_p, counts_q = np.array([30, 10]), np.array([20, 20])
-    from spectpp.model import MarkDistribution
     assert E.categorical_emd(counts_p, counts_q) == pytest.approx(
-        E.categorical_emd(MarkDistribution(np.array([0.75, 0.25])),
-                          MarkDistribution(np.array([0.5, 0.5]))))
+        E.categorical_emd([0.75, 0.25], [0.5, 0.5]))
 
 
 def test_emd_dimension_mismatch():

@@ -57,9 +57,6 @@ class FixedUniforms:
     def uniform(self, n=None):
         return self._values.pop(0)
 
-    def child(self, name):
-        return RngStream(0).child(name)
-
 
 # -- autoregressive sampling ----------------------------------------------------
 
@@ -99,12 +96,13 @@ def test_draft_records_consistent_densities():
     batch = S.draft(ckpt, [], gamma=4, rng=RngStream(6).child("draft"), stats=stats)
     assert stats.draft_forward_passes == 4
     events = []
-    for cand in batch.candidates:
+    for i in range(len(batch)):
         mix, mark_dist = M.next_event_distributions(EventSequence(tuple(events), math.inf), ckpt)
-        assert cand.interval_logpdf == pytest.approx(M.mixture_logpdf(cand.interval, mix), abs=1e-12)
-        assert np.allclose(cand.mark_distribution.probabilities, mark_dist.probabilities, atol=1e-12)
-        events.append(Event(cand.time, cand.mark))
-    times = [c.time for c in batch.candidates]
+        assert batch.interval_logpdf[i] == pytest.approx(
+            M.mixture_logpdf(batch.intervals[i], mix), abs=1e-12)
+        assert np.allclose(batch.mark_dists[i].probabilities, mark_dist.probabilities, atol=1e-12)
+        events.append(Event(float(batch.times[i]), int(batch.marks[i])))
+    times = batch.times.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -158,7 +156,8 @@ def test_residual_interval_disjoint_supports_recovers_target():
     g_t = mixture([1.0], [0.0], [0.1])
     g_d = mixture([1.0], [50.0], [0.1])
     stream = RngStream(11)
-    draws = np.array([S.residual_interval_sample(g_t, g_d, stream) for _ in range(10_000)])
+    draws = np.array([S._residual_interval_sample_info(g_t, g_d, stream)[0]
+                      for _ in range(10_000)])
     result = kstest(draws, lambda x: np.array([M.mixture_cdf(t, g_t) for t in x]))
     assert result.pvalue > 0.01
 
@@ -168,7 +167,8 @@ def test_residual_interval_matches_quadrature_oracle():
     g_d = mixture([1.0], [1.0], [0.5])
     taus, cdf = residual_cdf_grid(g_t, g_d)
     stream = RngStream(12)
-    draws = np.array([S.residual_interval_sample(g_t, g_d, stream) for _ in range(10_000)])
+    draws = np.array([S._residual_interval_sample_info(g_t, g_d, stream)[0]
+                      for _ in range(10_000)])
     assert ks_against_grid(draws, taus, cdf) < 0.02
 
 
@@ -206,12 +206,12 @@ def test_verify_identical_models_accepts_everything():
     ckpt = make_checkpoint(15)
     stats = S.SampleRunStats()
     batch = S.draft(ckpt, [], gamma=6, rng=RngStream(16).child("draft"), stats=stats)
-    outcome = S.verify(ckpt, [], batch, RngStream(16).child("verify"), stats=stats)
+    outcome = S.verify(ckpt, [], batch, RngStream(16).child("verify"),
+                       RngStream(16).child("residual"), stats)
     assert outcome.accepted_len == 6
     assert outcome.replacement is None
-    for record in outcome.records:
-        assert record.interval_ratio == pytest.approx(1.0, abs=1e-9)
-        assert record.mark_ratio == pytest.approx(1.0, abs=1e-9)
+    assert outcome.interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
+    assert outcome.mark_ratios == pytest.approx(np.ones(6), abs=1e-9)
     assert stats.target_forward_passes == 1
     assert stats.events_accepted == 6 and stats.events_drafted == 6
 
@@ -220,20 +220,23 @@ def doctored_batch(batch, log_density_shift=0.0):
     """Rewrite a self-drafted batch as if it came from a different draft
     model: shift the recorded interval mixtures and concentrate the mark
     distributions, so every residual distribution is well defined."""
-    out = []
-    for cand in batch.candidates:
-        shifted = M.MixtureParams(cand.interval_params.weights,
-                                  cand.interval_params.means + 1.0,
-                                  cand.interval_params.scales)
-        k = len(cand.mark_distribution.probabilities)
+    mixtures, mark_dists, logpdfs = [], [], []
+    for tau, mark, logpdf, mix, dist in zip(batch.intervals, batch.marks, batch.interval_logpdf,
+                                            batch.mixtures, batch.mark_dists):
+        shifted = M.MixtureParams(mix.weights, mix.means + 1.0, mix.scales)
+        k = len(dist.probabilities)
         probs = np.full(k, 0.1 / max(1, k - 1))
-        probs[cand.mark] = 0.9
-        out.append(S.DraftCandidate(
-            cand.interval, cand.time, cand.mark,
-            (M.mixture_logpdf(cand.interval, shifted) if log_density_shift == 0.0
-             else cand.interval_logpdf + log_density_shift),
-            shifted, M.MarkDistribution(probs / probs.sum())))
-    return S.DraftBatch(tuple(out))
+        probs[mark] = 0.9
+        mixtures.append(shifted)
+        mark_dists.append(M.MarkDistribution(probs / probs.sum()))
+        logpdfs.append(M.mixture_logpdf(tau, shifted) if log_density_shift == 0.0
+                       else logpdf + log_density_shift)
+    return S.DraftBatch(batch.times, batch.marks, batch.intervals, np.array(logpdfs),
+                        tuple(mixtures), tuple(mark_dists))
+
+
+def draft_batch(ckpt, gamma, rng):
+    return S.draft(ckpt, [], gamma, rng, S.SampleRunStats())
 
 
 REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
@@ -243,11 +246,11 @@ def test_verify_injected_threshold_rejects():
     """A recorded ratio of 0.5 with an injected epsilon of 0.7 rejects at
     the first position, leaving zero accepted and a replacement pending."""
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(S.draft(ckpt, [], gamma=2, rng=RngStream(17).child("draft")),
+    batch = doctored_batch(draft_batch(ckpt, 2, RngStream(17).child("draft")),
                            log_density_shift=math.log(2.0))
     outcome = S.verify(ckpt, [], batch,
-                       FixedUniforms([0.7, 0.1], [0.0, 0.0]), RngStream(18))
-    assert outcome.records[0].interval_ratio == pytest.approx(0.5, abs=1e-9)
+                       FixedUniforms([0.7, 0.1], [0.0, 0.0]), RngStream(18), S.SampleRunStats())
+    assert outcome.interval_ratios[0] == pytest.approx(0.5, abs=1e-9)
     assert outcome.accepted_len == 0
     assert outcome.replacement is not None
 
@@ -256,34 +259,35 @@ def test_verify_min_rule_interval_before_mark():
     """Interval rejection at position 2 preempts a mark rejection at 3:
     one accepted event plus one replacement get appended (Alg-style L=2)."""
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(S.draft(ckpt, [], gamma=4, rng=RngStream(19).child("draft")))
+    batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     u_interval = [0.0, REJECT, 0.0, 0.0]   # interval fails at index 1
     u_mark = [0.0, 0.0, REJECT, 0.0]       # mark would fail at index 2
     for policy in ("adjusted", "alg1-literal"):
         outcome = S.verify(ckpt, [], batch, FixedUniforms(u_interval, u_mark),
-                           RngStream(20), policy=policy)
+                           RngStream(20), S.SampleRunStats(), policy=policy)
         assert outcome.accepted_len == 1
         assert outcome.replacement is not None
 
 
 def test_verify_mark_only_rejection_keeps_interval():
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(S.draft(ckpt, [], gamma=3, rng=RngStream(21).child("draft")))
+    batch = doctored_batch(draft_batch(ckpt, 3, RngStream(21).child("draft")))
     outcome = S.verify(ckpt, [], batch,
                        FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
-                       RngStream(22))
+                       RngStream(22), S.SampleRunStats())
     # mark rejected at index 1 under the adjusted policy: drafted time stays
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
-    assert outcome.replacement.time == batch.candidates[1].time
+    assert outcome.replacement.time == batch.times[1]
 
 
 def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(S.draft(ckpt, [], gamma=4, rng=RngStream(19).child("draft")))
+    batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 2)):
         constructions.update(MixtureParams=0, MarkDistribution=0)
-        outcome = S.verify(ckpt, [], batch, FixedUniforms([0.0] * 4, u_mark), RngStream(20))
+        outcome = S.verify(ckpt, [], batch, FixedUniforms([0.0] * 4, u_mark), RngStream(20),
+                           S.SampleRunStats())
         assert outcome.accepted_len == accepted
         assert constructions == {"MixtureParams": pairs, "MarkDistribution": pairs}
 
@@ -421,3 +425,25 @@ def test_sd_identical_models_next_event_matches_ar():
     ar_times = [S.ar_next_event(ckpt, history, root.child(f"a{i}")).time
                 for i in range(2000)]
     assert ks_2samp(sd_times, ar_times).pvalue > 0.01
+
+
+@pytest.mark.parametrize("policy", ["adjusted", "alg1-literal"])
+def test_next_event_helpers_are_the_first_step_of_their_loops(policy):
+    """ar_next_event and sd_next_event emit exactly the first new event of
+    ar_sample and tpp_sd_sample under the same streams."""
+    target = make_checkpoint(28, n_layers=2, scale=1.5)
+    draft_model = make_checkpoint(29)
+    history = sequence_from_arrays([0.5, 1.1], [0, 1], 40.0)
+    replaced = 0
+    for seed in range(8):
+        rng = RngStream(seed)
+        ar_seq, _ = S.ar_sample(target, 40.0, rng, history=history)
+        assert S.ar_next_event(target, history, rng.child("ar")) == ar_seq.events[2]
+        sd_seq, _ = S.tpp_sd_sample(target, draft_model, 40.0, 4, rng, history=history,
+                                    policy=policy)
+        first = S.sd_next_event(target, draft_model, history, 4, rng, policy)
+        assert first == sd_seq.events[2]
+        stats = S.SampleRunStats()
+        batch = S.draft(draft_model, history, 4, rng.child("draft"), stats)
+        replaced += int(first.time != batch.times[0] or first.mark != batch.marks[0])
+    assert 0 < replaced < 8

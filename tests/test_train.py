@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectpp import autodiff as ad
 from spectpp import training as T
 from spectpp.autodiff import grad_check
 from spectpp.classical import HawkesParams, ground_truth_loglik, make_synthetic_dataset
@@ -51,8 +52,8 @@ def test_nll_gradient_matches_finite_differences():
         total = None
         for seq in seqs:
             ll = _loglik_tensor(seq.times, seq.marks, seq.t_end, tensors, config)
-            total = ll if total is None else total + ll
-        return total * (-1.0 / 3.0)
+            total = ll if total is None else ad.add(total, ll)
+        return ad.mul(total, -1.0 / 3.0)
 
     assert grad_check(f, ckpt.params) < 1e-4
 
