@@ -195,6 +195,17 @@ def take(a, key) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
+def where(keep: np.ndarray, a, fill: float) -> Tensor:
+    """Entries of ``a`` where ``keep`` holds and ``fill`` elsewhere; the
+    adjoint reaches only the kept entries."""
+    a = as_tensor(a)
+
+    def backward(g):
+        _accumulate(a, np.where(keep, g, 0.0))
+
+    return _from_op(np.where(keep, a.data, fill), (a,), backward)
+
+
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
 

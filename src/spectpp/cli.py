@@ -147,6 +147,7 @@ def run_train(args: dict, out_dir: Path) -> dict:
 
 _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_accepted",
                  "alpha", "target_forward_passes", "draft_forward_passes",
+                 "target_rows_encoded", "draft_rows_encoded",
                  "replacement_events", "residual_fallbacks", "t_ar", "t_sd"]
 
 
@@ -171,11 +172,12 @@ def run_sample(args: dict, out_dir: Path) -> dict:
             rows.append([run, mode, args["gamma"], len(seq), stats.events_drafted,
                          stats.events_accepted, _format_cell(stats.acceptance_rate),
                          stats.target_forward_passes, stats.draft_forward_passes,
+                         stats.target_rows_encoded, stats.draft_rows_encoded,
                          stats.replacement_events, stats.residual_fallbacks,
                          "", _format_cell(stats.wall_seconds)])
         else:
             rows.append([run, mode, "", len(seq), "", "", "",
-                         stats.target_forward_passes, "", "", "",
+                         stats.target_forward_passes, "", stats.target_rows_encoded, "", "", "",
                          _format_cell(stats.wall_seconds), ""])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)

@@ -5,7 +5,9 @@ causal attention-plus-residual blocks, and decoded into a log-normal
 mixture over the next inter-event interval and a categorical distribution
 over the next mark. Three temporal encodings and two attention styles are
 supported; all forward math runs on autodiff tensors so the same code
-serves sampling (constants) and training (gradients).
+serves sampling (constants) and training (gradients). An EncoderCache keeps
+every layer's keys and values, so a sampling forward encodes only the
+events that are new since the previous one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 1e4
 _LOG_2PI = math.log(2.0 * math.pi)
-_ATTENTION_MASK_FILL = -1e30
 
 ENCODINGS = ("thp", "sahp", "attnhp")
 ATTENTIONS = ("standard", "attnhp")
@@ -265,10 +266,16 @@ def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor
 
 
 def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor],
-                   config: ModelConfig) -> Tensor:
+                   config: ModelConfig, past: EncoderCache | None = None) -> Tensor:
+    """Final-layer rows of the given events. With a ``past``, the events
+    follow the ``past.size`` events it holds: their keys and values are
+    stored in it and new rows attend over [past; new]; without one the past
+    is empty. Only the new x new block of the causal mask is needed, and a
+    single new row needs none."""
     x, z = _embed_tensor(times, marks, params, config)
     n = times.size
-    mask = np.triu(np.full((n, n), _ATTENTION_MASK_FILL), k=1)
+    n_past = 0 if past is None else past.size
+    causal = None if n == 1 else np.tri(n, n_past + n, n_past, dtype=bool)
     inv_sqrt = 1.0 / math.sqrt(config.head_dim)
     ones_col = Tensor(np.ones((n, 1)))
     h = x
@@ -283,13 +290,20 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tenso
             q = ad.matmul(inputs, params[f"layers.{layer}.q"][:, cols])
             k = ad.matmul(inputs, params[f"layers.{layer}.k"][:, cols])
             v = ad.matmul(inputs, params[f"layers.{layer}.v"][:, cols])
-            scores = ad.add(ad.mul(ad.matmul(q, k.T), inv_sqrt), Tensor(mask))
-            kernel = ad.exp(scores)
-            totals = ad.tensor_sum(kernel, axis=1, keepdims=True)
+            if past is not None:
+                k, v = past.attend(layer, cols, k, v)
+            scores = ad.matmul(ad.mul(q, inv_sqrt), k.T)
+            if causal is not None:
+                scores = ad.where(causal, scores, -math.inf)
+            # the row maximum is a constant shift: attention is invariant to it
+            shift = scores.data.max(axis=1, keepdims=True)
+            kernel = ad.exp(ad.sub(scores, shift))
+            denominator = ad.tensor_sum(kernel, axis=1, keepdims=True)
             if config.attention == "attnhp":
-                head_outputs.append(ad.div(ad.matmul(kernel, v), ad.add(totals, 1.0)))
-            else:
-                head_outputs.append(ad.matmul(ad.div(kernel, totals), v))
+                # the +1 of the unshifted denominator becomes exp(-shift)
+                with np.errstate(over="ignore"):
+                    denominator = ad.add(denominator, np.exp(-shift))
+            head_outputs.append(ad.div(ad.matmul(kernel, v), denominator))
         agg = head_outputs[0] if len(head_outputs) == 1 else ad.concat(head_outputs, axis=1)
         if config.attention == "attnhp":
             agg = ad.tanh(agg)
@@ -303,14 +317,95 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tenso
 
 
 def _context_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor],
-                    config: ModelConfig) -> Tensor:
-    """Row i is the conditioning context for the (i+1)-th event; row 0 is the
-    learned begin-of-sequence context and row N conditions the survival term."""
-    init = ad.reshape(params["initial_context"], (1, config.embed_dim))
+                    config: ModelConfig, past: EncoderCache | None = None) -> Tensor:
+    """Row i is the conditioning context for the (i+1)-th event after the
+    past; row 0 is the final hidden row of the last past event, or the
+    learned begin-of-sequence context when the past is empty, and the last
+    row conditions the survival term."""
+    if past is None or past.size == 0:
+        first = ad.reshape(params["initial_context"], (1, config.embed_dim))
+    else:
+        first = Tensor(past.hidden[past.size - 1:past.size])
     if times.size == 0:
-        return init
-    h = _encode_tensor(times, marks, params, config)
-    return ad.concat([init, h], axis=0)
+        return first
+    h = _encode_tensor(times, marks, params, config, past)
+    return ad.concat([first, h], axis=0)
+
+
+class EncoderCache:
+    """The keys and values of every attention layer and the final hidden
+    rows of the events one checkpoint has encoded, so that a forward pass
+    encodes only the events it does not hold.
+
+    Passed to ``next_event_distributions`` or ``position_distributions``, it
+    keeps the rows of the longest prefix of the events whose times and marks
+    match the stored ones exactly, drops the rest, and encodes the
+    remainder: a rollback after a rejected draft is just a call with the
+    shorter or diverging events. Buffers grow geometrically. The checkpoint's
+    parameters must not change while the cache is in use.
+    """
+
+    def __init__(self, checkpoint: ModelCheckpoint) -> None:
+        self.checkpoint = checkpoint
+        self.params = checkpoint.param_tensors()
+        self.size = 0
+        self.last_encoded = 0
+        config = checkpoint.config
+        self._times = np.empty(0)
+        self._marks = np.empty(0, dtype=int)
+        self.hidden = np.empty((0, config.embed_dim))
+        self._keys = [np.empty((0, config.embed_dim)) for _ in range(config.n_layers)]
+        self._values = [np.empty((0, config.embed_dim)) for _ in range(config.n_layers)]
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times[:self.size]
+
+    @property
+    def marks(self) -> np.ndarray:
+        return self._marks[:self.size]
+
+    def _reserve(self, n: int) -> None:
+        capacity = len(self._times)
+        if n <= capacity:
+            return
+        capacity = max(n, 2 * capacity, 16)
+
+        def grown(buffer: np.ndarray) -> np.ndarray:
+            out = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+            out[:self.size] = buffer[:self.size]
+            return out
+
+        self._times, self._marks, self.hidden = map(grown, (self._times, self._marks, self.hidden))
+        self._keys = [grown(b) for b in self._keys]
+        self._values = [grown(b) for b in self._values]
+
+    def attend(self, layer: int, cols: slice, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store one head's new key and value rows after the held ones and
+        return the keys and values of [past; new]."""
+        end = self.size + k.data.shape[0]
+        self._keys[layer][self.size:end, cols] = k.data
+        self._values[layer][self.size:end, cols] = v.data
+        return Tensor(self._keys[layer][:end, cols]), Tensor(self._values[layer][:end, cols])
+
+    def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> Tensor:
+        """Context rows from the first position the cache does not hold up
+        to the end of ``events``, encoding only the events it lacks."""
+        if checkpoint is not self.checkpoint:
+            raise ValueError("the cache belongs to another checkpoint")
+        times, marks = events.times, events.marks
+        shared = min(self.size, times.size)
+        differs = np.flatnonzero((self.times[:shared] != times[:shared])
+                                 | (self.marks[:shared] != marks[:shared]))
+        self.size = int(differs[0]) if differs.size else shared
+        new = slice(self.size, times.size)
+        self._reserve(times.size)
+        ctx = _context_tensor(times[new], marks[new], self.params, checkpoint.config, self)
+        self._times[new], self._marks[new] = times[new], marks[new]
+        self.hidden[new] = ctx.data[1:]
+        self.last_encoded = times.size - self.size
+        self.size = times.size
+        return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +436,37 @@ def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
             MarkDistribution(e / e.sum(axis=-1, keepdims=True)))
 
 
-def position_distributions(events: EventSequence,
-                           checkpoint: ModelCheckpoint) -> tuple[MixtureParams, MarkDistribution]:
+def _context_rows(events: EventSequence, checkpoint: ModelCheckpoint,
+                  cache: EncoderCache | None) -> tuple[Tensor, dict[str, Tensor]]:
+    if cache is None:
+        params = checkpoint.param_tensors()
+        return _context_tensor(events.times, events.marks, params, checkpoint.config), params
+    return cache.context(events, checkpoint), cache.params
+
+
+def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
+                           cache: EncoderCache | None = None
+                           ) -> tuple[MixtureParams, MarkDistribution]:
     """Next-event distributions at every position, from one batched forward.
 
     Row i conditions on events[:i] (row 0 is the begin-of-sequence
     context), so both arrays have N+1 rows. Equality of these rows with
     per-prefix recomputation is what makes batched verification valid.
+    With a cache, the rows start at the first position it did not hold:
+    they are the last N+1-P rows, where P events were reused.
     """
-    params = checkpoint.param_tensors()
-    ctx = _context_tensor(events.times, events.marks, params, checkpoint.config)
+    ctx, params = _context_rows(events, checkpoint, cache)
     heads = _head_tensors(ctx, params, checkpoint.config)
     return _distributions(*(t.data for t in heads))
 
 
-def next_event_distributions(events: EventSequence,
-                             checkpoint: ModelCheckpoint) -> tuple[MixtureParams, MarkDistribution]:
+def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
+                             cache: EncoderCache | None = None
+                             ) -> tuple[MixtureParams, MarkDistribution]:
     """Distributions of the next interval and mark given the events so far:
     the last row of position_distributions, with the heads run on that row
     only."""
-    params = checkpoint.param_tensors()
-    ctx = _context_tensor(events.times, events.marks, params, checkpoint.config)
+    ctx, params = _context_rows(events, checkpoint, cache)
     heads = _head_tensors(ctx[-1:, :], params, checkpoint.config)
     return _distributions(*(t.data[0] for t in heads))
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import Event, EventSequence, RngStream, clamped_exp
 from .model import (
+    EncoderCache,
     MarkDistribution,
     MixtureParams,
     ModelCheckpoint,
@@ -87,6 +88,8 @@ class SampleRunStats:
     replacement_events: int = 0
     target_forward_passes: int = 0
     draft_forward_passes: int = 0
+    target_rows_encoded: int = 0
+    draft_rows_encoded: int = 0
     iterations: int = 0
     residual_fallbacks: int = 0
 
@@ -101,11 +104,17 @@ def _last_time(events: Sequence[Event]) -> float:
     return events[-1].time if events else 0.0
 
 
-def ar_next_event(target: ModelCheckpoint, history: EventSequence,
-                  rng: RngStream) -> Event:
+def _rows_encoded(events: Sequence[Event], cache: EncoderCache | None) -> int:
+    """Rows the latest forward over ``events`` encoded: all of them
+    without a cache."""
+    return len(events) if cache is None else cache.last_encoded
+
+
+def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
+                  cache: EncoderCache | None = None) -> Event:
     """One autoregressive draw of the next event after the given history:
     the step that ar_sample repeats."""
-    mixture, mark_dist = next_event_distributions(history, target)
+    mixture, mark_dist = next_event_distributions(history, target, cache=cache)
     tau, _ = sample_interval(mixture, rng)
     t_next = _last_time(history.events) + tau
     if not math.isfinite(t_next):
@@ -115,15 +124,18 @@ def ar_next_event(target: ModelCheckpoint, history: EventSequence,
 
 def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
               history: EventSequence | None = None) -> tuple[EventSequence, SampleRunStats]:
-    """Naive autoregressive sampling: one target forward per event; the
-    first event whose time exceeds t_end is discarded."""
+    """Autoregressive sampling: one target forward per event, each
+    encoding only the newest event; the first event whose time exceeds
+    t_end is discarded."""
     events = list(history.events) if history is not None else []
     stream = rng.child("ar")
+    cache = EncoderCache(target)
     stats = SampleRunStats()
     start = time.perf_counter()
     while True:
-        event = ar_next_event(target, EventSequence(tuple(events), t_end), stream)
+        event = ar_next_event(target, EventSequence(tuple(events), t_end), stream, cache=cache)
         stats.target_forward_passes += 1
+        stats.target_rows_encoded += cache.last_encoded
         if event.time > t_end:
             break
         events.append(event)
@@ -132,7 +144,7 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
 
 
 def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rng: RngStream,
-          stats: SampleRunStats) -> DraftBatch:
+          stats: SampleRunStats, *, cache: EncoderCache | None = None) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
     after the history, recording the interval log-density and full mark
     distribution at each."""
@@ -141,9 +153,10 @@ def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rn
     events = list(history)
     intervals, logpdfs, mixtures, mark_dists = [], [], [], []
     for _ in range(gamma):
-        mixture, mark_dist = next_event_distributions(
-            EventSequence(tuple(events), math.inf), draft_model)
+        seq = EventSequence(tuple(events), math.inf)
+        mixture, mark_dist = next_event_distributions(seq, draft_model, cache=cache)
         stats.draft_forward_passes += 1
+        stats.draft_rows_encoded += _rows_encoded(seq, cache)
         tau, logpdf = sample_interval(mixture, rng)
         mark = rng.categorical(mark_dist.probabilities)
         events.append(Event(_last_time(events) + tau, mark))
@@ -205,10 +218,10 @@ def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
 
 
 def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch, rng: RngStream,
-           residual_rng: RngStream, stats: SampleRunStats,
-           policy: str = "adjusted") -> VerificationOutcome:
+           residual_rng: RngStream, stats: SampleRunStats, policy: str = "adjusted", *,
+           cache: EncoderCache | None = None) -> VerificationOutcome:
     """Verify a draft batch after the history with one batched target
-    forward pass.
+    forward pass, which with a cache encodes only the events it lacks.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. Under the default
@@ -226,24 +239,30 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     n_hist = len(events)
     gamma = len(batch)
     combined = events + [Event(t, k) for t, k in zip(batch.times.tolist(), batch.marks.tolist())]
-    mixtures, mark_dists = position_distributions(
-        EventSequence(tuple(combined), math.inf), target)
+    seq = EventSequence(tuple(combined), math.inf)
+    mixtures, mark_dists = position_distributions(seq, target, cache=cache)
     stats.target_forward_passes += 1
+    stats.target_rows_encoded += _rows_encoded(seq, cache)
     stats.iterations += 1
     stats.events_drafted += gamma
 
     u_interval = np.asarray(rng.uniform(gamma))
     u_mark = np.asarray(rng.uniform(gamma))
 
-    # Candidate l is scored by row n_hist + l. The density is evaluated on
-    # every row in one call; rows outside the candidates get tau = 1, unread.
-    rows = slice(n_hist, n_hist + gamma)
-    taus = np.ones(len(combined) + 1)
+    # The rows end at position n_hist + gamma, and candidate l is scored by
+    # position n_hist + l, so the candidates are the gamma rows before the
+    # last. The density is evaluated on every row in one call; rows outside
+    # the candidates get tau = 1, unread.
+    first = len(mixtures.weights) - gamma - 1
+    if first < 0:
+        raise ValueError("the target cache already holds the drafted events")
+    rows = slice(first, first + gamma)
+    taus = np.ones(len(mixtures.weights))
     taus[rows] = batch.intervals
     g_t = mixture_logpdf(taus, mixtures)[rows]
     if np.any(np.isnan(g_t) | (g_t == np.inf)):
         raise FloatingPointError("non-finite target interval density")
-    f_t = mark_dists.probabilities[np.arange(n_hist, n_hist + gamma), batch.marks]
+    f_t = mark_dists.probabilities[np.arange(first, first + gamma), batch.marks]
     f_d = np.array([d.probabilities[k] for d, k in zip(batch.mark_dists, batch.marks)])
     interval_ratios = clamped_exp(g_t - batch.interval_logpdf)
     with np.errstate(divide="ignore"):
@@ -257,15 +276,15 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     if accepted < gamma:
         # "adjusted" resamples only what was rejected; "alg1-literal" both
         literal = policy == "alg1-literal"
-        row = n_hist + accepted
+        row, at = first + accepted, n_hist + accepted
         g_row = MixtureParams(mixtures.weights[row], mixtures.means[row], mixtures.scales[row])
         f_row = MarkDistribution(mark_dists.probabilities[row])
-        event_time, mark = combined[row].time, combined[row].mark
+        event_time, mark = combined[at].time, combined[at].mark
         if literal or not interval_ok[accepted]:
             tau, _, fell_back = _residual_interval_sample_info(
                 g_row, batch.mixtures[accepted], residual_rng)
             stats.residual_fallbacks += int(fell_back)
-            event_time = _last_time(combined[:row]) + tau
+            event_time = _last_time(combined[:at]) + tau
         if literal or not mark_ok[accepted]:
             mark = residual_mark_sample(f_row, batch.mark_dists[accepted], residual_rng)
         replacement = Event(event_time, mark)
@@ -277,13 +296,15 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
 
 def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: Iterable[Event],
              gamma: int, streams: tuple[RngStream, RngStream, RngStream], policy: str,
-             stats: SampleRunStats) -> list[Event]:
+             stats: SampleRunStats, *, target_cache: EncoderCache | None = None,
+             draft_cache: EncoderCache | None = None) -> list[Event]:
     """One draft-verify step after ``events``: the accepted prefix of the
     drafted events plus the replacement, if one was drawn. ``streams`` are
     the draft, verify and residual streams."""
     draft_rng, verify_rng, residual_rng = streams
-    batch = draft(draft_model, events, gamma, draft_rng, stats)
-    outcome = verify(target, events, batch, verify_rng, residual_rng, stats, policy)
+    batch = draft(draft_model, events, gamma, draft_rng, stats, cache=draft_cache)
+    outcome = verify(target, events, batch, verify_rng, residual_rng, stats, policy,
+                     cache=target_cache)
     n = outcome.accepted_len
     emitted = [Event(t, k) for t, k in zip(batch.times[:n].tolist(), batch.marks[:n].tolist())]
     if outcome.replacement is not None:
@@ -300,17 +321,21 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
                   policy: str = "adjusted") -> tuple[EventSequence, SampleRunStats]:
     """Speculative sampling loop: draft gamma events, verify in one target
     pass, append the accepted prefix plus any replacement, repeat until the
-    horizon is passed, then drop events beyond t_end."""
+    horizon is passed, then drop events beyond t_end. The target and the
+    draft each keep an encoder cache for the run; after a rejection the
+    next forward reuses the accepted prefix and drops the rest."""
     if target.config.n_marks != draft_model.config.n_marks:
         raise ValueError("target and draft must share the mark cardinality")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     events = list(history.events) if history is not None else []
     streams = _sd_streams(rng)
+    target_cache, draft_cache = EncoderCache(target), EncoderCache(draft_model)
     stats = SampleRunStats()
     start = time.perf_counter()
     while _last_time(events) < t_end:
-        events.extend(_sd_step(target, draft_model, events, gamma, streams, policy, stats))
+        events.extend(_sd_step(target, draft_model, events, gamma, streams, policy, stats,
+                               target_cache=target_cache, draft_cache=draft_cache))
     if not math.isfinite(_last_time(events)):
         raise FloatingPointError(f"non-finite event time {_last_time(events)}")
     kept = tuple(e for e in events if e.time <= t_end)

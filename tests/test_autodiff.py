@@ -91,6 +91,21 @@ def test_matmul_concat_slice_gradients():
     assert grad_check(f, {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 2))}) < 1e-6
 
 
+def test_where_passes_gradient_only_through_kept_entries():
+    rng = np.random.default_rng(10)
+    keep = np.tri(3, 4, 1, dtype=bool)
+    weights = Tensor(rng.normal(size=(3, 4)))
+
+    def f(p):
+        return ad.tensor_sum(ad.mul(ad.exp(ad.where(keep, p["x"], -math.inf)), weights))
+
+    x = rng.normal(size=(3, 4))
+    assert grad_check(f, {"x": x}) < 1e-6
+    t = Tensor(x, requires_grad=True)
+    f({"x": t}).backward()
+    assert np.all(t.grad[~keep] == 0.0) and np.all(t.grad[keep] != 0.0)
+
+
 def test_row_lookup_accumulates_repeated_indices():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     rows = ad.take(w, np.array([0, 2, 0]))

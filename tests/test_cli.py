@@ -114,6 +114,8 @@ def test_sample_sd_stats_include_alpha_and_t_sd(runner, workspace):
         assert float(row["alpha"]) > 0
         assert float(row["t_sd"]) > 0
         assert row["t_ar"] == ""
+        assert 0 < int(row["target_rows_encoded"]) <= 11 * int(row["target_forward_passes"])
+        assert int(row["draft_rows_encoded"]) == int(row["draft_forward_passes"]) - 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"]["stats"]["reproducible"] is False
 
@@ -127,6 +129,9 @@ def test_sample_ar_stats_include_t_ar(runner, workspace):
     (row,) = read_csv(out / "stats.csv")
     assert float(row["t_ar"]) > 0
     assert row["t_sd"] == "" and row["alpha"] == ""
+    # one new event per pass; the discarded overshoot is never encoded
+    assert int(row["target_rows_encoded"]) == int(row["n_events"])
+    assert row["draft_rows_encoded"] == ""
 
 
 def test_eval_ks_on_thinning_output_passes(runner, workspace):
@@ -230,8 +235,11 @@ def test_numerical_failure_maps_to_exit_3(runner, workspace, monkeypatch):
 
 
 def test_non_finite_model_output_maps_to_exit_3(runner, workspace):
-    # 30 default-initialised thp layers overflow the residual stream: NaN heads
+    # 30 thp layers with value projections scaled by 1e12 overflow the
+    # residual stream: NaN heads
     deep = init_checkpoint(ModelConfig(embed_dim=16, n_marks=2, n_layers=30), RngStream(3))
+    for layer in range(30):
+        deep.params[f"layers.{layer}.v"] = deep.params[f"layers.{layer}.v"] * 1e12
     save_checkpoint(workspace / "deep.json", deep)
     result = runner.invoke(cli.main, ["sample", "--mode", "sd", "--target",
                                       str(workspace / "deep.json"), "--draft",

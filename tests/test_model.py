@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from spectpp import model as M
 from spectpp.autodiff import Tensor, grad_check
-from spectpp.core import EventSequence, RngStream, sequence_from_arrays
+from spectpp.core import Event, EventSequence, RngStream, sequence_from_arrays
 
 
 def tiny_config(**overrides):
@@ -398,12 +398,129 @@ def test_batched_forward_matches_prefix_forwards(encoding):
 
 def test_position_distributions_constructs_one_stacked_pair(constructions):
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=17)
+    cache = M.EncoderCache(ckpt)
+    held = 0
     for n in (0, 1, 5, 40):
-        constructions.update(MixtureParams=0, MarkDistribution=0)
         seq = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 2, 100.0)
-        mixtures, _ = M.position_distributions(seq, ckpt)
-        assert mixtures.weights.shape == (n + 1, 4)
-        assert constructions == {"MixtureParams": 1, "MarkDistribution": 1}
+        # with a cache, rows start at the first position it did not hold
+        for kwargs, rows in (({}, n + 1), ({"cache": cache}, n + 1 - held)):
+            constructions.update(MixtureParams=0, MarkDistribution=0)
+            mixtures, _ = M.position_distributions(seq, ckpt, **kwargs)
+            assert mixtures.weights.shape == (rows, 4)
+            assert constructions == {"MixtureParams": 1, "MarkDistribution": 1}
+        held = n
+
+
+def unshifted_attention_reference(seq, ckpt):
+    """Final hidden rows from the textbook attention: raw exponentiated
+    scores, masked by dropping future keys, and attnhp's +1 denominator."""
+    config = ckpt.config
+    x = embed_events(seq, ckpt)
+    z = M._temporal_encoding_tensor(seq.times, ckpt.param_tensors(), config).data
+    n = len(seq)
+    h = x
+    for layer in range(config.n_layers):
+        inputs = np.hstack([np.ones((n, 1)), z, h]) if config.attention == "attnhp" else h
+        outs = []
+        for head in range(config.n_heads):
+            cols = slice(head * config.head_dim, (head + 1) * config.head_dim)
+            q, k, v = (inputs @ ckpt.params[f"layers.{layer}.{name}"][:, cols]
+                       for name in "qkv")
+            kernel = np.tril(np.exp(q @ k.T / math.sqrt(config.head_dim)))
+            totals = kernel.sum(axis=1, keepdims=True)
+            outs.append(kernel @ v / (totals + 1.0) if config.attention == "attnhp"
+                        else kernel / totals @ v)
+        agg = np.hstack(outs)
+        h = h + (np.tanh(agg) if config.attention == "attnhp" else agg)
+    return h
+
+
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_max_shifted_attention_matches_unshifted_reference(encoding):
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2), seed=18)
+    seq = sequence_from_arrays([0.3, 0.8, 1.6, 2.1, 3.3], [1, 0, 0, 1, 1], 10.0)
+    want = unshifted_attention_reference(seq, ckpt)
+    assert np.allclose(encode_history(seq, ckpt), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_large_attention_scores_stay_finite(encoding):
+    """Scores near 1e4 overflow exp() unless each row is shifted by its
+    maximum, and a future key's score must not leak through the mask."""
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2), seed=19)
+    for layer in range(2):
+        for name in ("q", "k"):
+            ckpt.params[f"layers.{layer}.{name}"] = ckpt.params[f"layers.{layer}.{name}"] * 60.0
+    seq = sequence_from_arrays([0.3, 0.8, 1.6, 2.1], [1, 0, 0, 1], 10.0)
+    h = encode_history(seq, ckpt)
+    assert np.isfinite(h).all()
+    prefix = encode_history(EventSequence(seq.events[:2], seq.t_end), ckpt)
+    assert np.array_equal(h[:2], prefix)
+
+
+def assert_rows_equal(got, want, rows):
+    """The trailing ``rows`` of two (mixture, mark distribution) pairs agree to 1e-12."""
+    (mix, marks), (full_mix, full_marks) = got, want
+    for a, b in ((mix.weights, full_mix.weights), (mix.means, full_mix.means),
+                 (mix.scales, full_mix.scales), (marks.probabilities, full_marks.probabilities)):
+        assert a.shape[0] == rows
+        assert np.allclose(a, b[b.shape[0] - rows:], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_heads):
+    """A random schedule of extends by k events, rewinds to a shorter prefix
+    and jumps to a diverging one: the cached head rows equal a fresh full
+    forward every time, and only the uncached events are encoded."""
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads,
+                                         n_marks=3), seed=20)
+    rng = np.random.default_rng(21)
+    cache = M.EncoderCache(ckpt)
+    events = []
+    kinds = set()
+    for step in range(40):
+        kind = ("extend", "rewind", "diverge")[step % 4 % 3]
+        if kind != "extend" and events:
+            events = events[:int(rng.integers(1, len(events) + 1))]
+        if kind == "diverge" and events:
+            # the last kept event changes its mark or its time, not both
+            last = events.pop()
+            events.append(Event(last.time, (last.mark + 1) % 3) if step % 8 < 4
+                          else Event(last.time + 0.1, last.mark))
+        t = events[-1].time if events else 0.0
+        for _ in range(0 if kind == "rewind" else int(rng.integers(1, 12))):
+            t += float(rng.exponential(0.7))
+            events.append(Event(t, int(rng.integers(3))))
+        seq = EventSequence(tuple(events), math.inf)
+        held = list(zip(cache.times.tolist(), cache.marks.tolist()))
+        shared = next((i for i, (held_event, e) in enumerate(zip(held, events))
+                       if held_event != (e.time, e.mark)), min(len(held), len(events)))
+        if step % 2:
+            got = M.position_distributions(seq, ckpt, cache=cache)
+            assert_rows_equal(got, M.position_distributions(seq, ckpt), len(seq) + 1 - shared)
+        else:
+            got = M.next_event_distributions(seq, ckpt, cache=cache)
+            want = M.next_event_distributions(seq, ckpt)
+            assert np.allclose(got[0].weights, want[0].weights, rtol=0.0, atol=1e-12)
+            assert np.allclose(got[0].means, want[0].means, rtol=0.0, atol=1e-12)
+            assert np.allclose(got[1].probabilities, want[1].probabilities, rtol=0.0, atol=1e-12)
+        assert cache.last_encoded == len(seq) - shared
+        assert cache.size == len(seq) and np.array_equal(cache.times, seq.times)
+        kinds.add(kind)
+    assert kinds == {"extend", "rewind", "diverge"}
+
+
+def test_cache_refuses_another_checkpoint():
+    config = tiny_config()
+    ckpt = random_checkpoint(config, seed=22)
+    cache = M.EncoderCache(ckpt)
+    seq = sequence_from_arrays([0.5, 1.5], [0, 1], 10.0)
+    M.next_event_distributions(seq, ckpt, cache=cache)
+    with pytest.raises(ValueError):
+        M.next_event_distributions(seq, ckpt.copy(), cache=cache)
+    with pytest.raises(ValueError):
+        M.position_distributions(seq, random_checkpoint(config, seed=23), cache=cache)
 
 
 # -- checkpoint serialization -------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
@@ -83,9 +84,24 @@ def test_ar_sample_deterministic_under_seed():
 def test_ar_sample_extends_history():
     ckpt = make_checkpoint(0)
     history = sequence_from_arrays([0.3, 0.9], [0, 1], 10.0)
-    seq, _ = S.ar_sample(ckpt, 10.0, RngStream(4), history=history)
+    seq, stats = S.ar_sample(ckpt, 10.0, RngStream(4), history=history)
     assert seq.events[:2] == history.events
     assert all(e.time > 0.9 for e in seq.events[2:])
+    # the history is encoded once, then only the newest event per pass: N + k rows
+    assert len(seq) > 2 and stats.target_rows_encoded == len(seq)
+    assert stats.draft_rows_encoded == 0
+
+
+def test_cached_ar_emits_the_uncached_events():
+    ckpt = make_checkpoint(1, n_layers=2, n_heads=2)
+    history = sequence_from_arrays([0.3, 0.9, 1.4], [0, 1, 1], 30.0)
+    seq, _ = S.ar_sample(ckpt, 30.0, RngStream(5), history=history)
+    stream = RngStream(5).child("ar")
+    events = list(history.events)
+    while len(events) < len(seq):
+        events.append(S.ar_next_event(ckpt, EventSequence(tuple(events), 30.0), stream))
+    assert [e.mark for e in events] == seq.marks.tolist()
+    assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
 
 
 # -- drafting ----------------------------------------------------------------------
@@ -292,6 +308,32 @@ def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
         assert constructions == {"MixtureParams": pairs, "MarkDistribution": pairs}
 
 
+def test_verify_with_a_cache_scores_the_same_rows():
+    """With a cache holding only the history, verify reads the candidates
+    from the trailing rows and matches the uncached outcome; a cache that
+    already holds the candidates cannot supply their rows."""
+    ckpt = make_checkpoint(15)
+    history = list(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf).events)
+    batch = doctored_batch(S.draft(ckpt, history, 4, RngStream(19).child("draft"),
+                                   S.SampleRunStats()))
+    uniforms = ([0.0] * 4, [0.0, 0.0, REJECT, 0.0])
+    plain = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20),
+                     S.SampleRunStats())
+    cache = M.EncoderCache(ckpt)
+    M.next_event_distributions(EventSequence(tuple(history), math.inf), ckpt, cache=cache)
+    stats = S.SampleRunStats()
+    cached = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
+                      cache=cache)
+    assert stats.target_rows_encoded == 4
+    assert cached.accepted_len == plain.accepted_len == 2
+    assert cached.replacement == plain.replacement
+    assert np.allclose(cached.interval_ratios, plain.interval_ratios, rtol=1e-12, atol=0.0)
+    assert np.allclose(cached.mark_ratios, plain.mark_ratios, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
+                 cache=cache)
+
+
 def test_verify_counts_one_target_pass_per_iteration():
     target = make_checkpoint(23, n_layers=2)
     draft_model = make_checkpoint(24)
@@ -302,13 +344,54 @@ def test_verify_counts_one_target_pass_per_iteration():
     assert run_stats.events_drafted == 5 * run_stats.iterations
 
 
+@pytest.mark.parametrize("policy", ["adjusted", "alg1-literal"])
+def test_cached_sd_emits_the_uncached_events(policy):
+    """tpp_sd_sample's caches roll back to the accepted prefix after each
+    rejection; the same steps run without caches emit the same events."""
+    target = make_checkpoint(28, n_layers=2, scale=1.5)
+    draft_model = make_checkpoint(29)
+    history = sequence_from_arrays([0.5, 1.1, 1.6], [0, 1, 0], 30.0)
+    seq, stats = S.tpp_sd_sample(target, draft_model, 30.0, 4, RngStream(6), history=history,
+                                 policy=policy)
+    assert stats.replacement_events > 0 and stats.events_accepted > 0
+    streams = S._sd_streams(RngStream(6))
+    uncached = S.SampleRunStats()
+    events = list(history.events)
+    while events[-1].time < 30.0:
+        events.extend(S._sd_step(target, draft_model, events, 4, streams, policy, uncached))
+    events = [e for e in events if e.time <= 30.0]
+    assert [e.mark for e in events] == seq.marks.tolist()
+    assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
+    assert uncached.events_accepted == stats.events_accepted
+    assert uncached.target_forward_passes == stats.target_forward_passes
+
+
+def test_sd_rows_encoded_counts_only_uncached_events():
+    """The draft encodes the history once and then one event per pass; the
+    target encodes the gamma candidates per pass, plus the previous
+    replacement, which the cache did not hold."""
+    target = make_checkpoint(28, n_layers=2, scale=1.5)
+    draft_model = make_checkpoint(29)
+    history = sequence_from_arrays(0.5 * np.arange(1, 21), np.arange(20) % 2, 40.0)
+    _, stats = S.tpp_sd_sample(target, draft_model, 40.0, 4, RngStream(7), history=history)
+    assert stats.replacement_events > 0
+    assert stats.draft_rows_encoded == len(history) + stats.draft_forward_passes - 1
+    candidates = len(history) + 4 * stats.iterations
+    assert (candidates + stats.replacement_events - 1 <= stats.target_rows_encoded
+            <= candidates + stats.replacement_events)
+
+
 # -- non-finite model output ------------------------------------------------------------
 
 def deep_thp_checkpoint():
-    """Default-initialised 30-layer thp model: without normalisation its
-    residual stream overflows, and its head rows are NaN from the second
-    event on."""
-    return make_checkpoint(0, n_layers=30, embed_dim=16, n_components=8)
+    """30-layer thp model whose value projections are scaled by 1e12: each
+    layer multiplies the residual stream by about that much, so it
+    overflows and the head rows are NaN from the second event on. (The
+    attention max-shift keeps the default-initialised model finite.)"""
+    ckpt = make_checkpoint(0, n_layers=30, embed_dim=16, n_components=8)
+    for layer in range(30):
+        ckpt.params[f"layers.{layer}.v"] = ckpt.params[f"layers.{layer}.v"] * 1e12
+    return ckpt
 
 
 def bounded_passes(monkeypatch, limit=50):
@@ -316,11 +399,11 @@ def bounded_passes(monkeypatch, limit=50):
     passes = []
 
     def counted(forward):
-        def wrapper(events, checkpoint):
+        def wrapper(events, checkpoint, **kwargs):
             passes.append(len(events))
             if len(passes) > limit:
                 raise AssertionError(f"still sampling after {limit} forward passes")
-            return forward(events, checkpoint)
+            return forward(events, checkpoint, **kwargs)
         return wrapper
 
     monkeypatch.setattr(S, "next_event_distributions", counted(S.next_event_distributions))
@@ -340,6 +423,44 @@ def test_sd_on_non_finite_model_raises(monkeypatch):
     with pytest.raises(FloatingPointError):
         S.tpp_sd_sample(deep_thp_checkpoint(), make_checkpoint(43), 100.0, gamma=5,
                         rng=RngStream(44))
+
+
+def guarded_checkpoint(encoding, n_layers, n_heads, scale, seed):
+    """A random checkpoint whose encoder weights are scaled by ``scale``.
+    The interval-location and -scale projections are zeroed, so every
+    mixture component is LogNormal(0, 1) whatever the hidden rows are (the
+    event count stays small), while a non-finite hidden row still reaches
+    the heads (0 * inf is NaN)."""
+    ckpt = make_checkpoint(seed, n_layers=n_layers, n_heads=n_heads, encoding=encoding)
+    for name in ckpt.params:
+        if name == "mark_embedding" or name.startswith("layers."):
+            ckpt.params[name] = ckpt.params[name] * scale
+    for name in ("mix_mean_proj", "mix_scale_proj"):
+        ckpt.params[name] = np.zeros_like(ckpt.params[name])
+    return ckpt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(encoding=st.sampled_from(M.ENCODINGS), n_layers=st.integers(1, 40),
+       n_heads=st.sampled_from([1, 2]), scale=st.integers(0, 30).map(lambda e: 10.0 ** e),
+       seed=st.integers(0, 1000), speculative=st.booleans())
+def test_samplers_are_finite_or_raise_on_deep_or_rescaled_models(encoding, n_layers, n_heads,
+                                                                  scale, seed, speculative):
+    """AR and SD either return a valid sequence or raise FloatingPointError,
+    within a bounded number of forward passes, however deep or badly scaled
+    the target is."""
+    target = guarded_checkpoint(encoding, n_layers, n_heads, scale, seed)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        bounded_passes(patch, limit=200)
+        try:
+            if speculative:
+                seq, _ = S.tpp_sd_sample(target, make_checkpoint(seed + 1), 8.0, 3,
+                                         RngStream(seed))
+            else:
+                seq, _ = S.ar_sample(target, 8.0, RngStream(seed))
+        except FloatingPointError:
+            return
+    assert validate_sequence(seq, target.config.n_marks).ok
 
 
 # -- speculative sampling loop ---------------------------------------------------------
