@@ -249,16 +249,6 @@ def tanh(a) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _from_op(out, (a,), backward)
-
-
 def sin(a) -> Tensor:
     a = as_tensor(a)
 

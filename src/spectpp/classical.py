@@ -100,6 +100,8 @@ def process_to_record(process: GroundTruthProcess) -> dict:
 
 
 def process_from_record(record: dict) -> GroundTruthProcess:
+    if not isinstance(record, dict):
+        raise ValueError("a process record must be a JSON object")
     kind = record.get("kind")
     if kind == "sine_poisson":
         return SinePoissonParams(float(record["A"]), float(record["b"]), float(record["omega"]))

@@ -166,8 +166,13 @@ def sequence_to_record(seq: EventSequence) -> dict:
 
 
 def sequence_from_record(record: dict) -> EventSequence:
-    events = tuple(Event(float(t), int(k)) for t, k in record["events"])
-    return EventSequence(events, float(record["t_end"]))
+    try:
+        events = tuple(Event(float(t), int(k)) for t, k in record["events"])
+        t_end = float(record["t_end"])
+    except TypeError as exc:
+        # a record that is not an object, or events that are not [time, mark] pairs
+        raise ValueError(f"malformed sequence record: {exc}") from None
+    return EventSequence(events, t_end)
 
 
 def write_sequences(path: str | Path, sequences: Iterable[EventSequence]) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classical import GroundTruthProcess, total_compensator_increments
 from .core import EventSequence, RngStream
-from .model import ModelCheckpoint
+from .model import EncoderCache, ModelCheckpoint
 from .sampler import ar_next_event, sd_next_event
 
 KS_BAND_COEFFICIENT = 1.36  # 95% confidence band c(alpha)/sqrt(n)
@@ -132,21 +132,26 @@ def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None
     draws of the event following an m_hist-event history prefix.
 
     With ``draft=None`` the second sample is another independent
-    autoregressive run, which serves as the self-comparison baseline.
+    autoregressive run, which serves as the self-comparison baseline. Each
+    model keeps one encoder cache across the draws, so the prefix is
+    encoded once per model.
     """
     if len(history) < m_hist:
         raise ValueError(f"history has {len(history)} events, need at least {m_hist}")
     prefix = EventSequence(history.events[:m_hist], history.t_end)
     k = target.config.n_marks
+    target_cache = EncoderCache(target)
+    draft_cache = None if draft is None else EncoderCache(draft)
     ar_times, ar_marks, other_times, other_marks = [], [], [], []
     for i in range(n_reps):
-        event = ar_next_event(target, prefix, rng.child(f"ar{i}"))
+        event = ar_next_event(target, prefix, rng.child(f"ar{i}"), cache=target_cache)
         ar_times.append(event.time)
         ar_marks.append(event.mark)
         if draft is None:
-            event = ar_next_event(target, prefix, rng.child(f"ar2-{i}"))
+            event = ar_next_event(target, prefix, rng.child(f"ar2-{i}"), cache=target_cache)
         else:
-            event = sd_next_event(target, draft, prefix, gamma, rng.child(f"sd{i}"), policy)
+            event = sd_next_event(target, draft, prefix, gamma, rng.child(f"sd{i}"), policy,
+                                  target_cache=target_cache, draft_cache=draft_cache)
         other_times.append(event.time)
         other_marks.append(event.mark)
     d_t = wasserstein_1d(ar_times, other_times)

@@ -24,13 +24,15 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .core import EventSequence, RngStream
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 1e4
 _LOG_2PI = math.log(2.0 * math.pi)
 
 ENCODINGS = ("thp", "sahp", "attnhp")
-ATTENTIONS = ("standard", "attnhp")
+# m and M of the attnhp temporal encoding
+_ATTNHP_M = 1.0
+_ATTNHP_BIG_M = 2000.0
 
 
 class CheckpointFormatError(ValueError):
@@ -40,8 +42,8 @@ class CheckpointFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters; ``attention`` defaults to the style
-    matching the chosen temporal encoding."""
+    """Architecture hyperparameters; the attention style follows the
+    temporal encoding, attnhp's own for attnhp and softmax for the others."""
 
     embed_dim: int = 16
     n_components: int = 8
@@ -49,10 +51,6 @@ class ModelConfig:
     n_heads: int = 1
     n_layers: int = 1
     encoding: str = "thp"
-    attention: str | None = None
-    attnhp_m: float = 1.0
-    attnhp_big_m: float = 2000.0
-    use_feedforward: bool = False
 
     def __post_init__(self) -> None:
         if self.embed_dim < 2 or self.embed_dim % 2:
@@ -63,11 +61,6 @@ class ModelConfig:
             raise ValueError("n_components, n_marks and n_layers must be >= 1")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
-        if self.attention is None:
-            object.__setattr__(self, "attention",
-                               "attnhp" if self.encoding == "attnhp" else "standard")
-        if self.attention not in ATTENTIONS:
-            raise ValueError(f"attention must be one of {ATTENTIONS}")
 
     @property
     def head_dim(self) -> int:
@@ -76,7 +69,7 @@ class ModelConfig:
     @property
     def attention_input_dim(self) -> int:
         # attnhp attends over concat(1; z(t); h), everything else over h
-        return 2 * self.embed_dim + 1 if self.attention == "attnhp" else self.embed_dim
+        return 2 * self.embed_dim + 1 if self.encoding == "attnhp" else self.embed_dim
 
 
 def _check_finite(name: str, value: np.ndarray) -> None:
@@ -146,11 +139,6 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     for layer in range(config.n_layers):
         for name in ("q", "k", "v"):
             shapes[f"layers.{layer}.{name}"] = (config.attention_input_dim, d)
-        if config.use_feedforward:
-            shapes[f"layers.{layer}.ff1_w"] = (d, 2 * d)
-            shapes[f"layers.{layer}.ff1_b"] = (2 * d,)
-            shapes[f"layers.{layer}.ff2_w"] = (2 * d, d)
-            shapes[f"layers.{layer}.ff2_b"] = (d,)
     shapes.update({
         "decoder_proj": (3 * d, d),
         "mix_weight_proj": (m, d),
@@ -175,7 +163,7 @@ def init_checkpoint(config: ModelConfig, rng: RngStream) -> ModelCheckpoint:
     for name, shape in parameter_shapes(config).items():
         if name == "time_freq":
             params[name] = np.ones(shape)
-        elif name.endswith("_bias") or name.endswith("_b"):
+        elif name.endswith("_bias"):
             params[name] = np.zeros(shape)
         else:
             params[name] = rng.generator.uniform(-bound, bound, size=shape)
@@ -198,6 +186,8 @@ def save_checkpoint(path: str | Path, checkpoint: ModelCheckpoint) -> None:
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CheckpointFormatError("a checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointFormatError(
@@ -207,8 +197,12 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         config = ModelConfig(**doc["config"])
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"checkpoint config is not a valid ModelConfig: {exc}")
+    entries = doc["params"]
+    if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
+        raise CheckpointFormatError("checkpoint params must map names to objects "
+                                    "with a shape and data")
     params = {}
-    for name, entry in doc["params"].items():
+    for name, entry in entries.items():
         params[name] = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
     expected = parameter_shapes(config)
     if set(params) != set(expected):
@@ -242,8 +236,7 @@ def _temporal_encoding_tensor(times: np.ndarray, params: dict[str, Tensor],
         arg = t_col / np.power(10000.0, expo)
         return Tensor(np.sin(arg) * even + np.cos(arg) * (1.0 - even))
     if config.encoding == "attnhp":
-        scale = (1.0 / config.attnhp_m) * np.power(
-            5.0 * config.attnhp_big_m / config.attnhp_m, expo)
+        scale = (1.0 / _ATTNHP_M) * np.power(5.0 * _ATTNHP_BIG_M / _ATTNHP_M, expo)
         return Tensor(np.sin(t_col * scale))
     # sahp: learnable per-dimension frequencies shift a fixed positional phase
     phase = Tensor(j / np.power(10000.0, expo))
@@ -280,7 +273,7 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tenso
     ones_col = Tensor(np.ones((n, 1)))
     h = x
     for layer in range(config.n_layers):
-        if config.attention == "attnhp":
+        if config.encoding == "attnhp":
             inputs = ad.concat([ones_col, z, h], axis=1)
         else:
             inputs = h
@@ -299,20 +292,15 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tenso
             shift = scores.data.max(axis=1, keepdims=True)
             kernel = ad.exp(ad.sub(scores, shift))
             denominator = ad.tensor_sum(kernel, axis=1, keepdims=True)
-            if config.attention == "attnhp":
+            if config.encoding == "attnhp":
                 # the +1 of the unshifted denominator becomes exp(-shift)
                 with np.errstate(over="ignore"):
                     denominator = ad.add(denominator, np.exp(-shift))
             head_outputs.append(ad.div(ad.matmul(kernel, v), denominator))
         agg = head_outputs[0] if len(head_outputs) == 1 else ad.concat(head_outputs, axis=1)
-        if config.attention == "attnhp":
+        if config.encoding == "attnhp":
             agg = ad.tanh(agg)
         h = ad.add(h, agg)
-        if config.use_feedforward:
-            hidden = ad.relu(ad.add(ad.matmul(h, params[f"layers.{layer}.ff1_w"]),
-                                    params[f"layers.{layer}.ff1_b"]))
-            h = ad.add(h, ad.add(ad.matmul(hidden, params[f"layers.{layer}.ff2_w"]),
-                                 params[f"layers.{layer}.ff2_b"]))
     return h
 
 
@@ -436,14 +424,6 @@ def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
             MarkDistribution(e / e.sum(axis=-1, keepdims=True)))
 
 
-def _context_rows(events: EventSequence, checkpoint: ModelCheckpoint,
-                  cache: EncoderCache | None) -> tuple[Tensor, dict[str, Tensor]]:
-    if cache is None:
-        params = checkpoint.param_tensors()
-        return _context_tensor(events.times, events.marks, params, checkpoint.config), params
-    return cache.context(events, checkpoint), cache.params
-
-
 def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
                            cache: EncoderCache | None = None
                            ) -> tuple[MixtureParams, MarkDistribution]:
@@ -453,10 +433,12 @@ def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *
     context), so both arrays have N+1 rows. Equality of these rows with
     per-prefix recomputation is what makes batched verification valid.
     With a cache, the rows start at the first position it did not hold:
-    they are the last N+1-P rows, where P events were reused.
+    they are the last N+1-P rows, where P events were reused. Without one,
+    the call encodes all events through a fresh cache.
     """
-    ctx, params = _context_rows(events, checkpoint, cache)
-    heads = _head_tensors(ctx, params, checkpoint.config)
+    cache = EncoderCache(checkpoint) if cache is None else cache
+    ctx = cache.context(events, checkpoint)
+    heads = _head_tensors(ctx, cache.params, checkpoint.config)
     return _distributions(*(t.data for t in heads))
 
 
@@ -466,8 +448,9 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
     """Distributions of the next interval and mark given the events so far:
     the last row of position_distributions, with the heads run on that row
     only."""
-    ctx, params = _context_rows(events, checkpoint, cache)
-    heads = _head_tensors(ctx[-1:, :], params, checkpoint.config)
+    cache = EncoderCache(checkpoint) if cache is None else cache
+    ctx = cache.context(events, checkpoint)
+    heads = _head_tensors(ctx[-1:, :], cache.params, checkpoint.config)
     return _distributions(*(t.data[0] for t in heads))
 
 

@@ -104,12 +104,6 @@ def _last_time(events: Sequence[Event]) -> float:
     return events[-1].time if events else 0.0
 
 
-def _rows_encoded(events: Sequence[Event], cache: EncoderCache | None) -> int:
-    """Rows the latest forward over ``events`` encoded: all of them
-    without a cache."""
-    return len(events) if cache is None else cache.last_encoded
-
-
 def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
                   cache: EncoderCache | None = None) -> Event:
     """One autoregressive draw of the next event after the given history:
@@ -147,16 +141,18 @@ def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rn
           stats: SampleRunStats, *, cache: EncoderCache | None = None) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
     after the history, recording the interval log-density and full mark
-    distribution at each."""
+    distribution at each. Without a cache the call keeps a fresh one for
+    its gamma forwards."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
+    cache = EncoderCache(draft_model) if cache is None else cache
     events = list(history)
     intervals, logpdfs, mixtures, mark_dists = [], [], [], []
     for _ in range(gamma):
         seq = EventSequence(tuple(events), math.inf)
         mixture, mark_dist = next_event_distributions(seq, draft_model, cache=cache)
         stats.draft_forward_passes += 1
-        stats.draft_rows_encoded += _rows_encoded(seq, cache)
+        stats.draft_rows_encoded += cache.last_encoded
         tau, logpdf = sample_interval(mixture, rng)
         mark = rng.categorical(mark_dist.probabilities)
         events.append(Event(_last_time(events) + tau, mark))
@@ -221,7 +217,8 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
            residual_rng: RngStream, stats: SampleRunStats, policy: str = "adjusted", *,
            cache: EncoderCache | None = None) -> VerificationOutcome:
     """Verify a draft batch after the history with one batched target
-    forward pass, which with a cache encodes only the events it lacks.
+    forward pass, which encodes only the events the cache lacks: all of
+    them with a fresh cache, the default.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. Under the default
@@ -235,6 +232,7 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     """
     if policy not in ("adjusted", "alg1-literal"):
         raise ValueError("policy must be 'adjusted' or 'alg1-literal'")
+    cache = EncoderCache(target) if cache is None else cache
     events = list(history)
     n_hist = len(events)
     gamma = len(batch)
@@ -242,7 +240,7 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     seq = EventSequence(tuple(combined), math.inf)
     mixtures, mark_dists = position_distributions(seq, target, cache=cache)
     stats.target_forward_passes += 1
-    stats.target_rows_encoded += _rows_encoded(seq, cache)
+    stats.target_rows_encoded += cache.last_encoded
     stats.iterations += 1
     stats.events_drafted += gamma
 
@@ -345,7 +343,9 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
 
 def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
                   history: EventSequence, gamma: int, rng: RngStream,
-                  policy: str = "adjusted") -> Event:
-    """First event emitted by a single draft-verify step after the history."""
+                  policy: str = "adjusted", *, target_cache: EncoderCache | None = None,
+                  draft_cache: EncoderCache | None = None) -> Event:
+    """First event emitted by a single draft-verify step after the history.
+    Caches held across calls on the same history encode it only once."""
     return _sd_step(target, draft_model, history, gamma, _sd_streams(rng), policy,
-                    SampleRunStats())[0]
+                    SampleRunStats(), target_cache=target_cache, draft_cache=draft_cache)[0]

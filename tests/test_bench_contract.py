@@ -1,13 +1,15 @@
-"""The names perfbench's traced runs patch in spectpp must exist, and the
-sampler must still reach them through the patched module attributes. A
-refactor that breaks either fails here instead of in a full traced run."""
+"""The names perfbench's traced runs patch in spectpp must exist, the
+sampler must still reach them through the patched module attributes, and
+the setup path of its sampling workloads must run. A refactor that breaks
+any of these fails here instead of in a benchmark run."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from spectpp import model, sampler
-from spectpp.core import RngStream
+from spectpp.core import EventSequence, RngStream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,6 +33,21 @@ def test_patches_apply_and_unpatch_restores_originals(perfbench):
     finally:
         tracer.unpatch()
     assert patched and all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_setup_builds_loads_and_runs_a_pair(perfbench, tmp_path):
+    """The calls a sampling workload's setup makes, at small sizes: build
+    the controlled pair, load it at the current checkpoint format, and run
+    one forward of each model without a cache."""
+    _, workloads = perfbench
+    gamma_ablation = workloads._load_gamma_ablation(PERFBENCH.parent)
+    paths = gamma_ablation.build_pair(tmp_path, n_layers=2, embed_dim=8, noise=0.5, seed=100)
+    warm_events = workloads._pinned_history(1, "warm-up", 10)
+    warm = EventSequence(warm_events, warm_events[-1].time)
+    for path in paths:
+        assert json.loads(path.read_text())["format_version"] == model.CHECKPOINT_FORMAT_VERSION
+        mixture, mark_dist = model.next_event_distributions(warm, model.load_checkpoint(path))
+        assert mixture.weights.shape == (16,) and mark_dist.probabilities.shape == (2,)
 
 
 def test_sampling_runs_through_the_patched_names(perfbench):

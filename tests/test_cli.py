@@ -271,6 +271,9 @@ def test_checkpoint_version_mismatch_exit_2(runner, workspace):
     ("--model-config", {"embed_dim": 8, "no_such_field": 1}),
     ("--train-config", {"learning_rate": -1}),
     ("--train-config", [0.01, 8]),
+    # fields removed from ModelConfig are unknown, not ignored
+    ("--model-config", {"use_feedforward": True}),
+    ("--model-config", {"attention": "attnhp"}),
 ])
 def test_bad_config_file_exit_2(runner, workspace, flag, config):
     data = workspace / "sequences.jsonl"
@@ -284,6 +287,31 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
                                       "--out", str(workspace / "t")])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output and "bad_config.json" in result.output
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--target", lambda ckpt: json.dumps([ckpt])),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": list(ckpt["params"].values())})),
+    ("--target", lambda ckpt: json.dumps(
+        {**ckpt, "params": {**ckpt["params"], "initial_context": 0.5}})),
+    ("--process", lambda ckpt: json.dumps([{"kind": "sine_poisson"}])),
+    ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
+    ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
+], ids=["checkpoint-list", "params-list", "param-number", "process-list", "sequence-list",
+        "events-number"])
+def test_malformed_json_input_exit_2(runner, workspace, flag, text):
+    bad = workspace / "bad.json"
+    bad.write_text(text(json.loads((workspace / "target.json").read_text())))
+    commands = {
+        "--target": ["sample", "--mode", "ar", "--t-end", "5"],
+        "--process": ["simulate", "--n", "2", "--t-end", "5"],
+        "--data": ["train", "--model-config", str(workspace / "model_config.json"),
+                   "--train-config", str(workspace / "train_config.json")],
+    }
+    result = runner.invoke(cli.main, [*commands[flag], flag, str(bad),
+                                      "--out", str(workspace / "x")])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "bad.json" in result.output
 
 
 def test_checkpoint_bad_config_exit_2(runner, workspace):

@@ -9,6 +9,7 @@ from scipy.stats import wasserstein_distance
 
 from spectpp import evaluation as E
 from spectpp import model as M
+from spectpp import sampler as S
 from spectpp.classical import HawkesParams, SinePoissonParams, intensity, thinning_sample
 from spectpp.core import EventSequence, RngStream, sequence_from_arrays
 from spectpp.model import init_checkpoint, ModelConfig
@@ -219,6 +220,52 @@ def test_next_event_divergence_requires_enough_history():
     ckpt = init_checkpoint(config, RngStream(1))
     with pytest.raises(ValueError):
         E.next_event_divergence(ckpt, None, EventSequence((), 5.0), 10, 10, 2, RngStream(0))
+
+
+def test_next_event_divergence_encodes_the_prefix_once(monkeypatch):
+    """Each model keeps one cache across the draws, so the target encodes the
+    prefix once and then the drafted events of each draw; the draws equal
+    those made with a fresh cache per call."""
+    config = ModelConfig(embed_dim=8, n_components=4, n_marks=2, n_layers=2)
+    target, draft = init_checkpoint(config, RngStream(31)), init_checkpoint(config, RngStream(32))
+    m_hist, n_reps, gamma = 30, 20, 4
+    history = sequence_from_arrays(0.5 * np.arange(1, m_hist + 1), np.arange(m_hist) % 2, 20.0)
+    rows = {}
+
+    def counted(forward):
+        def wrapper(events, checkpoint, **kwargs):
+            out = forward(events, checkpoint, **kwargs)
+            cache = kwargs.get("cache")
+            encoded = len(events) if cache is None else cache.last_encoded
+            rows[id(checkpoint)] = rows.get(id(checkpoint), 0) + encoded
+            return out
+        return wrapper
+
+    monkeypatch.setattr(S, "next_event_distributions", counted(S.next_event_distributions))
+    monkeypatch.setattr(S, "position_distributions", counted(S.position_distributions))
+
+    def draws(fresh):
+        out = []
+
+        def recorded(sample):
+            def wrapper(*args, **caches):
+                out.append(sample(*args, **({} if fresh else caches)))
+                return out[-1]
+            return wrapper
+
+        monkeypatch.setattr(E, "ar_next_event", recorded(S.ar_next_event))
+        monkeypatch.setattr(E, "sd_next_event", recorded(S.sd_next_event))
+        rows.clear()
+        E.next_event_divergence(target, draft, history, m_hist, n_reps, gamma, RngStream(34))
+        return out
+
+    want = draws(fresh=True)
+    got = draws(fresh=False)
+    assert rows[id(target)] <= m_hist + n_reps * gamma
+    assert rows[id(draft)] <= m_hist + n_reps * gamma
+    assert len(got) == 2 * n_reps
+    assert [e.mark for e in got] == [e.mark for e in want]
+    assert np.allclose([e.time for e in got], [e.time for e in want], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.slow

@@ -418,9 +418,10 @@ def unshifted_attention_reference(seq, ckpt):
     x = embed_events(seq, ckpt)
     z = M._temporal_encoding_tensor(seq.times, ckpt.param_tensors(), config).data
     n = len(seq)
+    attnhp = config.encoding == "attnhp"
     h = x
     for layer in range(config.n_layers):
-        inputs = np.hstack([np.ones((n, 1)), z, h]) if config.attention == "attnhp" else h
+        inputs = np.hstack([np.ones((n, 1)), z, h]) if attnhp else h
         outs = []
         for head in range(config.n_heads):
             cols = slice(head * config.head_dim, (head + 1) * config.head_dim)
@@ -428,10 +429,9 @@ def unshifted_attention_reference(seq, ckpt):
                        for name in "qkv")
             kernel = np.tril(np.exp(q @ k.T / math.sqrt(config.head_dim)))
             totals = kernel.sum(axis=1, keepdims=True)
-            outs.append(kernel @ v / (totals + 1.0) if config.attention == "attnhp"
-                        else kernel / totals @ v)
+            outs.append(kernel @ v / (totals + 1.0) if attnhp else kernel / totals @ v)
         agg = np.hstack(outs)
-        h = h + (np.tanh(agg) if config.attention == "attnhp" else agg)
+        h = h + (np.tanh(agg) if attnhp else agg)
     return h
 
 
@@ -458,11 +458,21 @@ def test_large_attention_scores_stay_finite(encoding):
     assert np.array_equal(h[:2], prefix)
 
 
+def training_forward(seq, ckpt):
+    """Head rows at every position from the no-past forward that training
+    runs, which no cache takes part in."""
+    params = ckpt.param_tensors()
+    ctx = M._context_tensor(seq.times, seq.marks, params, ckpt.config)
+    return M._distributions(*(t.data for t in M._head_tensors(ctx, params, ckpt.config)))
+
+
 def assert_rows_equal(got, want, rows):
-    """The trailing ``rows`` of two (mixture, mark distribution) pairs agree to 1e-12."""
+    """The trailing ``rows`` of two (mixture, mark distribution) pairs agree
+    to 1e-12; an unstacked pair is one row."""
     (mix, marks), (full_mix, full_marks) = got, want
     for a, b in ((mix.weights, full_mix.weights), (mix.means, full_mix.means),
                  (mix.scales, full_mix.scales), (marks.probabilities, full_marks.probabilities)):
+        a = np.atleast_2d(a)
         assert a.shape[0] == rows
         assert np.allclose(a, b[b.shape[0] - rows:], rtol=0.0, atol=1e-12)
 
@@ -471,8 +481,8 @@ def assert_rows_equal(got, want, rows):
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
 def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_heads):
     """A random schedule of extends by k events, rewinds to a shorter prefix
-    and jumps to a diverging one: the cached head rows equal a fresh full
-    forward every time, and only the uncached events are encoded."""
+    and jumps to a diverging one: the cached head rows equal the no-past
+    training forward every time, and only the uncached events are encoded."""
     ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads,
                                          n_marks=3), seed=20)
     rng = np.random.default_rng(21)
@@ -497,14 +507,10 @@ def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_he
         shared = next((i for i, (held_event, e) in enumerate(zip(held, events))
                        if held_event != (e.time, e.mark)), min(len(held), len(events)))
         if step % 2:
-            got = M.position_distributions(seq, ckpt, cache=cache)
-            assert_rows_equal(got, M.position_distributions(seq, ckpt), len(seq) + 1 - shared)
+            got, rows = M.position_distributions(seq, ckpt, cache=cache), len(seq) + 1 - shared
         else:
-            got = M.next_event_distributions(seq, ckpt, cache=cache)
-            want = M.next_event_distributions(seq, ckpt)
-            assert np.allclose(got[0].weights, want[0].weights, rtol=0.0, atol=1e-12)
-            assert np.allclose(got[0].means, want[0].means, rtol=0.0, atol=1e-12)
-            assert np.allclose(got[1].probabilities, want[1].probabilities, rtol=0.0, atol=1e-12)
+            got, rows = M.next_event_distributions(seq, ckpt, cache=cache), 1
+        assert_rows_equal(got, training_forward(seq, ckpt), rows)
         assert cache.last_encoded == len(seq) - shared
         assert cache.size == len(seq) and np.array_equal(cache.times, seq.times)
         kinds.add(kind)
@@ -548,10 +554,14 @@ def test_checkpoint_version_mismatch_is_refused(tmp_path):
     ckpt = M.init_checkpoint(tiny_config(), RngStream(16))
     path = tmp_path / "model.json"
     M.save_checkpoint(path, ckpt)
-    doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
-    path.write_text(doc)
-    with pytest.raises(M.CheckpointFormatError):
-        M.load_checkpoint(path)
+    saved = path.read_text()
+    current = f'"format_version": {M.CHECKPOINT_FORMAT_VERSION}'
+    assert current in saved
+    # version 1 carried the removed attention and feed-forward config fields
+    for version in (1, 99):
+        path.write_text(saved.replace(current, f'"format_version": {version}'))
+        with pytest.raises(M.CheckpointFormatError, match="format_version"):
+            M.load_checkpoint(path)
 
 
 def test_config_validation():
@@ -561,5 +571,6 @@ def test_config_validation():
         M.ModelConfig(embed_dim=8, n_heads=3)
     with pytest.raises(ValueError):
         M.ModelConfig(encoding="rnn")
-    assert M.ModelConfig(encoding="attnhp").attention == "attnhp"
-    assert M.ModelConfig(encoding="thp").attention == "standard"
+    # attnhp attends over concat(1; z; h), the other encodings over h
+    assert M.parameter_shapes(M.ModelConfig(encoding="attnhp"))["layers.0.q"] == (33, 16)
+    assert M.parameter_shapes(M.ModelConfig(encoding="thp"))["layers.0.q"] == (16, 16)

@@ -347,7 +347,8 @@ def test_verify_counts_one_target_pass_per_iteration():
 @pytest.mark.parametrize("policy", ["adjusted", "alg1-literal"])
 def test_cached_sd_emits_the_uncached_events(policy):
     """tpp_sd_sample's caches roll back to the accepted prefix after each
-    rejection; the same steps run without caches emit the same events."""
+    rejection; the same steps run with a fresh cache per call emit the same
+    events."""
     target = make_checkpoint(28, n_layers=2, scale=1.5)
     draft_model = make_checkpoint(29)
     history = sequence_from_arrays([0.5, 1.1, 1.6], [0, 1, 0], 30.0)
