@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts of this repository.
+
+For each seed, runs ``perfbench/run.py --seconds S --trace 0`` of both
+trees, alternating which one runs first, and summarises the gated
+end-to-end metrics named in the change's BENCHMARK.json: per side the
+median and quartiles, and how many pairs the change won. The
+``determinism`` line of every run, the seeds and each side's
+``environment`` line are kept, so that a reader can check that both sides
+did the same work.
+
+    python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload sample-short \\
+        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
+
+With ``--out``, the workload's summary is written into that JSON file
+under ``workloads``, next to any other workloads it already holds;
+otherwise it is printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One unchanged perfbench run of ``tree``; its environment,
+    determinism and final result lines."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                          timeout=4 * seconds + 300)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: {' '.join(command)} exited {proc.returncode}\n"
+                           f"{proc.stdout}{proc.stderr}")
+
+    def tagged(tag: str):
+        found = [line[len(tag) + 1:] for line in lines if line.startswith(tag + " ")]
+        return json.loads(found[0]) if found else None
+
+    return {"environment": tagged("environment"), "determinism": tagged("determinism"),
+            "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Per metric: each side's values, median and quartiles, and the pairs
+    in which the change was better."""
+    out = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]]
+                  for side in SIDES}
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(values["parent"], values["change"]))
+        entry = {side: {**quartiles(values[side]), "values": values[side]} for side in SIDES}
+        entry.update(unit=metric["unit"], better=metric["better"], change_wins=wins,
+                     pairs=len(values["parent"]),
+                     median_change=entry["change"]["median"] / entry["parent"]["median"] - 1.0)
+        out[name] = entry
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path, help="JSON file to write the summary into")
+    args = parser.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    orders = []
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        orders.append(list(order))
+        for side in order:
+            run = run_once(trees[side], args.workload, seed, args.seconds)
+            runs[side].append(run)
+            result = run["result"]
+            print(f"{args.workload} seed {seed} {side}: correct={result['correct']} "
+                  f"failed={result['failed']}/{result['attempted']} "
+                  + " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+                             for m in metrics), file=sys.stderr, flush=True)
+
+    summary = {
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "first_side": [order[0] for order in orders],
+        "correct": {side: all(r["result"]["correct"] for r in runs[side]) for side in SIDES},
+        "failed": {side: sum(r["result"]["failed"] for r in runs[side]) for side in SIDES},
+        "metrics": summarise(runs, metrics),
+        "determinism": {side: [r["determinism"] for r in runs[side]] for side in SIDES},
+        "determinism_identical": [p["determinism"] == c["determinism"]
+                                  for p, c in zip(runs["parent"], runs["change"])],
+        "environment": {side: runs[side][0]["environment"] for side in SIDES},
+    }
+    if args.out is None:
+        print(json.dumps(summary, indent=1, sort_keys=True))
+        return 0
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    doc.setdefault("workloads", {})[args.workload] = summary
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
-Each operation returns a new :class:`Tensor` holding its forward value and,
-when any input requires gradients, a closure that propagates the adjoint to
-its parents. ``backward`` walks the resulting DAG once in reverse
-topological order. Only the primitives the sequence model needs are
-implemented; all of them are covered by finite-difference checks.
+Each operation takes Tensors, numpy arrays or numbers. When none of its
+operands is a :class:`Tensor` it returns a plain ndarray and builds no tape,
+so the same model code runs inference on raw parameter arrays. Otherwise it
+returns a new Tensor holding its forward value and, when any operand
+requires gradients, a closure that propagates the adjoint to its parents.
+``backward`` walks the resulting DAG once in reverse topological order.
+Only the primitives the sequence model needs are implemented; all of them
+are covered by finite-difference checks.
 """
 
 from __future__ import annotations
@@ -56,11 +59,9 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        for node in order:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
+            # every node but the output got its adjoint from a child before
             if node._backward is not None:
                 node._backward(node.grad)
 
@@ -72,8 +73,9 @@ class Tensor:
         return transpose(self)
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def value(x):
+    """The array a Tensor holds, or ``x`` itself when it is not a Tensor."""
+    return x.data if isinstance(x, Tensor) else x
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -86,140 +88,155 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _from_op(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
-    grad_parents = tuple(p for p in parents if p.requires_grad)
-    if not grad_parents:
-        return Tensor(data)
-    return Tensor(data, parents=grad_parents, backward=backward, requires_grad=True)
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(x, -1, -2) if x.ndim > 1 else x
 
 
-def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
-    if parent.requires_grad:
-        parent.grad = parent.grad + grad
+def _from_op(out, operands: tuple, backward: Callable):
+    """``out`` itself when no operand is a Tensor; otherwise a Tensor whose
+    tape links the operands that require gradients."""
+    for operand in operands:
+        if isinstance(operand, Tensor):
+            break
+    else:
+        return out
+    parents = tuple(p for p in operands if isinstance(p, Tensor) and p.requires_grad)
+    if not parents:
+        return Tensor(out)
+    return Tensor(out, parents=parents, backward=backward, requires_grad=True)
+
+
+def _accumulate(parent, grad: np.ndarray) -> None:
+    """Add an adjoint into ``parent.grad``; the first one is stored as it is
+    (adjoints are never written in place)."""
+    if isinstance(parent, Tensor) and parent.requires_grad:
+        parent.grad = grad if parent.grad is None else parent.grad + grad
 
 
 # -- elementwise arithmetic --------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+def add(a, b):
+    x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        _accumulate(a, _unbroadcast(g, np.shape(x)))
+        _accumulate(b, _unbroadcast(g, np.shape(y)))
 
-    return _from_op(out, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _from_op(out, (a, b), backward)
+    return _from_op(x + y, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+def sub(a, b):
+    x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g, np.shape(x)))
+        _accumulate(b, _unbroadcast(-g, np.shape(y)))
 
-    return _from_op(out, (a, b), backward)
+    return _from_op(x - y, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
+def mul(a, b):
+    x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        _accumulate(a, _unbroadcast(g * y, np.shape(x)))
+        _accumulate(b, _unbroadcast(g * x, np.shape(y)))
 
-    return _from_op(out, (a, b), backward)
+    return _from_op(x * y, (a, b), backward)
+
+
+def div(a, b):
+    x, y = value(a), value(b)
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g / y, np.shape(x)))
+        _accumulate(b, _unbroadcast(-g * x / (y * y), np.shape(y)))
+
+    return _from_op(x / y, (a, b), backward)
 
 
 # -- linear algebra and shape ops --------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
+def matmul(a, b):
+    """Matrix product, or one product per leading batch index."""
+    x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ _swap_last(y))
+        _accumulate(b, _swap_last(x) @ g)
 
-    return _from_op(out, (a, b), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _from_op(a.data.T, (a,), backward)
+    return _from_op(x @ y, (a, b), backward)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def transpose(a, axes=None):
+    """Permute the axes; by default reverse them."""
+    x = value(a)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            key = [slice(None)] * g.ndim
-            key[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(key)])
+        inverse = None if axes is None else [axes.index(i) for i in range(g.ndim)]
+        _accumulate(a, g.transpose(inverse))
 
-    return _from_op(out, tensors, backward)
+    return _from_op(x.transpose(axes), (a,), backward)
 
 
-def take(a, key) -> Tensor:
+def concat(tensors, axis: int = 0):
+    tensors = tuple(tensors)
+    arrays = [value(t) for t in tensors]
+
+    def backward(g):
+        lo, before = 0, (slice(None),) * (axis % g.ndim)
+        for t, x in zip(tensors, arrays):
+            hi = lo + x.shape[axis]
+            _accumulate(t, g[before + (slice(lo, hi),)])
+            lo = hi
+
+    return _from_op(np.concatenate(arrays, axis=axis), tensors, backward)
+
+
+# index components that select each entry at most once
+_BASIC_INDEX = (int, slice, type(None), type(Ellipsis))
+
+
+def take(a, key):
     """Basic or integer-array indexing with scatter-add backward."""
-    a = as_tensor(a)
-    out = a.data[key]
+    x = value(a)
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
-            a.grad = a.grad + full
+        full = np.zeros_like(x)
+        if all(isinstance(k, _BASIC_INDEX) for k in (key if isinstance(key, tuple) else (key,))):
+            full[key] = g
+        else:
+            np.add.at(full, key, g)  # an index array may repeat an entry
+        _accumulate(a, full)
 
-    return _from_op(out, (a,), backward)
+    return _from_op(x[key], (a,), backward)
 
 
-def where(keep: np.ndarray, a, fill: float) -> Tensor:
+def where(keep: np.ndarray, a, fill: float):
     """Entries of ``a`` where ``keep`` holds and ``fill`` elsewhere; the
     adjoint reaches only the kept entries."""
-    a = as_tensor(a)
+    x = value(a)
 
     def backward(g):
         _accumulate(a, np.where(keep, g, 0.0))
 
-    return _from_op(np.where(keep, a.data, fill), (a,), backward)
+    return _from_op(np.where(keep, x, fill), (a,), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
+def reshape(a, shape):
+    x = value(a)
 
     def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(a, g.reshape(x.shape))
 
-    return _from_op(a.data.reshape(shape), (a,), backward)
+    return _from_op(x.reshape(shape), (a,), backward)
 
 
 # -- nonlinearities -----------------------------------------------------------
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
+def exp(a):
+    out = np.exp(value(a))
 
     def backward(g):
         _accumulate(a, g * out)
@@ -227,21 +244,19 @@ def exp(a) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
+def log(a):
+    x = value(a)
+    if np.any(x <= 0.0):
         raise ValueError("log of non-positive value")
-    out = np.log(a.data)
 
     def backward(g):
-        _accumulate(a, g / a.data)
+        _accumulate(a, g / x)
 
-    return _from_op(out, (a,), backward)
+    return _from_op(np.log(x), (a,), backward)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
+def tanh(a):
+    out = np.tanh(value(a))
 
     def backward(g):
         _accumulate(a, g * (1.0 - out * out))
@@ -249,68 +264,64 @@ def tanh(a) -> Tensor:
     return _from_op(out, (a,), backward)
 
 
-def sin(a) -> Tensor:
-    a = as_tensor(a)
+def sin(a):
+    x = value(a)
 
     def backward(g):
-        _accumulate(a, g * np.cos(a.data))
+        _accumulate(a, g * np.cos(x))
 
-    return _from_op(np.sin(a.data), (a,), backward)
+    return _from_op(np.sin(x), (a,), backward)
 
 
-def cos(a) -> Tensor:
-    a = as_tensor(a)
+def cos(a):
+    x = value(a)
 
     def backward(g):
-        _accumulate(a, -g * np.sin(a.data))
+        _accumulate(a, -g * np.sin(x))
 
-    return _from_op(np.cos(a.data), (a,), backward)
+    return _from_op(np.cos(x), (a,), backward)
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
+def clip(a, lo: float, hi: float):
     """Clamp values; gradient passes through unclamped entries only."""
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
+    x = value(a)
 
     def backward(g):
-        _accumulate(a, g * ((a.data >= lo) & (a.data <= hi)))
+        _accumulate(a, g * ((x >= lo) & (x <= hi)))
 
-    return _from_op(out, (a,), backward)
+    return _from_op(np.clip(x, lo, hi), (a,), backward)
 
 
-def normal_cdf(a) -> Tensor:
+def normal_cdf(a):
     """Standard normal CDF; the derivative is the normal density."""
-    a = as_tensor(a)
-    out = ndtr(a.data)
+    x = value(a)
 
     def backward(g):
-        _accumulate(a, g * _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data))
+        _accumulate(a, g * _INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
-    return _from_op(np.asarray(out, dtype=float), (a,), backward)
+    return _from_op(np.asarray(ndtr(x), dtype=float), (a,), backward)
 
 
 # -- reductions ----------------------------------------------------------------
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(a, axis=None, keepdims: bool = False):
+    x = value(a)
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g, x.shape).copy())
 
-    return _from_op(out, (a,), backward)
+    return _from_op(x.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
+def logsumexp(a, axis: int = -1, keepdims: bool = False):
+    x = value(a)
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
     s = e.sum(axis=axis, keepdims=True)
     out = m + np.log(s)
-    weights = e / s
     if not keepdims:
         out = np.squeeze(out, axis=axis)
 
@@ -318,7 +329,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         g = np.asarray(g)
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, g * weights)
+        _accumulate(a, g * (e / s))
 
     return _from_op(out, (a,), backward)
 
@@ -348,11 +359,12 @@ def grad_check(fn: Callable[[Mapping[str, Tensor]], Tensor],
             for sign, store in ((+1.0, "hi"), (-1.0, "lo")):
                 probe = {k: np.array(v, dtype=float) for k, v in params.items()}
                 probe[name].ravel()[i] += sign * h
-                value = fn({k: Tensor(v) for k, v in probe.items()}).item()
+                # the probes are plain arrays, so they build no tape
+                out = float(value(fn(probe)))
                 if store == "hi":
-                    hi = value
+                    hi = out
                 else:
-                    lo = value
+                    lo = out
             fd = (hi - lo) / (2.0 * h)
             err = abs(float(analytic.ravel()[i]) - fd) / max(1e-8, abs(fd))
             worst = max(worst, err)

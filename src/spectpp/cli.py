@@ -251,6 +251,12 @@ def run_eval_loglik(args: dict, out_dir: Path) -> dict:
     return {"loglik": {"path": "loglik.csv", "reproducible": True}}
 
 
+# bench.csv's timing-independent columns: the SD runs' totals per gamma of
+# these SampleRunStats counters
+_BENCH_COUNTS = {"target_passes": "target_forward_passes", "draft_passes": "draft_forward_passes",
+                 "target_rows": "target_rows_encoded", "draft_rows": "draft_rows_encoded"}
+
+
 def run_bench(args: dict, out_dir: Path) -> dict:
     target = _load_checkpoint(args["target"])
     draft = _load_checkpoint(args["draft"])
@@ -262,43 +268,41 @@ def run_bench(args: dict, out_dir: Path) -> dict:
         chunks = [s.inter_event_times() for s in seqs if len(s)]
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
+    # AR and then every gamma inside each repetition, so that drift of the
+    # machine's speed hits every column alike
     ar_pool: list[EventSequence] = []
-    ar_times = []
+    ar_seconds = 0.0
+    sd_runs: dict[int, list] = {gamma: [] for gamma in gamma_grid}
     for rep in range(reps):
-        elapsed = 0.0
         for run in range(runs):
             seq, stats = ar_sample(target, t_end, root.child(f"ar-{rep}-{run}"))
-            elapsed += stats.wall_seconds
+            ar_seconds += stats.wall_seconds
             ar_pool.append(seq)
-        ar_times.append(elapsed)
-    t_ar = float(np.mean(ar_times))
+        for gamma in gamma_grid:
+            for run in range(runs):
+                sd_runs[gamma].append(tpp_sd_sample(target, draft, t_end, gamma,
+                                                    root.child(f"sd-{gamma}-{rep}-{run}"),
+                                                    policy=args["policy"]))
+    t_ar = ar_seconds / reps
     ar_mean_ll = ev.mean_loglik_per_event(ar_pool, lambda s: sequence_loglik(s, target))
 
     rows = []
     for gamma in gamma_grid:
-        sd_pool: list[EventSequence] = []
-        sd_times = []
-        drafted = accepted = 0
-        for rep in range(reps):
-            elapsed = 0.0
-            for run in range(runs):
-                seq, stats = tpp_sd_sample(target, draft, t_end, gamma,
-                                           root.child(f"sd-{gamma}-{rep}-{run}"),
-                                           policy=args["policy"])
-                elapsed += stats.wall_seconds
-                drafted += stats.events_drafted
-                accepted += stats.events_accepted
-                sd_pool.append(seq)
-            sd_times.append(elapsed)
-        t_sd = float(np.mean(sd_times))
+        sd_pool = [seq for seq, _ in sd_runs[gamma]]
+
+        def total(name, done=sd_runs[gamma]):
+            return sum(getattr(stats, name) for _, stats in done)
+
+        t_sd = total("wall_seconds") / reps
         sd_mean_ll = ev.mean_loglik_per_event(sd_pool, lambda s: sequence_loglik(s, target))
         distance = ev.wasserstein_1d(intervals(ar_pool), intervals(sd_pool))
-        rows.append([gamma, _format_cell(accepted / max(1, drafted)),
-                     _format_cell(t_ar), _format_cell(t_sd), _format_cell(t_ar / t_sd),
-                     _format_cell(abs(ar_mean_ll - sd_mean_ll)), _format_cell(distance)])
+        alpha = total("events_accepted") / max(1, total("events_drafted"))
+        rows.append([gamma, _format_cell(alpha), _format_cell(t_ar), _format_cell(t_sd),
+                     _format_cell(t_ar / t_sd), _format_cell(abs(ar_mean_ll - sd_mean_ll)),
+                     _format_cell(distance), *(total(name) for name in _BENCH_COUNTS.values())])
     _write_table(out_dir / "bench.csv",
-                 ["gamma", "alpha", "t_ar", "t_sd", "speedup", "delta_l", "distance"],
-                 rows)
+                 ["gamma", "alpha", "t_ar", "t_sd", "speedup", "delta_l", "distance",
+                  *_BENCH_COUNTS], rows)
     return {"bench": {"path": "bench.csv", "reproducible": False}}
 
 

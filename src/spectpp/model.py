@@ -4,10 +4,14 @@ Events are embedded as mark embedding + temporal encoding, passed through
 causal attention-plus-residual blocks, and decoded into a log-normal
 mixture over the next inter-event interval and a categorical distribution
 over the next mark. Three temporal encodings and two attention styles are
-supported; all forward math runs on autodiff tensors so the same code
-serves sampling (constants) and training (gradients). An EncoderCache keeps
-every layer's keys and values, so a sampling forward encodes only the
-events that are new since the previous one.
+supported. The forward is written once with autodiff operations: given the
+checkpoint's raw arrays they compute plain ndarrays and build no tape, which
+is how sampling runs, and given requires_grad Tensors they record the tape
+that training differentiates. Each layer projects its input to the queries,
+keys and values of every head with one q|k|v matrix product and attends
+with one batched product over the heads. An EncoderCache keeps every
+layer's keys and values, so a sampling forward encodes only the events that
+are new since the previous one.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -33,6 +36,9 @@ ENCODINGS = ("thp", "sahp", "attnhp")
 # m and M of the attnhp temporal encoding
 _ATTNHP_M = 1.0
 _ATTNHP_BIG_M = 2000.0
+
+# raw arrays for inference, or requires_grad Tensors for training
+Params = dict[str, np.ndarray | Tensor]
 
 
 class CheckpointFormatError(ValueError):
@@ -121,8 +127,9 @@ class ModelCheckpoint:
     config: ModelConfig
     params: dict[str, np.ndarray]
 
-    def param_tensors(self, requires_grad: bool = False) -> dict[str, Tensor]:
-        return {k: Tensor(v, requires_grad=requires_grad) for k, v in self.params.items()}
+    def param_tensors(self) -> dict[str, Tensor]:
+        """The parameters as Tensors that collect gradients."""
+        return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
 
     def copy(self) -> "ModelCheckpoint":
         return ModelCheckpoint(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -203,7 +210,15 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
                                     "with a shape and data")
     params = {}
     for name, entry in entries.items():
-        params[name] = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointFormatError(f"parameter {name!r} has shape {shape!r}, "
+                                        "not a list of non-negative integers")
+        try:
+            params[name] = np.asarray(entry.get("data"), dtype=float).reshape(shape)
+        except (TypeError, ValueError):
+            raise CheckpointFormatError(f"parameter {name!r} data do not fit "
+                                        f"its shape {shape}") from None
     expected = parameter_shapes(config)
     if set(params) != set(expected):
         raise CheckpointFormatError("checkpoint parameters do not match its configuration")
@@ -225,32 +240,31 @@ def _encoding_exponents(config: ModelConfig) -> np.ndarray:
     return (j - (j % 2)) / config.embed_dim
 
 
-def _temporal_encoding_tensor(times: np.ndarray, params: dict[str, Tensor],
-                              config: ModelConfig) -> Tensor:
-    """Encode times (N,) into an (N, D) tensor; only SAHP carries gradients."""
+def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelConfig):
+    """Encode times (N,) into (N, D) rows; only SAHP's frequencies carry
+    gradients."""
     expo = _encoding_exponents(config)
     j = np.arange(config.embed_dim)
     even = (j % 2 == 0).astype(float)
     t_col = times.reshape(-1, 1)
     if config.encoding == "thp":
         arg = t_col / np.power(10000.0, expo)
-        return Tensor(np.sin(arg) * even + np.cos(arg) * (1.0 - even))
+        return np.sin(arg) * even + np.cos(arg) * (1.0 - even)
     if config.encoding == "attnhp":
         scale = (1.0 / _ATTNHP_M) * np.power(5.0 * _ATTNHP_BIG_M / _ATTNHP_M, expo)
-        return Tensor(np.sin(t_col * scale))
+        return np.sin(t_col * scale)
     # sahp: learnable per-dimension frequencies shift a fixed positional phase
-    phase = Tensor(j / np.power(10000.0, expo))
-    arg = ad.add(phase, ad.mul(params["time_freq"], Tensor(t_col)))
-    return ad.add(ad.mul(ad.sin(arg), Tensor(even)),
-                  ad.mul(ad.cos(arg), Tensor(1.0 - even)))
+    phase = j / np.power(10000.0, expo)
+    arg = ad.add(phase, ad.mul(params["time_freq"], t_col))
+    return ad.add(ad.mul(ad.sin(arg), even), ad.mul(ad.cos(arg), 1.0 - even))
 
 
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
 
-def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor],
-                  config: ModelConfig) -> tuple[Tensor, Tensor]:
+def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
+                  config: ModelConfig):
     if marks.size and (marks.min() < 0 or marks.max() >= config.n_marks):
         raise ValueError("mark out of range for the checkpoint configuration")
     z = _temporal_encoding_tensor(times, params, config)
@@ -258,54 +272,59 @@ def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor
     return x, z
 
 
-def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor],
-                   config: ModelConfig, past: EncoderCache | None = None) -> Tensor:
+def _fused_qkv(params: Params, config: ModelConfig) -> list:
+    """One (d_in, 3d) q|k|v projection per layer from the named parameters,
+    with the attention scale 1/sqrt(head_dim) folded into the query block."""
+    scale = 1.0 / math.sqrt(config.head_dim)
+    return [ad.concat([ad.mul(params[f"layers.{layer}.q"], scale), params[f"layers.{layer}.k"],
+                       params[f"layers.{layer}.v"]], axis=1)
+            for layer in range(config.n_layers)]
+
+
+def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
+                   config: ModelConfig, past: EncoderCache | None = None):
     """Final-layer rows of the given events. With a ``past``, the events
     follow the ``past.size`` events it holds: their keys and values are
     stored in it and new rows attend over [past; new]; without one the past
     is empty. Only the new x new block of the causal mask is needed, and a
     single new row needs none."""
     x, z = _embed_tensor(times, marks, params, config)
-    n = times.size
+    n, heads, head_dim = times.size, config.n_heads, config.head_dim
     n_past = 0 if past is None else past.size
     causal = None if n == 1 else np.tri(n, n_past + n, n_past, dtype=bool)
-    inv_sqrt = 1.0 / math.sqrt(config.head_dim)
-    ones_col = Tensor(np.ones((n, 1)))
+    qkv = _fused_qkv(params, config) if past is None else past.qkv
+    attnhp = config.encoding == "attnhp"
+    ones_col = np.ones((n, 1))
     h = x
     for layer in range(config.n_layers):
-        if config.encoding == "attnhp":
-            inputs = ad.concat([ones_col, z, h], axis=1)
-        else:
-            inputs = h
-        head_outputs = []
-        for head in range(config.n_heads):
-            cols = slice(head * config.head_dim, (head + 1) * config.head_dim)
-            q = ad.matmul(inputs, params[f"layers.{layer}.q"][:, cols])
-            k = ad.matmul(inputs, params[f"layers.{layer}.k"][:, cols])
-            v = ad.matmul(inputs, params[f"layers.{layer}.v"][:, cols])
-            if past is not None:
-                k, v = past.attend(layer, cols, k, v)
-            scores = ad.matmul(ad.mul(q, inv_sqrt), k.T)
-            if causal is not None:
-                scores = ad.where(causal, scores, -math.inf)
-            # the row maximum is a constant shift: attention is invariant to it
-            shift = scores.data.max(axis=1, keepdims=True)
-            kernel = ad.exp(ad.sub(scores, shift))
-            denominator = ad.tensor_sum(kernel, axis=1, keepdims=True)
-            if config.encoding == "attnhp":
-                # the +1 of the unshifted denominator becomes exp(-shift)
-                with np.errstate(over="ignore"):
-                    denominator = ad.add(denominator, np.exp(-shift))
-            head_outputs.append(ad.div(ad.matmul(kernel, v), denominator))
-        agg = head_outputs[0] if len(head_outputs) == 1 else ad.concat(head_outputs, axis=1)
-        if config.encoding == "attnhp":
+        inputs = ad.concat([ones_col, z, h], axis=1) if attnhp else h
+        # (n, 3d) -> (3, heads, n, head_dim): the queries, keys and values of every head
+        proj = ad.transpose(ad.reshape(ad.matmul(inputs, qkv[layer]), (n, 3, heads, head_dim)),
+                            (1, 2, 0, 3))
+        q, k, v = proj[0], proj[1], proj[2]
+        if past is not None:
+            k, v = past.attend(layer, k, v)
+        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
+        if causal is not None:
+            scores = ad.where(causal, scores, -math.inf)
+        # the row maximum is a constant shift: attention is invariant to it
+        shift = ad.value(scores).max(axis=-1, keepdims=True)
+        kernel = ad.exp(ad.sub(scores, shift))
+        denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
+        if attnhp:
+            # the +1 of the unshifted denominator becomes exp(-shift)
+            with np.errstate(over="ignore"):
+                denominator = ad.add(denominator, np.exp(-shift))
+        attended = ad.div(ad.matmul(kernel, v), denominator)
+        agg = ad.reshape(ad.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
+        if attnhp:
             agg = ad.tanh(agg)
         h = ad.add(h, agg)
     return h
 
 
-def _context_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tensor],
-                    config: ModelConfig, past: EncoderCache | None = None) -> Tensor:
+def _context_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
+                    config: ModelConfig, past: EncoderCache | None = None):
     """Row i is the conditioning context for the (i+1)-th event after the
     past; row 0 is the final hidden row of the last past event, or the
     learned begin-of-sequence context when the past is empty, and the last
@@ -313,7 +332,7 @@ def _context_tensor(times: np.ndarray, marks: np.ndarray, params: dict[str, Tens
     if past is None or past.size == 0:
         first = ad.reshape(params["initial_context"], (1, config.embed_dim))
     else:
-        first = Tensor(past.hidden[past.size - 1:past.size])
+        first = past.hidden[past.size - 1:past.size]
     if times.size == 0:
         return first
     h = _encode_tensor(times, marks, params, config, past)
@@ -329,21 +348,26 @@ class EncoderCache:
     keeps the rows of the longest prefix of the events whose times and marks
     match the stored ones exactly, drops the rest, and encodes the
     remainder: a rollback after a rejected draft is just a call with the
-    shorter or diverging events. Buffers grow geometrically. The checkpoint's
-    parameters must not change while the cache is in use.
+    shorter or diverging events. It encodes with the checkpoint's raw arrays
+    and a q|k|v matrix per layer fused from them once, so its forward builds
+    no tape. Key and value buffers have shape (heads, capacity, head_dim)
+    and grow geometrically. The checkpoint's parameters must not change
+    while the cache is in use.
     """
 
     def __init__(self, checkpoint: ModelCheckpoint) -> None:
         self.checkpoint = checkpoint
-        self.params = checkpoint.param_tensors()
+        config = checkpoint.config
+        self.params = checkpoint.params
+        self.qkv = _fused_qkv(self.params, config)
         self.size = 0
         self.last_encoded = 0
-        config = checkpoint.config
         self._times = np.empty(0)
         self._marks = np.empty(0, dtype=int)
         self.hidden = np.empty((0, config.embed_dim))
-        self._keys = [np.empty((0, config.embed_dim)) for _ in range(config.n_layers)]
-        self._values = [np.empty((0, config.embed_dim)) for _ in range(config.n_layers)]
+        shape = (config.n_heads, 0, config.head_dim)
+        self._keys = [np.empty(shape) for _ in range(config.n_layers)]
+        self._values = [np.empty(shape) for _ in range(config.n_layers)]
 
     @property
     def times(self) -> np.ndarray:
@@ -359,24 +383,27 @@ class EncoderCache:
             return
         capacity = max(n, 2 * capacity, 16)
 
-        def grown(buffer: np.ndarray) -> np.ndarray:
-            out = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
-            out[:self.size] = buffer[:self.size]
+        def grown(buffer: np.ndarray, axis: int = 0) -> np.ndarray:
+            shape = list(buffer.shape)
+            shape[axis] = capacity
+            out = np.empty(shape, dtype=buffer.dtype)
+            held = (slice(None),) * axis + (slice(self.size),)
+            out[held] = buffer[held]
             return out
 
         self._times, self._marks, self.hidden = map(grown, (self._times, self._marks, self.hidden))
-        self._keys = [grown(b) for b in self._keys]
-        self._values = [grown(b) for b in self._values]
+        self._keys = [grown(b, 1) for b in self._keys]
+        self._values = [grown(b, 1) for b in self._values]
 
-    def attend(self, layer: int, cols: slice, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Store one head's new key and value rows after the held ones and
-        return the keys and values of [past; new]."""
-        end = self.size + k.data.shape[0]
-        self._keys[layer][self.size:end, cols] = k.data
-        self._values[layer][self.size:end, cols] = v.data
-        return Tensor(self._keys[layer][:end, cols]), Tensor(self._values[layer][:end, cols])
+    def attend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store the new (heads, n, head_dim) key and value rows after the
+        held ones and return the keys and values of [past; new]."""
+        end = self.size + k.shape[1]
+        self._keys[layer][:, self.size:end] = k
+        self._values[layer][:, self.size:end] = v
+        return self._keys[layer][:, :end], self._values[layer][:, :end]
 
-    def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> Tensor:
+    def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
         """Context rows from the first position the cache does not hold up
         to the end of ``events``, encoding only the events it lacks."""
         if checkpoint is not self.checkpoint:
@@ -390,7 +417,7 @@ class EncoderCache:
         self._reserve(times.size)
         ctx = _context_tensor(times[new], marks[new], self.params, checkpoint.config, self)
         self._times[new], self._marks[new] = times[new], marks[new]
-        self.hidden[new] = ctx.data[1:]
+        self.hidden[new] = ctx[1:]
         self.last_encoded = times.size - self.size
         self.size = times.size
         return ctx
@@ -400,7 +427,7 @@ class EncoderCache:
 # decoder heads
 # ---------------------------------------------------------------------------
 
-def _head_tensors(ctx: Tensor, params: dict[str, Tensor], config: ModelConfig):
+def _head_tensors(ctx, params: Params, config: ModelConfig):
     """Mixture log-weights/means/scales and mark logits for each context row."""
     d = config.embed_dim
     e = ad.matmul(ctx, params["decoder_proj"].T)
@@ -438,8 +465,7 @@ def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *
     """
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    heads = _head_tensors(ctx, cache.params, checkpoint.config)
-    return _distributions(*(t.data for t in heads))
+    return _distributions(*_head_tensors(ctx, cache.params, checkpoint.config))
 
 
 def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
@@ -451,11 +477,11 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
     heads = _head_tensors(ctx[-1:, :], cache.params, checkpoint.config)
-    return _distributions(*(t.data[0] for t in heads))
+    return _distributions(*(t[0] for t in heads))
 
 
 # ---------------------------------------------------------------------------
-# mixture density, CDF, sampling
+# mixture density and sampling
 # ---------------------------------------------------------------------------
 
 def mixture_logpdf(tau, params: MixtureParams):
@@ -479,24 +505,6 @@ def mixture_logpdf(tau, params: MixtureParams):
     return float(out) if out.ndim == 0 else out
 
 
-def mixture_cdf(tau: float, params: MixtureParams) -> float:
-    """P(interval <= tau); zero at tau = 0 and monotone to one."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return 0.0
-    z = (math.log(tau) - params.means) / params.scales
-    return float(np.sum(params.weights * ndtr(z)))
-
-
-def mixture_survival(tau: float, params: MixtureParams) -> float:
-    """P(interval > tau), computed as a mixture of upper normal tails."""
-    if tau <= 0.0:
-        return 1.0
-    z = (math.log(tau) - params.means) / params.scales
-    return float(np.sum(params.weights * ndtr(-z)))
-
-
 def sample_interval(params: MixtureParams, rng: RngStream) -> tuple[float, float]:
     """Draw tau by picking a component then exponentiating a scaled normal;
     returns (tau, log-density of tau under the full mixture)."""
@@ -516,18 +524,18 @@ def sample_interval(params: MixtureParams, rng: RngStream) -> tuple[float, float
 # ---------------------------------------------------------------------------
 
 def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
-                   params: dict[str, Tensor], config: ModelConfig) -> Tensor:
+                   params: Params, config: ModelConfig):
     n = times.size
     taus = np.diff(np.concatenate([[0.0], times]))
     if np.any(taus <= 0.0):
         raise ValueError("inter-event intervals must be positive")
     ctx = _context_tensor(times, marks, params, config)
     log_w, mu, sigma, mark_logits = _head_tensors(ctx, params, config)
-    total = Tensor(0.0)
+    total = 0.0
     if n:
         log_taus = np.log(taus).reshape(-1, 1)
-        z = ad.div(ad.sub(Tensor(log_taus), mu[:n, :]), sigma[:n, :])
-        comp = ad.sub(ad.sub(ad.sub(log_w[:n, :], Tensor(log_taus + 0.5 * _LOG_2PI)),
+        z = ad.div(ad.sub(log_taus, mu[:n, :]), sigma[:n, :])
+        comp = ad.sub(ad.sub(ad.sub(log_w[:n, :], log_taus + 0.5 * _LOG_2PI),
                              ad.log(sigma[:n, :])),
                       ad.mul(ad.mul(z, z), 0.5))
         total = ad.add(total, ad.tensor_sum(ad.logsumexp(comp, axis=-1)))
@@ -544,6 +552,5 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
 def sequence_loglik(seq: EventSequence, checkpoint: ModelCheckpoint) -> float:
     """CDF-form log-likelihood: interval and mark log-densities at each event
     plus the log-probability that no further event occurs before t_end."""
-    out = _loglik_tensor(seq.times, seq.marks, seq.t_end,
-                         checkpoint.param_tensors(), checkpoint.config)
-    return out.item()
+    return float(_loglik_tensor(seq.times, seq.marks, seq.t_end,
+                                checkpoint.params, checkpoint.config))

@@ -72,7 +72,7 @@ def nll_batch(checkpoint: ModelCheckpoint,
     terms)."""
     if not batch:
         raise ValueError("batch must be nonempty")
-    tensors = checkpoint.param_tensors(requires_grad=True)
+    tensors = checkpoint.param_tensors()
     total = ad.Tensor(0.0)
     events = 0
     for seq in batch:

@@ -1,5 +1,6 @@
 import pytest
 
+from spectpp import autodiff as ad
 from spectpp import model as M
 
 
@@ -12,4 +13,17 @@ def constructions(monkeypatch):
             counts[_name] += 1
             _check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+@pytest.fixture()
+def tensors(monkeypatch):
+    """Count of autodiff Tensor constructions."""
+    counts = {"Tensor": 0}
+
+    def counted(self, *args, _init=ad.Tensor.__init__, **kwargs):
+        counts["Tensor"] += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
     return counts

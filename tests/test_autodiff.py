@@ -92,6 +92,47 @@ def test_matmul_concat_slice_gradients():
     assert grad_check(f, {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 2))}) < 1e-6
 
 
+def test_batched_matmul_and_axis_permutation_gradients():
+    rng = np.random.default_rng(11)
+    weights = rng.normal(size=(5, 6))
+
+    def f(p):
+        # (2, 3, 4) @ (2, 4, 5) -> (2, 3, 5) -> (3, 2, 5) -> (3, 10) -> rows 1:
+        prod = ad.matmul(p["a"], ad.transpose(p["b"], (0, 2, 1)))
+        flat = ad.reshape(ad.transpose(prod, (1, 0, 2)), (3, 10))
+        return ad.tensor_sum(ad.mul(ad.reshape(flat[1:], (5, 4)), weights[:, :4]))
+
+    params = {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(2, 5, 4))}
+    assert grad_check(f, params) < 1e-6
+    plain = f(params)
+    assert not isinstance(plain, Tensor)
+    ref = np.einsum("hik,hjk->ihj", params["a"], params["b"]).reshape(3, 10)[1:]
+    assert plain == pytest.approx(float(np.sum(ref.reshape(5, 4) * weights[:, :4])), rel=1e-12)
+
+
+def test_ops_on_plain_operands_return_plain_arrays():
+    """No Tensor operand: the op returns the forward value as an ndarray and
+    builds no tape; any Tensor operand gives a Tensor with the same value."""
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(0.5, 2.0, size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4))
+    keep = x > 1.0
+    ops = [lambda a, b: ad.add(a, b), lambda a, b: ad.sub(a, 1.0), lambda a, b: ad.mul(2.0, b),
+           lambda a, b: ad.div(a, b), lambda a, b: ad.matmul(a, ad.transpose(b)),
+           lambda a, b: ad.concat([a, b], axis=1), lambda a, b: ad.take(a, np.array([0, 0])),
+           lambda a, b: ad.where(keep, b, 0.0), lambda a, b: ad.reshape(a, (4, 3)),
+           lambda a, b: ad.exp(a), lambda a, b: ad.log(b), lambda a, b: ad.tanh(a),
+           lambda a, b: ad.sin(a), lambda a, b: ad.cos(b), lambda a, b: ad.clip(a, 0.8, 1.2),
+           lambda a, b: ad.normal_cdf(a), lambda a, b: ad.tensor_sum(a, axis=0),
+           lambda a, b: ad.logsumexp(b, axis=1)]
+    for op in ops:
+        plain = op(x, y)
+        assert isinstance(plain, np.ndarray)
+        taped = op(Tensor(x, requires_grad=True), y)
+        if not isinstance(taped, Tensor):  # ops that ignore their first operand
+            taped = op(x, Tensor(y, requires_grad=True))
+        assert isinstance(taped, Tensor) and np.array_equal(taped.data, plain)
+
+
 def test_where_passes_gradient_only_through_kept_entries():
     rng = np.random.default_rng(10)
     keep = np.tri(3, 4, 1, dtype=bool)

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from spectpp import cli
 from spectpp.core import RngStream, read_sequences, sequence_from_arrays, write_sequences
-from spectpp.model import ModelConfig, init_checkpoint, save_checkpoint
+from spectpp.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
+from spectpp.sampler import tpp_sd_sample
 
 
 @pytest.fixture()
@@ -194,10 +195,20 @@ def test_bench_grid_rows_and_identity_alpha(runner, workspace):
     assert result.exit_code == 0, result.output
     rows = read_csv(out / "bench.csv")
     assert [row["gamma"] for row in rows] == ["1", "5"]
+    target = load_checkpoint(workspace / "target.json")
     for row in rows:
         assert float(row["alpha"]) == 1.0
         assert float(row["speedup"]) == pytest.approx(
             float(row["t_ar"]) / float(row["t_sd"]), rel=1e-9)
+        # the counts are those of the one SD run, under its named RNG child
+        gamma = int(row["gamma"])
+        _, stats = tpp_sd_sample(target, target, 10.0, gamma,
+                                 RngStream(12).child(f"sd-{gamma}-0-0"))
+        assert [int(row[name]) for name in ("target_passes", "draft_passes", "target_rows",
+                                            "draft_rows")] == [
+            stats.target_forward_passes, stats.draft_forward_passes,
+            stats.target_rows_encoded, stats.draft_rows_encoded]
+        assert int(row["draft_passes"]) == gamma * int(row["target_passes"]) > 0
 
 
 @pytest.mark.parametrize("command_dir", ["sim", "trained"])
@@ -294,11 +305,18 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
     ("--target", lambda ckpt: json.dumps({**ckpt, "params": list(ckpt["params"].values())})),
     ("--target", lambda ckpt: json.dumps(
         {**ckpt, "params": {**ckpt["params"], "initial_context": 0.5}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {**ckpt["params"]["initial_context"],
+                                              "shape": "8"}}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {"shape": [8], "data": {"0": 0.5}}}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {"shape": [8], "data": [0.5] * 7}}})),
     ("--process", lambda ckpt: json.dumps([{"kind": "sine_poisson"}])),
     ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
     ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
-], ids=["checkpoint-list", "params-list", "param-number", "process-list", "sequence-list",
-        "events-number"])
+], ids=["checkpoint-list", "params-list", "param-number", "shape-string", "data-object",
+        "data-misfit", "process-list", "sequence-list", "events-number"])
 def test_malformed_json_input_exit_2(runner, workspace, flag, text):
     bad = workspace / "bad.json"
     bad.write_text(text(json.loads((workspace / "target.json").read_text())))

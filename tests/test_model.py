@@ -3,10 +3,25 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from spectpp import model as M
-from spectpp.autodiff import Tensor, grad_check
+from spectpp import training as T
+from spectpp import autodiff as ad
+from spectpp.autodiff import grad_check
 from spectpp.core import Event, EventSequence, RngStream, sequence_from_arrays
+
+
+def mixture_cdf(tau, params):
+    """P(interval <= tau) under one log-normal mixture; zero at tau = 0."""
+    if tau == 0.0:
+        return 0.0
+    return float(np.sum(params.weights * ndtr((math.log(tau) - params.means) / params.scales)))
+
+
+def mixture_survival(tau, params):
+    """P(interval > tau), as a mixture of upper normal tails."""
+    return float(np.sum(params.weights * ndtr((params.means - math.log(tau)) / params.scales)))
 
 
 def tiny_config(**overrides):
@@ -32,22 +47,22 @@ def random_checkpoint(config, seed, scale=None):
 
 def temporal_encoding(t, ckpt):
     times = np.array([float(t)])
-    return M._temporal_encoding_tensor(times, ckpt.param_tensors(), ckpt.config).data[0]
+    return M._temporal_encoding_tensor(times, ckpt.params, ckpt.config)[0]
 
 
 def embed_events(seq, ckpt):
-    x, _ = M._embed_tensor(seq.times, seq.marks, ckpt.param_tensors(), ckpt.config)
-    return x.data
+    x, _ = M._embed_tensor(seq.times, seq.marks, ckpt.params, ckpt.config)
+    return x
 
 
 def encode_history(seq, ckpt):
-    return M._encode_tensor(seq.times, seq.marks, ckpt.param_tensors(), ckpt.config).data
+    return M._encode_tensor(seq.times, seq.marks, ckpt.params, ckpt.config)
 
 
 def decode(h, ckpt):
     """The (mixture, mark distribution) pair of one history embedding."""
-    heads = M._head_tensors(Tensor(np.reshape(h, (1, -1))), ckpt.param_tensors(), ckpt.config)
-    return M._distributions(*(t.data[0] for t in heads))
+    heads = M._head_tensors(np.reshape(h, (1, -1)), ckpt.params, ckpt.config)
+    return M._distributions(*(t[0] for t in heads))
 
 
 # -- temporal encoding ---------------------------------------------------------
@@ -267,10 +282,10 @@ def test_density_integrates_to_one():
 
 def test_cdf_median_and_boundaries():
     params = M.MixtureParams(np.array([1.0]), np.array([0.0]), np.array([2.5]))
-    assert M.mixture_cdf(1.0, params) == pytest.approx(0.5)
-    assert M.mixture_cdf(0.0, params) == 0.0
-    assert M.mixture_cdf(1e12, params) == pytest.approx(1.0, abs=1e-9)
-    values = [M.mixture_cdf(t, params) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]
+    assert mixture_cdf(1.0, params) == pytest.approx(0.5)
+    assert mixture_cdf(0.0, params) == 0.0
+    assert mixture_cdf(1e12, params) == pytest.approx(1.0, abs=1e-9)
+    values = [mixture_cdf(t, params) for t in (0.1, 0.5, 1.0, 3.0, 10.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -280,14 +295,14 @@ def test_cdf_derivative_matches_density():
     params = M.MixtureParams(w, rng.normal(size=3), rng.uniform(0.4, 1.2, size=3))
     for tau in (0.5, 1.0, 2.5):
         h = 1e-6 * tau
-        fd = (M.mixture_cdf(tau + h, params) - M.mixture_cdf(tau - h, params)) / (2 * h)
+        fd = (mixture_cdf(tau + h, params) - mixture_cdf(tau - h, params)) / (2 * h)
         assert fd == pytest.approx(math.exp(M.mixture_logpdf(tau, params)), rel=1e-5)
 
 
 def test_survival_complements_cdf():
     params = M.MixtureParams(np.array([0.4, 0.6]), np.array([0.0, 1.0]), np.array([0.5, 0.8]))
     for tau in (0.3, 1.7):
-        assert M.mixture_survival(tau, params) == pytest.approx(1.0 - M.mixture_cdf(tau, params), rel=1e-12)
+        assert mixture_survival(tau, params) == pytest.approx(1.0 - mixture_cdf(tau, params), rel=1e-12)
 
 
 def test_sample_interval_degenerate_scale():
@@ -338,7 +353,7 @@ def test_empty_sequence_loglik_is_survival_term():
     ckpt = M.init_checkpoint(tiny_config(), RngStream(9))
     mix, _ = M.position_distributions(EventSequence((), 7.0), ckpt)
     assert mix.weights.shape == (1, 4)
-    want = math.log(M.mixture_survival(7.0, M.MixtureParams(mix.weights[0], mix.means[0],
+    want = math.log(mixture_survival(7.0, M.MixtureParams(mix.weights[0], mix.means[0],
                                                              mix.scales[0])))
     assert M.sequence_loglik(EventSequence((), 7.0), ckpt) == pytest.approx(want, rel=1e-12)
 
@@ -416,7 +431,7 @@ def unshifted_attention_reference(seq, ckpt):
     scores, masked by dropping future keys, and attnhp's +1 denominator."""
     config = ckpt.config
     x = embed_events(seq, ckpt)
-    z = M._temporal_encoding_tensor(seq.times, ckpt.param_tensors(), config).data
+    z = M._temporal_encoding_tensor(seq.times, ckpt.params, config)
     n = len(seq)
     attnhp = config.encoding == "attnhp"
     h = x
@@ -437,10 +452,17 @@ def unshifted_attention_reference(seq, ckpt):
 
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
 def test_max_shifted_attention_matches_unshifted_reference(encoding):
-    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2), seed=18)
     seq = sequence_from_arrays([0.3, 0.8, 1.6, 2.1, 3.3], [1, 0, 0, 1, 1], 10.0)
-    want = unshifted_attention_reference(seq, ckpt)
-    assert np.allclose(encode_history(seq, ckpt), want, rtol=0.0, atol=1e-12)
+    for n_heads in (1, 2):
+        ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads),
+                                 seed=18)
+        want = unshifted_attention_reference(seq, ckpt)
+        assert np.allclose(encode_history(seq, ckpt), want, rtol=0.0, atol=1e-12)
+        # the cached forward, one event at a time and then the rest at once
+        cache = M.EncoderCache(ckpt)
+        for n in (1, 2, len(seq)):
+            cache.context(EventSequence(seq.events[:n], seq.t_end), ckpt)
+        assert np.allclose(cache.hidden[:len(seq)], want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
@@ -460,10 +482,12 @@ def test_large_attention_scores_stay_finite(encoding):
 
 def training_forward(seq, ckpt):
     """Head rows at every position from the no-past forward that training
-    runs, which no cache takes part in."""
+    runs on the tape, which no cache takes part in."""
     params = ckpt.param_tensors()
     ctx = M._context_tensor(seq.times, seq.marks, params, ckpt.config)
-    return M._distributions(*(t.data for t in M._head_tensors(ctx, params, ckpt.config)))
+    heads = M._head_tensors(ctx, params, ckpt.config)
+    assert all(isinstance(t, ad.Tensor) and t.requires_grad for t in heads)
+    return M._distributions(*(ad.value(t) for t in heads))
 
 
 def assert_rows_equal(got, want, rows):
@@ -515,6 +539,51 @@ def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_he
         assert cache.size == len(seq) and np.array_equal(cache.times, seq.times)
         kinds.add(kind)
     assert kinds == {"extend", "rewind", "diverge"}
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_inference_forward_builds_no_tensors(encoding, n_heads, tensors):
+    """Sampling forwards run on the raw parameter arrays: no Tensor is
+    constructed with a fresh cache, nor with a warm one that extends, rolls
+    back and follows a diverging prefix."""
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads,
+                                         n_marks=3), seed=24)
+    events = list(sequence_from_arrays([0.3, 0.8, 1.6, 2.1, 3.3, 4.0], [1, 0, 2, 1, 1, 0],
+                                       10.0).events)
+    diverged = events[:2] + [Event(events[2].time, 0)] + events[3:]
+    cache = M.EncoderCache(ckpt)
+    for kept in (events[:1], events[:4], events, events[:3], diverged[:5]):
+        seq = EventSequence(tuple(kept), 10.0)
+        for forward in (M.next_event_distributions, M.position_distributions):
+            forward(seq, ckpt)
+            forward(seq, ckpt, cache=cache)
+    assert cache.size == 5
+    assert tensors == {"Tensor": 0}
+
+
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_nll_batch_builds_a_tape_with_exact_gradients(encoding, tensors):
+    """Training passes requires_grad Tensors through the same forward, so it
+    still builds a tape, and its gradient matches central differences."""
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2), seed=25)
+    batch = [sequence_from_arrays([0.4, 1.1, 1.9], [0, 1, 1], 4.0),
+             sequence_from_arrays([0.7], [1], 2.0)]
+    loss, grads = T.nll_batch(ckpt, batch)
+    # the parameter leaves plus at least a node per operation of every layer
+    assert tensors["Tensor"] > len(ckpt.params) + 10 * ckpt.config.n_layers
+    rng = np.random.default_rng(26)
+    for name, base in ckpt.params.items():
+        for i in rng.choice(base.size, size=min(base.size, 6), replace=False):
+            h = 1e-6 * max(1.0, abs(base.flat[i]))
+            sides = []
+            for sign in (1.0, -1.0):
+                probe = ckpt.copy()
+                probe.params[name].flat[i] += sign * h
+                sides.append(T.nll_batch(probe, batch)[0])
+            fd = (sides[0] - sides[1]) / (2 * h)
+            assert grads[name].flat[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), (name, i)
+    assert loss == pytest.approx(-sum(M.sequence_loglik(s, ckpt) for s in batch) / 4, rel=1e-12)
 
 
 def test_cache_refuses_another_checkpoint():
