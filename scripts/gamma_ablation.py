@@ -69,7 +69,7 @@ def main() -> None:
     cli._execute("bench", {
         "target": str(target_path), "draft": str(draft_path), "gamma_grid": grid,
         "repetitions": args.repetitions, "runs": args.runs, "t_end": args.t_end,
-        "seed": args.seed, "policy": "adjusted"}, args.out / "bench")
+        "seed": args.seed}, args.out / "bench")
     print((args.out / "bench" / "bench.csv").read_text())
 
 

@@ -107,10 +107,12 @@ def _from_op(out, operands: tuple, backward: Callable):
     return Tensor(out, parents=parents, backward=backward, requires_grad=True)
 
 
-def _accumulate(parent, grad: np.ndarray) -> None:
-    """Add an adjoint into ``parent.grad``; the first one is stored as it is
-    (adjoints are never written in place)."""
+def _accumulate(parent, grad) -> None:
+    """Add an adjoint, or what a function computing it returns, into
+    ``parent.grad`` only when the parent needs one; the first one is stored
+    as it is (adjoints are never written in place)."""
     if isinstance(parent, Tensor) and parent.requires_grad:
+        grad = grad() if callable(grad) else grad
         parent.grad = grad if parent.grad is None else parent.grad + grad
 
 
@@ -120,8 +122,8 @@ def add(a, b):
     x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, np.shape(x)))
-        _accumulate(b, _unbroadcast(g, np.shape(y)))
+        _accumulate(a, lambda: _unbroadcast(g, np.shape(x)))
+        _accumulate(b, lambda: _unbroadcast(g, np.shape(y)))
 
     return _from_op(x + y, (a, b), backward)
 
@@ -130,8 +132,8 @@ def sub(a, b):
     x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, np.shape(x)))
-        _accumulate(b, _unbroadcast(-g, np.shape(y)))
+        _accumulate(a, lambda: _unbroadcast(g, np.shape(x)))
+        _accumulate(b, lambda: _unbroadcast(-g, np.shape(y)))
 
     return _from_op(x - y, (a, b), backward)
 
@@ -140,8 +142,8 @@ def mul(a, b):
     x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * y, np.shape(x)))
-        _accumulate(b, _unbroadcast(g * x, np.shape(y)))
+        _accumulate(a, lambda: _unbroadcast(g * y, np.shape(x)))
+        _accumulate(b, lambda: _unbroadcast(g * x, np.shape(y)))
 
     return _from_op(x * y, (a, b), backward)
 
@@ -150,8 +152,8 @@ def div(a, b):
     x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / y, np.shape(x)))
-        _accumulate(b, _unbroadcast(-g * x / (y * y), np.shape(y)))
+        _accumulate(a, lambda: _unbroadcast(g / y, np.shape(x)))
+        _accumulate(b, lambda: _unbroadcast(-g * x / (y * y), np.shape(y)))
 
     return _from_op(x / y, (a, b), backward)
 
@@ -163,8 +165,8 @@ def matmul(a, b):
     x, y = value(a), value(b)
 
     def backward(g):
-        _accumulate(a, g @ _swap_last(y))
-        _accumulate(b, _swap_last(x) @ g)
+        _accumulate(a, lambda: g @ _swap_last(y))
+        _accumulate(b, lambda: _swap_last(x) @ g)
 
     return _from_op(x @ y, (a, b), backward)
 

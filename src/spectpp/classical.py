@@ -19,6 +19,7 @@ import numpy as np
 from .core import Event, EventSequence, RngStream
 
 logger = logging.getLogger(__name__)
+_RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, this]
 
 
 class NonFiniteIntensityError(RuntimeError):
@@ -32,12 +33,11 @@ class SinePoissonParams:
     A: float
     b: float
     omega: float
-    t_max_check: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.A <= 0:
             raise ValueError("A must be positive")
-        grid = np.linspace(0.0, self.t_max_check, 4096)
+        grid = np.linspace(0.0, _RATE_CHECK_HORIZON, 4096)
         if np.any(self.A * (self.b + np.sin(self.omega * np.pi * grid)) < 0):
             raise ValueError("intensity A*(b + sin(omega*pi*t)) is negative on the horizon")
 

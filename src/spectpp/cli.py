@@ -163,8 +163,7 @@ def run_sample(args: dict, out_dir: Path) -> dict:
             if mode == "ar":
                 seq, stats = ar_sample(target, args["t_end"], rng)
             else:
-                seq, stats = tpp_sd_sample(target, draft, args["t_end"], args["gamma"],
-                                           rng, policy=args["policy"])
+                seq, stats = tpp_sd_sample(target, draft, args["t_end"], args["gamma"], rng)
         except (FloatingPointError, ZeroResidualError, NonFiniteIntensityError) as exc:
             raise NumericalError(str(exc))
         sequences.append(seq)
@@ -214,8 +213,7 @@ def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
     if history is None:
         raise DataError(f"no sequence with at least {args['m_hist']} events")
     d_t, d_k = ev.next_event_divergence(target, draft, history, args["m_hist"],
-                                        args["n_reps"], args["gamma"],
-                                        RngStream(args["seed"]), policy=args["policy"])
+                                        args["n_reps"], args["gamma"], RngStream(args["seed"]))
     _write_table(out_dir / "wasserstein.csv",
                  ["m_hist", "n_reps", "gamma", "d_ws_t", "d_ws_k"],
                  [[args["m_hist"], args["n_reps"], args["gamma"],
@@ -281,8 +279,7 @@ def run_bench(args: dict, out_dir: Path) -> dict:
         for gamma in gamma_grid:
             for run in range(runs):
                 sd_runs[gamma].append(tpp_sd_sample(target, draft, t_end, gamma,
-                                                    root.child(f"sd-{gamma}-{rep}-{run}"),
-                                                    policy=args["policy"]))
+                                                    root.child(f"sd-{gamma}-{rep}-{run}")))
     t_ar = ar_seconds / reps
     ar_mean_ll = ev.mean_loglik_per_event(ar_pool, lambda s: sequence_loglik(s, target))
 
@@ -381,10 +378,8 @@ def train(data, model_config, train_config, out):
 @click.option("--t-end", required=True, type=float)
 @click.option("--runs", default=1, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--policy", default="adjusted", show_default=True,
-              type=click.Choice(["adjusted", "alg1-literal"]))
 @click.option("--out", required=True, type=click.Path())
-def sample(mode, target, draft, gamma, t_end, runs, seed, policy, out):
+def sample(mode, target, draft, gamma, t_end, runs, seed, out):
     """Sample sequences autoregressively (ar) or speculatively (sd)."""
     if mode == "sd" and draft is None:
         raise click.UsageError("--mode sd requires --draft")
@@ -394,8 +389,7 @@ def sample(mode, target, draft, gamma, t_end, runs, seed, policy, out):
         raise DataError("gamma must be >= 1")
     _execute("sample", {"mode": mode, "target": str(Path(target).resolve()),
                         "draft": str(Path(draft).resolve()) if draft else None,
-                        "gamma": gamma, "t_end": t_end, "runs": runs, "seed": seed,
-                        "policy": policy}, out)
+                        "gamma": gamma, "t_end": t_end, "runs": runs, "seed": seed}, out)
 
 
 @main.group(name="eval")
@@ -423,16 +417,14 @@ def eval_ks(sequences, process, out):
 @click.option("--n-reps", default=100, type=int, show_default=True)
 @click.option("--gamma", default=10, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--policy", default="adjusted", show_default=True,
-              type=click.Choice(["adjusted", "alg1-literal"]))
 @click.option("--out", required=True, type=click.Path())
-def eval_wasserstein(target, draft, sequences, m_hist, n_reps, gamma, seed, policy, out):
+def eval_wasserstein(target, draft, sequences, m_hist, n_reps, gamma, seed, out):
     """Next-event Wasserstein/EMD divergence between AR and SD sampling."""
     _execute("eval-wasserstein",
              {"target": str(Path(target).resolve()),
               "draft": str(Path(draft).resolve()) if draft else None,
               "sequences": str(Path(sequences).resolve()), "m_hist": m_hist,
-              "n_reps": n_reps, "gamma": gamma, "seed": seed, "policy": policy}, out)
+              "n_reps": n_reps, "gamma": gamma, "seed": seed}, out)
 
 
 @eval_group.command(name="loglik")
@@ -459,10 +451,8 @@ def eval_loglik(sequences, sequences_b, scorer_a, scorer_b, out):
               help="sequences per repetition")
 @click.option("--t-end", default=100.0, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--policy", default="adjusted", show_default=True,
-              type=click.Choice(["adjusted", "alg1-literal"]))
 @click.option("--out", required=True, type=click.Path())
-def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, policy, out):
+def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, out):
     """Draft-length ablation: acceptance rate and speedup per gamma."""
     try:
         grid = [int(g) for g in gamma_grid.split(",") if g.strip()]
@@ -475,7 +465,7 @@ def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, policy, out
     _execute("bench", {"target": str(Path(target).resolve()),
                        "draft": str(Path(draft).resolve()), "gamma_grid": grid,
                        "repetitions": repetitions, "runs": runs, "t_end": t_end,
-                       "seed": seed, "policy": policy}, out)
+                       "seed": seed}, out)
 
 
 @main.command()
@@ -484,10 +474,21 @@ def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, policy, out
 def replay(manifest, out):
     """Re-execute a recorded manifest into a fresh output directory."""
     doc = _read_json(manifest)
-    command = doc.get("command")
-    if command not in _RUNNERS:
-        raise DataError(f"manifest has unknown command {command!r}")
-    _execute(command, doc["arguments"], out)
+    if not isinstance(doc, dict) or not isinstance(doc.get("arguments"), dict):
+        raise DataError(f"manifest {manifest} must be a JSON object with an 'arguments' object")
+    command, args = doc.get("command"), doc["arguments"]
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise DataError(f"manifest {manifest} has unknown command {command!r}")
+    # older manifests record the acceptance rule; only the exact one exists
+    if args.get("policy", "adjusted") != "adjusted":
+        raise DataError(f"manifest {manifest} asks for acceptance policy {args['policy']!r}; "
+                        "only 'adjusted' exists")
+    try:
+        _execute(command, args, out)
+    except KeyError as exc:
+        if exc.args and exc.args[0] in args:
+            raise
+        raise DataError(f"manifest {manifest} lacks argument {exc}")
 
 
 if __name__ == "__main__":

@@ -126,8 +126,7 @@ def likelihood_discrepancy(sequences: Sequence[EventSequence],
 
 def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None,
                           history: EventSequence, m_hist: int, n_reps: int,
-                          gamma: int, rng: RngStream,
-                          policy: str = "adjusted") -> tuple[float, float]:
+                          gamma: int, rng: RngStream) -> tuple[float, float]:
     """Wasserstein/EMD distances between N autoregressive and N speculative
     draws of the event following an m_hist-event history prefix.
 
@@ -150,7 +149,7 @@ def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None
         if draft is None:
             event = ar_next_event(target, prefix, rng.child(f"ar2-{i}"), cache=target_cache)
         else:
-            event = sd_next_event(target, draft, prefix, gamma, rng.child(f"sd{i}"), policy,
+            event = sd_next_event(target, draft, prefix, gamma, rng.child(f"sd{i}"),
                                   target_cache=target_cache, draft_cache=draft_cache)
         other_times.append(event.time)
         other_marks.append(event.mark)

@@ -2,11 +2,11 @@
 
 The speculative loop drafts gamma candidate events from a small model,
 verifies them against the target model with a single batched forward pass,
-and on rejection resamples from the residual distributions
-norm(max(0, target - draft)) — continuous intervals via the
-acceptance-rejection scheme with threshold max(0, g_T - g_D)/g_T, marks by
-normalizing the positive part directly. One step of this loop emits events
-with exactly the target model's next-event law.
+and at the first rejection redraws only the rejected interval or mark from
+its residual norm(max(0, target - draft)) — intervals by rejection sampling
+with threshold max(0, g_T - g_D)/g_T, marks by normalizing the positive
+part directly. One step of this loop emits events with exactly the target
+model's next-event law.
 """
 
 from __future__ import annotations
@@ -46,14 +46,15 @@ class ZeroResidualError(ValueError):
 class DraftBatch:
     """Gamma candidate events drafted autoregressively from the draft model:
     their times, marks, intervals and interval log-densities as arrays, plus
-    the draft head rows each was sampled under, kept for the residual draw."""
+    the draft head rows each was sampled under, stacked like verify's target
+    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution."""
 
     times: np.ndarray
     marks: np.ndarray
     intervals: np.ndarray
     interval_logpdf: np.ndarray
-    mixtures: tuple[MixtureParams, ...]
-    mark_dists: tuple[MarkDistribution, ...]
+    mixtures: MixtureParams
+    mark_dists: MarkDistribution
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
@@ -104,6 +105,13 @@ def _last_time(events: Sequence[Event]) -> float:
     return events[-1].time if events else 0.0
 
 
+def _row(mixtures: MixtureParams, mark_dists: MarkDistribution,
+         i: int) -> tuple[MixtureParams, MarkDistribution]:
+    """Row i of a stacked pair of head outputs, as a single-row pair."""
+    return (MixtureParams(mixtures.weights[i], mixtures.means[i], mixtures.scales[i]),
+            MarkDistribution(mark_dists.probabilities[i]))
+
+
 def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
                   cache: EncoderCache | None = None) -> Event:
     """One autoregressive draw of the next event after the given history:
@@ -140,14 +148,14 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
 def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rng: RngStream,
           stats: SampleRunStats, *, cache: EncoderCache | None = None) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
-    after the history, recording the interval log-density and full mark
-    distribution at each. Without a cache the call keeps a fresh one for
-    its gamma forwards."""
+    after the history, recording the interval log-density at each and the
+    head rows of all of them, stacked once at the end. Without a cache the
+    call keeps a fresh one for its gamma forwards."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     cache = EncoderCache(draft_model) if cache is None else cache
     events = list(history)
-    intervals, logpdfs, mixtures, mark_dists = [], [], [], []
+    intervals, logpdfs, rows = [], [], []
     for _ in range(gamma):
         seq = EventSequence(tuple(events), math.inf)
         mixture, mark_dist = next_event_distributions(seq, draft_model, cache=cache)
@@ -158,11 +166,12 @@ def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rn
         events.append(Event(_last_time(events) + tau, mark))
         intervals.append(tau)
         logpdfs.append(logpdf)
-        mixtures.append(mixture)
-        mark_dists.append(mark_dist)
+        rows.append((mixture.weights, mixture.means, mixture.scales, mark_dist.probabilities))
     drafted = events[-gamma:]
+    weights, means, scales, probabilities = map(np.stack, zip(*rows))
     return DraftBatch(np.array([e.time for e in drafted]), np.array([e.mark for e in drafted]),
-                      np.array(intervals), np.array(logpdfs), tuple(mixtures), tuple(mark_dists))
+                      np.array(intervals), np.array(logpdfs),
+                      MixtureParams(weights, means, scales), MarkDistribution(probabilities))
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -214,24 +223,21 @@ def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
 
 
 def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch, rng: RngStream,
-           residual_rng: RngStream, stats: SampleRunStats, policy: str = "adjusted", *,
+           residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache | None = None) -> VerificationOutcome:
     """Verify a draft batch after the history with one batched target
     forward pass, which encodes only the events the cache lacks: all of
     them with a fresh cache, the default.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
-    stream's consumption never depends on the outcomes. Under the default
-    "adjusted" policy a rejected interval is replaced from the adjusted
-    interval distribution while the drafted mark at that position still
-    gets its acceptance test (its distribution conditions only on the
-    history embedding, which the interval replacement does not change);
-    a rejected mark is replaced from the adjusted mark distribution.
-    The "alg1-literal" policy instead resamples both interval and mark
-    from adjusted distributions whenever any rejection occurs.
+    stream's consumption never depends on the outcomes. At the first
+    candidate that fails a test only what failed is redrawn: a rejected
+    interval from the residual interval distribution, while the drafted
+    mark keeps its own test (its distribution conditions only on the
+    history embedding, which the interval does not change), and a rejected
+    mark from the residual mark distribution. Redrawing both after any
+    rejection would be inexact, because it redraws marks that passed.
     """
-    if policy not in ("adjusted", "alg1-literal"):
-        raise ValueError("policy must be 'adjusted' or 'alg1-literal'")
     cache = EncoderCache(target) if cache is None else cache
     events = list(history)
     n_hist = len(events)
@@ -261,7 +267,7 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     if np.any(np.isnan(g_t) | (g_t == np.inf)):
         raise FloatingPointError("non-finite target interval density")
     f_t = mark_dists.probabilities[np.arange(first, first + gamma), batch.marks]
-    f_d = np.array([d.probabilities[k] for d, k in zip(batch.mark_dists, batch.marks)])
+    f_d = batch.mark_dists.probabilities[np.arange(gamma), batch.marks]
     interval_ratios = clamped_exp(g_t - batch.interval_logpdf)
     with np.errstate(divide="ignore"):
         mark_ratios = clamped_exp(np.log(f_t) - np.log(f_d))
@@ -272,19 +278,16 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     accepted = int(rejected[0]) if rejected.size else gamma
     replacement = None
     if accepted < gamma:
-        # "adjusted" resamples only what was rejected; "alg1-literal" both
-        literal = policy == "alg1-literal"
-        row, at = first + accepted, n_hist + accepted
-        g_row = MixtureParams(mixtures.weights[row], mixtures.means[row], mixtures.scales[row])
-        f_row = MarkDistribution(mark_dists.probabilities[row])
+        at = n_hist + accepted
+        g_t_row, f_t_row = _row(mixtures, mark_dists, first + accepted)
+        g_d_row, f_d_row = _row(batch.mixtures, batch.mark_dists, accepted)
         event_time, mark = combined[at].time, combined[at].mark
-        if literal or not interval_ok[accepted]:
-            tau, _, fell_back = _residual_interval_sample_info(
-                g_row, batch.mixtures[accepted], residual_rng)
+        if not interval_ok[accepted]:
+            tau, _, fell_back = _residual_interval_sample_info(g_t_row, g_d_row, residual_rng)
             stats.residual_fallbacks += int(fell_back)
             event_time = _last_time(combined[:at]) + tau
-        if literal or not mark_ok[accepted]:
-            mark = residual_mark_sample(f_row, batch.mark_dists[accepted], residual_rng)
+        if not mark_ok[accepted]:
+            mark = residual_mark_sample(f_t_row, f_d_row, residual_rng)
         replacement = Event(event_time, mark)
     stats.events_accepted += accepted
     stats.replacement_events += int(replacement is not None)
@@ -293,16 +296,14 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
 
 
 def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: Iterable[Event],
-             gamma: int, streams: tuple[RngStream, RngStream, RngStream], policy: str,
-             stats: SampleRunStats, *, target_cache: EncoderCache | None = None,
+             gamma: int, streams: tuple[RngStream, RngStream, RngStream], stats: SampleRunStats, *, target_cache: EncoderCache | None = None,
              draft_cache: EncoderCache | None = None) -> list[Event]:
     """One draft-verify step after ``events``: the accepted prefix of the
     drafted events plus the replacement, if one was drawn. ``streams`` are
     the draft, verify and residual streams."""
     draft_rng, verify_rng, residual_rng = streams
     batch = draft(draft_model, events, gamma, draft_rng, stats, cache=draft_cache)
-    outcome = verify(target, events, batch, verify_rng, residual_rng, stats, policy,
-                     cache=target_cache)
+    outcome = verify(target, events, batch, verify_rng, residual_rng, stats, cache=target_cache)
     n = outcome.accepted_len
     emitted = [Event(t, k) for t, k in zip(batch.times[:n].tolist(), batch.marks[:n].tolist())]
     if outcome.replacement is not None:
@@ -315,8 +316,8 @@ def _sd_streams(rng: RngStream) -> tuple[RngStream, RngStream, RngStream]:
 
 
 def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: float,
-                  gamma: int, rng: RngStream, history: EventSequence | None = None,
-                  policy: str = "adjusted") -> tuple[EventSequence, SampleRunStats]:
+                  gamma: int, rng: RngStream,
+                  history: EventSequence | None = None) -> tuple[EventSequence, SampleRunStats]:
     """Speculative sampling loop: draft gamma events, verify in one target
     pass, append the accepted prefix plus any replacement, repeat until the
     horizon is passed, then drop events beyond t_end. The target and the
@@ -332,7 +333,7 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     stats = SampleRunStats()
     start = time.perf_counter()
     while _last_time(events) < t_end:
-        events.extend(_sd_step(target, draft_model, events, gamma, streams, policy, stats,
+        events.extend(_sd_step(target, draft_model, events, gamma, streams, stats,
                                target_cache=target_cache, draft_cache=draft_cache))
     if not math.isfinite(_last_time(events)):
         raise FloatingPointError(f"non-finite event time {_last_time(events)}")
@@ -342,10 +343,10 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
 
 
 def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
-                  history: EventSequence, gamma: int, rng: RngStream,
-                  policy: str = "adjusted", *, target_cache: EncoderCache | None = None,
+                  history: EventSequence, gamma: int, rng: RngStream, *,
+                  target_cache: EncoderCache | None = None,
                   draft_cache: EncoderCache | None = None) -> Event:
     """First event emitted by a single draft-verify step after the history.
     Caches held across calls on the same history encode it only once."""
-    return _sd_step(target, draft_model, history, gamma, _sd_streams(rng), policy,
-                    SampleRunStats(), target_cache=target_cache, draft_cache=draft_cache)[0]
+    return _sd_step(target, draft_model, history, gamma, _sd_streams(rng), SampleRunStats(),
+                    target_cache=target_cache, draft_cache=draft_cache)[0]

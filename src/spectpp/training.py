@@ -14,6 +14,7 @@ from .core import EventSequence, RngStream
 from .model import ModelCheckpoint, ModelConfig, _loglik_tensor, init_checkpoint, sequence_loglik
 
 logger = logging.getLogger(__name__)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator offset
 
 
 @dataclass(frozen=True)
@@ -22,14 +23,10 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 200
     patience: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience,
-               self.beta1, self.beta2, self.epsilon) <= 0:
+        if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
             raise ValueError("all training hyperparameters must be positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
@@ -101,11 +98,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise ValueError(f"gradient shape mismatch for {name!r}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name!r}")
-        m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        new_params[name] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        new_params[name] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         new_m[name], new_v[name] = m, v
     return new_params, AdamState(new_m, new_v, t)
 
@@ -154,13 +151,10 @@ def train(train_seqs: list[EventSequence], val_seqs: list[EventSequence],
     return report
 
 
-def split_dataset(sequences: list[EventSequence],
-                  fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> tuple[list, list, list]:
-    """Deterministic in-order train/validation/test split."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to one")
+def split_dataset(sequences: list[EventSequence]) -> tuple[list, list, list]:
+    """Deterministic in-order 80/10/10 train/validation/test split."""
     n = len(sequences)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.8 * n))
+    n_val = int(round(0.1 * n))
     return (sequences[:n_train], sequences[n_train:n_train + n_val],
             sequences[n_train + n_val:])

@@ -234,6 +234,43 @@ def test_replay_reproduces_reproducible_artifacts(runner, workspace, command_dir
             assert (src / entry["path"]).read_bytes() == (replayed / entry["path"]).read_bytes()
 
 
+def sd_sample_arguments(workspace, **extra):
+    return {"mode": "sd", "target": str(workspace / "target.json"),
+            "draft": str(workspace / "draft.json"), "gamma": 3, "t_end": 5.0, "runs": 2,
+            "seed": 4, **extra}
+
+
+@pytest.mark.parametrize("manifest", [
+    lambda ws: [{"command": "simulate", "arguments": {"n": 3}}],
+    lambda ws: {"command": "simulate"},
+    lambda ws: {"command": "simulate", "arguments": [3]},
+    lambda ws: {"command": "simulate", "arguments": {"n": 3}},
+    # a rule other than the exact one no longer exists
+    lambda ws: {"command": "sample",
+                "arguments": sd_sample_arguments(ws, policy="alg1-literal")},
+], ids=["list", "no-arguments", "arguments-list", "missing-argument", "other-policy"])
+def test_replay_bad_manifest_exit_2(runner, workspace, manifest):
+    path = workspace / "bad_manifest.json"
+    path.write_text(json.dumps(manifest(workspace)))
+    result = runner.invoke(cli.main, ["replay", str(path), "--out", str(workspace / "r")])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "bad_manifest.json" in result.output
+
+
+def test_replay_of_a_recorded_adjusted_policy_is_byte_identical(runner, workspace):
+    """Manifests written while the acceptance rule was an option record
+    ``"policy": "adjusted"``; they replay to the sequences of today's run."""
+    cli._execute("sample", sd_sample_arguments(workspace), workspace / "today")
+    manifest = json.loads((workspace / "today" / "manifest.json").read_text())
+    manifest["arguments"]["policy"] = "adjusted"
+    old = workspace / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    result = runner.invoke(cli.main, ["replay", str(old), "--out", str(workspace / "r")])
+    assert result.exit_code == 0, result.output
+    assert ((workspace / "r" / "sequences.jsonl").read_bytes()
+            == (workspace / "today" / "sequences.jsonl").read_bytes())
+
+
 def test_numerical_failure_maps_to_exit_3(runner, workspace, monkeypatch):
     def boom(*args, **kwargs):
         raise FloatingPointError("synthetic numerical failure")
@@ -285,6 +322,8 @@ def test_checkpoint_version_mismatch_exit_2(runner, workspace):
     # fields removed from ModelConfig are unknown, not ignored
     ("--model-config", {"use_feedforward": True}),
     ("--model-config", {"attention": "attnhp"}),
+    # nor are names TrainConfig does not hold, such as the Adam constants
+    ("--train-config", {"beta1": 0.9}),
 ])
 def test_bad_config_file_exit_2(runner, workspace, flag, config):
     data = workspace / "sequences.jsonl"

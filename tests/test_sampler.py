@@ -112,12 +112,19 @@ def test_draft_records_consistent_densities():
     stats = S.SampleRunStats()
     batch = S.draft(ckpt, [], gamma=4, rng=RngStream(6).child("draft"), stats=stats)
     assert stats.draft_forward_passes == 4
+    # the draft rows come stacked, one row per candidate
+    assert batch.mixtures.weights.shape == (4, ckpt.config.n_components)
+    assert batch.mark_dists.probabilities.shape == (4, ckpt.config.n_marks)
     events = []
     for i in range(len(batch)):
         mix, mark_dist = M.next_event_distributions(EventSequence(tuple(events), math.inf), ckpt)
         assert batch.interval_logpdf[i] == pytest.approx(
             M.mixture_logpdf(batch.intervals[i], mix), abs=1e-12)
-        assert np.allclose(batch.mark_dists[i].probabilities, mark_dist.probabilities, atol=1e-12)
+        for name in ("weights", "means", "scales"):
+            assert np.allclose(getattr(batch.mixtures, name)[i], getattr(mix, name),
+                               rtol=0.0, atol=1e-12)
+        assert np.allclose(batch.mark_dists.probabilities[i], mark_dist.probabilities,
+                           rtol=0.0, atol=1e-12)
         events.append(Event(float(batch.times[i]), int(batch.marks[i])))
     times = batch.times.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
@@ -239,19 +246,17 @@ def doctored_batch(batch, log_density_shift=0.0):
     """Rewrite a self-drafted batch as if it came from a different draft
     model: shift the recorded interval mixtures and concentrate the mark
     distributions, so every residual distribution is well defined."""
-    mixtures, mark_dists, logpdfs = [], [], []
-    for tau, mark, logpdf, mix, dist in zip(batch.intervals, batch.marks, batch.interval_logpdf,
-                                            batch.mixtures, batch.mark_dists):
-        shifted = M.MixtureParams(mix.weights, mix.means + 1.0, mix.scales)
-        k = len(dist.probabilities)
-        probs = np.full(k, 0.1 / max(1, k - 1))
-        probs[mark] = 0.9
-        mixtures.append(shifted)
-        mark_dists.append(M.MarkDistribution(probs / probs.sum()))
-        logpdfs.append(M.mixture_logpdf(tau, shifted) if log_density_shift == 0.0
-                       else logpdf + log_density_shift)
-    return S.DraftBatch(batch.times, batch.marks, batch.intervals, np.array(logpdfs),
-                        tuple(mixtures), tuple(mark_dists))
+    mix = batch.mixtures
+    shifted = M.MixtureParams(mix.weights, mix.means + 1.0, mix.scales)
+    gamma, k = batch.mark_dists.probabilities.shape
+    probs = np.full((gamma, k), 0.1 / max(1, k - 1))
+    probs[np.arange(gamma), batch.marks] = 0.9
+    if log_density_shift == 0.0:
+        logpdfs = M.mixture_logpdf(batch.intervals, shifted)
+    else:
+        logpdfs = batch.interval_logpdf + log_density_shift
+    return S.DraftBatch(batch.times, batch.marks, batch.intervals, logpdfs, shifted,
+                        M.MarkDistribution(probs / probs.sum(axis=-1, keepdims=True)))
 
 
 def draft_batch(ckpt, gamma, rng):
@@ -276,16 +281,19 @@ def test_verify_injected_threshold_rejects():
 
 def test_verify_min_rule_interval_before_mark():
     """Interval rejection at position 2 preempts a mark rejection at 3:
-    one accepted event plus one replacement get appended (Alg-style L=2)."""
+    one accepted event plus one replacement get appended (Alg-style L=2).
+    Only the interval is redrawn; the drafted mark passed its test and
+    stays."""
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     u_interval = [0.0, REJECT, 0.0, 0.0]   # interval fails at index 1
     u_mark = [0.0, 0.0, REJECT, 0.0]       # mark would fail at index 2
-    for policy in ("adjusted", "alg1-literal"):
-        outcome = S.verify(ckpt, [], batch, FixedUniforms(u_interval, u_mark),
-                           RngStream(20), S.SampleRunStats(), policy=policy)
-        assert outcome.accepted_len == 1
-        assert outcome.replacement is not None
+    outcome = S.verify(ckpt, [], batch, FixedUniforms(u_interval, u_mark),
+                       RngStream(20), S.SampleRunStats())
+    assert outcome.accepted_len == 1
+    assert outcome.replacement is not None
+    assert outcome.replacement.time != batch.times[1]
+    assert outcome.replacement.mark == batch.marks[1]
 
 
 def test_verify_mark_only_rejection_keeps_interval():
@@ -294,16 +302,18 @@ def test_verify_mark_only_rejection_keeps_interval():
     outcome = S.verify(ckpt, [], batch,
                        FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
                        RngStream(22), S.SampleRunStats())
-    # mark rejected at index 1 under the adjusted policy: drafted time stays
+    # mark rejected at index 1: the drafted time stays
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
     assert outcome.replacement.time == batch.times[1]
 
 
 def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
+    """One stacked pair for the target rows; at a rejection, one single-row
+    pair each for the target and the draft row."""
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
-    for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 2)):
+    for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 3)):
         constructions.update(MixtureParams=0, MarkDistribution=0)
         outcome = S.verify(ckpt, [], batch, FixedUniforms([0.0] * 4, u_mark), RngStream(20),
                            S.SampleRunStats())
@@ -347,22 +357,20 @@ def test_verify_counts_one_target_pass_per_iteration():
     assert run_stats.events_drafted == 5 * run_stats.iterations
 
 
-@pytest.mark.parametrize("policy", ["adjusted", "alg1-literal"])
-def test_cached_sd_emits_the_uncached_events(policy):
+def test_cached_sd_emits_the_uncached_events():
     """tpp_sd_sample's caches roll back to the accepted prefix after each
     rejection; the same steps run with a fresh cache per call emit the same
     events."""
     target = make_checkpoint(28, n_layers=2, scale=1.5)
     draft_model = make_checkpoint(29)
     history = sequence_from_arrays([0.5, 1.1, 1.6], [0, 1, 0], 30.0)
-    seq, stats = S.tpp_sd_sample(target, draft_model, 30.0, 4, RngStream(6), history=history,
-                                 policy=policy)
+    seq, stats = S.tpp_sd_sample(target, draft_model, 30.0, 4, RngStream(6), history=history)
     assert stats.replacement_events > 0 and stats.events_accepted > 0
     streams = S._sd_streams(RngStream(6))
     uncached = S.SampleRunStats()
     events = list(history.events)
     while events[-1].time < 30.0:
-        events.extend(S._sd_step(target, draft_model, events, 4, streams, policy, uncached))
+        events.extend(S._sd_step(target, draft_model, events, 4, streams, uncached))
     events = [e for e in events if e.time <= 30.0]
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
@@ -552,8 +560,7 @@ def test_sd_identical_models_next_event_matches_ar():
     assert ks_2samp(sd_times, ar_times).pvalue > 0.01
 
 
-@pytest.mark.parametrize("policy", ["adjusted", "alg1-literal"])
-def test_next_event_helpers_are_the_first_step_of_their_loops(policy):
+def test_next_event_helpers_are_the_first_step_of_their_loops():
     """ar_next_event and sd_next_event emit exactly the first new event of
     ar_sample and tpp_sd_sample under the same streams."""
     target = make_checkpoint(28, n_layers=2, scale=1.5)
@@ -564,9 +571,8 @@ def test_next_event_helpers_are_the_first_step_of_their_loops(policy):
         rng = RngStream(seed)
         ar_seq, _ = S.ar_sample(target, 40.0, rng, history=history)
         assert S.ar_next_event(target, history, rng.child("ar")) == ar_seq.events[2]
-        sd_seq, _ = S.tpp_sd_sample(target, draft_model, 40.0, 4, rng, history=history,
-                                    policy=policy)
-        first = S.sd_next_event(target, draft_model, history, 4, rng, policy)
+        sd_seq, _ = S.tpp_sd_sample(target, draft_model, 40.0, 4, rng, history=history)
+        first = S.sd_next_event(target, draft_model, history, 4, rng)
         assert first == sd_seq.events[2]
         stats = S.SampleRunStats()
         batch = S.draft(draft_model, history, 4, rng.child("draft"), stats)
