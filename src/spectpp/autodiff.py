@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 Each operation takes Tensors, numpy arrays or numbers. When none of its
-operands is a :class:`Tensor` it returns a plain ndarray and builds no tape,
-so the same model code runs inference on raw parameter arrays. Otherwise it
-returns a new Tensor holding its forward value and, when any operand
-requires gradients, a closure that propagates the adjoint to its parents.
+operands is a :class:`Tensor` it returns the plain numpy result at once,
+before it builds a backward closure or a tape node, so the same model code
+runs inference on raw parameter arrays at the cost of the numpy calls
+alone. Otherwise it returns a new Tensor holding its forward value and,
+when any operand requires gradients, a closure that propagates the adjoint
+to its parents.
 ``backward`` walks the resulting DAG once in reverse topological order.
 Only the primitives the sequence model needs are implemented; all of them
 are covered by finite-difference checks.
@@ -93,14 +95,10 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2) if x.ndim > 1 else x
 
 
-def _from_op(out, operands: tuple, backward: Callable):
-    """``out`` itself when no operand is a Tensor; otherwise a Tensor whose
-    tape links the operands that require gradients."""
-    for operand in operands:
-        if isinstance(operand, Tensor):
-            break
-    else:
-        return out
+def _from_op(out, operands: tuple, backward: Callable) -> Tensor:
+    """A Tensor holding ``out`` whose tape links the operands that require
+    gradients; every op returns its plain result itself before calling
+    this when no operand is a Tensor."""
     parents = tuple(p for p in operands if isinstance(p, Tensor) and p.requires_grad)
     if not parents:
         return Tensor(out)
@@ -119,6 +117,8 @@ def _accumulate(parent, grad) -> None:
 # -- elementwise arithmetic --------------------------------------------------
 
 def add(a, b):
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return a + b
     x, y = value(a), value(b)
 
     def backward(g):
@@ -129,6 +129,8 @@ def add(a, b):
 
 
 def sub(a, b):
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return a - b
     x, y = value(a), value(b)
 
     def backward(g):
@@ -139,6 +141,8 @@ def sub(a, b):
 
 
 def mul(a, b):
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return a * b
     x, y = value(a), value(b)
 
     def backward(g):
@@ -149,6 +153,8 @@ def mul(a, b):
 
 
 def div(a, b):
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return a / b
     x, y = value(a), value(b)
 
     def backward(g):
@@ -162,6 +168,8 @@ def div(a, b):
 
 def matmul(a, b):
     """Matrix product, or one product per leading batch index."""
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return a @ b
     x, y = value(a), value(b)
 
     def backward(g):
@@ -173,7 +181,9 @@ def matmul(a, b):
 
 def transpose(a, axes=None):
     """Permute the axes; by default reverse them."""
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return a.transpose(axes)
+    x = a.data
 
     def backward(g):
         inverse = None if axes is None else [axes.index(i) for i in range(g.ndim)]
@@ -184,6 +194,8 @@ def transpose(a, axes=None):
 
 def concat(tensors, axis: int = 0):
     tensors = tuple(tensors)
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     arrays = [value(t) for t in tensors]
 
     def backward(g):
@@ -202,7 +214,9 @@ _BASIC_INDEX = (int, slice, type(None), type(Ellipsis))
 
 def take(a, key):
     """Basic or integer-array indexing with scatter-add backward."""
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return a[key]
+    x = a.data
 
     def backward(g):
         full = np.zeros_like(x)
@@ -218,7 +232,9 @@ def take(a, key):
 def where(keep: np.ndarray, a, fill: float):
     """Entries of ``a`` where ``keep`` holds and ``fill`` elsewhere; the
     adjoint reaches only the kept entries."""
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return np.where(keep, a, fill)
+    x = a.data
 
     def backward(g):
         _accumulate(a, np.where(keep, g, 0.0))
@@ -227,7 +243,9 @@ def where(keep: np.ndarray, a, fill: float):
 
 
 def reshape(a, shape):
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return a.reshape(shape)
+    x = a.data
 
     def backward(g):
         _accumulate(a, g.reshape(x.shape))
@@ -238,7 +256,9 @@ def reshape(a, shape):
 # -- nonlinearities -----------------------------------------------------------
 
 def exp(a):
-    out = np.exp(value(a))
+    if not isinstance(a, Tensor):
+        return np.exp(a)
+    out = np.exp(a.data)
 
     def backward(g):
         _accumulate(a, g * out)
@@ -250,6 +270,8 @@ def log(a):
     x = value(a)
     if np.any(x <= 0.0):
         raise ValueError("log of non-positive value")
+    if not isinstance(a, Tensor):
+        return np.log(x)
 
     def backward(g):
         _accumulate(a, g / x)
@@ -258,7 +280,9 @@ def log(a):
 
 
 def tanh(a):
-    out = np.tanh(value(a))
+    if not isinstance(a, Tensor):
+        return np.tanh(a)
+    out = np.tanh(a.data)
 
     def backward(g):
         _accumulate(a, g * (1.0 - out * out))
@@ -267,7 +291,9 @@ def tanh(a):
 
 
 def sin(a):
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return np.sin(a)
+    x = a.data
 
     def backward(g):
         _accumulate(a, g * np.cos(x))
@@ -276,7 +302,9 @@ def sin(a):
 
 
 def cos(a):
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return np.cos(a)
+    x = a.data
 
     def backward(g):
         _accumulate(a, -g * np.sin(x))
@@ -286,7 +314,9 @@ def cos(a):
 
 def clip(a, lo: float, hi: float):
     """Clamp values; gradient passes through unclamped entries only."""
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return np.clip(a, lo, hi)
+    x = a.data
 
     def backward(g):
         _accumulate(a, g * ((x >= lo) & (x <= hi)))
@@ -296,7 +326,9 @@ def clip(a, lo: float, hi: float):
 
 def normal_cdf(a):
     """Standard normal CDF; the derivative is the normal density."""
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return np.asarray(ndtr(a), dtype=float)
+    x = a.data
 
     def backward(g):
         _accumulate(a, g * _INV_SQRT_2PI * np.exp(-0.5 * x * x))
@@ -307,7 +339,9 @@ def normal_cdf(a):
 # -- reductions ----------------------------------------------------------------
 
 def tensor_sum(a, axis=None, keepdims: bool = False):
-    x = value(a)
+    if not isinstance(a, Tensor):
+        return a.sum(axis=axis, keepdims=keepdims)
+    x = a.data
 
     def backward(g):
         g = np.asarray(g)
@@ -326,6 +360,8 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
     out = m + np.log(s)
     if not keepdims:
         out = np.squeeze(out, axis=axis)
+    if not isinstance(a, Tensor):
+        return out
 
     def backward(g):
         g = np.asarray(g)

@@ -53,7 +53,9 @@ class NumericalError(click.ClickException):
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # Path() raises TypeError for a number from a manifest, which open()
+        # would take as a file descriptor; the loaders below do the same
+        with open(Path(path), "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
@@ -77,7 +79,7 @@ def _load_process(path: str):
 
 def _load_checkpoint(path: str):
     try:
-        return load_checkpoint(path)
+        return load_checkpoint(Path(path))
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}")
     except (CheckpointFormatError, KeyError, ValueError) as exc:
@@ -86,7 +88,7 @@ def _load_checkpoint(path: str):
 
 def _load_sequences(path: str) -> list[EventSequence]:
     try:
-        return read_sequences(path)
+        return read_sequences(Path(path))
     except FileNotFoundError:
         raise DataError(f"sequence file not found: {path}")
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -148,7 +150,8 @@ def run_train(args: dict, out_dir: Path) -> dict:
 _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_accepted",
                  "alpha", "target_forward_passes", "draft_forward_passes",
                  "target_rows_encoded", "draft_rows_encoded",
-                 "replacement_events", "residual_fallbacks", "t_ar", "t_sd"]
+                 "replacement_events", "residual_fallbacks", "t_ar", "t_sd",
+                 "t_draft", "t_verify", "t_residual"]
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
@@ -173,11 +176,12 @@ def run_sample(args: dict, out_dir: Path) -> dict:
                          stats.target_forward_passes, stats.draft_forward_passes,
                          stats.target_rows_encoded, stats.draft_rows_encoded,
                          stats.replacement_events, stats.residual_fallbacks,
-                         "", _format_cell(stats.wall_seconds)])
+                         "", *map(_format_cell, (stats.wall_seconds, stats.draft_seconds,
+                                                 stats.verify_seconds, stats.residual_seconds))])
         else:
             rows.append([run, mode, "", len(seq), "", "", "",
                          stats.target_forward_passes, "", stats.target_rows_encoded, "", "", "",
-                         _format_cell(stats.wall_seconds), ""])
+                         _format_cell(stats.wall_seconds), "", "", "", ""])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)
     return {"sequences": {"path": "sequences.jsonl", "reproducible": True},
@@ -222,7 +226,8 @@ def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
 
 
 def _make_scorer(spec: str):
-    kind, _, path = spec.partition(":")
+    # a scorer from a manifest that is not a string raises TypeError here
+    kind, _, path = str.partition(spec, ":")
     if kind == "process" and path:
         process = _load_process(path)
         return lambda seq: ground_truth_loglik(seq, process)
@@ -316,9 +321,16 @@ _RUNNERS = {
 
 def _execute(command: str, args: dict, out_dir: str | Path) -> Path:
     out = Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    artifacts = _RUNNERS[command](args, out)
+    try:
+        artifacts = _RUNNERS[command](args, out)
+    except BaseException:
+        # a run that fails before writing anything leaves no directory behind
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     manifest = {
         "tool": "spectpp",
         "version": __version__,
@@ -489,6 +501,10 @@ def replay(manifest, out):
         if exc.args and exc.args[0] in args:
             raise
         raise DataError(f"manifest {manifest} lacks argument {exc}")
+    except TypeError as exc:
+        # the command line checks each option's type; a manifest's arguments
+        # reach the runners unchecked
+        raise DataError(f"manifest {manifest} has an argument of the wrong type: {exc}")
 
 
 if __name__ == "__main__":

@@ -16,10 +16,12 @@ are new since the previous one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +85,15 @@ def _check_finite(name: str, value: np.ndarray) -> None:
         raise FloatingPointError(f"{name} contain non-finite values")
 
 
+def _from_checked(cls, **fields):
+    """An instance of ``cls`` from arrays cut from or stacked out of
+    instances that already passed its check, which is not run again."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Log-normal mixture over a positive interval: simplex weights,
@@ -104,6 +115,18 @@ class MixtureParams:
         if (self.scales <= 0).any():
             raise ValueError("scales must be positive")
 
+    def row(self, i: int) -> "MixtureParams":
+        """Row i of stacked mixtures, checked once with the stack."""
+        return _from_checked(MixtureParams, weights=self.weights[i], means=self.means[i],
+                             scales=self.scales[i])
+
+    @staticmethod
+    def stack(rows: Sequence["MixtureParams"]) -> "MixtureParams":
+        """Single mixtures stacked as rows, each checked once already."""
+        return _from_checked(MixtureParams, weights=np.stack([r.weights for r in rows]),
+                             means=np.stack([r.means for r in rows]),
+                             scales=np.stack([r.scales for r in rows]))
+
 
 @dataclass(frozen=True)
 class MarkDistribution:
@@ -118,6 +141,16 @@ class MarkDistribution:
         object.__setattr__(self, "probabilities", value)
         if (abs(value.sum(axis=-1) - 1.0) > 1e-9).any() or (value < 0).any():
             raise ValueError("probabilities must form a simplex")
+
+    def row(self, i: int) -> "MarkDistribution":
+        """Row i of stacked distributions, checked once with the stack."""
+        return _from_checked(MarkDistribution, probabilities=self.probabilities[i])
+
+    @staticmethod
+    def stack(rows: Sequence["MarkDistribution"]) -> "MarkDistribution":
+        """Single distributions stacked as rows, each checked once already."""
+        return _from_checked(MarkDistribution,
+                             probabilities=np.stack([r.probabilities for r in rows]))
 
 
 @dataclass
@@ -235,28 +268,39 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
 # temporal encoding
 # ---------------------------------------------------------------------------
 
-def _encoding_exponents(config: ModelConfig) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _encoding_constants(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-dimension constants of the config's temporal encoding, built
+    once per config and read-only: the even and odd dimension masks and
+    thp's divisors, attnhp's frequencies or sahp's phases."""
     j = np.arange(config.embed_dim)
-    return (j - (j % 2)) / config.embed_dim
+    expo = (j - (j % 2)) / config.embed_dim
+    even = (j % 2 == 0).astype(float)
+    if config.encoding == "attnhp":
+        per_dim = (1.0 / _ATTNHP_M) * np.power(5.0 * _ATTNHP_BIG_M / _ATTNHP_M, expo)
+    elif config.encoding == "sahp":
+        per_dim = j / np.power(10000.0, expo)
+    else:
+        per_dim = np.power(10000.0, expo)
+    constants = (even, 1.0 - even, per_dim)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
 
 def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelConfig):
     """Encode times (N,) into (N, D) rows; only SAHP's frequencies carry
     gradients."""
-    expo = _encoding_exponents(config)
-    j = np.arange(config.embed_dim)
-    even = (j % 2 == 0).astype(float)
+    even, odd, per_dim = _encoding_constants(config)
     t_col = times.reshape(-1, 1)
     if config.encoding == "thp":
-        arg = t_col / np.power(10000.0, expo)
-        return np.sin(arg) * even + np.cos(arg) * (1.0 - even)
+        arg = t_col / per_dim
+        return np.sin(arg) * even + np.cos(arg) * odd
     if config.encoding == "attnhp":
-        scale = (1.0 / _ATTNHP_M) * np.power(5.0 * _ATTNHP_BIG_M / _ATTNHP_M, expo)
-        return np.sin(t_col * scale)
+        return np.sin(t_col * per_dim)
     # sahp: learnable per-dimension frequencies shift a fixed positional phase
-    phase = j / np.power(10000.0, expo)
-    arg = ad.add(phase, ad.mul(params["time_freq"], t_col))
-    return ad.add(ad.mul(ad.sin(arg), even), ad.mul(ad.cos(arg), 1.0 - even))
+    arg = ad.add(per_dim, ad.mul(params["time_freq"], t_col))
+    return ad.add(ad.mul(ad.sin(arg), even), ad.mul(ad.cos(arg), odd))
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +549,10 @@ def mixture_logpdf(tau, params: MixtureParams):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_interval(params: MixtureParams, rng: RngStream) -> tuple[float, float]:
-    """Draw tau by picking a component then exponentiating a scaled normal;
-    returns (tau, log-density of tau under the full mixture)."""
+def sample_interval(params: MixtureParams, rng: RngStream) -> float:
+    """Draw tau by picking a component then exponentiating a scaled normal.
+    Only tau is returned: a caller that needs its density under the full
+    mixture scores all its draws with one mixture_logpdf call."""
     component = rng.categorical(params.weights)
     eps = float(rng.normal())
     try:
@@ -516,7 +561,7 @@ def sample_interval(params: MixtureParams, rng: RngStream) -> tuple[float, float
         raise FloatingPointError("sampled interval overflowed") from None
     if not 0.0 < tau < math.inf:
         raise FloatingPointError(f"sampled interval {tau} is not a positive finite number")
-    return tau, mixture_logpdf(tau, params)
+    return tau
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,14 @@ class VerificationOutcome:
 
 @dataclass
 class SampleRunStats:
-    """Operational counters for one sampling run."""
+    """Operational counters for one sampling run. The SD phase timings
+    nest: residual time is part of verify time, and draft plus verify time
+    is part of the wall time."""
 
     wall_seconds: float = 0.0
+    draft_seconds: float = 0.0
+    verify_seconds: float = 0.0
+    residual_seconds: float = 0.0
     events_drafted: int = 0
     events_accepted: int = 0
     replacement_events: int = 0
@@ -105,19 +110,12 @@ def _last_time(events: Sequence[Event]) -> float:
     return events[-1].time if events else 0.0
 
 
-def _row(mixtures: MixtureParams, mark_dists: MarkDistribution,
-         i: int) -> tuple[MixtureParams, MarkDistribution]:
-    """Row i of a stacked pair of head outputs, as a single-row pair."""
-    return (MixtureParams(mixtures.weights[i], mixtures.means[i], mixtures.scales[i]),
-            MarkDistribution(mark_dists.probabilities[i]))
-
-
 def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
                   cache: EncoderCache | None = None) -> Event:
     """One autoregressive draw of the next event after the given history:
     the step that ar_sample repeats."""
     mixture, mark_dist = next_event_distributions(history, target, cache=cache)
-    tau, _ = sample_interval(mixture, rng)
+    tau = sample_interval(mixture, rng)
     t_next = _last_time(history.events) + tau
     if not math.isfinite(t_next):
         raise FloatingPointError(f"non-finite event time {t_next}")
@@ -148,30 +146,33 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
 def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rng: RngStream,
           stats: SampleRunStats, *, cache: EncoderCache | None = None) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
-    after the history, recording the interval log-density at each and the
-    head rows of all of them, stacked once at the end. Without a cache the
-    call keeps a fresh one for its gamma forwards."""
+    after the history, with the head rows of all of them and the interval
+    log-density at each. Each of the gamma forwards checks its own row pair;
+    the rows are then stacked once without a second check, and all gamma
+    intervals are scored against their rows with one mixture_logpdf call.
+    Without a cache the call keeps a fresh one for its gamma forwards."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     cache = EncoderCache(draft_model) if cache is None else cache
     events = list(history)
-    intervals, logpdfs, rows = [], [], []
+    intervals, mixtures, mark_dists = [], [], []
     for _ in range(gamma):
         seq = EventSequence(tuple(events), math.inf)
         mixture, mark_dist = next_event_distributions(seq, draft_model, cache=cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
-        tau, logpdf = sample_interval(mixture, rng)
+        tau = sample_interval(mixture, rng)
         mark = rng.categorical(mark_dist.probabilities)
         events.append(Event(_last_time(events) + tau, mark))
         intervals.append(tau)
-        logpdfs.append(logpdf)
-        rows.append((mixture.weights, mixture.means, mixture.scales, mark_dist.probabilities))
+        mixtures.append(mixture)
+        mark_dists.append(mark_dist)
     drafted = events[-gamma:]
-    weights, means, scales, probabilities = map(np.stack, zip(*rows))
+    intervals = np.array(intervals)
+    stacked = MixtureParams.stack(mixtures)
     return DraftBatch(np.array([e.time for e in drafted]), np.array([e.mark for e in drafted]),
-                      np.array(intervals), np.array(logpdfs),
-                      MixtureParams(weights, means, scales), MarkDistribution(probabilities))
+                      intervals, mixture_logpdf(intervals, stacked), stacked,
+                      MarkDistribution.stack(mark_dists))
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -207,8 +208,7 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
         used += chunk
     logger.warning("residual interval sampler exhausted %d proposals; "
                    "falling back to a plain target draw", max_proposals)
-    tau, _ = sample_interval(g_target, rng)
-    return tau, max_proposals, True
+    return sample_interval(g_target, rng), max_proposals, True
 
 
 def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
@@ -278,17 +278,19 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     accepted = int(rejected[0]) if rejected.size else gamma
     replacement = None
     if accepted < gamma:
+        start = time.perf_counter()
         at = n_hist + accepted
-        g_t_row, f_t_row = _row(mixtures, mark_dists, first + accepted)
-        g_d_row, f_d_row = _row(batch.mixtures, batch.mark_dists, accepted)
         event_time, mark = combined[at].time, combined[at].mark
         if not interval_ok[accepted]:
-            tau, _, fell_back = _residual_interval_sample_info(g_t_row, g_d_row, residual_rng)
+            tau, _, fell_back = _residual_interval_sample_info(
+                mixtures.row(first + accepted), batch.mixtures.row(accepted), residual_rng)
             stats.residual_fallbacks += int(fell_back)
             event_time = _last_time(combined[:at]) + tau
         if not mark_ok[accepted]:
-            mark = residual_mark_sample(f_t_row, f_d_row, residual_rng)
+            mark = residual_mark_sample(mark_dists.row(first + accepted),
+                                        batch.mark_dists.row(accepted), residual_rng)
         replacement = Event(event_time, mark)
+        stats.residual_seconds += time.perf_counter() - start
     stats.events_accepted += accepted
     stats.replacement_events += int(replacement is not None)
     return VerificationOutcome(accepted, replacement, interval_ratios, mark_ratios,
@@ -302,8 +304,12 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: Iter
     drafted events plus the replacement, if one was drawn. ``streams`` are
     the draft, verify and residual streams."""
     draft_rng, verify_rng, residual_rng = streams
+    start = time.perf_counter()
     batch = draft(draft_model, events, gamma, draft_rng, stats, cache=draft_cache)
+    drafted = time.perf_counter()
     outcome = verify(target, events, batch, verify_rng, residual_rng, stats, cache=target_cache)
+    stats.draft_seconds += drafted - start
+    stats.verify_seconds += time.perf_counter() - drafted
     n = outcome.accepted_len
     emitted = [Event(t, k) for t, k in zip(batch.times[:n].tolist(), batch.marks[:n].tolist())]
     if outcome.replacement is not None:

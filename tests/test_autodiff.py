@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from spectpp import autodiff as ad
 from spectpp.autodiff import Tensor, grad_check
@@ -111,26 +112,44 @@ def test_batched_matmul_and_axis_permutation_gradients():
 
 
 def test_ops_on_plain_operands_return_plain_arrays():
-    """No Tensor operand: the op returns the forward value as an ndarray and
-    builds no tape; any Tensor operand gives a Tensor with the same value."""
+    """No Tensor operand: every op returns the plain numpy result, bit for
+    bit, and builds no tape; any Tensor operand gives a Tensor with the
+    same value."""
     rng = np.random.default_rng(12)
     x, y = rng.uniform(0.5, 2.0, size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4))
     keep = x > 1.0
-    ops = [lambda a, b: ad.add(a, b), lambda a, b: ad.sub(a, 1.0), lambda a, b: ad.mul(2.0, b),
-           lambda a, b: ad.div(a, b), lambda a, b: ad.matmul(a, ad.transpose(b)),
-           lambda a, b: ad.concat([a, b], axis=1), lambda a, b: ad.take(a, np.array([0, 0])),
-           lambda a, b: ad.where(keep, b, 0.0), lambda a, b: ad.reshape(a, (4, 3)),
-           lambda a, b: ad.exp(a), lambda a, b: ad.log(b), lambda a, b: ad.tanh(a),
-           lambda a, b: ad.sin(a), lambda a, b: ad.cos(b), lambda a, b: ad.clip(a, 0.8, 1.2),
-           lambda a, b: ad.normal_cdf(a), lambda a, b: ad.tensor_sum(a, axis=0),
-           lambda a, b: ad.logsumexp(b, axis=1)]
-    for op in ops:
+    m = y.max(axis=1, keepdims=True)
+    ops = {  # each op, and the numpy expression it must equal
+        "add": (lambda a, b: ad.add(a, b), x + y),
+        "sub": (lambda a, b: ad.sub(a, 1.0), x - 1.0),
+        "mul": (lambda a, b: ad.mul(2.0, b), 2.0 * y),
+        "div": (lambda a, b: ad.div(a, b), x / y),
+        "matmul": (lambda a, b: ad.matmul(a, b.T), x @ y.T),
+        "transpose": (lambda a, b: ad.transpose(a), x.T),
+        "transpose-axes": (lambda a, b: ad.transpose(ad.reshape(a, (3, 2, 2)), (2, 0, 1)),
+                           x.reshape(3, 2, 2).transpose(2, 0, 1)),
+        "concat": (lambda a, b: ad.concat([a, b], axis=1), np.concatenate([x, y], axis=1)),
+        "take": (lambda a, b: ad.take(a, np.array([0, 0])), x[[0, 0]]),
+        "where": (lambda a, b: ad.where(keep, b, 0.0), np.where(keep, y, 0.0)),
+        "reshape": (lambda a, b: ad.reshape(a, (4, 3)), x.reshape(4, 3)),
+        "exp": (lambda a, b: ad.exp(a), np.exp(x)),
+        "log": (lambda a, b: ad.log(b), np.log(y)),
+        "tanh": (lambda a, b: ad.tanh(a), np.tanh(x)),
+        "sin": (lambda a, b: ad.sin(a), np.sin(x)),
+        "cos": (lambda a, b: ad.cos(b), np.cos(y)),
+        "clip": (lambda a, b: ad.clip(a, 0.8, 1.2), np.clip(x, 0.8, 1.2)),
+        "normal_cdf": (lambda a, b: ad.normal_cdf(a), ndtr(x)),
+        "tensor_sum": (lambda a, b: ad.tensor_sum(a, axis=0), x.sum(axis=0)),
+        "logsumexp": (lambda a, b: ad.logsumexp(b, axis=1),
+                      (m + np.log(np.exp(y - m).sum(axis=1, keepdims=True)))[:, 0]),
+    }
+    for name, (op, expected) in ops.items():
         plain = op(x, y)
-        assert isinstance(plain, np.ndarray)
+        assert isinstance(plain, np.ndarray) and np.array_equal(plain, expected), name
         taped = op(Tensor(x, requires_grad=True), y)
         if not isinstance(taped, Tensor):  # ops that ignore their first operand
             taped = op(x, Tensor(y, requires_grad=True))
-        assert isinstance(taped, Tensor) and np.array_equal(taped.data, plain)
+        assert isinstance(taped, Tensor) and np.array_equal(taped.data, plain), name
 
 
 def test_where_passes_gradient_only_through_kept_entries():

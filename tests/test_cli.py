@@ -115,6 +115,11 @@ def test_sample_sd_stats_include_alpha_and_t_sd(runner, workspace):
         assert float(row["alpha"]) > 0
         assert float(row["t_sd"]) > 0
         assert row["t_ar"] == ""
+        # the phase timings nest: residual within verify, draft + verify within t_sd
+        phases = {name: float(row[name]) for name in ("t_draft", "t_verify", "t_residual")}
+        assert min(phases.values()) >= 0 and phases["t_draft"] > 0
+        assert phases["t_residual"] <= phases["t_verify"]
+        assert phases["t_draft"] + phases["t_verify"] <= float(row["t_sd"])
         assert 0 < int(row["target_rows_encoded"]) <= 11 * int(row["target_forward_passes"])
         assert int(row["draft_rows_encoded"]) == int(row["draft_forward_passes"]) - 1
     manifest = json.loads((out / "manifest.json").read_text())
@@ -130,6 +135,7 @@ def test_sample_ar_stats_include_t_ar(runner, workspace):
     (row,) = read_csv(out / "stats.csv")
     assert float(row["t_ar"]) > 0
     assert row["t_sd"] == "" and row["alpha"] == ""
+    assert row["t_draft"] == row["t_verify"] == row["t_residual"] == ""
     # one new event per pass; the discarded overshoot is never encoded
     assert int(row["target_rows_encoded"]) == int(row["n_events"])
     assert row["draft_rows_encoded"] == ""
@@ -248,13 +254,24 @@ def sd_sample_arguments(workspace, **extra):
     # a rule other than the exact one no longer exists
     lambda ws: {"command": "sample",
                 "arguments": sd_sample_arguments(ws, policy="alg1-literal")},
-], ids=["list", "no-arguments", "arguments-list", "missing-argument", "other-policy"])
+    lambda ws: {"command": "simulate",
+                "arguments": {"process": str(ws / "poisson.json"), "n": "3", "t_end": 5.0,
+                              "seed": 1}},
+    # open() would take the number as a file descriptor
+    lambda ws: {"command": "sample", "arguments": sd_sample_arguments(ws, draft=5)},
+    lambda ws: {"command": "eval-loglik",
+                "arguments": {"sequences": str(ws / "missing.jsonl"), "sequences_b": None,
+                              "scorer_a": 5, "scorer_b": f"process:{ws / 'poisson.json'}"}},
+], ids=["list", "no-arguments", "arguments-list", "missing-argument", "other-policy",
+        "wrong-type", "path-number", "scorer-number"])
 def test_replay_bad_manifest_exit_2(runner, workspace, manifest):
     path = workspace / "bad_manifest.json"
     path.write_text(json.dumps(manifest(workspace)))
     result = runner.invoke(cli.main, ["replay", str(path), "--out", str(workspace / "r")])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output and "bad_manifest.json" in result.output
+    # the run failed before writing anything, so it leaves no output directory
+    assert not (workspace / "r").exists()
 
 
 def test_replay_of_a_recorded_adjusted_policy_is_byte_identical(runner, workspace):

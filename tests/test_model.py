@@ -307,7 +307,7 @@ def test_survival_complements_cdf():
 
 def test_sample_interval_degenerate_scale():
     params = M.MixtureParams(np.array([1.0]), np.array([math.log(2.0)]), np.array([1e-12]))
-    tau, _ = M.sample_interval(params, RngStream(3))
+    tau = M.sample_interval(params, RngStream(3))
     assert tau == pytest.approx(2.0, abs=1e-9)
 
 
@@ -333,18 +333,29 @@ def test_sample_interval_rejects_non_finite_draws():
 def test_sample_interval_monte_carlo_moments():
     params = M.MixtureParams(np.array([1.0]), np.array([0.0]), np.array([1.0]))
     stream = RngStream(4)
-    draws = np.array([M.sample_interval(params, stream)[0] for _ in range(10**5)])
+    draws = np.array([M.sample_interval(params, stream) for _ in range(10**5)])
     assert abs(float(np.median(draws)) - 1.0) < 0.02
     # mean of LogNormal(0,1) is e^{1/2}; 3 sigma of the MC mean is ~0.021
     assert abs(float(np.mean(draws)) - math.exp(0.5)) < 0.021
 
 
 def test_sample_interval_reports_full_mixture_density():
+    """sample_interval returns tau alone, drawn as a component and then one
+    normal in that order; its log-density, which callers take from
+    mixture_logpdf, is the full mixture's and not the drawn component's."""
     params = M.MixtureParams(np.array([0.5, 0.5]), np.array([0.0, 3.0]), np.array([0.2, 0.2]))
-    stream = RngStream(5)
+    stream, replica = RngStream(5), RngStream(5)
     for _ in range(10):
-        tau, logpdf = M.sample_interval(params, stream)
-        assert logpdf == pytest.approx(M.mixture_logpdf(tau, params), rel=1e-12)
+        tau = M.sample_interval(params, stream)
+        component = replica.categorical(params.weights)
+        assert isinstance(tau, float)
+        assert tau == math.exp(params.means[component]
+                               + params.scales[component] * float(replica.normal()))
+        densities = params.weights * np.exp(-0.5 * ((math.log(tau) - params.means)
+                                                    / params.scales) ** 2) \
+            / (tau * params.scales * math.sqrt(2.0 * math.pi))
+        assert M.mixture_logpdf(tau, params) == pytest.approx(math.log(densities.sum()),
+                                                              rel=1e-12)
 
 
 # -- sequence likelihood -----------------------------------------------------------

@@ -130,6 +130,33 @@ def test_draft_records_consistent_densities():
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("gamma", [1, 4, 10])
+def test_draft_scores_every_interval_once_with_the_scalar_density(constructions, gamma):
+    """The interval log-densities come from one mixture_logpdf call over
+    the stacked rows and equal the per-row scalar density exactly; the
+    gamma forwards build one checked pair each and the stacking none."""
+    ckpt = make_checkpoint(5, n_components=8)
+    stats = S.SampleRunStats()
+    batch = S.draft(ckpt, [], gamma, RngStream(6).child("draft"), stats)
+    assert constructions == {"MixtureParams": gamma, "MarkDistribution": gamma}
+    assert stats.draft_forward_passes == gamma and batch.interval_logpdf.shape == (gamma,)
+    for i in range(gamma):
+        row = batch.mixtures.row(i)
+        assert isinstance(row, M.MixtureParams) and row.weights.shape == (8,)
+        assert batch.interval_logpdf[i] == M.mixture_logpdf(float(batch.intervals[i]), row)
+
+
+def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
+    """A NaN in a draft head parameter fails as FloatingPointError at the
+    first forward's checked pair, within the gamma passes."""
+    ckpt = make_checkpoint(5)
+    ckpt.params["mix_mean_bias"] = np.full_like(ckpt.params["mix_mean_bias"], np.nan)
+    stats = S.SampleRunStats()
+    with pytest.raises(FloatingPointError):
+        S.draft(ckpt, [], 10, RngStream(6).child("draft"), stats)
+    assert stats.draft_forward_passes < 10
+
+
 def test_draft_single_candidate():
     ckpt = make_checkpoint(5)
     stats = S.SampleRunStats()
@@ -218,8 +245,8 @@ def test_interval_acceptance_rate_matches_overlap_integral():
     n = 10_000
     accepted = 0
     for _ in range(n):
-        tau, log_d = M.sample_interval(g_d, stream)
-        ratio = clamped_exp(M.mixture_logpdf(tau, g_t) - log_d)
+        tau = M.sample_interval(g_d, stream)
+        ratio = clamped_exp(M.mixture_logpdf(tau, g_t) - M.mixture_logpdf(tau, g_d))
         if stream.uniform() < ratio:
             accepted += 1
     sigma = math.sqrt(beta * (1.0 - beta) / n)
@@ -309,11 +336,12 @@ def test_verify_mark_only_rejection_keeps_interval():
 
 
 def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
-    """One stacked pair for the target rows; at a rejection, one single-row
-    pair each for the target and the draft row."""
+    """One checked stacked pair for the target rows, with or without a
+    rejection: the target and draft rows a rejection reads are cut from
+    stacks that were checked already and are not checked again."""
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
-    for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 3)):
+    for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 1)):
         constructions.update(MixtureParams=0, MarkDistribution=0)
         outcome = S.verify(ckpt, [], batch, FixedUniforms([0.0] * 4, u_mark), RngStream(20),
                            S.SampleRunStats())
