@@ -7,7 +7,8 @@ end-to-end metrics named in the change's BENCHMARK.json: per side the
 median and quartiles, and how many pairs the change won. The
 ``determinism`` line of every run, the seeds and each side's
 ``environment`` line are kept, so that a reader can check that both sides
-did the same work.
+did the same work, and each side's line count of ``src/spectpp``, so that
+the size of the change sits next to its timings.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload sample-short \\
         --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
@@ -47,6 +48,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
     return {"environment": tagged("environment"), "determinism": tagged("determinism"),
             "result": json.loads(lines[-1])}
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the package's Python source in ``tree``."""
+    return sum(len(path.read_text().splitlines())
+               for path in sorted((tree / "src" / "spectpp").glob("*.py")))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -111,6 +118,7 @@ def main() -> int:
         "determinism_identical": [p["determinism"] == c["determinism"]
                                   for p, c in zip(runs["parent"], runs["change"])],
         "environment": {side: runs[side][0]["environment"] for side in SIDES},
+        "src_lines": {side: source_lines(trees[side]) for side in SIDES},
     }
     if args.out is None:
         print(json.dumps(summary, indent=1, sort_keys=True))

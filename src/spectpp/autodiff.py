@@ -1,21 +1,23 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
-Each operation takes Tensors, numpy arrays or numbers. When none of its
-operands is a :class:`Tensor` it returns the plain numpy result at once,
-before it builds a backward closure or a tape node, so the same model code
-runs inference on raw parameter arrays at the cost of the numpy calls
-alone. Otherwise it returns a new Tensor holding its forward value and,
-when any operand requires gradients, a closure that propagates the adjoint
-to its parents.
-``backward`` walks the resulting DAG once in reverse topological order.
-Only the primitives the sequence model needs are implemented; all of them
-are covered by finite-difference checks.
+A :class:`Tensor` is a node of the tape and always receives a gradient;
+constants are plain numpy arrays or numbers. Each operation takes either.
+When none of its operands is a Tensor it returns the plain numpy result at
+once, before it builds a backward closure or a tape node, so the same model
+code runs inference on raw parameter arrays at the cost of the numpy calls
+alone. Otherwise it returns a new Tensor holding the same forward value and
+a closure that passes the adjoint to its Tensor operands.
+Most operations are one (forward, adjoint) pair made into an op by the
+one-operand or the two-operand template, so each forward is written once
+for both paths. ``backward`` walks the resulting DAG once in reverse
+topological order. Only the primitives the sequence model needs are
+implemented; all of them are covered by finite-difference checks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+import operator
 
 import numpy as np
 from scipy.special import ndtr
@@ -24,16 +26,16 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense array plus optional backward closure on the autodiff tape."""
+    """A dense array on the autodiff tape, with the Tensors it was computed
+    from and the closure that passes its adjoint to them."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=float)
         self.grad = None
         self._parents = parents
         self._backward = backward
-        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -59,7 +61,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
@@ -95,101 +97,87 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2) if x.ndim > 1 else x
 
 
-def _from_op(out, operands: tuple, backward: Callable) -> Tensor:
-    """A Tensor holding ``out`` whose tape links the operands that require
-    gradients; every op returns its plain result itself before calling
-    this when no operand is a Tensor."""
-    parents = tuple(p for p in operands if isinstance(p, Tensor) and p.requires_grad)
-    if not parents:
-        return Tensor(out)
-    return Tensor(out, parents=parents, backward=backward, requires_grad=True)
+def _accumulate(parent: Tensor, grad) -> None:
+    """Add an adjoint into ``parent.grad``; the first one is stored as it is
+    (adjoints are never written in place)."""
+    parent.grad = grad if parent.grad is None else parent.grad + grad
 
 
-def _accumulate(parent, grad) -> None:
-    """Add an adjoint, or what a function computing it returns, into
-    ``parent.grad`` only when the parent needs one; the first one is stored
-    as it is (adjoints are never written in place)."""
-    if isinstance(parent, Tensor) and parent.requires_grad:
-        grad = grad() if callable(grad) else grad
-        parent.grad = grad if parent.grad is None else parent.grad + grad
+def _tensors(operands) -> tuple:
+    return tuple(p for p in operands if isinstance(p, Tensor))
 
 
-# -- elementwise arithmetic --------------------------------------------------
-
-def add(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return a + b
-    x, y = value(a), value(b)
-
-    def backward(g):
-        _accumulate(a, lambda: _unbroadcast(g, np.shape(x)))
-        _accumulate(b, lambda: _unbroadcast(g, np.shape(y)))
-
-    return _from_op(x + y, (a, b), backward)
-
-
-def sub(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return a - b
-    x, y = value(a), value(b)
-
-    def backward(g):
-        _accumulate(a, lambda: _unbroadcast(g, np.shape(x)))
-        _accumulate(b, lambda: _unbroadcast(-g, np.shape(y)))
-
-    return _from_op(x - y, (a, b), backward)
+def _unary(name: str, forward, adjoint):
+    """The op of one operand with ``forward(x, *args)`` and the adjoint
+    ``adjoint(g, x, out, *args)`` of its input, given the output's adjoint
+    g, the input x and the output."""
+    def op(a, *args):
+        if not isinstance(a, Tensor):
+            return forward(a, *args)
+        x = a.data
+        out = forward(x, *args)
+        return Tensor(out, (a,), lambda g: _accumulate(a, adjoint(g, x, out, *args)))
+    op.__name__ = op.__qualname__ = name
+    return op
 
 
-def mul(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return a * b
-    x, y = value(a), value(b)
+def _binary(name: str, forward, adjoint_a, adjoint_b):
+    """The op of two operands with ``forward(x, y)`` and the adjoints
+    ``adjoint_a(g, x, y)`` and ``adjoint_b(g, x, y)`` of each. An adjoint is
+    computed only for an operand that is a Tensor, and summed back to its
+    shape where the forward broadcast it."""
+    def op(a, b):
+        if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+            return forward(a, b)
+        x, y = value(a), value(b)
 
-    def backward(g):
-        _accumulate(a, lambda: _unbroadcast(g * y, np.shape(x)))
-        _accumulate(b, lambda: _unbroadcast(g * x, np.shape(y)))
+        def backward(g):
+            for operand, own, adjoint in ((a, x, adjoint_a), (b, y, adjoint_b)):
+                if isinstance(operand, Tensor):
+                    _accumulate(operand, _unbroadcast(adjoint(g, x, y), np.shape(own)))
 
-    return _from_op(x * y, (a, b), backward)
-
-
-def div(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return a / b
-    x, y = value(a), value(b)
-
-    def backward(g):
-        _accumulate(a, lambda: _unbroadcast(g / y, np.shape(x)))
-        _accumulate(b, lambda: _unbroadcast(-g * x / (y * y), np.shape(y)))
-
-    return _from_op(x / y, (a, b), backward)
+        return Tensor(forward(x, y), _tensors((a, b)), backward)
+    op.__name__ = op.__qualname__ = name
+    return op
 
 
-# -- linear algebra and shape ops --------------------------------------------
+# -- elementwise arithmetic and products --------------------------------------
 
-def matmul(a, b):
-    """Matrix product, or one product per leading batch index."""
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return a @ b
-    x, y = value(a), value(b)
-
-    def backward(g):
-        _accumulate(a, lambda: g @ _swap_last(y))
-        _accumulate(b, lambda: _swap_last(x) @ g)
-
-    return _from_op(x @ y, (a, b), backward)
+add = _binary("add", operator.add, lambda g, x, y: g, lambda g, x, y: g)
+sub = _binary("sub", operator.sub, lambda g, x, y: g, lambda g, x, y: -g)
+mul = _binary("mul", operator.mul, lambda g, x, y: g * y, lambda g, x, y: g * x)
+div = _binary("div", operator.truediv, lambda g, x, y: g / y,
+              lambda g, x, y: -g * x / (y * y))
+# matrix product, or one product per leading batch index
+matmul = _binary("matmul", operator.matmul, lambda g, x, y: g @ _swap_last(y),
+                 lambda g, x, y: _swap_last(x) @ g)
 
 
-def transpose(a, axes=None):
-    """Permute the axes; by default reverse them."""
-    if not isinstance(a, Tensor):
-        return a.transpose(axes)
-    x = a.data
+# -- shape ops -----------------------------------------------------------------
 
-    def backward(g):
-        inverse = None if axes is None else [axes.index(i) for i in range(g.ndim)]
-        _accumulate(a, g.transpose(inverse))
+def _inverse_transpose(g, x, out, axes=None):
+    return g.transpose(None if axes is None else [axes.index(i) for i in range(g.ndim)])
 
-    return _from_op(x.transpose(axes), (a,), backward)
+
+# permute the axes; by default reverse them
+transpose = _unary("transpose", np.ndarray.transpose, _inverse_transpose)
+reshape = _unary("reshape", np.ndarray.reshape, lambda g, x, out, shape: g.reshape(x.shape))
+
+# index components that select each entry at most once
+_BASIC_INDEX = (int, slice, type(None), type(Ellipsis))
+
+
+def _scatter(g, x, out, key):
+    full = np.zeros_like(x)
+    if all(isinstance(k, _BASIC_INDEX) for k in (key if isinstance(key, tuple) else (key,))):
+        full[key] = g
+    else:
+        np.add.at(full, key, g)  # an index array may repeat an entry
+    return full
+
+
+# basic or integer-array indexing with scatter-add backward
+take = _unary("take", operator.getitem, _scatter)
 
 
 def concat(tensors, axis: int = 0):
@@ -202,31 +190,11 @@ def concat(tensors, axis: int = 0):
         lo, before = 0, (slice(None),) * (axis % g.ndim)
         for t, x in zip(tensors, arrays):
             hi = lo + x.shape[axis]
-            _accumulate(t, g[before + (slice(lo, hi),)])
+            if isinstance(t, Tensor):
+                _accumulate(t, g[before + (slice(lo, hi),)])
             lo = hi
 
-    return _from_op(np.concatenate(arrays, axis=axis), tensors, backward)
-
-
-# index components that select each entry at most once
-_BASIC_INDEX = (int, slice, type(None), type(Ellipsis))
-
-
-def take(a, key):
-    """Basic or integer-array indexing with scatter-add backward."""
-    if not isinstance(a, Tensor):
-        return a[key]
-    x = a.data
-
-    def backward(g):
-        full = np.zeros_like(x)
-        if all(isinstance(k, _BASIC_INDEX) for k in (key if isinstance(key, tuple) else (key,))):
-            full[key] = g
-        else:
-            np.add.at(full, key, g)  # an index array may repeat an entry
-        _accumulate(a, full)
-
-    return _from_op(x[key], (a,), backward)
+    return Tensor(np.concatenate(arrays, axis=axis), _tensors(tensors), backward)
 
 
 def where(keep: np.ndarray, a, fill: float):
@@ -234,106 +202,28 @@ def where(keep: np.ndarray, a, fill: float):
     adjoint reaches only the kept entries."""
     if not isinstance(a, Tensor):
         return np.where(keep, a, fill)
-    x = a.data
-
-    def backward(g):
-        _accumulate(a, np.where(keep, g, 0.0))
-
-    return _from_op(np.where(keep, x, fill), (a,), backward)
-
-
-def reshape(a, shape):
-    if not isinstance(a, Tensor):
-        return a.reshape(shape)
-    x = a.data
-
-    def backward(g):
-        _accumulate(a, g.reshape(x.shape))
-
-    return _from_op(x.reshape(shape), (a,), backward)
+    return Tensor(np.where(keep, a.data, fill), (a,),
+                  lambda g: _accumulate(a, np.where(keep, g, 0.0)))
 
 
 # -- nonlinearities -----------------------------------------------------------
 
-def exp(a):
-    if not isinstance(a, Tensor):
-        return np.exp(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out)
-
-    return _from_op(out, (a,), backward)
-
-
-def log(a):
-    x = value(a)
+def _log(x):
     if np.any(x <= 0.0):
         raise ValueError("log of non-positive value")
-    if not isinstance(a, Tensor):
-        return np.log(x)
-
-    def backward(g):
-        _accumulate(a, g / x)
-
-    return _from_op(np.log(x), (a,), backward)
+    return np.log(x)
 
 
-def tanh(a):
-    if not isinstance(a, Tensor):
-        return np.tanh(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - out * out))
-
-    return _from_op(out, (a,), backward)
-
-
-def sin(a):
-    if not isinstance(a, Tensor):
-        return np.sin(a)
-    x = a.data
-
-    def backward(g):
-        _accumulate(a, g * np.cos(x))
-
-    return _from_op(np.sin(x), (a,), backward)
-
-
-def cos(a):
-    if not isinstance(a, Tensor):
-        return np.cos(a)
-    x = a.data
-
-    def backward(g):
-        _accumulate(a, -g * np.sin(x))
-
-    return _from_op(np.cos(x), (a,), backward)
-
-
-def clip(a, lo: float, hi: float):
-    """Clamp values; gradient passes through unclamped entries only."""
-    if not isinstance(a, Tensor):
-        return np.clip(a, lo, hi)
-    x = a.data
-
-    def backward(g):
-        _accumulate(a, g * ((x >= lo) & (x <= hi)))
-
-    return _from_op(np.clip(x, lo, hi), (a,), backward)
-
-
-def normal_cdf(a):
-    """Standard normal CDF; the derivative is the normal density."""
-    if not isinstance(a, Tensor):
-        return np.asarray(ndtr(a), dtype=float)
-    x = a.data
-
-    def backward(g):
-        _accumulate(a, g * _INV_SQRT_2PI * np.exp(-0.5 * x * x))
-
-    return _from_op(np.asarray(ndtr(x), dtype=float), (a,), backward)
+exp = _unary("exp", np.exp, lambda g, x, out: g * out)
+log = _unary("log", _log, lambda g, x, out: g / x)
+tanh = _unary("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
+sin = _unary("sin", np.sin, lambda g, x, out: g * np.cos(x))
+cos = _unary("cos", np.cos, lambda g, x, out: -g * np.sin(x))
+# clamp values; the adjoint passes through unclamped entries only
+clip = _unary("clip", np.clip, lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi)))
+# standard normal CDF; its derivative is the normal density
+normal_cdf = _unary("normal_cdf", lambda x: np.asarray(ndtr(x), dtype=float),
+                    lambda g, x, out: g * _INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -349,7 +239,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False):
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, x.shape).copy())
 
-    return _from_op(x.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return Tensor(x.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False):
@@ -369,41 +259,4 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
             g = np.expand_dims(g, axis)
         _accumulate(a, g * (e / s))
 
-    return _from_op(out, (a,), backward)
-
-
-# -- gradient checking ----------------------------------------------------------
-
-def grad_check(fn: Callable[[Mapping[str, Tensor]], Tensor],
-               params: Mapping[str, np.ndarray],
-               step: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central-difference grads.
-
-    Per coordinate the step is ``step * max(1, |theta|)`` and the error is
-    ``|analytic - fd| / max(1e-8, |fd|)``; the returned value is the max
-    over all coordinates of all parameters.
-    """
-    tensors = {k: Tensor(np.array(v, dtype=float), requires_grad=True) for k, v in params.items()}
-    out = fn(tensors)
-    out.backward()
-    worst = 0.0
-    for name, base in params.items():
-        analytic = tensors[name].grad
-        if analytic is None or not np.all(np.isfinite(analytic)):
-            raise FloatingPointError(f"non-finite or missing gradient for {name!r}")
-        flat = np.array(base, dtype=float).ravel()
-        for i in range(flat.size):
-            h = step * max(1.0, abs(flat[i]))
-            for sign, store in ((+1.0, "hi"), (-1.0, "lo")):
-                probe = {k: np.array(v, dtype=float) for k, v in params.items()}
-                probe[name].ravel()[i] += sign * h
-                # the probes are plain arrays, so they build no tape
-                out = float(value(fn(probe)))
-                if store == "hi":
-                    hi = out
-                else:
-                    lo = out
-            fd = (hi - lo) / (2.0 * h)
-            err = abs(float(analytic.ravel()[i]) - fd) / max(1e-8, abs(fd))
-            worst = max(worst, err)
-    return worst
+    return Tensor(out, (a,), backward)

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Event, EventSequence, RngStream
+from .core import Event, EventSequence, RngStream, check_horizon
 
 logger = logging.getLogger(__name__)
 _RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, this]
@@ -211,6 +211,7 @@ def thinning_sample(process: GroundTruthProcess, t_end: float, rng: RngStream) -
     valid because exponential kernels only decay between events. Marks are
     assigned proportionally to the per-type intensity at the accepted time.
     """
+    check_horizon(t_end)
     if isinstance(process, SinePoissonParams):
         return _thinning_poisson(process, t_end, rng)
     return _thinning_hawkes(process, t_end, rng)

@@ -29,7 +29,14 @@ from .classical import (
     make_synthetic_dataset,
     process_from_record,
 )
-from .core import EventSequence, RngStream, read_sequences, validate_sequence, write_sequences
+from .core import (
+    EventSequence,
+    RngStream,
+    check_horizon,
+    read_sequences,
+    validate_sequence,
+    write_sequences,
+)
 from .model import (
     CheckpointFormatError,
     ModelConfig,
@@ -49,6 +56,20 @@ class DataError(click.ClickException):
 
 class NumericalError(click.ClickException):
     exit_code = 3
+
+
+def _require(ok: bool, message: str) -> None:
+    """Refuse an argument outside its range, from the command line or a
+    replayed manifest alike."""
+    if not ok:
+        raise DataError(message)
+
+
+def _require_horizon(t_end: float) -> None:
+    try:
+        check_horizon(t_end)
+    except ValueError as exc:
+        raise DataError(str(exc))
 
 
 def _read_json(path: str) -> dict:
@@ -115,8 +136,8 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 def run_simulate(args: dict, out_dir: Path) -> dict:
-    if args["n"] < 1:
-        raise DataError("n must be >= 1")
+    _require(args["n"] >= 1, "n must be >= 1")
+    _require_horizon(args["t_end"])
     process = _load_process(args["process"])
     sequences = make_synthetic_dataset(process, args["n"], args["t_end"],
                                        RngStream(args["seed"]))
@@ -155,6 +176,9 @@ _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_a
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
+    _require(args["runs"] >= 1, "runs must be >= 1")
+    _require(args["gamma"] >= 1, "gamma must be >= 1")
+    _require_horizon(args["t_end"])
     target = _load_checkpoint(args["target"])
     draft = _load_checkpoint(args["draft"]) if args.get("draft") else None
     mode = args["mode"]
@@ -207,6 +231,9 @@ def run_eval_ks(args: dict, out_dir: Path) -> dict:
 
 
 def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
+    _require(args["m_hist"] >= 0, "m_hist must be >= 0")
+    _require(args["n_reps"] >= 1, "n_reps must be >= 1")
+    _require(args["gamma"] >= 1, "gamma must be >= 1")
     target = _load_checkpoint(args["target"])
     draft = _load_checkpoint(args["draft"]) if args.get("draft") else None
     history = None
@@ -261,10 +288,13 @@ _BENCH_COUNTS = {"target_passes": "target_forward_passes", "draft_passes": "draf
 
 
 def run_bench(args: dict, out_dir: Path) -> dict:
-    target = _load_checkpoint(args["target"])
-    draft = _load_checkpoint(args["draft"])
     gamma_grid = args["gamma_grid"]
     reps, runs, t_end = args["repetitions"], args["runs"], args["t_end"]
+    _require(len(gamma_grid) > 0 and min(gamma_grid) >= 1, "gamma_grid needs positive integers")
+    _require(reps >= 1 and runs >= 1, "repetitions and runs must be >= 1")
+    _require_horizon(t_end)
+    target = _load_checkpoint(args["target"])
+    draft = _load_checkpoint(args["draft"])
     root = RngStream(args["seed"])
 
     def intervals(seqs):
@@ -395,10 +425,6 @@ def sample(mode, target, draft, gamma, t_end, runs, seed, out):
     """Sample sequences autoregressively (ar) or speculatively (sd)."""
     if mode == "sd" and draft is None:
         raise click.UsageError("--mode sd requires --draft")
-    if runs < 1:
-        raise DataError("runs must be >= 1")
-    if gamma < 1:
-        raise DataError("gamma must be >= 1")
     _execute("sample", {"mode": mode, "target": str(Path(target).resolve()),
                         "draft": str(Path(draft).resolve()) if draft else None,
                         "gamma": gamma, "t_end": t_end, "runs": runs, "seed": seed}, out)
@@ -470,10 +496,6 @@ def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, out):
         grid = [int(g) for g in gamma_grid.split(",") if g.strip()]
     except ValueError:
         raise click.UsageError("--gamma-grid must be comma-separated integers")
-    if not grid or min(grid) < 1:
-        raise click.UsageError("--gamma-grid needs positive integers")
-    if repetitions < 1 or runs < 1:
-        raise DataError("repetitions and runs must be >= 1")
     _execute("bench", {"target": str(Path(target).resolve()),
                        "draft": str(Path(draft).resolve()), "gamma_grid": grid,
                        "repetitions": repetitions, "runs": runs, "t_end": t_end,

@@ -75,6 +75,14 @@ class EventSequence:
         return np.diff(np.concatenate([[0.0], times]))
 
 
+def check_horizon(t_end: float) -> None:
+    """Raise ValueError unless t_end is a finite positive horizon: with any
+    other a simulation or sampling run never ends or ends in a sequence
+    that validate_sequence rejects."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_sequence: ok, or the first violation found."""

@@ -6,12 +6,13 @@ mixture over the next inter-event interval and a categorical distribution
 over the next mark. Three temporal encodings and two attention styles are
 supported. The forward is written once with autodiff operations: given the
 checkpoint's raw arrays they compute plain ndarrays and build no tape, which
-is how sampling runs, and given requires_grad Tensors they record the tape
-that training differentiates. Each layer projects its input to the queries,
-keys and values of every head with one q|k|v matrix product and attends
-with one batched product over the heads. An EncoderCache keeps every
-layer's keys and values, so a sampling forward encodes only the events that
-are new since the previous one.
+is how sampling runs, and given the parameters as Tensors they record the
+tape that training differentiates. The log-normal mixture density is written
+once the same way, for training's taped head rows and sampling's plain ones.
+Each layer projects its input to the queries, keys and values of every head
+with one q|k|v matrix product and attends with one batched product over the
+heads. An EncoderCache keeps every layer's keys and values, so a sampling
+forward encodes only the events that are new since the previous one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ ENCODINGS = ("thp", "sahp", "attnhp")
 _ATTNHP_M = 1.0
 _ATTNHP_BIG_M = 2000.0
 
-# raw arrays for inference, or requires_grad Tensors for training
+# raw arrays for inference, or Tensors for training
 Params = dict[str, np.ndarray | Tensor]
 
 
@@ -115,8 +116,9 @@ class MixtureParams:
         if (self.scales <= 0).any():
             raise ValueError("scales must be positive")
 
-    def row(self, i: int) -> "MixtureParams":
-        """Row i of stacked mixtures, checked once with the stack."""
+    def row(self, i: int | slice) -> "MixtureParams":
+        """Row i, or the rows of a slice, of stacked mixtures, checked once
+        with the stack."""
         return _from_checked(MixtureParams, weights=self.weights[i], means=self.means[i],
                              scales=self.scales[i])
 
@@ -159,10 +161,6 @@ class ModelCheckpoint:
 
     config: ModelConfig
     params: dict[str, np.ndarray]
-
-    def param_tensors(self) -> dict[str, Tensor]:
-        """The parameters as Tensors that collect gradients."""
-        return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
 
     def copy(self) -> "ModelCheckpoint":
         return ModelCheckpoint(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -528,8 +526,20 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
 # mixture density and sampling
 # ---------------------------------------------------------------------------
 
+def _mixture_log_density(log_tau, log_w, mu, sigma):
+    """Log-density of the log-normal mixture with log-weights, log-means
+    and scales along the last axis, at the intervals whose logs ``log_tau``
+    (with a trailing axis of 1) broadcast against the leading axes. Taped
+    head rows give a Tensor, plain arrays a plain array."""
+    z = ad.div(ad.sub(log_tau, mu), sigma)
+    comp = ad.sub(ad.sub(ad.sub(log_w, log_tau + 0.5 * _LOG_2PI), ad.log(sigma)),
+                  ad.mul(ad.mul(z, z), 0.5))
+    return ad.logsumexp(comp, axis=-1)
+
+
 def mixture_logpdf(tau, params: MixtureParams):
-    """Log-density of the log-normal mixture at tau > 0, via log-sum-exp.
+    """Log-density of the log-normal mixture at tau > 0, via log-sum-exp;
+    -inf where every component's density underflows.
 
     ``tau`` broadcasts against the leading (row) axes of the parameters:
     many values against one mixture, or one value per stacked row. A scalar
@@ -538,14 +548,10 @@ def mixture_logpdf(tau, params: MixtureParams):
     tau = np.asarray(tau, dtype=float)
     if not (tau > 0).all():
         raise ValueError("tau must be positive")
-    log_tau = np.log(tau)[..., np.newaxis]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = (log_tau - params.means) / params.scales
-        comps = np.log(params.weights) - log_tau - np.log(params.scales) \
-            - 0.5 * _LOG_2PI - 0.5 * z * z
-        m = comps.max(axis=-1, keepdims=True)
-        out = m + np.log(np.exp(comps - m).sum(axis=-1, keepdims=True))
-    out = np.where(np.isfinite(m), out, -np.inf)[..., 0]
+        out = _mixture_log_density(np.log(tau)[..., np.newaxis], np.log(params.weights),
+                                   params.means, params.scales)
+    out = np.where(np.isnan(out), -np.inf, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -576,16 +582,11 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
         raise ValueError("inter-event intervals must be positive")
     ctx = _context_tensor(times, marks, params, config)
     log_w, mu, sigma, mark_logits = _head_tensors(ctx, params, config)
-    total = 0.0
-    if n:
-        log_taus = np.log(taus).reshape(-1, 1)
-        z = ad.div(ad.sub(log_taus, mu[:n, :]), sigma[:n, :])
-        comp = ad.sub(ad.sub(ad.sub(log_w[:n, :], log_taus + 0.5 * _LOG_2PI),
-                             ad.log(sigma[:n, :])),
-                      ad.mul(ad.mul(z, z), 0.5))
-        total = ad.add(total, ad.tensor_sum(ad.logsumexp(comp, axis=-1)))
-        mark_lsm = ad.sub(mark_logits, ad.logsumexp(mark_logits, axis=-1, keepdims=True))
-        total = ad.add(total, ad.tensor_sum(mark_lsm[np.arange(n), marks]))
+    density = _mixture_log_density(np.log(taus).reshape(-1, 1), log_w[:n, :], mu[:n, :],
+                                   sigma[:n, :])
+    total = ad.tensor_sum(density)
+    mark_lsm = ad.sub(mark_logits, ad.logsumexp(mark_logits, axis=-1, keepdims=True))
+    total = ad.add(total, ad.tensor_sum(mark_lsm[np.arange(n), marks]))
     tail = t_end - (times[-1] if n else 0.0)
     if tail > 0.0:
         z_tail = ad.div(ad.sub(math.log(tail), mu[n:, :]), sigma[n:, :])

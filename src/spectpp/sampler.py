@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Event, EventSequence, RngStream, clamped_exp
+from .core import Event, EventSequence, RngStream, check_horizon, clamped_exp
 from .model import (
     EncoderCache,
     MarkDistribution,
@@ -127,6 +127,7 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
     """Autoregressive sampling: one target forward per event, each
     encoding only the newest event; the first event whose time exceeds
     t_end is discarded."""
+    check_horizon(t_end)
     events = list(history.events) if history is not None else []
     stream = rng.child("ar")
     cache = EncoderCache(target)
@@ -255,15 +256,11 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
 
     # The rows end at position n_hist + gamma, and candidate l is scored by
     # position n_hist + l, so the candidates are the gamma rows before the
-    # last. The density is evaluated on every row in one call; rows outside
-    # the candidates get tau = 1, unread.
+    # last.
     first = len(mixtures.weights) - gamma - 1
     if first < 0:
         raise ValueError("the target cache already holds the drafted events")
-    rows = slice(first, first + gamma)
-    taus = np.ones(len(mixtures.weights))
-    taus[rows] = batch.intervals
-    g_t = mixture_logpdf(taus, mixtures)[rows]
+    g_t = mixture_logpdf(batch.intervals, mixtures.row(slice(first, first + gamma)))
     if np.any(np.isnan(g_t) | (g_t == np.inf)):
         raise FloatingPointError("non-finite target interval density")
     f_t = mark_dists.probabilities[np.arange(first, first + gamma), batch.marks]
@@ -329,6 +326,7 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     horizon is passed, then drop events beyond t_end. The target and the
     draft each keep an encoder cache for the run; after a rejection the
     next forward reuses the accepted prefix and drops the rest."""
+    check_horizon(t_end)
     if target.config.n_marks != draft_model.config.n_marks:
         raise ValueError("target and draft must share the mark cardinality")
     if gamma < 1:

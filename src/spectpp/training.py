@@ -69,9 +69,8 @@ def nll_batch(checkpoint: ModelCheckpoint,
     terms)."""
     if not batch:
         raise ValueError("batch must be nonempty")
-    tensors = checkpoint.param_tensors()
-    total = ad.Tensor(0.0)
-    events = 0
+    tensors = {name: ad.Tensor(value) for name, value in checkpoint.params.items()}
+    total, events = 0.0, 0
     for seq in batch:
         total = ad.add(total, _loglik_tensor(seq.times, seq.marks, seq.t_end,
                                              tensors, checkpoint.config))

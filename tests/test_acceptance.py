@@ -20,7 +20,6 @@ from spectpp import cli
 from spectpp import evaluation as ev
 from spectpp import sampler as S
 from spectpp import training as T
-from spectpp.autodiff import grad_check
 from spectpp.classical import HawkesParams, SinePoissonParams, make_synthetic_dataset, ground_truth_loglik
 from spectpp.core import EventSequence, RngStream, clamped_exp, read_sequences, sequence_from_arrays
 from spectpp.model import (
@@ -31,6 +30,8 @@ from spectpp.model import (
     load_checkpoint,
     mixture_logpdf,
 )
+
+from gradcheck import grad_check
 
 pytestmark = pytest.mark.acceptance
 

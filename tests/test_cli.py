@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -397,3 +400,60 @@ def test_checkpoint_bad_config_exit_2(runner, workspace):
                                       "--t-end", "5", "--out", str(workspace / "x")])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output and "no_such_field" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--process", "{ws}/poisson.json", "--n", "2", "--t-end", "nan"],
+    ["simulate", "--process", "{ws}/poisson.json", "--n", "2", "--t-end", "-5"],
+    ["sample", "--mode", "ar", "--target", "{ws}/target.json", "--t-end", "nan"],
+    ["sample", "--mode", "ar", "--target", "{ws}/target.json", "--t-end", "inf"],
+    ["sample", "--mode", "ar", "--target", "{ws}/target.json", "--t-end", "-1"],
+    ["sample", "--mode", "sd", "--target", "{ws}/target.json", "--draft", "{ws}/draft.json",
+     "--t-end", "nan"],
+    ["bench", "--target", "{ws}/target.json", "--draft", "{ws}/draft.json", "--gamma-grid", "1",
+     "--repetitions", "1", "--runs", "1", "--t-end", "-1"],
+], ids=["simulate-nan", "simulate-negative", "ar-nan", "ar-inf", "ar-negative", "sd-nan",
+        "bench-negative"])
+def test_horizon_not_finite_and_positive_exit_2(workspace, command):
+    """Without the horizon check some of these commands never returned, so
+    each runs in its own process under a timeout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [arg.format(ws=workspace) for arg in command] + ["--out", str(workspace / "x")]
+    result = subprocess.run([sys.executable, "-m", "spectpp.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Error:" in result.stderr and "t_end" in result.stderr
+    assert not (workspace / "x").exists()
+
+
+def test_range_errors_exit_2_from_command_line_and_replay(runner, workspace):
+    """The range checks live in the runners, so a replayed manifest meets
+    them as the command line does; only parse errors stay exit 1."""
+    sample_dir = workspace / "history"
+    runner.invoke(cli.main, ["sample", "--mode", "ar", "--target",
+                             str(workspace / "target.json"), "--t-end", "40",
+                             "--seed", "10", "--out", str(sample_dir)])
+    wasserstein = ["eval", "wasserstein", "--target", str(workspace / "target.json"),
+                   "--sequences", str(sample_dir / "sequences.jsonl"), "--m-hist", "5"]
+    bench = ["bench", "--target", str(workspace / "target.json"),
+             "--draft", str(workspace / "draft.json"), "--t-end", "5"]
+    for argv, message in [(wasserstein + ["--n-reps", "0"], "n_reps must be >= 1"),
+                          (wasserstein + ["--m-hist", "-1"], "m_hist must be >= 0"),
+                          (bench + ["--gamma-grid", "0"], "gamma_grid needs positive integers"),
+                          (bench + ["--repetitions", "0"], "repetitions and runs must be >= 1"),
+                          (["sample", "--mode", "ar", "--target", str(workspace / "target.json"),
+                            "--t-end", "5", "--runs", "0"], "runs must be >= 1")]:
+        result = runner.invoke(cli.main, [*argv, "--out", str(workspace / "x")])
+        assert result.exit_code == 2, (argv, result.output)
+        assert "Error:" in result.output and message in result.output
+        assert not (workspace / "x").exists()
+    for override, message in [({"gamma": 0}, "gamma must be >= 1"),
+                              ({"runs": 0}, "runs must be >= 1")]:
+        path = workspace / "manifest.json"
+        path.write_text(json.dumps({"command": "sample",
+                                    "arguments": sd_sample_arguments(workspace, **override)}))
+        result = runner.invoke(cli.main, ["replay", str(path), "--out", str(workspace / "r")])
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output and message in result.output
+        assert not (workspace / "r").exists()

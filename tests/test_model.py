@@ -8,8 +8,9 @@ from scipy.special import ndtr
 from spectpp import model as M
 from spectpp import training as T
 from spectpp import autodiff as ad
-from spectpp.autodiff import grad_check
 from spectpp.core import Event, EventSequence, RngStream, sequence_from_arrays
+
+from gradcheck import grad_check
 
 
 def mixture_cdf(tau, params):
@@ -253,6 +254,34 @@ def test_logpdf_broadcasts_like_scalar_calls():
     assert got[2] == want[2] == -math.inf
 
 
+def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
+    """The shared density gives the same bits on the tape and off it, and
+    the interval term training differentiates equals mixture_logpdf, which
+    sampling calls, on the same head rows exactly."""
+    config = tiny_config(n_marks=2)
+    ckpt = random_checkpoint(config, seed=31)
+    seq = sequence_from_arrays([0.4, 1.1, 1.9, 2.6, 3.0], [0, 1, 1, 0, 1], 4.0)
+    n, taus = len(seq), seq.inter_event_times()
+    density, terms = M._mixture_log_density, []
+
+    def recorded(*args):
+        terms.append(density(*args))
+        return terms[-1]
+
+    monkeypatch.setattr(M, "_mixture_log_density", recorded)
+    tensors = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
+    M._loglik_tensor(seq.times, seq.marks, seq.t_end, tensors, config)
+    (taped,) = terms
+    assert isinstance(taped, ad.Tensor) and taped.shape == (n,)
+
+    ctx = M._context_tensor(seq.times, seq.marks, ckpt.params, config)
+    log_w, mu, sigma, _ = M._head_tensors(ctx, ckpt.params, config)
+    plain = density(np.log(taus).reshape(-1, 1), log_w[:n], mu[:n], sigma[:n])
+    assert not isinstance(plain, ad.Tensor) and np.array_equal(plain, taped.data)
+    mixtures, _ = M.position_distributions(seq, ckpt)
+    assert np.array_equal(M.mixture_logpdf(taus, mixtures.row(slice(0, n))), taped.data)
+
+
 @pytest.mark.parametrize("field", ["weights", "means", "scales"])
 def test_mixture_params_reject_non_finite(field):
     values = {"weights": np.array([[0.5, 0.5], [0.5, 0.5]]),
@@ -494,10 +523,10 @@ def test_large_attention_scores_stay_finite(encoding):
 def training_forward(seq, ckpt):
     """Head rows at every position from the no-past forward that training
     runs on the tape, which no cache takes part in."""
-    params = ckpt.param_tensors()
+    params = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
     ctx = M._context_tensor(seq.times, seq.marks, params, ckpt.config)
     heads = M._head_tensors(ctx, params, ckpt.config)
-    assert all(isinstance(t, ad.Tensor) and t.requires_grad for t in heads)
+    assert all(isinstance(t, ad.Tensor) for t in heads)
     return M._distributions(*(ad.value(t) for t in heads))
 
 
@@ -575,7 +604,7 @@ def test_inference_forward_builds_no_tensors(encoding, n_heads, tensors):
 
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
 def test_nll_batch_builds_a_tape_with_exact_gradients(encoding, tensors):
-    """Training passes requires_grad Tensors through the same forward, so it
+    """Training passes its parameters as Tensors through the same forward, so it
     still builds a tape, and its gradient matches central differences."""
     ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2), seed=25)
     batch = [sequence_from_arrays([0.4, 1.1, 1.9], [0, 1, 1], 4.0),

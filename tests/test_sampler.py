@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import ks_2samp, kstest
 
 from spectpp import model as M
 from spectpp import sampler as S
+from spectpp.classical import SinePoissonParams, thinning_sample
 from spectpp.core import Event, EventSequence, RngStream, clamped_exp, sequence_from_arrays, validate_sequence
 
 
@@ -606,3 +608,29 @@ def test_next_event_helpers_are_the_first_step_of_their_loops():
         batch = S.draft(draft_model, history, 4, rng.child("draft"), stats)
         replaced += int(first.time != batch.times[0] or first.mark != batch.marks[0])
     assert 0 < replaced < 8
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_samplers_refuse_a_horizon_that_is_not_finite_and_positive(t_end):
+    """Each sampler refuses before its loop starts: at a NaN or infinite
+    horizon the loops never ended, and at a negative one they returned
+    sequences that validate_sequence rejects. An alarm bounds every call."""
+    target, draft = make_checkpoint(1), make_checkpoint(2)
+    process = SinePoissonParams(A=5.0, b=1.0, omega=0.02)
+    calls = {"ar_sample": lambda: S.ar_sample(target, t_end, RngStream(0)),
+             "tpp_sd_sample": lambda: S.tpp_sd_sample(target, draft, t_end, 3, RngStream(0)),
+             "thinning_sample": lambda: thinning_sample(process, t_end, RngStream(0))}
+
+    def expire(signum, frame):
+        raise TimeoutError("the call did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for name, call in calls.items():
+            signal.alarm(20)
+            with pytest.raises(ValueError, match="t_end"):
+                call()
+            signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

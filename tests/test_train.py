@@ -5,10 +5,11 @@ import pytest
 
 from spectpp import autodiff as ad
 from spectpp import training as T
-from spectpp.autodiff import grad_check
 from spectpp.classical import HawkesParams, ground_truth_loglik, make_synthetic_dataset
 from spectpp.core import EventSequence, RngStream, sequence_from_arrays
 from spectpp.model import ModelConfig, _loglik_tensor, init_checkpoint, sequence_loglik
+
+from gradcheck import grad_check
 
 TINY = ModelConfig(embed_dim=8, n_components=4, n_marks=1)
 RATE_2 = HawkesParams(mu=np.array([2.0]), alpha=np.array([[0.0]]), beta=np.array([[1.0]]))
