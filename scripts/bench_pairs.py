@@ -15,7 +15,9 @@ the size of the change sits next to its timings.
 
 With ``--out``, the workload's summary is written into that JSON file
 under ``workloads``, next to any other workloads it already holds;
-otherwise it is printed.
+otherwise it is printed. After the summary, the script names the seeds
+whose ``determinism`` lines differ between the sides, and exits 1 when any
+run was not correct or failed operations.
 """
 
 from __future__ import annotations
@@ -81,6 +83,22 @@ def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     return out
 
 
+def faults(runs: dict[str, list[dict]], seeds: list[int]) -> list[str]:
+    """One line per run that was not correct or failed operations; any
+    such line makes the comparison void."""
+    return [f"{side} seed {seed}: correct={r['result']['correct']} "
+            f"failed={r['result']['failed']}/{r['result']['attempted']}"
+            for side in SIDES for seed, r in zip(seeds, runs[side])
+            if not r["result"]["correct"] or r["result"]["failed"]]
+
+
+def determinism_differs(runs: dict[str, list[dict]], seeds: list[int]) -> list[int]:
+    """The seeds whose ``determinism`` lines, counts and digests, differ
+    between the parent's run and the change's."""
+    return [seed for seed, p, c in zip(seeds, runs["parent"], runs["change"])
+            if p["determinism"] != c["determinism"]]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -122,11 +140,18 @@ def main() -> int:
     }
     if args.out is None:
         print(json.dumps(summary, indent=1, sort_keys=True))
-        return 0
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    doc.setdefault("workloads", {})[args.workload] = summary
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0
+    else:
+        doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+        doc.setdefault("workloads", {})[args.workload] = summary
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    differs = determinism_differs(runs, args.seeds)
+    if differs:
+        print(f"{args.workload}: determinism differs between the sides at seeds "
+              f"{' '.join(map(str, differs))}", file=sys.stderr)
+    bad = faults(runs, args.seeds)
+    for line in bad:
+        print(f"{args.workload} {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -179,9 +179,11 @@ def run_sample(args: dict, out_dir: Path) -> dict:
     _require(args["runs"] >= 1, "runs must be >= 1")
     _require(args["gamma"] >= 1, "gamma must be >= 1")
     _require_horizon(args["t_end"])
+    mode = args["mode"]
+    _require(mode in ("ar", "sd"), f"mode must be 'ar' or 'sd', got {mode!r}")
+    _require(mode == "ar" or bool(args.get("draft")), "mode sd needs a draft checkpoint")
     target = _load_checkpoint(args["target"])
     draft = _load_checkpoint(args["draft"]) if args.get("draft") else None
-    mode = args["mode"]
     root = RngStream(args["seed"])
     sequences, rows = [], []
     for run in range(args["runs"]):
@@ -519,6 +521,8 @@ def replay(manifest, out):
                         "only 'adjusted' exists")
     try:
         _execute(command, args, out)
+    except DataError as exc:
+        raise DataError(f"manifest {manifest}: {exc.message}") from None
     except KeyError as exc:
         if exc.args and exc.args[0] in args:
             raise

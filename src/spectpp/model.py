@@ -12,7 +12,9 @@ once the same way, for training's taped head rows and sampling's plain ones.
 Each layer projects its input to the queries, keys and values of every head
 with one q|k|v matrix product and attends with one batched product over the
 heads. An EncoderCache keeps every layer's keys and values, so a sampling
-forward encodes only the events that are new since the previous one.
+forward encodes only the events that are new since the previous one, in
+blocks of at most _ENCODE_BLOCK rows that each attend over the rows held
+before them.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ ENCODINGS = ("thp", "sahp", "attnhp")
 # m and M of the attnhp temporal encoding
 _ATTNHP_M = 1.0
 _ATTNHP_BIG_M = 2000.0
+
+# the most events one cached forward encodes at once: a longer span, such as
+# a long history, goes through the cache in blocks of this many rows, so no
+# layer forms more than this many rows of attention scores
+_ENCODE_BLOCK = 64
 
 # raw arrays for inference, or Tensors for training
 Params = dict[str, np.ndarray | Tensor]
@@ -392,9 +399,12 @@ class EncoderCache:
     remainder: a rollback after a rejected draft is just a call with the
     shorter or diverging events. It encodes with the checkpoint's raw arrays
     and a q|k|v matrix per layer fused from them once, so its forward builds
-    no tape. Key and value buffers have shape (heads, capacity, head_dim)
-    and grow geometrically. The checkpoint's parameters must not change
-    while the cache is in use.
+    no tape. The events it lacks are encoded in consecutive blocks of at
+    most ``_ENCODE_BLOCK`` rows, each attending over the rows held before
+    it. Key and value buffers have shape (heads, capacity, head_dim); a
+    cache that must hold n events grows to capacity 2n, so the events
+    sampled after a long history do not reallocate them. The checkpoint's
+    parameters must not change while the cache is in use.
     """
 
     def __init__(self, checkpoint: ModelCheckpoint) -> None:
@@ -423,7 +433,7 @@ class EncoderCache:
         capacity = len(self._times)
         if n <= capacity:
             return
-        capacity = max(n, 2 * capacity, 16)
+        capacity = max(2 * n, 16)
 
         def grown(buffer: np.ndarray, axis: int = 0) -> np.ndarray:
             shape = list(buffer.shape)
@@ -447,22 +457,27 @@ class EncoderCache:
 
     def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
         """Context rows from the first position the cache does not hold up
-        to the end of ``events``, encoding only the events it lacks."""
+        to the end of ``events``, encoding only the events it lacks, in
+        blocks of at most ``_ENCODE_BLOCK`` rows."""
         if checkpoint is not self.checkpoint:
             raise ValueError("the cache belongs to another checkpoint")
         times, marks = events.times, events.marks
         shared = min(self.size, times.size)
         differs = np.flatnonzero((self.times[:shared] != times[:shared])
                                  | (self.marks[:shared] != marks[:shared]))
-        self.size = int(differs[0]) if differs.size else shared
-        new = slice(self.size, times.size)
+        self.size = start = int(differs[0]) if differs.size else shared
         self._reserve(times.size)
-        ctx = _context_tensor(times[new], marks[new], self.params, checkpoint.config, self)
-        self._times[new], self._marks[new] = times[new], marks[new]
-        self.hidden[new] = ctx[1:]
-        self.last_encoded = times.size - self.size
-        self.size = times.size
-        return ctx
+        blocks = []
+        while not blocks or self.size < times.size:
+            new = slice(self.size, min(self.size + _ENCODE_BLOCK, times.size))
+            ctx = _context_tensor(times[new], marks[new], self.params, checkpoint.config, self)
+            self._times[new], self._marks[new] = times[new], marks[new]
+            self.hidden[new] = ctx[1:]
+            self.size = new.stop
+            # a block's row 0 is the last row of the block before it
+            blocks.append(ctx[1:] if blocks else ctx)
+        self.last_encoded = times.size - start
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

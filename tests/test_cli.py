@@ -262,11 +262,13 @@ def sd_sample_arguments(workspace, **extra):
                               "seed": 1}},
     # open() would take the number as a file descriptor
     lambda ws: {"command": "sample", "arguments": sd_sample_arguments(ws, draft=5)},
+    lambda ws: {"command": "sample", "arguments": sd_sample_arguments(ws, mode="xyz")},
+    lambda ws: {"command": "sample", "arguments": sd_sample_arguments(ws, draft=None)},
     lambda ws: {"command": "eval-loglik",
                 "arguments": {"sequences": str(ws / "missing.jsonl"), "sequences_b": None,
                               "scorer_a": 5, "scorer_b": f"process:{ws / 'poisson.json'}"}},
 ], ids=["list", "no-arguments", "arguments-list", "missing-argument", "other-policy",
-        "wrong-type", "path-number", "scorer-number"])
+        "wrong-type", "path-number", "other-mode", "sd-without-draft", "scorer-number"])
 def test_replay_bad_manifest_exit_2(runner, workspace, manifest):
     path = workspace / "bad_manifest.json"
     path.write_text(json.dumps(manifest(workspace)))

@@ -541,9 +541,7 @@ def assert_rows_equal(got, want, rows):
         assert np.allclose(a, b[b.shape[0] - rows:], rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_heads", [1, 2])
-@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
-def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_heads):
+def run_extend_rewind_diverge_schedule(encoding, n_heads):
     """A random schedule of extends by k events, rewinds to a shorter prefix
     and jumps to a diverging one: the cached head rows equal the no-past
     training forward every time, and only the uncached events are encoded."""
@@ -579,6 +577,75 @@ def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_he
         assert cache.size == len(seq) and np.array_equal(cache.times, seq.times)
         kinds.add(kind)
     assert kinds == {"extend", "rewind", "diverge"}
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_cache_matches_full_forward_through_extends_and_rollbacks(encoding, n_heads):
+    run_extend_rewind_diverge_schedule(encoding, n_heads)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_blocked_encode_matches_full_forward(encoding, n_heads, monkeypatch):
+    """Spans longer than the encode block go through the cache in blocks:
+    the same schedule with blocks of 3 rows, and a fresh span of more than
+    two default blocks against the textbook attention."""
+    seq = sequence_from_arrays(0.4 * np.arange(1, 2 * M._ENCODE_BLOCK + 23),
+                               np.arange(2 * M._ENCODE_BLOCK + 22) % 2, math.inf)
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads),
+                             seed=27)
+    cache = M.EncoderCache(ckpt)
+    got = M.position_distributions(seq, ckpt, cache=cache)
+    assert cache.last_encoded == cache.size == len(seq)
+    assert np.allclose(cache.hidden[:len(seq)], unshifted_attention_reference(seq, ckpt),
+                       rtol=0.0, atol=1e-12)
+    assert_rows_equal(got, training_forward(seq, ckpt), len(seq) + 1)
+    monkeypatch.setattr(M, "_ENCODE_BLOCK", 3)
+    run_extend_rewind_diverge_schedule(encoding, n_heads)
+
+
+def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
+    """A fresh forward of 3B + 5 events forms no attention block of more
+    than B query rows, and the events that follow it reuse the key and value
+    buffers that the history was encoded into."""
+    block = M._ENCODE_BLOCK
+    ckpt = random_checkpoint(tiny_config(n_layers=2, n_heads=2), seed=28)
+    n = 3 * block + 5
+    seq = sequence_from_arrays(0.5 * np.arange(1, n + 9), np.arange(n + 8) % 2, math.inf)
+    query_rows = []
+
+    def spied(a, b, _matmul=ad.matmul):
+        out = _matmul(a, b)
+        if np.ndim(out) == 3:  # (heads, queries, keys) scores or attended rows
+            query_rows.append(np.shape(out)[1])
+        return out
+
+    monkeypatch.setattr(ad, "matmul", spied)
+    cache = M.EncoderCache(ckpt)
+    M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt, cache=cache)
+    assert max(query_rows) == block and sum(query_rows) == 2 * 2 * n
+    buffers = cache._keys + cache._values
+    for end in range(n + 1, n + 9):
+        M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
+    assert all(a is b for a, b in zip(cache._keys + cache._values, buffers))
+
+
+def test_non_finite_model_continued_after_long_history_raises():
+    """30 thp layers with value projections scaled by 1e12 overflow the
+    residual stream; encoded in blocks, the history and every event after
+    it still end in FloatingPointError."""
+    ckpt = random_checkpoint(tiny_config(n_layers=30), seed=29)
+    for layer in range(30):
+        ckpt.params[f"layers.{layer}.v"] = ckpt.params[f"layers.{layer}.v"] * 1e12
+    n = 2 * M._ENCODE_BLOCK + 10
+    seq = sequence_from_arrays(0.5 * np.arange(1, n + 2), np.arange(n + 1) % 2, math.inf)
+    cache = M.EncoderCache(ckpt)
+    with np.errstate(all="ignore"):
+        for end in (n, n + 1):
+            with pytest.raises(FloatingPointError):
+                M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt,
+                                           cache=cache)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
