@@ -4,7 +4,9 @@
 For each seed, runs ``perfbench/run.py --seconds S --trace 0`` of both
 trees, alternating which one runs first, and summarises the gated
 end-to-end metrics named in the change's BENCHMARK.json: per side the
-median and quartiles, and how many pairs the change won. The
+median and quartiles, how many pairs the change won, and
+``gain_resolved``: whether it won at least 9 in 10 pairs with a median
+better than the parent's by more than the parent's q3 - q1. The
 ``determinism`` line of every run, the seeds and each side's
 ``environment`` line are kept, so that a reader can check that both sides
 did the same work, and each side's line count of ``src/spectpp``, so that
@@ -66,8 +68,10 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
-    """Per metric: each side's values, median and quartiles, and the pairs
-    in which the change was better."""
+    """Per metric: each side's values, median and quartiles, the pairs in
+    which the change was better, and whether that resolves a gain: the
+    change won at least 9 in 10 pairs and its median is better than the
+    parent's by more than the parent's interquartile range."""
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -76,9 +80,12 @@ def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         wins = sum((c > p) if higher else (c < p)
                    for p, c in zip(values["parent"], values["change"]))
         entry = {side: {**quartiles(values[side]), "values": values[side]} for side in SIDES}
+        parent, change = entry["parent"], entry["change"]
+        gap = (change["median"] - parent["median"]) * (1 if higher else -1)
+        pairs = len(values["parent"])
         entry.update(unit=metric["unit"], better=metric["better"], change_wins=wins,
-                     pairs=len(values["parent"]),
-                     median_change=entry["change"]["median"] / entry["parent"]["median"] - 1.0)
+                     pairs=pairs, median_change=change["median"] / parent["median"] - 1.0,
+                     gain_resolved=10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"])
         out[name] = entry
     return out
 

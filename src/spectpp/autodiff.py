@@ -9,9 +9,11 @@ alone. Otherwise it returns a new Tensor holding the same forward value and
 a closure that passes the adjoint to its Tensor operands.
 Most operations are one (forward, adjoint) pair made into an op by the
 one-operand or the two-operand template, so each forward is written once
-for both paths. ``backward`` walks the resulting DAG once in reverse
-topological order. Only the primitives the sequence model needs are
-implemented; all of them are covered by finite-difference checks.
+for both paths. Softmax attention is one such pair of its own, so an
+encoder layer attends with one op and one tape node. ``backward`` walks the
+resulting DAG once in reverse topological order. Only the primitives the
+sequence model needs are implemented; all of them are covered by
+finite-difference checks.
 """
 
 from __future__ import annotations
@@ -197,15 +199,6 @@ def concat(tensors, axis: int = 0):
     return Tensor(np.concatenate(arrays, axis=axis), _tensors(tensors), backward)
 
 
-def where(keep: np.ndarray, a, fill: float):
-    """Entries of ``a`` where ``keep`` holds and ``fill`` elsewhere; the
-    adjoint reaches only the kept entries."""
-    if not isinstance(a, Tensor):
-        return np.where(keep, a, fill)
-    return Tensor(np.where(keep, a.data, fill), (a,),
-                  lambda g: _accumulate(a, np.where(keep, g, 0.0)))
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 def _log(x):
@@ -260,3 +253,40 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
         _accumulate(a, g * (e / s))
 
     return Tensor(out, (a,), backward)
+
+
+# -- attention -----------------------------------------------------------------
+
+def attention(q, k, v, causal: np.ndarray | None = None, plus_one: bool = False):
+    """Softmax attention of queries over keys and values, matrices or
+    stacks of them: row i is sum_j P_ij v_j with P_ij proportional to
+    exp(q_i . k_j), and zero where the boolean ``causal`` mask is False.
+    Each row of scores is shifted by its maximum, which P does not depend
+    on. With ``plus_one`` the unshifted denominator gains a 1 (attnhp),
+    which the shift turns into exp(-shift). The scores' adjoint is
+    P * (dP - rowsum(g * out)), with dP = g v^T."""
+    x, keys, values = value(q), value(k), value(v)
+    scores = x @ _swap_last(keys)
+    if causal is not None:
+        scores = np.where(causal, scores, -math.inf)
+    shift = scores.max(axis=-1, keepdims=True)
+    kernel = np.exp(scores - shift)
+    denominator = kernel.sum(axis=-1, keepdims=True)
+    if plus_one:
+        with np.errstate(over="ignore"):
+            denominator = denominator + np.exp(-shift)
+    out = (kernel @ values) / denominator
+    if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
+        return out
+
+    def backward(g):
+        weights = kernel / denominator
+        d_scores = weights * (g @ _swap_last(values) - (g * out).sum(axis=-1, keepdims=True))
+        if isinstance(q, Tensor):
+            _accumulate(q, d_scores @ keys)
+        if isinstance(k, Tensor):
+            _accumulate(k, _swap_last(d_scores) @ x)
+        if isinstance(v, Tensor):
+            _accumulate(v, _swap_last(weights) @ g)
+
+    return Tensor(out, _tensors((q, k, v)), backward)

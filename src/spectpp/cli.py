@@ -171,8 +171,8 @@ def run_train(args: dict, out_dir: Path) -> dict:
 _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_accepted",
                  "alpha", "target_forward_passes", "draft_forward_passes",
                  "target_rows_encoded", "draft_rows_encoded",
-                 "replacement_events", "residual_fallbacks", "t_ar", "t_sd",
-                 "t_draft", "t_verify", "t_residual"]
+                 "replacement_events", "residual_fallbacks", "residual_proposals",
+                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual"]
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
@@ -202,11 +202,14 @@ def run_sample(args: dict, out_dir: Path) -> dict:
                          stats.target_forward_passes, stats.draft_forward_passes,
                          stats.target_rows_encoded, stats.draft_rows_encoded,
                          stats.replacement_events, stats.residual_fallbacks,
+                         stats.residual_proposals,
                          "", *map(_format_cell, (stats.wall_seconds, stats.draft_seconds,
                                                  stats.verify_seconds, stats.residual_seconds))])
         else:
+            # AR draws no residuals: its residual counters read 0
             rows.append([run, mode, "", len(seq), "", "", "",
-                         stats.target_forward_passes, "", stats.target_rows_encoded, "", "", "",
+                         stats.target_forward_passes, "", stats.target_rows_encoded, "", "",
+                         stats.residual_fallbacks, stats.residual_proposals,
                          _format_cell(stats.wall_seconds), "", "", "", ""])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)

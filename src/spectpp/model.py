@@ -10,11 +10,12 @@ is how sampling runs, and given the parameters as Tensors they record the
 tape that training differentiates. The log-normal mixture density is written
 once the same way, for training's taped head rows and sampling's plain ones.
 Each layer projects its input to the queries, keys and values of every head
-with one q|k|v matrix product and attends with one batched product over the
-heads. An EncoderCache keeps every layer's keys and values, so a sampling
-forward encodes only the events that are new since the previous one, in
-blocks of at most _ENCODE_BLOCK rows that each attend over the rows held
-before them.
+with one q|k|v matrix product and attends over all heads with one
+autodiff.attention op. An EncoderCache keeps every layer's keys and values,
+so a sampling forward encodes only the events that are new since the
+previous one, in blocks of at most _ENCODE_BLOCK rows that each attend over
+the rows held before them. A forward's head rows get one finiteness check;
+the heads make simplexes and positive scales by construction.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ def _check_finite(name: str, value: np.ndarray) -> None:
 
 
 def _from_checked(cls, **fields):
-    """An instance of ``cls`` from arrays cut from or stacked out of
-    instances that already passed its check, which is not run again."""
+    """An instance of ``cls`` whose check is not run: from head rows that
+    passed _check_head_rows, or from arrays cut from or stacked out of
+    instances that were checked already."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)
@@ -343,7 +345,7 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
     causal = None if n == 1 else np.tri(n, n_past + n, n_past, dtype=bool)
     qkv = _fused_qkv(params, config) if past is None else past.qkv
     attnhp = config.encoding == "attnhp"
-    ones_col = np.ones((n, 1))
+    ones_col = np.ones((n, 1)) if attnhp else None
     h = x
     for layer in range(config.n_layers):
         inputs = ad.concat([ones_col, z, h], axis=1) if attnhp else h
@@ -353,18 +355,8 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
         q, k, v = proj[0], proj[1], proj[2]
         if past is not None:
             k, v = past.attend(layer, k, v)
-        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
-        if causal is not None:
-            scores = ad.where(causal, scores, -math.inf)
-        # the row maximum is a constant shift: attention is invariant to it
-        shift = ad.value(scores).max(axis=-1, keepdims=True)
-        kernel = ad.exp(ad.sub(scores, shift))
-        denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
-        if attnhp:
-            # the +1 of the unshifted denominator becomes exp(-shift)
-            with np.errstate(over="ignore"):
-                denominator = ad.add(denominator, np.exp(-shift))
-        attended = ad.div(ad.matmul(kernel, v), denominator)
+        # attnhp's softmax has a +1 in its denominator
+        attended = ad.attention(q, k, v, causal, plus_one=attnhp)
         agg = ad.reshape(ad.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
         if attnhp:
             agg = ad.tanh(agg)
@@ -500,12 +492,22 @@ def _head_tensors(ctx, params: Params, config: ModelConfig):
     return log_w, mu, sigma, mark_logits
 
 
+def _check_head_rows(*outputs: np.ndarray) -> None:
+    """The one check of a forward's head rows: every value is finite. The
+    heads give simplex weights and probabilities (softmax, logsumexp) and
+    positive scales (clip) by construction, so only a non-finite value can
+    make a row invalid."""
+    _check_finite("head rows", np.concatenate(outputs, axis=-1))
+
+
 def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
                    mark_logits: np.ndarray) -> tuple[MixtureParams, MarkDistribution]:
     """Head outputs as distributions; leading axes are kept as rows."""
     e = np.exp(mark_logits - mark_logits.max(axis=-1, keepdims=True))
-    return (MixtureParams(np.exp(log_w), mu, sigma),
-            MarkDistribution(e / e.sum(axis=-1, keepdims=True)))
+    weights, probabilities = np.exp(log_w), e / e.sum(axis=-1, keepdims=True)
+    _check_head_rows(weights, mu, sigma, probabilities)
+    return (_from_checked(MixtureParams, weights=weights, means=mu, scales=sigma),
+            _from_checked(MarkDistribution, probabilities=probabilities))
 
 
 def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,

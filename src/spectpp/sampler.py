@@ -83,7 +83,8 @@ class VerificationOutcome:
 class SampleRunStats:
     """Operational counters for one sampling run. The SD phase timings
     nest: residual time is part of verify time, and draft plus verify time
-    is part of the wall time."""
+    is part of the wall time. Residual proposals are the target-mixture
+    proposals that the residual interval draws used, fallbacks included."""
 
     wall_seconds: float = 0.0
     draft_seconds: float = 0.0
@@ -98,6 +99,7 @@ class SampleRunStats:
     draft_rows_encoded: int = 0
     iterations: int = 0
     residual_fallbacks: int = 0
+    residual_proposals: int = 0
 
     @property
     def acceptance_rate(self) -> float:
@@ -279,8 +281,9 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
         at = n_hist + accepted
         event_time, mark = combined[at].time, combined[at].mark
         if not interval_ok[accepted]:
-            tau, _, fell_back = _residual_interval_sample_info(
+            tau, proposals, fell_back = _residual_interval_sample_info(
                 mixtures.row(first + accepted), batch.mixtures.row(accepted), residual_rng)
+            stats.residual_proposals += proposals
             stats.residual_fallbacks += int(fell_back)
             event_time = _last_time(combined[:at]) + tau
         if not mark_ok[accepted]:

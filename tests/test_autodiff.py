@@ -119,8 +119,10 @@ def test_ops_on_plain_operands_return_plain_arrays():
     same value."""
     rng = np.random.default_rng(12)
     x, y = rng.uniform(0.5, 2.0, size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4))
-    keep = x > 1.0
     m = y.max(axis=1, keepdims=True)
+    # causal attention of x over y, in the order of the op's forward
+    scores = np.where(np.tri(3, dtype=bool), x @ y.T, -math.inf)
+    kernel = np.exp(scores - scores.max(axis=1, keepdims=True))
     ops = {  # each op, and the numpy expression it must equal
         "add": (lambda a, b: ad.add(a, b), x + y),
         "sub": (lambda a, b: ad.sub(a, 1.0), x - 1.0),
@@ -132,7 +134,8 @@ def test_ops_on_plain_operands_return_plain_arrays():
                            x.reshape(3, 2, 2).transpose(2, 0, 1)),
         "concat": (lambda a, b: ad.concat([a, b], axis=1), np.concatenate([x, y], axis=1)),
         "take": (lambda a, b: ad.take(a, np.array([0, 0])), x[[0, 0]]),
-        "where": (lambda a, b: ad.where(keep, b, 0.0), np.where(keep, y, 0.0)),
+        "attention": (lambda a, b: ad.attention(a, b, b, np.tri(3, dtype=bool)),
+                      (kernel @ y) / kernel.sum(axis=1, keepdims=True)),
         "reshape": (lambda a, b: ad.reshape(a, (4, 3)), x.reshape(4, 3)),
         "exp": (lambda a, b: ad.exp(a), np.exp(x)),
         "log": (lambda a, b: ad.log(b), np.log(y)),
@@ -154,19 +157,42 @@ def test_ops_on_plain_operands_return_plain_arrays():
         assert isinstance(taped, Tensor) and np.array_equal(taped.data, plain), name
 
 
-def test_where_passes_gradient_only_through_kept_entries():
+def test_masked_attention_passes_gradient_only_through_kept_entries():
+    """With identity queries the scores are the transposed keys, so the
+    keys' adjoint is the scores' adjoint: zero exactly where the mask drops
+    a score, and non-zero where it keeps one."""
     rng = np.random.default_rng(10)
     keep = np.tri(3, 4, 1, dtype=bool)
-    weights = rng.normal(size=(3, 4))
+    weights = rng.normal(size=(3, 2))
+    values = rng.normal(size=(4, 2))
 
     def f(p):
-        return ad.tensor_sum(ad.mul(ad.exp(ad.where(keep, p["x"], -math.inf)), weights))
+        return ad.tensor_sum(ad.mul(ad.attention(np.eye(3), p["x"], values, keep), weights))
 
-    x = rng.normal(size=(3, 4))
+    x = rng.normal(size=(4, 3))
     assert grad_check(f, {"x": x}) < 1e-6
     t = Tensor(x)
     f({"x": t}).backward()
-    assert np.all(t.grad[~keep] == 0.0) and np.all(t.grad[keep] != 0.0)
+    assert np.all(t.grad.T[~keep] == 0.0) and np.all(t.grad.T[keep] != 0.0)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("plus_one", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_matches_finite_differences(masked, plus_one, heads):
+    """The adjoints of queries, keys and values, with and without a causal
+    mask, in softmax and attnhp's +1 form, over one and two heads."""
+    rng = np.random.default_rng(30 + 4 * heads + 2 * plus_one + masked)
+    causal = np.tri(3, 5, 2, dtype=bool) if masked else None
+    weights = rng.normal(size=(heads, 3, 2))
+
+    def f(p):
+        out = ad.attention(p["q"], p["k"], p["v"], causal, plus_one=plus_one)
+        return ad.tensor_sum(ad.mul(out, weights))
+
+    params = {"q": rng.normal(size=(heads, 3, 4)), "k": rng.normal(size=(heads, 5, 4)),
+              "v": rng.normal(size=(heads, 5, 2))}
+    assert grad_check(f, params) < 1e-6
 
 
 def test_row_lookup_accumulates_repeated_indices():

@@ -1,6 +1,8 @@
-"""The exit rule of scripts/bench_pairs.py on fake run records: a run that
-is not correct or failed operations voids the comparison, and differing
-determinism lines are named by seed."""
+"""The exit rule and the gain rule of scripts/bench_pairs.py on fake run
+records: a run that is not correct or failed operations voids the
+comparison, differing determinism lines are named by seed, and a gain is
+resolved only by 9 in 10 won pairs and a median gap above the parent's
+interquartile range."""
 
 import importlib.util
 from pathlib import Path
@@ -41,3 +43,39 @@ def test_differing_determinism_is_named_by_seed(bench_pairs):
             "change": [record(), record(digest="b"), record()]}
     assert bench_pairs.determinism_differs(runs, [4, 5, 6]) == [5]
     assert bench_pairs.faults(runs, [4, 5, 6]) == []
+
+
+def rates(values, name="rate"):
+    return [{"result": {"metrics": {name: {"value": v}}}} for v in values]
+
+
+RATE = {"name": "rate", "unit": "1/s", "better": "higher"}
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize("change,resolved", [
+    # 10/10 pairs, medians 104.5 -> 112.5: the gap 8 exceeds the IQR 4.5
+    ([v + 8.0 for v in PARENT], True),
+    # 9/10 pairs still resolve
+    ([v + 8.0 for v in PARENT[:9]] + [100.0], True),
+    # 8/10 pairs do not, however far apart the medians
+    ([v + 50.0 for v in PARENT[:8]] + [100.0, 100.0], False),
+    # 10/10 pairs with a median gap of 3 inside the parent's IQR of 4.5
+    ([v + 3.0 for v in PARENT], False),
+])
+def test_gain_resolved_needs_nine_in_ten_pairs_and_a_gap_above_the_iqr(bench_pairs, change,
+                                                                      resolved):
+    summary = bench_pairs.summarise({"parent": rates(PARENT), "change": rates(change)},
+                                    [RATE])["rate"]
+    assert summary["parent"]["q3"] - summary["parent"]["q1"] == pytest.approx(4.5)
+    assert summary["gain_resolved"] is resolved
+
+
+def test_gain_resolved_for_a_lower_is_better_metric(bench_pairs):
+    seconds = {"name": "rate", "unit": "s", "better": "lower"}
+    faster = bench_pairs.summarise({"parent": rates(PARENT),
+                                    "change": rates([v - 8.0 for v in PARENT])}, [seconds])
+    slower = bench_pairs.summarise({"parent": rates(PARENT),
+                                    "change": rates([v + 8.0 for v in PARENT])}, [seconds])
+    assert faster["rate"]["gain_resolved"] and faster["rate"]["change_wins"] == 10
+    assert not slower["rate"]["gain_resolved"] and slower["rate"]["change_wins"] == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spectpp import cli
+from spectpp import cli, sampler
 from spectpp.core import RngStream, read_sequences, sequence_from_arrays, write_sequences
 from spectpp.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
 from spectpp.sampler import tpp_sd_sample
@@ -142,6 +142,33 @@ def test_sample_ar_stats_include_t_ar(runner, workspace):
     # one new event per pass; the discarded overshoot is never encoded
     assert int(row["target_rows_encoded"]) == int(row["n_events"])
     assert row["draft_rows_encoded"] == ""
+
+
+def test_sample_stats_count_residual_proposals(runner, workspace, monkeypatch):
+    """stats.csv counts the residual interval proposals next to the
+    fallbacks: SD rows hold every proposal its residual draws used, AR rows
+    read 0."""
+    used = []
+
+    def spied(*args, _draw=sampler._residual_interval_sample_info, **kwargs):
+        out = _draw(*args, **kwargs)
+        used.append(out[1])
+        return out
+
+    monkeypatch.setattr(sampler, "_residual_interval_sample_info", spied)
+    rows = {}
+    for mode in ("sd", "ar"):
+        result = runner.invoke(cli.main, ["sample", "--mode", mode,
+                                          "--target", str(workspace / "target.json"),
+                                          "--draft", str(workspace / "draft.json"),
+                                          "--gamma", "5", "--t-end", "20", "--runs", "2",
+                                          "--seed", "4", "--out", str(workspace / mode)])
+        assert result.exit_code == 0, result.output
+        rows[mode] = read_csv(workspace / mode / "stats.csv")
+    header = list(rows["sd"][0])
+    assert header.index("residual_proposals") == header.index("residual_fallbacks") + 1
+    assert used and sum(int(r["residual_proposals"]) for r in rows["sd"]) == sum(used)
+    assert all(r["residual_proposals"] == r["residual_fallbacks"] == "0" for r in rows["ar"])
 
 
 def test_eval_ks_on_thinning_output_passes(runner, workspace):

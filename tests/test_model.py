@@ -451,7 +451,9 @@ def test_batched_forward_matches_prefix_forwards(encoding):
         assert np.allclose(mark_dists.probabilities[i], mark_i.probabilities, atol=1e-12)
 
 
-def test_position_distributions_constructs_one_stacked_pair(constructions):
+def test_position_distributions_constructs_one_stacked_pair(constructions, head_row_checks):
+    """One validated stacked pair per forward, and it is validated by one
+    finiteness check of the head rows, not by the classes' full checks."""
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=17)
     cache = M.EncoderCache(ckpt)
     held = 0
@@ -460,10 +462,37 @@ def test_position_distributions_constructs_one_stacked_pair(constructions):
         # with a cache, rows start at the first position it did not hold
         for kwargs, rows in (({}, n + 1), ({"cache": cache}, n + 1 - held)):
             constructions.update(MixtureParams=0, MarkDistribution=0)
+            head_row_checks.update(head_rows=0)
             mixtures, _ = M.position_distributions(seq, ckpt, **kwargs)
             assert mixtures.weights.shape == (rows, 4)
             assert constructions == {"MixtureParams": 1, "MarkDistribution": 1}
+            assert head_row_checks == {"head_rows": 1}
         held = n
+
+
+# the head outputs of a forward, and the op each is poisoned through
+HEAD_OUTPUTS = {"weights": 0, "means": 1, "scales": 2, "mark probabilities": 3}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("output", list(HEAD_OUTPUTS))
+def test_non_finite_head_output_raises(output, bad, monkeypatch):
+    """A NaN or an infinity in any head output fails the one head-row check
+    with FloatingPointError, in the one-row and the batched forward. The
+    log-weight or mark logit that carries it makes the weights or the mark
+    probabilities non-finite."""
+    ckpt = random_checkpoint(tiny_config(n_layers=2), seed=31)
+    seq = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], 10.0)
+
+    def poisoned(ctx, params, config, _heads=M._head_tensors):
+        heads = [np.array(t) for t in _heads(ctx, params, config)]
+        heads[HEAD_OUTPUTS[output]][-1, 0] = bad
+        return tuple(heads)
+
+    monkeypatch.setattr(M, "_head_tensors", poisoned)
+    for forward in (M.next_event_distributions, M.position_distributions):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            forward(seq, ckpt)
 
 
 def unshifted_attention_reference(seq, ckpt):
@@ -615,16 +644,15 @@ def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
     seq = sequence_from_arrays(0.5 * np.arange(1, n + 9), np.arange(n + 8) % 2, math.inf)
     query_rows = []
 
-    def spied(a, b, _matmul=ad.matmul):
-        out = _matmul(a, b)
-        if np.ndim(out) == 3:  # (heads, queries, keys) scores or attended rows
-            query_rows.append(np.shape(out)[1])
-        return out
+    def spied(q, k, v, *args, _attention=ad.attention, **kwargs):
+        query_rows.append(np.shape(q)[1])  # q is (heads, queries, head_dim)
+        return _attention(q, k, v, *args, **kwargs)
 
-    monkeypatch.setattr(ad, "matmul", spied)
+    monkeypatch.setattr(ad, "attention", spied)
     cache = M.EncoderCache(ckpt)
     M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt, cache=cache)
-    assert max(query_rows) == block and sum(query_rows) == 2 * 2 * n
+    # one attention call per layer and block
+    assert max(query_rows) == block and sum(query_rows) == 2 * n
     buffers = cache._keys + cache._values
     for end in range(n + 1, n + 9):
         M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
@@ -646,6 +674,107 @@ def test_non_finite_model_continued_after_long_history_raises():
             with pytest.raises(FloatingPointError):
                 M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt,
                                            cache=cache)
+
+
+def masked_scores(keep, scores, fill):
+    """Scores where ``keep`` holds and ``fill`` elsewhere; on the tape the
+    adjoint reaches the kept entries only."""
+    if not isinstance(scores, ad.Tensor):
+        return np.where(keep, scores, fill)
+    return ad.Tensor(np.where(keep, scores.data, fill), (scores,),
+                     lambda g: ad._accumulate(scores, np.where(keep, g, 0.0)))
+
+
+def composed_attention(q, k, v, causal=None, plus_one=False):
+    """ad.attention written as the chain of autodiff ops that an encoder
+    layer ran before the fused op, in the same arithmetic order."""
+    scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
+    if causal is not None:
+        scores = masked_scores(causal, scores, -math.inf)
+    shift = ad.value(scores).max(axis=-1, keepdims=True)
+    kernel = ad.exp(ad.sub(scores, shift))
+    denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
+    if plus_one:
+        with np.errstate(over="ignore"):
+            denominator = ad.add(denominator, np.exp(-shift))
+    return ad.div(ad.matmul(kernel, v), denominator)
+
+
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monkeypatch):
+    """On random models whose value projections move the rows, every
+    sampling forward, cached one row at a time or in a span, and the
+    no-past encode give the same bits with the fused op as with the chain
+    of ops, and match the textbook attention to 1e-12."""
+    seq = sequence_from_arrays(np.cumsum(np.random.default_rng(32).exponential(0.6, 12)),
+                               np.arange(12) % 3, math.inf)
+
+    def forwards(ckpt):
+        cache = M.EncoderCache(ckpt)
+        rows = [M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt,
+                                           cache=cache) for n in (1, 2, 7, 12)]
+        rows.append(M.position_distributions(seq, ckpt))
+        arrays = [a for mix, marks in rows
+                  for a in (mix.weights, mix.means, mix.scales, marks.probabilities)]
+        return arrays + [cache.hidden[:len(seq)], encode_history(seq, ckpt)]
+
+    for n_heads in (1, 2):
+        ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=3, n_heads=n_heads,
+                                             n_marks=3), seed=33)
+        fused = forwards(ckpt)
+        assert not np.allclose(fused[-1], embed_events(seq, ckpt))
+        with monkeypatch.context() as patched:
+            patched.setattr(ad, "attention", composed_attention)
+            composed = forwards(ckpt)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
+        assert np.allclose(fused[-1], unshifted_attention_reference(seq, ckpt),
+                           rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_fused_attention_training_gradients_equal_the_composed_ops(encoding, monkeypatch):
+    """Training through the fused op's adjoint: the loss is the same to
+    the bit and every gradient is the chain of ops' within 1e-12."""
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2, n_marks=3),
+                             seed=34)
+    batch = [sequence_from_arrays([0.3, 0.7, 1.6, 2.0, 2.9, 3.1, 4.4], [0, 2, 1, 1, 0, 2, 2],
+                                  5.0),
+             sequence_from_arrays([0.5, 1.5], [1, 0], 2.5)]
+    loss, grads = T.nll_batch(ckpt, batch)
+    monkeypatch.setattr(ad, "attention", composed_attention)
+    composed_loss, composed_grads = T.nll_batch(ckpt, batch)
+    assert loss == composed_loss
+    for name, grad in grads.items():
+        assert np.allclose(grad, composed_grads[name], rtol=0.0, atol=1e-12), name
+
+
+# autodiff ops that a cached one-row pass calls outside the encoder layers:
+# 2 to embed the row, 1 to join its context rows and 16 in the heads
+OPS_OUTSIDE_LAYERS = 19
+
+
+@pytest.mark.parametrize("n_layers,n_heads", [(1, 1), (4, 2), (20, 2)])
+def test_cached_one_row_pass_calls_at_most_seven_ops_per_layer(n_layers, n_heads,
+                                                               monkeypatch):
+    """A timing-independent budget: one cached one-row pass of an L-layer
+    thp model calls at most 7 L autodiff ops plus the fixed ones outside
+    the layers. (20, 2) and (1, 1) are the layer and head counts of
+    perfbench's target and draft."""
+    ckpt = random_checkpoint(tiny_config(n_layers=n_layers, n_heads=n_heads), seed=35)
+    seq = sequence_from_arrays(0.5 * np.arange(1, 11), np.arange(10) % 2, math.inf)
+    cache = M.EncoderCache(ckpt)
+    M.next_event_distributions(EventSequence(seq.events[:9], math.inf), ckpt, cache=cache)
+    calls = []
+    # every public function of autodiff but the accessor ``value``
+    for name, op in vars(ad).items():
+        if (callable(op) and not isinstance(op, type) and not name.startswith("_")
+                and name != "value" and getattr(op, "__module__", None) == ad.__name__):
+            monkeypatch.setattr(ad, name, lambda *args, _op=op, _name=name, **kwargs:
+                                calls.append(_name) or _op(*args, **kwargs))
+    M.next_event_distributions(seq, ckpt, cache=cache)
+    assert cache.last_encoded == 1
+    assert calls.count("attention") == n_layers
+    assert len(calls) <= 7 * n_layers + OPS_OUTSIDE_LAYERS
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])

@@ -325,6 +325,35 @@ def test_verify_min_rule_interval_before_mark():
     assert outcome.replacement.mark == batch.marks[1]
 
 
+def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
+    """A forced interval rejection redraws the interval from the residual,
+    and the stats count the proposals that draw used, at least one. Over a
+    whole SD run the count sums every residual interval draw; AR draws
+    none."""
+    used = []
+
+    def spied(*args, _draw=S._residual_interval_sample_info, **kwargs):
+        out = _draw(*args, **kwargs)
+        used.append(out[1])
+        return out
+
+    monkeypatch.setattr(S, "_residual_interval_sample_info", spied)
+    ckpt = make_checkpoint(15)
+    batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
+    stats = S.SampleRunStats()
+    S.verify(ckpt, [], batch, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
+             RngStream(20), stats)
+    assert len(used) == 1 and stats.residual_proposals == used[0] >= 1
+    used.clear()
+    target, draft_model = make_checkpoint(15, n_layers=2), make_checkpoint(16)
+    # a draft whose intervals run long, so that intervals get rejected
+    draft_model.params["mix_mean_bias"] = draft_model.params["mix_mean_bias"] + 1.0
+    _, stats = S.tpp_sd_sample(target, draft_model, 20.0, 4, RngStream(3))
+    assert used and stats.residual_proposals == sum(used) >= len(used)
+    _, ar_stats = S.ar_sample(target, 20.0, RngStream(3))
+    assert ar_stats.residual_proposals == 0
+
+
 def test_verify_mark_only_rejection_keeps_interval():
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 3, RngStream(21).child("draft")))
