@@ -10,7 +10,8 @@ a closure that passes the adjoint to its Tensor operands.
 Most operations are one (forward, adjoint) pair made into an op by the
 one-operand or the two-operand template, so each forward is written once
 for both paths. Softmax attention is one such pair of its own, so an
-encoder layer attends with one op and one tape node. ``backward`` walks the
+encoder layer attends with one op and one tape node; its softmax works in
+the scores array in place, for training and inference alike. ``backward`` walks the
 resulting DAG once in reverse topological order. Only the primitives the
 sequence model needs are implemented; all of them are covered by
 finite-difference checks.
@@ -264,18 +265,26 @@ def attention(q, k, v, causal: np.ndarray | None = None, plus_one: bool = False)
     Each row of scores is shifted by its maximum, which P does not depend
     on. With ``plus_one`` the unshifted denominator gains a 1 (attnhp),
     which the shift turns into exp(-shift). The scores' adjoint is
-    P * (dP - rowsum(g * out)), with dP = g v^T."""
+    P * (dP - rowsum(g * out)), with dP = g v^T.
+
+    The softmax runs in place: the scores are masked, shifted and
+    exponentiated in the array their product made, and the output is
+    divided in the array its product made, so a call allocates one
+    score-sized array, not four. Each step is the same IEEE operation as
+    its out-of-place form, so the results are the same bit for bit."""
     x, keys, values = value(q), value(k), value(v)
     scores = x @ _swap_last(keys)
     if causal is not None:
-        scores = np.where(causal, scores, -math.inf)
+        np.copyto(scores, -math.inf, where=~causal)
     shift = scores.max(axis=-1, keepdims=True)
-    kernel = np.exp(scores - shift)
+    scores -= shift
+    kernel = np.exp(scores, scores)
     denominator = kernel.sum(axis=-1, keepdims=True)
     if plus_one:
         with np.errstate(over="ignore"):
-            denominator = denominator + np.exp(-shift)
-    out = (kernel @ values) / denominator
+            denominator += np.exp(-shift)
+    out = kernel @ values
+    out /= denominator
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
         return out
 

@@ -2,8 +2,8 @@
 evaluation, and the draft-length benchmark harness.
 
 Every command resolves its inputs into a plain-arguments dictionary,
-executes, and writes a ``manifest.json`` holding that dictionary plus the
-produced artifact paths. ``spectpp replay`` re-executes a manifest into a
+executes, and writes a ``manifest.json`` holding that dictionary, the
+produced artifact paths and the software and hardware environment. ``spectpp replay`` re-executes a manifest into a
 fresh directory; artifacts flagged reproducible come out byte-identical
 (tables with wall-clock columns cannot).
 
@@ -14,12 +14,16 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import __version__
 from . import evaluation as ev
@@ -70,6 +74,13 @@ def _require_horizon(t_end: float) -> None:
         check_horizon(t_end)
     except ValueError as exc:
         raise DataError(str(exc))
+
+
+def _require_shared_marks(target, draft) -> None:
+    """Refuse a draft whose mark cardinality differs from the target's."""
+    if draft is not None and draft.config.n_marks != target.config.n_marks:
+        raise DataError(f"target and draft must share the mark cardinality, got "
+                        f"{target.config.n_marks} and {draft.config.n_marks}")
 
 
 def _read_json(path: str) -> dict:
@@ -172,7 +183,7 @@ _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_a
                  "alpha", "target_forward_passes", "draft_forward_passes",
                  "target_rows_encoded", "draft_rows_encoded",
                  "replacement_events", "residual_fallbacks", "residual_proposals",
-                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual"]
+                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual", "accepted_lengths"]
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
@@ -184,6 +195,8 @@ def run_sample(args: dict, out_dir: Path) -> dict:
     _require(mode == "ar" or bool(args.get("draft")), "mode sd needs a draft checkpoint")
     target = _load_checkpoint(args["target"])
     draft = _load_checkpoint(args["draft"]) if args.get("draft") else None
+    if mode == "sd":
+        _require_shared_marks(target, draft)
     root = RngStream(args["seed"])
     sequences, rows = [], []
     for run in range(args["runs"]):
@@ -204,13 +217,14 @@ def run_sample(args: dict, out_dir: Path) -> dict:
                          stats.replacement_events, stats.residual_fallbacks,
                          stats.residual_proposals,
                          "", *map(_format_cell, (stats.wall_seconds, stats.draft_seconds,
-                                                 stats.verify_seconds, stats.residual_seconds))])
+                                                 stats.verify_seconds, stats.residual_seconds)),
+                         " ".join(map(str, stats.accepted_lengths))])
         else:
             # AR draws no residuals: its residual counters read 0
             rows.append([run, mode, "", len(seq), "", "", "",
                          stats.target_forward_passes, "", stats.target_rows_encoded, "", "",
                          stats.residual_fallbacks, stats.residual_proposals,
-                         _format_cell(stats.wall_seconds), "", "", "", ""])
+                         _format_cell(stats.wall_seconds), "", "", "", "", ""])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)
     return {"sequences": {"path": "sequences.jsonl", "reproducible": True},
@@ -248,6 +262,10 @@ def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
             break
     if history is None:
         raise DataError(f"no sequence with at least {args['m_hist']} events")
+    _require_shared_marks(target, draft)
+    k = target.config.n_marks
+    _require(all(0 <= e.mark < k for e in history.events[:args["m_hist"]]),
+             f"the history's marks must lie in [0, {k}), the checkpoints' mark range")
     d_t, d_k = ev.next_event_divergence(target, draft, history, args["m_hist"],
                                         args["n_reps"], args["gamma"], RngStream(args["seed"]))
     _write_table(out_dir / "wasserstein.csv",
@@ -300,6 +318,7 @@ def run_bench(args: dict, out_dir: Path) -> dict:
     _require_horizon(t_end)
     target = _load_checkpoint(args["target"])
     draft = _load_checkpoint(args["draft"])
+    _require_shared_marks(target, draft)
     root = RngStream(args["seed"])
 
     def intervals(seqs):
@@ -354,6 +373,23 @@ _RUNNERS = {
 }
 
 
+def _environment() -> dict:
+    """The software and hardware a command ran on, and a digest of the
+    package's source files."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+            "cpu_count": os.cpu_count(),
+            "cpu_affinity": (len(os.sched_getaffinity(0))
+                             if hasattr(os, "sched_getaffinity") else None),
+            "source_sha256": digest.hexdigest()}
+
+
 def _execute(command: str, args: dict, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     created = not out.exists()
@@ -374,6 +410,7 @@ def _execute(command: str, args: dict, out_dir: str | Path) -> Path:
         "seed": args.get("seed"),
         "artifacts": artifacts,
         "wall_seconds": time.perf_counter() - started,
+        "environment": _environment(),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

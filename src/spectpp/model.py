@@ -14,8 +14,11 @@ with one q|k|v matrix product and attends over all heads with one
 autodiff.attention op. An EncoderCache keeps every layer's keys and values,
 so a sampling forward encodes only the events that are new since the
 previous one, in blocks of at most _ENCODE_BLOCK rows that each attend over
-the rows held before them. A forward's head rows get one finiteness check;
-the heads make simplexes and positive scales by construction.
+the rows held before them. A forward reads its events' ``times`` and
+``marks`` arrays only, so it takes an EventSequence or the sampler's run
+state, which keeps them in growing arrays. A forward's head rows get one
+finiteness check; the heads make simplexes and positive scales by
+construction.
 """
 
 from __future__ import annotations
@@ -450,7 +453,9 @@ class EncoderCache:
     def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
         """Context rows from the first position the cache does not hold up
         to the end of ``events``, encoding only the events it lacks, in
-        blocks of at most ``_ENCODE_BLOCK`` rows."""
+        blocks of at most ``_ENCODE_BLOCK`` rows. Only ``events.times`` and
+        ``events.marks`` are read: an EventSequence's, or the arrays a
+        sampling run keeps."""
         if checkpoint is not self.checkpoint:
             raise ValueError("the cache belongs to another checkpoint")
         times, marks = events.times, events.marks

@@ -7,6 +7,12 @@ its residual norm(max(0, target - draft)) — intervals by rejection sampling
 with threshold max(0, g_T - g_D)/g_T, marks by normalizing the positive
 part directly. One step of this loop emits events with exactly the target
 model's next-event law.
+
+A run keeps its events as times and marks in growing arrays, which the
+forward reads as it reads an EventSequence's. Drafting and verifying append
+their candidates to that state and truncate it back, and emitting appends
+the accepted prefix and the replacement, so no pass rebuilds the history.
+Event objects and the EventSequence are built once, for the output.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +46,66 @@ _RESIDUAL_CHUNK = 64
 class ZeroResidualError(ValueError):
     """Raised when the residual mark distribution has no mass, i.e. the
     target and draft distributions were equal."""
+
+
+class _RunState:
+    """One run's events as times and marks in growing arrays. ``times`` and
+    ``marks`` are views of the held events, read by the forward as it reads
+    an EventSequence's arrays; events are appended after the held ones and
+    dropped by truncating back to a shorter prefix."""
+
+    __slots__ = ("_times", "_marks", "_size")
+
+    def __init__(self, events: Iterable[Event]) -> None:
+        events = tuple(events)
+        self._times = np.array([e.time for e in events], dtype=float)
+        self._marks = np.array([e.mark for e in events], dtype=int)
+        self._size = len(events)
+
+    @staticmethod
+    def of(history: "_RunState | Iterable[Event]") -> "_RunState":
+        """A run state itself, or a new one holding the given events."""
+        return history if isinstance(history, _RunState) else _RunState(history)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times[:self._size]
+
+    @property
+    def marks(self) -> np.ndarray:
+        return self._marks[:self._size]
+
+    @property
+    def last_time(self) -> float:
+        """Time of the last held event, or 0.0 when none is held."""
+        return float(self._times[self._size - 1]) if self._size else 0.0
+
+    def append(self, times, marks) -> None:
+        """Hold the given events after the held ones: arrays of times and
+        marks, or one time and one mark. Full buffers grow to twice the
+        events they must hold."""
+        end = self._size + np.size(times)
+        if end > len(self._times):
+            grown = np.empty(2 * end), np.empty(2 * end, dtype=int)
+            grown[0][:self._size], grown[1][:self._size] = self.times, self.marks
+            self._times, self._marks = grown
+        self._times[self._size:end] = times
+        self._marks[self._size:end] = marks
+        self._size = end
+
+    def truncate(self, size: int) -> None:
+        """Keep only the first ``size`` events."""
+        self._size = size
+
+    def events(self, start: int, t_end: float) -> tuple[Event, ...]:
+        """Events of the held times and marks from position ``start`` on,
+        leaving out those after t_end."""
+        times, marks = self.times[start:], self.marks[start:]
+        keep = times <= t_end
+        return tuple(map(Event, times[keep].tolist(), marks[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,11 +134,12 @@ class DraftBatch:
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    """Verified prefix length, the replacement event when a rejection
-    occurred, and the per-position acceptance ratios and uniforms."""
+    """Verified prefix length, the replacement event's time and mark when a
+    rejection occurred, and the per-position acceptance ratios and
+    uniforms."""
 
     accepted_len: int
-    replacement: Event | None
+    replacement: tuple[float, int] | None
     interval_ratios: np.ndarray
     mark_ratios: np.ndarray
     u_interval: np.ndarray
@@ -84,7 +151,9 @@ class SampleRunStats:
     """Operational counters for one sampling run. The SD phase timings
     nest: residual time is part of verify time, and draft plus verify time
     is part of the wall time. Residual proposals are the target-mixture
-    proposals that the residual interval draws used, fallbacks included."""
+    proposals that the residual interval draws used, fallbacks included.
+    ``accepted_lengths[n]`` counts the verify steps that accepted a prefix
+    of n candidates, for n from 0 to gamma; AR leaves it empty."""
 
     wall_seconds: float = 0.0
     draft_seconds: float = 0.0
@@ -100,6 +169,7 @@ class SampleRunStats:
     iterations: int = 0
     residual_fallbacks: int = 0
     residual_proposals: int = 0
+    accepted_lengths: list[int] = field(default_factory=list)
 
     @property
     def acceptance_rate(self) -> float:
@@ -108,20 +178,26 @@ class SampleRunStats:
         return self.events_accepted / self.events_drafted
 
 
-def _last_time(events: Sequence[Event]) -> float:
-    return events[-1].time if events else 0.0
+def _check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
+    if target.config.n_marks != draft_model.config.n_marks:
+        raise ValueError("target and draft must share the mark cardinality")
+
+
+def _next_event(target: ModelCheckpoint, events: _RunState, rng: RngStream,
+                cache: EncoderCache | None) -> tuple[float, int]:
+    """Time and mark of one autoregressive draw after the run's events."""
+    mixture, mark_dist = next_event_distributions(events, target, cache=cache)
+    t_next = events.last_time + sample_interval(mixture, rng)
+    if not math.isfinite(t_next):
+        raise FloatingPointError(f"non-finite event time {t_next}")
+    return t_next, rng.categorical(mark_dist.probabilities)
 
 
 def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
                   cache: EncoderCache | None = None) -> Event:
     """One autoregressive draw of the next event after the given history:
     the step that ar_sample repeats."""
-    mixture, mark_dist = next_event_distributions(history, target, cache=cache)
-    tau = sample_interval(mixture, rng)
-    t_next = _last_time(history.events) + tau
-    if not math.isfinite(t_next):
-        raise FloatingPointError(f"non-finite event time {t_next}")
-    return Event(t_next, rng.categorical(mark_dist.probabilities))
+    return Event(*_next_event(target, _RunState(history), rng, cache))
 
 
 def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
@@ -130,51 +206,55 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
     encoding only the newest event; the first event whose time exceeds
     t_end is discarded."""
     check_horizon(t_end)
-    events = list(history.events) if history is not None else []
+    held = () if history is None else history.events
+    events = _RunState(held)
     stream = rng.child("ar")
     cache = EncoderCache(target)
     stats = SampleRunStats()
     start = time.perf_counter()
     while True:
-        event = ar_next_event(target, EventSequence(tuple(events), t_end), stream, cache=cache)
+        t_next, mark = _next_event(target, events, stream, cache)
         stats.target_forward_passes += 1
         stats.target_rows_encoded += cache.last_encoded
-        if event.time > t_end:
+        if t_next > t_end:
             break
-        events.append(event)
+        events.append(t_next, mark)
+    out = EventSequence(held + events.events(len(held), t_end), t_end)
     stats.wall_seconds = time.perf_counter() - start
-    return EventSequence(tuple(events), t_end), stats
+    return out, stats
 
 
-def draft(draft_model: ModelCheckpoint, history: Iterable[Event], gamma: int, rng: RngStream,
-          stats: SampleRunStats, *, cache: EncoderCache | None = None) -> DraftBatch:
+def draft(draft_model: ModelCheckpoint, history: _RunState | Iterable[Event], gamma: int,
+          rng: RngStream, stats: SampleRunStats, *,
+          cache: EncoderCache | None = None) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
     after the history, with the head rows of all of them and the interval
-    log-density at each. Each of the gamma forwards checks its own row pair;
+    log-density at each. Each candidate is appended to the run's state for
+    the next forward, and the state is truncated back to the history before
+    the call returns. Each of the gamma forwards checks its own row pair;
     the rows are then stacked once without a second check, and all gamma
     intervals are scored against their rows with one mixture_logpdf call.
     Without a cache the call keeps a fresh one for its gamma forwards."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     cache = EncoderCache(draft_model) if cache is None else cache
-    events = list(history)
+    events = _RunState.of(history)
+    n_hist = len(events)
     intervals, mixtures, mark_dists = [], [], []
     for _ in range(gamma):
-        seq = EventSequence(tuple(events), math.inf)
-        mixture, mark_dist = next_event_distributions(seq, draft_model, cache=cache)
+        mixture, mark_dist = next_event_distributions(events, draft_model, cache=cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
         tau = sample_interval(mixture, rng)
-        mark = rng.categorical(mark_dist.probabilities)
-        events.append(Event(_last_time(events) + tau, mark))
+        events.append(events.last_time + tau, rng.categorical(mark_dist.probabilities))
         intervals.append(tau)
         mixtures.append(mixture)
         mark_dists.append(mark_dist)
-    drafted = events[-gamma:]
+    times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
+    events.truncate(n_hist)
     intervals = np.array(intervals)
     stacked = MixtureParams.stack(mixtures)
-    return DraftBatch(np.array([e.time for e in drafted]), np.array([e.mark for e in drafted]),
-                      intervals, mixture_logpdf(intervals, stacked), stacked,
+    return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, stacked), stacked,
                       MarkDistribution.stack(mark_dists))
 
 
@@ -225,12 +305,14 @@ def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
     return rng.categorical(residual / mass)
 
 
-def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch, rng: RngStream,
-           residual_rng: RngStream, stats: SampleRunStats, *,
+def verify(target: ModelCheckpoint, history: _RunState | Iterable[Event], batch: DraftBatch,
+           rng: RngStream, residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache | None = None) -> VerificationOutcome:
     """Verify a draft batch after the history with one batched target
     forward pass, which encodes only the events the cache lacks: all of
-    them with a fresh cache, the default.
+    them with a fresh cache, the default. The candidates are appended to
+    the run's state for that forward, and the state is truncated back to
+    the history right after it.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -242,12 +324,11 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     rejection would be inexact, because it redraws marks that passed.
     """
     cache = EncoderCache(target) if cache is None else cache
-    events = list(history)
-    n_hist = len(events)
-    gamma = len(batch)
-    combined = events + [Event(t, k) for t, k in zip(batch.times.tolist(), batch.marks.tolist())]
-    seq = EventSequence(tuple(combined), math.inf)
-    mixtures, mark_dists = position_distributions(seq, target, cache=cache)
+    events = _RunState.of(history)
+    n_hist, gamma = len(events), len(batch)
+    events.append(batch.times, batch.marks)
+    mixtures, mark_dists = position_distributions(events, target, cache=cache)
+    events.truncate(n_hist)
     stats.target_forward_passes += 1
     stats.target_rows_encoded += cache.last_encoded
     stats.iterations += 1
@@ -278,31 +359,35 @@ def verify(target: ModelCheckpoint, history: Iterable[Event], batch: DraftBatch,
     replacement = None
     if accepted < gamma:
         start = time.perf_counter()
-        at = n_hist + accepted
-        event_time, mark = combined[at].time, combined[at].mark
+        event_time, mark = float(batch.times[accepted]), int(batch.marks[accepted])
         if not interval_ok[accepted]:
             tau, proposals, fell_back = _residual_interval_sample_info(
                 mixtures.row(first + accepted), batch.mixtures.row(accepted), residual_rng)
             stats.residual_proposals += proposals
             stats.residual_fallbacks += int(fell_back)
-            event_time = _last_time(combined[:at]) + tau
+            previous = float(batch.times[accepted - 1]) if accepted else events.last_time
+            event_time = previous + tau
         if not mark_ok[accepted]:
             mark = residual_mark_sample(mark_dists.row(first + accepted),
                                         batch.mark_dists.row(accepted), residual_rng)
-        replacement = Event(event_time, mark)
+        replacement = (event_time, mark)
         stats.residual_seconds += time.perf_counter() - start
+    if len(stats.accepted_lengths) <= gamma:
+        stats.accepted_lengths.extend([0] * (gamma + 1 - len(stats.accepted_lengths)))
+    stats.accepted_lengths[accepted] += 1
     stats.events_accepted += accepted
     stats.replacement_events += int(replacement is not None)
     return VerificationOutcome(accepted, replacement, interval_ratios, mark_ratios,
                                u_interval, u_mark)
 
 
-def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: Iterable[Event],
-             gamma: int, streams: tuple[RngStream, RngStream, RngStream], stats: SampleRunStats, *, target_cache: EncoderCache | None = None,
-             draft_cache: EncoderCache | None = None) -> list[Event]:
-    """One draft-verify step after ``events``: the accepted prefix of the
-    drafted events plus the replacement, if one was drawn. ``streams`` are
-    the draft, verify and residual streams."""
+def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: _RunState,
+             gamma: int, streams: tuple[RngStream, RngStream, RngStream], stats: SampleRunStats,
+             *, target_cache: EncoderCache | None = None,
+             draft_cache: EncoderCache | None = None) -> None:
+    """One draft-verify step after the run's events: appends to them the
+    accepted prefix of the drafted events plus the replacement, if one was
+    drawn. ``streams`` are the draft, verify and residual streams."""
     draft_rng, verify_rng, residual_rng = streams
     start = time.perf_counter()
     batch = draft(draft_model, events, gamma, draft_rng, stats, cache=draft_cache)
@@ -311,10 +396,9 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: Iter
     stats.draft_seconds += drafted - start
     stats.verify_seconds += time.perf_counter() - drafted
     n = outcome.accepted_len
-    emitted = [Event(t, k) for t, k in zip(batch.times[:n].tolist(), batch.marks[:n].tolist())]
+    events.append(batch.times[:n], batch.marks[:n])
     if outcome.replacement is not None:
-        emitted.append(outcome.replacement)
-    return emitted
+        events.append(*outcome.replacement)
 
 
 def _sd_streams(rng: RngStream) -> tuple[RngStream, RngStream, RngStream]:
@@ -330,23 +414,24 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     draft each keep an encoder cache for the run; after a rejection the
     next forward reuses the accepted prefix and drops the rest."""
     check_horizon(t_end)
-    if target.config.n_marks != draft_model.config.n_marks:
-        raise ValueError("target and draft must share the mark cardinality")
+    _check_pair(target, draft_model)
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    events = list(history.events) if history is not None else []
+    held = () if history is None else history.events
+    events = _RunState(held)
     streams = _sd_streams(rng)
     target_cache, draft_cache = EncoderCache(target), EncoderCache(draft_model)
     stats = SampleRunStats()
     start = time.perf_counter()
-    while _last_time(events) < t_end:
-        events.extend(_sd_step(target, draft_model, events, gamma, streams, stats,
-                               target_cache=target_cache, draft_cache=draft_cache))
-    if not math.isfinite(_last_time(events)):
-        raise FloatingPointError(f"non-finite event time {_last_time(events)}")
-    kept = tuple(e for e in events if e.time <= t_end)
+    while events.last_time < t_end:
+        _sd_step(target, draft_model, events, gamma, streams, stats,
+                 target_cache=target_cache, draft_cache=draft_cache)
+    if not math.isfinite(events.last_time):
+        raise FloatingPointError(f"non-finite event time {events.last_time}")
+    kept = tuple(e for e in held if e.time <= t_end) + events.events(len(held), t_end)
+    out = EventSequence(kept, t_end)
     stats.wall_seconds = time.perf_counter() - start
-    return EventSequence(kept, t_end), stats
+    return out, stats
 
 
 def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
@@ -355,5 +440,9 @@ def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
                   draft_cache: EncoderCache | None = None) -> Event:
     """First event emitted by a single draft-verify step after the history.
     Caches held across calls on the same history encode it only once."""
-    return _sd_step(target, draft_model, history, gamma, _sd_streams(rng), SampleRunStats(),
-                    target_cache=target_cache, draft_cache=draft_cache)[0]
+    _check_pair(target, draft_model)
+    events = _RunState(history)
+    n_hist = len(events)
+    _sd_step(target, draft_model, events, gamma, _sd_streams(rng), SampleRunStats(),
+             target_cache=target_cache, draft_cache=draft_cache)
+    return Event(float(events.times[n_hist]), int(events.marks[n_hist]))

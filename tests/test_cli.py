@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +54,16 @@ def test_simulate_writes_records_and_manifest(runner, workspace):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 1
     assert manifest["artifacts"]["sequences"]["reproducible"] is True
+    # the environment block names the software, the CPUs and the source it ran
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert env["scipy"] and env["blas"]
+    assert env["cpu_count"] == os.cpu_count() and 1 <= env["cpu_affinity"] <= os.cpu_count()
+    digest = hashlib.sha256()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert env["source_sha256"] == digest.hexdigest()
 
 
 def test_simulate_rejects_zero_n(runner, workspace):
@@ -125,6 +136,11 @@ def test_sample_sd_stats_include_alpha_and_t_sd(runner, workspace):
         assert phases["t_draft"] + phases["t_verify"] <= float(row["t_sd"])
         assert 0 < int(row["target_rows_encoded"]) <= 11 * int(row["target_forward_passes"])
         assert int(row["draft_rows_encoded"]) == int(row["draft_forward_passes"]) - 1
+        # the last column counts the verify steps per accepted length 0..gamma
+        assert list(row)[-1] == "accepted_lengths"
+        lengths = [int(count) for count in row["accepted_lengths"].split(" ")]
+        assert len(lengths) == 11 and sum(lengths) == int(row["target_forward_passes"])
+        assert sum(n * c for n, c in enumerate(lengths)) == int(row["events_accepted"])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"]["stats"]["reproducible"] is False
 
@@ -139,6 +155,7 @@ def test_sample_ar_stats_include_t_ar(runner, workspace):
     assert float(row["t_ar"]) > 0
     assert row["t_sd"] == "" and row["alpha"] == ""
     assert row["t_draft"] == row["t_verify"] == row["t_residual"] == ""
+    assert row["accepted_lengths"] == ""
     # one new event per pass; the discarded overshoot is never encoded
     assert int(row["target_rows_encoded"]) == int(row["n_events"])
     assert row["draft_rows_encoded"] == ""
@@ -418,6 +435,50 @@ def test_malformed_json_input_exit_2(runner, workspace, flag, text):
                                       "--out", str(workspace / "x")])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output and "bad.json" in result.output
+
+
+@pytest.mark.parametrize("case", ["sample-sd", "bench", "wasserstein-draft",
+                                  "wasserstein-history", "wasserstein-history-no-draft"])
+def test_mismatched_mark_cardinality_exit_2(runner, workspace, case):
+    """A 3-mark draft for a 2-mark target, or a history whose marks lie
+    outside the checkpoints' range, is a data error from the command line
+    and from a replayed manifest alike, not a traceback."""
+    save_checkpoint(workspace / "draft3.json",
+                    init_checkpoint(ModelConfig(embed_dim=8, n_components=4, n_marks=3),
+                                    RngStream(5)))
+    for name, marks in (("history", [0, 1, 0, 1]), ("wide", [0, 2, 0, 1])):
+        write_sequences(workspace / f"{name}.jsonl",
+                        [sequence_from_arrays([0.5, 1.0, 1.5, 2.0], marks, 5.0)])
+    target, draft3 = str(workspace / "target.json"), str(workspace / "draft3.json")
+    wasserstein = {"target": target, "draft": draft3,
+                   "sequences": str(workspace / "history.jsonl"), "m_hist": 3, "n_reps": 2,
+                   "gamma": 2, "seed": 0}
+    wide = {**wasserstein, "sequences": str(workspace / "wide.jsonl")}
+    command, args, message = {
+        "sample-sd": ("sample", sd_sample_arguments(workspace, draft=draft3), "mark cardinality"),
+        "bench": ("bench", {"target": target, "draft": draft3, "gamma_grid": [2],
+                            "repetitions": 1, "runs": 1, "t_end": 5.0, "seed": 0},
+                  "mark cardinality"),
+        "wasserstein-draft": ("eval-wasserstein", wasserstein, "mark cardinality"),
+        "wasserstein-history": ("eval-wasserstein", {**wide, "draft": str(workspace / "draft.json")},
+                                "marks must lie in [0, 2)"),
+        "wasserstein-history-no-draft": ("eval-wasserstein", {**wide, "draft": None},
+                                         "marks must lie in [0, 2)"),
+    }[case]
+    argv = command.split("-", 1) if command == "eval-wasserstein" else [command]
+    for key, value in args.items():
+        if value is not None:
+            value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{key.replace('_', '-')}", value]
+    result = runner.invoke(cli.main, [*argv, "--out", str(workspace / "x")])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and message in result.output
+    path = workspace / "manifest.json"
+    path.write_text(json.dumps({"command": command, "arguments": args}))
+    result = runner.invoke(cli.main, ["replay", str(path), "--out", str(workspace / "r")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (workspace / "x").exists() and not (workspace / "r").exists()
 
 
 def test_checkpoint_bad_config_exit_2(runner, workspace):

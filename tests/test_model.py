@@ -705,14 +705,23 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
     """On random models whose value projections move the rows, every
     sampling forward, cached one row at a time or in a span, and the
     no-past encode give the same bits with the fused op as with the chain
-    of ops, and match the textbook attention to 1e-12."""
-    seq = sequence_from_arrays(np.cumsum(np.random.default_rng(32).exponential(0.6, 12)),
-                               np.arange(12) % 3, math.inf)
+    of ops, and match the textbook attention to 1e-12. The long input's
+    first span is longer than two encode blocks, so a full block attends
+    over a visible past and the last block is a triangular tail; the
+    multi-row spans after it attend over a past too."""
+    rng = np.random.default_rng(32)
+    block = M._ENCODE_BLOCK
+    inputs = []
+    for spans in ((1, 2, 7, 12), (2 * block + 6, 2 * block + 13, 2 * block + 20)):
+        n = spans[-1]
+        seq = sequence_from_arrays(np.cumsum(rng.exponential(0.6, n)), np.arange(n) % 3,
+                                   math.inf)
+        inputs.append((seq, spans))
 
-    def forwards(ckpt):
+    def forwards(ckpt, seq, spans):
         cache = M.EncoderCache(ckpt)
         rows = [M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt,
-                                           cache=cache) for n in (1, 2, 7, 12)]
+                                           cache=cache) for n in spans]
         rows.append(M.position_distributions(seq, ckpt))
         arrays = [a for mix, marks in rows
                   for a in (mix.weights, mix.means, mix.scales, marks.probabilities)]
@@ -721,14 +730,15 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
     for n_heads in (1, 2):
         ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=3, n_heads=n_heads,
                                              n_marks=3), seed=33)
-        fused = forwards(ckpt)
-        assert not np.allclose(fused[-1], embed_events(seq, ckpt))
-        with monkeypatch.context() as patched:
-            patched.setattr(ad, "attention", composed_attention)
-            composed = forwards(ckpt)
-        assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
-        assert np.allclose(fused[-1], unshifted_attention_reference(seq, ckpt),
-                           rtol=0.0, atol=1e-12)
+        for seq, spans in inputs:
+            fused = forwards(ckpt, seq, spans)
+            assert not np.allclose(fused[-1], embed_events(seq, ckpt))
+            with monkeypatch.context() as patched:
+                patched.setattr(ad, "attention", composed_attention)
+                composed = forwards(ckpt, seq, spans)
+            assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
+            assert np.allclose(fused[-1], unshifted_attention_reference(seq, ckpt),
+                               rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])

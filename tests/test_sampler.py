@@ -321,8 +321,9 @@ def test_verify_min_rule_interval_before_mark():
                        RngStream(20), S.SampleRunStats())
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
-    assert outcome.replacement.time != batch.times[1]
-    assert outcome.replacement.mark == batch.marks[1]
+    replacement_time, replacement_mark = outcome.replacement
+    assert replacement_time != batch.times[1]
+    assert replacement_mark == batch.marks[1]
 
 
 def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
@@ -363,7 +364,7 @@ def test_verify_mark_only_rejection_keeps_interval():
     # mark rejected at index 1: the drafted time stays
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
-    assert outcome.replacement.time == batch.times[1]
+    assert outcome.replacement[0] == batch.times[1]
 
 
 def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
@@ -414,6 +415,11 @@ def test_verify_counts_one_target_pass_per_iteration():
     assert run_stats.target_forward_passes == run_stats.iterations
     assert run_stats.draft_forward_passes == 5 * run_stats.iterations
     assert run_stats.events_drafted == 5 * run_stats.iterations
+    # one accepted-length count per verify, for lengths 0 to gamma
+    lengths = run_stats.accepted_lengths
+    assert len(lengths) == 6 and sum(lengths) == run_stats.iterations
+    assert sum(n * count for n, count in enumerate(lengths)) == run_stats.events_accepted
+    assert S.ar_sample(target, 20.0, RngStream(25))[1].accepted_lengths == []
 
 
 def test_cached_sd_emits_the_uncached_events():
@@ -427,10 +433,10 @@ def test_cached_sd_emits_the_uncached_events():
     assert stats.replacement_events > 0 and stats.events_accepted > 0
     streams = S._sd_streams(RngStream(6))
     uncached = S.SampleRunStats()
-    events = list(history.events)
-    while events[-1].time < 30.0:
-        events.extend(S._sd_step(target, draft_model, events, 4, streams, uncached))
-    events = [e for e in events if e.time <= 30.0]
+    events = S._RunState(history)
+    while events.last_time < 30.0:
+        S._sd_step(target, draft_model, events, 4, streams, uncached)
+    events = events.events(0, 30.0)
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
     assert uncached.events_accepted == stats.events_accepted
@@ -450,6 +456,33 @@ def test_sd_rows_encoded_counts_only_uncached_events():
     candidates = len(history) + 4 * stats.iterations
     assert (candidates + stats.replacement_events - 1 <= stats.target_rows_encoded
             <= candidates + stats.replacement_events)
+
+
+def test_a_run_builds_its_events_once_after_a_long_history(monkeypatch):
+    """After a 100-event history, an AR run and an SD run each build one
+    EventSequence, the output, and one Event per new event: no pass
+    rebuilds the history's events or wraps them in a sequence, and a
+    replacement is held as a time and a mark, not as an Event."""
+    target = make_checkpoint(28, n_layers=2, scale=1.5)
+    draft_model = make_checkpoint(29)
+    history = sequence_from_arrays(0.5 * np.arange(1, 101), np.arange(100) % 2, 80.0)
+    counts = {}
+    for cls in (Event, EventSequence):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    runs = {"ar": lambda: S.ar_sample(target, 80.0, RngStream(8), history=history),
+            "sd": lambda: S.tpp_sd_sample(target, draft_model, 80.0, 4, RngStream(8),
+                                          history=history)}
+    for mode, run in runs.items():
+        counts.clear()
+        seq, stats = run()
+        new = len(seq) - len(history)
+        assert seq.events[:len(history)] == history.events
+        assert stats.target_forward_passes + stats.draft_forward_passes > new > 0
+        assert mode == "ar" or stats.replacement_events > 0
+        assert counts == {"EventSequence": 1, "Event": new}, mode
 
 
 # -- non-finite model output ------------------------------------------------------------
@@ -568,9 +601,11 @@ def test_sd_deterministic_under_seed():
 
 
 def test_sd_rejects_mark_cardinality_mismatch():
-    with pytest.raises(ValueError):
-        S.tpp_sd_sample(make_checkpoint(0, n_marks=2), make_checkpoint(1, n_marks=3),
-                        10.0, 2, RngStream(0))
+    target, draft_model = make_checkpoint(0, n_marks=2), make_checkpoint(1, n_marks=3)
+    with pytest.raises(ValueError, match="mark cardinality"):
+        S.tpp_sd_sample(target, draft_model, 10.0, 2, RngStream(0))
+    with pytest.raises(ValueError, match="mark cardinality"):
+        S.sd_next_event(target, draft_model, EventSequence((), math.inf), 2, RngStream(0))
 
 
 def test_sd_final_filter_drops_overshoot():
