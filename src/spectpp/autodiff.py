@@ -11,10 +11,10 @@ Most operations are one (forward, adjoint) pair made into an op by the
 one-operand or the two-operand template, so each forward is written once
 for both paths. Softmax attention is one such pair of its own, so an
 encoder layer attends with one op and one tape node; its softmax works in
-the scores array in place, for training and inference alike. ``backward`` walks the
-resulting DAG once in reverse topological order. Only the primitives the
-sequence model needs are implemented; all of them are covered by
-finite-difference checks.
+the scores array in place, for training and inference alike. ``backward``
+walks the resulting DAG once in reverse topological order. Only the
+primitives the sequence model needs are implemented; all of them are
+covered by finite-difference checks.
 """
 
 from __future__ import annotations

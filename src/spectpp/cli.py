@@ -3,9 +3,10 @@ evaluation, and the draft-length benchmark harness.
 
 Every command resolves its inputs into a plain-arguments dictionary,
 executes, and writes a ``manifest.json`` holding that dictionary, the
-produced artifact paths and the software and hardware environment. ``spectpp replay`` re-executes a manifest into a
-fresh directory; artifacts flagged reproducible come out byte-identical
-(tables with wall-clock columns cannot).
+produced artifact paths and the software and hardware environment.
+``spectpp replay`` re-executes a manifest into a fresh directory; artifacts
+flagged reproducible come out byte-identical (tables with wall-clock
+columns cannot).
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 numerical failure.
