@@ -88,17 +88,6 @@ class HawkesParams:
 GroundTruthProcess = Union[SinePoissonParams, HawkesParams]
 
 
-def process_to_record(process: GroundTruthProcess) -> dict:
-    if isinstance(process, SinePoissonParams):
-        return {"kind": "sine_poisson", "A": process.A, "b": process.b, "omega": process.omega}
-    return {
-        "kind": "hawkes",
-        "mu": process.mu.tolist(),
-        "alpha": process.alpha.tolist(),
-        "beta": process.beta.tolist(),
-    }
-
-
 def process_from_record(record: dict) -> GroundTruthProcess:
     if not isinstance(record, dict):
         raise ValueError("a process record must be a JSON object")

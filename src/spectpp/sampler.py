@@ -9,10 +9,12 @@ part directly. One step of this loop emits events with exactly the target
 model's next-event law.
 
 A run keeps its events as times and marks in growing arrays, which the
-forward reads as it reads an EventSequence's. Drafting and verifying append
-their candidates to that state and truncate it back, and emitting appends
-the accepted prefix and the replacement, so no pass rebuilds the history.
-Event objects and the EventSequence are built once, for the output.
+forward reads as it reads an EventSequence's. The sampling loops own that
+state and the run's caches and streams, and pass them to each step. AR and
+drafting take each event from one draw; drafting and verifying append
+their candidates and truncate back, and emitting appends the accepted
+prefix and the replacement. Both loops end in one finish, which drops the
+events after t_end and builds the output's Events and EventSequence once.
 """
 
 from __future__ import annotations
@@ -61,11 +63,6 @@ class _RunState:
         self._times = np.array([e.time for e in events], dtype=float)
         self._marks = np.array([e.mark for e in events], dtype=int)
         self._size = len(events)
-
-    @staticmethod
-    def of(history: "_RunState | Iterable[Event]") -> "_RunState":
-        """A run state itself, or a new one holding the given events."""
-        return history if isinstance(history, _RunState) else _RunState(history)
 
     def __len__(self) -> int:
         return self._size
@@ -183,28 +180,43 @@ def _check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
         raise ValueError("target and draft must share the mark cardinality")
 
 
-def _next_event(target: ModelCheckpoint, events: _RunState, rng: RngStream,
-                cache: EncoderCache | None) -> tuple[float, int]:
-    """Time and mark of one autoregressive draw after the run's events."""
-    mixture, mark_dist = next_event_distributions(events, target, cache=cache)
-    t_next = events.last_time + sample_interval(mixture, rng)
-    if not math.isfinite(t_next):
-        raise FloatingPointError(f"non-finite event time {t_next}")
-    return t_next, rng.categorical(mark_dist.probabilities)
+def _next_event(model: ModelCheckpoint, events: _RunState, rng: RngStream,
+                cache: EncoderCache) -> tuple[float, int, MixtureParams, MarkDistribution]:
+    """One autoregressive draw after the run's events: the interval, then
+    the mark, and the head rows they were drawn from."""
+    mixture, mark_dist = next_event_distributions(events, model, cache=cache)
+    tau = sample_interval(mixture, rng)
+    return tau, rng.categorical(mark_dist.probabilities), mixture, mark_dist
+
+
+def _finish(events: _RunState, held: tuple[Event, ...], t_end: float, stats: SampleRunStats,
+            start: float) -> tuple[EventSequence, SampleRunStats]:
+    """The run's output, keeping the events at or before t_end, and its stats
+    with the wall time since start; raises if the run ended at a non-finite time."""
+    if not math.isfinite(events.last_time):
+        raise FloatingPointError(f"non-finite event time {events.last_time}")
+    kept = tuple(e for e in held if e.time <= t_end) + events.events(len(held), t_end)
+    stats.wall_seconds = time.perf_counter() - start
+    return EventSequence(kept, t_end), stats
 
 
 def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
-                  cache: EncoderCache | None = None) -> Event:
+                  cache: EncoderCache) -> Event:
     """One autoregressive draw of the next event after the given history:
     the step that ar_sample repeats."""
-    return Event(*_next_event(target, _RunState(history), rng, cache))
+    events = _RunState(history)
+    tau, mark, _, _ = _next_event(target, events, rng, cache)
+    t_next = events.last_time + tau
+    if not math.isfinite(t_next):
+        raise FloatingPointError(f"non-finite event time {t_next}")
+    return Event(t_next, mark)
 
 
 def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
               history: EventSequence | None = None) -> tuple[EventSequence, SampleRunStats]:
     """Autoregressive sampling: one target forward per event, each
-    encoding only the newest event; the first event whose time exceeds
-    t_end is discarded."""
+    encoding only the newest event, until an event passes t_end; that
+    event, and any of the history's after t_end, are dropped."""
     check_horizon(t_end)
     held = () if history is None else history.events
     events = _RunState(held)
@@ -212,41 +224,32 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
     cache = EncoderCache(target)
     stats = SampleRunStats()
     start = time.perf_counter()
-    while True:
-        t_next, mark = _next_event(target, events, stream, cache)
+    while events.last_time < t_end:
+        tau, mark, _, _ = _next_event(target, events, stream, cache)
         stats.target_forward_passes += 1
         stats.target_rows_encoded += cache.last_encoded
-        if t_next > t_end:
-            break
-        events.append(t_next, mark)
-    out = EventSequence(held + events.events(len(held), t_end), t_end)
-    stats.wall_seconds = time.perf_counter() - start
-    return out, stats
+        events.append(events.last_time + tau, mark)
+    return _finish(events, held, t_end, stats, start)
 
 
-def draft(draft_model: ModelCheckpoint, history: _RunState | Iterable[Event], gamma: int,
-          rng: RngStream, stats: SampleRunStats, *,
-          cache: EncoderCache | None = None) -> DraftBatch:
+def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngStream,
+          stats: SampleRunStats, *, cache: EncoderCache) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
-    after the history, with the head rows of all of them and the interval
-    log-density at each. Each candidate is appended to the run's state for
-    the next forward, and the state is truncated back to the history before
-    the call returns. Each of the gamma forwards checks its own row pair;
-    the rows are then stacked once without a second check, and all gamma
-    intervals are scored against their rows with one mixture_logpdf call.
-    Without a cache the call keeps a fresh one for its gamma forwards."""
+    after the run's events, with the head rows of all of them and the
+    interval log-density at each. Each candidate is appended to the run's
+    state for the next forward, and the state is truncated back before the
+    call returns. Each of the gamma forwards checks its own row pair; the
+    rows are then stacked once without a second check, and all gamma
+    intervals are scored against their rows with one mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    cache = EncoderCache(draft_model) if cache is None else cache
-    events = _RunState.of(history)
     n_hist = len(events)
     intervals, mixtures, mark_dists = [], [], []
     for _ in range(gamma):
-        mixture, mark_dist = next_event_distributions(events, draft_model, cache=cache)
+        tau, mark, mixture, mark_dist = _next_event(draft_model, events, rng, cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
-        tau = sample_interval(mixture, rng)
-        events.append(events.last_time + tau, rng.categorical(mark_dist.probabilities))
+        events.append(events.last_time + tau, mark)
         intervals.append(tau)
         mixtures.append(mixture)
         mark_dists.append(mark_dist)
@@ -259,8 +262,7 @@ def draft(draft_model: ModelCheckpoint, history: _RunState | Iterable[Event], ga
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
-                                   rng: RngStream,
-                                   max_proposals: int = RESIDUAL_MAX_PROPOSALS) -> tuple[float, int, bool]:
+                                   rng: RngStream) -> tuple[float, int, bool]:
     """Acceptance-rejection draw from norm(max(0, g_T - g_D)).
 
     Proposes from the target mixture and accepts with probability
@@ -272,8 +274,8 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
     """
     gen = rng.generator
     used = 0
-    while used < max_proposals:
-        chunk = min(_RESIDUAL_CHUNK, max_proposals - used)
+    while used < RESIDUAL_MAX_PROPOSALS:
+        chunk = min(_RESIDUAL_CHUNK, RESIDUAL_MAX_PROPOSALS - used)
         comps = np.searchsorted(np.cumsum(g_target.weights),
                                 gen.random(chunk) * np.sum(g_target.weights), side="right")
         comps = np.minimum(comps, len(g_target.weights) - 1)
@@ -290,8 +292,8 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
             return float(taus[hits[0]]), used + int(hits[0]) + 1, False
         used += chunk
     logger.warning("residual interval sampler exhausted %d proposals; "
-                   "falling back to a plain target draw", max_proposals)
-    return sample_interval(g_target, rng), max_proposals, True
+                   "falling back to a plain target draw", RESIDUAL_MAX_PROPOSALS)
+    return sample_interval(g_target, rng), RESIDUAL_MAX_PROPOSALS, True
 
 
 def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
@@ -305,14 +307,13 @@ def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
     return rng.categorical(residual / mass)
 
 
-def verify(target: ModelCheckpoint, history: _RunState | Iterable[Event], batch: DraftBatch,
-           rng: RngStream, residual_rng: RngStream, stats: SampleRunStats, *,
-           cache: EncoderCache | None = None) -> VerificationOutcome:
-    """Verify a draft batch after the history with one batched target
-    forward pass, which encodes only the events the cache lacks: all of
-    them with a fresh cache, the default. The candidates are appended to
-    the run's state for that forward, and the state is truncated back to
-    the history right after it.
+def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: RngStream,
+           residual_rng: RngStream, stats: SampleRunStats, *,
+           cache: EncoderCache) -> VerificationOutcome:
+    """Verify a draft batch after the run's events with one batched target
+    forward pass, which encodes only the events the cache lacks. The
+    candidates are appended to the run's state for that forward, and the
+    state is truncated back right after it.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -323,8 +324,6 @@ def verify(target: ModelCheckpoint, history: _RunState | Iterable[Event], batch:
     mark from the residual mark distribution. Redrawing both after any
     rejection would be inexact, because it redraws marks that passed.
     """
-    cache = EncoderCache(target) if cache is None else cache
-    events = _RunState.of(history)
     n_hist, gamma = len(events), len(batch)
     events.append(batch.times, batch.marks)
     mixtures, mark_dists = position_distributions(events, target, cache=cache)
@@ -383,8 +382,7 @@ def verify(target: ModelCheckpoint, history: _RunState | Iterable[Event], batch:
 
 def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: _RunState,
              gamma: int, streams: tuple[RngStream, RngStream, RngStream], stats: SampleRunStats,
-             *, target_cache: EncoderCache | None = None,
-             draft_cache: EncoderCache | None = None) -> None:
+             *, target_cache: EncoderCache, draft_cache: EncoderCache) -> None:
     """One draft-verify step after the run's events: appends to them the
     accepted prefix of the drafted events plus the replacement, if one was
     drawn. ``streams`` are the draft, verify and residual streams."""
@@ -426,23 +424,16 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     while events.last_time < t_end:
         _sd_step(target, draft_model, events, gamma, streams, stats,
                  target_cache=target_cache, draft_cache=draft_cache)
-    if not math.isfinite(events.last_time):
-        raise FloatingPointError(f"non-finite event time {events.last_time}")
-    kept = tuple(e for e in held if e.time <= t_end) + events.events(len(held), t_end)
-    out = EventSequence(kept, t_end)
-    stats.wall_seconds = time.perf_counter() - start
-    return out, stats
+    return _finish(events, held, t_end, stats, start)
 
 
 def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
                   history: EventSequence, gamma: int, rng: RngStream, *,
-                  target_cache: EncoderCache | None = None,
-                  draft_cache: EncoderCache | None = None) -> Event:
+                  target_cache: EncoderCache, draft_cache: EncoderCache) -> Event:
     """First event emitted by a single draft-verify step after the history.
     Caches held across calls on the same history encode it only once."""
     _check_pair(target, draft_model)
     events = _RunState(history)
-    n_hist = len(events)
     _sd_step(target, draft_model, events, gamma, _sd_streams(rng), SampleRunStats(),
              target_cache=target_cache, draft_cache=draft_cache)
-    return Event(float(events.times[n_hist]), int(events.marks[n_hist]))
+    return Event(float(events.times[len(history)]), int(events.marks[len(history)]))

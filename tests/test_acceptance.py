@@ -23,6 +23,7 @@ from spectpp import training as T
 from spectpp.classical import HawkesParams, SinePoissonParams, make_synthetic_dataset, ground_truth_loglik
 from spectpp.core import EventSequence, RngStream, clamped_exp, read_sequences, sequence_from_arrays
 from spectpp.model import (
+    EncoderCache,
     MixtureParams,
     ModelConfig,
     _loglik_tensor,
@@ -159,10 +160,13 @@ def test_criterion_4_sd_equals_ar_distribution():
         root = RngStream(700 + pair_idx)
         sd_times, sd_marks, ar_times, ar_marks = [], [], [], []
         for i in range(n):
-            event = S.sd_next_event(target, draft, history, 10, root.child(f"sd{i}"))
+            event = S.sd_next_event(target, draft, history, 10, root.child(f"sd{i}"),
+                                    target_cache=EncoderCache(target),
+                                    draft_cache=EncoderCache(draft))
             sd_times.append(event.time)
             sd_marks.append(event.mark)
-            event = S.ar_next_event(target, history, root.child(f"ar{i}"))
+            event = S.ar_next_event(target, history, root.child(f"ar{i}"),
+                                    cache=EncoderCache(target))
             ar_times.append(event.time)
             ar_marks.append(event.mark)
         pvalue = ks_2samp(sd_times, ar_times).pvalue

@@ -51,20 +51,31 @@ def test_setup_builds_loads_and_runs_a_pair(perfbench, tmp_path):
 
 
 def test_sampling_runs_through_the_patched_names(perfbench):
+    """AR and SD run from an empty history and after a pinned Hawkes
+    history, as the sampling workloads do, and every output passes the
+    workloads' correctness check."""
     tracing, workloads = perfbench
-    config = model.ModelConfig(embed_dim=8, n_components=2, n_marks=2)
+    config = model.ModelConfig(embed_dim=8, n_components=2, n_marks=workloads.N_MARKS)
     draft = model.init_checkpoint(config, RngStream(2))
     # a sharper target than the draft, so that some drafted events are rejected
     params = model.init_checkpoint(config, RngStream(1)).params
     target = model.ModelCheckpoint(config, {name: 2.0 * value for name, value in params.items()})
+    pinned = workloads._pinned_history(1, 0, 20)
     tracer = tracing.Tracer()
     workloads._sampler_patches(tracer, {id(target): "target", id(draft): "draft"})
+    outputs = []
     try:
-        sampler.ar_sample(target, 3.0, RngStream(3))
-        for seed in range(3):
-            sampler.tpp_sd_sample(target, draft, 3.0, 3, RngStream(seed))
+        for prefix, t_end in (((), 3.0), (pinned, pinned[-1].time + 3.0)):
+            history = EventSequence(prefix, t_end) if prefix else None
+            outputs.append(("ar", prefix, sampler.ar_sample(target, t_end, RngStream(3),
+                                                            history=history)))
+            for seed in range(3):
+                outputs.append(("sd", prefix, sampler.tpp_sd_sample(
+                    target, draft, t_end, workloads.GAMMA, RngStream(seed), history=history)))
     finally:
         tracer.unpatch()
     names = {span.name for span in tracer.spans}
     assert {"sampler.ar_sample", "sampler.tpp_sd_sample", "sampler.draft", "sampler.verify",
             "model.target_forward", "model.draft_forward", "sampler.residual"} <= names
+    for i, (mode, prefix, (seq, stats)) in enumerate(outputs):
+        assert workloads._check_sampled("contract", mode, i, seq, prefix, stats) == []

@@ -249,7 +249,10 @@ def test_next_event_divergence_encodes_the_prefix_once(monkeypatch):
 
         def recorded(sample):
             def wrapper(*args, **caches):
-                out.append(sample(*args, **({} if fresh else caches)))
+                if fresh:
+                    caches = {name: M.EncoderCache(cache.checkpoint)
+                              for name, cache in caches.items()}
+                out.append(sample(*args, **caches))
                 return out[-1]
             return wrapper
 

@@ -52,6 +52,11 @@ def ks_against_grid(samples, taus, cdf):
     return float(max(upper.max(), lower.max()))
 
 
+def sd_caches(target, draft_model):
+    """Fresh encoder caches for one sd_next_event call."""
+    return {"target_cache": M.EncoderCache(target), "draft_cache": M.EncoderCache(draft_model)}
+
+
 class FixedUniforms:
     """Stub stream for injecting exact acceptance uniforms into verify."""
 
@@ -95,6 +100,20 @@ def test_ar_sample_extends_history():
     assert stats.draft_rows_encoded == 0
 
 
+def test_a_history_past_t_end_is_cut_without_a_forward():
+    """Continued to a t_end before the history's last event, AR and SD
+    return a valid sequence of the history's events at or before t_end and
+    run no forward."""
+    target, draft_model = make_checkpoint(28, n_layers=2), make_checkpoint(29)
+    history = sequence_from_arrays([1.0, 5.0, 9.0], [0, 1, 0], 10.0)
+    for seq, stats in (S.ar_sample(target, 4.0, RngStream(1), history=history),
+                       S.tpp_sd_sample(target, draft_model, 4.0, 4, RngStream(1),
+                                       history=history)):
+        assert validate_sequence(seq, target.config.n_marks).ok
+        assert seq.events == history.events[:1] and seq.t_end == 4.0
+        assert stats.target_forward_passes == 0 and stats.draft_forward_passes == 0
+
+
 def test_cached_ar_emits_the_uncached_events():
     ckpt = make_checkpoint(1, n_layers=2, n_heads=2)
     history = sequence_from_arrays([0.3, 0.9, 1.4], [0, 1, 1], 30.0)
@@ -102,7 +121,8 @@ def test_cached_ar_emits_the_uncached_events():
     stream = RngStream(5).child("ar")
     events = list(history.events)
     while len(events) < len(seq):
-        events.append(S.ar_next_event(ckpt, EventSequence(tuple(events), 30.0), stream))
+        events.append(S.ar_next_event(ckpt, EventSequence(tuple(events), 30.0), stream,
+                                      cache=M.EncoderCache(ckpt)))
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
 
@@ -112,7 +132,8 @@ def test_cached_ar_emits_the_uncached_events():
 def test_draft_records_consistent_densities():
     ckpt = make_checkpoint(5)
     stats = S.SampleRunStats()
-    batch = S.draft(ckpt, [], gamma=4, rng=RngStream(6).child("draft"), stats=stats)
+    batch = S.draft(ckpt, S._RunState([]), gamma=4, rng=RngStream(6).child("draft"),
+                    stats=stats, cache=M.EncoderCache(ckpt))
     assert stats.draft_forward_passes == 4
     # the draft rows come stacked, one row per candidate
     assert batch.mixtures.weights.shape == (4, ckpt.config.n_components)
@@ -139,7 +160,8 @@ def test_draft_scores_every_interval_once_with_the_scalar_density(constructions,
     gamma forwards build one checked pair each and the stacking none."""
     ckpt = make_checkpoint(5, n_components=8)
     stats = S.SampleRunStats()
-    batch = S.draft(ckpt, [], gamma, RngStream(6).child("draft"), stats)
+    batch = S.draft(ckpt, S._RunState([]), gamma, RngStream(6).child("draft"), stats,
+                    cache=M.EncoderCache(ckpt))
     assert constructions == {"MixtureParams": gamma, "MarkDistribution": gamma}
     assert stats.draft_forward_passes == gamma and batch.interval_logpdf.shape == (gamma,)
     for i in range(gamma):
@@ -155,14 +177,16 @@ def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
     ckpt.params["mix_mean_bias"] = np.full_like(ckpt.params["mix_mean_bias"], np.nan)
     stats = S.SampleRunStats()
     with pytest.raises(FloatingPointError):
-        S.draft(ckpt, [], 10, RngStream(6).child("draft"), stats)
+        S.draft(ckpt, S._RunState([]), 10, RngStream(6).child("draft"), stats,
+                cache=M.EncoderCache(ckpt))
     assert stats.draft_forward_passes < 10
 
 
 def test_draft_single_candidate():
     ckpt = make_checkpoint(5)
     stats = S.SampleRunStats()
-    batch = S.draft(ckpt, [], gamma=1, rng=RngStream(7), stats=stats)
+    batch = S.draft(ckpt, S._RunState([]), gamma=1, rng=RngStream(7), stats=stats,
+                    cache=M.EncoderCache(ckpt))
     assert len(batch) == 1 and stats.draft_forward_passes == 1
 
 
@@ -230,9 +254,8 @@ def test_residual_interval_matches_quadrature_oracle():
 def test_residual_interval_fallback_on_identical_mixtures(caplog):
     g = mixture([0.5, 0.5], [0.0, 1.0], [0.5, 0.4])
     with caplog.at_level("WARNING"):
-        value, used, fell_back = S._residual_interval_sample_info(g, g, RngStream(13),
-                                                                  max_proposals=200)
-    assert fell_back and used == 200 and value > 0
+        value, used, fell_back = S._residual_interval_sample_info(g, g, RngStream(13))
+    assert fell_back and used == S.RESIDUAL_MAX_PROPOSALS and value > 0
     assert any("falling back" in rec.message for rec in caplog.records)
 
 
@@ -260,9 +283,10 @@ def test_interval_acceptance_rate_matches_overlap_integral():
 def test_verify_identical_models_accepts_everything():
     ckpt = make_checkpoint(15)
     stats = S.SampleRunStats()
-    batch = S.draft(ckpt, [], gamma=6, rng=RngStream(16).child("draft"), stats=stats)
-    outcome = S.verify(ckpt, [], batch, RngStream(16).child("verify"),
-                       RngStream(16).child("residual"), stats)
+    batch = S.draft(ckpt, S._RunState([]), gamma=6, rng=RngStream(16).child("draft"),
+                    stats=stats, cache=M.EncoderCache(ckpt))
+    outcome = S.verify(ckpt, S._RunState([]), batch, RngStream(16).child("verify"),
+                       RngStream(16).child("residual"), stats, cache=M.EncoderCache(ckpt))
     assert outcome.accepted_len == 6
     assert outcome.replacement is None
     assert outcome.interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
@@ -289,7 +313,8 @@ def doctored_batch(batch, log_density_shift=0.0):
 
 
 def draft_batch(ckpt, gamma, rng):
-    return S.draft(ckpt, [], gamma, rng, S.SampleRunStats())
+    return S.draft(ckpt, S._RunState([]), gamma, rng, S.SampleRunStats(),
+                   cache=M.EncoderCache(ckpt))
 
 
 REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
@@ -301,8 +326,9 @@ def test_verify_injected_threshold_rejects():
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 2, RngStream(17).child("draft")),
                            log_density_shift=math.log(2.0))
-    outcome = S.verify(ckpt, [], batch,
-                       FixedUniforms([0.7, 0.1], [0.0, 0.0]), RngStream(18), S.SampleRunStats())
+    outcome = S.verify(ckpt, S._RunState([]), batch,
+                       FixedUniforms([0.7, 0.1], [0.0, 0.0]), RngStream(18), S.SampleRunStats(),
+                       cache=M.EncoderCache(ckpt))
     assert outcome.interval_ratios[0] == pytest.approx(0.5, abs=1e-9)
     assert outcome.accepted_len == 0
     assert outcome.replacement is not None
@@ -317,8 +343,8 @@ def test_verify_min_rule_interval_before_mark():
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     u_interval = [0.0, REJECT, 0.0, 0.0]   # interval fails at index 1
     u_mark = [0.0, 0.0, REJECT, 0.0]       # mark would fail at index 2
-    outcome = S.verify(ckpt, [], batch, FixedUniforms(u_interval, u_mark),
-                       RngStream(20), S.SampleRunStats())
+    outcome = S.verify(ckpt, S._RunState([]), batch, FixedUniforms(u_interval, u_mark),
+                       RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
     replacement_time, replacement_mark = outcome.replacement
@@ -342,8 +368,8 @@ def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     stats = S.SampleRunStats()
-    S.verify(ckpt, [], batch, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
-             RngStream(20), stats)
+    S.verify(ckpt, S._RunState([]), batch, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
+             RngStream(20), stats, cache=M.EncoderCache(ckpt))
     assert len(used) == 1 and stats.residual_proposals == used[0] >= 1
     used.clear()
     target, draft_model = make_checkpoint(15, n_layers=2), make_checkpoint(16)
@@ -358,9 +384,9 @@ def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
 def test_verify_mark_only_rejection_keeps_interval():
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 3, RngStream(21).child("draft")))
-    outcome = S.verify(ckpt, [], batch,
+    outcome = S.verify(ckpt, S._RunState([]), batch,
                        FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
-                       RngStream(22), S.SampleRunStats())
+                       RngStream(22), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     # mark rejected at index 1: the drafted time stays
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
@@ -375,8 +401,8 @@ def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 1)):
         constructions.update(MixtureParams=0, MarkDistribution=0)
-        outcome = S.verify(ckpt, [], batch, FixedUniforms([0.0] * 4, u_mark), RngStream(20),
-                           S.SampleRunStats())
+        outcome = S.verify(ckpt, S._RunState([]), batch, FixedUniforms([0.0] * 4, u_mark),
+                           RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
         assert outcome.accepted_len == accepted
         assert constructions == {"MixtureParams": pairs, "MarkDistribution": pairs}
 
@@ -386,14 +412,14 @@ def test_verify_with_a_cache_scores_the_same_rows():
     from the trailing rows and matches the uncached outcome; a cache that
     already holds the candidates cannot supply their rows."""
     ckpt = make_checkpoint(15)
-    history = list(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf).events)
+    history = S._RunState(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf))
     batch = doctored_batch(S.draft(ckpt, history, 4, RngStream(19).child("draft"),
-                                   S.SampleRunStats()))
+                                   S.SampleRunStats(), cache=M.EncoderCache(ckpt)))
     uniforms = ([0.0] * 4, [0.0, 0.0, REJECT, 0.0])
     plain = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20),
-                     S.SampleRunStats())
+                     S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     cache = M.EncoderCache(ckpt)
-    M.next_event_distributions(EventSequence(tuple(history), math.inf), ckpt, cache=cache)
+    M.next_event_distributions(history, ckpt, cache=cache)
     stats = S.SampleRunStats()
     cached = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
                       cache=cache)
@@ -424,7 +450,7 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 def test_cached_sd_emits_the_uncached_events():
     """tpp_sd_sample's caches roll back to the accepted prefix after each
-    rejection; the same steps run with a fresh cache per call emit the same
+    rejection; the same steps run with fresh caches per step emit the same
     events."""
     target = make_checkpoint(28, n_layers=2, scale=1.5)
     draft_model = make_checkpoint(29)
@@ -435,7 +461,8 @@ def test_cached_sd_emits_the_uncached_events():
     uncached = S.SampleRunStats()
     events = S._RunState(history)
     while events.last_time < 30.0:
-        S._sd_step(target, draft_model, events, 4, streams, uncached)
+        S._sd_step(target, draft_model, events, 4, streams, uncached,
+                   target_cache=M.EncoderCache(target), draft_cache=M.EncoderCache(draft_model))
     events = events.events(0, 30.0)
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
@@ -605,7 +632,8 @@ def test_sd_rejects_mark_cardinality_mismatch():
     with pytest.raises(ValueError, match="mark cardinality"):
         S.tpp_sd_sample(target, draft_model, 10.0, 2, RngStream(0))
     with pytest.raises(ValueError, match="mark cardinality"):
-        S.sd_next_event(target, draft_model, EventSequence((), math.inf), 2, RngStream(0))
+        S.sd_next_event(target, draft_model, EventSequence((), math.inf), 2, RngStream(0),
+                        **sd_caches(target, draft_model))
 
 
 def test_sd_final_filter_drops_overshoot():
@@ -629,10 +657,12 @@ def test_sd_next_event_matches_ar_in_distribution(gamma):
         root = RngStream(seed)
         sd_times, sd_marks, ar_times, ar_marks = [], [], [], []
         for i in range(n):
-            ev = S.sd_next_event(target, draft_model, history, gamma, root.child(f"sd{i}"))
+            ev = S.sd_next_event(target, draft_model, history, gamma, root.child(f"sd{i}"),
+                                 **sd_caches(target, draft_model))
             sd_times.append(ev.time)
             sd_marks.append(ev.mark)
-            ev = S.ar_next_event(target, history, root.child(f"ar{i}"))
+            ev = S.ar_next_event(target, history, root.child(f"ar{i}"),
+                                 cache=M.EncoderCache(target))
             ar_times.append(ev.time)
             ar_marks.append(ev.mark)
         if ks_2samp(sd_times, ar_times).pvalue <= 0.01:
@@ -647,10 +677,10 @@ def test_sd_identical_models_next_event_matches_ar():
     ckpt = make_checkpoint(39, n_marks=2)
     history = EventSequence((), math.inf)
     root = RngStream(40)
-    sd_times = [S.sd_next_event(ckpt, ckpt, history, 3, root.child(f"s{i}")).time
-                for i in range(2000)]
-    ar_times = [S.ar_next_event(ckpt, history, root.child(f"a{i}")).time
-                for i in range(2000)]
+    sd_times = [S.sd_next_event(ckpt, ckpt, history, 3, root.child(f"s{i}"),
+                                **sd_caches(ckpt, ckpt)).time for i in range(2000)]
+    ar_times = [S.ar_next_event(ckpt, history, root.child(f"a{i}"),
+                                cache=M.EncoderCache(ckpt)).time for i in range(2000)]
     assert ks_2samp(sd_times, ar_times).pvalue > 0.01
 
 
@@ -664,12 +694,15 @@ def test_next_event_helpers_are_the_first_step_of_their_loops():
     for seed in range(8):
         rng = RngStream(seed)
         ar_seq, _ = S.ar_sample(target, 40.0, rng, history=history)
-        assert S.ar_next_event(target, history, rng.child("ar")) == ar_seq.events[2]
+        assert S.ar_next_event(target, history, rng.child("ar"),
+                               cache=M.EncoderCache(target)) == ar_seq.events[2]
         sd_seq, _ = S.tpp_sd_sample(target, draft_model, 40.0, 4, rng, history=history)
-        first = S.sd_next_event(target, draft_model, history, 4, rng)
+        first = S.sd_next_event(target, draft_model, history, 4, rng,
+                                **sd_caches(target, draft_model))
         assert first == sd_seq.events[2]
         stats = S.SampleRunStats()
-        batch = S.draft(draft_model, history, 4, rng.child("draft"), stats)
+        batch = S.draft(draft_model, S._RunState(history), 4, rng.child("draft"), stats,
+                        cache=M.EncoderCache(draft_model))
         replaced += int(first.time != batch.times[0] or first.mark != batch.marks[0])
     assert 0 < replaced < 8
 
