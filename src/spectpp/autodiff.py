@@ -214,7 +214,8 @@ tanh = _unary("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
 sin = _unary("sin", np.sin, lambda g, x, out: g * np.cos(x))
 cos = _unary("cos", np.cos, lambda g, x, out: -g * np.sin(x))
 # clamp values; the adjoint passes through unclamped entries only
-clip = _unary("clip", np.clip, lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi)))
+clip = _unary("clip", lambda x, lo, hi: x.clip(lo, hi),
+              lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi)))
 # standard normal CDF; its derivative is the normal density
 normal_cdf = _unary("normal_cdf", lambda x: np.asarray(ndtr(x), dtype=float),
                     lambda g, x, out: g * _INV_SQRT_2PI * np.exp(-0.5 * x * x))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import os
 import platform
 import time
@@ -184,7 +185,8 @@ _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_a
                  "alpha", "target_forward_passes", "draft_forward_passes",
                  "target_rows_encoded", "draft_rows_encoded",
                  "replacement_events", "residual_fallbacks", "residual_proposals",
-                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual", "accepted_lengths"]
+                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual", "t_bookkeeping",
+                 "accepted_lengths"]
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
@@ -218,14 +220,16 @@ def run_sample(args: dict, out_dir: Path) -> dict:
                          stats.replacement_events, stats.residual_fallbacks,
                          stats.residual_proposals,
                          "", *map(_format_cell, (stats.wall_seconds, stats.draft_seconds,
-                                                 stats.verify_seconds, stats.residual_seconds)),
+                                                 stats.verify_seconds, stats.residual_seconds,
+                                                 stats.wall_seconds - stats.draft_seconds
+                                                 - stats.verify_seconds)),
                          " ".join(map(str, stats.accepted_lengths))])
         else:
             # AR draws no residuals: its residual counters read 0
             rows.append([run, mode, "", len(seq), "", "", "",
                          stats.target_forward_passes, "", stats.target_rows_encoded, "", "",
                          stats.residual_fallbacks, stats.residual_proposals,
-                         _format_cell(stats.wall_seconds), "", "", "", "", ""])
+                         _format_cell(stats.wall_seconds), "", "", "", "", "", ""])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)
     return {"sequences": {"path": "sequences.jsonl", "reproducible": True},
@@ -424,10 +428,35 @@ def _execute(command: str, args: dict, out_dir: str | Path) -> Path:
 # click wrappers
 # ---------------------------------------------------------------------------
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+class _EchoHandler(logging.Handler):
+    """Writes each record to the current stderr through click."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        click.echo(self.format(record), err=True)
+
+
+def _configure_logging(level: str) -> None:
+    """Set the package logger's level and give it one stderr handler."""
+    _require(level.upper() in _LOG_LEVELS,
+             f"--log-level must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
+    package_logger = logging.getLogger("spectpp")
+    package_logger.setLevel(level.upper())
+    if not any(isinstance(h, _EchoHandler) for h in package_logger.handlers):
+        handler = _EchoHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        package_logger.addHandler(handler)
+
+
 @click.group()
 @click.version_option(__version__)
-def main() -> None:
+@click.option("--log-level", default="WARNING", show_default=True,
+              help=f"least severe log records shown on stderr: {', '.join(_LOG_LEVELS)}")
+def main(log_level) -> None:
     """Sample Transformer temporal point processes, speculatively or not."""
+    _configure_logging(log_level)
 
 
 @main.command()

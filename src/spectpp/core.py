@@ -155,9 +155,9 @@ class RngStream:
 
     def categorical(self, probabilities: np.ndarray) -> int:
         """Single draw from a probability vector via inverse CDF."""
-        cdf = np.cumsum(probabilities)
+        cdf = probabilities.cumsum()
         u = self.generator.random() * cdf[-1]
-        return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+        return int(min(cdf.searchsorted(u, side="right"), len(cdf) - 1))
 
     def shuffled(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)

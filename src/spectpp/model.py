@@ -16,9 +16,16 @@ so a sampling forward encodes only the events that are new since the
 previous one, in blocks of at most _ENCODE_BLOCK rows that each attend over
 the rows held before them. A forward reads its events' ``times`` and
 ``marks`` arrays only, so it takes an EventSequence or the sampler's run
-state, which keeps them in growing arrays. A forward's head rows get one
-finiteness check; the heads make simplexes and positive scales by
-construction.
+state, which keeps them in growing arrays. The cache finds the events it
+holds by comparing bytes first: an extension of the held events, the
+common case, keeps every held row without an elementwise compare.
+The decoder heads are two products. decoder_proj is folded into the
+mixture weight, mean and scale projections, which are stacked with the
+mark hidden projection into one (d, 3M+d) matrix and one bias; the mark
+output product follows. An EncoderCache builds that matrix once from the
+raw arrays, and training builds it on the tape on every forward. A
+forward's head rows get one finiteness check; the heads make simplexes
+and positive scales by construction.
 """
 
 from __future__ import annotations
@@ -281,18 +288,18 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
 @functools.lru_cache(maxsize=16)
 def _encoding_constants(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-dimension constants of the config's temporal encoding, built
-    once per config and read-only: the even and odd dimension masks and
-    thp's divisors, attnhp's frequencies or sahp's phases."""
+    once per config and read-only: the boolean even and odd dimension masks
+    and thp's divisors, attnhp's frequencies or sahp's phases."""
     j = np.arange(config.embed_dim)
     expo = (j - (j % 2)) / config.embed_dim
-    even = (j % 2 == 0).astype(float)
+    even = j % 2 == 0
     if config.encoding == "attnhp":
         per_dim = (1.0 / _ATTNHP_M) * np.power(5.0 * _ATTNHP_BIG_M / _ATTNHP_M, expo)
     elif config.encoding == "sahp":
         per_dim = j / np.power(10000.0, expo)
     else:
         per_dim = np.power(10000.0, expo)
-    constants = (even, 1.0 - even, per_dim)
+    constants = (even, ~even, per_dim)
     for array in constants:
         array.flags.writeable = False
     return constants
@@ -304,8 +311,10 @@ def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelCo
     even, odd, per_dim = _encoding_constants(config)
     t_col = times.reshape(-1, 1)
     if config.encoding == "thp":
+        # the sine, with the odd dimensions overwritten by the cosine: the
+        # same bits as sin * even + cos * odd
         arg = t_col / per_dim
-        return np.sin(arg) * even + np.cos(arg) * odd
+        return np.cos(arg, out=np.sin(arg), where=odd)
     if config.encoding == "attnhp":
         return np.sin(t_col * per_dim)
     # sahp: learnable per-dimension frequencies shift a fixed positional phase
@@ -319,7 +328,8 @@ def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelCo
 
 def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
                   config: ModelConfig):
-    if marks.size and (marks.min() < 0 or marks.max() >= config.n_marks):
+    held = marks.tolist()
+    if held and (min(held) < 0 or max(held) >= config.n_marks):
         raise ValueError("mark out of range for the checkpoint configuration")
     z = _temporal_encoding_tensor(times, params, config)
     x = ad.add(ad.take(params["mark_embedding"], marks), z)
@@ -392,13 +402,14 @@ class EncoderCache:
     keeps the rows of the longest prefix of the events whose times and marks
     match the stored ones exactly, drops the rest, and encodes the
     remainder: a rollback after a rejected draft is just a call with the
-    shorter or diverging events. It encodes with the checkpoint's raw arrays
-    and a q|k|v matrix per layer fused from them once, so its forward builds
-    no tape. The events it lacks are encoded in consecutive blocks of at
-    most ``_ENCODE_BLOCK`` rows, each attending over the rows held before
-    it. Key and value buffers have shape (heads, capacity, head_dim); a
-    cache that must hold n events grows to capacity 2n, so the events
-    sampled after a long history do not reallocate them. The checkpoint's
+    shorter or diverging events. It encodes with the checkpoint's raw
+    arrays, and with the q|k|v matrix of each layer and the decoder heads'
+    matrices fused from them once, so its forward builds no tape. The
+    events it lacks are encoded in consecutive blocks of at most
+    ``_ENCODE_BLOCK`` rows, each attending over the rows held before it.
+    Key and value buffers have shape (heads, capacity, head_dim); a cache
+    that must hold n events grows to capacity 2n, so the events sampled
+    after a long history do not reallocate them. The checkpoint's
     parameters must not change while the cache is in use.
     """
 
@@ -407,6 +418,7 @@ class EncoderCache:
         config = checkpoint.config
         self.params = checkpoint.params
         self.qkv = _fused_qkv(self.params, config)
+        self.heads = _fused_heads(self.params, config)
         self.size = 0
         self.last_encoded = 0
         self._times = np.empty(0)
@@ -460,9 +472,16 @@ class EncoderCache:
             raise ValueError("the cache belongs to another checkpoint")
         times, marks = events.times, events.marks
         shared = min(self.size, times.size)
-        differs = np.flatnonzero((self.times[:shared] != times[:shared])
-                                 | (self.marks[:shared] != marks[:shared]))
-        self.size = start = int(differs[0]) if differs.size else shared
+        held_times, held_marks = self._times[:shared], self._marks[:shared]
+        if (held_times.tobytes() == times[:shared].tobytes()
+                and held_marks.tobytes() == marks[:shared].tobytes()):
+            # the common case, an extension of the held events: every held row is kept
+            start = shared
+        else:
+            differs = np.flatnonzero((held_times != times[:shared])
+                                     | (held_marks != marks[:shared]))
+            start = int(differs[0]) if differs.size else shared
+        self.size = start
         self._reserve(times.size)
         blocks = []
         while not blocks or self.size < times.size:
@@ -481,19 +500,33 @@ class EncoderCache:
 # decoder heads
 # ---------------------------------------------------------------------------
 
-def _head_tensors(ctx, params: Params, config: ModelConfig):
-    """Mixture log-weights/means/scales and mark logits for each context row."""
+def _fused_heads(params: Params, config: ModelConfig) -> tuple:
+    """The decoder heads as two products: a (d, 3M+d) input projection, with
+    decoder_proj folded into the mixture weight, mean and scale projections
+    and the mark hidden projection beside them, with its (3M+d,) bias, and
+    the (d, K) mark output projection with its (K,) bias."""
     d = config.embed_dim
-    e = ad.matmul(ctx, params["decoder_proj"].T)
-    e1, e2, e3 = e[:, :d], e[:, d:2 * d], e[:, 2 * d:]
-    w_logits = ad.add(ad.matmul(e1, params["mix_weight_proj"].T), params["mix_weight_bias"])
+    proj = params["decoder_proj"]
+    rows = ad.concat([ad.matmul(params["mix_weight_proj"], proj[:d]),
+                      ad.matmul(params["mix_mean_proj"], proj[d:2 * d]),
+                      ad.matmul(params["mix_scale_proj"], proj[2 * d:]),
+                      params["mark_hidden_proj"]], axis=0)
+    bias = ad.concat([params["mix_weight_bias"], params["mix_mean_bias"],
+                      params["mix_scale_bias"], params["mark_hidden_bias"]])
+    return ad.transpose(rows), bias, ad.transpose(params["mark_out_proj"]), params["mark_out_bias"]
+
+
+def _head_tensors(ctx, heads: tuple, config: ModelConfig):
+    """Mixture log-weights/means/scales and mark logits for each context
+    row, from the heads of _fused_heads: one product and bias give every
+    row's weight logits, log-means, log-scales and mark hidden layer."""
+    w_in, b_in, w_out, b_out = heads
+    m = config.n_components
+    pre = ad.add(ad.matmul(ctx, w_in), b_in)
+    w_logits, mu, log_sigma = pre[:, :m], pre[:, m:2 * m], pre[:, 2 * m:3 * m]
     log_w = ad.sub(w_logits, ad.logsumexp(w_logits, axis=-1, keepdims=True))
-    mu = ad.add(ad.matmul(e2, params["mix_mean_proj"].T), params["mix_mean_bias"])
-    sigma = ad.clip(ad.exp(ad.add(ad.matmul(e3, params["mix_scale_proj"].T),
-                                  params["mix_scale_bias"])), SIGMA_MIN, SIGMA_MAX)
-    hidden = ad.tanh(ad.add(ad.matmul(ctx, params["mark_hidden_proj"].T),
-                            params["mark_hidden_bias"]))
-    mark_logits = ad.add(ad.matmul(hidden, params["mark_out_proj"].T), params["mark_out_bias"])
+    sigma = ad.clip(ad.exp(log_sigma), SIGMA_MIN, SIGMA_MAX)
+    mark_logits = ad.add(ad.matmul(ad.tanh(pre[:, 3 * m:]), w_out), b_out)
     return log_w, mu, sigma, mark_logits
 
 
@@ -529,7 +562,7 @@ def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *
     """
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    return _distributions(*_head_tensors(ctx, cache.params, checkpoint.config))
+    return _distributions(*_head_tensors(ctx, cache.heads, checkpoint.config))
 
 
 def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
@@ -540,7 +573,7 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
     only."""
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    heads = _head_tensors(ctx[-1:, :], cache.params, checkpoint.config)
+    heads = _head_tensors(ctx[-1:, :], cache.heads, checkpoint.config)
     return _distributions(*(t[0] for t in heads))
 
 
@@ -603,7 +636,7 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
     if np.any(taus <= 0.0):
         raise ValueError("inter-event intervals must be positive")
     ctx = _context_tensor(times, marks, params, config)
-    log_w, mu, sigma, mark_logits = _head_tensors(ctx, params, config)
+    log_w, mu, sigma, mark_logits = _head_tensors(ctx, _fused_heads(params, config), config)
     density = _mixture_log_density(np.log(taus).reshape(-1, 1), log_w[:n, :], mu[:n, :],
                                    sigma[:n, :])
     total = ad.tensor_sum(density)

@@ -84,7 +84,7 @@ class _RunState:
         """Hold the given events after the held ones: arrays of times and
         marks, or one time and one mark. Full buffers grow to twice the
         events they must hold."""
-        end = self._size + np.size(times)
+        end = self._size + (times.size if isinstance(times, np.ndarray) else 1)
         if end > len(self._times):
             grown = np.empty(2 * end), np.empty(2 * end, dtype=int)
             grown[0][:self._size], grown[1][:self._size] = self.times, self.marks

@@ -62,7 +62,8 @@ def encode_history(seq, ckpt):
 
 def decode(h, ckpt):
     """The (mixture, mark distribution) pair of one history embedding."""
-    heads = M._head_tensors(np.reshape(h, (1, -1)), ckpt.params, ckpt.config)
+    heads = M._head_tensors(np.reshape(h, (1, -1)), M._fused_heads(ckpt.params, ckpt.config),
+                            ckpt.config)
     return M._distributions(*(t[0] for t in heads))
 
 
@@ -79,6 +80,22 @@ def test_thp_encoding_d2_t1():
     ckpt = M.init_checkpoint(tiny_config(embed_dim=2, n_heads=1), RngStream(0))
     z = temporal_encoding(1.0, ckpt)
     assert z == pytest.approx([math.sin(1.0), math.cos(1.0)], rel=1e-12)
+
+
+def test_thp_encoding_equals_the_mask_products_bit_for_bit():
+    """thp's encoding, a sine whose odd dimensions are overwritten by a
+    cosine, has the bits of sin * even + cos * odd with 0/1 float masks,
+    for one row and for a block of rows, at perfbench's width."""
+    config = tiny_config(embed_dim=48, n_heads=1)
+    even = (np.arange(48) % 2 == 0).astype(float)
+    per_dim = np.power(10000.0, (np.arange(48) - np.arange(48) % 2) / 48)
+    rng = np.random.default_rng(41)
+    times = np.concatenate([[0.0, 1e-9, 1.0], np.exp(rng.uniform(-7.0, 9.0, 2000))])
+    for rows in (times[:1], times[1:2], times[3:4], times):
+        arg = rows.reshape(-1, 1) / per_dim
+        want = np.sin(arg) * even + np.cos(arg) * (1.0 - even)
+        got = M._temporal_encoding_tensor(rows, {}, config)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_attnhp_encoding_all_sine_zero_at_zero():
@@ -210,6 +227,102 @@ def test_mark_head_large_bias_concentrates():
     assert dist.probabilities[0] > 0.999
 
 
+def reference_head_tensors(ctx, params, config):
+    """_head_tensors as the chain of ops it was before the heads were fused:
+    decoder_proj first, then a product and a bias per head, in that
+    arithmetic order."""
+    d = config.embed_dim
+    e = ad.matmul(ctx, params["decoder_proj"].T)
+    e1, e2, e3 = e[:, :d], e[:, d:2 * d], e[:, 2 * d:]
+    w_logits = ad.add(ad.matmul(e1, params["mix_weight_proj"].T), params["mix_weight_bias"])
+    log_w = ad.sub(w_logits, ad.logsumexp(w_logits, axis=-1, keepdims=True))
+    mu = ad.add(ad.matmul(e2, params["mix_mean_proj"].T), params["mix_mean_bias"])
+    sigma = ad.clip(ad.exp(ad.add(ad.matmul(e3, params["mix_scale_proj"].T),
+                                  params["mix_scale_bias"])), M.SIGMA_MIN, M.SIGMA_MAX)
+    hidden = ad.tanh(ad.add(ad.matmul(ctx, params["mark_hidden_proj"].T),
+                            params["mark_hidden_bias"]))
+    mark_logits = ad.add(ad.matmul(hidden, params["mark_out_proj"].T), params["mark_out_bias"])
+    return log_w, mu, sigma, mark_logits
+
+
+def use_reference_heads(patched):
+    """Run every forward through reference_head_tensors on the named
+    parameters instead of the fused heads."""
+    patched.setattr(M, "_fused_heads", lambda params, config: params)
+    patched.setattr(M, "_head_tensors", reference_head_tensors)
+
+
+def with_random_biases(ckpt, seed):
+    """The checkpoint with every bias drawn at random, so that folding the
+    biases is tested too (init_checkpoint sets them to zero)."""
+    out = ckpt.copy()
+    rng = np.random.default_rng(seed)
+    for name in out.params:
+        if name.endswith("_bias"):
+            out.params[name] = rng.normal(0.0, 0.5, out.params[name].shape)
+    return out
+
+
+def head_arrays(pairs):
+    return [a for mix, marks in pairs
+            for a in (mix.weights, mix.means, mix.scales, marks.probabilities)]
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_fused_heads_rows_match_the_reference_heads(encoding, n_heads, monkeypatch):
+    """The fused heads give the reference heads' rows within 1e-12 in
+    one-row cached passes, batched forwards with and without a cache, and
+    the no-past forward that training runs."""
+    ckpt = with_random_biases(random_checkpoint(
+        tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads, n_marks=3), seed=36,
+        scale=2.0), seed=37)
+    rng = np.random.default_rng(38)
+    seq = sequence_from_arrays(np.cumsum(rng.exponential(0.6, 12)), rng.integers(0, 3, 12),
+                               math.inf)
+
+    def forwards():
+        cache = M.EncoderCache(ckpt)
+        pairs = [M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt,
+                                            cache=cache) for n in range(len(seq) + 1)]
+        pairs.append(M.position_distributions(EventSequence(seq.events[:7], math.inf), ckpt,
+                                              cache=cache))
+        pairs.append(M.position_distributions(seq, ckpt))
+        pairs.append(training_forward(seq, ckpt))
+        return head_arrays(pairs)
+
+    fused = forwards()
+    with monkeypatch.context() as patched:
+        use_reference_heads(patched)
+        reference = forwards()
+    assert len(fused) == len(reference) == 4 * (len(seq) + 4)
+    for a, b in zip(fused, reference):
+        assert a.shape == b.shape
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_fused_heads_training_matches_the_reference_heads(encoding, n_heads, monkeypatch):
+    """Training through the fused heads, which it builds on the tape from
+    the named parameters: the loss agrees with the reference heads' to
+    1e-12 relative and every gradient to 1e-12."""
+    ckpt = with_random_biases(random_checkpoint(
+        tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads, n_marks=3), seed=39),
+        seed=40)
+    batch = [sequence_from_arrays([0.3, 0.7, 1.6, 2.0, 2.9, 3.1, 4.4], [0, 2, 1, 1, 0, 2, 2],
+                                  5.0),
+             sequence_from_arrays([0.5, 1.5], [1, 0], 2.5)]
+    loss, grads = T.nll_batch(ckpt, batch)
+    with monkeypatch.context() as patched:
+        use_reference_heads(patched)
+        reference_loss, reference_grads = T.nll_batch(ckpt, batch)
+    assert loss == pytest.approx(reference_loss, rel=1e-12, abs=0.0)
+    assert set(grads) == set(reference_grads) == set(ckpt.params)
+    for name, grad in grads.items():
+        assert np.allclose(grad, reference_grads[name], rtol=0.0, atol=1e-12), name
+
+
 # -- mixture density / cdf / sampling ---------------------------------------------
 
 def test_logpdf_standard_lognormal_at_one():
@@ -275,7 +388,7 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
     assert isinstance(taped, ad.Tensor) and taped.shape == (n,)
 
     ctx = M._context_tensor(seq.times, seq.marks, ckpt.params, config)
-    log_w, mu, sigma, _ = M._head_tensors(ctx, ckpt.params, config)
+    log_w, mu, sigma, _ = M._head_tensors(ctx, M._fused_heads(ckpt.params, config), config)
     plain = density(np.log(taus).reshape(-1, 1), log_w[:n], mu[:n], sigma[:n])
     assert not isinstance(plain, ad.Tensor) and np.array_equal(plain, taped.data)
     mixtures, _ = M.position_distributions(seq, ckpt)
@@ -484,10 +597,10 @@ def test_non_finite_head_output_raises(output, bad, monkeypatch):
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=31)
     seq = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], 10.0)
 
-    def poisoned(ctx, params, config, _heads=M._head_tensors):
-        heads = [np.array(t) for t in _heads(ctx, params, config)]
-        heads[HEAD_OUTPUTS[output]][-1, 0] = bad
-        return tuple(heads)
+    def poisoned(ctx, heads, config, _heads=M._head_tensors):
+        outputs = [np.array(t) for t in _heads(ctx, heads, config)]
+        outputs[HEAD_OUTPUTS[output]][-1, 0] = bad
+        return tuple(outputs)
 
     monkeypatch.setattr(M, "_head_tensors", poisoned)
     for forward in (M.next_event_distributions, M.position_distributions):
@@ -554,7 +667,7 @@ def training_forward(seq, ckpt):
     runs on the tape, which no cache takes part in."""
     params = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
     ctx = M._context_tensor(seq.times, seq.marks, params, ckpt.config)
-    heads = M._head_tensors(ctx, params, ckpt.config)
+    heads = M._head_tensors(ctx, M._fused_heads(params, ckpt.config), ckpt.config)
     assert all(isinstance(t, ad.Tensor) for t in heads)
     return M._distributions(*(ad.value(t) for t in heads))
 
@@ -759,8 +872,10 @@ def test_fused_attention_training_gradients_equal_the_composed_ops(encoding, mon
 
 
 # autodiff ops that a cached one-row pass calls outside the encoder layers:
-# 2 to embed the row, 1 to join its context rows and 16 in the heads
-OPS_OUTSIDE_LAYERS = 19
+# 2 to embed the row, 1 to join its context rows and 9 in the fused heads
+OPS_OUTSIDE_LAYERS = 12
+# all the ops of a cached one-row pass of a 1-layer, 1-head model
+DRAFT_PASS_OPS = 19
 
 
 @pytest.mark.parametrize("n_layers,n_heads", [(1, 1), (4, 2), (20, 2)])
@@ -785,6 +900,8 @@ def test_cached_one_row_pass_calls_at_most_seven_ops_per_layer(n_layers, n_heads
     assert cache.last_encoded == 1
     assert calls.count("attention") == n_layers
     assert len(calls) <= 7 * n_layers + OPS_OUTSIDE_LAYERS
+    if (n_layers, n_heads) == (1, 1):
+        assert len(calls) == DRAFT_PASS_OPS
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
