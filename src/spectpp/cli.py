@@ -185,8 +185,7 @@ _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_a
                  "alpha", "target_forward_passes", "draft_forward_passes",
                  "target_rows_encoded", "draft_rows_encoded",
                  "replacement_events", "residual_fallbacks", "residual_proposals",
-                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual", "t_bookkeeping",
-                 "accepted_lengths"]
+                 "t_ar", "t_sd", "t_draft", "t_verify", "t_residual", "accepted_lengths"]
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
@@ -220,16 +219,14 @@ def run_sample(args: dict, out_dir: Path) -> dict:
                          stats.replacement_events, stats.residual_fallbacks,
                          stats.residual_proposals,
                          "", *map(_format_cell, (stats.wall_seconds, stats.draft_seconds,
-                                                 stats.verify_seconds, stats.residual_seconds,
-                                                 stats.wall_seconds - stats.draft_seconds
-                                                 - stats.verify_seconds)),
+                                                 stats.verify_seconds, stats.residual_seconds)),
                          " ".join(map(str, stats.accepted_lengths))])
         else:
             # AR draws no residuals: its residual counters read 0
             rows.append([run, mode, "", len(seq), "", "", "",
                          stats.target_forward_passes, "", stats.target_rows_encoded, "", "",
                          stats.residual_fallbacks, stats.residual_proposals,
-                         _format_cell(stats.wall_seconds), "", "", "", "", "", ""])
+                         _format_cell(stats.wall_seconds), "", "", "", "", ""])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)
     return {"sequences": {"path": "sequences.jsonl", "reproducible": True},
@@ -428,9 +425,6 @@ def _execute(command: str, args: dict, out_dir: str | Path) -> Path:
 # click wrappers
 # ---------------------------------------------------------------------------
 
-_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-
-
 class _EchoHandler(logging.Handler):
     """Writes each record to the current stderr through click."""
 
@@ -438,12 +432,11 @@ class _EchoHandler(logging.Handler):
         click.echo(self.format(record), err=True)
 
 
-def _configure_logging(level: str) -> None:
-    """Set the package logger's level and give it one stderr handler."""
-    _require(level.upper() in _LOG_LEVELS,
-             f"--log-level must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
+def _attach_log_handler() -> None:
+    """Give the package logger one stderr handler that writes each record as
+    `LEVEL logger: message`; the level stays unset, so records follow the
+    root logger's (WARNING unless configured)."""
     package_logger = logging.getLogger("spectpp")
-    package_logger.setLevel(level.upper())
     if not any(isinstance(h, _EchoHandler) for h in package_logger.handlers):
         handler = _EchoHandler()
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -452,11 +445,9 @@ def _configure_logging(level: str) -> None:
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--log-level", default="WARNING", show_default=True,
-              help=f"least severe log records shown on stderr: {', '.join(_LOG_LEVELS)}")
-def main(log_level) -> None:
+def main() -> None:
     """Sample Transformer temporal point processes, speculatively or not."""
-    _configure_logging(log_level)
+    _attach_log_handler()
 
 
 @main.command()

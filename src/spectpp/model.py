@@ -328,8 +328,7 @@ def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelCo
 
 def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
                   config: ModelConfig):
-    held = marks.tolist()
-    if held and (min(held) < 0 or max(held) >= config.n_marks):
+    if marks.size and (marks.min() < 0 or marks.max() >= config.n_marks):
         raise ValueError("mark out of range for the checkpoint configuration")
     z = _temporal_encoding_tensor(times, params, config)
     x = ad.add(ad.take(params["mark_embedding"], marks), z)

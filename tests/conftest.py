@@ -1,7 +1,19 @@
+import logging
+
 import pytest
 
 from spectpp import autodiff as ad
 from spectpp import model as M
+
+
+@pytest.fixture(autouse=True)
+def package_logger():
+    """The spectpp logger, with its handlers restored after each test: an
+    in-process CLI invocation attaches a stderr handler to it."""
+    log = logging.getLogger("spectpp")
+    handlers = list(log.handlers)
+    yield log
+    log.handlers[:] = handlers
 
 
 @pytest.fixture()
