@@ -22,8 +22,13 @@ logger = logging.getLogger(__name__)
 _RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, this]
 
 
-class NonFiniteIntensityError(RuntimeError):
+class NonFiniteIntensityError(FloatingPointError):
     """Raised when a simulator or scorer encounters a non-finite rate."""
+
+
+def _check_mark(mark: int, n_marks: int) -> None:
+    if not 0 <= mark < n_marks:
+        raise ValueError(f"mark {mark} outside the process's range [0, {n_marks})")
 
 
 @dataclass(frozen=True)
@@ -206,12 +211,14 @@ def thinning_sample(process: GroundTruthProcess, t_end: float, rng: RngStream) -
     return _thinning_hawkes(process, t_end, rng)
 
 
-def total_compensator_increments(process: GroundTruthProcess, seq: EventSequence) -> np.ndarray:
-    """Summed-over-types compensator between consecutive events, length N.
+def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess) -> np.ndarray:
+    """Summed-over-types compensator between consecutive events, length N:
+    the time-rescaled intervals, Exponential(1) iid when the process is right.
 
     Entry i is the integrated total intensity over (t_{i-1}, t_i] with
     t_0 = 0. Uses the same closed forms as :func:`compensator`, maintained
-    recursively so a whole sequence costs O(N) instead of O(N^2).
+    recursively so a whole sequence costs O(N) instead of O(N^2). A Hawkes
+    process refuses a mark outside its range.
     """
     times = seq.times
     if times.size == 0:
@@ -227,6 +234,7 @@ def total_compensator_increments(process: GroundTruthProcess, seq: EventSequence
     increments = np.empty(times.size)
     prev = 0.0
     for i, event in enumerate(seq.events):
+        _check_mark(event.mark, process.n_marks)
         dt = event.time - prev
         decay = np.exp(-process.beta * dt)
         increments[i] = mu_total * dt + float(np.sum(ratio * state * (1.0 - decay)))
@@ -239,7 +247,7 @@ def total_compensator_increments(process: GroundTruthProcess, seq: EventSequence
 def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> float:
     """Intensity-form log-likelihood: sum of log rates at events minus the
     total compensator over (0, t_end]. Returns -inf if an event sits at a
-    zero-rate time.
+    zero-rate time. A Hawkes process refuses a mark outside its range.
 
     Computed with the recursive kernel state, so it matches the
     :func:`intensity`/:func:`compensator` reference forms to rounding while
@@ -258,6 +266,7 @@ def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> floa
     loglik = 0.0
     prev = 0.0
     for event in seq.events:
+        _check_mark(event.mark, process.n_marks)
         dt = event.time - prev
         if dt < 0:
             raise ValueError("sequence times must be non-decreasing")

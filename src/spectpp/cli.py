@@ -9,7 +9,10 @@ flagged reproducible come out byte-identical (tables with wall-clock
 columns cannot).
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 numerical failure.
+3 numerical failure. ``_execute`` runs every command, replayed or not, and
+is the one place that maps the library's failures: a ``FloatingPointError``
+(a non-finite value anywhere) to exit 3 and a ``ValueError`` (a refused
+input) to exit 2.
 """
 
 from __future__ import annotations
@@ -29,28 +32,10 @@ import scipy
 
 from . import __version__
 from . import evaluation as ev
-from .classical import (
-    NonFiniteIntensityError,
-    ground_truth_loglik,
-    make_synthetic_dataset,
-    process_from_record,
-)
-from .core import (
-    EventSequence,
-    RngStream,
-    check_horizon,
-    read_sequences,
-    validate_sequence,
-    write_sequences,
-)
-from .model import (
-    CheckpointFormatError,
-    ModelConfig,
-    load_checkpoint,
-    save_checkpoint,
-    sequence_loglik,
-)
-from .sampler import ZeroResidualError, ar_sample, tpp_sd_sample
+from .classical import ground_truth_loglik, make_synthetic_dataset, process_from_record
+from .core import EventSequence, RngStream, read_sequences, validate_sequence, write_sequences
+from .model import ModelConfig, load_checkpoint, save_checkpoint, sequence_loglik
+from .sampler import ar_sample, tpp_sd_sample
 from .training import TrainConfig, split_dataset, train as run_training
 
 click.UsageError.exit_code = 1
@@ -71,13 +56,6 @@ def _require(ok: bool, message: str) -> None:
         raise DataError(message)
 
 
-def _require_horizon(t_end: float) -> None:
-    try:
-        check_horizon(t_end)
-    except ValueError as exc:
-        raise DataError(str(exc))
-
-
 def _require_shared_marks(target, draft) -> None:
     """Refuse a draft whose mark cardinality differs from the target's."""
     if draft is not None and draft.config.n_marks != target.config.n_marks:
@@ -85,48 +63,25 @@ def _require_shared_marks(target, draft) -> None:
                         f"{target.config.n_marks} and {draft.config.n_marks}")
 
 
-def _read_json(path: str) -> dict:
+def _load(what: str, loader, path):
+    """``loader(Path(path))``; a missing file, or one that does not load,
+    is a data error that names the path."""
     try:
         # Path() raises TypeError for a number from a manifest, which open()
-        # would take as a file descriptor; the loaders below do the same
-        with open(Path(path), "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        # would take as a file descriptor
+        return loader(Path(path))
     except FileNotFoundError:
-        raise DataError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON in {path}: {exc}")
+        raise DataError(f"{what} not found: {path}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad {what} {path}: {exc}")
 
 
-def _load_config(cls, path: str):
-    try:
-        return cls(**_read_json(path))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad {cls.__name__} file {path}: {exc}")
+def _read_process(path: Path):
+    return process_from_record(json.loads(path.read_bytes()))
 
 
-def _load_process(path: str):
-    try:
-        return process_from_record(_read_json(path))
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad process parameter file {path}: {exc}")
-
-
-def _load_checkpoint(path: str):
-    try:
-        return load_checkpoint(Path(path))
-    except FileNotFoundError:
-        raise DataError(f"checkpoint not found: {path}")
-    except (CheckpointFormatError, KeyError, ValueError) as exc:
-        raise DataError(f"bad checkpoint {path}: {exc}")
-
-
-def _load_sequences(path: str) -> list[EventSequence]:
-    try:
-        return read_sequences(Path(path))
-    except FileNotFoundError:
-        raise DataError(f"sequence file not found: {path}")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"bad sequence file {path}: {exc}")
+def _read_config(cls):
+    return lambda path: cls(**json.loads(path.read_bytes()))
 
 
 def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
@@ -149,9 +104,7 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 def run_simulate(args: dict, out_dir: Path) -> dict:
-    _require(args["n"] >= 1, "n must be >= 1")
-    _require_horizon(args["t_end"])
-    process = _load_process(args["process"])
+    process = _load("process file", _read_process, args["process"])
     sequences = make_synthetic_dataset(process, args["n"], args["t_end"],
                                        RngStream(args["seed"]))
     write_sequences(out_dir / "sequences.jsonl", sequences)
@@ -159,11 +112,11 @@ def run_simulate(args: dict, out_dir: Path) -> dict:
 
 
 def run_train(args: dict, out_dir: Path) -> dict:
-    sequences = _load_sequences(args["data"])
+    sequences = _load("sequence file", read_sequences, args["data"])
     if not sequences:
         raise DataError(f"no sequences in {args['data']}")
-    model_config = _load_config(ModelConfig, args["model_config"])
-    train_config = _load_config(TrainConfig, args["train_config"])
+    model_config = _load("ModelConfig file", _read_config(ModelConfig), args["model_config"])
+    train_config = _load("TrainConfig file", _read_config(TrainConfig), args["train_config"])
     for i, seq in enumerate(sequences):
         report = validate_sequence(seq, model_config.n_marks)
         if not report.ok:
@@ -186,47 +139,44 @@ _STATS_HEADER = ["run", "mode", "gamma", "n_events", "events_drafted", "events_a
                  "target_rows_encoded", "draft_rows_encoded",
                  "replacement_events", "residual_fallbacks", "residual_proposals",
                  "t_ar", "t_sd", "t_draft", "t_verify", "t_residual", "accepted_lengths"]
+# the SampleRunStats counters that stats.csv reports for both modes (AR
+# draws no residuals: its residual counters read 0), and for SD only
+_STATS_SHARED = ("target_forward_passes", "target_rows_encoded", "residual_fallbacks",
+                 "residual_proposals")
+_STATS_SD = ("events_drafted", "events_accepted", "draft_forward_passes", "draft_rows_encoded",
+             "replacement_events")
 
 
 def run_sample(args: dict, out_dir: Path) -> dict:
     _require(args["runs"] >= 1, "runs must be >= 1")
     _require(args["gamma"] >= 1, "gamma must be >= 1")
-    _require_horizon(args["t_end"])
     mode = args["mode"]
     _require(mode in ("ar", "sd"), f"mode must be 'ar' or 'sd', got {mode!r}")
     _require(mode == "ar" or bool(args.get("draft")), "mode sd needs a draft checkpoint")
-    target = _load_checkpoint(args["target"])
-    draft = _load_checkpoint(args["draft"]) if args.get("draft") else None
+    target = _load("checkpoint", load_checkpoint, args["target"])
+    draft = _load("checkpoint", load_checkpoint, args["draft"]) if args.get("draft") else None
     if mode == "sd":
         _require_shared_marks(target, draft)
     root = RngStream(args["seed"])
     sequences, rows = [], []
     for run in range(args["runs"]):
         rng = root.child(f"run{run}")
-        try:
-            if mode == "ar":
-                seq, stats = ar_sample(target, args["t_end"], rng)
-            else:
-                seq, stats = tpp_sd_sample(target, draft, args["t_end"], args["gamma"], rng)
-        except (FloatingPointError, ZeroResidualError, NonFiniteIntensityError) as exc:
-            raise NumericalError(str(exc))
-        sequences.append(seq)
-        if mode == "sd":
-            rows.append([run, mode, args["gamma"], len(seq), stats.events_drafted,
-                         stats.events_accepted, _format_cell(stats.acceptance_rate),
-                         stats.target_forward_passes, stats.draft_forward_passes,
-                         stats.target_rows_encoded, stats.draft_rows_encoded,
-                         stats.replacement_events, stats.residual_fallbacks,
-                         stats.residual_proposals,
-                         "", *map(_format_cell, (stats.wall_seconds, stats.draft_seconds,
-                                                 stats.verify_seconds, stats.residual_seconds)),
-                         " ".join(map(str, stats.accepted_lengths))])
+        if mode == "ar":
+            seq, stats = ar_sample(target, args["t_end"], rng)
         else:
-            # AR draws no residuals: its residual counters read 0
-            rows.append([run, mode, "", len(seq), "", "", "",
-                         stats.target_forward_passes, "", stats.target_rows_encoded, "", "",
-                         stats.residual_fallbacks, stats.residual_proposals,
-                         _format_cell(stats.wall_seconds), "", "", "", "", ""])
+            seq, stats = tpp_sd_sample(target, draft, args["t_end"], args["gamma"], rng)
+        sequences.append(seq)
+        cells = {"run": run, "mode": mode, "n_events": len(seq),
+                 **{name: getattr(stats, name) for name in _STATS_SHARED}}
+        if mode == "sd":
+            cells.update({name: getattr(stats, name) for name in _STATS_SD},
+                         gamma=args["gamma"], alpha=stats.acceptance_rate,
+                         t_sd=stats.wall_seconds, t_draft=stats.draft_seconds,
+                         t_verify=stats.verify_seconds, t_residual=stats.residual_seconds,
+                         accepted_lengths=" ".join(map(str, stats.accepted_lengths)))
+        else:
+            cells["t_ar"] = stats.wall_seconds
+        rows.append([_format_cell(cells.get(name)) for name in _STATS_HEADER])
     write_sequences(out_dir / "sequences.jsonl", sequences)
     _write_table(out_dir / "stats.csv", _STATS_HEADER, rows)
     return {"sequences": {"path": "sequences.jsonl", "reproducible": True},
@@ -234,8 +184,8 @@ def run_sample(args: dict, out_dir: Path) -> dict:
 
 
 def run_eval_ks(args: dict, out_dir: Path) -> dict:
-    process = _load_process(args["process"])
-    sequences = _load_sequences(args["sequences"])
+    process = _load("process file", _read_process, args["process"])
+    sequences = _load("sequence file", read_sequences, args["sequences"])
     pooled: list[float] = []
     for seq in sequences:
         pooled.extend(ev.time_rescale(seq, process).tolist())
@@ -255,10 +205,10 @@ def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
     _require(args["m_hist"] >= 0, "m_hist must be >= 0")
     _require(args["n_reps"] >= 1, "n_reps must be >= 1")
     _require(args["gamma"] >= 1, "gamma must be >= 1")
-    target = _load_checkpoint(args["target"])
-    draft = _load_checkpoint(args["draft"]) if args.get("draft") else None
+    target = _load("checkpoint", load_checkpoint, args["target"])
+    draft = _load("checkpoint", load_checkpoint, args["draft"]) if args.get("draft") else None
     history = None
-    for seq in _load_sequences(args["sequences"]):
+    for seq in _load("sequence file", read_sequences, args["sequences"]):
         if len(seq) >= args["m_hist"]:
             history = seq
             break
@@ -281,10 +231,10 @@ def _make_scorer(spec: str):
     # a scorer from a manifest that is not a string raises TypeError here
     kind, _, path = str.partition(spec, ":")
     if kind == "process" and path:
-        process = _load_process(path)
+        process = _load("process file", _read_process, path)
         return lambda seq: ground_truth_loglik(seq, process)
     if kind == "model" and path:
-        checkpoint = _load_checkpoint(path)
+        checkpoint = _load("checkpoint", load_checkpoint, path)
         return lambda seq: sequence_loglik(seq, checkpoint)
     raise DataError(f"scorer must look like process:<file> or model:<file>, got {spec!r}")
 
@@ -292,13 +242,11 @@ def _make_scorer(spec: str):
 def run_eval_loglik(args: dict, out_dir: Path) -> dict:
     scorer_a = _make_scorer(args["scorer_a"])
     scorer_b = _make_scorer(args["scorer_b"])
-    seqs_a = _load_sequences(args["sequences"])
-    seqs_b = _load_sequences(args["sequences_b"]) if args.get("sequences_b") else seqs_a
-    try:
-        mean_a = ev.mean_loglik_per_event(seqs_a, scorer_a)
-        mean_b = ev.mean_loglik_per_event(seqs_b, scorer_b)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    seqs_a = _load("sequence file", read_sequences, args["sequences"])
+    seqs_b = (_load("sequence file", read_sequences, args["sequences_b"])
+              if args.get("sequences_b") else seqs_a)
+    mean_a = ev.mean_loglik_per_event(seqs_a, scorer_a)
+    mean_b = ev.mean_loglik_per_event(seqs_b, scorer_b)
     _write_table(out_dir / "loglik.csv",
                  ["loglik_a", "loglik_b", "delta_l"],
                  [[_format_cell(mean_a), _format_cell(mean_b),
@@ -317,9 +265,8 @@ def run_bench(args: dict, out_dir: Path) -> dict:
     reps, runs, t_end = args["repetitions"], args["runs"], args["t_end"]
     _require(len(gamma_grid) > 0 and min(gamma_grid) >= 1, "gamma_grid needs positive integers")
     _require(reps >= 1 and runs >= 1, "repetitions and runs must be >= 1")
-    _require_horizon(t_end)
-    target = _load_checkpoint(args["target"])
-    draft = _load_checkpoint(args["draft"])
+    target = _load("checkpoint", load_checkpoint, args["target"])
+    draft = _load("checkpoint", load_checkpoint, args["draft"])
     _require_shared_marks(target, draft)
     root = RngStream(args["seed"])
 
@@ -399,10 +346,16 @@ def _execute(command: str, args: dict, out_dir: str | Path) -> Path:
     started = time.perf_counter()
     try:
         artifacts = _RUNNERS[command](args, out)
-    except BaseException:
+    except BaseException as exc:
         # a run that fails before writing anything leaves no directory behind
         if created and not any(out.iterdir()):
             out.rmdir()
+        # the library's two failure kinds: a non-finite value anywhere, and
+        # an input it refuses
+        if isinstance(exc, FloatingPointError):
+            raise NumericalError(str(exc)) from exc
+        if isinstance(exc, ValueError):
+            raise DataError(str(exc)) from exc
         raise
     manifest = {
         "tool": "spectpp",
@@ -472,7 +425,8 @@ def train(data, model_config, train_config, out):
     _execute("train", {"data": str(Path(data).resolve()),
                        "model_config": str(Path(model_config).resolve()),
                        "train_config": str(Path(train_config).resolve()),
-                       "seed": _load_config(TrainConfig, train_config).seed}, out)
+                       "seed": _load("TrainConfig file", _read_config(TrainConfig),
+                                     train_config).seed}, out)
 
 
 @main.command()
@@ -570,7 +524,7 @@ def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def replay(manifest, out):
     """Re-execute a recorded manifest into a fresh output directory."""
-    doc = _read_json(manifest)
+    doc = _load("manifest", lambda path: json.loads(path.read_bytes()), manifest)
     if not isinstance(doc, dict) or not isinstance(doc.get("arguments"), dict):
         raise DataError(f"manifest {manifest} must be a JSON object with an 'arguments' object")
     command, args = doc.get("command"), doc["arguments"]

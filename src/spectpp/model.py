@@ -651,6 +651,12 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
 
 def sequence_loglik(seq: EventSequence, checkpoint: ModelCheckpoint) -> float:
     """CDF-form log-likelihood: interval and mark log-densities at each event
-    plus the log-probability that no further event occurs before t_end."""
-    return float(_loglik_tensor(seq.times, seq.marks, seq.t_end,
-                                checkpoint.params, checkpoint.config))
+    plus the log-probability that no further event occurs before t_end.
+    Raises FloatingPointError if it is not finite, which only non-finite
+    head rows cause: the survival term is clipped at 1e-300 and every scale
+    to [SIGMA_MIN, SIGMA_MAX]."""
+    value = float(_loglik_tensor(seq.times, seq.marks, seq.t_end,
+                                 checkpoint.params, checkpoint.config))
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite sequence log-likelihood {value}")
+    return value

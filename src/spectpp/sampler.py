@@ -45,7 +45,7 @@ RESIDUAL_MAX_PROPOSALS = 10_000
 _RESIDUAL_CHUNK = 64
 
 
-class ZeroResidualError(ValueError):
+class ZeroResidualError(FloatingPointError):
     """Raised when the residual mark distribution has no mass, i.e. the
     target and draft distributions were equal."""
 

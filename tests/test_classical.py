@@ -128,13 +128,26 @@ def test_compensator_rejects_reversed_interval():
 def test_total_compensator_increments_match_reference():
     seq = sequence_from_arrays([0.4, 1.1, 2.0, 3.7], [0, 1, 1, 0], 10.0)
     for proc in (POISSON, HAWKES_2D):
-        incs = total_compensator_increments(proc, seq)
+        incs = total_compensator_increments(seq, proc)
         prev = 0.0
         for i, event in enumerate(seq.events):
             history = EventSequence(seq.events[:i], seq.t_end)
             want = float(np.sum(compensator(proc, prev, event.time, history)))
             assert incs[i] == pytest.approx(want, rel=1e-10)
             prev = event.time
+
+
+@pytest.mark.parametrize("marks, process", [([0, 2, 0], HAWKES_2D), ([0, -1, 0], HAWKES_2D),
+                                            ([0, 1, 0], HAWKES_1D)],
+                         ids=["too-large", "negative", "two-marks-on-1d"])
+def test_hawkes_scoring_refuses_marks_outside_its_range(marks, process):
+    """A negative mark used to score as the last type, and one too large
+    raised IndexError."""
+    seq = sequence_from_arrays([0.4, 1.1, 2.0], marks, 5.0)
+    with pytest.raises(ValueError, match="outside the process's range"):
+        total_compensator_increments(seq, process)
+    with pytest.raises(ValueError, match="outside the process's range"):
+        ground_truth_loglik(seq, process)
 
 
 def test_thinning_output_is_valid():

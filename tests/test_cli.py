@@ -375,18 +375,68 @@ def test_numerical_failure_maps_to_exit_3(runner, workspace, monkeypatch):
     assert result.exit_code == 3
 
 
-def test_non_finite_model_output_maps_to_exit_3(runner, workspace):
+@pytest.mark.parametrize("case", ["sample", "bench", "eval-wasserstein", "eval-loglik",
+                                  "simulate", "train"])
+def test_non_finite_model_output_maps_to_exit_3(runner, workspace, case):
+    """Every command turns a non-finite value, from an overflowing model,
+    process or training step, into exit 3, from the command line and from
+    a replayed manifest alike."""
     # 30 thp layers with value projections scaled by 1e12 overflow the
     # residual stream: NaN heads
     deep = init_checkpoint(ModelConfig(embed_dim=16, n_marks=2, n_layers=30), RngStream(3))
     for layer in range(30):
         deep.params[f"layers.{layer}.v"] = deep.params[f"layers.{layer}.v"] * 1e12
     save_checkpoint(workspace / "deep.json", deep)
-    result = runner.invoke(cli.main, ["sample", "--mode", "sd", "--target",
-                                      str(workspace / "deep.json"), "--draft",
-                                      str(workspace / "draft.json"), "--gamma", "5",
-                                      "--t-end", "100", "--out", str(workspace / "deepfail")])
-    assert result.exit_code == 3, result.output
+    write_sequences(workspace / "history.jsonl",
+                    [sequence_from_arrays([0.5, 1.0, 1.5, 2.0], [0, 1, 0, 1], 5.0)])
+    (workspace / "overflow.json").write_text(json.dumps({
+        "kind": "hawkes", "mu": [2.5], "alpha": [[1e308]], "beta": [[2.0]]}))
+    (workspace / "overflow_train.json").write_text(json.dumps({
+        "learning_rate": 1e200, "batch_size": 8, "max_epochs": 2, "patience": 2, "seed": 3}))
+    write_sequences(workspace / "data.jsonl", [sequence_from_arrays([0.5, 1.0], [0, 0], 2.0)] * 10)
+    deep, draft = str(workspace / "deep.json"), str(workspace / "draft.json")
+    history = str(workspace / "history.jsonl")
+    args = {
+        "sample": {"mode": "sd", "target": deep, "draft": draft, "gamma": 5, "t_end": 100.0,
+                   "runs": 1, "seed": 0},
+        "bench": {"target": deep, "draft": draft, "gamma_grid": [2], "repetitions": 1,
+                  "runs": 1, "t_end": 5.0, "seed": 0},
+        "eval-wasserstein": {"target": deep, "draft": None, "sequences": history, "m_hist": 3,
+                             "n_reps": 2, "gamma": 2, "seed": 0},
+        "eval-loglik": {"sequences": history, "sequences_b": None, "scorer_a": f"model:{deep}",
+                        "scorer_b": f"process:{workspace / 'poisson.json'}"},
+        "simulate": {"process": str(workspace / "overflow.json"), "n": 2, "t_end": 5.0,
+                     "seed": 0},
+        "train": {"data": str(workspace / "data.jsonl"),
+                  "model_config": str(workspace / "model_config.json"),
+                  "train_config": str(workspace / "overflow_train.json")},
+    }[case]
+    with np.errstate(all="ignore"):
+        assert_exit_from_command_line_and_replay(runner, workspace, case, args, 3, "non-finite")
+
+
+@pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range"])
+def test_unscorable_input_exit_2(runner, workspace, case):
+    """A horizon too short for any event leaves bench no likelihood to
+    normalise, and a mark outside a Hawkes process's range cannot be
+    scored: both are data errors, not tracebacks."""
+    wide = str(workspace / "wide.jsonl")
+    write_sequences(wide, [sequence_from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 5.0)])
+    hawkes = str(workspace / "hawkes.json")
+    command, args, message = {
+        "bench-short-horizon": ("bench", {"target": str(workspace / "target.json"),
+                                          "draft": str(workspace / "draft.json"),
+                                          "gamma_grid": [2], "repetitions": 1, "runs": 1,
+                                          "t_end": 1e-9, "seed": 0},
+                                "likelihood normalization requires at least one event"),
+        "ks-mark-range": ("eval-ks", {"sequences": wide, "process": hawkes},
+                          "outside the process's range"),
+        "loglik-mark-range": ("eval-loglik", {"sequences": wide, "sequences_b": None,
+                                              "scorer_a": f"process:{hawkes}",
+                                              "scorer_b": f"process:{hawkes}"},
+                              "outside the process's range"),
+    }[case]
+    assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 
 
 def test_bad_gamma_grid_is_usage_error(runner, workspace):
@@ -492,19 +542,26 @@ def test_mismatched_mark_cardinality_exit_2(runner, workspace, case):
         "wasserstein-history-no-draft": ("eval-wasserstein", {**wide, "draft": None},
                                          "marks must lie in [0, 2)"),
     }[case]
-    argv = command.split("-", 1) if command == "eval-wasserstein" else [command]
+    assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
+
+
+def assert_exit_from_command_line_and_replay(runner, workspace, command, args, code, message):
+    """Run ``command`` with ``args`` as options and then as a replayed
+    manifest: each exits ``code`` with an error naming ``message``, no
+    traceback, and no output directory."""
+    argv = command.split("-", 1) if command.startswith("eval-") else [command]
     for key, value in args.items():
         if value is not None:
             value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             argv += [f"--{key.replace('_', '-')}", value]
     result = runner.invoke(cli.main, [*argv, "--out", str(workspace / "x")])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == code, result.output
     assert "Error:" in result.output and message in result.output
     path = workspace / "manifest.json"
     path.write_text(json.dumps({"command": command, "arguments": args}))
     result = runner.invoke(cli.main, ["replay", str(path), "--out", str(workspace / "r")])
-    assert result.exit_code == 2, result.output
-    assert message in result.output
+    assert result.exit_code == code, result.output
+    assert message in result.output and "Traceback" not in result.output
     assert not (workspace / "x").exists() and not (workspace / "r").exists()
 
 
