@@ -26,9 +26,11 @@ class NonFiniteIntensityError(FloatingPointError):
     """Raised when a simulator or scorer encounters a non-finite rate."""
 
 
-def _check_mark(mark: int, n_marks: int) -> None:
-    if not 0 <= mark < n_marks:
-        raise ValueError(f"mark {mark} outside the process's range [0, {n_marks})")
+def _check_marks(seq: EventSequence, n_marks: int) -> None:
+    marks = seq.marks
+    outside = marks[(marks < 0) | (marks >= n_marks)]
+    if outside.size:
+        raise ValueError(f"mark {outside[0]} outside the process's range [0, {n_marks})")
 
 
 @dataclass(frozen=True)
@@ -217,9 +219,10 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
 
     Entry i is the integrated total intensity over (t_{i-1}, t_i] with
     t_0 = 0. Uses the same closed forms as :func:`compensator`, maintained
-    recursively so a whole sequence costs O(N) instead of O(N^2). A Hawkes
-    process refuses a mark outside its range.
+    recursively so a whole sequence costs O(N) instead of O(N^2). A mark
+    outside the process's range is refused.
     """
+    _check_marks(seq, process.n_marks)
     times = seq.times
     if times.size == 0:
         return np.zeros(0)
@@ -234,7 +237,6 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
     increments = np.empty(times.size)
     prev = 0.0
     for i, event in enumerate(seq.events):
-        _check_mark(event.mark, process.n_marks)
         dt = event.time - prev
         decay = np.exp(-process.beta * dt)
         increments[i] = mu_total * dt + float(np.sum(ratio * state * (1.0 - decay)))
@@ -247,12 +249,13 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
 def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> float:
     """Intensity-form log-likelihood: sum of log rates at events minus the
     total compensator over (0, t_end]. Returns -inf if an event sits at a
-    zero-rate time. A Hawkes process refuses a mark outside its range.
+    zero-rate time. A mark outside the process's range is refused.
 
     Computed with the recursive kernel state, so it matches the
     :func:`intensity`/:func:`compensator` reference forms to rounding while
     staying linear in sequence length.
     """
+    _check_marks(seq, process.n_marks)
     if isinstance(process, SinePoissonParams):
         times = seq.times
         rates = process.rate(times)
@@ -266,7 +269,6 @@ def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> floa
     loglik = 0.0
     prev = 0.0
     for event in seq.events:
-        _check_mark(event.mark, process.n_marks)
         dt = event.time - prev
         if dt < 0:
             raise ValueError("sequence times must be non-decreasing")

@@ -536,8 +536,8 @@ def replay(manifest, out):
                         "only 'adjusted' exists")
     try:
         _execute(command, args, out)
-    except DataError as exc:
-        raise DataError(f"manifest {manifest}: {exc.message}") from None
+    except (DataError, NumericalError) as exc:
+        raise type(exc)(f"manifest {manifest}: {exc.message}") from None
     except KeyError as exc:
         if exc.args and exc.args[0] in args:
             raise

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -197,8 +197,3 @@ def read_sequences(path: str | Path) -> list[EventSequence]:
             if line:
                 sequences.append(sequence_from_record(json.loads(line)))
     return sequences
-
-
-def sequence_from_arrays(times: Sequence[float], marks: Sequence[int], t_end: float) -> EventSequence:
-    events = tuple(Event(float(t), int(k)) for t, k in zip(times, marks))
-    return EventSequence(events, float(t_end))

@@ -22,8 +22,9 @@ common case, keeps every held row without an elementwise compare.
 The decoder heads are two products. decoder_proj is folded into the
 mixture weight, mean and scale projections, which are stacked with the
 mark hidden projection into one (d, 3M+d) matrix and one bias; the mark
-output product follows. An EncoderCache builds that matrix once from the
-raw arrays, and training builds it on the tape on every forward. A
+output product follows. Every forward reads the fused matrices from one
+Weights, built once per EncoderCache from the raw arrays, once per
+sequence_loglik call, and once per training minibatch on the tape. A
 forward's head rows get one finiteness check; the heads make simplexes
 and positive scales by construction.
 """
@@ -57,9 +58,6 @@ _ATTNHP_BIG_M = 2000.0
 # a long history, goes through the cache in blocks of this many rows, so no
 # layer forms more than this many rows of attention scores
 _ENCODE_BLOCK = 64
-
-# raw arrays for inference, or Tensors for training
-Params = dict[str, np.ndarray | Tensor]
 
 
 class CheckpointFormatError(ValueError):
@@ -305,7 +303,7 @@ def _encoding_constants(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np
     return constants
 
 
-def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelConfig):
+def _temporal_encoding_tensor(times: np.ndarray, weights: Weights, config: ModelConfig):
     """Encode times (N,) into (N, D) rows; only SAHP's frequencies carry
     gradients."""
     even, odd, per_dim = _encoding_constants(config)
@@ -318,7 +316,7 @@ def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelCo
     if config.encoding == "attnhp":
         return np.sin(t_col * per_dim)
     # sahp: learnable per-dimension frequencies shift a fixed positional phase
-    arg = ad.add(per_dim, ad.mul(params["time_freq"], t_col))
+    arg = ad.add(per_dim, ad.mul(weights.time_freq, t_col))
     return ad.add(ad.mul(ad.sin(arg), even), ad.mul(ad.cos(arg), odd))
 
 
@@ -326,44 +324,66 @@ def _temporal_encoding_tensor(times: np.ndarray, params: Params, config: ModelCo
 # encoder
 # ---------------------------------------------------------------------------
 
-def _embed_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
+@dataclass(frozen=True)
+class Weights:
+    """What a forward reads, built by _fused_weights from one parameter set."""
+
+    mark_embedding: np.ndarray | Tensor
+    initial_context: np.ndarray | Tensor  # one (1, d) row
+    time_freq: np.ndarray | Tensor | None  # None except for sahp
+    qkv: list  # per layer
+    heads: tuple  # input projection and bias, mark output projection and bias
+
+
+def _fused_weights(params: dict[str, np.ndarray | Tensor], config: ModelConfig) -> Weights:
+    """The Weights of named parameters, raw arrays or Tensors on the tape:
+    each layer's (d_in, 3d) q|k|v matrix with 1/sqrt(head_dim) folded into
+    its query block, and the heads' (d, 3M+d) and (d, K) products."""
+    d, scale = config.embed_dim, 1.0 / math.sqrt(config.head_dim)
+    qkv = [ad.concat([ad.mul(params[f"layers.{layer}.q"], scale), params[f"layers.{layer}.k"],
+                      params[f"layers.{layer}.v"]], axis=1)
+           for layer in range(config.n_layers)]
+    proj = params["decoder_proj"]
+    rows = ad.concat([ad.matmul(params["mix_weight_proj"], proj[:d]),
+                      ad.matmul(params["mix_mean_proj"], proj[d:2 * d]),
+                      ad.matmul(params["mix_scale_proj"], proj[2 * d:]),
+                      params["mark_hidden_proj"]], axis=0)
+    bias = ad.concat([params["mix_weight_bias"], params["mix_mean_bias"],
+                      params["mix_scale_bias"], params["mark_hidden_bias"]])
+    heads = (ad.transpose(rows), bias, ad.transpose(params["mark_out_proj"]),
+             params["mark_out_bias"])
+    return Weights(params["mark_embedding"], ad.reshape(params["initial_context"], (1, d)),
+                   params.get("time_freq"), qkv, heads)
+
+
+def _embed_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
                   config: ModelConfig):
     if marks.size and (marks.min() < 0 or marks.max() >= config.n_marks):
         raise ValueError("mark out of range for the checkpoint configuration")
-    z = _temporal_encoding_tensor(times, params, config)
-    x = ad.add(ad.take(params["mark_embedding"], marks), z)
+    z = _temporal_encoding_tensor(times, weights, config)
+    x = ad.add(ad.take(weights.mark_embedding, marks), z)
     return x, z
 
 
-def _fused_qkv(params: Params, config: ModelConfig) -> list:
-    """One (d_in, 3d) q|k|v projection per layer from the named parameters,
-    with the attention scale 1/sqrt(head_dim) folded into the query block."""
-    scale = 1.0 / math.sqrt(config.head_dim)
-    return [ad.concat([ad.mul(params[f"layers.{layer}.q"], scale), params[f"layers.{layer}.k"],
-                       params[f"layers.{layer}.v"]], axis=1)
-            for layer in range(config.n_layers)]
-
-
-def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
+def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
                    config: ModelConfig, past: EncoderCache | None = None):
     """Final-layer rows of the given events. With a ``past``, the events
     follow the ``past.size`` events it holds: their keys and values are
     stored in it and new rows attend over [past; new]; without one the past
     is empty. Only the new x new block of the causal mask is needed, and a
     single new row needs none."""
-    x, z = _embed_tensor(times, marks, params, config)
+    x, z = _embed_tensor(times, marks, weights, config)
     n, heads, head_dim = times.size, config.n_heads, config.head_dim
     n_past = 0 if past is None else past.size
     causal = None if n == 1 else np.tri(n, n_past + n, n_past, dtype=bool)
-    qkv = _fused_qkv(params, config) if past is None else past.qkv
     attnhp = config.encoding == "attnhp"
     ones_col = np.ones((n, 1)) if attnhp else None
     h = x
     for layer in range(config.n_layers):
         inputs = ad.concat([ones_col, z, h], axis=1) if attnhp else h
         # (n, 3d) -> (3, heads, n, head_dim): the queries, keys and values of every head
-        proj = ad.transpose(ad.reshape(ad.matmul(inputs, qkv[layer]), (n, 3, heads, head_dim)),
-                            (1, 2, 0, 3))
+        proj = ad.transpose(ad.reshape(ad.matmul(inputs, weights.qkv[layer]),
+                                       (n, 3, heads, head_dim)), (1, 2, 0, 3))
         q, k, v = proj[0], proj[1], proj[2]
         if past is not None:
             k, v = past.attend(layer, k, v)
@@ -376,19 +396,17 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
     return h
 
 
-def _context_tensor(times: np.ndarray, marks: np.ndarray, params: Params,
+def _context_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
                     config: ModelConfig, past: EncoderCache | None = None):
     """Row i is the conditioning context for the (i+1)-th event after the
     past; row 0 is the final hidden row of the last past event, or the
     learned begin-of-sequence context when the past is empty, and the last
     row conditions the survival term."""
-    if past is None or past.size == 0:
-        first = ad.reshape(params["initial_context"], (1, config.embed_dim))
-    else:
-        first = past.hidden[past.size - 1:past.size]
+    first = (weights.initial_context if past is None or past.size == 0
+             else past.hidden[past.size - 1:past.size])
     if times.size == 0:
         return first
-    h = _encode_tensor(times, marks, params, config, past)
+    h = _encode_tensor(times, marks, weights, config, past)
     return ad.concat([first, h], axis=0)
 
 
@@ -401,9 +419,8 @@ class EncoderCache:
     keeps the rows of the longest prefix of the events whose times and marks
     match the stored ones exactly, drops the rest, and encodes the
     remainder: a rollback after a rejected draft is just a call with the
-    shorter or diverging events. It encodes with the checkpoint's raw
-    arrays, and with the q|k|v matrix of each layer and the decoder heads'
-    matrices fused from them once, so its forward builds no tape. The
+    shorter or diverging events. It builds the Weights of the checkpoint's
+    raw arrays once, so its forwards fuse no matrix and build no tape. The
     events it lacks are encoded in consecutive blocks of at most
     ``_ENCODE_BLOCK`` rows, each attending over the rows held before it.
     Key and value buffers have shape (heads, capacity, head_dim); a cache
@@ -415,9 +432,7 @@ class EncoderCache:
     def __init__(self, checkpoint: ModelCheckpoint) -> None:
         self.checkpoint = checkpoint
         config = checkpoint.config
-        self.params = checkpoint.params
-        self.qkv = _fused_qkv(self.params, config)
-        self.heads = _fused_heads(self.params, config)
+        self.weights = _fused_weights(checkpoint.params, config)
         self.size = 0
         self.last_encoded = 0
         self._times = np.empty(0)
@@ -485,7 +500,7 @@ class EncoderCache:
         blocks = []
         while not blocks or self.size < times.size:
             new = slice(self.size, min(self.size + _ENCODE_BLOCK, times.size))
-            ctx = _context_tensor(times[new], marks[new], self.params, checkpoint.config, self)
+            ctx = _context_tensor(times[new], marks[new], self.weights, checkpoint.config, self)
             self._times[new], self._marks[new] = times[new], marks[new]
             self.hidden[new] = ctx[1:]
             self.size = new.stop
@@ -499,27 +514,11 @@ class EncoderCache:
 # decoder heads
 # ---------------------------------------------------------------------------
 
-def _fused_heads(params: Params, config: ModelConfig) -> tuple:
-    """The decoder heads as two products: a (d, 3M+d) input projection, with
-    decoder_proj folded into the mixture weight, mean and scale projections
-    and the mark hidden projection beside them, with its (3M+d,) bias, and
-    the (d, K) mark output projection with its (K,) bias."""
-    d = config.embed_dim
-    proj = params["decoder_proj"]
-    rows = ad.concat([ad.matmul(params["mix_weight_proj"], proj[:d]),
-                      ad.matmul(params["mix_mean_proj"], proj[d:2 * d]),
-                      ad.matmul(params["mix_scale_proj"], proj[2 * d:]),
-                      params["mark_hidden_proj"]], axis=0)
-    bias = ad.concat([params["mix_weight_bias"], params["mix_mean_bias"],
-                      params["mix_scale_bias"], params["mark_hidden_bias"]])
-    return ad.transpose(rows), bias, ad.transpose(params["mark_out_proj"]), params["mark_out_bias"]
-
-
-def _head_tensors(ctx, heads: tuple, config: ModelConfig):
+def _head_tensors(ctx, weights: Weights, config: ModelConfig):
     """Mixture log-weights/means/scales and mark logits for each context
-    row, from the heads of _fused_heads: one product and bias give every
-    row's weight logits, log-means, log-scales and mark hidden layer."""
-    w_in, b_in, w_out, b_out = heads
+    row, from the fused heads: one product and bias give every row's
+    weight logits, log-means, log-scales and mark hidden layer."""
+    w_in, b_in, w_out, b_out = weights.heads
     m = config.n_components
     pre = ad.add(ad.matmul(ctx, w_in), b_in)
     w_logits, mu, log_sigma = pre[:, :m], pre[:, m:2 * m], pre[:, 2 * m:3 * m]
@@ -561,7 +560,7 @@ def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *
     """
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    return _distributions(*_head_tensors(ctx, cache.heads, checkpoint.config))
+    return _distributions(*_head_tensors(ctx, cache.weights, checkpoint.config))
 
 
 def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
@@ -572,7 +571,7 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
     only."""
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    heads = _head_tensors(ctx[-1:, :], cache.heads, checkpoint.config)
+    heads = _head_tensors(ctx[-1:, :], cache.weights, checkpoint.config)
     return _distributions(*(t[0] for t in heads))
 
 
@@ -629,13 +628,13 @@ def sample_interval(params: MixtureParams, rng: RngStream) -> float:
 # ---------------------------------------------------------------------------
 
 def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
-                   params: Params, config: ModelConfig):
+                   weights: Weights, config: ModelConfig):
     n = times.size
     taus = np.diff(np.concatenate([[0.0], times]))
     if np.any(taus <= 0.0):
         raise ValueError("inter-event intervals must be positive")
-    ctx = _context_tensor(times, marks, params, config)
-    log_w, mu, sigma, mark_logits = _head_tensors(ctx, _fused_heads(params, config), config)
+    ctx = _context_tensor(times, marks, weights, config)
+    log_w, mu, sigma, mark_logits = _head_tensors(ctx, weights, config)
     density = _mixture_log_density(np.log(taus).reshape(-1, 1), log_w[:n, :], mu[:n, :],
                                    sigma[:n, :])
     total = ad.tensor_sum(density)
@@ -655,8 +654,8 @@ def sequence_loglik(seq: EventSequence, checkpoint: ModelCheckpoint) -> float:
     Raises FloatingPointError if it is not finite, which only non-finite
     head rows cause: the survival term is clipped at 1e-300 and every scale
     to [SIGMA_MIN, SIGMA_MAX]."""
-    value = float(_loglik_tensor(seq.times, seq.marks, seq.t_end,
-                                 checkpoint.params, checkpoint.config))
+    weights = _fused_weights(checkpoint.params, checkpoint.config)
+    value = float(_loglik_tensor(seq.times, seq.marks, seq.t_end, weights, checkpoint.config))
     if not math.isfinite(value):
         raise FloatingPointError(f"non-finite sequence log-likelihood {value}")
     return value

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import EventSequence, RngStream
-from .model import ModelCheckpoint, ModelConfig, _loglik_tensor, init_checkpoint, sequence_loglik
+from .model import (ModelCheckpoint, ModelConfig, _fused_weights, _loglik_tensor, init_checkpoint,
+                    sequence_loglik)
 
 logger = logging.getLogger(__name__)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator offset
@@ -66,14 +67,15 @@ def nll_batch(checkpoint: ModelCheckpoint,
 
     The loss divides the summed log-likelihood by the total event count of
     the batch (at least one, so all-empty batches reduce to their survival
-    terms)."""
+    terms). Its sequences share one build of the fused weights."""
     if not batch:
         raise ValueError("batch must be nonempty")
     tensors = {name: ad.Tensor(value) for name, value in checkpoint.params.items()}
+    weights = _fused_weights(tensors, checkpoint.config)
     total, events = 0.0, 0
     for seq in batch:
         total = ad.add(total, _loglik_tensor(seq.times, seq.marks, seq.t_end,
-                                             tensors, checkpoint.config))
+                                             weights, checkpoint.config))
         events += len(seq)
     loss = ad.mul(total, -1.0 / max(1, events))
     loss.backward()

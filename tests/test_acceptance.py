@@ -21,11 +21,12 @@ from spectpp import evaluation as ev
 from spectpp import sampler as S
 from spectpp import training as T
 from spectpp.classical import HawkesParams, SinePoissonParams, make_synthetic_dataset, ground_truth_loglik
-from spectpp.core import EventSequence, RngStream, clamped_exp, read_sequences, sequence_from_arrays
+from spectpp.core import EventSequence, RngStream, clamped_exp, read_sequences
 from spectpp.model import (
     EncoderCache,
     MixtureParams,
     ModelConfig,
+    _fused_weights,
     _loglik_tensor,
     init_checkpoint,
     load_checkpoint,
@@ -33,6 +34,7 @@ from spectpp.model import (
 )
 
 from gradcheck import grad_check
+from sequences import sequence_from_arrays
 
 pytestmark = pytest.mark.acceptance
 
@@ -272,7 +274,8 @@ def test_criterion_8_gradient_correctness():
         seq = sequence_from_arrays([0.4, 1.1, 1.9, 2.6], [0, 1, 1, 0], 4.0)
 
         def f(tensors, config=config, seq=seq):
-            return _loglik_tensor(seq.times, seq.marks, seq.t_end, tensors, config)
+            return _loglik_tensor(seq.times, seq.marks, seq.t_end,
+                                  _fused_weights(tensors, config), config)
 
         worst = max(worst, grad_check(f, checkpoint.params))
     ok = worst < 1e-4

@@ -15,7 +15,9 @@ from spectpp.classical import (
     thinning_sample,
     total_compensator_increments,
 )
-from spectpp.core import EventSequence, RngStream, sequence_from_arrays, validate_sequence
+from spectpp.core import EventSequence, RngStream, validate_sequence
+
+from sequences import sequence_from_arrays
 
 POISSON = SinePoissonParams(A=5.0, b=1.0, omega=1.0 / 50.0)
 HAWKES_1D = HawkesParams(mu=np.array([2.5]), alpha=np.array([[1.0]]), beta=np.array([[2.0]]))
@@ -126,8 +128,9 @@ def test_compensator_rejects_reversed_interval():
 
 
 def test_total_compensator_increments_match_reference():
-    seq = sequence_from_arrays([0.4, 1.1, 2.0, 3.7], [0, 1, 1, 0], 10.0)
-    for proc in (POISSON, HAWKES_2D):
+    # the sine-Poisson process has one mark type, so its events carry mark 0
+    for proc, marks in ((POISSON, [0, 0, 0, 0]), (HAWKES_2D, [0, 1, 1, 0])):
+        seq = sequence_from_arrays([0.4, 1.1, 2.0, 3.7], marks, 10.0)
         incs = total_compensator_increments(seq, proc)
         prev = 0.0
         for i, event in enumerate(seq.events):
@@ -138,11 +141,14 @@ def test_total_compensator_increments_match_reference():
 
 
 @pytest.mark.parametrize("marks, process", [([0, 2, 0], HAWKES_2D), ([0, -1, 0], HAWKES_2D),
-                                            ([0, 1, 0], HAWKES_1D)],
-                         ids=["too-large", "negative", "two-marks-on-1d"])
+                                            ([0, 1, 0], HAWKES_1D), ([0, 1, 0], POISSON),
+                                            ([0, -1, 0], POISSON)],
+                         ids=["too-large", "negative", "two-marks-on-1d", "poisson-mark-1",
+                              "poisson-negative"])
 def test_hawkes_scoring_refuses_marks_outside_its_range(marks, process):
     """A negative mark used to score as the last type, and one too large
-    raised IndexError."""
+    raised IndexError; the sine-Poisson scorers, whose process has one mark
+    type, scored any mark as that type."""
     seq = sequence_from_arrays([0.4, 1.1, 2.0], marks, 5.0)
     with pytest.raises(ValueError, match="outside the process's range"):
         total_compensator_increments(seq, process)

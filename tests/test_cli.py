@@ -12,9 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 from spectpp import cli, sampler
-from spectpp.core import RngStream, read_sequences, sequence_from_arrays, write_sequences
+from spectpp.core import RngStream, read_sequences, write_sequences
 from spectpp.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
 from spectpp.sampler import tpp_sd_sample
+
+from sequences import sequence_from_arrays
 
 
 @pytest.fixture()
@@ -415,14 +417,15 @@ def test_non_finite_model_output_maps_to_exit_3(runner, workspace, case):
         assert_exit_from_command_line_and_replay(runner, workspace, case, args, 3, "non-finite")
 
 
-@pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range"])
+@pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range",
+                                  "ks-poisson-mark-range", "loglik-poisson-mark-range"])
 def test_unscorable_input_exit_2(runner, workspace, case):
     """A horizon too short for any event leaves bench no likelihood to
-    normalise, and a mark outside a Hawkes process's range cannot be
-    scored: both are data errors, not tracebacks."""
+    normalise, and a mark outside a Hawkes or sine-Poisson process's range
+    cannot be scored: both are data errors, not tracebacks."""
     wide = str(workspace / "wide.jsonl")
     write_sequences(wide, [sequence_from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 5.0)])
-    hawkes = str(workspace / "hawkes.json")
+    hawkes, poisson = str(workspace / "hawkes.json"), str(workspace / "poisson.json")
     command, args, message = {
         "bench-short-horizon": ("bench", {"target": str(workspace / "target.json"),
                                           "draft": str(workspace / "draft.json"),
@@ -435,6 +438,12 @@ def test_unscorable_input_exit_2(runner, workspace, case):
                                               "scorer_a": f"process:{hawkes}",
                                               "scorer_b": f"process:{hawkes}"},
                               "outside the process's range"),
+        "ks-poisson-mark-range": ("eval-ks", {"sequences": wide, "process": poisson},
+                                  "outside the process's range"),
+        "loglik-poisson-mark-range": ("eval-loglik", {"sequences": wide, "sequences_b": None,
+                                                      "scorer_a": f"process:{poisson}",
+                                                      "scorer_b": f"process:{poisson}"},
+                                      "outside the process's range"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 
@@ -548,7 +557,8 @@ def test_mismatched_mark_cardinality_exit_2(runner, workspace, case):
 def assert_exit_from_command_line_and_replay(runner, workspace, command, args, code, message):
     """Run ``command`` with ``args`` as options and then as a replayed
     manifest: each exits ``code`` with an error naming ``message``, no
-    traceback, and no output directory."""
+    traceback, and no output directory; the replay's error names the
+    manifest too."""
     argv = command.split("-", 1) if command.startswith("eval-") else [command]
     for key, value in args.items():
         if value is not None:
@@ -562,6 +572,7 @@ def assert_exit_from_command_line_and_replay(runner, workspace, command, args, c
     result = runner.invoke(cli.main, ["replay", str(path), "--out", str(workspace / "r")])
     assert result.exit_code == code, result.output
     assert message in result.output and "Traceback" not in result.output
+    assert f"manifest {path}:" in result.output
     assert not (workspace / "x").exists() and not (workspace / "r").exists()
 
 

@@ -12,10 +12,11 @@ from spectpp.core import (
     RngStream,
     clamped_exp,
     read_sequences,
-    sequence_from_arrays,
     validate_sequence,
     write_sequences,
 )
+
+from sequences import sequence_from_arrays
 
 
 def test_empty_sequence_is_valid():

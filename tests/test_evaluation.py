@@ -11,8 +11,10 @@ from spectpp import evaluation as E
 from spectpp import model as M
 from spectpp import sampler as S
 from spectpp.classical import HawkesParams, SinePoissonParams, intensity, thinning_sample
-from spectpp.core import EventSequence, RngStream, sequence_from_arrays
+from spectpp.core import EventSequence, RngStream
 from spectpp.model import init_checkpoint, ModelConfig
+
+from sequences import sequence_from_arrays
 
 POISSON = SinePoissonParams(A=5.0, b=1.0, omega=1.0 / 50.0)
 HOMOGENEOUS_3 = HawkesParams(mu=np.array([3.0]), alpha=np.array([[0.0]]), beta=np.array([[1.0]]))

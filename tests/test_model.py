@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from scipy.special import ndtr
 from spectpp import model as M
 from spectpp import training as T
 from spectpp import autodiff as ad
-from spectpp.core import Event, EventSequence, RngStream, sequence_from_arrays
+from spectpp.core import Event, EventSequence, RngStream
 
 from gradcheck import grad_check
+from sequences import sequence_from_arrays
 
 
 def mixture_cdf(tau, params):
@@ -46,24 +48,27 @@ def random_checkpoint(config, seed, scale=None):
     return ckpt
 
 
+def fused_weights(ckpt):
+    return M._fused_weights(ckpt.params, ckpt.config)
+
+
 def temporal_encoding(t, ckpt):
     times = np.array([float(t)])
-    return M._temporal_encoding_tensor(times, ckpt.params, ckpt.config)[0]
+    return M._temporal_encoding_tensor(times, fused_weights(ckpt), ckpt.config)[0]
 
 
 def embed_events(seq, ckpt):
-    x, _ = M._embed_tensor(seq.times, seq.marks, ckpt.params, ckpt.config)
+    x, _ = M._embed_tensor(seq.times, seq.marks, fused_weights(ckpt), ckpt.config)
     return x
 
 
 def encode_history(seq, ckpt):
-    return M._encode_tensor(seq.times, seq.marks, ckpt.params, ckpt.config)
+    return M._encode_tensor(seq.times, seq.marks, fused_weights(ckpt), ckpt.config)
 
 
 def decode(h, ckpt):
     """The (mixture, mark distribution) pair of one history embedding."""
-    heads = M._head_tensors(np.reshape(h, (1, -1)), M._fused_heads(ckpt.params, ckpt.config),
-                            ckpt.config)
+    heads = M._head_tensors(np.reshape(h, (1, -1)), fused_weights(ckpt), ckpt.config)
     return M._distributions(*(t[0] for t in heads))
 
 
@@ -227,11 +232,12 @@ def test_mark_head_large_bias_concentrates():
     assert dist.probabilities[0] > 0.999
 
 
-def reference_head_tensors(ctx, params, config):
+def reference_head_tensors(ctx, fused, config):
     """_head_tensors as the chain of ops it was before the heads were fused:
     decoder_proj first, then a product and a bias per head, in that
-    arithmetic order."""
-    d = config.embed_dim
+    arithmetic order, on the named parameters that use_reference_heads
+    puts in place of the fused heads."""
+    params, d = fused.heads, config.embed_dim
     e = ad.matmul(ctx, params["decoder_proj"].T)
     e1, e2, e3 = e[:, :d], e[:, d:2 * d], e[:, 2 * d:]
     w_logits = ad.add(ad.matmul(e1, params["mix_weight_proj"].T), params["mix_weight_bias"])
@@ -248,7 +254,11 @@ def reference_head_tensors(ctx, params, config):
 def use_reference_heads(patched):
     """Run every forward through reference_head_tensors on the named
     parameters instead of the fused heads."""
-    patched.setattr(M, "_fused_heads", lambda params, config: params)
+    def named_heads(params, config, _fuse=M._fused_weights):
+        return dataclasses.replace(_fuse(params, config), heads=params)
+
+    for module in (M, T):
+        patched.setattr(module, "_fused_weights", named_heads)
     patched.setattr(M, "_head_tensors", reference_head_tensors)
 
 
@@ -323,6 +333,40 @@ def test_fused_heads_training_matches_the_reference_heads(encoding, n_heads, mon
         assert np.allclose(grad, reference_grads[name], rtol=0.0, atol=1e-12), name
 
 
+def test_weights_are_fused_once_per_batch_cache_and_loglik(monkeypatch):
+    """One build of the fused weights per nll_batch call, whatever the
+    batch size, per EncoderCache and per sequence_loglik call; a forward
+    through a cache builds none."""
+    calls = []
+
+    def counted(params, config, _fuse=M._fused_weights):
+        calls.append(type(params["decoder_proj"]))
+        return _fuse(params, config)
+
+    for module in (M, T):
+        monkeypatch.setattr(module, "_fused_weights", counted)
+    ckpt = random_checkpoint(tiny_config(n_layers=2, n_marks=3), seed=42)
+    batch = [sequence_from_arrays([0.3, 0.7, 1.6], [0, 2, 1], 2.0),
+             sequence_from_arrays([0.5, 1.5], [1, 0], 2.5), EventSequence((), 1.0),
+             sequence_from_arrays([0.2], [2], 3.0)]
+    T.nll_batch(ckpt, batch)
+    assert calls == [ad.Tensor]
+    T.nll_batch(ckpt, batch[:3])
+    assert calls == [ad.Tensor] * 2
+
+    calls.clear()
+    cache = M.EncoderCache(ckpt)
+    assert calls == [np.ndarray]
+    seq = batch[0]
+    for n in range(len(seq) + 1):
+        M.next_event_distributions(EventSequence(seq.events[:n], seq.t_end), ckpt, cache=cache)
+    M.position_distributions(EventSequence(seq.events[:1], seq.t_end), ckpt, cache=cache)
+    assert calls == [np.ndarray]
+    M.position_distributions(seq, ckpt)
+    M.sequence_loglik(seq, ckpt)
+    assert calls == [np.ndarray] * 3
+
+
 # -- mixture density / cdf / sampling ---------------------------------------------
 
 def test_logpdf_standard_lognormal_at_one():
@@ -383,12 +427,12 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
 
     monkeypatch.setattr(M, "_mixture_log_density", recorded)
     tensors = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
-    M._loglik_tensor(seq.times, seq.marks, seq.t_end, tensors, config)
+    M._loglik_tensor(seq.times, seq.marks, seq.t_end, M._fused_weights(tensors, config), config)
     (taped,) = terms
     assert isinstance(taped, ad.Tensor) and taped.shape == (n,)
 
-    ctx = M._context_tensor(seq.times, seq.marks, ckpt.params, config)
-    log_w, mu, sigma, _ = M._head_tensors(ctx, M._fused_heads(ckpt.params, config), config)
+    ctx = M._context_tensor(seq.times, seq.marks, fused_weights(ckpt), config)
+    log_w, mu, sigma, _ = M._head_tensors(ctx, fused_weights(ckpt), config)
     plain = density(np.log(taus).reshape(-1, 1), log_w[:n], mu[:n], sigma[:n])
     assert not isinstance(plain, ad.Tensor) and np.array_equal(plain, taped.data)
     mixtures, _ = M.position_distributions(seq, ckpt)
@@ -541,7 +585,8 @@ def test_loglik_gradient_matches_finite_differences():
     seq = sequence_from_arrays([0.4, 1.1, 1.9], [0, 1, 1], 4.0)
 
     def f(tensors):
-        return M._loglik_tensor(seq.times, seq.marks, seq.t_end, tensors, config)
+        return M._loglik_tensor(seq.times, seq.marks, seq.t_end,
+                                M._fused_weights(tensors, config), config)
 
     assert grad_check(f, ckpt.params) < 1e-4
 
@@ -597,8 +642,8 @@ def test_non_finite_head_output_raises(output, bad, monkeypatch):
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=31)
     seq = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], 10.0)
 
-    def poisoned(ctx, heads, config, _heads=M._head_tensors):
-        outputs = [np.array(t) for t in _heads(ctx, heads, config)]
+    def poisoned(ctx, fused, config, _heads=M._head_tensors):
+        outputs = [np.array(t) for t in _heads(ctx, fused, config)]
         outputs[HEAD_OUTPUTS[output]][-1, 0] = bad
         return tuple(outputs)
 
@@ -613,7 +658,7 @@ def unshifted_attention_reference(seq, ckpt):
     scores, masked by dropping future keys, and attnhp's +1 denominator."""
     config = ckpt.config
     x = embed_events(seq, ckpt)
-    z = M._temporal_encoding_tensor(seq.times, ckpt.params, config)
+    z = M._temporal_encoding_tensor(seq.times, fused_weights(ckpt), config)
     n = len(seq)
     attnhp = config.encoding == "attnhp"
     h = x
@@ -666,8 +711,9 @@ def training_forward(seq, ckpt):
     """Head rows at every position from the no-past forward that training
     runs on the tape, which no cache takes part in."""
     params = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
-    ctx = M._context_tensor(seq.times, seq.marks, params, ckpt.config)
-    heads = M._head_tensors(ctx, M._fused_heads(params, ckpt.config), ckpt.config)
+    fused = M._fused_weights(params, ckpt.config)
+    ctx = M._context_tensor(seq.times, seq.marks, fused, ckpt.config)
+    heads = M._head_tensors(ctx, fused, ckpt.config)
     assert all(isinstance(t, ad.Tensor) for t in heads)
     return M._distributions(*(ad.value(t) for t in heads))
 

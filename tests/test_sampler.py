@@ -11,7 +11,9 @@ from scipy.stats import ks_2samp, kstest
 from spectpp import model as M
 from spectpp import sampler as S
 from spectpp.classical import SinePoissonParams, thinning_sample
-from spectpp.core import Event, EventSequence, RngStream, clamped_exp, sequence_from_arrays, validate_sequence
+from spectpp.core import Event, EventSequence, RngStream, clamped_exp, validate_sequence
+
+from sequences import sequence_from_arrays
 
 
 def make_checkpoint(seed, n_layers=1, n_heads=1, embed_dim=8, n_components=4, n_marks=2,

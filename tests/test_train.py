@@ -6,10 +6,11 @@ import pytest
 from spectpp import autodiff as ad
 from spectpp import training as T
 from spectpp.classical import HawkesParams, ground_truth_loglik, make_synthetic_dataset
-from spectpp.core import EventSequence, RngStream, sequence_from_arrays
-from spectpp.model import ModelConfig, _loglik_tensor, init_checkpoint, sequence_loglik
+from spectpp.core import EventSequence, RngStream
+from spectpp.model import ModelConfig, _fused_weights, _loglik_tensor, init_checkpoint, sequence_loglik
 
 from gradcheck import grad_check
+from sequences import sequence_from_arrays
 
 TINY = ModelConfig(embed_dim=8, n_components=4, n_marks=1)
 RATE_2 = HawkesParams(mu=np.array([2.0]), alpha=np.array([[0.0]]), beta=np.array([[1.0]]))
@@ -37,10 +38,19 @@ def test_nll_batchwise_totals_recombine_to_full_mean():
         EventSequence((), 4.0),
         sequence_from_arrays([2.0], [0], 4.0),
     ]
-    full, _ = T.nll_batch(ckpt, seqs)
-    parts = [T.nll_batch(ckpt, [s])[0] * max(1, len(s)) for s in seqs]
+    full, full_grads = T.nll_batch(ckpt, seqs)
+    singles = [T.nll_batch(ckpt, [s]) for s in seqs]
+    parts = [loss * max(1, len(s)) for (loss, _), s in zip(singles, seqs)]
     total_events = sum(len(s) for s in seqs)
     assert sum(parts) / max(1, total_events) == pytest.approx(full, abs=1e-9)
+    # the batch builds its fused weights once, so the sequences' adjoints sum
+    # before their backward; the gradients still recombine, within 1e-12 of
+    # each parameter's largest entry (entries that cancel to near zero
+    # carry the rounding of their larger terms)
+    for name, grad in full_grads.items():
+        recombined = sum(g[name] * max(1, len(s)) for (_, g), s in zip(singles, seqs))
+        error = np.abs(recombined / max(1, total_events) - grad).max()
+        assert error <= 1e-12 * np.abs(grad).max(), name
 
 
 def test_nll_gradient_matches_finite_differences():
@@ -50,9 +60,9 @@ def test_nll_gradient_matches_finite_differences():
             sequence_from_arrays([0.7], [1], 3.0)]
 
     def f(tensors):
-        total = None
+        total, fused = None, _fused_weights(tensors, config)
         for seq in seqs:
-            ll = _loglik_tensor(seq.times, seq.marks, seq.t_end, tensors, config)
+            ll = _loglik_tensor(seq.times, seq.marks, seq.t_end, fused, config)
             total = ll if total is None else ad.add(total, ll)
         return ad.mul(total, -1.0 / 3.0)
 
