@@ -10,7 +10,11 @@ better than the parent's by more than the parent's q3 - q1. The
 ``determinism`` line of every run, the seeds and each side's
 ``environment`` line are kept, so that a reader can check that both sides
 did the same work, and each side's line count of ``src/spectpp``, so that
-the size of the change sits next to its timings.
+the size of the change sits next to its timings. The ungated stage
+diagnostics that each run prints as ``metric`` lines (simulation,
+evaluation and sampling rates, seconds per training epoch) are summarised
+apart, under ``diagnostics``, so that a change in one stage reads apart
+from another's drift.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload sample-short \\
         --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
@@ -32,11 +36,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+DIAGNOSTICS = ("sim_events_per_s", "eval_events_per_s", "train_epoch_s", "ar_events_per_s",
+               "sd_events_per_s")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One unchanged perfbench run of ``tree``; its environment,
-    determinism and final result lines."""
+    determinism and final result lines, and its stage diagnostics."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True,
@@ -51,7 +57,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return json.loads(found[0]) if found else None
 
     return {"environment": tagged("environment"), "determinism": tagged("determinism"),
-            "result": json.loads(lines[-1])}
+            "result": json.loads(lines[-1]), "diagnostics": diagnostic_metrics(lines)}
+
+
+def diagnostic_metrics(lines: list[str]) -> dict:
+    """The stage diagnostics among a run's ``metric NAME VALUE UNIT``
+    lines: per name, its value and unit."""
+    found = {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) == 4 and fields[0] == "metric" and fields[1] in DIAGNOSTICS:
+            found[fields[1]] = {"value": float(fields[2]), "unit": fields[3]}
+    return found
 
 
 def source_lines(tree: Path) -> int:
@@ -87,6 +104,21 @@ def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
                      pairs=pairs, median_change=change["median"] / parent["median"] - 1.0,
                      gain_resolved=10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"])
         out[name] = entry
+    return out
+
+
+def summarise_diagnostics(runs: dict[str, list[dict]]) -> dict:
+    """Per stage diagnostic that every run of both sides printed: its unit
+    and each side's values, median and quartiles. No gain is judged on
+    them."""
+    out = {}
+    for name in DIAGNOSTICS:
+        if not all(name in r["diagnostics"] for side in SIDES for r in runs[side]):
+            continue
+        values = {side: [r["diagnostics"][name]["value"] for r in runs[side]] for side in SIDES}
+        out[name] = {"unit": runs["parent"][0]["diagnostics"][name]["unit"],
+                     **{side: {**quartiles(values[side]), "values": values[side]}
+                        for side in SIDES}}
     return out
 
 
@@ -139,6 +171,7 @@ def main() -> int:
         "correct": {side: all(r["result"]["correct"] for r in runs[side]) for side in SIDES},
         "failed": {side: sum(r["result"]["failed"] for r in runs[side]) for side in SIDES},
         "metrics": summarise(runs, metrics),
+        "diagnostics": summarise_diagnostics(runs),
         "determinism": {side: [r["determinism"] for r in runs[side]] for side in SIDES},
         "determinism_identical": [p["determinism"] == c["determinism"]
                                   for p, c in zip(runs["parent"], runs["change"])],

@@ -219,8 +219,10 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
 
     Entry i is the integrated total intensity over (t_{i-1}, t_i] with
     t_0 = 0. Uses the same closed forms as :func:`compensator`, maintained
-    recursively so a whole sequence costs O(N) instead of O(N^2). A mark
-    outside the process's range is refused.
+    recursively so a whole sequence costs O(N) instead of O(N^2): the
+    kernel decays of all intervals come from one exp, and only the kernel
+    state is carried from event to event. A mark outside the process's
+    range is refused.
     """
     _check_marks(seq, process.n_marks)
     times = seq.times
@@ -231,18 +233,16 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
         bounds = np.concatenate([[0.0], times])
         anti = process.A * process.b * bounds - (process.A / w) * np.cos(w * bounds)
         return np.diff(anti)
+    ratio, mu_total = process.alpha / process.beta, float(np.sum(process.mu))
+    dts = np.diff(times, prepend=0.0)
+    decays = np.exp(-process.beta * dts[:, np.newaxis, np.newaxis])
     state = np.zeros((process.n_marks, process.n_marks))
-    ratio = process.alpha / process.beta
-    mu_total = float(np.sum(process.mu))
     increments = np.empty(times.size)
-    prev = 0.0
-    for i, event in enumerate(seq.events):
-        dt = event.time - prev
-        decay = np.exp(-process.beta * dt)
-        increments[i] = mu_total * dt + float(np.sum(ratio * state * (1.0 - decay)))
-        state = state * decay
-        state[event.mark] += 1.0
-        prev = event.time
+    spent = 1.0 - decays
+    for i, (dt, mark) in enumerate(zip(dts.tolist(), seq.marks.tolist())):
+        increments[i] = mu_total * dt + float((ratio * state * spent[i]).sum())
+        state = state * decays[i]
+        state[mark] += 1.0
     return increments
 
 
@@ -263,27 +263,25 @@ def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> floa
             return float("-inf")
         total_comp = float(compensator(process, 0.0, seq.t_end, EventSequence((), seq.t_end))[0])
         return float(np.sum(np.log(rates))) - total_comp
+    ratio, mu_total = process.alpha / process.beta, float(np.sum(process.mu))
+    # the intervals between events, then the tail from the last event to t_end
+    dts = np.diff(seq.times, prepend=0.0, append=seq.t_end)
+    if np.any(dts[:-1] < 0):
+        raise ValueError("sequence times must be non-decreasing")
+    decays = np.exp(-process.beta * dts[:, np.newaxis, np.newaxis])
+    spent = 1.0 - decays
     state = np.zeros((process.n_marks, process.n_marks))
-    ratio = process.alpha / process.beta
-    mu_total = float(np.sum(process.mu))
+    dts = dts.tolist()
     loglik = 0.0
-    prev = 0.0
-    for event in seq.events:
-        dt = event.time - prev
-        if dt < 0:
-            raise ValueError("sequence times must be non-decreasing")
-        decay = np.exp(-process.beta * dt)
-        loglik -= mu_total * dt + float(np.sum(ratio * state * (1.0 - decay)))
-        state = state * decay
-        rate = float(process.mu[event.mark] + np.sum(process.alpha[:, event.mark] * state[:, event.mark]))
+    for i, mark in enumerate(seq.marks.tolist()):
+        loglik -= mu_total * dts[i] + float((ratio * state * spent[i]).sum())
+        state = state * decays[i]
+        rate = float(process.mu[mark] + np.sum(process.alpha[:, mark] * state[:, mark]))
         if rate <= 0.0:
             return float("-inf")
         loglik += math.log(rate)
-        state[event.mark] += 1.0
-        prev = event.time
-    dt = seq.t_end - prev
-    decay = np.exp(-process.beta * dt)
-    loglik -= mu_total * dt + float(np.sum(ratio * state * (1.0 - decay)))
+        state[mark] += 1.0
+    loglik -= mu_total * dts[-1] + float((ratio * state * spent[-1]).sum())
     return loglik
 
 

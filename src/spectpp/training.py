@@ -35,7 +35,12 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean per-event log-likelihoods and the best checkpoint."""
+    """Per-epoch mean per-event log-likelihoods and the best checkpoint.
+
+    ``train_loglik[e]`` is the event-weighted mean of epoch e's minibatch
+    log-likelihoods, each scored by ``nll_batch`` at the parameters before
+    its own update; ``val_loglik[e]`` scores the validation split at the
+    end of epoch e, and it alone picks ``best_epoch``."""
 
     train_loglik: list[float] = field(default_factory=list)
     val_loglik: list[float] = field(default_factory=list)
@@ -118,8 +123,10 @@ def train(train_seqs: list[EventSequence], val_seqs: list[EventSequence],
           model_config: ModelConfig, config: TrainConfig) -> TrainReport:
     """Gradient-ascent training with early stopping on validation likelihood.
 
-    Deterministic under the config seed: initialization and per-epoch batch
-    shuffling consume named sub-streams of it.
+    Each epoch's training log-likelihood comes from the losses its
+    minibatches already computed, so after an epoch only the validation
+    split is scored. Deterministic under the config seed: initialization
+    and per-epoch batch shuffling consume named sub-streams of it.
     """
     if not train_seqs or not val_seqs:
         raise ValueError("train and validation splits must be nonempty")
@@ -132,11 +139,15 @@ def train(train_seqs: list[EventSequence], val_seqs: list[EventSequence],
     since_best = 0
     for epoch in range(config.max_epochs):
         order = root.child(f"epoch{epoch}").shuffled(len(train_seqs))
+        total, events = 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [train_seqs[i] for i in order[lo:lo + config.batch_size]]
-            _, grads = nll_batch(checkpoint, batch)
+            loss, grads = nll_batch(checkpoint, batch)
+            n = sum(len(seq) for seq in batch)
+            total -= loss * max(1, n)
+            events += n
             checkpoint.params, state = adam_step(checkpoint.params, grads, state, config)
-        report.train_loglik.append(_mean_loglik(checkpoint, train_seqs))
+        report.train_loglik.append(total / max(1, events))
         report.val_loglik.append(_mean_loglik(checkpoint, val_seqs))
         if report.val_loglik[-1] > best_val:
             best_val = report.val_loglik[-1]

@@ -79,3 +79,39 @@ def test_gain_resolved_for_a_lower_is_better_metric(bench_pairs):
                                     "change": rates([v + 8.0 for v in PARENT])}, [seconds])
     assert faster["rate"]["gain_resolved"] and faster["rate"]["change_wins"] == 10
     assert not slower["rate"]["gain_resolved"] and slower["rate"]["change_wins"] == 0
+
+
+def metric_lines(**values):
+    return [f"metric {name} {value!r} {'s' if name == 'train_epoch_s' else '1/s'}"
+            for name, value in values.items()]
+
+
+def test_diagnostics_are_read_from_the_metric_lines(bench_pairs):
+    lines = ["environment {}", *metric_lines(ar_or_sim_events_per_s=9.0, sim_events_per_s=20.0,
+                                             eval_events_per_s=80.0, train_epoch_s=0.25),
+             "metric raw.sim_events_per_s 22.0 1/s", "metric probe_ms 1.2 ms", "{}"]
+    assert bench_pairs.diagnostic_metrics(lines) == {
+        "sim_events_per_s": {"value": 20.0, "unit": "1/s"},
+        "eval_events_per_s": {"value": 80.0, "unit": "1/s"},
+        "train_epoch_s": {"value": 0.25, "unit": "s"},
+    }
+
+
+def test_diagnostics_are_summarised_per_side_and_not_gated(bench_pairs):
+    def run(eval_rate, sim_rate, train=None):
+        extra = {} if train is None else {"train_epoch_s": train}
+        lines = metric_lines(eval_events_per_s=eval_rate, sim_events_per_s=sim_rate, **extra)
+        return {"diagnostics": bench_pairs.diagnostic_metrics(lines)}
+
+    runs = {"parent": [run(70.0, 20.0, 0.3), run(72.0, 21.0, 0.3), run(74.0, 22.0, 0.3)],
+            "change": [run(90.0, 20.5), run(95.0, 19.0, 0.2), run(100.0, 21.5, 0.2)]}
+    summary = bench_pairs.summarise_diagnostics(runs)
+    # a diagnostic missing from any run is left out
+    assert list(summary) == ["sim_events_per_s", "eval_events_per_s"]
+    evaluation = summary["eval_events_per_s"]
+    assert evaluation["unit"] == "1/s"
+    assert evaluation["parent"] == {"median": 72.0, "q1": 71.0, "q3": 73.0,
+                                    "values": [70.0, 72.0, 74.0]}
+    assert evaluation["change"]["median"] == 95.0
+    assert summary["sim_events_per_s"]["change"]["values"] == [20.5, 19.0, 21.5]
+    assert "gain_resolved" not in evaluation

@@ -417,6 +417,17 @@ def test_non_finite_model_output_maps_to_exit_3(runner, workspace, case):
         assert_exit_from_command_line_and_replay(runner, workspace, case, args, 3, "non-finite")
 
 
+@pytest.mark.parametrize("mode", ["ar", "sd"])
+def test_stalled_clock_maps_to_exit_3(runner, workspace, stalling_checkpoint, mode):
+    """An interval too small to move the clock is a numerical failure."""
+    save_checkpoint(workspace / "stall.json", stalling_checkpoint)
+    stall = str(workspace / "stall.json")
+    args = {"mode": mode, "target": stall, "draft": stall if mode == "sd" else None,
+            "gamma": 5, "t_end": 20.0, "runs": 1, "seed": 0}
+    assert_exit_from_command_line_and_replay(runner, workspace, "sample", args, 3,
+                                             "does not move the clock")
+
+
 @pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range",
                                   "ks-poisson-mark-range", "loglik-poisson-mark-range"])
 def test_unscorable_input_exit_2(runner, workspace, case):

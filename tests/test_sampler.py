@@ -558,6 +558,28 @@ def test_sd_on_non_finite_model_raises(monkeypatch):
                         rng=RngStream(44))
 
 
+def test_samplers_raise_when_an_interval_does_not_move_the_clock(stalling_checkpoint):
+    """Before the check, AR kept two events at one time and SD's draft
+    batch refused its own candidates as ValueError."""
+    ckpt = stalling_checkpoint
+    with pytest.raises(FloatingPointError, match="does not move the clock"):
+        S.ar_sample(ckpt, 20.0, RngStream(1))
+    with pytest.raises(FloatingPointError, match="does not move the clock"):
+        S.tpp_sd_sample(ckpt, ckpt, 20.0, 5, RngStream(1))
+
+
+def test_single_steps_raise_when_an_interval_does_not_move_the_clock(stalling_checkpoint):
+    """After an event at t=1 a draw from the second component stalls; at
+    these seeds the AR step and the first draft step draw it. Without the
+    check, the AR step returned an event at t=1 again."""
+    ckpt = stalling_checkpoint
+    history = sequence_from_arrays([1.0], [0], 20.0)
+    with pytest.raises(FloatingPointError, match="from t=1.0 does not move the clock"):
+        S.ar_next_event(ckpt, history, RngStream(3), cache=M.EncoderCache(ckpt))
+    with pytest.raises(FloatingPointError, match="from t=1.0 does not move the clock"):
+        S.sd_next_event(ckpt, ckpt, history, 5, RngStream(0), **sd_caches(ckpt, ckpt))
+
+
 def guarded_checkpoint(encoding, n_layers, n_heads, scale, seed):
     """A random checkpoint whose encoder weights are scaled by ``scale``.
     The interval-location and -scale projections are zeroed, so every

@@ -160,3 +160,70 @@ def test_train_report_best_epoch_bookkeeping():
     report = T.train(data[:8], data[8:], TINY, config)
     assert report.best_epoch < report.epochs_run
     assert report.val_loglik[report.best_epoch] == max(report.val_loglik)
+
+
+def spied_nll_batch(monkeypatch, returned_loss=None):
+    """Record each nll_batch call's batch, parameters and loss; with
+    ``returned_loss`` the caller gets that loss in place of the real one."""
+    calls = []
+
+    def spy(checkpoint, batch, _nll=T.nll_batch):
+        loss, grads = _nll(checkpoint, batch)
+        calls.append((batch, checkpoint.copy(), loss))
+        return (loss if returned_loss is None else returned_loss), grads
+
+    monkeypatch.setattr(T, "nll_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_empty", [0, 3])
+def test_train_loglik_is_the_event_weighted_mean_of_the_epoch_minibatches(monkeypatch,
+                                                                          n_empty):
+    """Each epoch's training log-likelihood is its minibatches' summed
+    log-likelihoods, each at the parameters before its own update, over
+    the epoch's events; a minibatch of empty sequences adds its survival
+    terms and no events."""
+    data = make_synthetic_dataset(RATE_2, 9, 3.0, RngStream(12))
+    train_seqs = [EventSequence((), 3.0)] * n_empty + data[:6]
+    config = T.TrainConfig(learning_rate=0.02, batch_size=1, max_epochs=3, patience=3, seed=13)
+    calls = spied_nll_batch(monkeypatch)
+    report = T.train(train_seqs, data[6:], TINY, config)
+    per_epoch = len(train_seqs)
+    assert len(calls) == per_epoch * report.epochs_run
+    assert any(len(batch[0]) == 0 for batch, _, _ in calls) == bool(n_empty)
+    for epoch, value in enumerate(report.train_loglik):
+        epoch_calls = calls[epoch * per_epoch:(epoch + 1) * per_epoch]
+        total = sum(sequence_loglik(seq, params) for batch, params, _ in epoch_calls
+                    for seq in batch)
+        events = sum(len(seq) for batch, _, _ in epoch_calls for seq in batch)
+        assert value == pytest.approx(total / max(1, events), rel=1e-12, abs=0)
+
+
+def test_train_scores_only_the_validation_split_after_each_epoch(monkeypatch):
+    data = make_synthetic_dataset(RATE_2, 12, 4.0, RngStream(5))
+    config = T.TrainConfig(learning_rate=0.02, batch_size=4, max_epochs=3, patience=3, seed=9)
+    scored = []
+
+    def spy(seq, checkpoint, _loglik=T.sequence_loglik):
+        scored.append(seq)
+        return _loglik(seq, checkpoint)
+
+    monkeypatch.setattr(T, "sequence_loglik", spy)
+    report = T.train(data[:8], data[8:], TINY, config)
+    assert report.epochs_run == 3
+    assert scored == data[8:] * report.epochs_run
+
+
+def test_no_decision_reads_the_training_loglik_trace(monkeypatch):
+    """Replacing every minibatch loss that train sees by NaN leaves the
+    best epoch and the checkpoint as they were."""
+    data = make_synthetic_dataset(RATE_2, 12, 4.0, RngStream(6))
+    config = T.TrainConfig(learning_rate=0.02, batch_size=4, max_epochs=5, patience=2, seed=11)
+    plain = T.train(data[:8], data[8:], TINY, config)
+    spied_nll_batch(monkeypatch, returned_loss=float("nan"))
+    blind = T.train(data[:8], data[8:], TINY, config)
+    assert all(math.isnan(value) for value in blind.train_loglik)
+    assert blind.val_loglik == plain.val_loglik
+    assert blind.best_epoch == plain.best_epoch
+    for name, value in plain.checkpoint.params.items():
+        assert np.array_equal(blind.checkpoint.params[name], value)
