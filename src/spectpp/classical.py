@@ -5,6 +5,16 @@ intensity-form log-likelihood.
 The Hawkes intensity for output dimension j is
 ``mu[j] + sum over past events (s, m) of alpha[m, j] * exp(-beta[m, j] * (t - s))``,
 i.e. ``alpha[source, target]``. The univariate process is the 1x1 case.
+
+Thinning, time rescaling and the log-likelihood carry the (K, K) kernel
+state as a flat list of Python floats, one step per proposal or event,
+because numpy's per-call cost on such small arrays dominated them. The
+decays still come from ``np.exp`` (``math.exp`` differs from it in the
+last bit on some inputs), and every sum is a left fold, the order in
+which numpy sums fewer than 8 values and reduces over rows. So the output
+is bit for bit that of the same recursion on numpy arrays for thinning
+with K <= 7 marks and for the scorers with K <= 2, whose compensator
+steps sum K*K values; for larger K it may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -12,11 +22,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import reduce
+from itertools import zip_longest
+from operator import add, mul
+from typing import Iterator, Union
 
 import numpy as np
 
-from .core import Event, EventSequence, RngStream, check_horizon
+from .core import Event, EventSequence, RngStream, advance_clock, check_horizon
 
 logger = logging.getLogger(__name__)
 _RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, this]
@@ -26,11 +39,18 @@ class NonFiniteIntensityError(FloatingPointError):
     """Raised when a simulator or scorer encounters a non-finite rate."""
 
 
-def _check_marks(seq: EventSequence, n_marks: int) -> None:
-    marks = seq.marks
+def _scorable(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sequence's times and marks. A mark outside the process's range
+    and a time before the one preceding it (or before 0) are refused: the
+    scorers would read the first as another type and turn the second into
+    a negative compensator."""
+    times, marks = seq.times, seq.marks
     outside = marks[(marks < 0) | (marks >= n_marks)]
     if outside.size:
         raise ValueError(f"mark {outside[0]} outside the process's range [0, {n_marks})")
+    if np.any(np.diff(times, prepend=0.0) < 0):
+        raise ValueError("sequence times must be non-decreasing")
+    return times, marks
 
 
 @dataclass(frozen=True)
@@ -108,26 +128,6 @@ def process_from_record(record: dict) -> GroundTruthProcess:
     raise ValueError(f"unknown process kind: {kind!r}")
 
 
-def intensity(process: GroundTruthProcess, t: float, history: EventSequence) -> np.ndarray:
-    """Per-type conditional intensity at time t given the events before t.
-
-    Events of the history at exactly time t do not contribute (kernels act
-    strictly after their event). Raises if t precedes the history end.
-    """
-    times = history.times
-    if times.size and t < times[-1]:
-        raise ValueError(f"query time {t} precedes last history event {times[-1]}")
-    if isinstance(process, SinePoissonParams):
-        return np.array([process.rate(t)])
-    rates = process.mu.copy()
-    for event in history.events:
-        if event.time < t:
-            rates += process.alpha[event.mark] * np.exp(-process.beta[event.mark] * (t - event.time))
-    if not np.all(np.isfinite(rates)):
-        raise NonFiniteIntensityError(f"non-finite intensity at t={t}")
-    return rates
-
-
 def compensator(process: GroundTruthProcess, t0: float, t1: float,
                 history: EventSequence) -> np.ndarray:
     """Integral of the per-type intensity over [t0, t1], in closed form.
@@ -156,43 +156,57 @@ def _thinning_poisson(process: SinePoissonParams, t_end: float, rng: RngStream) 
     t = 0.0
     times = []
     while True:
-        t += rng.exponential(bound)
-        if t > t_end:
+        dt = rng.exponential(bound)
+        if t + dt > t_end:
             break
+        t = advance_clock(t, dt)
         if rng.uniform() < float(process.rate(t)) / bound:
             times.append(t)
     events = tuple(Event(time, 0) for time in times)
     return EventSequence(events, t_end)
 
 
+def _intensities(mu: list, alpha: list, state: list) -> list:
+    """Per-type Hawkes intensity from the flat kernel state: mu[j] plus the
+    left fold over rows i of alpha[i, j] * state[i, j]."""
+    k = len(mu)
+    products = list(map(mul, alpha, state))
+    columns = products[:k]
+    for row in range(k, k * k, k):
+        columns = list(map(add, columns, products[row:row + k]))
+    return list(map(add, mu, columns))
+
+
 def _thinning_hawkes(process: HawkesParams, t_end: float, rng: RngStream) -> EventSequence:
-    m = process.n_marks
-    # state[i, j] tracks sum over past type-i events of exp(-beta[i,j]*(t - s));
-    # exponential kernels let it be decayed in place between proposals.
-    state = np.zeros((m, m))
+    k = process.n_marks
+    mu, alpha = process.mu.tolist(), process.alpha.ravel().tolist()
+    neg_beta = -process.beta.ravel()
+    # state[i*k + j] tracks sum over past type-i events of exp(-beta[i,j]*(t - s));
+    # exponential kernels let it be decayed between proposals.
+    state = [0.0] * (k * k)
     t = 0.0
     events: list[Event] = []
-    bound = float(np.sum(process.mu + np.sum(process.alpha * state, axis=0)))
+    bound = reduce(add, _intensities(mu, alpha, state))
     while True:
         if not math.isfinite(bound) or bound <= 0:
             if bound <= 0:
                 break
             raise NonFiniteIntensityError("non-finite thinning bound")
         dt = rng.exponential(bound)
-        t_new = t + dt
-        if t_new > t_end:
+        if t + dt > t_end:
             break
-        state = state * np.exp(-process.beta * dt)
-        rates = process.mu + np.sum(process.alpha * state, axis=0)
-        total = float(np.sum(rates))
+        t = advance_clock(t, dt)
+        state = list(map(mul, state, np.exp(neg_beta * dt).tolist()))
+        rates = _intensities(mu, alpha, state)
+        total = reduce(add, rates)
         if not math.isfinite(total):
-            raise NonFiniteIntensityError(f"non-finite intensity at t={t_new}")
-        t = t_new
+            raise NonFiniteIntensityError(f"non-finite intensity at t={t}")
         if rng.uniform() < total / bound:
-            mark = rng.categorical(rates / total)
+            mark = rng.categorical(np.divide(rates, total))
             events.append(Event(t, mark))
-            state[mark] += 1.0
-            bound = float(np.sum(process.mu + np.sum(process.alpha * state, axis=0)))
+            row = mark * k
+            state[row:row + k] = [s + 1.0 for s in state[row:row + k]]
+            bound = reduce(add, _intensities(mu, alpha, state))
         else:
             # rejected proposal: the decayed intensity is a fresh valid bound
             bound = total
@@ -213,19 +227,41 @@ def thinning_sample(process: GroundTruthProcess, t_end: float, rng: RngStream) -
     return _thinning_hawkes(process, t_end, rng)
 
 
+def _hawkes_walk(process: HawkesParams, dts: np.ndarray,
+                 marks: list[int]) -> Iterator[tuple[float, list]]:
+    """The kernel state carried over consecutive intervals dts, the i-th
+    ended by an event of mark marks[i]; dts may hold one more interval,
+    ended by no event. Yields, per interval, the total compensator over it
+    and the kernel state decayed to its end, before its event is added.
+
+    The compensator follows the closed form of :func:`compensator`. The
+    decays of all intervals come from one exp, so a whole sequence costs
+    O(N) instead of O(N^2).
+    """
+    k = process.n_marks
+    ratio, mu_total = (process.alpha / process.beta).ravel().tolist(), float(np.sum(process.mu))
+    decays = np.exp(-process.beta * dts[:, np.newaxis, np.newaxis]).reshape(dts.size, k * k)
+    spent = (1.0 - decays).tolist()
+    state = [0.0] * (k * k)
+    for dt, decay, spent_i, mark in zip_longest(dts.tolist(), decays.tolist(), spent, marks):
+        excitation = reduce(add, map(mul, map(mul, ratio, state), spent_i))
+        state = list(map(mul, state, decay))
+        yield mu_total * dt + excitation, state
+        if mark is not None:
+            row = mark * k
+            state[row:row + k] = [s + 1.0 for s in state[row:row + k]]
+
+
 def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess) -> np.ndarray:
     """Summed-over-types compensator between consecutive events, length N:
     the time-rescaled intervals, Exponential(1) iid when the process is right.
 
     Entry i is the integrated total intensity over (t_{i-1}, t_i] with
-    t_0 = 0. Uses the same closed forms as :func:`compensator`, maintained
-    recursively so a whole sequence costs O(N) instead of O(N^2): the
-    kernel decays of all intervals come from one exp, and only the kernel
-    state is carried from event to event. A mark outside the process's
-    range is refused.
+    t_0 = 0, in the closed forms of :func:`compensator`; for the Hawkes
+    process it is maintained recursively. A mark outside the process's
+    range and decreasing times are refused.
     """
-    _check_marks(seq, process.n_marks)
-    times = seq.times
+    times, marks = _scorable(seq, process.n_marks)
     if times.size == 0:
         return np.zeros(0)
     if isinstance(process, SinePoissonParams):
@@ -233,55 +269,39 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
         bounds = np.concatenate([[0.0], times])
         anti = process.A * process.b * bounds - (process.A / w) * np.cos(w * bounds)
         return np.diff(anti)
-    ratio, mu_total = process.alpha / process.beta, float(np.sum(process.mu))
-    dts = np.diff(times, prepend=0.0)
-    decays = np.exp(-process.beta * dts[:, np.newaxis, np.newaxis])
-    state = np.zeros((process.n_marks, process.n_marks))
-    increments = np.empty(times.size)
-    spent = 1.0 - decays
-    for i, (dt, mark) in enumerate(zip(dts.tolist(), seq.marks.tolist())):
-        increments[i] = mu_total * dt + float((ratio * state * spent[i]).sum())
-        state = state * decays[i]
-        state[mark] += 1.0
-    return increments
+    walk = _hawkes_walk(process, np.diff(times, prepend=0.0), marks.tolist())
+    return np.array([increment for increment, _ in walk])
 
 
 def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> float:
     """Intensity-form log-likelihood: sum of log rates at events minus the
     total compensator over (0, t_end]. Returns -inf if an event sits at a
-    zero-rate time. A mark outside the process's range is refused.
+    zero-rate time. A mark outside the process's range and decreasing
+    times are refused.
 
-    Computed with the recursive kernel state, so it matches the
-    :func:`intensity`/:func:`compensator` reference forms to rounding while
-    staying linear in sequence length.
+    Computed with the recursive kernel state of the time rescaling, so it
+    matches the intensity and :func:`compensator` reference forms to
+    rounding while staying linear in sequence length.
     """
-    _check_marks(seq, process.n_marks)
+    times, marks = _scorable(seq, process.n_marks)
     if isinstance(process, SinePoissonParams):
-        times = seq.times
         rates = process.rate(times)
         if np.any(rates <= 0.0):
             return float("-inf")
         total_comp = float(compensator(process, 0.0, seq.t_end, EventSequence((), seq.t_end))[0])
         return float(np.sum(np.log(rates))) - total_comp
-    ratio, mu_total = process.alpha / process.beta, float(np.sum(process.mu))
+    k, mu, alpha = process.n_marks, process.mu.tolist(), process.alpha.ravel().tolist()
+    marks = marks.tolist()
     # the intervals between events, then the tail from the last event to t_end
-    dts = np.diff(seq.times, prepend=0.0, append=seq.t_end)
-    if np.any(dts[:-1] < 0):
-        raise ValueError("sequence times must be non-decreasing")
-    decays = np.exp(-process.beta * dts[:, np.newaxis, np.newaxis])
-    spent = 1.0 - decays
-    state = np.zeros((process.n_marks, process.n_marks))
-    dts = dts.tolist()
+    walk = _hawkes_walk(process, np.diff(times, prepend=0.0, append=seq.t_end), marks)
     loglik = 0.0
-    for i, mark in enumerate(seq.marks.tolist()):
-        loglik -= mu_total * dts[i] + float((ratio * state * spent[i]).sum())
-        state = state * decays[i]
-        rate = float(process.mu[mark] + np.sum(process.alpha[:, mark] * state[:, mark]))
+    for mark, (increment, state) in zip(marks, walk):
+        loglik -= increment
+        rate = mu[mark] + reduce(add, map(mul, alpha[mark::k], state[mark::k]))
         if rate <= 0.0:
             return float("-inf")
         loglik += math.log(rate)
-        state[mark] += 1.0
-    loglik -= mu_total * dts[-1] + float((ratio * state * spent[-1]).sum())
+    loglik -= next(walk)[0]
     return loglik
 
 

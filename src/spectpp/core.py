@@ -83,6 +83,17 @@ def check_horizon(t_end: float) -> None:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
 
 
+def advance_clock(t: float, tau: float) -> float:
+    """The clock after an interval tau from t. Raises when the interval does
+    not move it to a later finite time, as when tau is below t's last bit:
+    a sampler or simulator that kept such a time would emit two events at
+    one time, or never pass t_end."""
+    t_next = t + tau
+    if not t < t_next < math.inf:
+        raise FloatingPointError(f"interval {tau!r} from t={t!r} does not move the clock")
+    return t_next
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_sequence: ok, or the first violation found."""

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Event, EventSequence, RngStream, check_horizon, clamped_exp
+from .core import Event, EventSequence, RngStream, advance_clock, check_horizon, clamped_exp
 from .model import (
     EncoderCache,
     MarkDistribution,
@@ -180,17 +180,6 @@ def _check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
         raise ValueError("target and draft must share the mark cardinality")
 
 
-def _advance(t: float, tau: float) -> float:
-    """The clock after an interval tau from t. Raises when the interval does
-    not move it to a later finite time, as when tau is below t's last bit:
-    a run that kept such a time would emit two events at one time, or never
-    pass t_end."""
-    t_next = t + tau
-    if not t < t_next < math.inf:
-        raise FloatingPointError(f"interval {tau!r} from t={t!r} does not move the clock")
-    return t_next
-
-
 def _next_event(model: ModelCheckpoint, events: _RunState, rng: RngStream,
                 cache: EncoderCache) -> tuple[float, int, MixtureParams, MarkDistribution]:
     """One autoregressive draw after the run's events: the interval, then
@@ -217,7 +206,7 @@ def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStrea
     the step that ar_sample repeats."""
     events = _RunState(history)
     tau, mark, _, _ = _next_event(target, events, rng, cache)
-    return Event(_advance(events.last_time, tau), mark)
+    return Event(advance_clock(events.last_time, tau), mark)
 
 
 def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
@@ -236,7 +225,7 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
         tau, mark, _, _ = _next_event(target, events, stream, cache)
         stats.target_forward_passes += 1
         stats.target_rows_encoded += cache.last_encoded
-        events.append(_advance(events.last_time, tau), mark)
+        events.append(advance_clock(events.last_time, tau), mark)
     return _finish(events, held, t_end, stats, start)
 
 
@@ -257,7 +246,7 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
         tau, mark, mixture, mark_dist = _next_event(draft_model, events, rng, cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
-        events.append(_advance(events.last_time, tau), mark)
+        events.append(advance_clock(events.last_time, tau), mark)
         intervals.append(tau)
         mixtures.append(mixture)
         mark_dists.append(mark_dist)
@@ -373,7 +362,7 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
             stats.residual_proposals += proposals
             stats.residual_fallbacks += int(fell_back)
             previous = float(batch.times[accepted - 1]) if accepted else events.last_time
-            event_time = _advance(previous, tau)
+            event_time = advance_clock(previous, tau)
         if not mark_ok[accepted]:
             mark = residual_mark_sample(mark_dists.row(first + accepted),
                                         batch.mark_dists.row(accepted), residual_rng)

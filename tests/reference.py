@@ -1,0 +1,82 @@
+"""Reference forms of the ground-truth processes, kept as test oracles:
+the conditional intensity summed event by event, and the thinning and
+time-rescaling recursions with the kernel state held in numpy arrays."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from spectpp.classical import GroundTruthProcess, HawkesParams, NonFiniteIntensityError, SinePoissonParams
+from spectpp.core import Event, EventSequence, RngStream
+
+
+def intensity(process: GroundTruthProcess, t: float, history: EventSequence) -> np.ndarray:
+    """Per-type conditional intensity at time t given the events before t.
+
+    Events of the history at exactly time t do not contribute (kernels act
+    strictly after their event). Raises if t precedes the history end.
+    """
+    times = history.times
+    if times.size and t < times[-1]:
+        raise ValueError(f"query time {t} precedes last history event {times[-1]}")
+    if isinstance(process, SinePoissonParams):
+        return np.array([process.rate(t)])
+    rates = process.mu.copy()
+    for event in history.events:
+        if event.time < t:
+            rates += process.alpha[event.mark] * np.exp(-process.beta[event.mark] * (t - event.time))
+    if not np.all(np.isfinite(rates)):
+        raise NonFiniteIntensityError(f"non-finite intensity at t={t}")
+    return rates
+
+
+def numpy_thinning_hawkes(process: HawkesParams, t_end: float, rng: RngStream) -> EventSequence:
+    """Ogata thinning with the (K, K) kernel state as a numpy array, drawing
+    from rng in the simulator's order."""
+    m = process.n_marks
+    state = np.zeros((m, m))
+    t = 0.0
+    events: list[Event] = []
+    bound = float(np.sum(process.mu + np.sum(process.alpha * state, axis=0)))
+    while True:
+        if not math.isfinite(bound) or bound <= 0:
+            if bound <= 0:
+                break
+            raise NonFiniteIntensityError("non-finite thinning bound")
+        dt = rng.exponential(bound)
+        t_new = t + dt
+        if t_new > t_end:
+            break
+        state = state * np.exp(-process.beta * dt)
+        rates = process.mu + np.sum(process.alpha * state, axis=0)
+        total = float(np.sum(rates))
+        if not math.isfinite(total):
+            raise NonFiniteIntensityError(f"non-finite intensity at t={t_new}")
+        t = t_new
+        if rng.uniform() < total / bound:
+            mark = rng.categorical(rates / total)
+            events.append(Event(t, mark))
+            state[mark] += 1.0
+            bound = float(np.sum(process.mu + np.sum(process.alpha * state, axis=0)))
+        else:
+            bound = total
+    return EventSequence(tuple(events), t_end)
+
+
+def numpy_compensator_increments(seq: EventSequence, process: HawkesParams) -> np.ndarray:
+    """The Hawkes time-rescaled intervals with the kernel state as a numpy
+    array."""
+    times = seq.times
+    ratio, mu_total = process.alpha / process.beta, float(np.sum(process.mu))
+    dts = np.diff(times, prepend=0.0)
+    decays = np.exp(-process.beta * dts[:, np.newaxis, np.newaxis])
+    state = np.zeros((process.n_marks, process.n_marks))
+    increments = np.empty(times.size)
+    spent = 1.0 - decays
+    for i, (dt, mark) in enumerate(zip(dts.tolist(), seq.marks.tolist())):
+        increments[i] = mu_total * dt + float((ratio * state * spent[i]).sum())
+        state = state * decays[i]
+        state[mark] += 1.0
+    return increments

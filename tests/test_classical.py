@@ -9,7 +9,6 @@ from spectpp.classical import (
     SinePoissonParams,
     compensator,
     ground_truth_loglik,
-    intensity,
     make_synthetic_dataset,
     process_from_record,
     thinning_sample,
@@ -17,6 +16,7 @@ from spectpp.classical import (
 )
 from spectpp.core import EventSequence, RngStream, validate_sequence
 
+from reference import intensity, numpy_compensator_increments, numpy_thinning_hawkes
 from sequences import sequence_from_arrays
 
 POISSON = SinePoissonParams(A=5.0, b=1.0, omega=1.0 / 50.0)
@@ -25,6 +25,20 @@ HAWKES_2D = HawkesParams(
     mu=np.array([0.4, 0.4]),
     alpha=np.array([[1.0, 0.5], [0.1, 1.0]]),
     beta=np.full((2, 2), 2.0),
+)
+# fit-validate's process in perfbench, on that workload's horizon of 100
+PERFBENCH_2D = process_from_record({"kind": "hawkes", "mu": [0.4, 0.4],
+                                    "alpha": [[1.0, 0.5], [0.1, 1.0]],
+                                    "beta": [[2.0, 2.0], [2.0, 2.0]]})
+HAWKES_3D = HawkesParams(
+    mu=np.array([0.3, 0.2, 0.5]),
+    alpha=np.array([[0.5, 0.2, 0.1], [0.1, 0.6, 0.2], [0.3, 0.1, 0.4]]),
+    beta=np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 0.7], [4.0, 1.2, 2.2]]),
+)
+HAWKES_8D = HawkesParams(
+    mu=np.linspace(0.1, 0.4, 8),
+    alpha=np.full((8, 8), 0.05) + 0.3 * np.eye(8),
+    beta=np.linspace(1.0, 3.0, 64).reshape(8, 8),
 )
 EMPTY = EventSequence((), 100.0)
 
@@ -156,10 +170,67 @@ def test_hawkes_scoring_refuses_marks_outside_its_range(marks, process):
         ground_truth_loglik(seq, process)
 
 
+@pytest.mark.parametrize("times, process", [([2.0, 1.0, 2.5], HAWKES_1D),
+                                             ([2.0, 1.0, 2.5], POISSON),
+                                             ([-1.0, 1.0, 2.5], HAWKES_1D)],
+                         ids=["hawkes", "poisson", "negative-first"])
+def test_scoring_refuses_decreasing_times(times, process):
+    """Time rescaling used to turn a decreasing time into a negative
+    interval, and the KS statistic into a value no KS statistic can take."""
+    seq = sequence_from_arrays(times, [0, 0, 0], 3.0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        total_compensator_increments(seq, process)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ground_truth_loglik(seq, process)
+
+
 def test_thinning_output_is_valid():
     for proc, k in ((POISSON, 1), (HAWKES_1D, 1), (HAWKES_2D, 2)):
         seq = thinning_sample(proc, 50.0, RngStream(3).child("t"))
         assert validate_sequence(seq, k).ok
+
+
+@pytest.mark.parametrize("process, t_end", [(HAWKES_1D, 20.0), (HAWKES_2D, 20.0),
+                                             (PERFBENCH_2D, 100.0), (HAWKES_3D, 20.0)],
+                         ids=["1d", "2d", "perfbench-2d", "3d-unequal-betas"])
+def test_thinning_is_byte_identical_to_the_numpy_recursion(process, t_end):
+    """The float recursion draws as the numpy one does and sums in its
+    order, so with fewer than 8 marks every time and mark is the same bits;
+    so are the time-rescaled intervals with at most 2 marks, and with 3
+    they agree to rounding."""
+    for seed in range(50):
+        got = thinning_sample(process, t_end, RngStream(seed).child("b"))
+        want = numpy_thinning_hawkes(process, t_end, RngStream(seed).child("b"))
+        assert got.times.tobytes() == want.times.tobytes(), seed
+        assert np.array_equal(got.marks, want.marks), seed
+        increments = total_compensator_increments(want, process)
+        reference = numpy_compensator_increments(want, process)
+        if process.n_marks <= 2:
+            assert increments.tobytes() == reference.tobytes(), seed
+        else:
+            np.testing.assert_allclose(increments, reference, rtol=1e-12, atol=0.0)
+
+
+def test_thinning_with_eight_marks_matches_the_numpy_recursion_to_rounding():
+    """From 8 marks numpy sums pairwise, so the float recursion's left folds
+    may differ from it in the last bits."""
+    for seed in range(20):
+        got = thinning_sample(HAWKES_8D, 20.0, RngStream(seed))
+        want = numpy_thinning_hawkes(HAWKES_8D, 20.0, RngStream(seed))
+        assert np.array_equal(got.marks, want.marks), seed
+        np.testing.assert_allclose(got.times, want.times, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(total_compensator_increments(want, HAWKES_8D),
+                                   numpy_compensator_increments(want, HAWKES_8D),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_thinning_raises_when_an_interval_does_not_move_the_clock():
+    """After the first event the bound is about 1e200, so every proposed
+    interval is below the clock's last bit; the loop used to grow its
+    event list at one time without end."""
+    process = HawkesParams(mu=np.array([1.0]), alpha=np.array([[1e200]]), beta=np.array([[1.0]]))
+    with pytest.raises(FloatingPointError, match="does not move the clock"):
+        thinning_sample(process, 10.0, RngStream(0))
 
 
 def test_thinning_homogeneous_mean_count():

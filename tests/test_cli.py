@@ -391,8 +391,10 @@ def test_non_finite_model_output_maps_to_exit_3(runner, workspace, case):
     save_checkpoint(workspace / "deep.json", deep)
     write_sequences(workspace / "history.jsonl",
                     [sequence_from_arrays([0.5, 1.0, 1.5, 2.0], [0, 1, 0, 1], 5.0)])
+    # the bound after the first event, mu + alpha, overflows; with a small
+    # mu the clock would stall first, on intervals of about 1 / alpha
     (workspace / "overflow.json").write_text(json.dumps({
-        "kind": "hawkes", "mu": [2.5], "alpha": [[1e308]], "beta": [[2.0]]}))
+        "kind": "hawkes", "mu": [1e308], "alpha": [[1e308]], "beta": [[2.0]]}))
     (workspace / "overflow_train.json").write_text(json.dumps({
         "learning_rate": 1e200, "batch_size": 8, "max_epochs": 2, "patience": 2, "seed": 3}))
     write_sequences(workspace / "data.jsonl", [sequence_from_arrays([0.5, 1.0], [0, 0], 2.0)] * 10)
@@ -428,14 +430,29 @@ def test_stalled_clock_maps_to_exit_3(runner, workspace, stalling_checkpoint, mo
                                              "does not move the clock")
 
 
+def test_stalled_simulation_clock_maps_to_exit_3(runner, workspace):
+    """After the first event of this Hawkes process the thinning bound is
+    about 1e200, so each proposed interval is below the clock's last bit;
+    the simulation used to grow its event list without end."""
+    (workspace / "stall.json").write_text(json.dumps({
+        "kind": "hawkes", "mu": [1.0], "alpha": [[1e200]], "beta": [[1.0]]}))
+    args = {"process": str(workspace / "stall.json"), "n": 2, "t_end": 10.0, "seed": 0}
+    assert_exit_from_command_line_and_replay(runner, workspace, "simulate", args, 3,
+                                             "does not move the clock")
+
+
 @pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range",
-                                  "ks-poisson-mark-range", "loglik-poisson-mark-range"])
+                                  "ks-poisson-mark-range", "loglik-poisson-mark-range",
+                                  "ks-decreasing-times"])
 def test_unscorable_input_exit_2(runner, workspace, case):
     """A horizon too short for any event leaves bench no likelihood to
     normalise, and a mark outside a Hawkes or sine-Poisson process's range
-    cannot be scored: both are data errors, not tracebacks."""
+    or times that decrease cannot be scored: all are data errors, not
+    tracebacks."""
     wide = str(workspace / "wide.jsonl")
     write_sequences(wide, [sequence_from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 5.0)])
+    unordered = str(workspace / "unordered.jsonl")
+    write_sequences(unordered, [sequence_from_arrays([2.0, 1.0, 2.5], [0, 0, 0], 3.0)])
     hawkes, poisson = str(workspace / "hawkes.json"), str(workspace / "poisson.json")
     command, args, message = {
         "bench-short-horizon": ("bench", {"target": str(workspace / "target.json"),
@@ -455,6 +472,8 @@ def test_unscorable_input_exit_2(runner, workspace, case):
                                                       "scorer_a": f"process:{poisson}",
                                                       "scorer_b": f"process:{poisson}"},
                                       "outside the process's range"),
+        "ks-decreasing-times": ("eval-ks", {"sequences": unordered, "process": hawkes},
+                                "sequence times must be non-decreasing"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 

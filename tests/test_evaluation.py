@@ -10,7 +10,7 @@ from scipy.stats import wasserstein_distance
 from spectpp import evaluation as E
 from spectpp import model as M
 from spectpp import sampler as S
-from spectpp.classical import HawkesParams, SinePoissonParams, intensity, thinning_sample
+from spectpp.classical import HawkesParams, SinePoissonParams, thinning_sample
 from spectpp.core import EventSequence, RngStream
 from spectpp.model import init_checkpoint, ModelConfig
 
