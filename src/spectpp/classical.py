@@ -220,6 +220,8 @@ def thinning_sample(process: GroundTruthProcess, t_end: float, rng: RngStream) -
     refreshes the bound after every accepted or rejected proposal, which is
     valid because exponential kernels only decay between events. Marks are
     assigned proportionally to the per-type intensity at the accepted time.
+    A proposed interval that does not move the clock, or a non-finite
+    intensity, raises FloatingPointError.
     """
     check_horizon(t_end)
     if isinstance(process, SinePoissonParams):

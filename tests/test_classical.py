@@ -214,7 +214,7 @@ def test_thinning_is_byte_identical_to_the_numpy_recursion(process, t_end):
 def test_thinning_with_eight_marks_matches_the_numpy_recursion_to_rounding():
     """From 8 marks numpy sums pairwise, so the float recursion's left folds
     may differ from it in the last bits."""
-    for seed in range(20):
+    for seed in range(50):
         got = thinning_sample(HAWKES_8D, 20.0, RngStream(seed))
         want = numpy_thinning_hawkes(HAWKES_8D, 20.0, RngStream(seed))
         assert np.array_equal(got.marks, want.marks), seed
