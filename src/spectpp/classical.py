@@ -15,6 +15,21 @@ which numpy sums fewer than 8 values and reduces over rows. So the output
 is bit for bit that of the same recursion on numpy arrays for thinning
 with K <= 7 marks and for the scorers with K <= 2, whose compensator
 steps sum K*K values; for larger K it may differ in the last bits.
+
+A Hawkes dataset takes a second loop, :func:`_thinning_hawkes_runs`, which
+advances all n sequences in lockstep: one ``(n, K, K)`` kernel-state
+array, one clock array and one bound array, one proposal per live
+sequence per step. It makes the same elementwise operations and left
+folds as the single-run loop, and each sequence draws from its own
+stream in the same order, so its output is bit for bit that of
+:func:`thinning_sample` run once per sequence. A step's numpy calls
+cost about the same at any n, so against the float loop run n times it
+is slower for small n and faster from about n = 8 (2-D process to
+t_end 100 on a 2-CPU machine, median of 10 paired runs: 0.23x the speed
+at n = 1, 0.36x at n = 2, 0.59x at n = 4, 1.06x at n = 8, 1.47x at
+n = 16, 2.99x at n = 120). So single histories, as samplers and tests
+draw them, keep the float loop, and Hawkes datasets always take the
+stacked one. Sine-Poisson datasets run one loop per sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from operator import add, mul
 from typing import Iterator, Union
 
@@ -40,16 +55,18 @@ class NonFiniteIntensityError(FloatingPointError):
 
 
 def _scorable(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sequence's times and marks. A mark outside the process's range
-    and a time before the one preceding it (or before 0) are refused: the
-    scorers would read the first as another type and turn the second into
-    a negative compensator."""
+    """The sequence's times and marks. A mark outside the process's range,
+    a time before the one preceding it (or before 0) and a time after
+    t_end are refused: the scorers would read the first as another type
+    and turn the others into a negative compensator."""
     times, marks = seq.times, seq.marks
     outside = marks[(marks < 0) | (marks >= n_marks)]
     if outside.size:
         raise ValueError(f"mark {outside[0]} outside the process's range [0, {n_marks})")
     if np.any(np.diff(times, prepend=0.0) < 0):
         raise ValueError("sequence times must be non-decreasing")
+    if times.size and times[-1] > seq.t_end:
+        raise ValueError(f"event time {times[-1]} after the horizon t_end={seq.t_end}")
     return times, marks
 
 
@@ -186,13 +203,14 @@ def _thinning_hawkes(process: HawkesParams, t_end: float, rng: RngStream) -> Eve
     state = [0.0] * (k * k)
     t = 0.0
     events: list[Event] = []
+    exponential, uniform = rng.generator.standard_exponential, rng.generator.random
     bound = reduce(add, _intensities(mu, alpha, state))
     while True:
         if not math.isfinite(bound) or bound <= 0:
             if bound <= 0:
                 break
             raise NonFiniteIntensityError("non-finite thinning bound")
-        dt = rng.exponential(bound)
+        dt = exponential() / bound
         if t + dt > t_end:
             break
         t = advance_clock(t, dt)
@@ -201,7 +219,7 @@ def _thinning_hawkes(process: HawkesParams, t_end: float, rng: RngStream) -> Eve
         total = reduce(add, rates)
         if not math.isfinite(total):
             raise NonFiniteIntensityError(f"non-finite intensity at t={t}")
-        if rng.uniform() < total / bound:
+        if uniform() < total / bound:
             mark = rng.categorical(np.divide(rates, total))
             events.append(Event(t, mark))
             row = mark * k
@@ -211,6 +229,74 @@ def _thinning_hawkes(process: HawkesParams, t_end: float, rng: RngStream) -> Eve
             # rejected proposal: the decayed intensity is a fresh valid bound
             bound = total
     return EventSequence(tuple(events), t_end)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteIntensityError
+def _thinning_hawkes_runs(process: HawkesParams, t_end: float,
+                          streams: list[RngStream]) -> list[EventSequence]:
+    """:func:`_thinning_hawkes` on every stream at once, bit for bit (see
+    the module docstring). Row r of the arrays is live sequence r; a
+    sequence whose bound is <= 0 or whose proposal passes t_end leaves
+    them. Intensities and totals stay left folds, never ``np.sum``, and
+    the mark is the number of CDF entries <= u * cdf[-1], clipped to
+    K - 1, as ``RngStream.categorical`` picks it. When several sequences
+    would raise, the one that raises here may not be the lowest-numbered.
+    """
+    k = process.n_marks
+    neg_beta = -process.beta
+
+    def totals(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # rates[r, j] = mu[j] plus the left fold over rows i of alpha[i, j] * state[r, i, j]
+        rates = process.mu + reduce(add, (process.alpha * state).transpose(1, 0, 2))
+        return rates, reduce(add, rates.T)
+
+    events: list[list[Event]] = [[] for _ in streams]
+    # per live sequence: its stream's draws and its event list, row for row with the arrays
+    rows = [(stream.generator.standard_exponential, stream.generator.random, seq)
+            for stream, seq in zip(streams, events)]
+    state = np.zeros((len(rows), k, k))
+    t = np.zeros(len(rows))
+    bound = totals(state)[1]
+    while True:
+        if not bound.min() > 0:  # a bound <= 0 ends its sequence; a NaN one raises below
+            keep = ~(bound <= 0)
+            state, t, bound = state[keep], t[keep], bound[keep]
+            rows = list(compress(rows, keep.tolist()))
+            if not rows:
+                break
+        if not bound.max() < math.inf:
+            raise NonFiniteIntensityError("non-finite thinning bound")
+        dt = np.array([exponential() for exponential, _, _ in rows]) / bound
+        t_next = t + dt
+        over = t_next > t_end
+        if over.any():
+            keep = ~over
+            state, t, bound, dt, t_next = state[keep], t[keep], bound[keep], dt[keep], t_next[keep]
+            rows = list(compress(rows, keep.tolist()))
+            if not rows:
+                break
+        # every t_next left is <= t_end or NaN, so this is advance_clock's test
+        if not (t < t_next).all():
+            r = int(np.argmin(t < t_next))
+            advance_clock(float(t[r]), float(dt[r]))
+        t = t_next
+        state *= np.exp(neg_beta * dt[:, np.newaxis, np.newaxis])
+        rates, total = totals(state)
+        if not np.isfinite(total).all():
+            r = int(np.argmin(np.isfinite(total)))
+            raise NonFiniteIntensityError(f"non-finite intensity at t={float(t[r])}")
+        accepted = (np.array([uniform() for _, uniform, _ in rows]) < total / bound).nonzero()[0]
+        bound = total
+        if accepted.size:
+            taken = [rows[r] for r in accepted.tolist()]
+            cdf = (rates[accepted] / total[accepted, np.newaxis]).cumsum(axis=1)
+            u = np.array([uniform() for _, uniform, _ in taken]) * cdf[:, -1]
+            marks = np.minimum((cdf <= u[:, np.newaxis]).sum(axis=1), k - 1)
+            for (_, _, seq), time, mark in zip(taken, t[accepted].tolist(), marks.tolist()):
+                seq.append(Event(time, mark))
+            state[accepted, marks] += 1.0
+            bound[accepted] = totals(state[accepted])[1]
+    return [EventSequence(tuple(seq), t_end) for seq in events]
 
 
 def thinning_sample(process: GroundTruthProcess, t_end: float, rng: RngStream) -> EventSequence:
@@ -309,7 +395,17 @@ def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> floa
 
 def make_synthetic_dataset(process: GroundTruthProcess, n_sequences: int, t_end: float,
                            rng: RngStream) -> list[EventSequence]:
-    """n independent thinning samples, one child RNG stream per sequence."""
+    """n independent thinning samples, one child RNG stream per sequence.
+
+    The Hawkes sequences are simulated in lockstep by
+    :func:`_thinning_hawkes_runs`, bit for bit what :func:`thinning_sample`
+    gives on each stream, and faster from about 8 sequences; the
+    sine-Poisson ones one after another by :func:`thinning_sample`.
+    """
     if n_sequences < 1:
         raise ValueError("n must be >= 1")
-    return [thinning_sample(process, t_end, rng.child(f"seq{i}")) for i in range(n_sequences)]
+    check_horizon(t_end)
+    streams = [rng.child(f"seq{i}") for i in range(n_sequences)]
+    if isinstance(process, HawkesParams):
+        return _thinning_hawkes_runs(process, t_end, streams)
+    return [thinning_sample(process, t_end, stream) for stream in streams]

@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -165,10 +167,12 @@ class RngStream:
         return float(self.generator.standard_exponential() / rate)
 
     def categorical(self, probabilities: np.ndarray) -> int:
-        """Single draw from a probability vector via inverse CDF."""
-        cdf = probabilities.cumsum()
+        """Single draw from a probability vector via inverse CDF. The CDF is
+        a left fold over Python floats, the order of numpy's cumsum, which
+        costs more than the fold for the few entries a draw has."""
+        cdf = list(accumulate(probabilities.tolist()))
         u = self.generator.random() * cdf[-1]
-        return int(min(cdf.searchsorted(u, side="right"), len(cdf) - 1))
+        return min(bisect_right(cdf, u), len(cdf) - 1)
 
     def shuffled(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from spectpp.classical import (
     HawkesParams,
+    NonFiniteIntensityError,
     SinePoissonParams,
     compensator,
     ground_truth_loglik,
@@ -184,6 +185,18 @@ def test_scoring_refuses_decreasing_times(times, process):
         ground_truth_loglik(seq, process)
 
 
+@pytest.mark.parametrize("process", [HAWKES_1D, POISSON], ids=["hawkes", "poisson"])
+def test_scoring_refuses_a_time_after_the_horizon(process):
+    """The tail from the last event to t_end was negative, so its
+    compensator was subtracted as a negative number: the Hawkes
+    log-likelihood of this sequence read -0.398."""
+    seq = sequence_from_arrays([1.0, 3.0], [0, 0], 2.0)
+    with pytest.raises(ValueError, match="after the horizon"):
+        total_compensator_increments(seq, process)
+    with pytest.raises(ValueError, match="after the horizon"):
+        ground_truth_loglik(seq, process)
+
+
 def test_thinning_output_is_valid():
     for proc, k in ((POISSON, 1), (HAWKES_1D, 1), (HAWKES_2D, 2)):
         seq = thinning_sample(proc, 50.0, RngStream(3).child("t"))
@@ -268,6 +281,45 @@ def test_dataset_generation_is_deterministic():
 def test_dataset_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         make_synthetic_dataset(POISSON, 0, 10.0, RngStream(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("process, t_end", [(HAWKES_1D, 20.0), (HAWKES_2D, 20.0),
+                                             (PERFBENCH_2D, 100.0), (HAWKES_3D, 20.0),
+                                             (HAWKES_8D, 20.0)],
+                         ids=["1d", "2d", "perfbench-2d", "3d-unequal-betas", "8d"])
+def test_hawkes_dataset_is_byte_identical_to_one_run_per_sequence(process, t_end, n):
+    """The lockstep loop makes the single-run loop's operations in its
+    order and draws each sequence from its own stream as that loop does,
+    so every time and mark is the same bits."""
+    for seed in range(20):
+        got = make_synthetic_dataset(process, n, t_end, RngStream(seed))
+        want = [thinning_sample(process, t_end, RngStream(seed).child(f"seq{i}"))
+                for i in range(n)]
+        assert len(got) == n
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.t_end == w.t_end
+            assert g.times.tobytes() == w.times.tobytes(), (seed, i)
+            assert np.array_equal(g.marks, w.marks), (seed, i)
+
+
+def test_hawkes_dataset_raises_when_an_interval_does_not_move_the_clock():
+    process = HawkesParams(mu=np.array([1.0]), alpha=np.array([[1e200]]), beta=np.array([[1.0]]))
+    with pytest.raises(FloatingPointError, match="does not move the clock"):
+        make_synthetic_dataset(process, 3, 10.0, RngStream(0))
+
+
+def test_hawkes_dataset_raises_on_an_overflowing_bound():
+    process = HawkesParams(mu=np.array([1e308]), alpha=np.array([[1e308]]),
+                           beta=np.array([[2.0]]))
+    with pytest.raises(NonFiniteIntensityError):
+        make_synthetic_dataset(process, 3, 10.0, RngStream(0))
+
+
+def test_hawkes_dataset_without_a_base_rate_is_empty():
+    process = HawkesParams(mu=np.zeros(2), alpha=np.full((2, 2), 0.3), beta=np.ones((2, 2)))
+    data = make_synthetic_dataset(process, 4, 10.0, RngStream(0))
+    assert data == [EventSequence((), 10.0)] * 4
 
 
 def test_loglik_single_event_homogeneous():

@@ -443,16 +443,19 @@ def test_stalled_simulation_clock_maps_to_exit_3(runner, workspace):
 
 @pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range",
                                   "ks-poisson-mark-range", "loglik-poisson-mark-range",
-                                  "ks-decreasing-times"])
+                                  "ks-decreasing-times", "ks-after-horizon",
+                                  "loglik-after-horizon"])
 def test_unscorable_input_exit_2(runner, workspace, case):
     """A horizon too short for any event leaves bench no likelihood to
     normalise, and a mark outside a Hawkes or sine-Poisson process's range
-    or times that decrease cannot be scored: all are data errors, not
-    tracebacks."""
+    or times that decrease or pass t_end cannot be scored: all are data
+    errors, not tracebacks."""
     wide = str(workspace / "wide.jsonl")
     write_sequences(wide, [sequence_from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 5.0)])
     unordered = str(workspace / "unordered.jsonl")
     write_sequences(unordered, [sequence_from_arrays([2.0, 1.0, 2.5], [0, 0, 0], 3.0)])
+    late = str(workspace / "late.jsonl")
+    write_sequences(late, [sequence_from_arrays([1.0, 3.0], [0, 0], 2.0)])
     hawkes, poisson = str(workspace / "hawkes.json"), str(workspace / "poisson.json")
     command, args, message = {
         "bench-short-horizon": ("bench", {"target": str(workspace / "target.json"),
@@ -474,6 +477,12 @@ def test_unscorable_input_exit_2(runner, workspace, case):
                                       "outside the process's range"),
         "ks-decreasing-times": ("eval-ks", {"sequences": unordered, "process": hawkes},
                                 "sequence times must be non-decreasing"),
+        "ks-after-horizon": ("eval-ks", {"sequences": late, "process": hawkes},
+                             "after the horizon"),
+        "loglik-after-horizon": ("eval-loglik", {"sequences": late, "sequences_b": None,
+                                                 "scorer_a": f"process:{hawkes}",
+                                                 "scorer_b": f"process:{hawkes}"},
+                                 "after the horizon"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 

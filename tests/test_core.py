@@ -103,6 +103,18 @@ def test_categorical_draw_matches_probabilities():
     assert np.all(np.abs(freqs - probs) < 0.015)
 
 
+def test_categorical_picks_as_numpy_inverse_cdf():
+    """The float fold's CDF is numpy's cumsum bit for bit, so each draw
+    picks the index searchsorted would from the same uniform."""
+    vectors = np.random.default_rng(0)
+    stream, replica = RngStream(22), RngStream(22)
+    for k in (1, 2, 16) * 200:
+        probs = vectors.dirichlet(np.ones(k))
+        cdf = probs.cumsum()
+        u = replica.uniform() * cdf[-1]
+        assert stream.categorical(probs) == min(cdf.searchsorted(u, side="right"), k - 1)
+
+
 @st.composite
 def event_sequences(draw):
     n = draw(st.integers(min_value=0, max_value=20))
