@@ -11,10 +11,13 @@ tape that training differentiates. The log-normal mixture density is written
 once the same way, for training's taped head rows and sampling's plain ones.
 Each layer projects its input to the queries, keys and values of every head
 with one q|k|v matrix product and attends over all heads with one
-autodiff.attention op. An EncoderCache keeps every layer's keys and values,
-so a sampling forward encodes only the events that are new since the
-previous one, in blocks of at most _ENCODE_BLOCK rows that each attend over
-the rows held before them. A forward reads its events' ``times`` and
+causal autodiff.attention op, which attends a span longer than
+autodiff.ATTENTION_BLOCK rows in blocks that each form scores only up to
+their last row, as training's no-past forward does. An EncoderCache keeps
+every layer's keys and values, so a sampling forward encodes only the
+events that are new since the previous one, in blocks of at most
+ATTENTION_BLOCK rows that each attend over the rows held before them: the
+op gets one block per call. A forward reads its events' ``times`` and
 ``marks`` arrays only, so it takes an EventSequence or the sampler's run
 state, which keeps them in growing arrays. The cache finds the events it
 holds by comparing bytes first: an extension of the held events, the
@@ -53,12 +56,6 @@ ENCODINGS = ("thp", "sahp", "attnhp")
 # m and M of the attnhp temporal encoding
 _ATTNHP_M = 1.0
 _ATTNHP_BIG_M = 2000.0
-
-# the most events one cached forward encodes at once: a longer span, such as
-# a long history, goes through the cache in blocks of this many rows, so no
-# layer forms more than this many rows of attention scores
-_ENCODE_BLOCK = 64
-
 
 class CheckpointFormatError(ValueError):
     """Raised when a checkpoint file has an unsupported format version, or a
@@ -370,12 +367,11 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
     """Final-layer rows of the given events. With a ``past``, the events
     follow the ``past.size`` events it holds: their keys and values are
     stored in it and new rows attend over [past; new]; without one the past
-    is empty. Only the new x new block of the causal mask is needed, and a
-    single new row needs none."""
+    is empty. The attention op is causal by its flag and builds its own
+    masks, so a span longer than one attention block, such as training's
+    no-past forward, forms scores only up to each block's last row."""
     x, z = _embed_tensor(times, marks, weights, config)
     n, heads, head_dim = times.size, config.n_heads, config.head_dim
-    n_past = 0 if past is None else past.size
-    causal = None if n == 1 else np.tri(n, n_past + n, n_past, dtype=bool)
     attnhp = config.encoding == "attnhp"
     ones_col = np.ones((n, 1)) if attnhp else None
     h = x
@@ -388,7 +384,7 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
         if past is not None:
             k, v = past.attend(layer, k, v)
         # attnhp's softmax has a +1 in its denominator
-        attended = ad.attention(q, k, v, causal, plus_one=attnhp)
+        attended = ad.attention(q, k, v, causal=True, plus_one=attnhp)
         agg = ad.reshape(ad.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
         if attnhp:
             agg = ad.tanh(agg)
@@ -422,7 +418,8 @@ class EncoderCache:
     shorter or diverging events. It builds the Weights of the checkpoint's
     raw arrays once, so its forwards fuse no matrix and build no tape. The
     events it lacks are encoded in consecutive blocks of at most
-    ``_ENCODE_BLOCK`` rows, each attending over the rows held before it.
+    ``autodiff.ATTENTION_BLOCK`` rows, each attending over the rows held
+    before it.
     Key and value buffers have shape (heads, capacity, head_dim); a cache
     that must hold n events grows to capacity 2n, so the events sampled
     after a long history do not reallocate them. The checkpoint's
@@ -479,9 +476,9 @@ class EncoderCache:
     def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
         """Context rows from the first position the cache does not hold up
         to the end of ``events``, encoding only the events it lacks, in
-        blocks of at most ``_ENCODE_BLOCK`` rows. Only ``events.times`` and
-        ``events.marks`` are read: an EventSequence's, or the arrays a
-        sampling run keeps."""
+        blocks of at most ``autodiff.ATTENTION_BLOCK`` rows. Only
+        ``events.times`` and ``events.marks`` are read: an EventSequence's,
+        or the arrays a sampling run keeps."""
         if checkpoint is not self.checkpoint:
             raise ValueError("the cache belongs to another checkpoint")
         times, marks = events.times, events.marks
@@ -499,7 +496,7 @@ class EncoderCache:
         self._reserve(times.size)
         blocks = []
         while not blocks or self.size < times.size:
-            new = slice(self.size, min(self.size + _ENCODE_BLOCK, times.size))
+            new = slice(self.size, min(self.size + ad.ATTENTION_BLOCK, times.size))
             ctx = _context_tensor(times[new], marks[new], self.weights, checkpoint.config, self)
             self._times[new], self._marks[new] = times[new], marks[new]
             self.hidden[new] = ctx[1:]
@@ -633,6 +630,8 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
     taus = np.diff(np.concatenate([[0.0], times]))
     if np.any(taus <= 0.0):
         raise ValueError("inter-event intervals must be positive")
+    if n and times[-1] > t_end:
+        raise ValueError(f"event time {times[-1]} is after t_end {t_end}")
     ctx = _context_tensor(times, marks, weights, config)
     log_w, mu, sigma, mark_logits = _head_tensors(ctx, weights, config)
     density = _mixture_log_density(np.log(taus).reshape(-1, 1), log_w[:n, :], mu[:n, :],

@@ -308,9 +308,10 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
            residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache) -> VerificationOutcome:
     """Verify a draft batch after the run's events with one batched target
-    forward pass, which encodes only the events the cache lacks. The
-    candidates are appended to the run's state for that forward, and the
-    state is truncated back right after it.
+    forward pass, which encodes only the events the cache lacks. The cache
+    is first rolled back to at most the run's events, so the candidates are
+    always encoded. They are appended to the run's state for that forward,
+    and the state is truncated back right after it.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -322,6 +323,8 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     rejection would be inexact, because it redraws marks that passed.
     """
     n_hist, gamma = len(events), len(batch)
+    # an earlier step's candidates on the same events would be held rows
+    cache.size = min(cache.size, n_hist)
     events.append(batch.times, batch.marks)
     mixtures, mark_dists = position_distributions(events, target, cache=cache)
     events.truncate(n_hist)
@@ -337,8 +340,6 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     # position n_hist + l, so the candidates are the gamma rows before the
     # last.
     first = len(mixtures.weights) - gamma - 1
-    if first < 0:
-        raise ValueError("the target cache already holds the drafted events")
     g_t = mixture_logpdf(batch.intervals, mixtures.row(slice(first, first + gamma)))
     if np.any(np.isnan(g_t) | (g_t == np.inf)):
         raise FloatingPointError("non-finite target interval density")

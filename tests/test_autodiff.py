@@ -134,7 +134,7 @@ def test_ops_on_plain_operands_return_plain_arrays():
                            x.reshape(3, 2, 2).transpose(2, 0, 1)),
         "concat": (lambda a, b: ad.concat([a, b], axis=1), np.concatenate([x, y], axis=1)),
         "take": (lambda a, b: ad.take(a, np.array([0, 0])), x[[0, 0]]),
-        "attention": (lambda a, b: ad.attention(a, b, b, np.tri(3, dtype=bool)),
+        "attention": (lambda a, b: ad.attention(a, b, b, causal=True),
                       (kernel @ y) / kernel.sum(axis=1, keepdims=True)),
         "reshape": (lambda a, b: ad.reshape(a, (4, 3)), x.reshape(4, 3)),
         "exp": (lambda a, b: ad.exp(a), np.exp(x)),
@@ -159,15 +159,17 @@ def test_ops_on_plain_operands_return_plain_arrays():
 
 def test_masked_attention_passes_gradient_only_through_kept_entries():
     """With identity queries the scores are the transposed keys, so the
-    keys' adjoint is the scores' adjoint: zero exactly where the mask drops
-    a score, and non-zero where it keeps one."""
+    keys' adjoint is the scores' adjoint: zero exactly where causal
+    attention after one past key drops a score, and non-zero where it keeps
+    one."""
     rng = np.random.default_rng(10)
     keep = np.tri(3, 4, 1, dtype=bool)
     weights = rng.normal(size=(3, 2))
     values = rng.normal(size=(4, 2))
 
     def f(p):
-        return ad.tensor_sum(ad.mul(ad.attention(np.eye(3), p["x"], values, keep), weights))
+        return ad.tensor_sum(ad.mul(ad.attention(np.eye(3), p["x"], values, causal=True),
+                                    weights))
 
     x = rng.normal(size=(4, 3))
     assert grad_check(f, {"x": x}) < 1e-6
@@ -178,21 +180,73 @@ def test_masked_attention_passes_gradient_only_through_kept_entries():
 
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("plus_one", [False, True])
-@pytest.mark.parametrize("masked", [False, True])
-def test_attention_matches_finite_differences(masked, plus_one, heads):
-    """The adjoints of queries, keys and values, with and without a causal
-    mask, in softmax and attnhp's +1 form, over one and two heads."""
-    rng = np.random.default_rng(30 + 4 * heads + 2 * plus_one + masked)
-    causal = np.tri(3, 5, 2, dtype=bool) if masked else None
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_matches_finite_differences(causal, plus_one, heads):
+    """The adjoints of queries, keys and values, over all five keys and
+    causal after two past keys, in softmax and attnhp's +1 form, over one
+    and two heads."""
+    rng = np.random.default_rng(30 + 4 * heads + 2 * plus_one + causal)
     weights = rng.normal(size=(heads, 3, 2))
 
     def f(p):
-        out = ad.attention(p["q"], p["k"], p["v"], causal, plus_one=plus_one)
+        out = ad.attention(p["q"], p["k"], p["v"], causal=causal, plus_one=plus_one)
         return ad.tensor_sum(ad.mul(out, weights))
 
     params = {"q": rng.normal(size=(heads, 3, 4)), "k": rng.normal(size=(heads, 5, 4)),
               "v": rng.normal(size=(heads, 5, 2))}
     assert grad_check(f, params) < 1e-6
+
+
+def dense_causal_attention(q, k, v, plus_one):
+    """Causal attention as a chain of autodiff ops over the full score
+    matrix, whose future entries a -inf bias masks."""
+    n, n_keys = ad.value(q).shape[-2], ad.value(k).shape[-2]
+    bias = np.where(np.tri(n, n_keys, n_keys - n, dtype=bool), 0.0, -math.inf)
+    scores = ad.add(ad.matmul(q, ad.transpose(k, (0, 2, 1))), bias)
+    shift = ad.value(scores).max(axis=-1, keepdims=True)
+    kernel = ad.exp(ad.sub(scores, shift))
+    denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
+    if plus_one:
+        denominator = ad.add(denominator, np.exp(-shift))
+    return ad.div(ad.matmul(kernel, v), denominator)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("plus_one", [False, True])
+@pytest.mark.parametrize("n_past", [0, 7])
+def test_blocked_causal_attention_matches_the_dense_chain(n_past, plus_one, heads, monkeypatch):
+    """2B + 5 causal queries, with and without a past, attend in three
+    blocks: the output and the adjoints of queries, keys and values are the
+    dense masked chain's within 1e-12, and with blocks of 4 rows the
+    adjoints match finite differences."""
+    rng = np.random.default_rng(40 + 4 * heads + 2 * plus_one + (n_past > 0))
+
+    def inputs(n):
+        return {"q": rng.normal(size=(heads, n, 4)), "k": rng.normal(size=(heads, n_past + n, 4)),
+                "v": rng.normal(size=(heads, n_past + n, 3))}
+
+    def loss(attention, weights):
+        return lambda p: ad.tensor_sum(ad.mul(attention(p["q"], p["k"], p["v"], plus_one),
+                                              weights))
+
+    def blocked(q, k, v, plus_one):
+        return ad.attention(q, k, v, causal=True, plus_one=plus_one)
+
+    n = 2 * ad.ATTENTION_BLOCK + 5
+    params, weights = inputs(n), rng.normal(size=(heads, n, 3))
+    assert np.allclose(blocked(params["q"], params["k"], params["v"], plus_one),
+                       dense_causal_attention(params["q"], params["k"], params["v"], plus_one),
+                       rtol=0.0, atol=1e-12)
+    grads = []
+    for attention in (blocked, dense_causal_attention):
+        tensors = {name: Tensor(value) for name, value in params.items()}
+        loss(attention, weights)(tensors).backward()
+        grads.append([tensors[name].grad for name in "qkv"])
+    for got, want in zip(*grads):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    monkeypatch.setattr(ad, "ATTENTION_BLOCK", 4)
+    params = inputs(13)
+    assert grad_check(loss(blocked, rng.normal(size=(heads, 13, 3))), params) < 1e-6
 
 
 def test_row_lookup_accumulates_repeated_indices():

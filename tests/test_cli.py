@@ -444,12 +444,12 @@ def test_stalled_simulation_clock_maps_to_exit_3(runner, workspace):
 @pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range",
                                   "ks-poisson-mark-range", "loglik-poisson-mark-range",
                                   "ks-decreasing-times", "ks-after-horizon",
-                                  "loglik-after-horizon"])
+                                  "loglik-after-horizon", "loglik-model-after-horizon"])
 def test_unscorable_input_exit_2(runner, workspace, case):
     """A horizon too short for any event leaves bench no likelihood to
     normalise, and a mark outside a Hawkes or sine-Poisson process's range
-    or times that decrease or pass t_end cannot be scored: all are data
-    errors, not tracebacks."""
+    or times that decrease or pass t_end cannot be scored, the last by a
+    model either: all are data errors, not tracebacks."""
     wide = str(workspace / "wide.jsonl")
     write_sequences(wide, [sequence_from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 5.0)])
     unordered = str(workspace / "unordered.jsonl")
@@ -457,8 +457,9 @@ def test_unscorable_input_exit_2(runner, workspace, case):
     late = str(workspace / "late.jsonl")
     write_sequences(late, [sequence_from_arrays([1.0, 3.0], [0, 0], 2.0)])
     hawkes, poisson = str(workspace / "hawkes.json"), str(workspace / "poisson.json")
+    target = str(workspace / "target.json")
     command, args, message = {
-        "bench-short-horizon": ("bench", {"target": str(workspace / "target.json"),
+        "bench-short-horizon": ("bench", {"target": target,
                                           "draft": str(workspace / "draft.json"),
                                           "gamma_grid": [2], "repetitions": 1, "runs": 1,
                                           "t_end": 1e-9, "seed": 0},
@@ -483,6 +484,10 @@ def test_unscorable_input_exit_2(runner, workspace, case):
                                                  "scorer_a": f"process:{hawkes}",
                                                  "scorer_b": f"process:{hawkes}"},
                                  "after the horizon"),
+        "loglik-model-after-horizon": ("eval-loglik", {"sequences": late, "sequences_b": None,
+                                                       "scorer_a": f"model:{target}",
+                                                       "scorer_b": f"model:{target}"},
+                                       "after t_end"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 

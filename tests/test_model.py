@@ -579,6 +579,17 @@ def test_loglik_rejects_nonpositive_interval():
         M.sequence_loglik(bad, ckpt)
 
 
+def test_loglik_rejects_an_event_after_the_horizon():
+    """A last event after t_end is refused, by scoring and by training's
+    loss alike; one at t_end is scored with a survival term of one."""
+    ckpt = M.init_checkpoint(tiny_config(), RngStream(11))
+    late = sequence_from_arrays([1.0, 3.0], [0, 0], 2.0)
+    for score in (lambda: M.sequence_loglik(late, ckpt), lambda: T.nll_batch(ckpt, [late])):
+        with pytest.raises(ValueError, match="after t_end"):
+            score()
+    assert math.isfinite(M.sequence_loglik(sequence_from_arrays([1.0, 2.0], [0, 0], 2.0), ckpt))
+
+
 def test_loglik_gradient_matches_finite_differences():
     config = tiny_config(n_marks=2)
     ckpt = M.init_checkpoint(config, RngStream(12))
@@ -779,8 +790,8 @@ def test_blocked_encode_matches_full_forward(encoding, n_heads, monkeypatch):
     """Spans longer than the encode block go through the cache in blocks:
     the same schedule with blocks of 3 rows, and a fresh span of more than
     two default blocks against the textbook attention."""
-    seq = sequence_from_arrays(0.4 * np.arange(1, 2 * M._ENCODE_BLOCK + 23),
-                               np.arange(2 * M._ENCODE_BLOCK + 22) % 2, math.inf)
+    seq = sequence_from_arrays(0.4 * np.arange(1, 2 * ad.ATTENTION_BLOCK + 23),
+                               np.arange(2 * ad.ATTENTION_BLOCK + 22) % 2, math.inf)
     ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=n_heads),
                              seed=27)
     cache = M.EncoderCache(ckpt)
@@ -789,7 +800,7 @@ def test_blocked_encode_matches_full_forward(encoding, n_heads, monkeypatch):
     assert np.allclose(cache.hidden[:len(seq)], unshifted_attention_reference(seq, ckpt),
                        rtol=0.0, atol=1e-12)
     assert_rows_equal(got, training_forward(seq, ckpt), len(seq) + 1)
-    monkeypatch.setattr(M, "_ENCODE_BLOCK", 3)
+    monkeypatch.setattr(ad, "ATTENTION_BLOCK", 3)
     run_extend_rewind_diverge_schedule(encoding, n_heads)
 
 
@@ -797,7 +808,7 @@ def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
     """A fresh forward of 3B + 5 events forms no attention block of more
     than B query rows, and the events that follow it reuse the key and value
     buffers that the history was encoded into."""
-    block = M._ENCODE_BLOCK
+    block = ad.ATTENTION_BLOCK
     ckpt = random_checkpoint(tiny_config(n_layers=2, n_heads=2), seed=28)
     n = 3 * block + 5
     seq = sequence_from_arrays(0.5 * np.arange(1, n + 9), np.arange(n + 8) % 2, math.inf)
@@ -818,6 +829,25 @@ def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
     assert all(a is b for a, b in zip(cache._keys + cache._values, buffers))
 
 
+def test_no_past_forward_forms_scores_in_blocks(monkeypatch):
+    """Training's no-past forward of 3B + 5 events forms no score array of
+    more than B query rows, and each block's scores stop at its last row."""
+    block = ad.ATTENTION_BLOCK
+    ckpt = random_checkpoint(tiny_config(n_layers=2, n_heads=2), seed=28)
+    n = 3 * block + 5
+    seq = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 2, math.inf)
+    shapes = []
+
+    def spied(rows, keys, *args, _block=ad._attend_block):
+        shapes.append((rows.shape[-2], keys.shape[-2]))
+        return _block(rows, keys, *args)
+
+    monkeypatch.setattr(ad, "_attend_block", spied)
+    training_forward(seq, ckpt)
+    # (query rows, keys) of each block, in each of the two layers
+    assert shapes == 2 * [(block, block), (block, 2 * block), (block, 3 * block), (5, n)]
+
+
 def test_non_finite_model_continued_after_long_history_raises():
     """30 thp layers with value projections scaled by 1e12 overflow the
     residual stream; encoded in blocks, the history and every event after
@@ -825,7 +855,7 @@ def test_non_finite_model_continued_after_long_history_raises():
     ckpt = random_checkpoint(tiny_config(n_layers=30), seed=29)
     for layer in range(30):
         ckpt.params[f"layers.{layer}.v"] = ckpt.params[f"layers.{layer}.v"] * 1e12
-    n = 2 * M._ENCODE_BLOCK + 10
+    n = 2 * ad.ATTENTION_BLOCK + 10
     seq = sequence_from_arrays(0.5 * np.arange(1, n + 2), np.arange(n + 1) % 2, math.inf)
     cache = M.EncoderCache(ckpt)
     with np.errstate(all="ignore"):
@@ -844,12 +874,14 @@ def masked_scores(keep, scores, fill):
                      lambda g: ad._accumulate(scores, np.where(keep, g, 0.0)))
 
 
-def composed_attention(q, k, v, causal=None, plus_one=False):
+def composed_attention(q, k, v, causal=False, plus_one=False):
     """ad.attention written as the chain of autodiff ops that an encoder
-    layer ran before the fused op, in the same arithmetic order."""
+    layer ran before the fused op, in the same arithmetic order, with the
+    dense causal mask over all the keys."""
     scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
-    if causal is not None:
-        scores = masked_scores(causal, scores, -math.inf)
+    if causal:
+        n, n_keys = ad.value(q).shape[-2], ad.value(k).shape[-2]
+        scores = masked_scores(np.tri(n, n_keys, n_keys - n, dtype=bool), scores, -math.inf)
     shift = ad.value(scores).max(axis=-1, keepdims=True)
     kernel = ad.exp(ad.sub(scores, shift))
     denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
@@ -862,14 +894,16 @@ def composed_attention(q, k, v, causal=None, plus_one=False):
 @pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
 def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monkeypatch):
     """On random models whose value projections move the rows, every
-    sampling forward, cached one row at a time or in a span, and the
-    no-past encode give the same bits with the fused op as with the chain
-    of ops, and match the textbook attention to 1e-12. The long input's
-    first span is longer than two encode blocks, so a full block attends
-    over a visible past and the last block is a triangular tail; the
-    multi-row spans after it attend over a past too."""
+    sampling forward, cached one row at a time or in a span, gives the same
+    bits with the fused op as with the chain of ops, and so does a no-past
+    encode of at most one block; a longer no-past encode, which the op
+    attends in blocks, is the chain's within 1e-12. All match the textbook
+    attention to 1e-12. The long input's first span is longer than two
+    encode blocks, so a full block attends over a visible past and the last
+    block is a triangular tail; the multi-row spans after it attend over a
+    past too."""
     rng = np.random.default_rng(32)
-    block = M._ENCODE_BLOCK
+    block = ad.ATTENTION_BLOCK
     inputs = []
     for spans in ((1, 2, 7, 12), (2 * block + 6, 2 * block + 13, 2 * block + 20)):
         n = spans[-1]
@@ -895,7 +929,11 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
             with monkeypatch.context() as patched:
                 patched.setattr(ad, "attention", composed_attention)
                 composed = forwards(ckpt, seq, spans)
-            assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
+            assert all(np.array_equal(a, b) for a, b in zip(fused[:-1], composed[:-1]))
+            if len(seq) <= block:
+                assert np.array_equal(fused[-1], composed[-1])
+            else:
+                assert np.allclose(fused[-1], composed[-1], rtol=0.0, atol=1e-12)
             assert np.allclose(fused[-1], unshifted_attention_reference(seq, ckpt),
                                rtol=0.0, atol=1e-12)
 

@@ -412,7 +412,8 @@ def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
 def test_verify_with_a_cache_scores_the_same_rows():
     """With a cache holding only the history, verify reads the candidates
     from the trailing rows and matches the uncached outcome; a cache that
-    already holds the candidates cannot supply their rows."""
+    already holds the candidates is rolled back to the history and encodes
+    them again, with the same outcome."""
     ckpt = make_checkpoint(15)
     history = S._RunState(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf))
     batch = doctored_batch(S.draft(ckpt, history, 4, RngStream(19).child("draft"),
@@ -430,9 +431,12 @@ def test_verify_with_a_cache_scores_the_same_rows():
     assert cached.replacement == plain.replacement
     assert np.allclose(cached.interval_ratios, plain.interval_ratios, rtol=1e-12, atol=0.0)
     assert np.allclose(cached.mark_ratios, plain.mark_ratios, rtol=1e-12, atol=0.0)
-    with pytest.raises(ValueError):
-        S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
-                 cache=cache)
+    again = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
+                     cache=cache)
+    assert stats.target_rows_encoded == 8
+    assert again.replacement == cached.replacement
+    assert np.array_equal(again.interval_ratios, cached.interval_ratios)
+    assert np.array_equal(again.mark_ratios, cached.mark_ratios)
 
 
 def test_verify_counts_one_target_pass_per_iteration():
@@ -665,6 +669,18 @@ def test_sd_final_filter_drops_overshoot():
     draft_model = make_checkpoint(35)
     seq, _ = S.tpp_sd_sample(target, draft_model, 12.0, gamma=8, rng=RngStream(36))
     assert all(e.time <= 12.0 for e in seq.events)
+
+
+def test_sd_next_event_twice_on_shared_caches_repeats_its_event():
+    """A second step on the same history and seed, with the caches that the
+    first one left holding its candidates, emits the same event."""
+    target, draft_model = make_checkpoint(39, n_layers=2), make_checkpoint(40, n_layers=2)
+    history = sequence_from_arrays([0.5, 1.1, 2.0], [0, 1, 1], math.inf)
+    caches = sd_caches(target, draft_model)
+    first, second = (S.sd_next_event(target, draft_model, history, 3, RngStream(7), **caches)
+                     for _ in range(2))
+    assert caches["target_cache"].size == len(history) + 3
+    assert second == first
 
 
 @pytest.mark.parametrize("gamma", [1, 4])
