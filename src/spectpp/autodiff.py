@@ -11,12 +11,12 @@ Most operations are one (forward, adjoint) pair made into an op by the
 one-operand or the two-operand template, so each forward is written once
 for both paths. Softmax attention is one such pair of its own, so an
 encoder layer attends with one op and one tape node; its softmax works in
-the scores array in place, for training and inference alike, and a causal
-span longer than ATTENTION_BLOCK rows runs in blocks of query rows that
-skip the masked half of the scores, forward and backward. ``backward``
-walks the resulting DAG once in reverse topological order. Only the
-primitives the sequence model needs are implemented; all of them are
-covered by finite-difference checks.
+the scores array in place, for training and inference alike. It is
+always causal, and a span longer than two ATTENTION_BLOCKs runs in blocks
+of query rows that skip most of the masked half of the scores, forward and
+backward. ``backward`` walks the resulting DAG once in reverse topological
+order. Only the primitives the sequence model needs are implemented; all
+of them are covered by finite-difference checks.
 """
 
 from __future__ import annotations
@@ -262,28 +262,44 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
 
 # -- attention -----------------------------------------------------------------
 
-# the most query rows that a causal attention call forms scores for at once;
+# the most query rows that a blocked attention call forms scores for at once;
 # the model's encoder cache hands the op at most this many rows per call
 ATTENTION_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=None)
 def _future(rows: int) -> np.ndarray:
-    """The keys that a causal block of ``rows`` queries must not see among
-    the block's own: the (rows, rows) strict upper triangle, built once per
+    """The keys that a block of ``rows`` queries must not see among the
+    block's own: the (rows, rows) strict upper triangle, built once per
     block size and read-only."""
     mask = ~np.tri(rows, dtype=bool)
     mask.flags.writeable = False
     return mask
 
 
-def _attend_block(rows, keys, values, causal: bool, plus_one: bool):
+def _spans(n: int, n_keys: int) -> list:
+    """The first row, the row after the last and the number of keys seen
+    of each block of n queries over n_keys keys. Up to two blocks' rows
+    are one block: below that a second block's 30-odd numpy calls cost
+    more than the score entries it saves (forward and backward on a 2-CPU
+    Xeon, one head of width 8 broke even near 110 rows and two heads near
+    90). A longer span is cut into
+    ceil(n / ATTENTION_BLOCK) blocks of near-equal size, which form the
+    fewest score entries for that many blocks."""
+    if n <= 2 * ATTENTION_BLOCK:
+        return [(0, n, n_keys)]
+    count = -(-n // ATTENTION_BLOCK)
+    bounds = [n * j // count for j in range(count + 1)]
+    return [(start, stop, n_keys - n + stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _attend_block(rows, keys, values, plus_one: bool):
     """The kernel, denominator and output of one block of query rows over
-    its keys and values; with ``causal`` the last b keys are the b rows'
-    own, and only the block's (b, b) tail triangle is masked."""
+    its keys and values; the last b keys are the b rows' own, so only the
+    block's (b, b) tail triangle is masked."""
     scores = rows @ _swap_last(keys)
     b = rows.shape[-2]
-    if causal and b > 1:
+    if b > 1:
         np.copyto(scores[..., -b:], -math.inf, where=_future(b))
     shift = scores.max(axis=-1, keepdims=True)
     scores -= shift
@@ -297,22 +313,22 @@ def _attend_block(rows, keys, values, causal: bool, plus_one: bool):
     return kernel, denominator, out
 
 
-def attention(q, k, v, causal: bool = False, plus_one: bool = False):
-    """Softmax attention of queries over keys and values, matrices or
-    stacks of them: row i is sum_j P_ij v_j with P_ij proportional to
-    exp(q_i . k_j). With ``causal`` the last n keys are the n queries' own,
-    and row i attends over the first len(k) - n + i + 1 keys. Each row of
-    scores is shifted by its maximum, which P does not depend on. With
-    ``plus_one`` the unshifted denominator gains a 1 (attnhp), which the
-    shift turns into exp(-shift). The scores' adjoint is
-    P * (dP - rowsum(g * out)), with dP = g v^T.
+def attention(q, k, v, plus_one: bool = False):
+    """Causal softmax attention of n queries over keys and values,
+    matrices or stacks of them, whose last n keys are the queries' own:
+    row i is sum_j P_ij v_j over the first len(k) - n + i + 1 keys, with
+    P_ij proportional to exp(q_i . k_j). Each row of scores is shifted by
+    its maximum, which P does not depend on. With ``plus_one`` the
+    unshifted denominator gains a 1 (attnhp), which the shift turns into
+    exp(-shift). The scores' adjoint is P * (dP - rowsum(g * out)), with
+    dP = g v^T.
 
-    A causal call of more than ATTENTION_BLOCK queries runs in blocks of
-    that many rows, each forming scores only over the keys up to its last
-    row, so the masked half of a long span is neither exponentiated nor
-    differentiated; the adjoint walks the same blocks and adds each one's
-    key and value adjoints over its key prefix. A shorter call is one block
-    over all the keys.
+    A call of more than 2 * ATTENTION_BLOCK queries runs in blocks of at
+    most ATTENTION_BLOCK rows, each forming scores only over the keys up to
+    its last row, so most of the masked half of a long span is neither
+    exponentiated nor differentiated; the adjoint walks the same blocks and
+    adds each one's key and value adjoints over its key prefix. A shorter
+    call is one block over all the keys.
 
     The softmax runs in place: the scores are masked, shifted and
     exponentiated in the array their product made, and the output is
@@ -320,43 +336,36 @@ def attention(q, k, v, causal: bool = False, plus_one: bool = False):
     score-sized array, not four. Each step is the same IEEE operation as
     its out-of-place form, so the results are the same bit for bit."""
     x, keys, values = value(q), value(k), value(v)
-    n, n_keys = x.shape[-2], keys.shape[-2]
-    if not causal or n <= ATTENTION_BLOCK:
-        spans = ((0, n, n_keys),)
-        blocks = (_attend_block(x, keys, values, causal, plus_one),)
-        out = blocks[0][2]
-    else:
-        # each block's first row, the row after its last and the keys it sees
-        spans = []
-        for start in range(0, n, ATTENTION_BLOCK):
-            stop = min(start + ATTENTION_BLOCK, n)
-            spans.append((start, stop, n_keys - n + stop))
-        blocks = [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
-                                values[..., :seen, :], True, plus_one)
-                  for start, stop, seen in spans]
-        out = np.concatenate([block[2] for block in blocks], axis=-2)
+    spans = _spans(x.shape[-2], keys.shape[-2])
+    blocks = [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
+                            values[..., :seen, :], plus_one)
+              for start, stop, seen in spans]
+    out = (blocks[0][2] if len(blocks) == 1
+           else np.concatenate([block[2] for block in blocks], axis=-2))
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
         return out
 
     def backward(g):
-        d_q, d_k, d_v = (np.zeros_like(a) if isinstance(t, Tensor) else None
-                         for t, a in ((q, x), (k, keys), (v, values)))
         g_out = (g * out).sum(axis=-1, keepdims=True)
-        for (start, stop, seen), (kernel, denominator, _) in zip(spans, blocks):
+        d_q, d_k, d_v = [], None, None
+        # last block first: it sees every key, so its products start dk and dv
+        for (start, stop, seen), (kernel, denominator, _) in zip(spans[::-1], blocks[::-1]):
             rows, g_rows = x[..., start:stop, :], g[..., start:stop, :]
             weights = kernel / denominator
             # P * (dP - rowsum(g * out)), formed in the array dP's product made
             d_scores = g_rows @ _swap_last(values[..., :seen, :])
             d_scores -= g_out[..., start:stop, :]
             d_scores *= weights
-            if d_q is not None:
-                d_q[..., start:stop, :] = d_scores @ keys[..., :seen, :]
-            if d_k is not None:
-                d_k[..., :seen, :] += _swap_last(d_scores) @ rows
-            if d_v is not None:
-                d_v[..., :seen, :] += _swap_last(weights) @ g_rows
+            d_q.append(d_scores @ keys[..., :seen, :])
+            block_k, block_v = _swap_last(d_scores) @ rows, _swap_last(weights) @ g_rows
+            if d_k is None:
+                d_k, d_v = block_k, block_v
+            else:
+                d_k[..., :seen, :] += block_k
+                d_v[..., :seen, :] += block_v
+        d_q = d_q[0] if len(d_q) == 1 else np.concatenate(d_q[::-1], axis=-2)
         for operand, grad in ((q, d_q), (k, d_k), (v, d_v)):
-            if grad is not None:
+            if isinstance(operand, Tensor):
                 _accumulate(operand, grad)
 
     return Tensor(out, _tensors((q, k, v)), backward)

@@ -11,13 +11,13 @@ tape that training differentiates. The log-normal mixture density is written
 once the same way, for training's taped head rows and sampling's plain ones.
 Each layer projects its input to the queries, keys and values of every head
 with one q|k|v matrix product and attends over all heads with one
-causal autodiff.attention op, which attends a span longer than
-autodiff.ATTENTION_BLOCK rows in blocks that each form scores only up to
-their last row, as training's no-past forward does. An EncoderCache keeps
-every layer's keys and values, so a sampling forward encodes only the
-events that are new since the previous one, in blocks of at most
-ATTENTION_BLOCK rows that each attend over the rows held before them: the
-op gets one block per call. A forward reads its events' ``times`` and
+causal autodiff.attention op, which attends a span longer than two
+autodiff.ATTENTION_BLOCKs in blocks that each form scores only up to their
+last row, as a long sequence's no-past forward in training does. An
+EncoderCache keeps every layer's keys and values, so a sampling forward
+encodes only the events that are new since the previous one, in blocks of
+at most ATTENTION_BLOCK rows that each attend over the rows held before
+them: the op gets one block per call. A forward reads its events' ``times`` and
 ``marks`` arrays only, so it takes an EventSequence or the sampler's run
 state, which keeps them in growing arrays. The cache finds the events it
 holds by comparing bytes first: an extension of the held events, the
@@ -367,9 +367,9 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
     """Final-layer rows of the given events. With a ``past``, the events
     follow the ``past.size`` events it holds: their keys and values are
     stored in it and new rows attend over [past; new]; without one the past
-    is empty. The attention op is causal by its flag and builds its own
-    masks, so a span longer than one attention block, such as training's
-    no-past forward, forms scores only up to each block's last row."""
+    is empty. The attention op is causal and builds its own masks, so a
+    span longer than two attention blocks, such as a long sequence's no-past
+    forward in training, forms scores only up to each block's last row."""
     x, z = _embed_tensor(times, marks, weights, config)
     n, heads, head_dim = times.size, config.n_heads, config.head_dim
     attnhp = config.encoding == "attnhp"
@@ -384,7 +384,7 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
         if past is not None:
             k, v = past.attend(layer, k, v)
         # attnhp's softmax has a +1 in its denominator
-        attended = ad.attention(q, k, v, causal=True, plus_one=attnhp)
+        attended = ad.attention(q, k, v, plus_one=attnhp)
         agg = ad.reshape(ad.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
         if attnhp:
             agg = ad.tanh(agg)

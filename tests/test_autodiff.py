@@ -134,7 +134,7 @@ def test_ops_on_plain_operands_return_plain_arrays():
                            x.reshape(3, 2, 2).transpose(2, 0, 1)),
         "concat": (lambda a, b: ad.concat([a, b], axis=1), np.concatenate([x, y], axis=1)),
         "take": (lambda a, b: ad.take(a, np.array([0, 0])), x[[0, 0]]),
-        "attention": (lambda a, b: ad.attention(a, b, b, causal=True),
+        "attention": (lambda a, b: ad.attention(a, b, b),
                       (kernel @ y) / kernel.sum(axis=1, keepdims=True)),
         "reshape": (lambda a, b: ad.reshape(a, (4, 3)), x.reshape(4, 3)),
         "exp": (lambda a, b: ad.exp(a), np.exp(x)),
@@ -168,7 +168,7 @@ def test_masked_attention_passes_gradient_only_through_kept_entries():
     values = rng.normal(size=(4, 2))
 
     def f(p):
-        return ad.tensor_sum(ad.mul(ad.attention(np.eye(3), p["x"], values, causal=True),
+        return ad.tensor_sum(ad.mul(ad.attention(np.eye(3), p["x"], values),
                                     weights))
 
     x = rng.normal(size=(4, 3))
@@ -180,20 +180,21 @@ def test_masked_attention_passes_gradient_only_through_kept_entries():
 
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("plus_one", [False, True])
-@pytest.mark.parametrize("causal", [False, True])
-def test_attention_matches_finite_differences(causal, plus_one, heads):
-    """The adjoints of queries, keys and values, over all five keys and
-    causal after two past keys, in softmax and attnhp's +1 form, over one
-    and two heads."""
-    rng = np.random.default_rng(30 + 4 * heads + 2 * plus_one + causal)
+@pytest.mark.parametrize("past", [False, True])
+def test_attention_matches_finite_differences(past, plus_one, heads):
+    """The adjoints of queries, keys and values of three queries, over
+    their own keys alone and after two past keys, in softmax and attnhp's
+    +1 form, over one and two heads."""
+    rng = np.random.default_rng(30 + 4 * heads + 2 * plus_one + past)
     weights = rng.normal(size=(heads, 3, 2))
+    n_keys = 5 if past else 3
 
     def f(p):
-        out = ad.attention(p["q"], p["k"], p["v"], causal=causal, plus_one=plus_one)
-        return ad.tensor_sum(ad.mul(out, weights))
+        return ad.tensor_sum(ad.mul(ad.attention(p["q"], p["k"], p["v"], plus_one=plus_one),
+                                    weights))
 
-    params = {"q": rng.normal(size=(heads, 3, 4)), "k": rng.normal(size=(heads, 5, 4)),
-              "v": rng.normal(size=(heads, 5, 2))}
+    params = {"q": rng.normal(size=(heads, 3, 4)), "k": rng.normal(size=(heads, n_keys, 4)),
+              "v": rng.normal(size=(heads, n_keys, 2))}
     assert grad_check(f, params) < 1e-6
 
 
@@ -215,8 +216,8 @@ def dense_causal_attention(q, k, v, plus_one):
 @pytest.mark.parametrize("plus_one", [False, True])
 @pytest.mark.parametrize("n_past", [0, 7])
 def test_blocked_causal_attention_matches_the_dense_chain(n_past, plus_one, heads, monkeypatch):
-    """2B + 5 causal queries, with and without a past, attend in three
-    blocks: the output and the adjoints of queries, keys and values are the
+    """2B + 5 queries, with and without a past, attend in three blocks:
+    the output and the adjoints of queries, keys and values are the
     dense masked chain's within 1e-12, and with blocks of 4 rows the
     adjoints match finite differences."""
     rng = np.random.default_rng(40 + 4 * heads + 2 * plus_one + (n_past > 0))
@@ -229,16 +230,13 @@ def test_blocked_causal_attention_matches_the_dense_chain(n_past, plus_one, head
         return lambda p: ad.tensor_sum(ad.mul(attention(p["q"], p["k"], p["v"], plus_one),
                                               weights))
 
-    def blocked(q, k, v, plus_one):
-        return ad.attention(q, k, v, causal=True, plus_one=plus_one)
-
     n = 2 * ad.ATTENTION_BLOCK + 5
     params, weights = inputs(n), rng.normal(size=(heads, n, 3))
-    assert np.allclose(blocked(params["q"], params["k"], params["v"], plus_one),
+    assert np.allclose(ad.attention(params["q"], params["k"], params["v"], plus_one),
                        dense_causal_attention(params["q"], params["k"], params["v"], plus_one),
                        rtol=0.0, atol=1e-12)
     grads = []
-    for attention in (blocked, dense_causal_attention):
+    for attention in (ad.attention, dense_causal_attention):
         tensors = {name: Tensor(value) for name, value in params.items()}
         loss(attention, weights)(tensors).backward()
         grads.append([tensors[name].grad for name in "qkv"])
@@ -246,7 +244,7 @@ def test_blocked_causal_attention_matches_the_dense_chain(n_past, plus_one, head
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     monkeypatch.setattr(ad, "ATTENTION_BLOCK", 4)
     params = inputs(13)
-    assert grad_check(loss(blocked, rng.normal(size=(heads, 13, 3))), params) < 1e-6
+    assert grad_check(loss(ad.attention, rng.normal(size=(heads, 13, 3))), params) < 1e-6
 
 
 def test_row_lookup_accumulates_repeated_indices():

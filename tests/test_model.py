@@ -831,11 +831,11 @@ def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
 
 def test_no_past_forward_forms_scores_in_blocks(monkeypatch):
     """Training's no-past forward of 3B + 5 events forms no score array of
-    more than B query rows, and each block's scores stop at its last row."""
+    more than B query rows: it attends in four blocks of near-equal size,
+    whose scores stop at each one's last row. A forward of 2B events
+    attends as one block."""
     block = ad.ATTENTION_BLOCK
     ckpt = random_checkpoint(tiny_config(n_layers=2, n_heads=2), seed=28)
-    n = 3 * block + 5
-    seq = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 2, math.inf)
     shapes = []
 
     def spied(rows, keys, *args, _block=ad._attend_block):
@@ -843,9 +843,14 @@ def test_no_past_forward_forms_scores_in_blocks(monkeypatch):
         return _block(rows, keys, *args)
 
     monkeypatch.setattr(ad, "_attend_block", spied)
-    training_forward(seq, ckpt)
-    # (query rows, keys) of each block, in each of the two layers
-    assert shapes == 2 * [(block, block), (block, 2 * block), (block, 3 * block), (5, n)]
+    for n in (2 * block, 3 * block + 5):
+        shapes.clear()
+        seq = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 2, math.inf)
+        training_forward(seq, ckpt)
+        # (query rows, keys) of each block, in each of the two layers
+        edges = [0, n] if n <= 2 * block else [n * j // 4 for j in range(5)]
+        assert shapes == 2 * [(stop - start, stop) for start, stop in zip(edges, edges[1:])]
+    assert max(rows for rows, _ in shapes) <= block
 
 
 def test_non_finite_model_continued_after_long_history_raises():
@@ -874,14 +879,13 @@ def masked_scores(keep, scores, fill):
                      lambda g: ad._accumulate(scores, np.where(keep, g, 0.0)))
 
 
-def composed_attention(q, k, v, causal=False, plus_one=False):
+def composed_attention(q, k, v, plus_one=False):
     """ad.attention written as the chain of autodiff ops that an encoder
     layer ran before the fused op, in the same arithmetic order, with the
     dense causal mask over all the keys."""
-    scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
-    if causal:
-        n, n_keys = ad.value(q).shape[-2], ad.value(k).shape[-2]
-        scores = masked_scores(np.tri(n, n_keys, n_keys - n, dtype=bool), scores, -math.inf)
+    n, n_keys = ad.value(q).shape[-2], ad.value(k).shape[-2]
+    scores = masked_scores(np.tri(n, n_keys, n_keys - n, dtype=bool),
+                           ad.matmul(q, ad.transpose(k, (0, 2, 1))), -math.inf)
     shift = ad.value(scores).max(axis=-1, keepdims=True)
     kernel = ad.exp(ad.sub(scores, shift))
     denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
@@ -896,8 +900,9 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
     """On random models whose value projections move the rows, every
     sampling forward, cached one row at a time or in a span, gives the same
     bits with the fused op as with the chain of ops, and so does a no-past
-    encode of at most one block; a longer no-past encode, which the op
-    attends in blocks, is the chain's within 1e-12. All match the textbook
+    encode of at most two blocks, which the op attends as one; a longer
+    no-past encode, which the op attends in blocks, is the chain's within
+    1e-12. All match the textbook
     attention to 1e-12. The long input's first span is longer than two
     encode blocks, so a full block attends over a visible past and the last
     block is a triangular tail; the multi-row spans after it attend over a
@@ -930,7 +935,7 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
                 patched.setattr(ad, "attention", composed_attention)
                 composed = forwards(ckpt, seq, spans)
             assert all(np.array_equal(a, b) for a, b in zip(fused[:-1], composed[:-1]))
-            if len(seq) <= block:
+            if len(seq) <= 2 * block:
                 assert np.array_equal(fused[-1], composed[-1])
             else:
                 assert np.allclose(fused[-1], composed[-1], rtol=0.0, atol=1e-12)
