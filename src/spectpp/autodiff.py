@@ -277,22 +277,6 @@ def _future(rows: int) -> np.ndarray:
     return mask
 
 
-def _spans(n: int, n_keys: int) -> list:
-    """The first row, the row after the last and the number of keys seen
-    of each block of n queries over n_keys keys. Up to two blocks' rows
-    are one block: below that a second block's 30-odd numpy calls cost
-    more than the score entries it saves (forward and backward on a 2-CPU
-    Xeon, one head of width 8 broke even near 110 rows and two heads near
-    90). A longer span is cut into
-    ceil(n / ATTENTION_BLOCK) blocks of near-equal size, which form the
-    fewest score entries for that many blocks."""
-    if n <= 2 * ATTENTION_BLOCK:
-        return [(0, n, n_keys)]
-    count = -(-n // ATTENTION_BLOCK)
-    bounds = [n * j // count for j in range(count + 1)]
-    return [(start, stop, n_keys - n + stop) for start, stop in zip(bounds, bounds[1:])]
-
-
 def _attend_block(rows, keys, values, plus_one: bool):
     """The kernel, denominator and output of one block of query rows over
     its keys and values; the last b keys are the b rows' own, so only the
@@ -323,12 +307,14 @@ def attention(q, k, v, plus_one: bool = False):
     exp(-shift). The scores' adjoint is P * (dP - rowsum(g * out)), with
     dP = g v^T.
 
-    A call of more than 2 * ATTENTION_BLOCK queries runs in blocks of at
-    most ATTENTION_BLOCK rows, each forming scores only over the keys up to
-    its last row, so most of the masked half of a long span is neither
-    exponentiated nor differentiated; the adjoint walks the same blocks and
-    adds each one's key and value adjoints over its key prefix. A shorter
-    call is one block over all the keys.
+    A call of more than 2 * ATTENTION_BLOCK queries runs in
+    ceil(n / ATTENTION_BLOCK) blocks of near-equal size, each forming
+    scores only over the keys up to its last row, so most of the masked
+    half of a long span is neither exponentiated nor differentiated; the
+    adjoint walks the same blocks and adds each one's key and value
+    adjoints over its key prefix. A shorter call, such as every call of
+    the model's encoder cache, is one block over all the keys, bit for bit
+    the dense masked form.
 
     The softmax runs in place: the scores are masked, shifted and
     exponentiated in the array their product made, and the output is
@@ -336,18 +322,29 @@ def attention(q, k, v, plus_one: bool = False):
     score-sized array, not four. Each step is the same IEEE operation as
     its out-of-place form, so the results are the same bit for bit."""
     x, keys, values = value(q), value(k), value(v)
-    spans = _spans(x.shape[-2], keys.shape[-2])
-    blocks = [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
-                            values[..., :seen, :], plus_one)
-              for start, stop, seen in spans]
-    out = (blocks[0][2] if len(blocks) == 1
-           else np.concatenate([block[2] for block in blocks], axis=-2))
+    n, n_keys = x.shape[-2], keys.shape[-2]
+    # below two blocks' rows a second block's 30-odd numpy calls cost more
+    # than the score entries it saves (forward and backward on a 2-CPU Xeon,
+    # one head of width 8 broke even near 110 rows and two heads near 90)
+    if n <= 2 * ATTENTION_BLOCK:
+        spans, blocks = ((0, n, n_keys),), (_attend_block(x, keys, values, plus_one),)
+        out = blocks[0][2]
+    else:
+        # each block's first row, the row after its last and the keys it
+        # sees; near-equal blocks form the fewest score entries for their count
+        count = -(-n // ATTENTION_BLOCK)
+        bounds = [n * j // count for j in range(count + 1)]
+        spans = [(start, stop, n_keys - n + stop) for start, stop in zip(bounds, bounds[1:])]
+        blocks = [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
+                                values[..., :seen, :], plus_one)
+                  for start, stop, seen in spans]
+        out = np.concatenate([block[2] for block in blocks], axis=-2)
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
         return out
 
     def backward(g):
         g_out = (g * out).sum(axis=-1, keepdims=True)
-        d_q, d_k, d_v = [], None, None
+        q_blocks, d_k, d_v = [], None, None
         # last block first: it sees every key, so its products start dk and dv
         for (start, stop, seen), (kernel, denominator, _) in zip(spans[::-1], blocks[::-1]):
             rows, g_rows = x[..., start:stop, :], g[..., start:stop, :]
@@ -356,14 +353,14 @@ def attention(q, k, v, plus_one: bool = False):
             d_scores = g_rows @ _swap_last(values[..., :seen, :])
             d_scores -= g_out[..., start:stop, :]
             d_scores *= weights
-            d_q.append(d_scores @ keys[..., :seen, :])
+            q_blocks.append(d_scores @ keys[..., :seen, :])
             block_k, block_v = _swap_last(d_scores) @ rows, _swap_last(weights) @ g_rows
             if d_k is None:
                 d_k, d_v = block_k, block_v
             else:
                 d_k[..., :seen, :] += block_k
                 d_v[..., :seen, :] += block_v
-        d_q = d_q[0] if len(d_q) == 1 else np.concatenate(d_q[::-1], axis=-2)
+        d_q = q_blocks[0] if len(q_blocks) == 1 else np.concatenate(q_blocks[::-1], axis=-2)
         for operand, grad in ((q, d_q), (k, d_k), (v, d_v)):
             if isinstance(operand, Tensor):
                 _accumulate(operand, grad)
