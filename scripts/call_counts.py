@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Python-level and builtin calls per emitted event of AR and SD sampling.
+
+A timing-independent measure of per-call overhead, to sit next to a
+wall-clock claim. It builds perfbench's sampler pair (gamma_ablation.py's
+``build_pair``: a 20-layer, 2-head target of width 48 and a 1-layer draft)
+and samples in the sample-short shape, from an empty history to t_end 100,
+a few sequences with AR and with SD at gamma 10, each on the pinned stream
+that perfbench gives it. ``sys.setprofile`` counts every call of a Python
+function (``call``) and of a builtin or C function (``c_call``). It also
+counts one cached one-row pass of each model, after a 9-event history. It
+takes no options:
+
+    python3 scripts/call_counts.py
+"""
+
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+
+from gamma_ablation import build_pair
+from spectpp import model, sampler
+from spectpp.core import Event, EventSequence, RngStream
+
+SEED = 1
+SEQUENCES = 8
+T_END = 100.0
+GAMMA = 10
+
+
+def counted(fn, *args, **kwargs):
+    """fn's result and the Python-level and builtin calls it made."""
+    counts = {"call": 0, "c_call": 0}
+
+    def hook(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, counts["call"], counts["c_call"]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        target_path, draft_path = build_pair(pathlib.Path(tmp), n_layers=20, embed_dim=48,
+                                             noise=0.5, seed=100)
+        target, draft = model.load_checkpoint(target_path), model.load_checkpoint(draft_path)
+
+    print(f"sample-short shape, t_end {T_END}, seed {SEED}, sequences 0-{SEQUENCES - 1}")
+    for mode in ("ar", "sd"):
+        events = python = builtin = 0
+        for i in range(SEQUENCES):
+            rng = RngStream(SEED).child(f"seq{i}")
+            if mode == "ar":
+                (seq, _), p, b = counted(sampler.ar_sample, target, T_END, rng)
+            else:
+                (seq, _), p, b = counted(sampler.tpp_sd_sample, target, draft, T_END, GAMMA, rng)
+            events, python, builtin = events + len(seq), python + p, builtin + b
+        label = "AR" if mode == "ar" else f"SD gamma={GAMMA}"
+        print(f"{label:<12} {events:5d} events  {python / events:8.1f} Python-level calls"
+              f"  {builtin / events:8.1f} builtin calls per event")
+
+    history = EventSequence(tuple(Event(0.5 * (i + 1), i % 2) for i in range(10)), T_END)
+    for name, ckpt in (("target", target), ("draft", draft)):
+        cache = model.EncoderCache(ckpt)
+        model.next_event_distributions(EventSequence(history.events[:9], T_END), ckpt,
+                                       cache=cache)
+        _, p, b = counted(model.next_event_distributions, history, ckpt, cache=cache)
+        print(f"{name:<12} cached one-row pass  {p:5d} Python-level calls  {b:5d} builtin calls")
+
+
+if __name__ == "__main__":
+    main()

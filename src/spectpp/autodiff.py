@@ -3,15 +3,19 @@
 A :class:`Tensor` is a node of the tape and always receives a gradient;
 constants are plain numpy arrays or numbers. Each operation takes either.
 When none of its operands is a Tensor it returns the plain numpy result at
-once, before it builds a backward closure or a tape node, so the same model
-code runs inference on raw parameter arrays at the cost of the numpy calls
-alone. Otherwise it returns a new Tensor holding the same forward value and
-a closure that passes the adjoint to its Tensor operands.
+once, before it builds a backward closure or a tape node, which mixed taped
+code relies on. Otherwise it returns a new Tensor holding the same forward
+value and a closure that passes the adjoint to its Tensor operands.
 Most operations are one (forward, adjoint) pair made into an op by the
 one-operand or the two-operand template, so each forward is written once
-for both paths. Softmax attention is one such pair of its own, so an
-encoder layer attends with one op and one tape node; its softmax works in
-the scores array in place, for training and inference alike. It is
+for both paths. The namespace ``plain`` holds every op's forward under the
+op's name, the same function the op runs, with no dispatch in front of it.
+Whether to tape is decided by the caller, once: the model's Weights hold
+this module as their ops when the parameters are Tensors and ``plain``
+otherwise, so a sampling forward calls numpy directly and costs its numpy
+calls alone. Softmax attention is one (forward, adjoint) pair of its own,
+so an encoder layer attends with one op and one tape node; its softmax
+works in the scores array in place, for training and inference alike. It is
 always causal, and a span longer than two ATTENTION_BLOCKs runs in blocks
 of query rows that skip most of the masked half of the scores, forward and
 backward. ``backward`` walks the resulting DAG once in reverse topological
@@ -24,11 +28,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 
 import numpy as np
 from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# the plain forward of every op, under the op's name: what the op computes
+# when none of its operands is a Tensor, called without the op's dispatch
+plain = types.SimpleNamespace()
 
 
 class Tensor:
@@ -91,16 +100,16 @@ def value(x):
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted adjoint back to the original operand shape."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
     """The transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(x, -1, -2) if x.ndim > 1 else x
+    return x.swapaxes(-1, -2) if x.ndim > 1 else x
 
 
 def _accumulate(parent: Tensor, grad) -> None:
@@ -117,6 +126,8 @@ def _unary(name: str, forward, adjoint):
     """The op of one operand with ``forward(x, *args)`` and the adjoint
     ``adjoint(g, x, out, *args)`` of its input, given the output's adjoint
     g, the input x and the output."""
+    setattr(plain, name, forward)
+
     def op(a, *args):
         if not isinstance(a, Tensor):
             return forward(a, *args)
@@ -132,6 +143,8 @@ def _binary(name: str, forward, adjoint_a, adjoint_b):
     ``adjoint_a(g, x, y)`` and ``adjoint_b(g, x, y)`` of each. An adjoint is
     computed only for an operand that is a Tensor, and summed back to its
     shape where the forward broadcast it."""
+    setattr(plain, name, forward)
+
     def op(a, b):
         if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
             return forward(a, b)
@@ -186,6 +199,9 @@ def _scatter(g, x, out, key):
 take = _unary("take", operator.getitem, _scatter)
 
 
+plain.concat = np.concatenate
+
+
 def concat(tensors, axis: int = 0):
     tensors = tuple(tensors)
     if not any(isinstance(t, Tensor) for t in tensors):
@@ -216,8 +232,16 @@ log = _unary("log", _log, lambda g, x, out: g / x)
 tanh = _unary("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
 sin = _unary("sin", np.sin, lambda g, x, out: g * np.cos(x))
 cos = _unary("cos", np.cos, lambda g, x, out: -g * np.sin(x))
+
+
+def _clamp(x, lo, hi):
+    """x clamped to [lo, hi] by the two ufuncs, not ndarray.clip's Python
+    wrapper: the same values, and a NaN propagates."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 # clamp values; the adjoint passes through unclamped entries only
-clip = _unary("clip", lambda x, lo, hi: x.clip(lo, hi),
+clip = _unary("clip", _clamp,
               lambda g, x, out, lo, hi: g * ((x >= lo) & (x <= hi)))
 # standard normal CDF; its derivative is the normal density
 normal_cdf = _unary("normal_cdf", lambda x: np.asarray(ndtr(x), dtype=float),
@@ -226,9 +250,16 @@ normal_cdf = _unary("normal_cdf", lambda x: np.asarray(ndtr(x), dtype=float),
 
 # -- reductions ----------------------------------------------------------------
 
+def _sum(x, axis=None, keepdims: bool = False):
+    return np.add.reduce(x, axis=axis, keepdims=keepdims)
+
+
+plain.tensor_sum = _sum
+
+
 def tensor_sum(a, axis=None, keepdims: bool = False):
     if not isinstance(a, Tensor):
-        return a.sum(axis=axis, keepdims=keepdims)
+        return _sum(a, axis, keepdims)
     x = a.data
 
     def backward(g):
@@ -237,19 +268,30 @@ def tensor_sum(a, axis=None, keepdims: bool = False):
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, x.shape).copy())
 
-    return Tensor(x.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return Tensor(_sum(x, axis, keepdims), (a,), backward)
+
+
+def _logsumexp_parts(x, axis: int, keepdims: bool):
+    """logsumexp of x along ``axis``, with exp(x - max) and its sum, which
+    the adjoint reads."""
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = np.add.reduce(e, axis=axis, keepdims=True)
+    out = m + np.log(s)
+    return (out if keepdims else out.squeeze(axis)), e, s
+
+
+def _logsumexp(x, axis: int = -1, keepdims: bool = False):
+    return _logsumexp_parts(x, axis, keepdims)[0]
+
+
+plain.logsumexp = _logsumexp
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False):
-    x = value(a)
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = m + np.log(s)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
     if not isinstance(a, Tensor):
-        return out
+        return _logsumexp(a, axis, keepdims)
+    out, e, s = _logsumexp_parts(a.data, axis, keepdims)
 
     def backward(g):
         g = np.asarray(g)
@@ -281,20 +323,52 @@ def _attend_block(rows, keys, values, plus_one: bool):
     """The kernel, denominator and output of one block of query rows over
     its keys and values; the last b keys are the b rows' own, so only the
     block's (b, b) tail triangle is masked."""
-    scores = rows @ _swap_last(keys)
+    scores = rows @ keys.swapaxes(-1, -2)
     b = rows.shape[-2]
     if b > 1:
         np.copyto(scores[..., -b:], -math.inf, where=_future(b))
-    shift = scores.max(axis=-1, keepdims=True)
+    shift = np.maximum.reduce(scores, axis=-1, keepdims=True)
     scores -= shift
     kernel = np.exp(scores, scores)
-    denominator = kernel.sum(axis=-1, keepdims=True)
+    denominator = np.add.reduce(kernel, axis=-1, keepdims=True)
     if plus_one:
         with np.errstate(over="ignore"):
             denominator += np.exp(-shift)
     out = kernel @ values
     out /= denominator
     return kernel, denominator, out
+
+
+def _blocks(x, keys, values, plus_one: bool):
+    """The (first row, row after the last, keys seen) span of each block
+    of query rows, and each block's kernel, denominator and output. Up to
+    two ATTENTION_BLOCKs of rows are one block over all the keys; longer
+    spans run in blocks of near-equal size, which form the fewest score
+    entries for their count."""
+    n, n_keys = x.shape[-2], keys.shape[-2]
+    # below two blocks' rows a second block's 30-odd numpy calls cost more
+    # than the score entries it saves (forward and backward on a 2-CPU Xeon,
+    # one head of width 8 broke even near 110 rows and two heads near 90)
+    if n <= 2 * ATTENTION_BLOCK:
+        return ((0, n, n_keys),), (_attend_block(x, keys, values, plus_one),)
+    count = -(-n // ATTENTION_BLOCK)
+    bounds = [n * j // count for j in range(count + 1)]
+    spans = [(start, stop, n_keys - n + stop) for start, stop in zip(bounds, bounds[1:])]
+    return spans, [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
+                                 values[..., :seen, :], plus_one)
+                   for start, stop, seen in spans]
+
+
+def _attention(q, k, v, plus_one: bool = False):
+    """The forward of attention on plain arrays. One block, such as every
+    call of the model's encoder cache, is _attend_block's output as it is,
+    with no span or block list around it."""
+    if q.shape[-2] <= 2 * ATTENTION_BLOCK:
+        return _attend_block(q, k, v, plus_one)[2]
+    return np.concatenate([block[2] for block in _blocks(q, k, v, plus_one)[1]], axis=-2)
+
+
+plain.attention = _attention
 
 
 def attention(q, k, v, plus_one: bool = False):
@@ -321,29 +395,14 @@ def attention(q, k, v, plus_one: bool = False):
     divided in the array its product made, so a block allocates one
     score-sized array, not four. Each step is the same IEEE operation as
     its out-of-place form, so the results are the same bit for bit."""
-    x, keys, values = value(q), value(k), value(v)
-    n, n_keys = x.shape[-2], keys.shape[-2]
-    # below two blocks' rows a second block's 30-odd numpy calls cost more
-    # than the score entries it saves (forward and backward on a 2-CPU Xeon,
-    # one head of width 8 broke even near 110 rows and two heads near 90)
-    if n <= 2 * ATTENTION_BLOCK:
-        spans, blocks = ((0, n, n_keys),), (_attend_block(x, keys, values, plus_one),)
-        out = blocks[0][2]
-    else:
-        # each block's first row, the row after its last and the keys it
-        # sees; near-equal blocks form the fewest score entries for their count
-        count = -(-n // ATTENTION_BLOCK)
-        bounds = [n * j // count for j in range(count + 1)]
-        spans = [(start, stop, n_keys - n + stop) for start, stop in zip(bounds, bounds[1:])]
-        blocks = [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
-                                values[..., :seen, :], plus_one)
-                  for start, stop, seen in spans]
-        out = np.concatenate([block[2] for block in blocks], axis=-2)
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
-        return out
+        return _attention(q, k, v, plus_one)
+    x, keys, values = value(q), value(k), value(v)
+    spans, blocks = _blocks(x, keys, values, plus_one)
+    out = blocks[0][2] if len(blocks) == 1 else np.concatenate([b[2] for b in blocks], axis=-2)
 
     def backward(g):
-        g_out = (g * out).sum(axis=-1, keepdims=True)
+        g_out = np.add.reduce(g * out, axis=-1, keepdims=True)
         q_blocks, d_k, d_v = [], None, None
         # last block first: it sees every key, so its products start dk and dv
         for (start, stop, seen), (kernel, denominator, _) in zip(spans[::-1], blocks[::-1]):

@@ -4,10 +4,12 @@ Events are embedded as mark embedding + temporal encoding, passed through
 causal attention-plus-residual blocks, and decoded into a log-normal
 mixture over the next inter-event interval and a categorical distribution
 over the next mark. Three temporal encodings and two attention styles are
-supported. The forward is written once with autodiff operations: given the
-checkpoint's raw arrays they compute plain ndarrays and build no tape, which
-is how sampling runs, and given the parameters as Tensors they record the
-tape that training differentiates. The log-normal mixture density is written
+supported. The forward is written once against the ops its Weights hold:
+for the checkpoint's raw arrays these are autodiff.plain, the ops' plain
+forwards, which call numpy directly and build no tape, which is how sampling
+runs; for parameters as Tensors they are the autodiff ops, which record the
+tape that training differentiates. So whether to tape is decided once per
+Weights, not once per op call. The log-normal mixture density is written
 once the same way, for training's taped head rows and sampling's plain ones.
 Each layer projects its input to the queries, keys and values of every head
 with one q|k|v matrix product and attends over all heads with one
@@ -313,8 +315,9 @@ def _temporal_encoding_tensor(times: np.ndarray, weights: Weights, config: Model
     if config.encoding == "attnhp":
         return np.sin(t_col * per_dim)
     # sahp: learnable per-dimension frequencies shift a fixed positional phase
-    arg = ad.add(per_dim, ad.mul(weights.time_freq, t_col))
-    return ad.add(ad.mul(ad.sin(arg), even), ad.mul(ad.cos(arg), odd))
+    ops = weights.ops
+    arg = ops.add(per_dim, ops.mul(weights.time_freq, t_col))
+    return ops.add(ops.mul(ops.sin(arg), even), ops.mul(ops.cos(arg), odd))
 
 
 # ---------------------------------------------------------------------------
@@ -323,42 +326,50 @@ def _temporal_encoding_tensor(times: np.ndarray, weights: Weights, config: Model
 
 @dataclass(frozen=True)
 class Weights:
-    """What a forward reads, built by _fused_weights from one parameter set."""
+    """What a forward reads, built by _fused_weights from one parameter set:
+    the fused matrices, and the ops every forward calls, autodiff's on the
+    tape or autodiff.plain on raw arrays."""
 
     mark_embedding: np.ndarray | Tensor
     initial_context: np.ndarray | Tensor  # one (1, d) row
     time_freq: np.ndarray | Tensor | None  # None except for sahp
     qkv: list  # per layer
     heads: tuple  # input projection and bias, mark output projection and bias
+    ops: object  # the autodiff module, or autodiff.plain
 
 
 def _fused_weights(params: dict[str, np.ndarray | Tensor], config: ModelConfig) -> Weights:
     """The Weights of named parameters, raw arrays or Tensors on the tape:
     each layer's (d_in, 3d) q|k|v matrix with 1/sqrt(head_dim) folded into
-    its query block, and the heads' (d, 3M+d) and (d, K) products."""
+    its query block, and the heads' (d, 3M+d) and (d, K) products. Its
+    ``ops`` are ``autodiff`` itself when a parameter is a Tensor, and
+    ``autodiff.plain`` otherwise, so a forward on raw arrays calls numpy
+    without asking each op whether a tape is being built."""
     d, scale = config.embed_dim, 1.0 / math.sqrt(config.head_dim)
-    qkv = [ad.concat([ad.mul(params[f"layers.{layer}.q"], scale), params[f"layers.{layer}.k"],
-                      params[f"layers.{layer}.v"]], axis=1)
+    ops = ad if any(isinstance(p, Tensor) for p in params.values()) else ad.plain
+    qkv = [ops.concat([ops.mul(params[f"layers.{layer}.q"], scale), params[f"layers.{layer}.k"],
+                       params[f"layers.{layer}.v"]], axis=1)
            for layer in range(config.n_layers)]
     proj = params["decoder_proj"]
-    rows = ad.concat([ad.matmul(params["mix_weight_proj"], proj[:d]),
-                      ad.matmul(params["mix_mean_proj"], proj[d:2 * d]),
-                      ad.matmul(params["mix_scale_proj"], proj[2 * d:]),
-                      params["mark_hidden_proj"]], axis=0)
-    bias = ad.concat([params["mix_weight_bias"], params["mix_mean_bias"],
-                      params["mix_scale_bias"], params["mark_hidden_bias"]])
-    heads = (ad.transpose(rows), bias, ad.transpose(params["mark_out_proj"]),
+    rows = ops.concat([ops.matmul(params["mix_weight_proj"], proj[:d]),
+                       ops.matmul(params["mix_mean_proj"], proj[d:2 * d]),
+                       ops.matmul(params["mix_scale_proj"], proj[2 * d:]),
+                       params["mark_hidden_proj"]], axis=0)
+    bias = ops.concat([params["mix_weight_bias"], params["mix_mean_bias"],
+                       params["mix_scale_bias"], params["mark_hidden_bias"]])
+    heads = (ops.transpose(rows), bias, ops.transpose(params["mark_out_proj"]),
              params["mark_out_bias"])
-    return Weights(params["mark_embedding"], ad.reshape(params["initial_context"], (1, d)),
-                   params.get("time_freq"), qkv, heads)
+    return Weights(params["mark_embedding"], ops.reshape(params["initial_context"], (1, d)),
+                   params.get("time_freq"), qkv, heads, ops)
 
 
 def _embed_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
                   config: ModelConfig):
-    if marks.size and (marks.min() < 0 or marks.max() >= config.n_marks):
+    if marks.size and (np.minimum.reduce(marks) < 0
+                       or np.maximum.reduce(marks) >= config.n_marks):
         raise ValueError("mark out of range for the checkpoint configuration")
     z = _temporal_encoding_tensor(times, weights, config)
-    x = ad.add(ad.take(weights.mark_embedding, marks), z)
+    x = weights.ops.add(weights.ops.take(weights.mark_embedding, marks), z)
     return x, z
 
 
@@ -371,24 +382,25 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
     span longer than two attention blocks, such as a long sequence's no-past
     forward in training, forms scores only up to each block's last row."""
     x, z = _embed_tensor(times, marks, weights, config)
+    ops = weights.ops
     n, heads, head_dim = times.size, config.n_heads, config.head_dim
     attnhp = config.encoding == "attnhp"
     ones_col = np.ones((n, 1)) if attnhp else None
     h = x
     for layer in range(config.n_layers):
-        inputs = ad.concat([ones_col, z, h], axis=1) if attnhp else h
+        inputs = ops.concat([ones_col, z, h], axis=1) if attnhp else h
         # (n, 3d) -> (3, heads, n, head_dim): the queries, keys and values of every head
-        proj = ad.transpose(ad.reshape(ad.matmul(inputs, weights.qkv[layer]),
-                                       (n, 3, heads, head_dim)), (1, 2, 0, 3))
+        proj = ops.transpose(ops.reshape(ops.matmul(inputs, weights.qkv[layer]),
+                                         (n, 3, heads, head_dim)), (1, 2, 0, 3))
         q, k, v = proj[0], proj[1], proj[2]
         if past is not None:
             k, v = past.attend(layer, k, v)
         # attnhp's softmax has a +1 in its denominator
-        attended = ad.attention(q, k, v, plus_one=attnhp)
-        agg = ad.reshape(ad.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
+        attended = ops.attention(q, k, v, plus_one=attnhp)
+        agg = ops.reshape(ops.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
         if attnhp:
-            agg = ad.tanh(agg)
-        h = ad.add(h, agg)
+            agg = ops.tanh(agg)
+        h = ops.add(h, agg)
     return h
 
 
@@ -403,7 +415,7 @@ def _context_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
     if times.size == 0:
         return first
     h = _encode_tensor(times, marks, weights, config, past)
-    return ad.concat([first, h], axis=0)
+    return weights.ops.concat([first, h], axis=0)
 
 
 class EncoderCache:
@@ -516,12 +528,12 @@ def _head_tensors(ctx, weights: Weights, config: ModelConfig):
     row, from the fused heads: one product and bias give every row's
     weight logits, log-means, log-scales and mark hidden layer."""
     w_in, b_in, w_out, b_out = weights.heads
-    m = config.n_components
-    pre = ad.add(ad.matmul(ctx, w_in), b_in)
+    ops, m = weights.ops, config.n_components
+    pre = ops.add(ops.matmul(ctx, w_in), b_in)
     w_logits, mu, log_sigma = pre[:, :m], pre[:, m:2 * m], pre[:, 2 * m:3 * m]
-    log_w = ad.sub(w_logits, ad.logsumexp(w_logits, axis=-1, keepdims=True))
-    sigma = ad.clip(ad.exp(log_sigma), SIGMA_MIN, SIGMA_MAX)
-    mark_logits = ad.add(ad.matmul(ad.tanh(pre[:, 3 * m:]), w_out), b_out)
+    log_w = ops.sub(w_logits, ops.logsumexp(w_logits, axis=-1, keepdims=True))
+    sigma = ops.clip(ops.exp(log_sigma), SIGMA_MIN, SIGMA_MAX)
+    mark_logits = ops.add(ops.matmul(ops.tanh(pre[:, 3 * m:]), w_out), b_out)
     return log_w, mu, sigma, mark_logits
 
 
@@ -536,8 +548,8 @@ def _check_head_rows(*outputs: np.ndarray) -> None:
 def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
                    mark_logits: np.ndarray) -> tuple[MixtureParams, MarkDistribution]:
     """Head outputs as distributions; leading axes are kept as rows."""
-    e = np.exp(mark_logits - mark_logits.max(axis=-1, keepdims=True))
-    weights, probabilities = np.exp(log_w), e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(mark_logits - np.maximum.reduce(mark_logits, axis=-1, keepdims=True))
+    weights, probabilities = np.exp(log_w), e / np.add.reduce(e, axis=-1, keepdims=True)
     _check_head_rows(weights, mu, sigma, probabilities)
     return (_from_checked(MixtureParams, weights=weights, means=mu, scales=sigma),
             _from_checked(MarkDistribution, probabilities=probabilities))
@@ -576,15 +588,16 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
 # mixture density and sampling
 # ---------------------------------------------------------------------------
 
-def _mixture_log_density(log_tau, log_w, mu, sigma):
+def _mixture_log_density(log_tau, log_w, mu, sigma, ops):
     """Log-density of the log-normal mixture with log-weights, log-means
     and scales along the last axis, at the intervals whose logs ``log_tau``
-    (with a trailing axis of 1) broadcast against the leading axes. Taped
-    head rows give a Tensor, plain arrays a plain array."""
-    z = ad.div(ad.sub(log_tau, mu), sigma)
-    comp = ad.sub(ad.sub(ad.sub(log_w, log_tau + 0.5 * _LOG_2PI), ad.log(sigma)),
-                  ad.mul(ad.mul(z, z), 0.5))
-    return ad.logsumexp(comp, axis=-1)
+    (with a trailing axis of 1) broadcast against the leading axes, by
+    ``ops``: autodiff's for taped head rows, which give a Tensor, or
+    autodiff.plain for plain arrays."""
+    z = ops.div(ops.sub(log_tau, mu), sigma)
+    comp = ops.sub(ops.sub(ops.sub(log_w, log_tau + 0.5 * _LOG_2PI), ops.log(sigma)),
+                   ops.mul(ops.mul(z, z), 0.5))
+    return ops.logsumexp(comp, axis=-1)
 
 
 def mixture_logpdf(tau, params: MixtureParams):
@@ -600,7 +613,7 @@ def mixture_logpdf(tau, params: MixtureParams):
         raise ValueError("tau must be positive")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = _mixture_log_density(np.log(tau)[..., np.newaxis], np.log(params.weights),
-                                   params.means, params.scales)
+                                   params.means, params.scales, ad.plain)
     out = np.where(np.isnan(out), -np.inf, out)
     return float(out) if out.ndim == 0 else out
 
@@ -632,18 +645,20 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
         raise ValueError("inter-event intervals must be positive")
     if n and times[-1] > t_end:
         raise ValueError(f"event time {times[-1]} is after t_end {t_end}")
+    ops = weights.ops
     ctx = _context_tensor(times, marks, weights, config)
     log_w, mu, sigma, mark_logits = _head_tensors(ctx, weights, config)
     density = _mixture_log_density(np.log(taus).reshape(-1, 1), log_w[:n, :], mu[:n, :],
-                                   sigma[:n, :])
-    total = ad.tensor_sum(density)
-    mark_lsm = ad.sub(mark_logits, ad.logsumexp(mark_logits, axis=-1, keepdims=True))
-    total = ad.add(total, ad.tensor_sum(mark_lsm[np.arange(n), marks]))
+                                   sigma[:n, :], ops)
+    total = ops.tensor_sum(density)
+    mark_lsm = ops.sub(mark_logits, ops.logsumexp(mark_logits, axis=-1, keepdims=True))
+    total = ops.add(total, ops.tensor_sum(mark_lsm[np.arange(n), marks]))
     tail = t_end - (times[-1] if n else 0.0)
     if tail > 0.0:
-        z_tail = ad.div(ad.sub(math.log(tail), mu[n:, :]), sigma[n:, :])
-        survival = ad.tensor_sum(ad.mul(ad.exp(log_w[n:, :]), ad.normal_cdf(ad.mul(z_tail, -1.0))))
-        total = ad.add(total, ad.log(ad.clip(survival, 1e-300, np.inf)))
+        z_tail = ops.div(ops.sub(math.log(tail), mu[n:, :]), sigma[n:, :])
+        survival = ops.tensor_sum(ops.mul(ops.exp(log_w[n:, :]),
+                                          ops.normal_cdf(ops.mul(z_tail, -1.0))))
+        total = ops.add(total, ops.log(ops.clip(survival, 1e-300, np.inf)))
     return total
 
 

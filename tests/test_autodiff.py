@@ -281,6 +281,15 @@ def test_clip_gradient_is_zero_outside_bounds():
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
+def test_clip_keeps_nan_and_matches_numpy_clip():
+    """clip clamps by two ufuncs rather than np.clip: the same values, and
+    a NaN stays NaN on and off the tape."""
+    x = np.array([-2.0, 0.0, 0.5, 1.0, 3.0, -np.inf, np.inf, np.nan])
+    for out in (ad.plain.clip(x, 0.0, 1.0), ad.clip(Tensor(x), 0.0, 1.0).data):
+        assert np.array_equal(out, np.clip(x, 0.0, 1.0), equal_nan=True)
+        assert np.isnan(out[-1])
+
+
 def test_backward_is_linear_in_the_loss():
     rng = np.random.default_rng(11)
     base = rng.normal(size=(3, 3))

@@ -93,6 +93,10 @@ def test_clamped_exp_is_finite_and_positive():
     assert clamped_exp(1e6) == math.exp(709.0)
     assert clamped_exp(-1e6) > 0.0
     assert clamped_exp(0.0) == 1.0
+    assert math.isnan(clamped_exp(math.nan))
+    logs = np.array([-1e6, -3.0, 0.0, 2.5, 1e6, np.nan])
+    assert np.array_equal(clamped_exp(logs), np.exp(np.clip(logs, -745.0, 709.0)),
+                          equal_nan=True)
 
 
 def test_categorical_draw_matches_probabilities():

@@ -433,7 +433,7 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
 
     ctx = M._context_tensor(seq.times, seq.marks, fused_weights(ckpt), config)
     log_w, mu, sigma, _ = M._head_tensors(ctx, fused_weights(ckpt), config)
-    plain = density(np.log(taus).reshape(-1, 1), log_w[:n], mu[:n], sigma[:n])
+    plain = density(np.log(taus).reshape(-1, 1), log_w[:n], mu[:n], sigma[:n], ad.plain)
     assert not isinstance(plain, ad.Tensor) and np.array_equal(plain, taped.data)
     mixtures, _ = M.position_distributions(seq, ckpt)
     assert np.array_equal(M.mixture_logpdf(taus, mixtures.row(slice(0, n))), taped.data)
@@ -814,15 +814,19 @@ def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
     seq = sequence_from_arrays(0.5 * np.arange(1, n + 9), np.arange(n + 8) % 2, math.inf)
     query_rows = []
 
-    def spied(q, k, v, *args, _attention=ad.attention, **kwargs):
-        query_rows.append(np.shape(q)[1])  # q is (heads, queries, head_dim)
-        return _attention(q, k, v, *args, **kwargs)
+    def spy(attention):
+        def spied(q, k, v, *args, **kwargs):
+            query_rows.append(np.shape(q)[1])  # q is (heads, queries, head_dim)
+            return attention(q, k, v, *args, **kwargs)
+        return spied
 
-    monkeypatch.setattr(ad, "attention", spied)
+    # the op and its plain forward, which a cached forward calls
+    monkeypatch.setattr(ad, "attention", spy(ad.attention))
+    monkeypatch.setattr(ad.plain, "attention", spy(ad.plain.attention))
     cache = M.EncoderCache(ckpt)
     M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt, cache=cache)
     # one attention call per layer and block
-    assert max(query_rows) == block and sum(query_rows) == 2 * n
+    assert query_rows and max(query_rows) == block and sum(query_rows) == 2 * n
     buffers = cache._keys + cache._values
     for end in range(n + 1, n + 9):
         M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
@@ -925,6 +929,12 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
                   for a in (mix.weights, mix.means, mix.scales, marks.probabilities)]
         return arrays + [cache.hidden[:len(seq)], encode_history(seq, ckpt)]
 
+    composed_calls = []
+
+    def composed_spy(*args, **kwargs):
+        composed_calls.append(1)
+        return composed_attention(*args, **kwargs)
+
     for n_heads in (1, 2):
         ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=3, n_heads=n_heads,
                                              n_marks=3), seed=33)
@@ -932,8 +942,13 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
             fused = forwards(ckpt, seq, spans)
             assert not np.allclose(fused[-1], embed_events(seq, ckpt))
             with monkeypatch.context() as patched:
-                patched.setattr(ad, "attention", composed_attention)
+                # sampling forwards call the plain forward, not the op
+                patched.setattr(ad, "attention", composed_spy)
+                patched.setattr(ad.plain, "attention", composed_spy)
+                composed_calls.clear()
                 composed = forwards(ckpt, seq, spans)
+            # 3 layers per encode block: the cached spans and the two no-past forwards
+            assert len(composed_calls) >= 3 * (len(spans) + 2)
             assert all(np.array_equal(a, b) for a, b in zip(fused[:-1], composed[:-1]))
             if len(seq) <= 2 * block:
                 assert np.array_equal(fused[-1], composed[-1])
@@ -967,30 +982,68 @@ OPS_OUTSIDE_LAYERS = 12
 DRAFT_PASS_OPS = 19
 
 
+def public_ops():
+    """The name and function of every public op of autodiff: its public
+    functions but the accessor ``value``."""
+    return [(name, op) for name, op in vars(ad).items()
+            if callable(op) and not isinstance(op, type) and not name.startswith("_")
+            and name != "value" and getattr(op, "__module__", None) == ad.__name__]
+
+
 @pytest.mark.parametrize("n_layers,n_heads", [(1, 1), (4, 2), (20, 2)])
 def test_cached_one_row_pass_calls_at_most_seven_ops_per_layer(n_layers, n_heads,
                                                                monkeypatch):
     """A timing-independent budget: one cached one-row pass of an L-layer
-    thp model calls at most 7 L autodiff ops plus the fixed ones outside
-    the layers. (20, 2) and (1, 1) are the layer and head counts of
-    perfbench's target and draft."""
+    thp model calls at most 7 L plain forwards of autodiff ops plus the
+    fixed ones outside the layers. (20, 2) and (1, 1) are the layer and
+    head counts of perfbench's target and draft."""
     ckpt = random_checkpoint(tiny_config(n_layers=n_layers, n_heads=n_heads), seed=35)
     seq = sequence_from_arrays(0.5 * np.arange(1, 11), np.arange(10) % 2, math.inf)
     cache = M.EncoderCache(ckpt)
     M.next_event_distributions(EventSequence(seq.events[:9], math.inf), ckpt, cache=cache)
     calls = []
-    # every public function of autodiff but the accessor ``value``
-    for name, op in vars(ad).items():
-        if (callable(op) and not isinstance(op, type) and not name.startswith("_")
-                and name != "value" and getattr(op, "__module__", None) == ad.__name__):
-            monkeypatch.setattr(ad, name, lambda *args, _op=op, _name=name, **kwargs:
-                                calls.append(_name) or _op(*args, **kwargs))
+    names = [name for name, _ in public_ops()]
+    assert sorted(vars(ad.plain)) == sorted(names)
+    for name in names:
+        monkeypatch.setattr(ad.plain, name, lambda *args, _op=getattr(ad.plain, name),
+                            _name=name, **kwargs: calls.append(_name) or _op(*args, **kwargs))
     M.next_event_distributions(seq, ckpt, cache=cache)
     assert cache.last_encoded == 1
     assert calls.count("attention") == n_layers
     assert len(calls) <= 7 * n_layers + OPS_OUTSIDE_LAYERS
     if (n_layers, n_heads) == (1, 1):
         assert len(calls) == DRAFT_PASS_OPS
+
+
+@pytest.mark.parametrize("encoding", ["thp", "sahp", "attnhp"])
+def test_sampling_forwards_call_no_autodiff_op(encoding, monkeypatch):
+    """With every public autodiff op patched to raise, a cache is built on
+    the raw arrays and its forwards run, one row and a span at a time, and
+    so do a no-past forward, the mixture density and the sequence
+    log-likelihood: all of them call the plain forwards, which the raw
+    arrays' Weights hold, and none asks an op whether a tape is built."""
+    ckpt = random_checkpoint(tiny_config(encoding=encoding, n_layers=2, n_heads=2, n_marks=2),
+                             seed=36)
+    seq = sequence_from_arrays(0.5 * np.arange(1, 11), np.arange(10) % 2, 6.0)
+    want = [M.next_event_distributions(seq, ckpt), M.sequence_loglik(seq, ckpt)]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("an autodiff op was called")
+
+    for name, _ in public_ops():
+        monkeypatch.setattr(ad, name, raising)
+    cache = M.EncoderCache(ckpt)
+    assert cache.weights.ops is ad.plain
+    M.next_event_distributions(EventSequence(seq.events[:6], seq.t_end), ckpt, cache=cache)
+    M.next_event_distributions(EventSequence(seq.events[:7], seq.t_end), ckpt, cache=cache)
+    mixture, marks = M.next_event_distributions(seq, ckpt, cache=cache)
+    assert cache.last_encoded == 3
+    assert np.array_equal(mixture.weights, want[0][0].weights)
+    assert np.array_equal(marks.probabilities, want[0][1].probabilities)
+    mixtures, _ = M.position_distributions(seq, ckpt)
+    assert M.mixture_logpdf(seq.inter_event_times(), mixtures.row(slice(0, len(seq)))).shape \
+        == (len(seq),)
+    assert M.sequence_loglik(seq, ckpt) == want[1]
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
