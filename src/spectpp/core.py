@@ -29,8 +29,8 @@ _MASK64 = (1 << 64) - 1
 
 def clamped_exp(log_value):
     """exp() of log-ratios, scalar or array, clamped so each result is
-    finite and nonzero; a NaN stays NaN. The clamp is np.clip's by the two
-    ufuncs, without its Python wrapper."""
+    finite and nonzero; a NaN stays NaN. np.maximum and np.minimum give
+    np.clip's values without its Python wrapper."""
     return np.exp(np.minimum(np.maximum(log_value, LOG_RATIO_MIN), LOG_RATIO_MAX))
 
 

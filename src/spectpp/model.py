@@ -4,10 +4,10 @@ Events are embedded as mark embedding + temporal encoding, passed through
 causal attention-plus-residual blocks, and decoded into a log-normal
 mixture over the next inter-event interval and a categorical distribution
 over the next mark. Three temporal encodings and two attention styles are
-supported. The forward is written once against the ops its Weights hold:
-for the checkpoint's raw arrays these are autodiff.plain, the ops' plain
-forwards, which call numpy directly and build no tape, which is how sampling
-runs; for parameters as Tensors they are the autodiff ops, which record the
+supported. The forward is written once against the ops its Weights hold.
+For the checkpoint's raw arrays these are autodiff.plain, the ops' plain
+forwards, which call numpy directly and build no tape: this is how sampling
+runs. For parameters as Tensors they are the autodiff ops, which record the
 tape that training differentiates. So whether to tape is decided once per
 Weights, not once per op call. The log-normal mixture density is written
 once the same way, for training's taped head rows and sampling's plain ones.
