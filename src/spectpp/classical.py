@@ -56,15 +56,20 @@ class NonFiniteIntensityError(FloatingPointError):
 
 def _scorable(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
     """The sequence's times and marks. A mark outside the process's range,
-    a time before the one preceding it (or before 0) and a time after
-    t_end are refused: the scorers would read the first as another type
-    and turn the others into a negative compensator."""
+    a time before the one preceding it (or before 0), a time after t_end,
+    a NaN or infinite time and a non-finite t_end are refused: the scorers
+    would read the first as another type, turn the next two into a
+    negative compensator and the last two into a NaN or infinite score.
+    Each comparison fails on a NaN, and an infinite time is either last,
+    after the finite t_end, or followed by a NaN or negative interval."""
     times, marks = seq.times, seq.marks
     outside = marks[(marks < 0) | (marks >= n_marks)]
     if outside.size:
         raise ValueError(f"mark {outside[0]} outside the process's range [0, {n_marks})")
-    if np.any(np.diff(times, prepend=0.0) < 0):
-        raise ValueError("sequence times must be non-decreasing")
+    if not math.isfinite(seq.t_end):
+        raise ValueError(f"the horizon t_end={seq.t_end} is not finite")
+    if not (np.diff(times, prepend=0.0) >= 0).all():
+        raise ValueError("sequence times must be non-decreasing and not NaN")
     if times.size and times[-1] > seq.t_end:
         raise ValueError(f"event time {times[-1]} after the horizon t_end={seq.t_end}")
     return times, marks

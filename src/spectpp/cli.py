@@ -35,7 +35,7 @@ from . import evaluation as ev
 from .classical import ground_truth_loglik, make_synthetic_dataset, process_from_record
 from .core import EventSequence, RngStream, read_sequences, validate_sequence, write_sequences
 from .model import ModelConfig, load_checkpoint, save_checkpoint, sequence_loglik
-from .sampler import ar_sample, tpp_sd_sample
+from .sampler import ar_sample, check_pair, tpp_sd_sample
 from .training import TrainConfig, split_dataset, train as run_training
 
 click.UsageError.exit_code = 1
@@ -54,13 +54,6 @@ def _require(ok: bool, message: str) -> None:
     replayed manifest alike."""
     if not ok:
         raise DataError(message)
-
-
-def _require_shared_marks(target, draft) -> None:
-    """Refuse a draft whose mark cardinality differs from the target's."""
-    if draft is not None and draft.config.n_marks != target.config.n_marks:
-        raise DataError(f"target and draft must share the mark cardinality, got "
-                        f"{target.config.n_marks} and {draft.config.n_marks}")
 
 
 def _load(what: str, loader, path):
@@ -156,7 +149,7 @@ def run_sample(args: dict, out_dir: Path) -> dict:
     target = _load("checkpoint", load_checkpoint, args["target"])
     draft = _load("checkpoint", load_checkpoint, args["draft"]) if args.get("draft") else None
     if mode == "sd":
-        _require_shared_marks(target, draft)
+        check_pair(target, draft)
     root = RngStream(args["seed"])
     sequences, rows = [], []
     for run in range(args["runs"]):
@@ -214,7 +207,8 @@ def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
             break
     if history is None:
         raise DataError(f"no sequence with at least {args['m_hist']} events")
-    _require_shared_marks(target, draft)
+    if draft is not None:
+        check_pair(target, draft)
     k = target.config.n_marks
     _require(all(0 <= e.mark < k for e in history.events[:args["m_hist"]]),
              f"the history's marks must lie in [0, {k}), the checkpoints' mark range")
@@ -267,7 +261,7 @@ def run_bench(args: dict, out_dir: Path) -> dict:
     _require(reps >= 1 and runs >= 1, "repetitions and runs must be >= 1")
     target = _load("checkpoint", load_checkpoint, args["target"])
     draft = _load("checkpoint", load_checkpoint, args["draft"])
-    _require_shared_marks(target, draft)
+    check_pair(target, draft)
     root = RngStream(args["seed"])
 
     def intervals(seqs):

@@ -41,7 +41,6 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -96,79 +95,36 @@ class ModelConfig:
         return 2 * self.embed_dim + 1 if self.encoding == "attnhp" else self.embed_dim
 
 
-def _check_finite(name: str, value: np.ndarray) -> None:
-    if not np.isfinite(value).all():
-        raise FloatingPointError(f"{name} contain non-finite values")
-
-
-def _from_checked(cls, **fields):
-    """An instance of ``cls`` whose check is not run: from head rows that
-    passed _check_head_rows, or from arrays cut from or stacked out of
-    instances that were checked already."""
-    out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
-    return out
-
-
 @dataclass(frozen=True)
 class MixtureParams:
     """Log-normal mixture over a positive interval: simplex weights,
-    component log-means, positive component scales. Each array has shape
-    (M,) for one mixture or (R, M) for R stacked rows; checks run along the
-    last axis."""
+    component log-means, positive component scales, as float arrays of
+    shape (M,) for one mixture or (R, M) for R stacked rows. The heads make
+    them, and _check_head_rows checks them once there. A mixture built
+    elsewhere is not checked when it is made, but where it is used:
+    mixture_logpdf refuses tau <= 0 and a scale <= 0, and sample_interval
+    refuses a draw that is not positive and finite."""
 
     weights: np.ndarray
     means: np.ndarray
     scales: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("weights", "means", "scales"):
-            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            _check_finite(f"mixture {name}", value)
-            object.__setattr__(self, name, value)
-        if (abs(self.weights.sum(axis=-1) - 1.0) > 1e-9).any() or (self.weights < 0).any():
-            raise ValueError("weights must form a simplex")
-        if (self.scales <= 0).any():
-            raise ValueError("scales must be positive")
-
     def row(self, i: int | slice) -> "MixtureParams":
-        """Row i, or the rows of a slice, of stacked mixtures, checked once
-        with the stack."""
-        return _from_checked(MixtureParams, weights=self.weights[i], means=self.means[i],
-                             scales=self.scales[i])
-
-    @staticmethod
-    def stack(rows: Sequence["MixtureParams"]) -> "MixtureParams":
-        """Single mixtures stacked as rows, each checked once already."""
-        return _from_checked(MixtureParams, weights=np.stack([r.weights for r in rows]),
-                             means=np.stack([r.means for r in rows]),
-                             scales=np.stack([r.scales for r in rows]))
+        """Row i, or the rows of a slice, of stacked mixtures."""
+        return MixtureParams(self.weights[i], self.means[i], self.scales[i])
 
 
 @dataclass(frozen=True)
 class MarkDistribution:
-    """Categorical distribution over the K mark values, shape (K,) or (R, K)
-    for R stacked rows."""
+    """Categorical distribution over the K mark values, a float array of
+    shape (K,) or (R, K) for R stacked rows. Like MixtureParams, it is
+    checked once where the heads make it."""
 
     probabilities: np.ndarray
 
-    def __post_init__(self) -> None:
-        value = np.atleast_1d(np.asarray(self.probabilities, dtype=float))
-        _check_finite("mark probabilities", value)
-        object.__setattr__(self, "probabilities", value)
-        if (abs(value.sum(axis=-1) - 1.0) > 1e-9).any() or (value < 0).any():
-            raise ValueError("probabilities must form a simplex")
-
     def row(self, i: int) -> "MarkDistribution":
-        """Row i of stacked distributions, checked once with the stack."""
-        return _from_checked(MarkDistribution, probabilities=self.probabilities[i])
-
-    @staticmethod
-    def stack(rows: Sequence["MarkDistribution"]) -> "MarkDistribution":
-        """Single distributions stacked as rows, each checked once already."""
-        return _from_checked(MarkDistribution,
-                             probabilities=np.stack([r.probabilities for r in rows]))
+        """Row i of stacked distributions."""
+        return MarkDistribution(self.probabilities[i])
 
 
 @dataclass
@@ -542,7 +498,8 @@ def _check_head_rows(*outputs: np.ndarray) -> None:
     heads give simplex weights and probabilities (softmax, logsumexp) and
     positive scales (clip) by construction, so only a non-finite value can
     make a row invalid."""
-    _check_finite("head rows", np.concatenate(outputs, axis=-1))
+    if not np.isfinite(np.concatenate(outputs, axis=-1)).all():
+        raise FloatingPointError("head rows contain non-finite values")
 
 
 def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
@@ -551,8 +508,7 @@ def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     e = np.exp(mark_logits - np.maximum.reduce(mark_logits, axis=-1, keepdims=True))
     weights, probabilities = np.exp(log_w), e / np.add.reduce(e, axis=-1, keepdims=True)
     _check_head_rows(weights, mu, sigma, probabilities)
-    return (_from_checked(MixtureParams, weights=weights, means=mu, scales=sigma),
-            _from_checked(MarkDistribution, probabilities=probabilities))
+    return MixtureParams(weights, mu, sigma), MarkDistribution(probabilities)
 
 
 def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
@@ -639,10 +595,14 @@ def sample_interval(params: MixtureParams, rng: RngStream) -> float:
 
 def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
                    weights: Weights, config: ModelConfig):
+    # each comparison fails on a NaN, and an infinite time is either last,
+    # after the finite t_end, or followed by a NaN or negative interval
     n = times.size
     taus = np.diff(np.concatenate([[0.0], times]))
-    if np.any(taus <= 0.0):
-        raise ValueError("inter-event intervals must be positive")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end {t_end} is not finite")
+    if not (taus > 0.0).all():
+        raise ValueError("inter-event intervals must be positive and not NaN")
     if n and times[-1] > t_end:
         raise ValueError(f"event time {times[-1]} is after t_end {t_end}")
     ops = weights.ops

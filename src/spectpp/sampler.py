@@ -110,7 +110,11 @@ class DraftBatch:
     """Gamma candidate events drafted autoregressively from the draft model:
     their times, marks, intervals and interval log-densities as arrays, plus
     the draft head rows each was sampled under, stacked like verify's target
-    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution."""
+    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution.
+    draft makes the times strictly increase, since advance_clock refuses a
+    clock that does not move, and the log-densities finite, since each
+    interval is a positive finite draw from a component of checked head rows
+    with a scale in [SIGMA_MIN, SIGMA_MAX]."""
 
     times: np.ndarray
     marks: np.ndarray
@@ -118,12 +122,6 @@ class DraftBatch:
     interval_logpdf: np.ndarray
     mixtures: MixtureParams
     mark_dists: MarkDistribution
-
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("candidate times must strictly increase")
-        if not np.isfinite(self.interval_logpdf).all():
-            raise FloatingPointError("draft log-densities must be finite")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -175,9 +173,11 @@ class SampleRunStats:
         return self.events_accepted / self.events_drafted
 
 
-def _check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
+def check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
+    """Refuse a draft whose mark cardinality differs from the target's."""
     if target.config.n_marks != draft_model.config.n_marks:
-        raise ValueError("target and draft must share the mark cardinality")
+        raise ValueError(f"target and draft must share the mark cardinality, got "
+                         f"{target.config.n_marks} and {draft_model.config.n_marks}")
 
 
 def _next_event(model: ModelCheckpoint, events: _RunState, rng: RngStream,
@@ -236,8 +236,8 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
     interval log-density at each. Each candidate is appended to the run's
     state for the next forward, and the state is truncated back before the
     call returns. Each of the gamma forwards checks its own row pair; the
-    rows are then stacked once without a second check, and all gamma
-    intervals are scored against their rows with one mixture_logpdf call."""
+    rows are then stacked, and all gamma intervals are scored against their
+    rows with one mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     n_hist = len(events)
@@ -253,9 +253,11 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
     times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
     events.truncate(n_hist)
     intervals = np.array(intervals)
-    stacked = MixtureParams.stack(mixtures)
+    stacked = MixtureParams(np.stack([m.weights for m in mixtures]),
+                            np.stack([m.means for m in mixtures]),
+                            np.stack([m.scales for m in mixtures]))
     return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, stacked), stacked,
-                      MarkDistribution.stack(mark_dists))
+                      MarkDistribution(np.stack([d.probabilities for d in mark_dists])))
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -410,7 +412,7 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     draft each keep an encoder cache for the run; after a rejection the
     next forward reuses the accepted prefix and drops the rest."""
     check_horizon(t_end)
-    _check_pair(target, draft_model)
+    check_pair(target, draft_model)
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     held = () if history is None else history.events
@@ -430,7 +432,7 @@ def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
                   target_cache: EncoderCache, draft_cache: EncoderCache) -> Event:
     """First event emitted by a single draft-verify step after the history.
     Caches held across calls on the same history encode it only once."""
-    _check_pair(target, draft_model)
+    check_pair(target, draft_model)
     events = _RunState(history)
     _sd_step(target, draft_model, events, gamma, _sd_streams(rng), SampleRunStats(),
              target_cache=target_cache, draft_cache=draft_cache)

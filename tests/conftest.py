@@ -20,27 +20,6 @@ def package_logger():
 
 
 @pytest.fixture()
-def constructions(monkeypatch):
-    """Counts of validated MixtureParams and MarkDistribution constructions:
-    a full check of either class counts one, and the finiteness check of a
-    forward's head rows, which validates the pair it builds, one of each."""
-    counts = {"MixtureParams": 0, "MarkDistribution": 0}
-    for cls in (M.MixtureParams, M.MarkDistribution):
-        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
-            counts[_name] += 1
-            _check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
-
-    def head_rows(*outputs, _check=M._check_head_rows):
-        counts["MixtureParams"] += 1
-        counts["MarkDistribution"] += 1
-        _check(*outputs)
-
-    monkeypatch.setattr(M, "_check_head_rows", head_rows)
-    return counts
-
-
-@pytest.fixture()
 def head_row_checks(monkeypatch):
     """Count of head-row finiteness checks."""
     counts = {"head_rows": 0}

@@ -171,17 +171,27 @@ def test_hawkes_scoring_refuses_marks_outside_its_range(marks, process):
         ground_truth_loglik(seq, process)
 
 
-@pytest.mark.parametrize("times, process", [([2.0, 1.0, 2.5], HAWKES_1D),
-                                             ([2.0, 1.0, 2.5], POISSON),
-                                             ([-1.0, 1.0, 2.5], HAWKES_1D)],
-                         ids=["hawkes", "poisson", "negative-first"])
-def test_scoring_refuses_decreasing_times(times, process):
+@pytest.mark.parametrize("times, t_end, process, message", [
+    ([2.0, 1.0, 2.5], 3.0, HAWKES_1D, "non-decreasing"),
+    ([2.0, 1.0, 2.5], 3.0, POISSON, "non-decreasing"),
+    ([-1.0, 1.0, 2.5], 3.0, HAWKES_1D, "non-decreasing"),
+    ([1.0, math.nan, 2.5], 3.0, HAWKES_1D, "not NaN"),
+    ([1.0, math.nan, 2.5], 3.0, POISSON, "not NaN"),
+    ([1.0, math.inf, 2.5], 3.0, HAWKES_1D, "non-decreasing"),
+    ([1.0, 2.0, 2.5], math.nan, HAWKES_1D, "not finite"),
+    ([1.0, 2.0, 2.5], math.nan, POISSON, "not finite"),
+    ([1.0, 2.0, 2.5], math.inf, POISSON, "not finite"),
+], ids=["hawkes", "poisson", "negative-first", "nan-time-hawkes", "nan-time-poisson",
+        "infinite-time", "nan-horizon-hawkes", "nan-horizon-poisson", "infinite-horizon-poisson"])
+def test_scoring_refuses_decreasing_times(times, t_end, process, message):
     """Time rescaling used to turn a decreasing time into a negative
-    interval, and the KS statistic into a value no KS statistic can take."""
-    seq = sequence_from_arrays(times, [0, 0, 0], 3.0)
-    with pytest.raises(ValueError, match="non-decreasing"):
+    interval, and the KS statistic into a value no KS statistic can take.
+    A NaN time or horizon was scored as NaN, or its survival term skipped,
+    and an infinite sine-Poisson horizon raised a math domain error."""
+    seq = sequence_from_arrays(times, [0, 0, 0], t_end)
+    with pytest.raises(ValueError, match=message):
         total_compensator_increments(seq, process)
-    with pytest.raises(ValueError, match="non-decreasing"):
+    with pytest.raises(ValueError, match=message):
         ground_truth_loglik(seq, process)
 
 

@@ -444,18 +444,26 @@ def test_stalled_simulation_clock_maps_to_exit_3(runner, workspace):
 @pytest.mark.parametrize("case", ["bench-short-horizon", "ks-mark-range", "loglik-mark-range",
                                   "ks-poisson-mark-range", "loglik-poisson-mark-range",
                                   "ks-decreasing-times", "ks-after-horizon",
-                                  "loglik-after-horizon", "loglik-model-after-horizon"])
+                                  "loglik-after-horizon", "loglik-model-after-horizon",
+                                  "ks-nan-time", "ks-nan-horizon", "loglik-nan-time",
+                                  "loglik-nan-horizon", "loglik-model-nan-time",
+                                  "loglik-model-nan-horizon"])
 def test_unscorable_input_exit_2(runner, workspace, case):
     """A horizon too short for any event leaves bench no likelihood to
     normalise, and a mark outside a Hawkes or sine-Poisson process's range
     or times that decrease or pass t_end cannot be scored, the last by a
-    model either: all are data errors, not tracebacks."""
+    model either: all are data errors, not tracebacks. So are a NaN time
+    and a NaN horizon, which JSON lines can hold: the scorers used to
+    write NaN, and the model scorer to exit 3."""
     wide = str(workspace / "wide.jsonl")
     write_sequences(wide, [sequence_from_arrays([0.5, 1.0, 1.5], [0, 1, 0], 5.0)])
     unordered = str(workspace / "unordered.jsonl")
     write_sequences(unordered, [sequence_from_arrays([2.0, 1.0, 2.5], [0, 0, 0], 3.0)])
     late = str(workspace / "late.jsonl")
     write_sequences(late, [sequence_from_arrays([1.0, 3.0], [0, 0], 2.0)])
+    nan_time, nan_horizon = str(workspace / "nan_time.jsonl"), str(workspace / "nan_horizon.jsonl")
+    write_sequences(nan_time, [sequence_from_arrays([1.0, float("nan"), 3.0], [0, 0, 0], 10.0)])
+    write_sequences(nan_horizon, [sequence_from_arrays([1.0, 2.0, 3.0], [0, 0, 0], float("nan"))])
     hawkes, poisson = str(workspace / "hawkes.json"), str(workspace / "poisson.json")
     target = str(workspace / "target.json")
     command, args, message = {
@@ -488,6 +496,23 @@ def test_unscorable_input_exit_2(runner, workspace, case):
                                                        "scorer_a": f"model:{target}",
                                                        "scorer_b": f"model:{target}"},
                                        "after t_end"),
+        "ks-nan-time": ("eval-ks", {"sequences": nan_time, "process": hawkes}, "not NaN"),
+        "ks-nan-horizon": ("eval-ks", {"sequences": nan_horizon, "process": hawkes},
+                           "not finite"),
+        "loglik-nan-time": ("eval-loglik", {"sequences": nan_time, "sequences_b": None,
+                                            "scorer_a": f"process:{hawkes}",
+                                            "scorer_b": f"process:{hawkes}"}, "not NaN"),
+        "loglik-nan-horizon": ("eval-loglik", {"sequences": nan_horizon, "sequences_b": None,
+                                               "scorer_a": f"process:{hawkes}",
+                                               "scorer_b": f"process:{hawkes}"}, "not finite"),
+        "loglik-model-nan-time": ("eval-loglik", {"sequences": nan_time, "sequences_b": None,
+                                                  "scorer_a": f"model:{target}",
+                                                  "scorer_b": f"model:{target}"}, "not NaN"),
+        "loglik-model-nan-horizon": ("eval-loglik", {"sequences": nan_horizon,
+                                                     "sequences_b": None,
+                                                     "scorer_a": f"model:{target}",
+                                                     "scorer_b": f"model:{target}"},
+                                     "not finite"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 

@@ -439,23 +439,6 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
     assert np.array_equal(M.mixture_logpdf(taus, mixtures.row(slice(0, n))), taped.data)
 
 
-@pytest.mark.parametrize("field", ["weights", "means", "scales"])
-def test_mixture_params_reject_non_finite(field):
-    values = {"weights": np.array([[0.5, 0.5], [0.5, 0.5]]),
-              "means": np.zeros((2, 2)), "scales": np.ones((2, 2))}
-    values[field][1, 0] = math.nan
-    with pytest.raises(FloatingPointError):
-        M.MixtureParams(**values)
-
-
-def test_mark_distribution_rejects_non_finite_and_checks_each_row():
-    with pytest.raises(FloatingPointError):
-        M.MarkDistribution(np.array([[0.5, 0.5], [math.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        M.MarkDistribution(np.array([[0.5, 0.5], [0.2, 0.2]]))
-    assert M.MarkDistribution(np.array([[0.5, 0.5], [0.2, 0.8]])).probabilities.shape == (2, 2)
-
-
 def test_density_integrates_to_one():
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -580,13 +563,17 @@ def test_loglik_rejects_nonpositive_interval():
 
 
 def test_loglik_rejects_an_event_after_the_horizon():
-    """A last event after t_end is refused, by scoring and by training's
-    loss alike; one at t_end is scored with a survival term of one."""
+    """A last event after t_end, a NaN time and a NaN t_end are refused, by
+    scoring and by training's loss alike; one at t_end is scored with a
+    survival term of one. A NaN t_end used to skip the survival term and
+    give a finite log-likelihood."""
     ckpt = M.init_checkpoint(tiny_config(), RngStream(11))
-    late = sequence_from_arrays([1.0, 3.0], [0, 0], 2.0)
-    for score in (lambda: M.sequence_loglik(late, ckpt), lambda: T.nll_batch(ckpt, [late])):
-        with pytest.raises(ValueError, match="after t_end"):
-            score()
+    for seq, message in ((sequence_from_arrays([1.0, 3.0], [0, 0], 2.0), "after t_end"),
+                         (sequence_from_arrays([1.0, math.nan, 1.5], [0, 0, 0], 2.0), "not NaN"),
+                         (sequence_from_arrays([1.0, 1.5], [0, 0], math.nan), "not finite")):
+        for score in (lambda: M.sequence_loglik(seq, ckpt), lambda: T.nll_batch(ckpt, [seq])):
+            with pytest.raises(ValueError, match=message):
+                score()
     assert math.isfinite(M.sequence_loglik(sequence_from_arrays([1.0, 2.0], [0, 0], 2.0), ckpt))
 
 
@@ -620,9 +607,9 @@ def test_batched_forward_matches_prefix_forwards(encoding):
         assert np.allclose(mark_dists.probabilities[i], mark_i.probabilities, atol=1e-12)
 
 
-def test_position_distributions_constructs_one_stacked_pair(constructions, head_row_checks):
-    """One validated stacked pair per forward, and it is validated by one
-    finiteness check of the head rows, not by the classes' full checks."""
+def test_position_distributions_constructs_one_stacked_pair(head_row_checks):
+    """One stacked pair per forward, checked by one finiteness check of the
+    head rows; cutting rows from it adds no check."""
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=17)
     cache = M.EncoderCache(ckpt)
     held = 0
@@ -630,11 +617,11 @@ def test_position_distributions_constructs_one_stacked_pair(constructions, head_
         seq = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 2, 100.0)
         # with a cache, rows start at the first position it did not hold
         for kwargs, rows in (({}, n + 1), ({"cache": cache}, n + 1 - held)):
-            constructions.update(MixtureParams=0, MarkDistribution=0)
             head_row_checks.update(head_rows=0)
-            mixtures, _ = M.position_distributions(seq, ckpt, **kwargs)
+            mixtures, mark_dists = M.position_distributions(seq, ckpt, **kwargs)
             assert mixtures.weights.shape == (rows, 4)
-            assert constructions == {"MixtureParams": 1, "MarkDistribution": 1}
+            assert mixtures.row(slice(0, rows)).weights.shape == (rows, 4)
+            assert mark_dists.row(rows - 1).probabilities.shape == (2,)
             assert head_row_checks == {"head_rows": 1}
         held = n
 

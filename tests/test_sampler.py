@@ -153,23 +153,26 @@ def test_draft_records_consistent_densities():
         events.append(Event(float(batch.times[i]), int(batch.marks[i])))
     times = batch.times.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
+    assert np.isfinite(batch.interval_logpdf).all()
 
 
 @pytest.mark.parametrize("gamma", [1, 4, 10])
-def test_draft_scores_every_interval_once_with_the_scalar_density(constructions, gamma):
+def test_draft_scores_every_interval_once_with_the_scalar_density(head_row_checks, gamma):
     """The interval log-densities come from one mixture_logpdf call over
-    the stacked rows and equal the per-row scalar density exactly; the
-    gamma forwards build one checked pair each and the stacking none."""
+    the stacked rows and equal the per-row scalar density exactly; each of
+    the gamma forwards checks its head rows once, and the stacking and the
+    row cuts add no check."""
     ckpt = make_checkpoint(5, n_components=8)
     stats = S.SampleRunStats()
     batch = S.draft(ckpt, S._RunState([]), gamma, RngStream(6).child("draft"), stats,
                     cache=M.EncoderCache(ckpt))
-    assert constructions == {"MixtureParams": gamma, "MarkDistribution": gamma}
+    assert head_row_checks == {"head_rows": gamma}
     assert stats.draft_forward_passes == gamma and batch.interval_logpdf.shape == (gamma,)
     for i in range(gamma):
         row = batch.mixtures.row(i)
         assert isinstance(row, M.MixtureParams) and row.weights.shape == (8,)
         assert batch.interval_logpdf[i] == M.mixture_logpdf(float(batch.intervals[i]), row)
+    assert head_row_checks == {"head_rows": gamma}
 
 
 def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
@@ -395,18 +398,18 @@ def test_verify_mark_only_rejection_keeps_interval():
     assert outcome.replacement[0] == batch.times[1]
 
 
-def test_verify_builds_a_row_pair_only_at_a_rejection(constructions):
-    """One checked stacked pair for the target rows, with or without a
+def test_verify_builds_a_row_pair_only_at_a_rejection(head_row_checks):
+    """One head-row check for the target rows, with or without a
     rejection: the target and draft rows a rejection reads are cut from
     stacks that were checked already and are not checked again."""
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
-    for u_mark, accepted, pairs in (([0.0] * 4, 4, 1), ([0.0, 0.0, REJECT, 0.0], 2, 1)):
-        constructions.update(MixtureParams=0, MarkDistribution=0)
+    for u_mark, accepted in (([0.0] * 4, 4), ([0.0, 0.0, REJECT, 0.0], 2)):
+        head_row_checks.update(head_rows=0)
         outcome = S.verify(ckpt, S._RunState([]), batch, FixedUniforms([0.0] * 4, u_mark),
                            RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
         assert outcome.accepted_len == accepted
-        assert constructions == {"MixtureParams": pairs, "MarkDistribution": pairs}
+        assert head_row_checks == {"head_rows": 1}
 
 
 def test_verify_with_a_cache_scores_the_same_rows():
