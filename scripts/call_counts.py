@@ -7,13 +7,17 @@ wall-clock claim. It builds perfbench's sampler pair (gamma_ablation.py's
 and samples in the sample-short shape, from an empty history to t_end 100,
 a few sequences with AR and with SD at gamma 10, each on the pinned stream
 that perfbench gives it. ``sys.setprofile`` counts every call of a Python
-function (``call``) and of a builtin or C function (``c_call``). It also
-counts one cached one-row pass of each model, after a 9-event history. It
-takes no options:
+function (``call``) and of a builtin or C function (``c_call``). It then
+lists the functions called most per SD event, and counts one cached one-row
+pass of each model after a 9-event history, and each phase of one SD step
+after a warm step on a 10-event history: one draft of gamma 10, one verify
+and one residual interval draw between the two models' rows. It takes no
+options:
 
     python3 scripts/call_counts.py
 """
 
+import collections
 import pathlib
 import sys
 import tempfile
@@ -29,22 +33,31 @@ SEED = 1
 SEQUENCES = 8
 T_END = 100.0
 GAMMA = 10
+TOP = 10
 
 
 def counted(fn, *args, **kwargs):
-    """fn's result and the Python-level and builtin calls it made."""
+    """fn's result, the Python-level and builtin calls it made, and the
+    calls per function, named ``py name (file)`` or ``c name``."""
     counts = {"call": 0, "c_call": 0}
+    by_function = collections.Counter()
 
     def hook(frame, event, arg):
-        if event in counts:
-            counts[event] += 1
+        if event == "call":
+            code = frame.f_code
+            by_function[f"py {code.co_qualname} ({pathlib.Path(code.co_filename).name})"] += 1
+        elif event == "c_call":
+            by_function[f"c {getattr(arg, '__qualname__', arg)}"] += 1
+        else:
+            return
+        counts[event] += 1
 
     sys.setprofile(hook)
     try:
         result = fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    return result, counts["call"], counts["c_call"]
+    return result, counts["call"], counts["c_call"], by_function
 
 
 def main() -> None:
@@ -54,26 +67,49 @@ def main() -> None:
         target, draft = model.load_checkpoint(target_path), model.load_checkpoint(draft_path)
 
     print(f"sample-short shape, t_end {T_END}, seed {SEED}, sequences 0-{SEQUENCES - 1}")
+    sd_functions = collections.Counter()
     for mode in ("ar", "sd"):
         events = python = builtin = 0
         for i in range(SEQUENCES):
             rng = RngStream(SEED).child(f"seq{i}")
             if mode == "ar":
-                (seq, _), p, b = counted(sampler.ar_sample, target, T_END, rng)
+                (seq, _), p, b, _ = counted(sampler.ar_sample, target, T_END, rng)
             else:
-                (seq, _), p, b = counted(sampler.tpp_sd_sample, target, draft, T_END, GAMMA, rng)
+                (seq, _), p, b, functions = counted(sampler.tpp_sd_sample, target, draft, T_END,
+                                                    GAMMA, rng)
+                sd_functions.update(functions)
             events, python, builtin = events + len(seq), python + p, builtin + b
         label = "AR" if mode == "ar" else f"SD gamma={GAMMA}"
         print(f"{label:<12} {events:5d} events  {python / events:8.1f} Python-level calls"
               f"  {builtin / events:8.1f} builtin calls per event")
+    print(f"the {TOP} functions called most per SD event:")
+    for name, calls in sd_functions.most_common(TOP):
+        print(f"  {calls / events:8.2f}  {name}")
 
     history = EventSequence(tuple(Event(0.5 * (i + 1), i % 2) for i in range(10)), T_END)
     for name, ckpt in (("target", target), ("draft", draft)):
         cache = model.EncoderCache(ckpt)
         model.next_event_distributions(EventSequence(history.events[:9], T_END), ckpt,
                                        cache=cache)
-        _, p, b = counted(model.next_event_distributions, history, ckpt, cache=cache)
+        _, p, b, _ = counted(model.next_event_distributions, history, ckpt, cache=cache)
         print(f"{name:<12} cached one-row pass  {p:5d} Python-level calls  {b:5d} builtin calls")
+
+    events, stats = sampler._RunState(history), sampler.SampleRunStats()
+    caches = {"target_cache": model.EncoderCache(target), "draft_cache": model.EncoderCache(draft)}
+    sampler._sd_step(target, draft, events, GAMMA, sampler._sd_streams(RngStream(SEED)), stats,
+                     **caches)
+    rng = RngStream(SEED).child("phases")
+    batch, p, b, _ = counted(sampler.draft, draft, events, GAMMA, rng.child("draft"), stats,
+                             cache=caches["draft_cache"])
+    print(f"{'draft':<12} gamma {GAMMA}            {p:5d} Python-level calls  {b:5d} builtin calls")
+    outcome, p, b, _ = counted(sampler.verify, target, events, batch, rng.child("verify"),
+                               rng.child("residual"), stats, cache=caches["target_cache"])
+    print(f"{'verify':<12} {outcome.accepted_len:2d} of {GAMMA} accepted  {p:5d} Python-level calls"
+          f"  {b:5d} builtin calls")
+    rows = [model.next_event_distributions(events, ckpt)[0] for ckpt in (target, draft)]
+    (_, used, _), p, b, _ = counted(sampler._residual_interval_sample_info, *rows,
+                                    rng.child("residual interval"))
+    print(f"{'residual':<12} {used:3d} proposals     {p:5d} Python-level calls  {b:5d} builtin calls")
 
 
 if __name__ == "__main__":

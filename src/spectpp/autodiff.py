@@ -15,12 +15,13 @@ this module as their ops when the parameters are Tensors and ``plain``
 otherwise, so a sampling forward calls numpy directly and costs its numpy
 calls alone. Softmax attention is one (forward, adjoint) pair of its own,
 so an encoder layer attends with one op and one tape node; its softmax
-works in the scores array in place, for training and inference alike. It is
-always causal, and a span longer than two ATTENTION_BLOCKs runs in blocks
-of query rows that skip most of the masked half of the scores, forward and
-backward. ``backward`` walks the resulting DAG once in reverse topological
-order. Only the primitives the sequence model needs are implemented; all
-of them are covered by finite-difference checks.
+works in the scores array in place, for training and inference alike, and
+its plain forward attends one block in one frame. It is always causal, and
+a span longer than two ATTENTION_BLOCKs runs in blocks of query rows that
+skip most of the masked half of the scores, forward and backward.
+``backward`` walks the resulting DAG once in reverse topological order.
+Only the primitives the sequence model needs are implemented; all of them
+are covered by finite-difference checks.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def concat(tensors, axis: int = 0):
 # -- nonlinearities -----------------------------------------------------------
 
 def _log(x):
-    if np.any(x <= 0.0):
+    if np.logical_or.reduce(x <= 0.0, axis=None):
         raise ValueError("log of non-positive value")
     return np.log(x)
 
@@ -271,18 +272,12 @@ def tensor_sum(a, axis=None, keepdims: bool = False):
     return Tensor(_sum(x, axis, keepdims), (a,), backward)
 
 
-def _logsumexp_parts(x, axis: int, keepdims: bool):
-    """logsumexp of x along ``axis``, with exp(x - max) and its sum, which
-    the adjoint reads."""
-    m = np.maximum.reduce(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    s = np.add.reduce(e, axis=axis, keepdims=True)
-    out = m + np.log(s)
-    return (out if keepdims else out.squeeze(axis)), e, s
-
-
 def _logsumexp(x, axis: int = -1, keepdims: bool = False):
-    return _logsumexp_parts(x, axis, keepdims)[0]
+    """logsumexp of x along ``axis``, shifted by the maximum: the plain
+    forward, in one frame."""
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
+    return out if keepdims else out.squeeze(axis)
 
 
 plain.logsumexp = _logsumexp
@@ -291,7 +286,11 @@ plain.logsumexp = _logsumexp
 def logsumexp(a, axis: int = -1, keepdims: bool = False):
     if not isinstance(a, Tensor):
         return _logsumexp(a, axis, keepdims)
-    out, e, s = _logsumexp_parts(a.data, axis, keepdims)
+    # the plain forward's steps, keeping exp(x - max) and its sum for the adjoint
+    m = np.maximum.reduce(a.data, axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    s = np.add.reduce(e, axis=axis, keepdims=True)
+    out = m + np.log(s)
 
     def backward(g):
         g = np.asarray(g)
@@ -299,7 +298,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
             g = np.expand_dims(g, axis)
         _accumulate(a, g * (e / s))
 
-    return Tensor(out, (a,), backward)
+    return Tensor(out if keepdims else out.squeeze(axis), (a,), backward)
 
 
 # -- attention -----------------------------------------------------------------
@@ -319,14 +318,23 @@ def _future(rows: int) -> np.ndarray:
     return mask
 
 
-def _attend_block(rows, keys, values, plus_one: bool):
-    """The kernel, denominator and output of one block of query rows over
-    its keys and values; the last b keys are the b rows' own, so only the
-    block's (b, b) tail triangle is masked."""
-    scores = rows @ keys.swapaxes(-1, -2)
-    b = rows.shape[-2]
+# np.copyto's C function, called without its Python dispatcher
+_copyto = np.copyto._implementation
+
+
+def _attention(q, k, v, plus_one: bool = False, parts: list | None = None):
+    """The plain forward of attention. A span of more than two
+    ATTENTION_BLOCKs runs as _blocks' blocks. A shorter one, such as every
+    call of the model's encoder cache, is one block, computed here in one
+    frame: its last b keys are its b rows' own, so only the (b, b) tail
+    triangle of its scores is masked. With ``parts``, the block's kernel
+    and denominator, which the adjoint reads, are appended to it."""
+    b = q.shape[-2]
+    if b > 2 * ATTENTION_BLOCK:
+        return np.concatenate(_blocks(q, k, v, plus_one, parts)[1], axis=-2)
+    scores = q @ k.swapaxes(-1, -2)
     if b > 1:
-        np.copyto(scores[..., -b:], -math.inf, where=_future(b))
+        _copyto(scores[..., -b:], -math.inf, where=_future(b))
     shift = np.maximum.reduce(scores, axis=-1, keepdims=True)
     scores -= shift
     kernel = np.exp(scores, scores)
@@ -334,38 +342,31 @@ def _attend_block(rows, keys, values, plus_one: bool):
     if plus_one:
         with np.errstate(over="ignore"):
             denominator += np.exp(-shift)
-    out = kernel @ values
+    out = kernel @ v
     out /= denominator
-    return kernel, denominator, out
+    if parts is not None:
+        parts.append((kernel, denominator))
+    return out
 
 
-def _blocks(x, keys, values, plus_one: bool):
+def _blocks(x, keys, values, plus_one: bool, parts: list | None = None):
     """The (first row, row after the last, keys seen) span of each block
-    of query rows, and each block's kernel, denominator and output. Up to
-    two ATTENTION_BLOCKs of rows are one block over all the keys; longer
-    spans run in blocks of near-equal size, which form the fewest score
-    entries for their count."""
+    of query rows, and each block's output from _attention, which appends
+    its kernel and denominator to ``parts``. Up to two ATTENTION_BLOCKs of
+    rows are one block over all the keys; longer spans run in blocks of
+    near-equal size, which form the fewest score entries for their count."""
     n, n_keys = x.shape[-2], keys.shape[-2]
     # below two blocks' rows a second block's 30-odd numpy calls cost more
     # than the score entries it saves (forward and backward on a 2-CPU Xeon,
     # one head of width 8 broke even near 110 rows and two heads near 90)
     if n <= 2 * ATTENTION_BLOCK:
-        return ((0, n, n_keys),), (_attend_block(x, keys, values, plus_one),)
+        return ((0, n, n_keys),), [_attention(x, keys, values, plus_one, parts)]
     count = -(-n // ATTENTION_BLOCK)
     bounds = [n * j // count for j in range(count + 1)]
     spans = [(start, stop, n_keys - n + stop) for start, stop in zip(bounds, bounds[1:])]
-    return spans, [_attend_block(x[..., start:stop, :], keys[..., :seen, :],
-                                 values[..., :seen, :], plus_one)
+    return spans, [_attention(x[..., start:stop, :], keys[..., :seen, :],
+                              values[..., :seen, :], plus_one, parts)
                    for start, stop, seen in spans]
-
-
-def _attention(q, k, v, plus_one: bool = False):
-    """The forward of attention on plain arrays. One block, such as every
-    call of the model's encoder cache, is _attend_block's output as it is,
-    with no span or block list around it."""
-    if q.shape[-2] <= 2 * ATTENTION_BLOCK:
-        return _attend_block(q, k, v, plus_one)[2]
-    return np.concatenate([block[2] for block in _blocks(q, k, v, plus_one)[1]], axis=-2)
 
 
 plain.attention = _attention
@@ -398,14 +399,15 @@ def attention(q, k, v, plus_one: bool = False):
     if not (isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)):
         return _attention(q, k, v, plus_one)
     x, keys, values = value(q), value(k), value(v)
-    spans, blocks = _blocks(x, keys, values, plus_one)
-    out = blocks[0][2] if len(blocks) == 1 else np.concatenate([b[2] for b in blocks], axis=-2)
+    parts = []
+    spans, outs = _blocks(x, keys, values, plus_one, parts)
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
 
     def backward(g):
         g_out = np.add.reduce(g * out, axis=-1, keepdims=True)
         q_blocks, d_k, d_v = [], None, None
         # last block first: it sees every key, so its products start dk and dv
-        for (start, stop, seen), (kernel, denominator, _) in zip(spans[::-1], blocks[::-1]):
+        for (start, stop, seen), (kernel, denominator) in zip(spans[::-1], parts[::-1]):
             rows, g_rows = x[..., start:stop, :], g[..., start:stop, :]
             weights = kernel / denominator
             # P * (dP - rowsum(g * out)), formed in the array dP's product made

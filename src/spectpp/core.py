@@ -140,19 +140,18 @@ class RngStream:
     The same (seed, stream) pair always yields the same draw sequence;
     distinct stream ids are statistically independent. Children derive
     their stream id from the parent id and a label, so e.g. drafting and
-    residual resampling can consume independently of each other.
+    residual resampling can consume independently of each other. The
+    generator is built with the stream, so a draw reads it as a plain
+    attribute.
     """
 
     seed: int
     stream: int = 0
-    _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=key))
-        return self._generator
+    def __post_init__(self) -> None:
+        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def child(self, name: str) -> "RngStream":
         """Fresh independent stream labelled relative to this one."""

@@ -21,9 +21,11 @@ encodes only the events that are new since the previous one, in blocks of
 at most ATTENTION_BLOCK rows that each attend over the rows held before
 them: the op gets one block per call. A forward reads its events' ``times`` and
 ``marks`` arrays only, so it takes an EventSequence or the sampler's run
-state, which keeps them in growing arrays. The cache finds the events it
-holds by comparing bytes first: an extension of the held events, the
-common case, keeps every held row without an elementwise compare.
+state, which keeps them in growing arrays. The cache keeps the bytes of
+its last forward's events, so an extension of the held events, the common
+case, keeps every held row after one memory compare per array, and a
+one-row pass runs the heads on its one context row, read from the cache's
+rows as a vector.
 The decoder heads are two products. decoder_proj is folded into the
 mixture weight, mean and scale projections, which are stacked with the
 mark hidden projection into one (d, 3M+d) matrix and one bias; the mark
@@ -36,7 +38,6 @@ and positive scales by construction.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -238,11 +239,10 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
 # temporal encoding
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
 def _encoding_constants(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-dimension constants of the config's temporal encoding, built
-    once per config and read-only: the boolean even and odd dimension masks
-    and thp's divisors, attnhp's frequencies or sahp's phases."""
+    """The per-dimension constants of the config's temporal encoding, which
+    its Weights hold: the boolean even and odd dimension masks and thp's
+    divisors, attnhp's frequencies or sahp's phases."""
     j = np.arange(config.embed_dim)
     expo = (j - (j % 2)) / config.embed_dim
     even = j % 2 == 0
@@ -252,16 +252,13 @@ def _encoding_constants(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np
         per_dim = j / np.power(10000.0, expo)
     else:
         per_dim = np.power(10000.0, expo)
-    constants = (even, ~even, per_dim)
-    for array in constants:
-        array.flags.writeable = False
-    return constants
+    return even, ~even, per_dim
 
 
 def _temporal_encoding_tensor(times: np.ndarray, weights: Weights, config: ModelConfig):
     """Encode times (N,) into (N, D) rows; only SAHP's frequencies carry
     gradients."""
-    even, odd, per_dim = _encoding_constants(config)
+    even, odd, per_dim = weights.encoding_constants
     t_col = times.reshape(-1, 1)
     if config.encoding == "thp":
         # the sine, with the odd dimensions overwritten by the cosine: the
@@ -283,8 +280,9 @@ def _temporal_encoding_tensor(times: np.ndarray, weights: Weights, config: Model
 @dataclass(frozen=True)
 class Weights:
     """What a forward reads, built by _fused_weights from one parameter set:
-    the fused matrices, and the ops every forward calls, autodiff's on the
-    tape or autodiff.plain on raw arrays."""
+    the fused matrices, the temporal encoding's constants, the head width,
+    and the ops every forward calls, autodiff's on the tape or
+    autodiff.plain on raw arrays."""
 
     mark_embedding: np.ndarray | Tensor
     initial_context: np.ndarray | Tensor  # one (1, d) row
@@ -292,6 +290,8 @@ class Weights:
     qkv: list  # per layer
     heads: tuple  # input projection and bias, mark output projection and bias
     ops: object  # the autodiff module, or autodiff.plain
+    encoding_constants: tuple  # of the temporal encoding
+    head_dim: int
 
 
 def _fused_weights(params: dict[str, np.ndarray | Tensor], config: ModelConfig) -> Weights:
@@ -316,13 +316,19 @@ def _fused_weights(params: dict[str, np.ndarray | Tensor], config: ModelConfig) 
     heads = (ops.transpose(rows), bias, ops.transpose(params["mark_out_proj"]),
              params["mark_out_bias"])
     return Weights(params["mark_embedding"], ops.reshape(params["initial_context"], (1, d)),
-                   params.get("time_freq"), qkv, heads, ops)
+                   params.get("time_freq"), qkv, heads, ops, _encoding_constants(config),
+                   config.head_dim)
 
 
 def _embed_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
                   config: ModelConfig):
-    if marks.size and (np.minimum.reduce(marks) < 0
-                       or np.maximum.reduce(marks) >= config.n_marks):
+    if marks.size == 1:
+        # one row, as in a cached one-row pass: a Python compare
+        in_range = 0 <= marks[0] < config.n_marks
+    else:
+        in_range = not marks.size or (np.minimum.reduce(marks) >= 0
+                                      and np.maximum.reduce(marks) < config.n_marks)
+    if not in_range:
         raise ValueError("mark out of range for the checkpoint configuration")
     z = _temporal_encoding_tensor(times, weights, config)
     x = weights.ops.add(weights.ops.take(weights.mark_embedding, marks), z)
@@ -333,27 +339,40 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
                    config: ModelConfig, past: EncoderCache | None = None):
     """Final-layer rows of the given events. With a ``past``, the events
     follow the ``past.size`` events it holds: their keys and values are
-    stored in it and new rows attend over [past; new]; without one the past
-    is empty. The attention op is causal and builds its own masks, so a
-    span longer than two attention blocks, such as a long sequence's no-past
-    forward in training, forms scores only up to each block's last row."""
+    stored in its buffers after the held ones, and new rows attend over
+    [past; new]; without one the past is empty. The attention op is causal
+    and builds its own masks, so a span longer than two attention blocks,
+    such as a long sequence's no-past forward in training, forms scores
+    only up to each block's last row."""
     x, z = _embed_tensor(times, marks, weights, config)
     ops = weights.ops
-    n, heads, head_dim = times.size, config.n_heads, config.head_dim
+    n, heads, head_dim = times.size, config.n_heads, weights.head_dim
     attnhp = config.encoding == "attnhp"
     ones_col = np.ones((n, 1)) if attnhp else None
+    if past is not None:
+        held, end = past.size, past.size + n
     h = x
     for layer in range(config.n_layers):
         inputs = ops.concat([ones_col, z, h], axis=1) if attnhp else h
-        # (n, 3d) -> (3, heads, n, head_dim): the queries, keys and values of every head
-        proj = ops.transpose(ops.reshape(ops.matmul(inputs, weights.qkv[layer]),
-                                         (n, 3, heads, head_dim)), (1, 2, 0, 3))
+        # (n, 3d) -> (3, heads, n, head_dim): the queries, keys and values of
+        # every head; one row's order is already that, and needs no transpose
+        proj = ops.matmul(inputs, weights.qkv[layer])
+        if n > 1:
+            proj = ops.transpose(ops.reshape(proj, (n, 3, heads, head_dim)), (1, 2, 0, 3))
+        else:
+            proj = ops.reshape(proj, (3, heads, 1, head_dim))
         q, k, v = proj[0], proj[1], proj[2]
         if past is not None:
-            k, v = past.attend(layer, k, v)
+            keys, values = past._keys[layer], past._values[layer]
+            keys[:, held:end] = k
+            values[:, held:end] = v
+            k, v = keys[:, :end], values[:, :end]
         # attnhp's softmax has a +1 in its denominator
         attended = ops.attention(q, k, v, plus_one=attnhp)
-        agg = ops.reshape(ops.transpose(attended, (1, 0, 2)), (n, config.embed_dim))
+        if n > 1:
+            # (heads, n, head_dim) -> (n, heads, head_dim), as for the projection
+            attended = ops.transpose(attended, (1, 0, 2))
+        agg = ops.reshape(attended, (n, config.embed_dim))
         if attnhp:
             agg = ops.tanh(agg)
         h = ops.add(h, agg)
@@ -361,17 +380,14 @@ def _encode_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
 
 
 def _context_tensor(times: np.ndarray, marks: np.ndarray, weights: Weights,
-                    config: ModelConfig, past: EncoderCache | None = None):
-    """Row i is the conditioning context for the (i+1)-th event after the
-    past; row 0 is the final hidden row of the last past event, or the
-    learned begin-of-sequence context when the past is empty, and the last
-    row conditions the survival term."""
-    first = (weights.initial_context if past is None or past.size == 0
-             else past.hidden[past.size - 1:past.size])
+                    config: ModelConfig):
+    """Row i is the conditioning context for the (i+1)-th event; row 0 is
+    the learned begin-of-sequence context, and the last row conditions the
+    survival term."""
     if times.size == 0:
-        return first
-    h = _encode_tensor(times, marks, weights, config, past)
-    return weights.ops.concat([first, h], axis=0)
+        return weights.initial_context
+    h = _encode_tensor(times, marks, weights, config)
+    return weights.ops.concat([weights.initial_context, h], axis=0)
 
 
 class EncoderCache:
@@ -381,17 +397,24 @@ class EncoderCache:
 
     Passed to ``next_event_distributions`` or ``position_distributions``, it
     keeps the rows of the longest prefix of the events whose times and marks
-    match the stored ones exactly, drops the rest, and encodes the
+    match the held ones exactly, drops the rest, and encodes the
     remainder: a rollback after a rejected draft is just a call with the
-    shorter or diverging events. It builds the Weights of the checkpoint's
-    raw arrays once, so its forwards fuse no matrix and build no tape. The
-    events it lacks are encoded in consecutive blocks of at most
-    ``autodiff.ATTENTION_BLOCK`` rows, each attending over the rows held
-    before it.
+    shorter or diverging events. It keeps the bytes of the last forward's
+    times and marks, so an extension of the held events, the common case,
+    is found by one memory compare per array; only a rollback compares
+    elementwise. It builds the Weights of the checkpoint's raw arrays once,
+    so its forwards fuse no matrix and build no tape. The events it lacks
+    are encoded in consecutive blocks of at most ``autodiff.ATTENTION_BLOCK``
+    rows, each attending over the rows held before it, and their final
+    hidden rows are written into one buffer. The context rows of a forward
+    are a view of that buffer, so a one-row pass reads its one row and
+    joins no arrays.
     Key and value buffers have shape (heads, capacity, head_dim); a cache
     that must hold n events grows to capacity 2n, so the events sampled
     after a long history do not reallocate them. The checkpoint's
-    parameters must not change while the cache is in use.
+    parameters must not change while the cache is in use, nor the dtypes
+    of the times and marks that its forwards read (float and int, as an
+    EventSequence's and a sampling run's are).
     """
 
     def __init__(self, checkpoint: ModelCheckpoint) -> None:
@@ -400,25 +423,23 @@ class EncoderCache:
         self.weights = _fused_weights(checkpoint.params, config)
         self.size = 0
         self.last_encoded = 0
-        self._times = np.empty(0)
-        self._marks = np.empty(0, dtype=int)
+        # the bytes of the last forward's times and marks; the first size events are held
+        self._held = (b"", b"")
         self.hidden = np.empty((0, config.embed_dim))
-        shape = (config.n_heads, 0, config.head_dim)
+        shape = (config.n_heads, 0, self.weights.head_dim)
         self._keys = [np.empty(shape) for _ in range(config.n_layers)]
         self._values = [np.empty(shape) for _ in range(config.n_layers)]
 
     @property
     def times(self) -> np.ndarray:
-        return self._times[:self.size]
+        return np.frombuffer(self._held[0])[:self.size]
 
     @property
     def marks(self) -> np.ndarray:
-        return self._marks[:self.size]
+        return np.frombuffer(self._held[1], dtype=int)[:self.size]
 
     def _reserve(self, n: int) -> None:
-        capacity = len(self._times)
-        if n <= capacity:
-            return
+        """Grow the buffers to capacity 2n, at least 16, keeping the held rows."""
         capacity = max(2 * n, 16)
 
         def grown(buffer: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -429,50 +450,46 @@ class EncoderCache:
             out[held] = buffer[held]
             return out
 
-        self._times, self._marks, self.hidden = map(grown, (self._times, self._marks, self.hidden))
+        self.hidden = grown(self.hidden)
         self._keys = [grown(b, 1) for b in self._keys]
         self._values = [grown(b, 1) for b in self._values]
-
-    def attend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store the new (heads, n, head_dim) key and value rows after the
-        held ones and return the keys and values of [past; new]."""
-        end = self.size + k.shape[1]
-        self._keys[layer][:, self.size:end] = k
-        self._values[layer][:, self.size:end] = v
-        return self._keys[layer][:, :end], self._values[layer][:, :end]
 
     def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
         """Context rows from the first position the cache does not hold up
         to the end of ``events``, encoding only the events it lacks, in
-        blocks of at most ``autodiff.ATTENTION_BLOCK`` rows. Only
+        blocks of at most ``autodiff.ATTENTION_BLOCK`` rows. The rows are a
+        view of the cache's buffer, valid until its next forward. Only
         ``events.times`` and ``events.marks`` are read: an EventSequence's,
         or the arrays a sampling run keeps."""
         if checkpoint is not self.checkpoint:
             raise ValueError("the cache belongs to another checkpoint")
         times, marks = events.times, events.marks
-        shared = min(self.size, times.size)
-        held_times, held_marks = self._times[:shared], self._marks[:shared]
-        if (held_times.tobytes() == times[:shared].tobytes()
-                and held_marks.tobytes() == marks[:shared].tobytes()):
+        n = times.size
+        time_bytes, mark_bytes = times.tobytes(), marks.tobytes()
+        shared = min(self.size, n)
+        # the first shared events of the last forward; a slice of all of them copies nothing
+        held_times = self._held[0][:times.itemsize * shared]
+        held_marks = self._held[1][:marks.itemsize * shared]
+        if time_bytes.startswith(held_times) and mark_bytes.startswith(held_marks):
             # the common case, an extension of the held events: every held row is kept
             start = shared
         else:
-            differs = np.flatnonzero((held_times != times[:shared])
-                                     | (held_marks != marks[:shared]))
+            differs = ((np.frombuffer(held_times, times.dtype) != times[:shared])
+                       | (np.frombuffer(held_marks, marks.dtype) != marks[:shared])).nonzero()[0]
             start = int(differs[0]) if differs.size else shared
-        self.size = start
-        self._reserve(times.size)
-        blocks = []
-        while not blocks or self.size < times.size:
-            new = slice(self.size, min(self.size + ad.ATTENTION_BLOCK, times.size))
-            ctx = _context_tensor(times[new], marks[new], self.weights, checkpoint.config, self)
-            self._times[new], self._marks[new] = times[new], marks[new]
-            self.hidden[new] = ctx[1:]
+        # set before encoding, so that a block that raises leaves the held events consistent
+        self.size, self._held = start, (time_bytes, mark_bytes)
+        if n > len(self.hidden):
+            self._reserve(n)
+        while self.size < n:
+            new = slice(self.size, min(self.size + ad.ATTENTION_BLOCK, n))
+            self.hidden[new] = _encode_tensor(times[new], marks[new], self.weights,
+                                              checkpoint.config, self)
             self.size = new.stop
-            # a block's row 0 is the last row of the block before it
-            blocks.append(ctx[1:] if blocks else ctx)
-        self.last_encoded = times.size - start
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        self.last_encoded = n - start
+        if start:
+            return self.hidden[start - 1:n]
+        return np.concatenate([self.weights.initial_context, self.hidden[:n]])
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +498,16 @@ class EncoderCache:
 
 def _head_tensors(ctx, weights: Weights, config: ModelConfig):
     """Mixture log-weights/means/scales and mark logits for each context
-    row, from the fused heads: one product and bias give every row's
-    weight logits, log-means, log-scales and mark hidden layer."""
+    row, or for one row given as a vector, from the fused heads: one product
+    and bias give every row's weight logits, log-means, log-scales and mark
+    hidden layer."""
     w_in, b_in, w_out, b_out = weights.heads
     ops, m = weights.ops, config.n_components
     pre = ops.add(ops.matmul(ctx, w_in), b_in)
-    w_logits, mu, log_sigma = pre[:, :m], pre[:, m:2 * m], pre[:, 2 * m:3 * m]
+    w_logits, mu, log_sigma = pre[..., :m], pre[..., m:2 * m], pre[..., 2 * m:3 * m]
     log_w = ops.sub(w_logits, ops.logsumexp(w_logits, axis=-1, keepdims=True))
     sigma = ops.clip(ops.exp(log_sigma), SIGMA_MIN, SIGMA_MAX)
-    mark_logits = ops.add(ops.matmul(ops.tanh(pre[:, 3 * m:]), w_out), b_out)
+    mark_logits = ops.add(ops.matmul(ops.tanh(pre[..., 3 * m:]), w_out), b_out)
     return log_w, mu, sigma, mark_logits
 
 
@@ -498,7 +516,7 @@ def _check_head_rows(*outputs: np.ndarray) -> None:
     heads give simplex weights and probabilities (softmax, logsumexp) and
     positive scales (clip) by construction, so only a non-finite value can
     make a row invalid."""
-    if not np.isfinite(np.concatenate(outputs, axis=-1)).all():
+    if not np.logical_and.reduce(np.isfinite(np.concatenate(outputs, axis=-1)), axis=None):
         raise FloatingPointError("head rows contain non-finite values")
 
 
@@ -533,11 +551,10 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
                              ) -> tuple[MixtureParams, MarkDistribution]:
     """Distributions of the next interval and mark given the events so far:
     the last row of position_distributions, with the heads run on that row
-    only."""
+    only, as a vector."""
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    heads = _head_tensors(ctx[-1:, :], cache.weights, checkpoint.config)
-    return _distributions(*(t[0] for t in heads))
+    return _distributions(*_head_tensors(ctx[-1], cache.weights, checkpoint.config))
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +573,15 @@ def _mixture_log_density(log_tau, log_w, mu, sigma, ops):
     return ops.logsumexp(comp, axis=-1)
 
 
+def _mixture_logpdf(tau: np.ndarray, params: MixtureParams) -> np.ndarray:
+    """mixture_logpdf of an array of positive intervals, without its check
+    of tau or its error state: the caller ignores divide, over and invalid
+    floating-point errors."""
+    out = _mixture_log_density(np.log(tau)[..., np.newaxis], np.log(params.weights),
+                               params.means, params.scales, ad.plain)
+    return np.where(np.isnan(out), -np.inf, out)
+
+
 def mixture_logpdf(tau, params: MixtureParams):
     """Log-density of the log-normal mixture at tau > 0, via log-sum-exp;
     -inf where every component's density underflows.
@@ -565,12 +591,10 @@ def mixture_logpdf(tau, params: MixtureParams):
     against one mixture gives a float, anything else an array.
     """
     tau = np.asarray(tau, dtype=float)
-    if not (tau > 0).all():
+    if not np.logical_and.reduce(tau > 0, axis=None):
         raise ValueError("tau must be positive")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = _mixture_log_density(np.log(tau)[..., np.newaxis], np.log(params.weights),
-                                   params.means, params.scales, ad.plain)
-    out = np.where(np.isnan(out), -np.inf, out)
+        out = _mixture_logpdf(tau, params)
     return float(out) if out.ndim == 0 else out
 
 

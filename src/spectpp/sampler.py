@@ -33,6 +33,7 @@ from .model import (
     MarkDistribution,
     MixtureParams,
     ModelCheckpoint,
+    _mixture_logpdf,
     mixture_logpdf,
     next_event_distributions,
     position_distributions,
@@ -110,7 +111,8 @@ class DraftBatch:
     """Gamma candidate events drafted autoregressively from the draft model:
     their times, marks, intervals and interval log-densities as arrays, plus
     the draft head rows each was sampled under, stacked like verify's target
-    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution.
+    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution,
+    whose arrays draft allocates once and fills a row per candidate.
     draft makes the times strictly increase, since advance_clock refuses a
     clock that does not move, and the log-densities finite, since each
     interval is a positive finite draw from a component of checked head rows
@@ -235,29 +237,32 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
     after the run's events, with the head rows of all of them and the
     interval log-density at each. Each candidate is appended to the run's
     state for the next forward, and the state is truncated back before the
-    call returns. Each of the gamma forwards checks its own row pair; the
-    rows are then stacked, and all gamma intervals are scored against their
-    rows with one mixture_logpdf call."""
+    call returns. Each of the gamma forwards checks its own row pair and
+    writes its rows into preallocated (gamma, M) and (gamma, K) arrays; all
+    gamma intervals are then scored against their rows with one
+    mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    n_hist = len(events)
-    intervals, mixtures, mark_dists = [], [], []
-    for _ in range(gamma):
+    n_hist, clock = len(events), events.last_time
+    n_components, n_marks = draft_model.config.n_components, draft_model.config.n_marks
+    intervals = np.empty(gamma)
+    weights, means, scales = (np.empty((gamma, n_components)), np.empty((gamma, n_components)),
+                              np.empty((gamma, n_components)))
+    probabilities = np.empty((gamma, n_marks))
+    for i in range(gamma):
         tau, mark, mixture, mark_dist = _next_event(draft_model, events, rng, cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
-        events.append(advance_clock(events.last_time, tau), mark)
-        intervals.append(tau)
-        mixtures.append(mixture)
-        mark_dists.append(mark_dist)
+        clock = advance_clock(clock, tau)
+        events.append(clock, mark)
+        intervals[i] = tau
+        weights[i], means[i], scales[i] = mixture.weights, mixture.means, mixture.scales
+        probabilities[i] = mark_dist.probabilities
     times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
     events.truncate(n_hist)
-    intervals = np.array(intervals)
-    stacked = MixtureParams(np.stack([m.weights for m in mixtures]),
-                            np.stack([m.means for m in mixtures]),
-                            np.stack([m.scales for m in mixtures]))
+    stacked = MixtureParams(weights, means, scales)
     return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, stacked), stacked,
-                      MarkDistribution(np.stack([d.probabilities for d in mark_dists])))
+                      MarkDistribution(probabilities))
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -269,27 +274,28 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
     After the proposal budget is exhausted the draw falls back to a plain
     target sample, which is logged and counted but not raised: the budget
     is only reachable when the two densities are nearly identical, where
-    the fallback law differs negligibly from the residual law.
+    the fallback law differs negligibly from the residual law. The
+    component CDF is built once per draw, and every chunk runs in one error
+    state that ignores overflow and the log of a zero density.
     """
-    gen = rng.generator
+    random, standard_normal = rng.generator.random, rng.generator.standard_normal
+    weights = g_target.weights
+    cdf, total, last = np.add.accumulate(weights), np.add.reduce(weights), len(weights) - 1
     used = 0
-    while used < RESIDUAL_MAX_PROPOSALS:
-        chunk = min(_RESIDUAL_CHUNK, RESIDUAL_MAX_PROPOSALS - used)
-        comps = np.searchsorted(np.cumsum(g_target.weights),
-                                gen.random(chunk) * np.sum(g_target.weights), side="right")
-        comps = np.minimum(comps, len(g_target.weights) - 1)
-        with np.errstate(over="ignore", under="ignore"):
-            taus = np.exp(g_target.means[comps]
-                          + g_target.scales[comps] * gen.standard_normal(chunk))
-        if not np.all((taus > 0.0) & (taus < np.inf)):
-            raise FloatingPointError("residual interval proposal under- or overflowed")
-        log_t = mixture_logpdf(taus, g_target)
-        log_d = mixture_logpdf(taus, g_draft)
-        accept_prob = np.maximum(0.0, 1.0 - np.exp(np.minimum(0.0, log_d - log_t)))
-        hits = np.nonzero(gen.random(chunk) < accept_prob)[0]
-        if hits.size:
-            return float(taus[hits[0]]), used + int(hits[0]) + 1, False
-        used += chunk
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while used < RESIDUAL_MAX_PROPOSALS:
+            chunk = min(_RESIDUAL_CHUNK, RESIDUAL_MAX_PROPOSALS - used)
+            comps = np.minimum(cdf.searchsorted(random(chunk) * total, side="right"), last)
+            taus = np.exp(g_target.means[comps] + g_target.scales[comps] * standard_normal(chunk))
+            if not np.logical_and.reduce((taus > 0.0) & (taus < np.inf)):
+                raise FloatingPointError("residual interval proposal under- or overflowed")
+            log_t = _mixture_logpdf(taus, g_target)
+            log_d = _mixture_logpdf(taus, g_draft)
+            accept_prob = np.maximum(0.0, 1.0 - np.exp(np.minimum(0.0, log_d - log_t)))
+            hits = (random(chunk) < accept_prob).nonzero()[0]
+            if hits.size:
+                return float(taus[hits[0]]), used + int(hits[0]) + 1, False
+            used += chunk
     logger.warning("residual interval sampler exhausted %d proposals; "
                    "falling back to a plain target draw", RESIDUAL_MAX_PROPOSALS)
     return sample_interval(g_target, rng), RESIDUAL_MAX_PROPOSALS, True
@@ -299,7 +305,7 @@ def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
                          rng: RngStream) -> int:
     """Draw a mark from norm(max(0, f_T - f_D))."""
     residual = np.maximum(0.0, f_target.probabilities - f_draft.probabilities)
-    mass = float(np.sum(residual))
+    mass = float(np.add.reduce(residual))
     if mass <= 1e-300:
         raise ZeroResidualError("residual mark distribution has zero mass; "
                                 "target and draft mark distributions are equal")
@@ -335,25 +341,28 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     stats.iterations += 1
     stats.events_drafted += gamma
 
-    u_interval = np.asarray(rng.uniform(gamma))
-    u_mark = np.asarray(rng.uniform(gamma))
+    u_interval = rng.uniform(gamma)
+    u_mark = rng.uniform(gamma)
 
     # The rows end at position n_hist + gamma, and candidate l is scored by
     # position n_hist + l, so the candidates are the gamma rows before the
     # last.
     first = len(mixtures.weights) - gamma - 1
-    g_t = mixture_logpdf(batch.intervals, mixtures.row(slice(first, first + gamma)))
-    if np.any(np.isnan(g_t) | (g_t == np.inf)):
-        raise FloatingPointError("non-finite target interval density")
-    f_t = mark_dists.probabilities[np.arange(first, first + gamma), batch.marks]
-    f_d = batch.mark_dists.probabilities[np.arange(gamma), batch.marks]
-    interval_ratios = clamped_exp(g_t - batch.interval_logpdf)
-    with np.errstate(divide="ignore"):
+    candidates = np.arange(gamma)
+    f_t = mark_dists.probabilities[candidates + first, batch.marks]
+    f_d = batch.mark_dists.probabilities[candidates, batch.marks]
+    # one error state for both densities: the intervals are positive draws,
+    # and a target mark probability may be 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g_t = _mixture_logpdf(batch.intervals, mixtures.row(slice(first, first + gamma)))
         mark_ratios = clamped_exp(np.log(f_t) - np.log(f_d))
+    if not np.logical_and.reduce(g_t < np.inf):
+        raise FloatingPointError("non-finite target interval density")
+    interval_ratios = clamped_exp(g_t - batch.interval_logpdf)
 
     interval_ok = u_interval < interval_ratios
     mark_ok = u_mark < mark_ratios
-    rejected = np.flatnonzero(~(interval_ok & mark_ok))
+    rejected = (~(interval_ok & mark_ok)).nonzero()[0]
     accepted = int(rejected[0]) if rejected.size else gamma
     replacement = None
     if accepted < gamma:
@@ -385,7 +394,10 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: _Run
              *, target_cache: EncoderCache, draft_cache: EncoderCache) -> None:
     """One draft-verify step after the run's events: appends to them the
     accepted prefix of the drafted events plus the replacement, if one was
-    drawn. ``streams`` are the draft, verify and residual streams."""
+    drawn. ``streams`` are the draft, verify and residual streams. After a
+    rejection both caches are cut to the kept prefix, so their next
+    forwards find it by the byte compare, not elementwise past the
+    rejected candidate."""
     draft_rng, verify_rng, residual_rng = streams
     start = time.perf_counter()
     batch = draft(draft_model, events, gamma, draft_rng, stats, cache=draft_cache)
@@ -396,6 +408,9 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: _Run
     n = outcome.accepted_len
     events.append(batch.times[:n], batch.marks[:n])
     if outcome.replacement is not None:
+        kept = len(events)
+        target_cache.size, draft_cache.size = (min(target_cache.size, kept),
+                                               min(draft_cache.size, kept))
         events.append(*outcome.replacement)
 
 

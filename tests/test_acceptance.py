@@ -223,9 +223,12 @@ def test_criterion_6_gamma_ablation_shape(tmp_path):
     unimodal = (all(speeds[i] <= speeds[i + 1] for i in range(peak))
                 and all(speeds[i] >= speeds[i + 1] for i in range(peak, len(speeds) - 1)))
     ok = monotone and unimodal
+    seconds = ", ".join(f"{r['gamma']}: {float(r['t_ar']):.4f}/{float(r['t_sd']):.4f}"
+                        for r in rows)
     report(6, "gamma ablation shape", ok,
            f"alpha non-increasing: {monotone} {[round(a, 3) for a in alphas]}; "
-           f"speedup unimodal: {unimodal} {[round(s, 2) for s in speeds]}", started)
+           f"speedup unimodal: {unimodal} {[round(s, 3) for s in speeds]}; "
+           f"AR/SD seconds by gamma: {seconds}", started)
     assert ok
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -621,6 +622,25 @@ def test_mismatched_mark_cardinality_exit_2(runner, workspace, case):
                                          "marks must lie in [0, 2)"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
+
+
+@pytest.mark.parametrize("draft", [True, False], ids=["draft", "no-draft"])
+@pytest.mark.parametrize("times, message", [
+    ([0.5, 0.3, 1.5, 2.0], "non-monotone at index 1"),
+    ([0.5, math.nan, 1.5, 2.0], "non-finite or negative time at index 1"),
+], ids=["decreasing-time", "nan-time"])
+def test_eval_wasserstein_refuses_an_invalid_history(runner, workspace, times, message, draft):
+    """The history that eval wasserstein conditions on is validated as a
+    sequence: a decreasing time, which was scored, and a NaN time, which
+    exited 3, are data errors (exit 2) from the command line and from a
+    replayed manifest alike, with and without a draft."""
+    write_sequences(workspace / "history.jsonl", [sequence_from_arrays(times, [0, 1, 0, 1], 5.0)])
+    args = {"target": str(workspace / "target.json"),
+            "draft": str(workspace / "draft.json") if draft else None,
+            "sequences": str(workspace / "history.jsonl"), "m_hist": 3, "n_reps": 2,
+            "gamma": 2, "seed": 0}
+    assert_exit_from_command_line_and_replay(runner, workspace, "eval-wasserstein", args, 2,
+                                             message)
 
 
 def assert_exit_from_command_line_and_replay(runner, workspace, command, args, code, message):

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -457,6 +459,68 @@ def test_verify_counts_one_target_pass_per_iteration():
     assert S.ar_sample(target, 20.0, RngStream(25))[1].accepted_lengths == []
 
 
+# Python-level calls per candidate of one draft and one verify after a warm
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 26.6 and
+# 12.8 are counted, a verify with a residual interval draw included
+DRAFT_CALLS_PER_CANDIDATE = 27
+VERIFY_CALLS_PER_CANDIDATE = 14
+
+
+def python_calls(fn, *args, **kwargs):
+    """fn's result and the Python-level calls it made, counted with
+    sys.setprofile: a timing-independent count of per-call overhead."""
+    calls = [0]
+
+    def hook(frame, event, arg):
+        calls[0] += event == "call"
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, calls[0]
+
+
+@pytest.mark.parametrize("gamma", [5, 10])
+def test_draft_and_verify_calls_per_candidate_are_bounded(gamma):
+    target = make_checkpoint(1, n_layers=2, n_heads=2)
+    draft_model = make_checkpoint(2)
+    history = sequence_from_arrays(0.5 * np.arange(1, 11), np.arange(10) % 2, 100.0)
+    for seed in range(4):
+        events, stats = S._RunState(history), S.SampleRunStats()
+        caches = sd_caches(target, draft_model)
+        S._sd_step(target, draft_model, events, gamma, S._sd_streams(RngStream(seed)), stats,
+                   **caches)
+        rng = RngStream(seed + 100)
+        batch, drafted = python_calls(S.draft, draft_model, events, gamma, rng.child("draft"),
+                                      stats, cache=caches["draft_cache"])
+        _, verified = python_calls(S.verify, target, events, batch, rng.child("verify"),
+                                   rng.child("residual"), stats, cache=caches["target_cache"])
+        assert drafted <= DRAFT_CALLS_PER_CANDIDATE * gamma
+        assert verified <= VERIFY_CALLS_PER_CANDIDATE * gamma
+
+
+def test_sd_caches_find_their_prefix_by_the_byte_compare():
+    """After a rejection both caches are cut to the kept prefix, so no
+    forward of a run falls back to the elementwise prefix compare, which
+    reads the held bytes back with np.frombuffer; the run still rejects."""
+    target, draft_model = make_checkpoint(28, n_layers=2, scale=1.5), make_checkpoint(29)
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "frombuffer":
+            calls.append(arg)
+
+    sys.setprofile(hook)
+    try:
+        _, stats = S.tpp_sd_sample(target, draft_model, 40.0, gamma=4, rng=RngStream(30))
+    finally:
+        sys.setprofile(None)
+    assert stats.replacement_events > 0
+    assert calls == []
+
+
 def test_cached_sd_emits_the_uncached_events():
     """tpp_sd_sample's caches roll back to the accepted prefix after each
     rejection; the same steps run with fresh caches per step emit the same
@@ -774,3 +838,43 @@ def test_samplers_refuse_a_horizon_that_is_not_finite_and_positive(t_end):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+# SHA-256 of the times and marks that each sampler emits on a pinned thp pair,
+# from an empty history and after a 20-event one. The target's value
+# projections are not zero, so attention numerics reach the digests. A change
+# that alters a digest changes what the samplers emit for a fixed seed, and
+# must declare it.
+PINNED_DIGESTS = {
+    "ar": "8eea648d2cada64bd17f657512e1d1b7c1830d6b7256266838274a6a220b9edf",
+    "sd1": "45153408a5b9fa4d1b2043e2028ddb005e634bfed08e2239b3262f64645befae",
+    "sd5": "14c77c9486c1e6dda0330a90264dfe1c27c18ea100fa59a174bb5c6047c0ca34",
+    "sd10": "a953c23e6a1d3e0bb8649d4c856903e8a49453c89c00d0be6bda55e75311ff33",
+}
+
+
+def pinned_runs(mode):
+    """The sequences that ``mode`` samples on the pinned pair and seeds."""
+    target = make_checkpoint(2301, n_layers=3, n_heads=2, n_marks=3)
+    draft_model = make_checkpoint(2302, n_marks=3)
+    assert np.abs(target.params["layers.0.v"]).min() > 0.0
+    history = sequence_from_arrays(0.4 * np.arange(1, 21), np.arange(20) % 3, 60.0)
+    runs = []
+    for seed, held in ((2303, None), (2304, history)):
+        if mode == "ar":
+            runs.append(S.ar_sample(target, 60.0, RngStream(seed), history=held)[0])
+        else:
+            runs.append(S.tpp_sd_sample(target, draft_model, 60.0, int(mode[2:]),
+                                        RngStream(seed), history=held)[0])
+    return runs
+
+
+@pytest.mark.parametrize("mode", list(PINNED_DIGESTS))
+def test_samplers_emit_their_pinned_events(mode):
+    digest = hashlib.sha256()
+    for seq in pinned_runs(mode):
+        assert len(seq) > 20
+        digest.update(seq.times.tobytes() + seq.marks.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[mode]
