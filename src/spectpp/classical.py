@@ -1,6 +1,8 @@
 """Ground-truth point processes: sine-modulated Poisson and exponential-kernel
-Hawkes, with Ogata thinning simulation, closed-form compensators, and the
-intensity-form log-likelihood.
+Hawkes, with Ogata thinning simulation, the time-rescaled intervals from
+their closed-form compensators, and the intensity-form log-likelihood. The
+scorers refuse, by :func:`core.check_sequence`, any sequence outside the
+format, with the process's mark count as the mark range.
 
 The Hawkes intensity for output dimension j is
 ``mu[j] + sum over past events (s, m) of alpha[m, j] * exp(-beta[m, j] * (t - s))``,
@@ -44,7 +46,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .core import Event, EventSequence, RngStream, advance_clock, check_horizon
+from .core import Event, EventSequence, RngStream, advance_clock, check_horizon, check_sequence
 
 logger = logging.getLogger(__name__)
 _RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, this]
@@ -52,27 +54,6 @@ _RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, 
 
 class NonFiniteIntensityError(FloatingPointError):
     """Raised when a simulator or scorer encounters a non-finite rate."""
-
-
-def _scorable(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sequence's times and marks. A mark outside the process's range,
-    a time before the one preceding it (or before 0), a time after t_end,
-    a NaN or infinite time and a non-finite t_end are refused: the scorers
-    would read the first as another type, turn the next two into a
-    negative compensator and the last two into a NaN or infinite score.
-    Each comparison fails on a NaN, and an infinite time is either last,
-    after the finite t_end, or followed by a NaN or negative interval."""
-    times, marks = seq.times, seq.marks
-    outside = marks[(marks < 0) | (marks >= n_marks)]
-    if outside.size:
-        raise ValueError(f"mark {outside[0]} outside the process's range [0, {n_marks})")
-    if not math.isfinite(seq.t_end):
-        raise ValueError(f"the horizon t_end={seq.t_end} is not finite")
-    if not (np.diff(times, prepend=0.0) >= 0).all():
-        raise ValueError("sequence times must be non-decreasing and not NaN")
-    if times.size and times[-1] > seq.t_end:
-        raise ValueError(f"event time {times[-1]} after the horizon t_end={seq.t_end}")
-    return times, marks
 
 
 @dataclass(frozen=True)
@@ -148,29 +129,6 @@ def process_from_record(record: dict) -> GroundTruthProcess:
                             np.asarray(record["alpha"], dtype=float),
                             np.asarray(record["beta"], dtype=float))
     raise ValueError(f"unknown process kind: {kind!r}")
-
-
-def compensator(process: GroundTruthProcess, t0: float, t1: float,
-                history: EventSequence) -> np.ndarray:
-    """Integral of the per-type intensity over [t0, t1], in closed form.
-
-    Requires t0 <= t1 and no history events inside (t0, t1); history events
-    at or before t0 drive the Hawkes excitation terms.
-    """
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if isinstance(process, SinePoissonParams):
-        w = process.omega * np.pi
-        value = process.A * process.b * (t1 - t0) - (process.A / w) * (math.cos(w * t1) - math.cos(w * t0))
-        return np.array([value])
-    values = process.mu * (t1 - t0)
-    for event in history.events:
-        if event.time > t0:
-            continue
-        beta_row = process.beta[event.mark]
-        ratio = process.alpha[event.mark] / beta_row
-        values += ratio * (np.exp(-beta_row * (t0 - event.time)) - np.exp(-beta_row * (t1 - event.time)))
-    return values
 
 
 def _thinning_poisson(process: SinePoissonParams, t_end: float, rng: RngStream) -> EventSequence:
@@ -327,9 +285,11 @@ def _hawkes_walk(process: HawkesParams, dts: np.ndarray,
     ended by no event. Yields, per interval, the total compensator over it
     and the kernel state decayed to its end, before its event is added.
 
-    The compensator follows the closed form of :func:`compensator`. The
-    decays of all intervals come from one exp, so a whole sequence costs
-    O(N) instead of O(N^2).
+    The compensator over an interval is the closed form of the integrated
+    intensity: mu summed over types times the interval, plus for each past
+    event of mark i the sum over j of alpha[i, j] / beta[i, j] times the
+    decay spent over the interval. The decays of all intervals come from
+    one exp, so a whole sequence costs O(N) instead of O(N^2).
     """
     k = process.n_marks
     ratio, mu_total = (process.alpha / process.beta).ravel().tolist(), float(np.sum(process.mu))
@@ -350,11 +310,10 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
     the time-rescaled intervals, Exponential(1) iid when the process is right.
 
     Entry i is the integrated total intensity over (t_{i-1}, t_i] with
-    t_0 = 0, in the closed forms of :func:`compensator`; for the Hawkes
-    process it is maintained recursively. A mark outside the process's
-    range and decreasing times are refused.
+    t_0 = 0, in closed form; for the Hawkes process it is maintained
+    recursively. A sequence that check_sequence refuses raises ValueError.
     """
-    times, marks = _scorable(seq, process.n_marks)
+    times, marks = check_sequence(seq, process.n_marks)
     if times.size == 0:
         return np.zeros(0)
     if isinstance(process, SinePoissonParams):
@@ -369,19 +328,21 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
 def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> float:
     """Intensity-form log-likelihood: sum of log rates at events minus the
     total compensator over (0, t_end]. Returns -inf if an event sits at a
-    zero-rate time. A mark outside the process's range and decreasing
-    times are refused.
+    zero-rate time. A sequence that check_sequence refuses raises
+    ValueError.
 
     Computed with the recursive kernel state of the time rescaling, so it
-    matches the intensity and :func:`compensator` reference forms to
+    matches the intensity and compensator reference forms of the tests to
     rounding while staying linear in sequence length.
     """
-    times, marks = _scorable(seq, process.n_marks)
+    times, marks = check_sequence(seq, process.n_marks)
     if isinstance(process, SinePoissonParams):
         rates = process.rate(times)
         if np.any(rates <= 0.0):
             return float("-inf")
-        total_comp = float(compensator(process, 0.0, seq.t_end, EventSequence((), seq.t_end))[0])
+        # the closed-form compensator A*b*t - (A/w)*cos(w*t), taken from 0 to t_end
+        w, t_end = process.omega * np.pi, seq.t_end
+        total_comp = process.A * process.b * t_end - (process.A / w) * (math.cos(w * t_end) - 1.0)
         return float(np.sum(np.log(rates))) - total_comp
     k, mu, alpha = process.n_marks, process.mu.tolist(), process.alpha.ravel().tolist()
     marks = marks.tolist()

@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import index
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,7 +48,8 @@ class EventSequence:
     """A time-ordered list of events observed on the window (0, t_end].
 
     The sequence may be empty; ``t_end`` is the observation horizon, not
-    the time of the last event.
+    the time of the last event. Construction checks nothing: every module
+    that reads a sequence applies check_sequence, which states the format.
     """
 
     events: tuple[Event, ...]
@@ -81,7 +83,7 @@ class EventSequence:
 def check_horizon(t_end: float) -> None:
     """Raise ValueError unless t_end is a finite positive horizon: with any
     other a simulation or sampling run never ends or ends in a sequence
-    that validate_sequence rejects."""
+    that check_sequence refuses."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
 
@@ -97,6 +99,45 @@ def advance_clock(t: float, tau: float) -> float:
     return t_next
 
 
+class SequenceError(ValueError):
+    """A sequence outside the format, with the index of its first violating
+    event (None when the horizon is at fault)."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sequence's times and marks, if it is in the format every module
+    reads: a finite horizon t_end > 0, finite times 0 < t_1 < ... < t_N <= t_end
+    and marks in [0, n_marks). Otherwise raises ValueError naming the first
+    violation; a SequenceError carries its event index.
+
+    This is the one rule for a valid sequence: the scorers, the model
+    likelihood, training, the samplers' histories and the command line all
+    apply it. Each comparison is False on a NaN, and an infinite time is
+    after the finite t_end, so one mask of O(N) numpy calls covers them all.
+    """
+    check_horizon(seq.t_end)
+    times, marks = seq.times, seq.marks
+    ok = ((np.diff(times, prepend=0.0) > 0) & (times <= seq.t_end)
+          & (marks >= 0) & (marks < n_marks))
+    if not np.logical_and.reduce(ok):
+        i = int(ok.argmin())
+        t, previous = float(times[i]), float(times[i - 1]) if i else 0.0
+        if not math.isfinite(t):
+            message = f"non-finite time {t} at index {i}"
+        elif not t > previous:
+            message = f"non-monotone at index {i}: time {t} is not after {previous}"
+        elif t > seq.t_end:
+            message = f"time exceeds horizon at index {i}: {t} > t_end {seq.t_end}"
+        else:
+            message = f"mark out of range at index {i}: {marks[i]} not in [0, {n_marks})"
+        raise SequenceError(message, i)
+    return times, marks
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_sequence: ok, or the first violation found."""
@@ -107,24 +148,13 @@ class ValidationReport:
 
 
 def validate_sequence(seq: EventSequence, k_cardinality: int) -> ValidationReport:
-    """Check ordering, horizon, and mark-range invariants of a sequence.
-
-    Returns the first violation (with the offending event index) rather
-    than collecting all of them; an empty sequence is vacuously valid.
-    """
-    if not math.isfinite(seq.t_end) or seq.t_end <= 0:
-        return ValidationReport(False, f"t_end must be positive and finite, got {seq.t_end}")
-    prev = 0.0
-    for i, event in enumerate(seq.events):
-        if not math.isfinite(event.time) or event.time < 0:
-            return ValidationReport(False, f"non-finite or negative time at index {i}", i)
-        if event.time <= prev and i > 0:
-            return ValidationReport(False, f"non-monotone at index {i}", i)
-        if event.time > seq.t_end:
-            return ValidationReport(False, f"time exceeds horizon at index {i}", i)
-        if not 0 <= event.mark < k_cardinality:
-            return ValidationReport(False, f"mark out of range at index {i}", i)
-        prev = event.time
+    """check_sequence's rule as a report: ok, or the first violation's
+    message and event index (None when the horizon is at fault). An empty
+    sequence on a valid horizon is valid."""
+    try:
+        check_sequence(seq, k_cardinality)
+    except ValueError as exc:
+        return ValidationReport(False, str(exc), getattr(exc, "index", None))
     return ValidationReport(True)
 
 
@@ -189,11 +219,15 @@ def sequence_to_record(seq: EventSequence) -> dict:
 
 
 def sequence_from_record(record: dict) -> EventSequence:
+    """The sequence a record holds. A mark must be a JSON integer:
+    operator.index refuses a float such as 0.7, which int() would truncate
+    to a valid mark, at int()'s per-event cost."""
     try:
-        events = tuple(Event(float(t), int(k)) for t, k in record["events"])
+        events = tuple(Event(float(t), index(k)) for t, k in record["events"])
         t_end = float(record["t_end"])
     except TypeError as exc:
-        # a record that is not an object, or events that are not [time, mark] pairs
+        # a record that is not an object, events that are not [time, mark]
+        # pairs, or a mark that is not an integer
         raise ValueError(f"malformed sequence record: {exc}") from None
     return EventSequence(events, t_end)
 

@@ -14,9 +14,9 @@ import numpy as np
 
 # the time-rescaling transform, under the name the CLI and perfbench call
 from .classical import total_compensator_increments as time_rescale
-from .core import EventSequence, RngStream
+from .core import EventSequence, RngStream, check_sequence
 from .model import EncoderCache, ModelCheckpoint
-from .sampler import ar_next_event, sd_next_event
+from .sampler import ar_next_event, check_pair, sd_next_event
 
 KS_BAND_COEFFICIENT = 1.36  # 95% confidence band c(alpha)/sqrt(n)
 
@@ -128,12 +128,17 @@ def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None
     With ``draft=None`` the second sample is another independent
     autoregressive run, which serves as the self-comparison baseline. Each
     model keeps one encoder cache across the draws, so the prefix is
-    encoded once per model.
+    encoded once per model. A draft whose mark count differs from the
+    target's, and then a prefix that check_sequence refuses on the target's
+    mark count, raise ValueError.
     """
     if len(history) < m_hist:
         raise ValueError(f"history has {len(history)} events, need at least {m_hist}")
+    if draft is not None:
+        check_pair(target, draft)
     prefix = EventSequence(history.events[:m_hist], history.t_end)
     k = target.config.n_marks
+    check_sequence(prefix, k)
     target_cache = EncoderCache(target)
     draft_cache = None if draft is None else EncoderCache(draft)
     ar_times, ar_marks, other_times, other_marks = [], [], [], []

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import EventSequence, RngStream
+from .core import EventSequence, RngStream, check_sequence
 
 CHECKPOINT_FORMAT_VERSION = 2
 SIGMA_MIN = 1e-4
@@ -617,18 +617,14 @@ def sample_interval(params: MixtureParams, rng: RngStream) -> float:
 # sequence log-likelihood
 # ---------------------------------------------------------------------------
 
-def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
-                   weights: Weights, config: ModelConfig):
-    # each comparison fails on a NaN, and an infinite time is either last,
-    # after the finite t_end, or followed by a NaN or negative interval
+def _loglik_tensor(seq: EventSequence, weights: Weights, config: ModelConfig):
+    """The sequence's log-likelihood as a scalar of ``weights.ops``: a Tensor
+    on the tape in training, a float otherwise. A sequence that
+    check_sequence refuses on the checkpoint's mark count raises ValueError,
+    in sequence_loglik and nll_batch alike."""
+    times, marks = check_sequence(seq, config.n_marks)
     n = times.size
     taus = np.diff(np.concatenate([[0.0], times]))
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end {t_end} is not finite")
-    if not (taus > 0.0).all():
-        raise ValueError("inter-event intervals must be positive and not NaN")
-    if n and times[-1] > t_end:
-        raise ValueError(f"event time {times[-1]} is after t_end {t_end}")
     ops = weights.ops
     ctx = _context_tensor(times, marks, weights, config)
     log_w, mu, sigma, mark_logits = _head_tensors(ctx, weights, config)
@@ -637,7 +633,7 @@ def _loglik_tensor(times: np.ndarray, marks: np.ndarray, t_end: float,
     total = ops.tensor_sum(density)
     mark_lsm = ops.sub(mark_logits, ops.logsumexp(mark_logits, axis=-1, keepdims=True))
     total = ops.add(total, ops.tensor_sum(mark_lsm[np.arange(n), marks]))
-    tail = t_end - (times[-1] if n else 0.0)
+    tail = seq.t_end - (times[-1] if n else 0.0)
     if tail > 0.0:
         z_tail = ops.div(ops.sub(math.log(tail), mu[n:, :]), sigma[n:, :])
         survival = ops.tensor_sum(ops.mul(ops.exp(log_w[n:, :]),
@@ -651,9 +647,10 @@ def sequence_loglik(seq: EventSequence, checkpoint: ModelCheckpoint) -> float:
     plus the log-probability that no further event occurs before t_end.
     Raises FloatingPointError if it is not finite, which only non-finite
     head rows cause: the survival term is clipped at 1e-300 and every scale
-    to [SIGMA_MIN, SIGMA_MAX]."""
+    to [SIGMA_MIN, SIGMA_MAX]. A sequence that check_sequence refuses
+    raises ValueError."""
     weights = _fused_weights(checkpoint.params, checkpoint.config)
-    value = float(_loglik_tensor(seq.times, seq.marks, seq.t_end, weights, checkpoint.config))
+    value = float(_loglik_tensor(seq, weights, checkpoint.config))
     if not math.isfinite(value):
         raise FloatingPointError(f"non-finite sequence log-likelihood {value}")
     return value

@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Event, EventSequence, RngStream, advance_clock, check_horizon, clamped_exp
+from .core import (Event, EventSequence, RngStream, advance_clock, check_horizon, check_sequence,
+                   clamped_exp)
 from .model import (
     EncoderCache,
     MarkDistribution,
@@ -215,8 +216,12 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
               history: EventSequence | None = None) -> tuple[EventSequence, SampleRunStats]:
     """Autoregressive sampling: one target forward per event, each
     encoding only the newest event, until an event passes t_end; that
-    event, and any of the history's after t_end, are dropped."""
+    event, and any of the history's after t_end, are dropped. A history
+    that check_sequence refuses, against the target's mark count, raises
+    ValueError."""
     check_horizon(t_end)
+    if history is not None:
+        check_sequence(history, target.config.n_marks)
     held = () if history is None else history.events
     events = _RunState(held)
     stream = rng.child("ar")
@@ -425,11 +430,14 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
     pass, append the accepted prefix plus any replacement, repeat until the
     horizon is passed, then drop events beyond t_end. The target and the
     draft each keep an encoder cache for the run; after a rejection the
-    next forward reuses the accepted prefix and drops the rest."""
+    next forward reuses the accepted prefix and drops the rest. A history
+    is checked as by ar_sample, after the pair."""
     check_horizon(t_end)
     check_pair(target, draft_model)
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
+    if history is not None:
+        check_sequence(history, target.config.n_marks)
     held = () if history is None else history.events
     events = _RunState(held)
     streams = _sd_streams(rng)

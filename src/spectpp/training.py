@@ -79,8 +79,7 @@ def nll_batch(checkpoint: ModelCheckpoint,
     weights = _fused_weights(tensors, checkpoint.config)
     total, events = 0.0, 0
     for seq in batch:
-        total = ad.add(total, _loglik_tensor(seq.times, seq.marks, seq.t_end,
-                                             weights, checkpoint.config))
+        total = ad.add(total, _loglik_tensor(seq, weights, checkpoint.config))
         events += len(seq)
     loss = ad.mul(total, -1.0 / max(1, events))
     loss.backward()

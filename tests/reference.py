@@ -1,6 +1,7 @@
 """Reference forms of the ground-truth processes, kept as test oracles:
-the conditional intensity summed event by event, and the thinning and
-time-rescaling recursions with the kernel state held in numpy arrays."""
+the conditional intensity summed event by event, the closed-form
+compensator with a history, and the thinning and time-rescaling
+recursions with the kernel state held in numpy arrays."""
 
 from __future__ import annotations
 
@@ -30,6 +31,29 @@ def intensity(process: GroundTruthProcess, t: float, history: EventSequence) -> 
     if not np.all(np.isfinite(rates)):
         raise NonFiniteIntensityError(f"non-finite intensity at t={t}")
     return rates
+
+
+def compensator(process: GroundTruthProcess, t0: float, t1: float,
+                history: EventSequence) -> np.ndarray:
+    """Integral of the per-type intensity over [t0, t1], in closed form.
+
+    Requires t0 <= t1 and no history events inside (t0, t1); history events
+    at or before t0 drive the Hawkes excitation terms.
+    """
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    if isinstance(process, SinePoissonParams):
+        w = process.omega * np.pi
+        value = process.A * process.b * (t1 - t0) - (process.A / w) * (math.cos(w * t1) - math.cos(w * t0))
+        return np.array([value])
+    values = process.mu * (t1 - t0)
+    for event in history.events:
+        if event.time > t0:
+            continue
+        beta_row = process.beta[event.mark]
+        ratio = process.alpha[event.mark] / beta_row
+        values += ratio * (np.exp(-beta_row * (t0 - event.time)) - np.exp(-beta_row * (t1 - event.time)))
+    return values
 
 
 def numpy_thinning_hawkes(process: HawkesParams, t_end: float, rng: RngStream) -> EventSequence:

@@ -277,8 +277,7 @@ def test_criterion_8_gradient_correctness():
         seq = sequence_from_arrays([0.4, 1.1, 1.9, 2.6], [0, 1, 1, 0], 4.0)
 
         def f(tensors, config=config, seq=seq):
-            return _loglik_tensor(seq.times, seq.marks, seq.t_end,
-                                  _fused_weights(tensors, config), config)
+            return _loglik_tensor(seq, _fused_weights(tensors, config), config)
 
         worst = max(worst, grad_check(f, checkpoint.params))
     ok = worst < 1e-4

@@ -1,7 +1,8 @@
 """The names perfbench's traced runs patch in spectpp must exist, the
 sampler must still reach them through the patched module attributes, and
-the setup path of its sampling workloads must run. A refactor that breaks
-any of these fails here instead of in a benchmark run."""
+the setup path of its sampling workloads must run, and its correctness
+gate must apply the library's sequence rule. A refactor that breaks any of
+these fails here instead of in a benchmark run."""
 
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from spectpp import model, sampler
-from spectpp.core import EventSequence, RngStream
+from spectpp.core import Event, EventSequence, RngStream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,3 +80,12 @@ def test_sampling_runs_through_the_patched_names(perfbench):
             "model.target_forward", "model.draft_forward", "sampler.residual"} <= names
     for i, (mode, prefix, (seq, stats)) in enumerate(outputs):
         assert workloads._check_sampled("contract", mode, i, seq, prefix, stats) == []
+    # the gate checks a sample by the library's one rule, so it reports a
+    # tie and a mark outside [0, N_MARKS) as an invalid sequence
+    _, prefix, (seq, stats) = outputs[-1]
+    *head, last = seq.events
+    for bad, words in ((Event(head[-1].time, last.mark), "non-monotone"),
+                       (Event(last.time, workloads.N_MARKS), "mark out of range")):
+        broken = EventSequence((*head, bad), seq.t_end)
+        problems = workloads._check_sampled("contract", "sd", 0, broken, prefix, stats)
+        assert any("invalid sequence" in p and words in p for p in problems), problems

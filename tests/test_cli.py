@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,13 @@ import pytest
 from click.testing import CliRunner
 
 from spectpp import cli, sampler
-from spectpp.core import RngStream, read_sequences, write_sequences
-from spectpp.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
+from spectpp.classical import ground_truth_loglik, process_from_record
+from spectpp.core import RngStream, read_sequences, validate_sequence, write_sequences
+from spectpp.evaluation import next_event_divergence, time_rescale
+from spectpp.model import (ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint,
+                           sequence_loglik)
 from spectpp.sampler import tpp_sd_sample
+from spectpp.training import nll_batch
 
 from sequences import sequence_from_arrays
 
@@ -474,46 +479,46 @@ def test_unscorable_input_exit_2(runner, workspace, case):
                                           "t_end": 1e-9, "seed": 0},
                                 "likelihood normalization requires at least one event"),
         "ks-mark-range": ("eval-ks", {"sequences": wide, "process": hawkes},
-                          "outside the process's range"),
+                          "mark out of range at index 1"),
         "loglik-mark-range": ("eval-loglik", {"sequences": wide, "sequences_b": None,
                                               "scorer_a": f"process:{hawkes}",
                                               "scorer_b": f"process:{hawkes}"},
-                              "outside the process's range"),
+                              "mark out of range at index 1"),
         "ks-poisson-mark-range": ("eval-ks", {"sequences": wide, "process": poisson},
-                                  "outside the process's range"),
+                                  "mark out of range at index 1"),
         "loglik-poisson-mark-range": ("eval-loglik", {"sequences": wide, "sequences_b": None,
                                                       "scorer_a": f"process:{poisson}",
                                                       "scorer_b": f"process:{poisson}"},
-                                      "outside the process's range"),
+                                      "mark out of range at index 1"),
         "ks-decreasing-times": ("eval-ks", {"sequences": unordered, "process": hawkes},
-                                "sequence times must be non-decreasing"),
+                                "non-monotone at index 1"),
         "ks-after-horizon": ("eval-ks", {"sequences": late, "process": hawkes},
-                             "after the horizon"),
+                             "exceeds horizon at index 1"),
         "loglik-after-horizon": ("eval-loglik", {"sequences": late, "sequences_b": None,
                                                  "scorer_a": f"process:{hawkes}",
                                                  "scorer_b": f"process:{hawkes}"},
-                                 "after the horizon"),
+                                 "exceeds horizon at index 1"),
         "loglik-model-after-horizon": ("eval-loglik", {"sequences": late, "sequences_b": None,
                                                        "scorer_a": f"model:{target}",
                                                        "scorer_b": f"model:{target}"},
-                                       "after t_end"),
-        "ks-nan-time": ("eval-ks", {"sequences": nan_time, "process": hawkes}, "not NaN"),
+                                       "exceeds horizon at index 1"),
+        "ks-nan-time": ("eval-ks", {"sequences": nan_time, "process": hawkes}, "non-finite time nan at index 1"),
         "ks-nan-horizon": ("eval-ks", {"sequences": nan_horizon, "process": hawkes},
-                           "not finite"),
+                           "t_end must be positive and finite"),
         "loglik-nan-time": ("eval-loglik", {"sequences": nan_time, "sequences_b": None,
                                             "scorer_a": f"process:{hawkes}",
-                                            "scorer_b": f"process:{hawkes}"}, "not NaN"),
+                                            "scorer_b": f"process:{hawkes}"}, "non-finite time nan at index 1"),
         "loglik-nan-horizon": ("eval-loglik", {"sequences": nan_horizon, "sequences_b": None,
                                                "scorer_a": f"process:{hawkes}",
-                                               "scorer_b": f"process:{hawkes}"}, "not finite"),
+                                               "scorer_b": f"process:{hawkes}"}, "t_end must be positive and finite"),
         "loglik-model-nan-time": ("eval-loglik", {"sequences": nan_time, "sequences_b": None,
                                                   "scorer_a": f"model:{target}",
-                                                  "scorer_b": f"model:{target}"}, "not NaN"),
+                                                  "scorer_b": f"model:{target}"}, "non-finite time nan at index 1"),
         "loglik-model-nan-horizon": ("eval-loglik", {"sequences": nan_horizon,
                                                      "sequences_b": None,
                                                      "scorer_a": f"model:{target}",
                                                      "scorer_b": f"model:{target}"},
-                                     "not finite"),
+                                     "t_end must be positive and finite"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 
@@ -617,9 +622,9 @@ def test_mismatched_mark_cardinality_exit_2(runner, workspace, case):
                   "mark cardinality"),
         "wasserstein-draft": ("eval-wasserstein", wasserstein, "mark cardinality"),
         "wasserstein-history": ("eval-wasserstein", {**wide, "draft": str(workspace / "draft.json")},
-                                "marks must lie in [0, 2)"),
+                                "mark out of range at index 1"),
         "wasserstein-history-no-draft": ("eval-wasserstein", {**wide, "draft": None},
-                                         "marks must lie in [0, 2)"),
+                                         "mark out of range at index 1"),
     }[case]
     assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
 
@@ -627,7 +632,7 @@ def test_mismatched_mark_cardinality_exit_2(runner, workspace, case):
 @pytest.mark.parametrize("draft", [True, False], ids=["draft", "no-draft"])
 @pytest.mark.parametrize("times, message", [
     ([0.5, 0.3, 1.5, 2.0], "non-monotone at index 1"),
-    ([0.5, math.nan, 1.5, 2.0], "non-finite or negative time at index 1"),
+    ([0.5, math.nan, 1.5, 2.0], "non-finite time nan at index 1"),
 ], ids=["decreasing-time", "nan-time"])
 def test_eval_wasserstein_refuses_an_invalid_history(runner, workspace, times, message, draft):
     """The history that eval wasserstein conditions on is validated as a
@@ -641,6 +646,96 @@ def test_eval_wasserstein_refuses_an_invalid_history(runner, workspace, times, m
             "gamma": 2, "seed": 0}
     assert_exit_from_command_line_and_replay(runner, workspace, "eval-wasserstein", args, 2,
                                              message)
+
+
+# Each violation of the one sequence rule (core.check_sequence), as a JSON
+# lines record's events and t_end, with the words its refusal names. The
+# checkpoints and the Hawkes process below have two marks.
+RULE_VIOLATIONS = {
+    "decreasing-time": ([[1.0, 0], [0.5, 1], [2.0, 0]], 5.0, "non-monotone at index 1"),
+    "tie": ([[1.0, 0], [1.0, 1], [2.0, 0]], 5.0, "non-monotone at index 1"),
+    "time-zero": ([[0.0, 0], [1.0, 1], [2.0, 0]], 5.0, "non-monotone at index 0"),
+    "negative-time": ([[-1.0, 0], [1.0, 1], [2.0, 0]], 5.0, "non-monotone at index 0"),
+    "nan-time": ([[1.0, 0], [math.nan, 1], [2.0, 0]], 5.0, "non-finite time nan at index 1"),
+    "infinite-time": ([[1.0, 0], [1.5, 1], [math.inf, 0]], 5.0,
+                      "non-finite time inf at index 2"),
+    "nan-t-end": ([[1.0, 0], [1.5, 1]], math.nan, "t_end must be positive and finite"),
+    "infinite-t-end": ([[1.0, 0], [1.5, 1]], math.inf, "t_end must be positive and finite"),
+    "t-end-not-positive": ([], -50.0, "t_end must be positive and finite"),
+    "time-after-t-end": ([[1.0, 0], [3.0, 1]], 2.0, "exceeds horizon at index 1"),
+    "negative-mark": ([[1.0, 0], [1.5, -1]], 5.0, "mark out of range at index 1"),
+    "mark-too-large": ([[1.0, 0], [1.5, 2]], 5.0, "mark out of range at index 1"),
+    "fractional-mark": ([[1.0, 0.7], [2.0, 1.9]], 5.0, "cannot be interpreted as an integer"),
+}
+HAWKES_2D_RECORD = {"kind": "hawkes", "mu": [0.4, 0.4], "alpha": [[1.0, 0.5], [0.1, 1.0]],
+                    "beta": [[2.0, 2.0], [2.0, 2.0]]}
+LIBRARY_BOUNDARIES = ["validate_sequence", "time_rescale", "ground_truth_loglik",
+                      "sequence_loglik", "nll_batch", "ar_sample-history",
+                      "tpp_sd_sample-history", "next_event_divergence"]
+COMMAND_BOUNDARIES = ["eval-ks", "eval-loglik-process", "eval-loglik-model", "eval-wasserstein",
+                      "train"]
+
+
+@pytest.mark.parametrize("boundary", LIBRARY_BOUNDARIES + COMMAND_BOUNDARIES)
+@pytest.mark.parametrize("violation", list(RULE_VIOLATIONS))
+def test_every_boundary_refuses_every_violation_of_the_sequence_rule(runner, workspace,
+                                                                      violation, boundary):
+    """Every place a sequence enters applies one rule: the library raises
+    ValueError naming the violation, and each command exits 2 from the
+    command line and from a replayed manifest alike. The file holds the
+    invalid record and then a valid one, so a scorer that let the first
+    through would write a mean. The samplers' run ends at 1.0, before the
+    history's last event, so no forward reads their history: ar_sample used
+    to return a history's out-of-range mark or decreasing times as sampled."""
+    events, t_end, message = RULE_VIOLATIONS[violation]
+    data = workspace / "rule.jsonl"
+    data.write_text(json.dumps({"t_end": t_end, "events": events}) + "\n"
+                    + json.dumps({"t_end": 5.0, "events": [[0.5, 0], [1.0, 1]]}) + "\n")
+    hawkes = workspace / "hawkes2d.json"
+    hawkes.write_text(json.dumps(HAWKES_2D_RECORD))
+    target, draft = str(workspace / "target.json"), str(workspace / "draft.json")
+    if boundary in COMMAND_BOUNDARIES:
+        (workspace / "model_config2.json").write_text(json.dumps({
+            "embed_dim": 8, "n_components": 4, "n_marks": 2}))
+        loglik = {"sequences": str(data), "sequences_b": None}
+        command, args = {
+            "eval-ks": ("eval-ks", {"sequences": str(data), "process": str(hawkes)}),
+            "eval-loglik-process": ("eval-loglik", {**loglik, "scorer_a": f"process:{hawkes}",
+                                                    "scorer_b": f"process:{hawkes}"}),
+            "eval-loglik-model": ("eval-loglik", {**loglik, "scorer_a": f"model:{target}",
+                                                  "scorer_b": f"model:{target}"}),
+            "eval-wasserstein": ("eval-wasserstein", {
+                "target": target, "draft": draft, "sequences": str(data),
+                "m_hist": len(events), "n_reps": 1, "gamma": 1, "seed": 0}),
+            "train": ("train", {"data": str(data),
+                                "model_config": str(workspace / "model_config2.json"),
+                                "train_config": str(workspace / "train_config.json")}),
+        }[boundary]
+        assert_exit_from_command_line_and_replay(runner, workspace, command, args, 2, message)
+        return
+    process = process_from_record(HAWKES_2D_RECORD)
+    target, draft = load_checkpoint(Path(target)), load_checkpoint(Path(draft))
+
+    def validated(seq):
+        report = validate_sequence(seq, 2)
+        if not report.ok:
+            raise ValueError(report.message)
+
+    call = {
+        "validate_sequence": validated,
+        "time_rescale": lambda seq: time_rescale(seq, process),
+        "ground_truth_loglik": lambda seq: ground_truth_loglik(seq, process),
+        "sequence_loglik": lambda seq: sequence_loglik(seq, target),
+        "nll_batch": lambda seq: nll_batch(target, [seq]),
+        "ar_sample-history": lambda seq: sampler.ar_sample(target, 1.0, RngStream(0),
+                                                           history=seq),
+        "tpp_sd_sample-history": lambda seq: sampler.tpp_sd_sample(target, draft, 1.0, 2,
+                                                                   RngStream(0), history=seq),
+        "next_event_divergence": lambda seq: next_event_divergence(target, draft, seq, len(seq),
+                                                                   1, 2, RngStream(0)),
+    }[boundary]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(read_sequences(data)[0])
 
 
 def assert_exit_from_command_line_and_replay(runner, workspace, command, args, code, message):

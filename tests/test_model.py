@@ -428,7 +428,7 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
 
     monkeypatch.setattr(M, "_mixture_log_density", recorded)
     tensors = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
-    M._loglik_tensor(seq.times, seq.marks, seq.t_end, M._fused_weights(tensors, config), config)
+    M._loglik_tensor(seq, M._fused_weights(tensors, config), config)
     (taped,) = terms
     assert isinstance(taped, ad.Tensor) and taped.shape == (n,)
 
@@ -569,9 +569,11 @@ def test_loglik_rejects_an_event_after_the_horizon():
     survival term of one. A NaN t_end used to skip the survival term and
     give a finite log-likelihood."""
     ckpt = M.init_checkpoint(tiny_config(), RngStream(11))
-    for seq, message in ((sequence_from_arrays([1.0, 3.0], [0, 0], 2.0), "after t_end"),
-                         (sequence_from_arrays([1.0, math.nan, 1.5], [0, 0, 0], 2.0), "not NaN"),
-                         (sequence_from_arrays([1.0, 1.5], [0, 0], math.nan), "not finite")):
+    for seq, message in ((sequence_from_arrays([1.0, 3.0], [0, 0], 2.0), "exceeds horizon"),
+                         (sequence_from_arrays([1.0, math.nan, 1.5], [0, 0, 0], 2.0),
+                          "non-finite time"),
+                         (sequence_from_arrays([1.0, 1.5], [0, 0], math.nan),
+                          "t_end must be positive and finite")):
         for score in (lambda: M.sequence_loglik(seq, ckpt), lambda: T.nll_batch(ckpt, [seq])):
             with pytest.raises(ValueError, match=message):
                 score()
@@ -584,8 +586,7 @@ def test_loglik_gradient_matches_finite_differences():
     seq = sequence_from_arrays([0.4, 1.1, 1.9], [0, 1, 1], 4.0)
 
     def f(tensors):
-        return M._loglik_tensor(seq.times, seq.marks, seq.t_end,
-                                M._fused_weights(tensors, config), config)
+        return M._loglik_tensor(seq, M._fused_weights(tensors, config), config)
 
     assert grad_check(f, ckpt.params) < 1e-4
 

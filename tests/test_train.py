@@ -62,7 +62,7 @@ def test_nll_gradient_matches_finite_differences():
     def f(tensors):
         total, fused = None, _fused_weights(tensors, config)
         for seq in seqs:
-            ll = _loglik_tensor(seq.times, seq.marks, seq.t_end, fused, config)
+            ll = _loglik_tensor(seq, fused, config)
             total = ll if total is None else ad.add(total, ll)
         return ad.mul(total, -1.0 / 3.0)
 
