@@ -111,8 +111,8 @@ class SequenceError(ValueError):
 def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
     """The sequence's times and marks, if it is in the format every module
     reads: a finite horizon t_end > 0, finite times 0 < t_1 < ... < t_N <= t_end
-    and marks in [0, n_marks). Otherwise raises ValueError naming the first
-    violation; a SequenceError carries its event index.
+    and integer marks in [0, n_marks). Otherwise raises ValueError naming the
+    first violation; a SequenceError carries its event index.
 
     This is the one rule for a valid sequence: the scorers, the model
     likelihood, training, the samplers' histories and the command line all
@@ -120,9 +120,11 @@ def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.nda
     after the finite t_end, so one mask of O(N) numpy calls covers them all.
     """
     check_horizon(seq.t_end)
-    times, marks = seq.times, seq.marks
+    # the marks as floats, so that one that is not an integer, or that no
+    # int64 holds, fails the mask instead of being truncated or overflowing
+    times, marks = seq.times, np.array([e.mark for e in seq.events], dtype=float)
     ok = ((np.diff(times, prepend=0.0) > 0) & (times <= seq.t_end)
-          & (marks >= 0) & (marks < n_marks))
+          & (marks >= 0) & (marks < n_marks) & (marks == np.floor(marks)))
     if not np.logical_and.reduce(ok):
         i = int(ok.argmin())
         t, previous = float(times[i]), float(times[i - 1]) if i else 0.0
@@ -133,9 +135,10 @@ def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.nda
         elif t > seq.t_end:
             message = f"time exceeds horizon at index {i}: {t} > t_end {seq.t_end}"
         else:
-            message = f"mark out of range at index {i}: {marks[i]} not in [0, {n_marks})"
+            message = (f"mark out of range at index {i}: {seq.events[i].mark!r} is not an "
+                       f"integer in [0, {n_marks})")
         raise SequenceError(message, i)
-    return times, marks
+    return times, marks.astype(int)
 
 
 @dataclass(frozen=True)

@@ -665,6 +665,7 @@ RULE_VIOLATIONS = {
     "time-after-t-end": ([[1.0, 0], [3.0, 1]], 2.0, "exceeds horizon at index 1"),
     "negative-mark": ([[1.0, 0], [1.5, -1]], 5.0, "mark out of range at index 1"),
     "mark-too-large": ([[1.0, 0], [1.5, 2]], 5.0, "mark out of range at index 1"),
+    "mark-beyond-int64": ([[1.0, 0], [1.5, 10**30]], 5.0, "mark out of range at index 1"),
     "fractional-mark": ([[1.0, 0.7], [2.0, 1.9]], 5.0, "cannot be interpreted as an integer"),
 }
 HAWKES_2D_RECORD = {"kind": "hawkes", "mu": [0.4, 0.4], "alpha": [[1.0, 0.5], [0.1, 1.0]],

@@ -42,6 +42,11 @@ def test_time_beyond_horizon_rejected():
 def test_mark_out_of_range_rejected():
     seq = sequence_from_arrays([1.0], [5], 100.0)
     assert not validate_sequence(seq, k_cardinality=3).ok
+    # a mark that is not an integer used to be truncated to a valid one, and
+    # one that no int64 holds raised OverflowError
+    for mark in (0.5, 10**30):
+        report = validate_sequence(EventSequence((Event(1.0, 0), Event(2.0, mark)), 100.0), 3)
+        assert not report.ok and report.index == 1 and "mark out of range" in report.message
 
 
 def test_rng_is_reproducible():
