@@ -285,11 +285,11 @@ def _hawkes_walk(process: HawkesParams, dts: np.ndarray,
     ended by no event. Yields, per interval, the total compensator over it
     and the kernel state decayed to its end, before its event is added.
 
-    The compensator over an interval is the closed form of the integrated
-    intensity: mu summed over types times the interval, plus for each past
-    event of mark i the sum over j of alpha[i, j] / beta[i, j] times the
-    decay spent over the interval. The decays of all intervals come from
-    one exp, so a whole sequence costs O(N) instead of O(N^2).
+    The compensator is the integrated intensity in closed form: the summed
+    mu times the interval, plus alpha[i, j] / beta[i, j] times the decay
+    spent over the interval, summed over j and over past events of mark i.
+    The decays of all intervals come from one exp, so a whole sequence costs
+    O(N) instead of O(N^2).
     """
     k = process.n_marks
     ratio, mu_total = (process.alpha / process.beta).ravel().tolist(), float(np.sum(process.mu))

@@ -109,36 +109,34 @@ class SequenceError(ValueError):
 
 
 def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sequence's times and marks, if it is in the format every module
-    reads: a finite horizon t_end > 0, finite times 0 < t_1 < ... < t_N <= t_end
-    and integer marks in [0, n_marks). Otherwise raises ValueError naming the
-    first violation; a SequenceError carries its event index.
-
-    This is the one rule for a valid sequence: the scorers, the model
-    likelihood, training, the samplers' histories and the command line all
-    apply it. Each comparison is False on a NaN, and an infinite time is
-    after the finite t_end, so one mask of O(N) numpy calls covers them all.
-    """
+    """The sequence's times and marks, if it is valid: a finite horizon
+    t_end > 0, finite times 0 < t_1 < ... < t_N <= t_end and integer marks in
+    [0, n_marks). This is the one rule for a valid sequence, which every
+    module that reads one applies. Otherwise raises a SequenceError (a
+    ValueError) naming the first violation and its event index, found by a
+    walk over the events. A valid one costs a few numpy calls, which a NaN,
+    an infinite time and marks that no int64 array holds all fail."""
     check_horizon(seq.t_end)
-    # the marks as floats, so that one that is not an integer, or that no
-    # int64 holds, fails the mask instead of being truncated or overflowing
-    times, marks = seq.times, np.array([e.mark for e in seq.events], dtype=float)
-    ok = ((np.diff(times, prepend=0.0) > 0) & (times <= seq.t_end)
-          & (marks >= 0) & (marks < n_marks) & (marks == np.floor(marks)))
-    if not np.logical_and.reduce(ok):
-        i = int(ok.argmin())
-        t, previous = float(times[i]), float(times[i - 1]) if i else 0.0
-        if not math.isfinite(t):
-            message = f"non-finite time {t} at index {i}"
-        elif not t > previous:
-            message = f"non-monotone at index {i}: time {t} is not after {previous}"
-        elif t > seq.t_end:
-            message = f"time exceeds horizon at index {i}: {t} > t_end {seq.t_end}"
-        else:
-            message = (f"mark out of range at index {i}: {seq.events[i].mark!r} is not an "
-                       f"integer in [0, {n_marks})")
-        raise SequenceError(message, i)
-    return times, marks.astype(int)
+    times, marks = seq.times, np.array([e.mark for e in seq.events])
+    if times.size and not (times[0] > 0 and times[-1] <= seq.t_end
+                           and np.logical_and.reduce(times[1:] > times[:-1])
+                           and marks.dtype.kind in "iu" and marks.min() >= 0
+                           and marks.max() < n_marks):
+        previous = 0.0
+        for i, (t, mark) in enumerate(zip(times.tolist(), [e.mark for e in seq.events])):
+            if not math.isfinite(t):
+                message = f"non-finite time {t} at index {i}"
+            elif not t > previous:
+                message = f"non-monotone at index {i}: time {t} is not after {previous}"
+            elif t > seq.t_end:
+                message = f"time exceeds horizon at index {i}: {t} > t_end {seq.t_end}"
+            elif not (isinstance(mark, (int, np.integer)) and 0 <= mark < n_marks):
+                message = f"mark out of range at index {i}: {mark!r} not in range({n_marks})"
+            else:
+                previous = t
+                continue
+            raise SequenceError(message, i)
+    return times, marks.astype(int, copy=False)
 
 
 @dataclass(frozen=True)
@@ -152,8 +150,7 @@ class ValidationReport:
 
 def validate_sequence(seq: EventSequence, k_cardinality: int) -> ValidationReport:
     """check_sequence's rule as a report: ok, or the first violation's
-    message and event index (None when the horizon is at fault). An empty
-    sequence on a valid horizon is valid."""
+    message and event index (None when the horizon is at fault)."""
     try:
         check_sequence(seq, k_cardinality)
     except ValueError as exc:
