@@ -114,8 +114,8 @@ def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.nda
     [0, n_marks). This is the one rule for a valid sequence, which every
     module that reads one applies. Otherwise raises a SequenceError (a
     ValueError) naming the first violation and its event index, found by a
-    walk over the events. A valid one costs a few numpy calls, which a NaN,
-    an infinite time and marks that no int64 array holds all fail."""
+    walk over the events. A valid one passes on a few numpy calls, which a
+    NaN, an infinite time or marks that are not all int64 integers fail."""
     check_horizon(seq.t_end)
     times, marks = seq.times, np.array([e.mark for e in seq.events])
     if times.size and not (times[0] > 0 and times[-1] <= seq.t_end
