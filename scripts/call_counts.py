@@ -11,8 +11,12 @@ function (``call``) and of a builtin or C function (``c_call``). It then
 lists the functions called most per SD event, and counts one cached one-row
 pass of each model after a 9-event history, and each phase of one SD step
 after a warm step on a 10-event history: one draft of gamma 10, one verify
-and one residual interval draw between the two models' rows. It takes no
-options:
+and one residual interval draw between the two models' rows. Three more
+counts do not depend on timing either: over the same SD runs, the residual
+proposals scored under both mixtures per residual interval draw, next to
+those the draws used; the target rows encoded per verify; and the encoder
+caches' growths per SD run, with the calls of ``grown``, which copies one
+buffer of a growing cache, per SD event. It takes no options:
 
     python3 scripts/call_counts.py
 """
@@ -60,6 +64,39 @@ def counted(fn, *args, **kwargs):
     return result, counts["call"], counts["c_call"], by_function
 
 
+def residual_scoring(target, draft):
+    """Residual interval draws, the proposals they used and the proposals
+    they scored, over the SD runs above: each draw's density evaluations
+    are counted by their intervals, one score under each mixture."""
+    draws = used = scored = 0
+    inside = False
+    draw, density = sampler._residual_interval_sample_info, sampler._mixture_logpdf
+
+    def counted_density(tau, params):
+        nonlocal scored
+        if inside:
+            scored += len(tau)
+        return density(tau, params)
+
+    def counted_draw(*args):
+        nonlocal draws, used, inside
+        inside = True
+        try:
+            out = draw(*args)
+        finally:
+            inside = False
+        draws, used = draws + 1, used + out[1]
+        return out
+
+    sampler._residual_interval_sample_info, sampler._mixture_logpdf = counted_draw, counted_density
+    try:
+        for i in range(SEQUENCES):
+            sampler.tpp_sd_sample(target, draft, T_END, GAMMA, RngStream(SEED).child(f"seq{i}"))
+    finally:
+        sampler._residual_interval_sample_info, sampler._mixture_logpdf = draw, density
+    return draws, used, scored // 2
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         target_path, draft_path = build_pair(pathlib.Path(tmp), n_layers=20, embed_dim=48,
@@ -68,6 +105,7 @@ def main() -> None:
 
     print(f"sample-short shape, t_end {T_END}, seed {SEED}, sequences 0-{SEQUENCES - 1}")
     sd_functions = collections.Counter()
+    sd_stats = []
     for mode in ("ar", "sd"):
         events = python = builtin = 0
         for i in range(SEQUENCES):
@@ -75,9 +113,10 @@ def main() -> None:
             if mode == "ar":
                 (seq, _), p, b, _ = counted(sampler.ar_sample, target, T_END, rng)
             else:
-                (seq, _), p, b, functions = counted(sampler.tpp_sd_sample, target, draft, T_END,
-                                                    GAMMA, rng)
+                (seq, stats), p, b, functions = counted(sampler.tpp_sd_sample, target, draft,
+                                                        T_END, GAMMA, rng)
                 sd_functions.update(functions)
+                sd_stats.append(stats)
             events, python, builtin = events + len(seq), python + p, builtin + b
         label = "AR" if mode == "ar" else f"SD gamma={GAMMA}"
         print(f"{label:<12} {events:5d} events  {python / events:8.1f} Python-level calls"
@@ -85,6 +124,16 @@ def main() -> None:
     print(f"the {TOP} functions called most per SD event:")
     for name, calls in sd_functions.most_common(TOP):
         print(f"  {calls / events:8.2f}  {name}")
+    draws, used, scored = residual_scoring(target, draft)
+    verifies = sum(stats.iterations for stats in sd_stats)
+    grown = sum(calls for name, calls in sd_functions.items() if ".grown " in name)
+    growths = sum(calls for name, calls in sd_functions.items() if "._reserve " in name)
+    print(f"residual proposals per interval draw  {scored / draws:6.2f} scored  "
+          f"{used / draws:6.2f} used  ({draws} draws)")
+    print(f"target rows encoded per verify        "
+          f"{sum(s.target_rows_encoded for s in sd_stats) / verifies:6.2f}  (gamma {GAMMA})")
+    print(f"cache growths per SD run              {growths / SEQUENCES:6.2f}  "
+          f"({grown / events:.3f} grown calls per SD event)")
 
     history = EventSequence(tuple(Event(0.5 * (i + 1), i % 2) for i in range(10)), T_END)
     for name, ckpt in (("target", target), ("draft", draft)):

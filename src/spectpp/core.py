@@ -108,6 +108,10 @@ class SequenceError(ValueError):
         self.index = index
 
 
+# mark types that are not integers, though numpy and Python count them as ints
+_BOOLS = {bool, np.bool_}
+
+
 def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
     """The sequence's times and marks, if it is valid: a finite horizon
     t_end > 0, finite times 0 < t_1 < ... < t_N <= t_end and integer marks in
@@ -115,22 +119,25 @@ def check_sequence(seq: EventSequence, n_marks: int) -> tuple[np.ndarray, np.nda
     module that reads one applies. Otherwise raises a SequenceError (a
     ValueError) naming the first violation and its event index, found by a
     walk over the events. A valid one passes on a few numpy calls, which a
-    NaN, an infinite time or marks that are not all int64 integers fail."""
+    NaN, an infinite time or marks that are not all int64 integers fail;
+    a bool is not an integer mark, though Python's bool is an int."""
     check_horizon(seq.t_end)
-    times, marks = seq.times, np.array([e.mark for e in seq.events])
+    mark_list = [e.mark for e in seq.events]
+    times, marks = seq.times, np.array(mark_list)
     if times.size and not (times[0] > 0 and times[-1] <= seq.t_end
                            and np.logical_and.reduce(times[1:] > times[:-1])
                            and marks.dtype.kind in "iu" and marks.min() >= 0
-                           and marks.max() < n_marks):
+                           and marks.max() < n_marks and _BOOLS.isdisjoint(map(type, mark_list))):
         previous = 0.0
-        for i, (t, mark) in enumerate(zip(times.tolist(), [e.mark for e in seq.events])):
+        for i, (t, mark) in enumerate(zip(times.tolist(), mark_list)):
             if not math.isfinite(t):
                 message = f"non-finite time {t} at index {i}"
             elif not t > previous:
                 message = f"non-monotone at index {i}: time {t} is not after {previous}"
             elif t > seq.t_end:
                 message = f"time exceeds horizon at index {i}: {t} > t_end {seq.t_end}"
-            elif not (isinstance(mark, (int, np.integer)) and 0 <= mark < n_marks):
+            elif not (isinstance(mark, (int, np.integer)) and type(mark) not in _BOOLS
+                      and 0 <= mark < n_marks):
                 message = f"mark out of range at index {i}: {mark!r} not in range({n_marks})"
             else:
                 previous = t
@@ -218,16 +225,36 @@ def sequence_to_record(seq: EventSequence) -> dict:
     return {"t_end": seq.t_end, "events": [[e.time, e.mark] for e in seq.events]}
 
 
+def _number(value, name: str) -> float:
+    """A time or t_end that is not a JSON float: an integer as a float;
+    anything else, a string or a bool too, raises TypeError."""
+    if type(value) is int:
+        return float(value)
+    raise TypeError(f"{name} {value!r} is not a number")
+
+
+def _integer(value) -> int:
+    """A mark that is not a JSON integer: a bool, which operator.index reads
+    as 1 or 0, raises TypeError, and so does operator.index for a float
+    such as 0.7, which int() would truncate to a valid mark, or a string."""
+    if type(value) is bool:
+        raise TypeError(f"mark {value!r} is not an integer")
+    return index(value)
+
+
 def sequence_from_record(record: dict) -> EventSequence:
-    """The sequence a record holds. A mark must be a JSON integer:
-    operator.index refuses a float such as 0.7, which int() would truncate
-    to a valid mark, at int()'s per-event cost."""
+    """The sequence a record holds. Times and t_end must be JSON numbers and
+    marks JSON integers. A float time and an int mark, the common case,
+    are taken as they are after one type compare each; anything else goes
+    through _number or _integer, which refuse strings and bools."""
     try:
-        events = tuple(Event(float(t), index(k)) for t, k in record["events"])
-        t_end = float(record["t_end"])
+        pairs, t_end = record["events"], record["t_end"]
+        events = tuple(Event(t if type(t) is float else _number(t, "time"),
+                             k if type(k) is int else _integer(k)) for t, k in pairs)
+        t_end = t_end if type(t_end) is float else _number(t_end, "t_end")
     except TypeError as exc:
         # a record that is not an object, events that are not [time, mark]
-        # pairs, or a mark that is not an integer
+        # pairs, or a time or mark of the wrong type
         raise ValueError(f"malformed sequence record: {exc}") from None
     return EventSequence(events, t_end)
 

@@ -31,9 +31,13 @@ mixture weight, mean and scale projections, which are stacked with the
 mark hidden projection into one (d, 3M+d) matrix and one bias; the mark
 output product follows. Every forward reads the fused matrices from one
 Weights, built once per EncoderCache from the raw arrays, once per
-sequence_loglik call, and once per training minibatch on the tape. A
-forward's head rows get one finiteness check; the heads make simplexes
-and positive scales by construction.
+sequence_loglik call, and once per training minibatch on the tape. The
+likelihood turns the products into log-weights, as training needs them. A
+sampling forward makes each head row once and in place: one finiteness
+check of the pre-activations and mark logits, then one softmax each for
+the weights and the mark probabilities and a clipped exp for the scales,
+written into the cache's head rows, which the returned distributions are
+views of.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ CHECKPOINT_FORMAT_VERSION = 2
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 1e4
 _LOG_2PI = math.log(2.0 * math.pi)
+# events an encoder cache holds room for beyond those of its first forward
+_CACHE_ROOM = 128
 
 ENCODINGS = ("thp", "sahp", "attnhp")
 # m and M of the attnhp temporal encoding
@@ -100,11 +106,13 @@ class ModelConfig:
 class MixtureParams:
     """Log-normal mixture over a positive interval: simplex weights,
     component log-means, positive component scales, as float arrays of
-    shape (M,) for one mixture or (R, M) for R stacked rows. The heads make
-    them, and _check_head_rows checks them once there. A mixture built
-    elsewhere is not checked when it is made, but where it is used:
-    mixture_logpdf refuses tau <= 0 and a scale <= 0, and sample_interval
-    refuses a draw that is not positive and finite."""
+    shape (M,) for one mixture or (R, M) for R stacked rows. The sampling
+    forwards make each row once: _head_rows checks the heads'
+    pre-activations, takes the weights from one softmax of their logits and
+    writes every row into the cache's head rows, which the returned arrays
+    are views of. A mixture built elsewhere is not checked when it is made,
+    but where it is used: mixture_logpdf refuses tau <= 0 and a scale <= 0,
+    and sample_interval refuses a draw that is not positive and finite."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -119,7 +127,8 @@ class MixtureParams:
 class MarkDistribution:
     """Categorical distribution over the K mark values, a float array of
     shape (K,) or (R, K) for R stacked rows. Like MixtureParams, it is
-    checked once where the heads make it."""
+    made once, from one softmax of the mark logits, where the heads write
+    it."""
 
     probabilities: np.ndarray
 
@@ -409,12 +418,21 @@ class EncoderCache:
     hidden rows are written into one buffer. The context rows of a forward
     are a view of that buffer, so a one-row pass reads its one row and
     joins no arrays.
+    Beside each position's hidden row it keeps that position's head rows:
+    ``head_rows`` holds the mixture weights, means and scales and the mark
+    probabilities, with row i for the next event after the first i events.
+    A forward's heads write the rows they make there, and the distributions
+    it returns are views of them, valid until a later forward of the cache
+    writes the same positions. So a draft's gamma one-row passes leave the
+    rows of all its candidates side by side, with no copy.
     Key and value buffers have shape (heads, capacity, head_dim); a cache
-    that must hold n events grows to capacity 2n, so the events sampled
-    after a long history do not reallocate them. The checkpoint's
-    parameters must not change while the cache is in use, nor the dtypes
-    of the times and marks that its forwards read (float and int, as an
-    EventSequence's and a sampling run's are).
+    that must hold n events grows to capacity max(2n, n + 128). So a
+    sampling run sizes its caches once, at its first forward, with room for
+    the history and 128 more events, a dozen draft steps at gamma 10, and
+    the events sampled after a long history do not reallocate them. The
+    checkpoint's parameters must not change while the cache is in use, nor
+    the dtypes of the times and marks that its forwards read (float and
+    int, as an EventSequence's and a sampling run's are).
     """
 
     def __init__(self, checkpoint: ModelCheckpoint) -> None:
@@ -426,6 +444,9 @@ class EncoderCache:
         # the bytes of the last forward's times and marks; the first size events are held
         self._held = (b"", b"")
         self.hidden = np.empty((0, config.embed_dim))
+        m = config.n_components
+        self.head_rows = (np.empty((1, m)), np.empty((1, m)), np.empty((1, m)),
+                          np.empty((1, config.n_marks)))
         shape = (config.n_heads, 0, self.weights.head_dim)
         self._keys = [np.empty(shape) for _ in range(config.n_layers)]
         self._values = [np.empty(shape) for _ in range(config.n_layers)]
@@ -439,18 +460,20 @@ class EncoderCache:
         return np.frombuffer(self._held[1], dtype=int)[:self.size]
 
     def _reserve(self, n: int) -> None:
-        """Grow the buffers to capacity 2n, at least 16, keeping the held rows."""
-        capacity = max(2 * n, 16)
+        """Grow the buffers to capacity max(2n, n + _CACHE_ROOM), keeping the
+        held rows and the head rows up to position ``size``."""
+        capacity = max(2 * n, n + _CACHE_ROOM)
 
-        def grown(buffer: np.ndarray, axis: int = 0) -> np.ndarray:
+        def grown(buffer: np.ndarray, axis: int = 0, extra: int = 0) -> np.ndarray:
             shape = list(buffer.shape)
-            shape[axis] = capacity
+            shape[axis] = capacity + extra
             out = np.empty(shape, dtype=buffer.dtype)
-            held = (slice(None),) * axis + (slice(self.size),)
+            held = (slice(None),) * axis + (slice(self.size + extra),)
             out[held] = buffer[held]
             return out
 
         self.hidden = grown(self.hidden)
+        self.head_rows = tuple(grown(rows, extra=1) for rows in self.head_rows)
         self._keys = [grown(b, 1) for b in self._keys]
         self._values = [grown(b, 1) for b in self._values]
 
@@ -496,37 +519,63 @@ class EncoderCache:
 # decoder heads
 # ---------------------------------------------------------------------------
 
-def _head_tensors(ctx, weights: Weights, config: ModelConfig):
-    """Mixture log-weights/means/scales and mark logits for each context
-    row, or for one row given as a vector, from the fused heads: one product
-    and bias give every row's weight logits, log-means, log-scales and mark
-    hidden layer."""
+def _head_products(ctx, weights: Weights, config: ModelConfig):
+    """The fused heads' pre-activations and mark logits of each context row,
+    or of one row given as a vector: one product and bias give every row's
+    weight logits, log-means, log-scales and mark hidden layer, in that
+    order, and the mark output product follows."""
     w_in, b_in, w_out, b_out = weights.heads
-    ops, m = weights.ops, config.n_components
+    ops = weights.ops
     pre = ops.add(ops.matmul(ctx, w_in), b_in)
+    return pre, ops.add(ops.matmul(ops.tanh(pre[..., 3 * config.n_components:]), w_out), b_out)
+
+
+def _head_tensors(ctx, weights: Weights, config: ModelConfig):
+    """Mixture log-weights/means/scales and mark logits of the heads'
+    products, for the likelihood, on the tape in training."""
+    pre, mark_logits = _head_products(ctx, weights, config)
+    ops, m = weights.ops, config.n_components
     w_logits, mu, log_sigma = pre[..., :m], pre[..., m:2 * m], pre[..., 2 * m:3 * m]
     log_w = ops.sub(w_logits, ops.logsumexp(w_logits, axis=-1, keepdims=True))
     sigma = ops.clip(ops.exp(log_sigma), SIGMA_MIN, SIGMA_MAX)
-    mark_logits = ops.add(ops.matmul(ops.tanh(pre[..., 3 * m:]), w_out), b_out)
     return log_w, mu, sigma, mark_logits
 
 
-def _check_head_rows(*outputs: np.ndarray) -> None:
-    """The one check of a forward's head rows: every value is finite. The
-    heads give simplex weights and probabilities (softmax, logsumexp) and
-    positive scales (clip) by construction, so only a non-finite value can
-    make a row invalid."""
-    if not np.logical_and.reduce(np.isfinite(np.concatenate(outputs, axis=-1)), axis=None):
+def _check_head_rows(pre: np.ndarray, mark_logits: np.ndarray) -> None:
+    """The one check of a sampling forward's head rows: the heads'
+    pre-activations and mark logits are finite. From finite ones the
+    softmaxes make simplex weights and probabilities and the clip positive
+    scales, so only a non-finite pre-activation or logit can make a row
+    invalid; the check also refuses a +inf log-scale, which the clip would
+    turn into SIGMA_MAX."""
+    if not (np.logical_and.reduce(np.isfinite(pre), axis=None)
+            and np.logical_and.reduce(np.isfinite(mark_logits), axis=None)):
         raise FloatingPointError("head rows contain non-finite values")
 
 
-def _distributions(log_w: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                   mark_logits: np.ndarray) -> tuple[MixtureParams, MarkDistribution]:
-    """Head outputs as distributions; leading axes are kept as rows."""
-    e = np.exp(mark_logits - np.maximum.reduce(mark_logits, axis=-1, keepdims=True))
-    weights, probabilities = np.exp(log_w), e / np.add.reduce(e, axis=-1, keepdims=True)
-    _check_head_rows(weights, mu, sigma, probabilities)
-    return MixtureParams(weights, mu, sigma), MarkDistribution(probabilities)
+def _head_rows(ctx, cache: EncoderCache, at: int | slice
+               ) -> tuple[MixtureParams, MarkDistribution]:
+    """The distributions of the context rows ``ctx``, or of one row given as
+    a vector, made once and written at positions ``at`` of the cache's
+    head rows; the returned arrays are views of them. After the one check,
+    on the pre-activations, the weights and the mark probabilities come
+    from one softmax each of their logits and the scales from the clipped
+    exp of the log-scales, every step writing into the rows."""
+    config = cache.checkpoint.config
+    pre, mark_logits = _head_products(ctx, cache.weights, config)
+    _check_head_rows(pre, mark_logits)
+    m = config.n_components
+    weight_rows, mean_rows, scale_rows, probability_rows = cache.head_rows
+    weights, means, scales = weight_rows[at], mean_rows[at], scale_rows[at]
+    probabilities = probability_rows[at]
+    for logits, out in ((pre[..., :m], weights), (mark_logits, probabilities)):
+        np.exp(np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out),
+               out=out)
+        np.divide(out, np.add.reduce(out, axis=-1, keepdims=True), out=out)
+    means[...] = pre[..., m:2 * m]
+    np.exp(pre[..., 2 * m:3 * m], out=scales)
+    np.minimum(np.maximum(scales, SIGMA_MIN, out=scales), SIGMA_MAX, out=scales)
+    return MixtureParams(weights, means, scales), MarkDistribution(probabilities)
 
 
 def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
@@ -539,11 +588,14 @@ def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *
     per-prefix recomputation is what makes batched verification valid.
     With a cache, the rows start at the first position it did not hold:
     they are the last N+1-P rows, where P events were reused. Without one,
-    the call encodes all events through a fresh cache.
+    the call encodes all events through a fresh cache. The rows are views
+    of the cache's head rows, valid until its next forward writes their
+    positions.
     """
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    return _distributions(*_head_tensors(ctx, cache.weights, checkpoint.config))
+    end = cache.size + 1
+    return _head_rows(ctx, cache, slice(end - len(ctx), end))
 
 
 def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
@@ -551,10 +603,11 @@ def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint,
                              ) -> tuple[MixtureParams, MarkDistribution]:
     """Distributions of the next interval and mark given the events so far:
     the last row of position_distributions, with the heads run on that row
-    only, as a vector."""
+    only, as a vector, and written at the last position of the cache's head
+    rows, of which the arrays are views."""
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
-    return _distributions(*_head_tensors(ctx[-1], cache.weights, checkpoint.config))
+    return _head_rows(ctx[-1], cache, cache.size)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ model's next-event law.
 A run keeps its events as times and marks in growing arrays, which the
 forward reads as it reads an EventSequence's. The sampling loops own that
 state and the run's caches and streams, and pass them to each step. AR and
-drafting take each event from one draw; drafting and verifying append
-their candidates and truncate back, and emitting appends the accepted
-prefix and the replacement. Both loops end in one finish, which drops the
+drafting draw each event in one order, interval then mark; drafting and
+verifying append their candidates and truncate back, and emitting appends
+the accepted prefix and the replacement. Both loops end in one finish, which drops the
 events after t_end and builds the output's Events and EventSequence once.
 """
 
@@ -45,6 +45,9 @@ logger = logging.getLogger(__name__)
 
 RESIDUAL_MAX_PROPOSALS = 10_000
 _RESIDUAL_CHUNK = 64
+# proposals of a chunk scored before the rest: a draw uses about 4 on
+# perfbench's pair, where a first 16 gave the fastest draws of 3 to 64
+_RESIDUAL_FIRST = 16
 
 
 class ZeroResidualError(FloatingPointError):
@@ -112,12 +115,14 @@ class DraftBatch:
     """Gamma candidate events drafted autoregressively from the draft model:
     their times, marks, intervals and interval log-densities as arrays, plus
     the draft head rows each was sampled under, stacked like verify's target
-    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution,
-    whose arrays draft allocates once and fills a row per candidate.
-    draft makes the times strictly increase, since advance_clock refuses a
-    clock that does not move, and the log-densities finite, since each
-    interval is a positive finite draw from a component of checked head rows
-    with a scale in [SIGMA_MIN, SIGMA_MAX]."""
+    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution.
+    The rows are views of the draft cache's head rows, where each of the
+    gamma forwards wrote its own, so they hold until that cache's next
+    forward at those positions, the next draft step's. draft makes the
+    times strictly increase, since advance_clock refuses a clock that does
+    not move, and the log-densities finite, since each interval is a
+    positive finite draw from a component of checked head rows with a scale
+    in [SIGMA_MIN, SIGMA_MAX]."""
 
     times: np.ndarray
     marks: np.ndarray
@@ -242,32 +247,38 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
     after the run's events, with the head rows of all of them and the
     interval log-density at each. Each candidate is appended to the run's
     state for the next forward, and the state is truncated back before the
-    call returns. Each of the gamma forwards checks its own row pair and
-    writes its rows into preallocated (gamma, M) and (gamma, K) arrays; all
-    gamma intervals are then scored against their rows with one
+    call returns. Each of the gamma forwards checks its head row and
+    writes it into the cache's head rows at its candidate's position, and
+    the candidate is drawn there, in sample_interval's and then
+    categorical's draw order; the batch's rows are views of those gamma
+    positions, and all gamma intervals are scored against them with one
     mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     n_hist, clock = len(events), events.last_time
-    n_components, n_marks = draft_model.config.n_components, draft_model.config.n_marks
+    normal = rng.generator.standard_normal
     intervals = np.empty(gamma)
-    weights, means, scales = (np.empty((gamma, n_components)), np.empty((gamma, n_components)),
-                              np.empty((gamma, n_components)))
-    probabilities = np.empty((gamma, n_marks))
     for i in range(gamma):
-        tau, mark, mixture, mark_dist = _next_event(draft_model, events, rng, cache)
+        mixture, mark_dist = next_event_distributions(events, draft_model, cache=cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
+        component = rng.categorical(mixture.weights)
+        try:
+            tau = math.exp(mixture.means[component] + mixture.scales[component] * normal())
+        except OverflowError:
+            raise FloatingPointError("sampled interval overflowed") from None
+        if not 0.0 < tau < math.inf:
+            raise FloatingPointError(f"sampled interval {tau} is not a positive finite number")
         clock = advance_clock(clock, tau)
-        events.append(clock, mark)
+        events.append(clock, rng.categorical(mark_dist.probabilities))
         intervals[i] = tau
-        weights[i], means[i], scales[i] = mixture.weights, mixture.means, mixture.scales
-        probabilities[i] = mark_dist.probabilities
     times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
     events.truncate(n_hist)
-    stacked = MixtureParams(weights, means, scales)
-    return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, stacked), stacked,
-                      MarkDistribution(probabilities))
+    rows = slice(n_hist, n_hist + gamma)
+    weights, means, scales, probabilities = cache.head_rows
+    mixtures = MixtureParams(weights[rows], means[rows], scales[rows])
+    return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, mixtures), mixtures,
+                      MarkDistribution(probabilities[rows]))
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -281,7 +292,13 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
     is only reachable when the two densities are nearly identical, where
     the fallback law differs negligibly from the residual law. The
     component CDF is built once per draw, and every chunk runs in one error
-    state that ignores overflow and the log of a zero density.
+    state that ignores overflow and the log of a zero density. Each chunk
+    draws its component uniforms, normals and acceptance uniforms at once,
+    so the stream moves as if every proposal were scored, but its
+    proposals are scored under both mixtures only up to the first
+    acceptance: the first _RESIDUAL_FIRST of them, then the rest. A prefix
+    scores to the same bits as the whole chunk, since the density is
+    elementwise in the intervals.
     """
     random, standard_normal = rng.generator.random, rng.generator.standard_normal
     weights = g_target.weights
@@ -294,12 +311,15 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
             taus = np.exp(g_target.means[comps] + g_target.scales[comps] * standard_normal(chunk))
             if not np.logical_and.reduce((taus > 0.0) & (taus < np.inf)):
                 raise FloatingPointError("residual interval proposal under- or overflowed")
-            log_t = _mixture_logpdf(taus, g_target)
-            log_d = _mixture_logpdf(taus, g_draft)
-            accept_prob = np.maximum(0.0, 1.0 - np.exp(np.minimum(0.0, log_d - log_t)))
-            hits = (random(chunk) < accept_prob).nonzero()[0]
-            if hits.size:
-                return float(taus[hits[0]]), used + int(hits[0]) + 1, False
+            uniforms = random(chunk)
+            for scored in (slice(0, _RESIDUAL_FIRST), slice(_RESIDUAL_FIRST, chunk)):
+                log_t = _mixture_logpdf(taus[scored], g_target)
+                log_d = _mixture_logpdf(taus[scored], g_draft)
+                accept_prob = np.maximum(0.0, 1.0 - np.exp(np.minimum(0.0, log_d - log_t)))
+                hits = (uniforms[scored] < accept_prob).nonzero()[0]
+                if hits.size:
+                    hit = scored.start + int(hits[0])
+                    return float(taus[hit]), used + hit + 1, False
             used += chunk
     logger.warning("residual interval sampler exhausted %d proposals; "
                    "falling back to a plain target draw", RESIDUAL_MAX_PROPOSALS)
@@ -321,10 +341,11 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
            residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache) -> VerificationOutcome:
     """Verify a draft batch after the run's events with one batched target
-    forward pass, which encodes only the events the cache lacks. The cache
-    is first rolled back to at most the run's events, so the candidates are
-    always encoded. They are appended to the run's state for that forward,
-    and the state is truncated back right after it.
+    forward pass, which encodes only the events the cache lacks. Every
+    candidate but the last is appended to the run's state for that
+    forward, since the row after the last one is never read, and the state
+    is truncated back right after it. The cache is first rolled back to at
+    most the run's events, so the appended candidates are always encoded.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -338,7 +359,7 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     n_hist, gamma = len(events), len(batch)
     # an earlier step's candidates on the same events would be held rows
     cache.size = min(cache.size, n_hist)
-    events.append(batch.times, batch.marks)
+    events.append(batch.times[:-1], batch.marks[:-1])
     mixtures, mark_dists = position_distributions(events, target, cache=cache)
     events.truncate(n_hist)
     stats.target_forward_passes += 1
@@ -349,10 +370,9 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     u_interval = rng.uniform(gamma)
     u_mark = rng.uniform(gamma)
 
-    # The rows end at position n_hist + gamma, and candidate l is scored by
-    # position n_hist + l, so the candidates are the gamma rows before the
-    # last.
-    first = len(mixtures.weights) - gamma - 1
+    # The rows end at position n_hist + gamma - 1, and candidate l is scored
+    # by position n_hist + l, so the candidates are the last gamma rows.
+    first = len(mixtures.weights) - gamma
     candidates = np.arange(gamma)
     f_t = mark_dists.probabilities[candidates + first, batch.marks]
     f_d = batch.mark_dists.probabilities[candidates, batch.marks]

@@ -21,7 +21,8 @@ def package_logger():
 
 @pytest.fixture()
 def head_row_checks(monkeypatch):
-    """Count of head-row finiteness checks."""
+    """Count of head-row finiteness checks, each of one forward's heads'
+    pre-activations and mark logits."""
     counts = {"head_rows": 0}
 
     def counted(*outputs, _check=M._check_head_rows):

@@ -1,7 +1,8 @@
-"""Reference forms of the ground-truth processes, kept as test oracles:
-the conditional intensity summed event by event, the closed-form
-compensator with a history, and the thinning and time-rescaling
-recursions with the kernel state held in numpy arrays."""
+"""Reference forms kept as test oracles: of the ground-truth processes, the
+conditional intensity summed event by event, the closed-form compensator
+with a history, and the thinning and time-rescaling recursions with the
+kernel state held in numpy arrays; of the sampler, the residual interval
+draw that scores every proposal of a chunk."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 
 from spectpp.classical import GroundTruthProcess, HawkesParams, NonFiniteIntensityError, SinePoissonParams
 from spectpp.core import Event, EventSequence, RngStream
+from spectpp.model import MixtureParams, _mixture_logpdf, sample_interval
+from spectpp.sampler import _RESIDUAL_CHUNK, RESIDUAL_MAX_PROPOSALS
 
 
 def intensity(process: GroundTruthProcess, t: float, history: EventSequence) -> np.ndarray:
@@ -104,3 +107,30 @@ def numpy_compensator_increments(seq: EventSequence, process: HawkesParams) -> n
         state = state * decays[i]
         state[mark] += 1.0
     return increments
+
+
+def full_chunk_residual_interval(g_target: MixtureParams, g_draft: MixtureParams,
+                                 rng: RngStream) -> tuple[float, int, bool]:
+    """The sampler's residual interval draw with every proposal of a chunk
+    scored under both mixtures before the first acceptance is looked for:
+    (value, proposals used, fell back), from the same draws in the same
+    order, and the plain target draw once the budget is spent."""
+    random, standard_normal = rng.generator.random, rng.generator.standard_normal
+    weights = g_target.weights
+    cdf, total, last = np.add.accumulate(weights), np.add.reduce(weights), len(weights) - 1
+    used = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while used < RESIDUAL_MAX_PROPOSALS:
+            chunk = min(_RESIDUAL_CHUNK, RESIDUAL_MAX_PROPOSALS - used)
+            comps = np.minimum(cdf.searchsorted(random(chunk) * total, side="right"), last)
+            taus = np.exp(g_target.means[comps] + g_target.scales[comps] * standard_normal(chunk))
+            if not np.logical_and.reduce((taus > 0.0) & (taus < np.inf)):
+                raise FloatingPointError("residual interval proposal under- or overflowed")
+            log_t = _mixture_logpdf(taus, g_target)
+            log_d = _mixture_logpdf(taus, g_draft)
+            accept_prob = np.maximum(0.0, 1.0 - np.exp(np.minimum(0.0, log_d - log_t)))
+            hits = (random(chunk) < accept_prob).nonzero()[0]
+            if hits.size:
+                return float(taus[hits[0]]), used + int(hits[0]) + 1, False
+            used += chunk
+    return sample_interval(g_target, rng), RESIDUAL_MAX_PROPOSALS, True

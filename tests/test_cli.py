@@ -667,6 +667,9 @@ RULE_VIOLATIONS = {
     "mark-too-large": ([[1.0, 0], [1.5, 2]], 5.0, "mark out of range at index 1"),
     "mark-beyond-int64": ([[1.0, 0], [1.5, 10**30]], 5.0, "mark out of range at index 1"),
     "fractional-mark": ([[1.0, 0.7], [2.0, 1.9]], 5.0, "cannot be interpreted as an integer"),
+    "bool-mark": ([[1.0, 0], [1.5, True]], 5.0, "mark True is not an integer"),
+    "string-time": ([[1.0, 0], ["1.5", 1]], 5.0, "time '1.5' is not a number"),
+    "string-t-end": ([[1.0, 0], [1.5, 1]], "5", "t_end '5' is not a number"),
 }
 HAWKES_2D_RECORD = {"kind": "hawkes", "mu": [0.4, 0.4], "alpha": [[1.0, 0.5], [0.1, 1.0]],
                     "beta": [[2.0, 2.0], [2.0, 2.0]]}

@@ -49,6 +49,18 @@ def test_mark_out_of_range_rejected():
         assert not report.ok and report.index == 1 and "mark out of range" in report.message
 
 
+def test_a_bool_mark_is_refused():
+    """Python's bool is an int, and a sequence whose marks are all bools, or
+    ints with a bool among them, used to pass check_sequence; a numpy bool
+    is refused as well."""
+    for marks in ((True, False), (0, True), (np.True_, 0)):
+        seq = EventSequence((Event(1.0, marks[0]), Event(2.0, marks[1])), 100.0)
+        report = validate_sequence(seq, 3)
+        index = 0 if isinstance(marks[0], (bool, np.bool_)) else 1
+        assert not report.ok and report.index == index
+        assert "mark out of range" in report.message
+
+
 def test_rng_is_reproducible():
     a = [RngStream(42, 7).uniform() for _ in range(5)]
     b = [RngStream(42, 7).uniform() for _ in range(5)]

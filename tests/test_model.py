@@ -67,9 +67,17 @@ def encode_history(seq, ckpt):
 
 
 def decode(h, ckpt):
-    """The (mixture, mark distribution) pair of one history embedding."""
-    heads = M._head_tensors(np.reshape(h, (1, -1)), fused_weights(ckpt), ckpt.config)
-    return M._distributions(*(t[0] for t in heads))
+    """The (mixture, mark distribution) pair of one history embedding, from
+    the sampling heads, written at position 0 of a fresh cache."""
+    return M._head_rows(np.asarray(h, dtype=float), M.EncoderCache(ckpt), 0)
+
+
+def as_distributions(log_w, mu, sigma, mark_logits):
+    """The likelihood's head tensors as distributions: the weights as the
+    exp of the log-weights, and the mark logits' softmax."""
+    e = np.exp(mark_logits - np.max(mark_logits, axis=-1, keepdims=True))
+    return (M.MixtureParams(np.exp(log_w), mu, sigma),
+            M.MarkDistribution(e / np.sum(e, axis=-1, keepdims=True)))
 
 
 # -- temporal encoding ---------------------------------------------------------
@@ -233,34 +241,33 @@ def test_mark_head_large_bias_concentrates():
     assert dist.probabilities[0] > 0.999
 
 
-def reference_head_tensors(ctx, fused, config):
-    """_head_tensors as the chain of ops it was before the heads were fused:
-    decoder_proj first, then a product and a bias per head, in that
+def reference_head_products(ctx, fused, config):
+    """_head_products as the chain of ops it was before the heads were
+    fused: decoder_proj first, then a product and a bias per head, in that
     arithmetic order, on the named parameters that use_reference_heads
-    puts in place of the fused heads."""
+    puts in place of the fused heads; the pre-activations are joined in the
+    fused product's order."""
     params, d = fused.heads, config.embed_dim
     e = ad.matmul(ctx, params["decoder_proj"].T)
     e1, e2, e3 = e[..., :d], e[..., d:2 * d], e[..., 2 * d:]
     w_logits = ad.add(ad.matmul(e1, params["mix_weight_proj"].T), params["mix_weight_bias"])
-    log_w = ad.sub(w_logits, ad.logsumexp(w_logits, axis=-1, keepdims=True))
     mu = ad.add(ad.matmul(e2, params["mix_mean_proj"].T), params["mix_mean_bias"])
-    sigma = ad.clip(ad.exp(ad.add(ad.matmul(e3, params["mix_scale_proj"].T),
-                                  params["mix_scale_bias"])), M.SIGMA_MIN, M.SIGMA_MAX)
-    hidden = ad.tanh(ad.add(ad.matmul(ctx, params["mark_hidden_proj"].T),
-                            params["mark_hidden_bias"]))
-    mark_logits = ad.add(ad.matmul(hidden, params["mark_out_proj"].T), params["mark_out_bias"])
-    return log_w, mu, sigma, mark_logits
+    log_sigma = ad.add(ad.matmul(e3, params["mix_scale_proj"].T), params["mix_scale_bias"])
+    hidden = ad.add(ad.matmul(ctx, params["mark_hidden_proj"].T), params["mark_hidden_bias"])
+    mark_logits = ad.add(ad.matmul(ad.tanh(hidden), params["mark_out_proj"].T),
+                         params["mark_out_bias"])
+    return ad.concat([w_logits, mu, log_sigma, hidden], axis=-1), mark_logits
 
 
 def use_reference_heads(patched):
-    """Run every forward through reference_head_tensors on the named
+    """Run every forward through reference_head_products on the named
     parameters instead of the fused heads."""
     def named_heads(params, config, _fuse=M._fused_weights):
         return dataclasses.replace(_fuse(params, config), heads=params)
 
     for module in (M, T):
         patched.setattr(module, "_fused_weights", named_heads)
-    patched.setattr(M, "_head_tensors", reference_head_tensors)
+    patched.setattr(M, "_head_products", reference_head_products)
 
 
 def with_random_biases(ckpt, seed):
@@ -415,7 +422,9 @@ def test_logpdf_broadcasts_like_scalar_calls():
 def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
     """The shared density gives the same bits on the tape and off it, and
     the interval term training differentiates equals mixture_logpdf, which
-    sampling calls, on the same head rows exactly."""
+    sampling calls, on the sampling heads' rows within 1e-12: their weights
+    come from one softmax, not from the exp of the log-weights, so their
+    last bits differ."""
     config = tiny_config(n_marks=2)
     ckpt = random_checkpoint(config, seed=31)
     seq = sequence_from_arrays([0.4, 1.1, 1.9, 2.6, 3.0], [0, 1, 1, 0, 1], 4.0)
@@ -437,7 +446,8 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
     plain = density(np.log(taus).reshape(-1, 1), log_w[:n], mu[:n], sigma[:n], ad.plain)
     assert not isinstance(plain, ad.Tensor) and np.array_equal(plain, taped.data)
     mixtures, _ = M.position_distributions(seq, ckpt)
-    assert np.array_equal(M.mixture_logpdf(taus, mixtures.row(slice(0, n))), taped.data)
+    assert np.allclose(M.mixture_logpdf(taus, mixtures.row(slice(0, n))), taped.data,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_density_integrates_to_one():
@@ -611,7 +621,8 @@ def test_batched_forward_matches_prefix_forwards(encoding):
 
 def test_position_distributions_constructs_one_stacked_pair(head_row_checks):
     """One stacked pair per forward, checked by one finiteness check of the
-    head rows; cutting rows from it adds no check."""
+    heads' pre-activations and mark logits; cutting rows from it adds no
+    check."""
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=17)
     cache = M.EncoderCache(ckpt)
     held = 0
@@ -628,27 +639,45 @@ def test_position_distributions_constructs_one_stacked_pair(head_row_checks):
         held = n
 
 
-# the head outputs of a forward, and the op each is poisoned through
-HEAD_OUTPUTS = {"weights": 0, "means": 1, "scales": 2, "mark probabilities": 3}
+# each head output, and the first column of the pre-activation block or of
+# the mark logits that it is made from
+HEAD_OUTPUTS = {"weights": (0, 0), "means": (0, 1), "scales": (0, 2), "mark probabilities": (1, 0)}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("output", list(HEAD_OUTPUTS))
 def test_non_finite_head_output_raises(output, bad, monkeypatch):
-    """A NaN or an infinity in any head output fails the one head-row check
-    with FloatingPointError, in the one-row and the batched forward. The
-    log-weight or mark logit that carries it makes the weights or the mark
-    probabilities non-finite."""
+    """A NaN or an infinity in the pre-activation that any head output is
+    made from fails the one head-row check with FloatingPointError, in the
+    one-row and the batched forward: a weight logit, a log-mean, a
+    log-scale or a mark logit."""
     ckpt = random_checkpoint(tiny_config(n_layers=2), seed=31)
     seq = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], 10.0)
+    which, block = HEAD_OUTPUTS[output]
+    column = block * ckpt.config.n_components
 
-    def poisoned(ctx, fused, config, _heads=M._head_tensors):
+    def poisoned(ctx, fused, config, _heads=M._head_products):
         outputs = [np.array(t) for t in _heads(ctx, fused, config)]
         # the last row; a one-row pass's outputs are vectors
-        np.atleast_2d(outputs[HEAD_OUTPUTS[output]])[-1, 0] = bad
+        np.atleast_2d(outputs[which])[-1, column] = bad
         return tuple(outputs)
 
-    monkeypatch.setattr(M, "_head_tensors", poisoned)
+    monkeypatch.setattr(M, "_head_products", poisoned)
+    for forward in (M.next_event_distributions, M.position_distributions):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            forward(seq, ckpt)
+
+
+@pytest.mark.parametrize("bias", ["mix_scale_bias", "mark_hidden_bias"])
+def test_an_infinite_head_bias_raises(bias):
+    """A +inf log-scale bias or mark hidden bias fails the head-row check in
+    both forwards. The clip turned the first into a scale of SIGMA_MAX, and
+    the tanh the second into a finite mark logit, so both passed before the
+    check read the pre-activations."""
+    ckpt = random_checkpoint(tiny_config(n_layers=2), seed=31)
+    ckpt.params[bias] = ckpt.params[bias].copy()
+    ckpt.params[bias][0] = math.inf
+    seq = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], 10.0)
     for forward in (M.next_event_distributions, M.position_distributions):
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             forward(seq, ckpt)
@@ -716,7 +745,7 @@ def training_forward(seq, ckpt):
     ctx = M._context_tensor(seq.times, seq.marks, fused, ckpt.config)
     heads = M._head_tensors(ctx, fused, ckpt.config)
     assert all(isinstance(t, ad.Tensor) for t in heads)
-    return M._distributions(*(ad.value(t) for t in heads))
+    return as_distributions(*(ad.value(t) for t in heads))
 
 
 def assert_rows_equal(got, want, rows):
@@ -966,12 +995,13 @@ def test_fused_attention_training_gradients_equal_the_composed_ops(encoding, mon
 
 
 # autodiff ops that a cached one-row pass calls outside the encoder layers:
-# 2 to embed the row and 9 in the fused heads; its context row is a view of
-# the cache's rows, which joins nothing
-OPS_OUTSIDE_LAYERS = 11
+# 2 to embed the row and 5 in the fused heads' two products; its context row
+# is a view of the cache's rows, which joins nothing, and the heads make the
+# rows from the products with numpy calls into the cache's head rows
+OPS_OUTSIDE_LAYERS = 7
 # all the ops of a cached one-row pass of a 1-layer, 1-head model: 5 in the
-# layer, whose one row needs no transpose, and the 11 outside it
-DRAFT_PASS_OPS = 16
+# layer, whose one row needs no transpose, and the 7 outside it
+DRAFT_PASS_OPS = 12
 
 
 def public_ops():

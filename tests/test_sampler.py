@@ -15,6 +15,7 @@ from spectpp import sampler as S
 from spectpp.classical import SinePoissonParams, thinning_sample
 from spectpp.core import Event, EventSequence, RngStream, clamped_exp, validate_sequence
 
+from reference import full_chunk_residual_interval
 from sequences import sequence_from_arrays
 
 
@@ -162,8 +163,8 @@ def test_draft_records_consistent_densities():
 def test_draft_scores_every_interval_once_with_the_scalar_density(head_row_checks, gamma):
     """The interval log-densities come from one mixture_logpdf call over
     the stacked rows and equal the per-row scalar density exactly; each of
-    the gamma forwards checks its head rows once, and the stacking and the
-    row cuts add no check."""
+    the gamma forwards checks its heads' pre-activations once, and the
+    stacked views and the row cuts add no check."""
     ckpt = make_checkpoint(5, n_components=8)
     stats = S.SampleRunStats()
     batch = S.draft(ckpt, S._RunState([]), gamma, RngStream(6).child("draft"), stats,
@@ -175,6 +176,48 @@ def test_draft_scores_every_interval_once_with_the_scalar_density(head_row_check
         assert isinstance(row, M.MixtureParams) and row.weights.shape == (8,)
         assert batch.interval_logpdf[i] == M.mixture_logpdf(float(batch.intervals[i]), row)
     assert head_row_checks == {"head_rows": gamma}
+
+
+def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatch):
+    """Each DraftBatch row holds, bit for bit, the head rows that its
+    candidate's forward returned and its draws read, also when the cache
+    grows in the middle of the draft, and the rows agree with one uncached
+    position_distributions of the history and the candidates within
+    1e-12."""
+    ckpt = make_checkpoint(5, n_layers=2, n_heads=2, n_components=8, n_marks=3)
+    drawn = []
+
+    def recorded(events, checkpoint, _forward=S.next_event_distributions, **kwargs):
+        mixture, marks = _forward(events, checkpoint, **kwargs)
+        drawn.append([a.copy() for a in (mixture.weights, mixture.means, mixture.scales,
+                                         marks.probabilities)])
+        return mixture, marks
+
+    monkeypatch.setattr(S, "next_event_distributions", recorded)
+    n = 125
+    history = sequence_from_arrays(0.5 * np.arange(1, n + 1), np.arange(n) % 3, math.inf)
+    cache = M.EncoderCache(ckpt)
+    # a first forward of one event sizes the cache to 129 events, so the
+    # draft's sixth forward, of 130 events, grows it
+    M.next_event_distributions(EventSequence(history.events[:1], math.inf), ckpt, cache=cache)
+    assert len(cache.hidden) == 129
+    for gamma in (10, 1, 4):
+        drawn.clear()
+        events = S._RunState(history)
+        batch = S.draft(ckpt, events, gamma, RngStream(gamma).child("draft"),
+                        S.SampleRunStats(), cache=cache)
+        assert len(drawn) == gamma
+        got = [batch.mixtures.weights, batch.mixtures.means, batch.mixtures.scales,
+               batch.mark_dists.probabilities]
+        for i, rows in enumerate(drawn):
+            for a, b in zip(got, rows):
+                assert a[i].tobytes() == b.tobytes()
+        events.append(batch.times[:-1], batch.marks[:-1])
+        mixtures, mark_dists = M.position_distributions(events, ckpt)
+        want = [mixtures.weights, mixtures.means, mixtures.scales, mark_dists.probabilities]
+        for a, b in zip(got, want):
+            assert np.allclose(a, b[n:], rtol=0.0, atol=1e-12)
+    assert len(cache.hidden) > 129
 
 
 def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
@@ -264,6 +307,38 @@ def test_residual_interval_fallback_on_identical_mixtures(caplog):
         value, used, fell_back = S._residual_interval_sample_info(g, g, RngStream(13))
     assert fell_back and used == S.RESIDUAL_MAX_PROPOSALS and value > 0
     assert any("falling back" in rec.message for rec in caplog.records)
+
+
+def test_lazy_residual_scoring_matches_the_full_chunk_reference():
+    """Scoring a chunk's proposals only up to the first acceptance draws the
+    same value, counts the same proposals and leaves the stream where
+    scoring the whole chunk does: on random mixture pairs, on a nearly equal
+    pair whose draws take more than one chunk, and on identical mixtures,
+    which exhaust the budget and fall back."""
+    gen = np.random.default_rng(2501)
+    pairs = []
+    for _ in range(300):
+        m_t, m_d = gen.integers(1, 9, size=2)
+        pairs.append((mixture(gen.dirichlet(np.ones(m_t)), gen.normal(0.0, 1.0, m_t),
+                              gen.uniform(0.2, 1.5, m_t)),
+                      mixture(gen.dirichlet(np.ones(m_d)), gen.normal(0.3, 1.0, m_d),
+                              gen.uniform(0.2, 1.5, m_d))))
+    pairs += 8 * [(mixture([1.0], [0.0], [1.0]), mixture([1.0], [0.02], [1.0]))]
+    same = mixture([0.5, 0.5], [0.0, 1.0], [0.5, 0.4])
+    pairs.append((same, same))
+    used = []
+    for i, (g_t, g_d) in enumerate(pairs):
+        lazy, full = RngStream(2502).child(f"draw{i}"), RngStream(2502).child(f"draw{i}")
+        got = S._residual_interval_sample_info(g_t, g_d, lazy)
+        assert got == full_chunk_residual_interval(g_t, g_d, full)
+        assert lazy.generator.random() == full.generator.random()
+        used.append(got[1])
+    assert got[2] and used[-1] == S.RESIDUAL_MAX_PROPOSALS
+    # draws that ended in the first scored proposals, later in the first
+    # chunk, and in a later chunk
+    assert min(used) <= S._RESIDUAL_FIRST
+    assert any(S._RESIDUAL_FIRST < u <= S._RESIDUAL_CHUNK for u in used)
+    assert any(S._RESIDUAL_CHUNK < u < S.RESIDUAL_MAX_PROPOSALS for u in used)
 
 
 def test_interval_acceptance_rate_matches_overlap_integral():
@@ -401,9 +476,10 @@ def test_verify_mark_only_rejection_keeps_interval():
 
 
 def test_verify_builds_a_row_pair_only_at_a_rejection(head_row_checks):
-    """One head-row check for the target rows, with or without a
-    rejection: the target and draft rows a rejection reads are cut from
-    stacks that were checked already and are not checked again."""
+    """One head-row check for the target rows, on the pre-activations of
+    its one forward, with or without a rejection: the target and draft rows
+    a rejection reads are cut from stacks that were checked already and
+    are not checked again."""
     ckpt = make_checkpoint(15)
     batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
     for u_mark, accepted in (([0.0] * 4, 4), ([0.0, 0.0, REJECT, 0.0], 2)):
@@ -416,9 +492,10 @@ def test_verify_builds_a_row_pair_only_at_a_rejection(head_row_checks):
 
 def test_verify_with_a_cache_scores_the_same_rows():
     """With a cache holding only the history, verify reads the candidates
-    from the trailing rows and matches the uncached outcome; a cache that
-    already holds the candidates is rolled back to the history and encodes
-    them again, with the same outcome."""
+    from the trailing rows and matches the uncached outcome, encoding every
+    candidate but the last, whose row it does not read; a cache that
+    already holds them is rolled back to the history and encodes them
+    again, with the same outcome."""
     ckpt = make_checkpoint(15)
     history = S._RunState(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf))
     batch = doctored_batch(S.draft(ckpt, history, 4, RngStream(19).child("draft"),
@@ -431,14 +508,14 @@ def test_verify_with_a_cache_scores_the_same_rows():
     stats = S.SampleRunStats()
     cached = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
                       cache=cache)
-    assert stats.target_rows_encoded == 4
+    assert stats.target_rows_encoded == 3
     assert cached.accepted_len == plain.accepted_len == 2
     assert cached.replacement == plain.replacement
     assert np.allclose(cached.interval_ratios, plain.interval_ratios, rtol=1e-12, atol=0.0)
     assert np.allclose(cached.mark_ratios, plain.mark_ratios, rtol=1e-12, atol=0.0)
     again = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
                      cache=cache)
-    assert stats.target_rows_encoded == 8
+    assert stats.target_rows_encoded == 6
     assert again.replacement == cached.replacement
     assert np.array_equal(again.interval_ratios, cached.interval_ratios)
     assert np.array_equal(again.mark_ratios, cached.mark_ratios)
@@ -460,10 +537,10 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 
 # Python-level calls per candidate of one draft and one verify after a warm
-# step, on a 1-layer draft and a 2-layer, 2-head target: at most 26.6 and
-# 12.8 are counted, a verify with a residual interval draw included
-DRAFT_CALLS_PER_CANDIDATE = 27
-VERIFY_CALLS_PER_CANDIDATE = 14
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 20.6 and
+# 12.2 are counted, a verify with a residual interval draw included
+DRAFT_CALLS_PER_CANDIDATE = 21
+VERIFY_CALLS_PER_CANDIDATE = 13
 
 
 def python_calls(fn, *args, **kwargs):
@@ -545,17 +622,17 @@ def test_cached_sd_emits_the_uncached_events():
 
 def test_sd_rows_encoded_counts_only_uncached_events():
     """The draft encodes the history once and then one event per pass; the
-    target encodes the gamma candidates per pass, plus the previous
-    replacement, which the cache did not hold."""
+    target encodes the history and gamma - 1 candidates in its first pass,
+    and then gamma rows per pass: the gamma - 1 candidates whose rows it
+    reads after, plus the previous step's last event, a replacement or the
+    last candidate, which it did not encode."""
     target = make_checkpoint(28, n_layers=2, scale=1.5)
     draft_model = make_checkpoint(29)
     history = sequence_from_arrays(0.5 * np.arange(1, 21), np.arange(20) % 2, 40.0)
     _, stats = S.tpp_sd_sample(target, draft_model, 40.0, 4, RngStream(7), history=history)
     assert stats.replacement_events > 0
     assert stats.draft_rows_encoded == len(history) + stats.draft_forward_passes - 1
-    candidates = len(history) + 4 * stats.iterations
-    assert (candidates + stats.replacement_events - 1 <= stats.target_rows_encoded
-            <= candidates + stats.replacement_events)
+    assert stats.target_rows_encoded == len(history) + 4 * stats.iterations - 1
 
 
 def test_a_run_builds_its_events_once_after_a_long_history(monkeypatch):
@@ -740,13 +817,14 @@ def test_sd_final_filter_drops_overshoot():
 
 def test_sd_next_event_twice_on_shared_caches_repeats_its_event():
     """A second step on the same history and seed, with the caches that the
-    first one left holding its candidates, emits the same event."""
+    first one left holding its candidates, all but the last in the
+    target's, emits the same event."""
     target, draft_model = make_checkpoint(39, n_layers=2), make_checkpoint(40, n_layers=2)
     history = sequence_from_arrays([0.5, 1.1, 2.0], [0, 1, 1], math.inf)
     caches = sd_caches(target, draft_model)
     first, second = (S.sd_next_event(target, draft_model, history, 3, RngStream(7), **caches)
                      for _ in range(2))
-    assert caches["target_cache"].size == len(history) + 3
+    assert caches["target_cache"].size == len(history) + 2
     assert second == first
 
 
