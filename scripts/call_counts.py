@@ -16,7 +16,9 @@ counts do not depend on timing either: over the same SD runs, the residual
 proposals scored under both mixtures per residual interval draw, next to
 those the draws used; the target rows encoded per verify; and the encoder
 caches' growths per SD run, with the calls of ``grown``, which copies one
-buffer of a growing cache, per SD event. It takes no options:
+buffer of a growing cache, per SD event. Before all of these it counts the
+calls of one ``save_checkpoint`` and one ``load_checkpoint`` of the target.
+It takes no options:
 
     python3 scripts/call_counts.py
 """
@@ -102,6 +104,12 @@ def main() -> None:
         target_path, draft_path = build_pair(pathlib.Path(tmp), n_layers=20, embed_dim=48,
                                              noise=0.5, seed=100)
         target, draft = model.load_checkpoint(target_path), model.load_checkpoint(draft_path)
+        floats = sum(value.size for value in target.params.values())
+        for name, fn, args in (("save", model.save_checkpoint, (target_path, target)),
+                               ("load", model.load_checkpoint, (target_path,))):
+            _, p, b, _ = counted(fn, *args)
+            print(f"{name:<12} target checkpoint ({floats} floats)  {p:8d} Python-level calls"
+                  f"  {b:8d} builtin calls")
 
     print(f"sample-short shape, t_end {T_END}, seed {SEED}, sequences 0-{SEQUENCES - 1}")
     sd_functions = collections.Counter()

@@ -59,6 +59,8 @@ SIGMA_MAX = 1e4
 _LOG_2PI = math.log(2.0 * math.pi)
 # events an encoder cache holds room for beyond those of its first forward
 _CACHE_ROOM = 128
+# the types json.load gives a JSON number
+_JSON_NUMBERS = frozenset((float, int))
 
 ENCODINGS = ("thp", "sahp", "attnhp")
 # m and M of the attnhp temporal encoding
@@ -68,6 +70,16 @@ _ATTNHP_BIG_M = 2000.0
 class CheckpointFormatError(ValueError):
     """Raised when a checkpoint file has an unsupported format version, or a
     configuration or parameters that do not form a model."""
+
+
+def _require_integers(config, names: tuple[str, ...]) -> None:
+    """Refuse a config whose named fields do not all hold an int: a float
+    such as 8.0, or a bool, which Python counts as an int, raises
+    ValueError."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +95,13 @@ class ModelConfig:
     encoding: str = "thp"
 
     def __post_init__(self) -> None:
+        _require_integers(self, ("embed_dim", "n_components", "n_marks", "n_heads", "n_layers"))
         if self.embed_dim < 2 or self.embed_dim % 2:
             raise ValueError("embed_dim must be even and >= 2")
+        if min(self.n_components, self.n_marks, self.n_heads, self.n_layers) < 1:
+            raise ValueError("n_components, n_marks, n_heads and n_layers must be >= 1")
         if self.embed_dim % self.n_heads:
             raise ValueError("n_heads must divide embed_dim")
-        if self.n_components < 1 or self.n_marks < 1 or self.n_layers < 1:
-            raise ValueError("n_components, n_marks and n_layers must be >= 1")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
 
@@ -191,16 +204,23 @@ def init_checkpoint(config: ModelConfig, rng: RngStream) -> ModelCheckpoint:
 
 
 def save_checkpoint(path: str | Path, checkpoint: ModelCheckpoint) -> None:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": asdict(checkpoint.config),
-        "params": {
-            name: {"shape": list(value.shape), "data": value.ravel().tolist()}
-            for name, value in checkpoint.params.items()
-        },
-    }
+    """Write the document {"config", "format_version", "params": {name:
+    {"data", "shape"}}} as json.dumps(doc, sort_keys=True) would. json.dump
+    never uses json's C encoder, so the C encoder encodes the head and then
+    one parameter at a time, in sorted order ("params" sorts last); the
+    whole document is never held as one string."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    head = encode({"config": asdict(checkpoint.config),
+                   "format_version": CHECKPOINT_FORMAT_VERSION})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(head[:-1] + ', "params": {')
+        separator = ""
+        for name in sorted(checkpoint.params):
+            value = checkpoint.params[name]
+            fh.write(f"{separator}{encode(name)}: ")
+            fh.write(encode({"data": value.ravel().tolist(), "shape": list(value.shape)}))
+            separator = ", "
+        fh.write("}}")
 
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
@@ -223,15 +243,20 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
                                     "with a shape and data")
     params = {}
     for name, entry in entries.items():
-        shape = entry.get("shape")
+        shape, data = entry.get("shape"), entry.get("data")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise CheckpointFormatError(f"parameter {name!r} has shape {shape!r}, "
                                         "not a list of non-negative integers")
+        # one type per value: a string, a bool or a nested list is refused,
+        # where np.asarray would parse, cast or flatten it
+        if not isinstance(data, list) or not _JSON_NUMBERS.issuperset(map(type, data)):
+            raise CheckpointFormatError(f"parameter {name!r} data are not a flat list "
+                                        "of JSON numbers")
         try:
-            params[name] = np.asarray(entry.get("data"), dtype=float).reshape(shape)
-        except (TypeError, ValueError):
+            params[name] = np.asarray(data, dtype=float).reshape(shape)
+        except (OverflowError, ValueError) as exc:
             raise CheckpointFormatError(f"parameter {name!r} data do not fit "
-                                        f"its shape {shape}") from None
+                                        f"its shape {shape}: {exc}") from None
     expected = parameter_shapes(config)
     if set(params) != set(expected):
         raise CheckpointFormatError("checkpoint parameters do not match its configuration")

@@ -5,14 +5,15 @@ log-likelihood with validation-based early stopping.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .core import EventSequence, RngStream
-from .model import (ModelCheckpoint, ModelConfig, _fused_weights, _loglik_tensor, init_checkpoint,
-                    sequence_loglik)
+from .model import (ModelCheckpoint, ModelConfig, _fused_weights, _loglik_tensor,
+                    _require_integers, init_checkpoint, sequence_loglik)
 
 logger = logging.getLogger(__name__)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator offset
@@ -27,6 +28,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_integers(self, ("batch_size", "max_epochs", "patience", "seed"))
+        rate = self.learning_rate
+        if type(rate) is bool or not isinstance(rate, (int, float)) or not math.isfinite(rate):
+            raise ValueError(f"learning_rate must be a finite real number, not {rate!r}")
         if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
             raise ValueError("all training hyperparameters must be positive")
         if self.patience > self.max_epochs:

@@ -551,6 +551,14 @@ def test_checkpoint_version_mismatch_exit_2(runner, workspace):
     ("--model-config", {"attention": "attnhp"}),
     # nor are names TrainConfig does not hold, such as the Adam constants
     ("--train-config", {"beta1": 0.9}),
+    # fields of the wrong type: an integer field must hold an int, and the
+    # learning rate a finite real number, neither of them a bool
+    ("--model-config", {"embed_dim": 8.0, "n_components": 4}),
+    ("--model-config", {"embed_dim": 8, "n_heads": True}),
+    ("--train-config", {"batch_size": 2.5}),
+    ("--train-config", {"seed": 1.0}),
+    ("--train-config", {"learning_rate": True}),
+    ("--train-config", {"learning_rate": math.nan}),
 ])
 def test_bad_config_file_exit_2(runner, workspace, flag, config):
     data = workspace / "sequences.jsonl"
@@ -578,11 +586,27 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
         **ckpt["params"], "initial_context": {"shape": [8], "data": {"0": 0.5}}}})),
     ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
         **ckpt["params"], "initial_context": {"shape": [8], "data": [0.5] * 7}}})),
+    # data that np.asarray would parse, cast, flatten or overflow
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {"shape": [8], "data": ["0.25"] + [0.5] * 7}}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {"shape": [8], "data": [True] + [0.5] * 7}}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {"shape": [8], "data": [[0.5]] * 8}}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "params": {
+        **ckpt["params"], "initial_context": {"shape": [8], "data": [10 ** 400] + [0.5] * 7}}})),
+    # config fields of the wrong type, or a head count that divides nothing
+    ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "embed_dim": 8.0}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "n_heads": True}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "n_heads": 0}})),
+    ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "n_heads": -2}})),
     ("--process", lambda ckpt: json.dumps([{"kind": "sine_poisson"}])),
     ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
     ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
 ], ids=["checkpoint-list", "params-list", "param-number", "shape-string", "data-object",
-        "data-misfit", "process-list", "sequence-list", "events-number"])
+        "data-misfit", "data-string", "data-bool", "data-nested", "data-huge-int",
+        "config-float-embed-dim", "config-bool-n-heads", "config-zero-n-heads",
+        "config-negative-n-heads", "process-list", "sequence-list", "events-number"])
 def test_malformed_json_input_exit_2(runner, workspace, flag, text):
     bad = workspace / "bad.json"
     bad.write_text(text(json.loads((workspace / "target.json").read_text())))

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -1146,6 +1148,79 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def written_checkpoint(encoding):
+    """A 3-layer, 2-head checkpoint of one encoding, with values whose
+    shortest repr is unusual written into two of its parameters."""
+    config = M.ModelConfig(embed_dim=8, n_components=3, n_marks=3, n_heads=2, n_layers=3,
+                           encoding=encoding)
+    ckpt = M.init_checkpoint(config, RngStream(41))
+    ckpt.params["initial_context"][:5] = [-0.0, 1e-300, 1.0, 5e-324, 1e16]
+    ckpt.params["mark_out_bias"][:] = [-1e300, 0.1, 123456789.0]
+    return ckpt
+
+
+# sha256 of save_checkpoint's file for written_checkpoint("attnhp"), as json.dump wrote it
+WRITTEN_CHECKPOINT_SHA256 = "b636db278c6ddf6f9bd9389d3eee95d272dfde97be27da43ee4ac2e9aada82e7"
+
+
+@pytest.mark.parametrize("encoding", M.ENCODINGS)
+def test_checkpoint_bytes_are_the_one_shot_encoding_of_the_document(tmp_path, encoding):
+    ckpt = written_checkpoint(encoding)
+    doc = {"format_version": M.CHECKPOINT_FORMAT_VERSION,
+           "config": dataclasses.asdict(ckpt.config),
+           "params": {name: {"shape": list(value.shape), "data": value.ravel().tolist()}
+                      for name, value in ckpt.params.items()}}
+    path = tmp_path / "model.json"
+    M.save_checkpoint(path, ckpt)
+    assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode()
+    loaded = M.load_checkpoint(path)
+    for name, value in ckpt.params.items():
+        assert loaded.params[name].tobytes() == value.tobytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.json"
+    M.save_checkpoint(path, written_checkpoint("attnhp"))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_CHECKPOINT_SHA256
+
+
+@pytest.mark.parametrize("field", ["embed_dim", "n_components", "n_marks", "n_heads", "n_layers"])
+@pytest.mark.parametrize("value", [8.0, True, "8"])
+def test_config_integer_fields_refuse_other_types(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        M.ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("data, message", [
+    (["0.25"] + [0.5] * 7, "are not a flat list of JSON numbers"),
+    ([True] + [0.5] * 7, "are not a flat list of JSON numbers"),
+    ([[0.5]] * 8, "are not a flat list of JSON numbers"),
+    ({"0": 0.5}, "are not a flat list of JSON numbers"),
+    (None, "are not a flat list of JSON numbers"),
+    ([10 ** 400] + [0.5] * 7, "do not fit"),
+    ([0.5] * 7, "do not fit"),
+], ids=["string", "bool", "nested", "object", "missing", "huge-int", "misfit"])
+def test_checkpoint_data_that_are_not_json_numbers_are_refused(tmp_path, data, message):
+    path = tmp_path / "model.json"
+    M.save_checkpoint(path, M.init_checkpoint(tiny_config(), RngStream(17)))
+    doc = json.loads(path.read_text())
+    doc["params"]["initial_context"] = {"shape": [8], "data": data}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(M.CheckpointFormatError, match=f"'initial_context' data {message}"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_integer_data_load_as_floats(tmp_path):
+    path = tmp_path / "model.json"
+    M.save_checkpoint(path, M.init_checkpoint(tiny_config(), RngStream(18)))
+    doc = json.loads(path.read_text())
+    doc["params"]["initial_context"]["data"] = [0, 1, -2, 3, 0.5, 0, 0, 2 ** 60]
+    path.write_text(json.dumps(doc))
+    loaded = M.load_checkpoint(path).params["initial_context"]
+    assert loaded.dtype == np.float64
+    assert loaded.tolist() == [0.0, 1.0, -2.0, 3.0, 0.5, 0.0, 0.0, 2.0 ** 60]
+
+
 def test_checkpoint_version_mismatch_is_refused(tmp_path):
     ckpt = M.init_checkpoint(tiny_config(), RngStream(16))
     path = tmp_path / "model.json"
@@ -1167,6 +1242,10 @@ def test_config_validation():
         M.ModelConfig(embed_dim=8, n_heads=3)
     with pytest.raises(ValueError):
         M.ModelConfig(encoding="rnn")
+    # a head count that divides embed_dim but is not >= 1
+    for n_heads in (0, -2):
+        with pytest.raises(ValueError, match="n_heads"):
+            M.ModelConfig(embed_dim=8, n_heads=n_heads)
     # attnhp attends over concat(1; z; h), the other encodings over h
     assert M.parameter_shapes(M.ModelConfig(encoding="attnhp"))["layers.0.q"] == (33, 16)
     assert M.parameter_shapes(M.ModelConfig(encoding="thp"))["layers.0.q"] == (16, 16)

@@ -124,6 +124,24 @@ def test_train_config_validation():
         T.TrainConfig(patience=300, max_epochs=200)
 
 
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience", "seed"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+def test_train_config_integer_fields_refuse_other_types(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        T.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "0.01", None, math.nan, math.inf])
+def test_train_config_learning_rate_must_be_a_finite_real_number(value):
+    with pytest.raises(ValueError, match="learning_rate must be a finite real number"):
+        T.TrainConfig(learning_rate=value)
+
+
+def test_train_config_learning_rate_may_be_an_int_or_a_numpy_float():
+    assert T.TrainConfig(learning_rate=1).learning_rate == 1
+    assert T.TrainConfig(learning_rate=np.float64(0.01)).learning_rate == 0.01
+
+
 def test_split_dataset_800_100_100():
     seqs = [EventSequence((), 1.0)] * 1000
     train, val, test = T.split_dataset(seqs)
