@@ -153,8 +153,8 @@ def main() -> None:
 
     events, stats = sampler._RunState(history), sampler.SampleRunStats()
     caches = {"target_cache": model.EncoderCache(target), "draft_cache": model.EncoderCache(draft)}
-    sampler._sd_step(target, draft, events, GAMMA, sampler._sd_streams(RngStream(SEED)), stats,
-                     **caches)
+    sampler._sd_step(target, draft, GAMMA, sampler._sd_streams(RngStream(SEED)),
+                     caches["target_cache"], caches["draft_cache"], events, stats)
     rng = RngStream(SEED).child("phases")
     batch, p, b, _ = counted(sampler.draft, draft, events, GAMMA, rng.child("draft"), stats,
                              cache=caches["draft_cache"])

@@ -251,25 +251,20 @@ normal_cdf = _unary("normal_cdf", lambda x: np.asarray(ndtr(x), dtype=float),
 
 # -- reductions ----------------------------------------------------------------
 
-def _sum(x, axis=None, keepdims: bool = False):
-    return np.add.reduce(x, axis=axis, keepdims=keepdims)
+def _sum(x):
+    """The sum of every entry."""
+    return np.add.reduce(x, axis=None)
 
 
 plain.tensor_sum = _sum
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False):
+def tensor_sum(a):
     if not isinstance(a, Tensor):
-        return _sum(a, axis, keepdims)
+        return _sum(a)
     x = a.data
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, x.shape).copy())
-
-    return Tensor(_sum(x, axis, keepdims), (a,), backward)
+    # every entry gets the scalar adjoint
+    return Tensor(_sum(x), (a,), lambda g: _accumulate(a, np.broadcast_to(g, x.shape).copy()))
 
 
 def _logsumexp(x, axis: int = -1, keepdims: bool = False):

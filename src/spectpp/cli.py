@@ -148,8 +148,6 @@ def run_sample(args: dict, out_dir: Path) -> dict:
     _require(mode == "ar" or bool(args.get("draft")), "mode sd needs a draft checkpoint")
     target = _load("checkpoint", load_checkpoint, args["target"])
     draft = _load("checkpoint", load_checkpoint, args["draft"]) if args.get("draft") else None
-    if mode == "sd":
-        check_pair(target, draft)
     root = RngStream(args["seed"])
     sequences, rows = [], []
     for run in range(args["runs"]):

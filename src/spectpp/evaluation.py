@@ -16,7 +16,7 @@ import numpy as np
 from .classical import total_compensator_increments as time_rescale
 from .core import EventSequence, RngStream, check_sequence
 from .model import EncoderCache, ModelCheckpoint
-from .sampler import ar_next_event, check_pair, sd_next_event
+from .sampler import check_pair, next_event
 
 KS_BAND_COEFFICIENT = 1.36  # 95% confidence band c(alpha)/sqrt(n)
 
@@ -140,17 +140,15 @@ def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None
     k = target.config.n_marks
     check_sequence(prefix, k)
     target_cache = EncoderCache(target)
-    draft_cache = None if draft is None else EncoderCache(draft)
+    draft_cache, label = (None, "ar2-") if draft is None else (EncoderCache(draft), "sd")
     ar_times, ar_marks, other_times, other_marks = [], [], [], []
     for i in range(n_reps):
-        event = ar_next_event(target, prefix, rng.child(f"ar{i}"), cache=target_cache)
+        event = next_event(target, None, prefix, gamma, rng.child(f"ar{i}"),
+                           target_cache=target_cache)
         ar_times.append(event.time)
         ar_marks.append(event.mark)
-        if draft is None:
-            event = ar_next_event(target, prefix, rng.child(f"ar2-{i}"), cache=target_cache)
-        else:
-            event = sd_next_event(target, draft, prefix, gamma, rng.child(f"sd{i}"),
-                                  target_cache=target_cache, draft_cache=draft_cache)
+        event = next_event(target, draft, prefix, gamma, rng.child(f"{label}{i}"),
+                           target_cache=target_cache, draft_cache=draft_cache)
         other_times.append(event.time)
         other_marks.append(event.mark)
     d_t = wasserstein_1d(ar_times, other_times)

@@ -8,13 +8,13 @@ with threshold max(0, g_T - g_D)/g_T, marks by normalizing the positive
 part directly. One step of this loop emits events with exactly the target
 model's next-event law.
 
-A run keeps its events as times and marks in growing arrays, which the
-forward reads as it reads an EventSequence's. The sampling loops own that
-state and the run's caches and streams, and pass them to each step. AR and
-drafting draw each event in one order, interval then mark; drafting and
-verifying append their candidates and truncate back, and emitting appends
-the accepted prefix and the replacement. Both loops end in one finish, which drops the
-events after t_end and builds the output's Events and EventSequence once.
+Autoregressive sampling is the same loop with another step. One run loop
+repeats a step, its run's caches and streams bound, on the run's events,
+held as times and marks in growing arrays that the forward reads as it
+reads an EventSequence's. AR and drafting draw each event in one order,
+interval then mark; drafting and verifying append their candidates and
+truncate back, and emitting appends the accepted prefix and the
+replacement. The loop drops the events after t_end and builds the output once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -139,7 +140,9 @@ class DraftBatch:
 class VerificationOutcome:
     """Verified prefix length, the replacement event's time and mark when a
     rejection occurred, and the per-position acceptance ratios and
-    uniforms."""
+    uniforms. The sampler reads only the first two; the arrays cost nothing
+    extra, since verify makes them anyway, and the verify tests read the
+    cached and uncached ratios through them to 1e-12."""
 
     accepted_len: int
     replacement: tuple[float, int] | None
@@ -188,33 +191,34 @@ def check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
                          f"{target.config.n_marks} and {draft_model.config.n_marks}")
 
 
-def _next_event(model: ModelCheckpoint, events: _RunState, rng: RngStream,
-                cache: EncoderCache) -> tuple[float, int, MixtureParams, MarkDistribution]:
-    """One autoregressive draw after the run's events: the interval, then
-    the mark, and the head rows they were drawn from."""
-    mixture, mark_dist = next_event_distributions(events, model, cache=cache)
+def _ar_step(target: ModelCheckpoint, rng: RngStream, cache: EncoderCache, events: _RunState,
+             stats: SampleRunStats) -> None:
+    """One autoregressive step: one target forward, then the interval and
+    the mark drawn from its head rows on ``rng``, and the event appended."""
+    mixture, mark_dist = next_event_distributions(events, target, cache=cache)
+    stats.target_forward_passes += 1
+    stats.target_rows_encoded += cache.last_encoded
     tau = sample_interval(mixture, rng)
-    return tau, rng.categorical(mark_dist.probabilities), mixture, mark_dist
+    mark = rng.categorical(mark_dist.probabilities)
+    events.append(advance_clock(events.last_time, tau), mark)
 
 
-def _finish(events: _RunState, held: tuple[Event, ...], t_end: float, stats: SampleRunStats,
-            start: float) -> tuple[EventSequence, SampleRunStats]:
-    """The run's output, keeping the events at or before t_end, and its stats
-    with the wall time since start; raises if the run ended at a non-finite time."""
+def _sample(step: Callable[[_RunState, SampleRunStats], None], t_end: float,
+            history: EventSequence | None) -> tuple[EventSequence, SampleRunStats]:
+    """The run loop: ``step(events, stats)`` until an event passes t_end,
+    then the events at or before t_end and the stats with the wall time;
+    raises if the run ended at a non-finite time."""
+    held = () if history is None else history.events
+    events = _RunState(held)
+    stats = SampleRunStats()
+    start = time.perf_counter()
+    while events.last_time < t_end:
+        step(events, stats)
     if not math.isfinite(events.last_time):
         raise FloatingPointError(f"non-finite event time {events.last_time}")
     kept = tuple(e for e in held if e.time <= t_end) + events.events(len(held), t_end)
     stats.wall_seconds = time.perf_counter() - start
     return EventSequence(kept, t_end), stats
-
-
-def ar_next_event(target: ModelCheckpoint, history: EventSequence, rng: RngStream, *,
-                  cache: EncoderCache) -> Event:
-    """One autoregressive draw of the next event after the given history:
-    the step that ar_sample repeats."""
-    events = _RunState(history)
-    tau, mark, _, _ = _next_event(target, events, rng, cache)
-    return Event(advance_clock(events.last_time, tau), mark)
 
 
 def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
@@ -227,18 +231,8 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
     check_horizon(t_end)
     if history is not None:
         check_sequence(history, target.config.n_marks)
-    held = () if history is None else history.events
-    events = _RunState(held)
-    stream = rng.child("ar")
-    cache = EncoderCache(target)
-    stats = SampleRunStats()
-    start = time.perf_counter()
-    while events.last_time < t_end:
-        tau, mark, _, _ = _next_event(target, events, stream, cache)
-        stats.target_forward_passes += 1
-        stats.target_rows_encoded += cache.last_encoded
-        events.append(advance_clock(events.last_time, tau), mark)
-    return _finish(events, held, t_end, stats, start)
+    return _sample(partial(_ar_step, target, rng.child("ar"), EncoderCache(target)), t_end,
+                   history)
 
 
 def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngStream,
@@ -414,9 +408,9 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
                                u_interval, u_mark)
 
 
-def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, events: _RunState,
-             gamma: int, streams: tuple[RngStream, RngStream, RngStream], stats: SampleRunStats,
-             *, target_cache: EncoderCache, draft_cache: EncoderCache) -> None:
+def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, gamma: int,
+             streams: tuple[RngStream, RngStream, RngStream], target_cache: EncoderCache,
+             draft_cache: EncoderCache, events: _RunState, stats: SampleRunStats) -> None:
     """One draft-verify step after the run's events: appends to them the
     accepted prefix of the drafted events plus the replacement, if one was
     drawn. ``streams`` are the draft, verify and residual streams. After a
@@ -458,25 +452,23 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
         raise ValueError("gamma must be >= 1")
     if history is not None:
         check_sequence(history, target.config.n_marks)
-    held = () if history is None else history.events
-    events = _RunState(held)
-    streams = _sd_streams(rng)
-    target_cache, draft_cache = EncoderCache(target), EncoderCache(draft_model)
-    stats = SampleRunStats()
-    start = time.perf_counter()
-    while events.last_time < t_end:
-        _sd_step(target, draft_model, events, gamma, streams, stats,
-                 target_cache=target_cache, draft_cache=draft_cache)
-    return _finish(events, held, t_end, stats, start)
+    step = partial(_sd_step, target, draft_model, gamma, _sd_streams(rng), EncoderCache(target),
+                   EncoderCache(draft_model))
+    return _sample(step, t_end, history)
 
 
-def sd_next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint,
-                  history: EventSequence, gamma: int, rng: RngStream, *,
-                  target_cache: EncoderCache, draft_cache: EncoderCache) -> Event:
-    """First event emitted by a single draft-verify step after the history.
-    Caches held across calls on the same history encode it only once."""
-    check_pair(target, draft_model)
+def next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint | None,
+               history: EventSequence, gamma: int, rng: RngStream, *,
+               target_cache: EncoderCache, draft_cache: EncoderCache | None = None) -> Event:
+    """The first event that one step emits after the history: with no draft
+    model the AR step on ``rng`` itself (gamma unread), otherwise one
+    draft-verify step on ``rng``'s children, as in tpp_sd_sample. Caches
+    held across calls on the same history encode it only once."""
     events = _RunState(history)
-    _sd_step(target, draft_model, events, gamma, _sd_streams(rng), SampleRunStats(),
-             target_cache=target_cache, draft_cache=draft_cache)
+    if draft_model is None:
+        _ar_step(target, rng, target_cache, events, SampleRunStats())
+    else:
+        check_pair(target, draft_model)
+        _sd_step(target, draft_model, gamma, _sd_streams(rng), target_cache, draft_cache, events,
+                 SampleRunStats())
     return Event(float(events.times[len(history)]), int(events.marks[len(history)]))

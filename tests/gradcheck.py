@@ -1,4 +1,5 @@
-"""Finite-difference check of reverse-mode gradients, shared by the tests."""
+"""Finite-difference check of reverse-mode gradients, and the taped row sum
+that the tests' composed attention chains divide by, shared by the tests."""
 
 from __future__ import annotations
 
@@ -42,3 +43,13 @@ def grad_check(fn: Callable[[Mapping[str, ad.Tensor]], ad.Tensor],
             err = abs(float(analytic.ravel()[i]) - fd) / max(1e-8, abs(fd))
             worst = max(worst, err)
     return worst
+
+
+def row_sums(a):
+    """The sums along the last axis, kept as an axis of extent 1; on the tape
+    every entry of a row gets that row's adjoint."""
+    x = ad.value(a)
+    out = np.add.reduce(x, axis=-1, keepdims=True)
+    if not isinstance(a, ad.Tensor):
+        return out
+    return ad.Tensor(out, (a,), lambda g: ad._accumulate(a, np.broadcast_to(g, x.shape).copy()))

@@ -162,13 +162,13 @@ def test_criterion_4_sd_equals_ar_distribution():
         root = RngStream(700 + pair_idx)
         sd_times, sd_marks, ar_times, ar_marks = [], [], [], []
         for i in range(n):
-            event = S.sd_next_event(target, draft, history, 10, root.child(f"sd{i}"),
-                                    target_cache=EncoderCache(target),
-                                    draft_cache=EncoderCache(draft))
+            event = S.next_event(target, draft, history, 10, root.child(f"sd{i}"),
+                                 target_cache=EncoderCache(target),
+                                 draft_cache=EncoderCache(draft))
             sd_times.append(event.time)
             sd_marks.append(event.mark)
-            event = S.ar_next_event(target, history, root.child(f"ar{i}"),
-                                    cache=EncoderCache(target))
+            event = S.next_event(target, None, history, 10, root.child(f"ar{i}"),
+                                 target_cache=EncoderCache(target))
             ar_times.append(event.time)
             ar_marks.append(event.mark)
         pvalue = ks_2samp(sd_times, ar_times).pvalue

@@ -8,7 +8,7 @@ from scipy.special import ndtr
 from spectpp import autodiff as ad
 from spectpp.autodiff import Tensor
 
-from gradcheck import grad_check
+from gradcheck import grad_check, row_sums
 
 
 def test_square_derivative():
@@ -144,13 +144,14 @@ def test_ops_on_plain_operands_return_plain_arrays():
         "cos": (lambda a, b: ad.cos(b), np.cos(y)),
         "clip": (lambda a, b: ad.clip(a, 0.8, 1.2), np.clip(x, 0.8, 1.2)),
         "normal_cdf": (lambda a, b: ad.normal_cdf(a), ndtr(x)),
-        "tensor_sum": (lambda a, b: ad.tensor_sum(a, axis=0), x.sum(axis=0)),
+        "tensor_sum": (lambda a, b: ad.tensor_sum(a), x.sum()),
         "logsumexp": (lambda a, b: ad.logsumexp(b, axis=1),
                       (m + np.log(np.exp(y - m).sum(axis=1, keepdims=True)))[:, 0]),
     }
     for name, (op, expected) in ops.items():
         plain = op(x, y)
-        assert isinstance(plain, np.ndarray) and np.array_equal(plain, expected), name
+        # a full reduction returns a numpy scalar
+        assert isinstance(plain, (np.ndarray, np.float64)) and np.array_equal(plain, expected), name
         taped = op(Tensor(x), y)
         if not isinstance(taped, Tensor):  # ops that ignore their first operand
             taped = op(x, Tensor(y))
@@ -206,7 +207,7 @@ def dense_causal_attention(q, k, v, plus_one):
     scores = ad.add(ad.matmul(q, ad.transpose(k, (0, 2, 1))), bias)
     shift = ad.value(scores).max(axis=-1, keepdims=True)
     kernel = ad.exp(ad.sub(scores, shift))
-    denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
+    denominator = row_sums(kernel)
     if plus_one:
         denominator = ad.add(denominator, np.exp(-shift))
     return ad.div(ad.matmul(kernel, v), denominator)
@@ -262,7 +263,7 @@ def test_reductions_match_finite_differences():
     for f in (
         lambda p: ad.tensor_sum(p["x"]),
         lambda p: ad.tensor_sum(ad.logsumexp(p["x"], axis=1)),
-        lambda p: ad.tensor_sum(ad.mul(ad.tensor_sum(p["x"], axis=1, keepdims=True), col)),
+        lambda p: ad.tensor_sum(ad.mul(ad.tensor_sum(p["x"]), col)),
     ):
         assert grad_check(f, {"x": x}) < 1e-6
 

@@ -249,17 +249,14 @@ def test_next_event_divergence_encodes_the_prefix_once(monkeypatch):
     def draws(fresh):
         out = []
 
-        def recorded(sample):
-            def wrapper(*args, **caches):
-                if fresh:
-                    caches = {name: M.EncoderCache(cache.checkpoint)
-                              for name, cache in caches.items()}
-                out.append(sample(*args, **caches))
-                return out[-1]
-            return wrapper
+        def recorded(*args, **caches):
+            if fresh:
+                caches = {name: M.EncoderCache(cache.checkpoint)
+                          for name, cache in caches.items() if cache is not None}
+            out.append(S.next_event(*args, **caches))
+            return out[-1]
 
-        monkeypatch.setattr(E, "ar_next_event", recorded(S.ar_next_event))
-        monkeypatch.setattr(E, "sd_next_event", recorded(S.sd_next_event))
+        monkeypatch.setattr(E, "next_event", recorded)
         rows.clear()
         E.next_event_divergence(target, draft, history, m_hist, n_reps, gamma, RngStream(34))
         return out

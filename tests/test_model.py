@@ -13,7 +13,7 @@ from spectpp import training as T
 from spectpp import autodiff as ad
 from spectpp.core import Event, EventSequence, RngStream
 
-from gradcheck import grad_check
+from gradcheck import grad_check, row_sums
 from sequences import sequence_from_arrays
 
 
@@ -913,7 +913,7 @@ def composed_attention(q, k, v, plus_one=False):
                            ad.matmul(q, ad.transpose(k, (0, 2, 1))), -math.inf)
     shift = ad.value(scores).max(axis=-1, keepdims=True)
     kernel = ad.exp(ad.sub(scores, shift))
-    denominator = ad.tensor_sum(kernel, axis=-1, keepdims=True)
+    denominator = row_sums(kernel)
     if plus_one:
         with np.errstate(over="ignore"):
             denominator = ad.add(denominator, np.exp(-shift))

@@ -57,9 +57,10 @@ def ks_against_grid(samples, taus, cdf):
     return float(max(upper.max(), lower.max()))
 
 
-def sd_caches(target, draft_model):
-    """Fresh encoder caches for one sd_next_event call."""
-    return {"target_cache": M.EncoderCache(target), "draft_cache": M.EncoderCache(draft_model)}
+def step_caches(target, draft_model):
+    """Fresh encoder caches for one next_event call."""
+    return {"target_cache": M.EncoderCache(target),
+            "draft_cache": None if draft_model is None else M.EncoderCache(draft_model)}
 
 
 class FixedUniforms:
@@ -126,8 +127,8 @@ def test_cached_ar_emits_the_uncached_events():
     stream = RngStream(5).child("ar")
     events = list(history.events)
     while len(events) < len(seq):
-        events.append(S.ar_next_event(ckpt, EventSequence(tuple(events), 30.0), stream,
-                                      cache=M.EncoderCache(ckpt)))
+        events.append(S.next_event(ckpt, None, EventSequence(tuple(events), 30.0), 0, stream,
+                                   target_cache=M.EncoderCache(ckpt)))
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
 
@@ -566,9 +567,9 @@ def test_draft_and_verify_calls_per_candidate_are_bounded(gamma):
     history = sequence_from_arrays(0.5 * np.arange(1, 11), np.arange(10) % 2, 100.0)
     for seed in range(4):
         events, stats = S._RunState(history), S.SampleRunStats()
-        caches = sd_caches(target, draft_model)
-        S._sd_step(target, draft_model, events, gamma, S._sd_streams(RngStream(seed)), stats,
-                   **caches)
+        caches = step_caches(target, draft_model)
+        S._sd_step(target, draft_model, gamma, S._sd_streams(RngStream(seed)),
+                   caches["target_cache"], caches["draft_cache"], events, stats)
         rng = RngStream(seed + 100)
         batch, drafted = python_calls(S.draft, draft_model, events, gamma, rng.child("draft"),
                                       stats, cache=caches["draft_cache"])
@@ -611,8 +612,8 @@ def test_cached_sd_emits_the_uncached_events():
     uncached = S.SampleRunStats()
     events = S._RunState(history)
     while events.last_time < 30.0:
-        S._sd_step(target, draft_model, events, 4, streams, uncached,
-                   target_cache=M.EncoderCache(target), draft_cache=M.EncoderCache(draft_model))
+        S._sd_step(target, draft_model, 4, streams, M.EncoderCache(target),
+                   M.EncoderCache(draft_model), events, uncached)
     events = events.events(0, 30.0)
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
@@ -723,9 +724,9 @@ def test_single_steps_raise_when_an_interval_does_not_move_the_clock(stalling_ch
     ckpt = stalling_checkpoint
     history = sequence_from_arrays([1.0], [0], 20.0)
     with pytest.raises(FloatingPointError, match="from t=1.0 does not move the clock"):
-        S.ar_next_event(ckpt, history, RngStream(3), cache=M.EncoderCache(ckpt))
+        S.next_event(ckpt, None, history, 5, RngStream(3), **step_caches(ckpt, None))
     with pytest.raises(FloatingPointError, match="from t=1.0 does not move the clock"):
-        S.sd_next_event(ckpt, ckpt, history, 5, RngStream(0), **sd_caches(ckpt, ckpt))
+        S.next_event(ckpt, ckpt, history, 5, RngStream(0), **step_caches(ckpt, ckpt))
 
 
 def guarded_checkpoint(encoding, n_layers, n_heads, scale, seed):
@@ -804,8 +805,8 @@ def test_sd_rejects_mark_cardinality_mismatch():
     with pytest.raises(ValueError, match="mark cardinality"):
         S.tpp_sd_sample(target, draft_model, 10.0, 2, RngStream(0))
     with pytest.raises(ValueError, match="mark cardinality"):
-        S.sd_next_event(target, draft_model, EventSequence((), math.inf), 2, RngStream(0),
-                        **sd_caches(target, draft_model))
+        S.next_event(target, draft_model, EventSequence((), math.inf), 2, RngStream(0),
+                     **step_caches(target, draft_model))
 
 
 def test_sd_final_filter_drops_overshoot():
@@ -815,16 +816,19 @@ def test_sd_final_filter_drops_overshoot():
     assert all(e.time <= 12.0 for e in seq.events)
 
 
-def test_sd_next_event_twice_on_shared_caches_repeats_its_event():
+@pytest.mark.parametrize("speculative", [False, True], ids=["ar", "sd"])
+def test_next_event_twice_on_shared_caches_repeats_its_event(speculative):
     """A second step on the same history and seed, with the caches that the
-    first one left holding its candidates, all but the last in the
-    target's, emits the same event."""
+    first one left holding what it encoded, emits the same event: AR's
+    cache holds the history, SD's target cache also all the candidates
+    but the last."""
     target, draft_model = make_checkpoint(39, n_layers=2), make_checkpoint(40, n_layers=2)
+    draft_model = draft_model if speculative else None
     history = sequence_from_arrays([0.5, 1.1, 2.0], [0, 1, 1], math.inf)
-    caches = sd_caches(target, draft_model)
-    first, second = (S.sd_next_event(target, draft_model, history, 3, RngStream(7), **caches)
+    caches = step_caches(target, draft_model)
+    first, second = (S.next_event(target, draft_model, history, 3, RngStream(7), **caches)
                      for _ in range(2))
-    assert caches["target_cache"].size == len(history) + 2
+    assert caches["target_cache"].size == len(history) + (2 if speculative else 0)
     assert second == first
 
 
@@ -842,12 +846,12 @@ def test_sd_next_event_matches_ar_in_distribution(gamma):
         root = RngStream(seed)
         sd_times, sd_marks, ar_times, ar_marks = [], [], [], []
         for i in range(n):
-            ev = S.sd_next_event(target, draft_model, history, gamma, root.child(f"sd{i}"),
-                                 **sd_caches(target, draft_model))
+            ev = S.next_event(target, draft_model, history, gamma, root.child(f"sd{i}"),
+                              **step_caches(target, draft_model))
             sd_times.append(ev.time)
             sd_marks.append(ev.mark)
-            ev = S.ar_next_event(target, history, root.child(f"ar{i}"),
-                                 cache=M.EncoderCache(target))
+            ev = S.next_event(target, None, history, gamma, root.child(f"ar{i}"),
+                              **step_caches(target, None))
             ar_times.append(ev.time)
             ar_marks.append(ev.mark)
         if ks_2samp(sd_times, ar_times).pvalue <= 0.01:
@@ -862,16 +866,16 @@ def test_sd_identical_models_next_event_matches_ar():
     ckpt = make_checkpoint(39, n_marks=2)
     history = EventSequence((), math.inf)
     root = RngStream(40)
-    sd_times = [S.sd_next_event(ckpt, ckpt, history, 3, root.child(f"s{i}"),
-                                **sd_caches(ckpt, ckpt)).time for i in range(2000)]
-    ar_times = [S.ar_next_event(ckpt, history, root.child(f"a{i}"),
-                                cache=M.EncoderCache(ckpt)).time for i in range(2000)]
+    sd_times = [S.next_event(ckpt, ckpt, history, 3, root.child(f"s{i}"),
+                             **step_caches(ckpt, ckpt)).time for i in range(2000)]
+    ar_times = [S.next_event(ckpt, None, history, 3, root.child(f"a{i}"),
+                             **step_caches(ckpt, None)).time for i in range(2000)]
     assert ks_2samp(sd_times, ar_times).pvalue > 0.01
 
 
 def test_next_event_helpers_are_the_first_step_of_their_loops():
-    """ar_next_event and sd_next_event emit exactly the first new event of
-    ar_sample and tpp_sd_sample under the same streams."""
+    """next_event, without and with a draft, emits exactly the first new
+    event of ar_sample and tpp_sd_sample under the same streams."""
     target = make_checkpoint(28, n_layers=2, scale=1.5)
     draft_model = make_checkpoint(29)
     history = sequence_from_arrays([0.5, 1.1], [0, 1], 40.0)
@@ -879,11 +883,11 @@ def test_next_event_helpers_are_the_first_step_of_their_loops():
     for seed in range(8):
         rng = RngStream(seed)
         ar_seq, _ = S.ar_sample(target, 40.0, rng, history=history)
-        assert S.ar_next_event(target, history, rng.child("ar"),
-                               cache=M.EncoderCache(target)) == ar_seq.events[2]
+        assert S.next_event(target, None, history, 4, rng.child("ar"),
+                            **step_caches(target, None)) == ar_seq.events[2]
         sd_seq, _ = S.tpp_sd_sample(target, draft_model, 40.0, 4, rng, history=history)
-        first = S.sd_next_event(target, draft_model, history, 4, rng,
-                                **sd_caches(target, draft_model))
+        first = S.next_event(target, draft_model, history, 4, rng,
+                             **step_caches(target, draft_model))
         assert first == sd_seq.events[2]
         stats = S.SampleRunStats()
         batch = S.draft(draft_model, S._RunState(history), 4, rng.child("draft"), stats,
