@@ -18,6 +18,9 @@ those the draws used; the target rows encoded per verify; and the encoder
 caches' growths per SD run, with the calls of ``grown``, which copies one
 buffer of a growing cache, per SD event. Before all of these it counts the
 calls of one ``save_checkpoint`` and one ``load_checkpoint`` of the target.
+Last, it prints the worst Python-level calls per candidate of one draft
+and one verify in the shape of ``tests/test_sampler.py``'s bound test, on
+its checkpoints, history, seeds and gammas, next to the test's bounds.
 It takes no options:
 
     python3 scripts/call_counts.py
@@ -30,16 +33,21 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 from gamma_ablation import build_pair
 from spectpp import model, sampler
 from spectpp.core import Event, EventSequence, RngStream
+from test_sampler import DRAFT_CALLS_PER_CANDIDATE, VERIFY_CALLS_PER_CANDIDATE, make_checkpoint
 
 SEED = 1
 SEQUENCES = 8
 T_END = 100.0
 GAMMA = 10
 TOP = 10
+# test_draft_and_verify_calls_per_candidate_are_bounded's seeds and gammas
+BOUND_SEEDS = range(4)
+BOUND_GAMMAS = (5, 10)
 
 
 def counted(fn, *args, **kwargs):
@@ -97,6 +105,28 @@ def residual_scoring(target, draft):
     finally:
         sampler._residual_interval_sample_info, sampler._mixture_logpdf = draw, density
     return draws, used, scored // 2
+
+
+def bound_test_worst(history):
+    """The most Python-level calls per candidate of one draft and of one
+    verify after a warm SD step, over the bound test's seeds and gammas, on
+    its 1-layer draft and 2-layer, 2-head target."""
+    target, draft = make_checkpoint(1, n_layers=2, n_heads=2), make_checkpoint(2)
+    worst_draft = worst_verify = 0.0
+    for gamma in BOUND_GAMMAS:
+        for seed in BOUND_SEEDS:
+            events, stats = sampler._RunState(history), sampler.SampleRunStats()
+            target_cache, draft_cache = model.EncoderCache(target), model.EncoderCache(draft)
+            sampler._sd_step(target, draft, gamma, sampler._sd_streams(RngStream(seed)),
+                             target_cache, draft_cache, events, stats)
+            rng = RngStream(seed + 100)
+            batch, drafted, _, _ = counted(sampler.draft, draft, events, gamma,
+                                           rng.child("draft"), stats, cache=draft_cache)
+            _, verified, _, _ = counted(sampler.verify, target, events, batch, rng.child("verify"),
+                                        rng.child("residual"), stats, cache=target_cache)
+            worst_draft = max(worst_draft, drafted / gamma)
+            worst_verify = max(worst_verify, verified / gamma)
+    return worst_draft, worst_verify
 
 
 def main() -> None:
@@ -167,6 +197,12 @@ def main() -> None:
     (_, used, _), p, b, _ = counted(sampler._residual_interval_sample_info, *rows,
                                     rng.child("residual interval"))
     print(f"{'residual':<12} {used:3d} proposals     {p:5d} Python-level calls  {b:5d} builtin calls")
+
+    worst_draft, worst_verify = bound_test_worst(history)
+    print(f"bound test shape, seeds {BOUND_SEEDS.start}-{BOUND_SEEDS.stop - 1}, gamma "
+          f"{' and '.join(map(str, BOUND_GAMMAS))}: the most Python-level calls per candidate")
+    print(f"{'draft':<12} {worst_draft:5.1f}  (bound {DRAFT_CALLS_PER_CANDIDATE})")
+    print(f"{'verify':<12} {worst_verify:5.1f}  (bound {VERIFY_CALLS_PER_CANDIDATE})")
 
 
 if __name__ == "__main__":

@@ -128,10 +128,15 @@ def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None
     With ``draft=None`` the second sample is another independent
     autoregressive run, which serves as the self-comparison baseline. Each
     model keeps one encoder cache across the draws, so the prefix is
-    encoded once per model. A draft whose mark count differs from the
-    target's, and then a prefix that check_sequence refuses on the target's
-    mark count, raise ValueError.
+    encoded once per model. An m_hist below 0 or past the history's end, an
+    n_reps below 1, a draft whose mark count differs from the target's, and
+    then a prefix that check_sequence refuses on the target's mark count,
+    raise ValueError.
     """
+    if m_hist < 0:
+        raise ValueError(f"m_hist must be >= 0, got {m_hist}")
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     if len(history) < m_hist:
         raise ValueError(f"history has {len(history)} events, need at least {m_hist}")
     if draft is not None:

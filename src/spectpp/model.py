@@ -233,6 +233,9 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         raise CheckpointFormatError(
             f"unsupported checkpoint format_version {version!r}; "
             f"this build reads version {CHECKPOINT_FORMAT_VERSION}")
+    for name in ("config", "params"):
+        if name not in doc:
+            raise CheckpointFormatError(f"checkpoint has no {name!r} field")
     try:
         config = ModelConfig(**doc["config"])
     except (TypeError, ValueError) as exc:

@@ -11,9 +11,10 @@ model's next-event law.
 Autoregressive sampling is the same loop with another step. One run loop
 repeats a step, its run's caches and streams bound, on the run's events,
 held as times and marks in growing arrays that the forward reads as it
-reads an EventSequence's. AR and drafting draw each event in one order,
-interval then mark; drafting and verifying append their candidates and
-truncate back, and emitting appends the accepted prefix and the
+reads an EventSequence's. AR, drafting and the residual fallback draw
+each interval with sample_interval, and AR and drafting draw each event
+alike, interval then mark; drafting and verifying append their candidates
+and truncate back, and emitting appends the accepted prefix and the
 replacement. The loop drops the events after t_end and builds the output once.
 """
 
@@ -59,49 +60,41 @@ class ZeroResidualError(FloatingPointError):
 class _RunState:
     """One run's events as times and marks in growing arrays. ``times`` and
     ``marks`` are views of the held events, read by the forward as it reads
-    an EventSequence's arrays; events are appended after the held ones and
-    dropped by truncating back to a shorter prefix."""
+    an EventSequence's arrays, and ``last_time`` is the last held event's
+    time, or 0.0 when none is held. Events are appended after the held ones
+    and dropped by truncating back to a shorter prefix; both reset the three
+    attributes, so a forward or a step reads them with no call."""
 
-    __slots__ = ("_times", "_marks", "_size")
+    __slots__ = ("times", "marks", "last_time", "_times", "_marks")
 
     def __init__(self, events: Iterable[Event]) -> None:
         events = tuple(events)
         self._times = np.array([e.time for e in events], dtype=float)
         self._marks = np.array([e.mark for e in events], dtype=int)
-        self._size = len(events)
+        self.truncate(len(events))
 
     def __len__(self) -> int:
-        return self._size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._times[:self._size]
-
-    @property
-    def marks(self) -> np.ndarray:
-        return self._marks[:self._size]
-
-    @property
-    def last_time(self) -> float:
-        """Time of the last held event, or 0.0 when none is held."""
-        return float(self._times[self._size - 1]) if self._size else 0.0
+        return self.times.size
 
     def append(self, times, marks) -> None:
         """Hold the given events after the held ones: arrays of times and
         marks, or one time and one mark. Full buffers grow to twice the
         events they must hold."""
-        end = self._size + (times.size if isinstance(times, np.ndarray) else 1)
+        start = self.times.size
+        end = start + (times.size if isinstance(times, np.ndarray) else 1)
         if end > len(self._times):
             grown = np.empty(2 * end), np.empty(2 * end, dtype=int)
-            grown[0][:self._size], grown[1][:self._size] = self.times, self.marks
+            grown[0][:start], grown[1][:start] = self.times, self.marks
             self._times, self._marks = grown
-        self._times[self._size:end] = times
-        self._marks[self._size:end] = marks
-        self._size = end
+        self._times[start:end] = times
+        self._marks[start:end] = marks
+        self.times, self.marks = self._times[:end], self._marks[:end]
+        self.last_time = float(self._times[end - 1]) if end else 0.0
 
     def truncate(self, size: int) -> None:
         """Keep only the first ``size`` events."""
-        self._size = size
+        self.times, self.marks = self._times[:size], self._marks[:size]
+        self.last_time = float(self._times[size - 1]) if size else 0.0
 
     def events(self, start: int, t_end: float) -> tuple[Event, ...]:
         """Events of the held times and marks from position ``start`` on,
@@ -199,8 +192,7 @@ def _ar_step(target: ModelCheckpoint, rng: RngStream, cache: EncoderCache, event
     stats.target_forward_passes += 1
     stats.target_rows_encoded += cache.last_encoded
     tau = sample_interval(mixture, rng)
-    mark = rng.categorical(mark_dist.probabilities)
-    events.append(advance_clock(events.last_time, tau), mark)
+    events.append(advance_clock(events.last_time, tau), rng.categorical(mark_dist.probabilities))
 
 
 def _sample(step: Callable[[_RunState, SampleRunStats], None], t_end: float,
@@ -239,32 +231,25 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
           stats: SampleRunStats, *, cache: EncoderCache) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
     after the run's events, with the head rows of all of them and the
-    interval log-density at each. Each candidate is appended to the run's
-    state for the next forward, and the state is truncated back before the
-    call returns. Each of the gamma forwards checks its head row and
-    writes it into the cache's head rows at its candidate's position, and
-    the candidate is drawn there, in sample_interval's and then
-    categorical's draw order; the batch's rows are views of those gamma
-    positions, and all gamma intervals are scored against them with one
-    mixture_logpdf call."""
+    interval log-density at each. Each candidate is drawn as _ar_step draws
+    an event, on the draft model: one forward, which checks its head row
+    and writes it into the cache's head rows at the candidate's position,
+    then sample_interval's interval and categorical's mark on ``rng``, and
+    the event appended to the run's state for the next forward. The state
+    is truncated back before the call returns; the batch's rows are views
+    of the gamma positions, and all gamma intervals are scored against them
+    with one mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    n_hist, clock = len(events), events.last_time
-    normal = rng.generator.standard_normal
+    n_hist = len(events)
     intervals = np.empty(gamma)
     for i in range(gamma):
         mixture, mark_dist = next_event_distributions(events, draft_model, cache=cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
-        component = rng.categorical(mixture.weights)
-        try:
-            tau = math.exp(mixture.means[component] + mixture.scales[component] * normal())
-        except OverflowError:
-            raise FloatingPointError("sampled interval overflowed") from None
-        if not 0.0 < tau < math.inf:
-            raise FloatingPointError(f"sampled interval {tau} is not a positive finite number")
-        clock = advance_clock(clock, tau)
-        events.append(clock, rng.categorical(mark_dist.probabilities))
+        tau = sample_interval(mixture, rng)
+        events.append(advance_clock(events.last_time, tau),
+                      rng.categorical(mark_dist.probabilities))
         intervals[i] = tau
     times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
     events.truncate(n_hist)

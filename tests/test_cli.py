@@ -600,16 +600,23 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
     ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "n_heads": True}})),
     ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "n_heads": 0}})),
     ("--target", lambda ckpt: json.dumps({**ckpt, "config": {**ckpt["config"], "n_heads": -2}})),
+    # a checkpoint without one of its fields
+    ("--target", lambda ckpt: json.dumps({k: v for k, v in ckpt.items() if k != "config"})),
+    ("--target", lambda ckpt: json.dumps({k: v for k, v in ckpt.items() if k != "params"})),
     ("--process", lambda ckpt: json.dumps([{"kind": "sine_poisson"}])),
     ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
     ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
 ], ids=["checkpoint-list", "params-list", "param-number", "shape-string", "data-object",
         "data-misfit", "data-string", "data-bool", "data-nested", "data-huge-int",
         "config-float-embed-dim", "config-bool-n-heads", "config-zero-n-heads",
-        "config-negative-n-heads", "process-list", "sequence-list", "events-number"])
+        "config-negative-n-heads", "no-config", "no-params", "process-list", "sequence-list",
+        "events-number"])
 def test_malformed_json_input_exit_2(runner, workspace, flag, text):
     bad = workspace / "bad.json"
     bad.write_text(text(json.loads((workspace / "target.json").read_text())))
+    # a checkpoint that lacks a field is refused by the field's name
+    missing = [f"no {name!r} field" for name in ("config", "params")
+               if flag == "--target" and f'"{name}"' not in bad.read_text()]
     commands = {
         "--target": ["sample", "--mode", "ar", "--t-end", "5"],
         "--process": ["simulate", "--n", "2", "--t-end", "5"],
@@ -620,6 +627,7 @@ def test_malformed_json_input_exit_2(runner, workspace, flag, text):
                                       "--out", str(workspace / "x")])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output and "bad.json" in result.output
+    assert all(message in result.output for message in missing)
 
 
 @pytest.mark.parametrize("case", ["sample-sd", "bench", "wasserstein-draft",

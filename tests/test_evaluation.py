@@ -224,6 +224,17 @@ def test_next_event_divergence_requires_enough_history():
         E.next_event_divergence(ckpt, None, EventSequence((), 5.0), 10, 10, 2, RngStream(0))
 
 
+@pytest.mark.parametrize("m_hist, n_reps, message", [(-2, 10, "m_hist"), (4, 0, "n_reps")])
+def test_next_event_divergence_refuses_a_bad_count(m_hist, n_reps, message):
+    """A negative m_hist would condition on all but the history's last
+    events, and no repetitions would fail inside the distance; both are
+    refused by name, as by the command line."""
+    ckpt = init_checkpoint(ModelConfig(embed_dim=8, n_components=4, n_marks=2), RngStream(1))
+    history = sequence_from_arrays(0.5 * np.arange(1, 7), np.arange(6) % 2, 5.0)
+    with pytest.raises(ValueError, match=message):
+        E.next_event_divergence(ckpt, None, history, m_hist, n_reps, 2, RngStream(0))
+
+
 def test_next_event_divergence_encodes_the_prefix_once(monkeypatch):
     """Each model keeps one cache across the draws, so the target encodes the
     prefix once and then the drafted events of each draw; the draws equal

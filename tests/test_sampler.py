@@ -221,6 +221,33 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
     assert len(cache.hidden) > 129
 
 
+@pytest.mark.parametrize("gamma", [1, 5])
+def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
+    """draft's gamma candidates are, bit for bit, the events of gamma
+    _ar_steps of the draft model on the same stream after the same history:
+    one draw, sample_interval's interval then categorical's mark, in one
+    order, which leaves the two streams at one position."""
+    ckpt = make_checkpoint(5, n_layers=2, n_components=8, n_marks=3)
+    history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 2], math.inf)
+    drafted = RngStream(9).child("draft")
+    batch = S.draft(ckpt, S._RunState(history), gamma, drafted, S.SampleRunStats(),
+                    cache=M.EncoderCache(ckpt))
+    intervals = []
+
+    def recorded(mixture, rng, _draw=S.sample_interval):
+        intervals.append(_draw(mixture, rng))
+        return intervals[-1]
+
+    monkeypatch.setattr(S, "sample_interval", recorded)
+    events, stepped, cache = S._RunState(history), RngStream(9).child("draft"), M.EncoderCache(ckpt)
+    for _ in range(gamma):
+        S._ar_step(ckpt, stepped, cache, events, S.SampleRunStats())
+    assert events.times[len(history):].tobytes() == batch.times.tobytes()
+    assert events.marks[len(history):].tolist() == batch.marks.tolist()
+    assert np.array(intervals).tobytes() == batch.intervals.tobytes()
+    assert stepped.uniform() == drafted.uniform()
+
+
 def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
     """A NaN in a draft head parameter fails as FloatingPointError at the
     first forward's checked pair, within the gamma passes."""
@@ -538,8 +565,9 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 
 # Python-level calls per candidate of one draft and one verify after a warm
-# step, on a 1-layer draft and a 2-layer, 2-head target: at most 20.6 and
-# 12.2 are counted, a verify with a residual interval draw included
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 20.0 and
+# 11.8 are counted, a verify with a residual interval draw included
+# (scripts/call_counts.py prints both)
 DRAFT_CALLS_PER_CANDIDATE = 21
 VERIFY_CALLS_PER_CANDIDATE = 13
 
