@@ -48,18 +48,25 @@ TOP = 10
 # test_draft_and_verify_calls_per_candidate_are_bounded's seeds and gammas
 BOUND_SEEDS = range(4)
 BOUND_GAMMAS = (5, 10)
+# the qualname of every __init__ that dataclasses generates
+DATACLASS_INIT = "__create_fn__.<locals>.__init__"
 
 
 def counted(fn, *args, **kwargs):
     """fn's result, the Python-level and builtin calls it made, and the
-    calls per function, named ``py name (file)`` or ``c name``."""
+    calls per function, named ``py name (file)`` or ``c name``. A
+    dataclass's generated ``__init__``, whose qualname every dataclass
+    shares, is named by the class of the ``self`` it initialises."""
     counts = {"call": 0, "c_call": 0}
     by_function = collections.Counter()
 
     def hook(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            by_function[f"py {code.co_qualname} ({pathlib.Path(code.co_filename).name})"] += 1
+            name = code.co_qualname
+            if name == DATACLASS_INIT:
+                name = f"{type(frame.f_locals['self']).__qualname__}.__init__"
+            by_function[f"py {name} ({pathlib.Path(code.co_filename).name})"] += 1
         elif event == "c_call":
             by_function[f"c {getattr(arg, '__qualname__', arg)}"] += 1
         else:

@@ -76,8 +76,12 @@ def main() -> None:
 
     gt_scorer = lambda s: ground_truth_loglik(s, process)
     model_scorer = lambda s: sequence_loglik(s, target)
-    delta_ar = ev.likelihood_discrepancy(ar_seqs, gt_scorer, model_scorer)
-    delta_sd = ev.likelihood_discrepancy(sd_seqs, gt_scorer, model_scorer)
+
+    def delta_l(seqs):
+        return abs(ev.mean_loglik_per_event(seqs, gt_scorer)
+                   - ev.mean_loglik_per_event(seqs, model_scorer))
+
+    delta_ar, delta_sd = delta_l(ar_seqs), delta_l(sd_seqs)
 
     def pooled_ks(seqs):
         z = [x for s in seqs for x in ev.time_rescale(s, process)]

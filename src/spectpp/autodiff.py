@@ -53,10 +53,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -87,10 +83,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return take(self, key)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def value(x):

@@ -65,6 +65,9 @@ class SinePoissonParams:
     omega: float
 
     def __post_init__(self) -> None:
+        for name in ("A", "b", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.A <= 0:
             raise ValueError("A must be positive")
         grid = np.linspace(0.0, _RATE_CHECK_HORIZON, 4096)
@@ -99,6 +102,9 @@ class HawkesParams:
         m = self.mu.shape[0]
         if self.alpha.shape != (m, m) or self.beta.shape != (m, m):
             raise ValueError("alpha and beta must be square matrices matching mu")
+        for name in ("mu", "alpha", "beta"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name).tolist()!r}")
         if np.any(self.mu < 0):
             raise ValueError("mu must be nonnegative")
         if np.any(self.alpha < 0):

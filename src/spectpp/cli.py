@@ -193,8 +193,6 @@ def run_eval_ks(args: dict, out_dir: Path) -> dict:
 
 
 def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
-    _require(args["m_hist"] >= 0, "m_hist must be >= 0")
-    _require(args["n_reps"] >= 1, "n_reps must be >= 1")
     _require(args["gamma"] >= 1, "gamma must be >= 1")
     target = _load("checkpoint", load_checkpoint, args["target"])
     draft = _load("checkpoint", load_checkpoint, args["draft"]) if args.get("draft") else None
@@ -205,7 +203,8 @@ def run_eval_wasserstein(args: dict, out_dir: Path) -> dict:
             break
     if history is None:
         raise DataError(f"no sequence with at least {args['m_hist']} events")
-    # next_event_divergence checks the pair, then the history's first m_hist events
+    # next_event_divergence checks m_hist and n_reps, the pair, then the
+    # history's first m_hist events
     d_t, d_k = ev.next_event_divergence(target, draft, history, args["m_hist"],
                                         args["n_reps"], args["gamma"], RngStream(args["seed"]))
     _write_table(out_dir / "wasserstein.csv",

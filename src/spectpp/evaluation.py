@@ -1,6 +1,7 @@
 """Sampling-quality metrics: time-rescaling KS tests against ground-truth
 processes, 1-D Wasserstein and categorical earth-mover distances between
-sample sets, likelihood discrepancies, and next-event divergence between
+sample sets, the mean log-likelihood per event whose difference between two
+scorers is the likelihood discrepancy, and next-event divergence between
 autoregressive and speculative sampling.
 """
 
@@ -103,20 +104,6 @@ def mean_loglik_per_event(sequences: Sequence[EventSequence],
     if events == 0:
         raise ValueError("likelihood normalization requires at least one event")
     return total / events
-
-
-def likelihood_discrepancy(sequences: Sequence[EventSequence],
-                           scorer_a: Callable[[EventSequence], float],
-                           scorer_b: Callable[[EventSequence], float],
-                           sequences_b: Sequence[EventSequence] | None = None) -> float:
-    """|mean-per-event log-likelihood under A minus the same under B|.
-
-    By default both scorers run on the same sequences; pass ``sequences_b``
-    to compare two sample sets under their own scorers.
-    """
-    a = mean_loglik_per_event(sequences, scorer_a)
-    b = mean_loglik_per_event(sequences if sequences_b is None else sequences_b, scorer_b)
-    return abs(a - b)
 
 
 def next_event_divergence(target: ModelCheckpoint, draft: ModelCheckpoint | None,

@@ -36,8 +36,9 @@ likelihood turns the products into log-weights, as training needs them. A
 sampling forward makes each head row once and in place: one finiteness
 check of the pre-activations and mark logits, then one softmax each for
 the weights and the mark probabilities and a clipped exp for the scales,
-written into the cache's head rows, which the returned distributions are
-views of.
+written into the cache's head rows. A forward returns views of them: a
+MixtureParams of the weights, means and scales, and the mark probabilities
+as a bare array, which is the whole of a categorical law.
 """
 
 from __future__ import annotations
@@ -119,13 +120,15 @@ class ModelConfig:
 class MixtureParams:
     """Log-normal mixture over a positive interval: simplex weights,
     component log-means, positive component scales, as float arrays of
-    shape (M,) for one mixture or (R, M) for R stacked rows. The sampling
-    forwards make each row once: _head_rows checks the heads'
-    pre-activations, takes the weights from one softmax of their logits and
-    writes every row into the cache's head rows, which the returned arrays
-    are views of. A mixture built elsewhere is not checked when it is made,
-    but where it is used: mixture_logpdf refuses tau <= 0 and a scale <= 0,
-    and sample_interval refuses a draw that is not positive and finite."""
+    shape (M,) for one mixture or (R, M) for R stacked rows. Its three
+    arrays travel together, where the mark law of the same rows is one
+    array of probabilities and needs no record. The sampling forwards make
+    each row once: _head_rows checks the heads' pre-activations, takes the
+    weights from one softmax of their logits and writes every row into the
+    cache's head rows, which the returned arrays are views of. A mixture
+    built elsewhere is not checked when it is made, but where it is used:
+    mixture_logpdf refuses tau <= 0 and a scale <= 0, and sample_interval
+    refuses a draw that is not positive and finite."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -134,20 +137,6 @@ class MixtureParams:
     def row(self, i: int | slice) -> "MixtureParams":
         """Row i, or the rows of a slice, of stacked mixtures."""
         return MixtureParams(self.weights[i], self.means[i], self.scales[i])
-
-
-@dataclass(frozen=True)
-class MarkDistribution:
-    """Categorical distribution over the K mark values, a float array of
-    shape (K,) or (R, K) for R stacked rows. Like MixtureParams, it is
-    made once, from one softmax of the mark logits, where the heads write
-    it."""
-
-    probabilities: np.ndarray
-
-    def row(self, i: int) -> "MarkDistribution":
-        """Row i of stacked distributions."""
-        return MarkDistribution(self.probabilities[i])
 
 
 @dataclass
@@ -449,10 +438,11 @@ class EncoderCache:
     Beside each position's hidden row it keeps that position's head rows:
     ``head_rows`` holds the mixture weights, means and scales and the mark
     probabilities, with row i for the next event after the first i events.
-    A forward's heads write the rows they make there, and the distributions
-    it returns are views of them, valid until a later forward of the cache
-    writes the same positions. So a draft's gamma one-row passes leave the
-    rows of all its candidates side by side, with no copy.
+    A forward's heads write the rows they make there, and the mixture and
+    mark probabilities it returns are views of them, valid until a later
+    forward of the cache writes the same positions. So a draft's gamma
+    one-row passes leave the rows of all its candidates side by side, with
+    no copy.
     Key and value buffers have shape (heads, capacity, head_dim); a cache
     that must hold n events grows to capacity max(2n, n + 128). So a
     sampling run sizes its caches once, at its first forward, with room for
@@ -478,14 +468,6 @@ class EncoderCache:
         shape = (config.n_heads, 0, self.weights.head_dim)
         self._keys = [np.empty(shape) for _ in range(config.n_layers)]
         self._values = [np.empty(shape) for _ in range(config.n_layers)]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.frombuffer(self._held[0])[:self.size]
-
-    @property
-    def marks(self) -> np.ndarray:
-        return np.frombuffer(self._held[1], dtype=int)[:self.size]
 
     def _reserve(self, n: int) -> None:
         """Grow the buffers to capacity max(2n, n + _CACHE_ROOM), keeping the
@@ -581,14 +563,14 @@ def _check_head_rows(pre: np.ndarray, mark_logits: np.ndarray) -> None:
         raise FloatingPointError("head rows contain non-finite values")
 
 
-def _head_rows(ctx, cache: EncoderCache, at: int | slice
-               ) -> tuple[MixtureParams, MarkDistribution]:
-    """The distributions of the context rows ``ctx``, or of one row given as
-    a vector, made once and written at positions ``at`` of the cache's
-    head rows; the returned arrays are views of them. After the one check,
-    on the pre-activations, the weights and the mark probabilities come
-    from one softmax each of their logits and the scales from the clipped
-    exp of the log-scales, every step writing into the rows."""
+def _head_rows(ctx, cache: EncoderCache, at: int | slice) -> tuple[MixtureParams, np.ndarray]:
+    """The mixtures and mark probabilities of the context rows ``ctx``, or
+    of one row given as a vector, made once and written at positions ``at``
+    of the cache's head rows; the returned arrays are views of them. After
+    the one check, on the pre-activations, the weights and the mark
+    probabilities come from one softmax each of their logits and the scales
+    from the clipped exp of the log-scales, every step writing into the
+    rows."""
     config = cache.checkpoint.config
     pre, mark_logits = _head_products(ctx, cache.weights, config)
     _check_head_rows(pre, mark_logits)
@@ -603,16 +585,17 @@ def _head_rows(ctx, cache: EncoderCache, at: int | slice
     means[...] = pre[..., m:2 * m]
     np.exp(pre[..., 2 * m:3 * m], out=scales)
     np.minimum(np.maximum(scales, SIGMA_MIN, out=scales), SIGMA_MAX, out=scales)
-    return MixtureParams(weights, means, scales), MarkDistribution(probabilities)
+    return MixtureParams(weights, means, scales), probabilities
 
 
 def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
                            cache: EncoderCache | None = None
-                           ) -> tuple[MixtureParams, MarkDistribution]:
-    """Next-event distributions at every position, from one batched forward.
+                           ) -> tuple[MixtureParams, np.ndarray]:
+    """Next-event distributions at every position, from one batched forward:
+    the interval mixtures and the (N+1, K) mark probabilities.
 
     Row i conditions on events[:i] (row 0 is the begin-of-sequence
-    context), so both arrays have N+1 rows. Equality of these rows with
+    context), so every array has N+1 rows. Equality of these rows with
     per-prefix recomputation is what makes batched verification valid.
     With a cache, the rows start at the first position it did not hold:
     they are the last N+1-P rows, where P events were reused. Without one,
@@ -628,11 +611,12 @@ def position_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *
 
 def next_event_distributions(events: EventSequence, checkpoint: ModelCheckpoint, *,
                              cache: EncoderCache | None = None
-                             ) -> tuple[MixtureParams, MarkDistribution]:
-    """Distributions of the next interval and mark given the events so far:
-    the last row of position_distributions, with the heads run on that row
-    only, as a vector, and written at the last position of the cache's head
-    rows, of which the arrays are views."""
+                             ) -> tuple[MixtureParams, np.ndarray]:
+    """Distributions of the next interval and mark given the events so far,
+    as a mixture and a (K,) array of mark probabilities: the last row of
+    position_distributions, with the heads run on that row only, as a
+    vector, and written at the last position of the cache's head rows, of
+    which the arrays are views."""
     cache = EncoderCache(checkpoint) if cache is None else cache
     ctx = cache.context(events, checkpoint)
     return _head_rows(ctx[-1], cache, cache.size)

@@ -33,7 +33,6 @@ from .core import (Event, EventSequence, RngStream, advance_clock, check_horizon
                    clamped_exp)
 from .model import (
     EncoderCache,
-    MarkDistribution,
     MixtureParams,
     ModelCheckpoint,
     _mixture_logpdf,
@@ -109,7 +108,8 @@ class DraftBatch:
     """Gamma candidate events drafted autoregressively from the draft model:
     their times, marks, intervals and interval log-densities as arrays, plus
     the draft head rows each was sampled under, stacked like verify's target
-    rows: a (gamma, M) MixtureParams and a (gamma, K) MarkDistribution.
+    rows: a (gamma, M) MixtureParams and a (gamma, K) array of mark
+    probabilities.
     The rows are views of the draft cache's head rows, where each of the
     gamma forwards wrote its own, so they hold until that cache's next
     forward at those positions, the next draft step's. draft makes the
@@ -123,7 +123,7 @@ class DraftBatch:
     intervals: np.ndarray
     interval_logpdf: np.ndarray
     mixtures: MixtureParams
-    mark_dists: MarkDistribution
+    mark_probabilities: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -188,11 +188,11 @@ def _ar_step(target: ModelCheckpoint, rng: RngStream, cache: EncoderCache, event
              stats: SampleRunStats) -> None:
     """One autoregressive step: one target forward, then the interval and
     the mark drawn from its head rows on ``rng``, and the event appended."""
-    mixture, mark_dist = next_event_distributions(events, target, cache=cache)
+    mixture, probabilities = next_event_distributions(events, target, cache=cache)
     stats.target_forward_passes += 1
     stats.target_rows_encoded += cache.last_encoded
     tau = sample_interval(mixture, rng)
-    events.append(advance_clock(events.last_time, tau), rng.categorical(mark_dist.probabilities))
+    events.append(advance_clock(events.last_time, tau), rng.categorical(probabilities))
 
 
 def _sample(step: Callable[[_RunState, SampleRunStats], None], t_end: float,
@@ -244,20 +244,19 @@ def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngS
     n_hist = len(events)
     intervals = np.empty(gamma)
     for i in range(gamma):
-        mixture, mark_dist = next_event_distributions(events, draft_model, cache=cache)
+        mixture, probabilities = next_event_distributions(events, draft_model, cache=cache)
         stats.draft_forward_passes += 1
         stats.draft_rows_encoded += cache.last_encoded
         tau = sample_interval(mixture, rng)
-        events.append(advance_clock(events.last_time, tau),
-                      rng.categorical(mark_dist.probabilities))
+        events.append(advance_clock(events.last_time, tau), rng.categorical(probabilities))
         intervals[i] = tau
     times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
     events.truncate(n_hist)
     rows = slice(n_hist, n_hist + gamma)
-    weights, means, scales, probabilities = cache.head_rows
+    weights, means, scales, probability_rows = cache.head_rows
     mixtures = MixtureParams(weights[rows], means[rows], scales[rows])
     return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, mixtures), mixtures,
-                      MarkDistribution(probabilities[rows]))
+                      probability_rows[rows])
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -305,10 +304,10 @@ def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixturePara
     return sample_interval(g_target, rng), RESIDUAL_MAX_PROPOSALS, True
 
 
-def residual_mark_sample(f_target: MarkDistribution, f_draft: MarkDistribution,
-                         rng: RngStream) -> int:
-    """Draw a mark from norm(max(0, f_T - f_D))."""
-    residual = np.maximum(0.0, f_target.probabilities - f_draft.probabilities)
+def residual_mark_sample(f_target: np.ndarray, f_draft: np.ndarray, rng: RngStream) -> int:
+    """Draw a mark from norm(max(0, f_T - f_D)), given the two (K,) arrays
+    of mark probabilities."""
+    residual = np.maximum(0.0, f_target - f_draft)
     mass = float(np.add.reduce(residual))
     if mass <= 1e-300:
         raise ZeroResidualError("residual mark distribution has zero mass; "
@@ -339,7 +338,7 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     # an earlier step's candidates on the same events would be held rows
     cache.size = min(cache.size, n_hist)
     events.append(batch.times[:-1], batch.marks[:-1])
-    mixtures, mark_dists = position_distributions(events, target, cache=cache)
+    mixtures, probabilities = position_distributions(events, target, cache=cache)
     events.truncate(n_hist)
     stats.target_forward_passes += 1
     stats.target_rows_encoded += cache.last_encoded
@@ -353,8 +352,8 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     # by position n_hist + l, so the candidates are the last gamma rows.
     first = len(mixtures.weights) - gamma
     candidates = np.arange(gamma)
-    f_t = mark_dists.probabilities[candidates + first, batch.marks]
-    f_d = batch.mark_dists.probabilities[candidates, batch.marks]
+    f_t = probabilities[candidates + first, batch.marks]
+    f_d = batch.mark_probabilities[candidates, batch.marks]
     # one error state for both densities: the intervals are positive draws,
     # and a target mark probability may be 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -380,8 +379,8 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
             previous = float(batch.times[accepted - 1]) if accepted else events.last_time
             event_time = advance_clock(previous, tau)
         if not mark_ok[accepted]:
-            mark = residual_mark_sample(mark_dists.row(first + accepted),
-                                        batch.mark_dists.row(accepted), residual_rng)
+            mark = residual_mark_sample(probabilities[first + accepted],
+                                        batch.mark_probabilities[accepted], residual_rng)
         replacement = (event_time, mark)
         stats.residual_seconds += time.perf_counter() - start
     if len(stats.accepted_lengths) <= gamma:
@@ -447,13 +446,15 @@ def next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint | None,
                target_cache: EncoderCache, draft_cache: EncoderCache | None = None) -> Event:
     """The first event that one step emits after the history: with no draft
     model the AR step on ``rng`` itself (gamma unread), otherwise one
-    draft-verify step on ``rng``'s children, as in tpp_sd_sample. Caches
-    held across calls on the same history encode it only once."""
+    draft-verify step on ``rng``'s children, as in tpp_sd_sample, through
+    a fresh draft cache when none is given. Caches held across calls on the
+    same history encode it only once."""
     events = _RunState(history)
     if draft_model is None:
         _ar_step(target, rng, target_cache, events, SampleRunStats())
     else:
         check_pair(target, draft_model)
+        draft_cache = EncoderCache(draft_model) if draft_cache is None else draft_cache
         _sd_step(target, draft_model, gamma, _sd_streams(rng), target_cache, draft_cache, events,
                  SampleRunStats())
     return Event(float(events.times[len(history)]), int(events.marks[len(history)]))

@@ -82,6 +82,22 @@ def test_negative_intensity_rejected_at_construction():
         SinePoissonParams(A=5.0, b=0.5, omega=1.0 / 50.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["A", "b", "omega", "mu", "alpha", "beta"])
+def test_a_non_finite_parameter_is_refused_by_its_name(field, bad):
+    """A NaN or infinite parameter is refused when the process is made,
+    with the field's name: a NaN omega simulated no events, and a NaN mu
+    or A raised FloatingPointError."""
+    if field in ("A", "b", "omega"):
+        fields = {"A": 5.0, "b": 1.0, "omega": 0.02, field: bad}
+        make = lambda: SinePoissonParams(**fields)
+    else:
+        fields = {"mu": [2.5], "alpha": [[1.0]], "beta": [[2.0]], field: [[bad]]}
+        make = lambda: HawkesParams(**fields)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make()
+
+
 def test_poisson_compensator_full_window():
     value = compensator(POISSON, 0.0, 100.0, EMPTY)[0]
     assert value == pytest.approx(500.0, rel=1e-12)

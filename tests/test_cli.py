@@ -604,12 +604,31 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
     ("--target", lambda ckpt: json.dumps({k: v for k, v in ckpt.items() if k != "config"})),
     ("--target", lambda ckpt: json.dumps({k: v for k, v in ckpt.items() if k != "params"})),
     ("--process", lambda ckpt: json.dumps([{"kind": "sine_poisson"}])),
+    # a non-finite parameter, written as json writes NaN and Infinity
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": 5.0, "b": 1.0, "omega": math.nan})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": 5.0, "b": 1.0, "omega": math.inf})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": math.nan, "b": 1.0, "omega": 0.02})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": 5.0, "b": math.nan, "omega": 0.02})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "hawkes", "mu": [math.nan], "alpha": [[1.0]], "beta": [[2.0]]})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "hawkes", "mu": [math.inf], "alpha": [[1.0]], "beta": [[2.0]]})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "hawkes", "mu": [2.5], "alpha": [[math.nan]], "beta": [[2.0]]})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "hawkes", "mu": [2.5], "alpha": [[1.0]], "beta": [[math.nan]]})),
     ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
     ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
 ], ids=["checkpoint-list", "params-list", "param-number", "shape-string", "data-object",
         "data-misfit", "data-string", "data-bool", "data-nested", "data-huge-int",
         "config-float-embed-dim", "config-bool-n-heads", "config-zero-n-heads",
-        "config-negative-n-heads", "no-config", "no-params", "process-list", "sequence-list",
+        "config-negative-n-heads", "no-config", "no-params", "process-list",
+        "sine-omega-nan", "sine-omega-inf", "sine-a-nan", "sine-b-nan", "hawkes-mu-nan",
+        "hawkes-mu-inf", "hawkes-alpha-nan", "hawkes-beta-nan", "sequence-list",
         "events-number"])
 def test_malformed_json_input_exit_2(runner, workspace, flag, text):
     bad = workspace / "bad.json"

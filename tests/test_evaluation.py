@@ -176,28 +176,30 @@ def test_emd_equals_half_l1(k, seed):
     assert E.categorical_emd(p, q) == pytest.approx(0.5 * float(np.sum(np.abs(p - q))), abs=1e-12)
 
 
-# -- likelihood discrepancy ------------------------------------------------------------
+# -- mean log-likelihood per event ----------------------------------------------------
 
-def test_delta_l_same_scorer_is_zero():
-    seqs = [sequence_from_arrays([1.0, 2.0], [0, 0], 5.0)]
-    scorer = lambda s: -3.0
-    assert E.likelihood_discrepancy(seqs, scorer, scorer) == 0.0
-
-
-def test_delta_l_simple_difference():
-    seqs = [sequence_from_arrays([1.0], [0], 5.0)]
-    assert E.likelihood_discrepancy(seqs, lambda s: -1.0, lambda s: -1.5) == pytest.approx(0.5)
+def test_mean_loglik_per_event_scores_each_sequence_once():
+    seqs = [sequence_from_arrays([1.0, 2.0], [0, 0], 5.0)] * 3
+    scored = []
+    assert E.mean_loglik_per_event(seqs, lambda s: scored.append(s) or -3.0) == -1.5
+    assert scored == seqs
 
 
-def test_delta_l_normalizes_per_event():
+def test_mean_loglik_per_event_divides_the_total_by_the_event_count():
+    seqs = [sequence_from_arrays([1.0], [0], 5.0), sequence_from_arrays([1.0, 2.0], [0, 0], 5.0)]
+    assert E.mean_loglik_per_event(seqs, lambda s: -1.5) == pytest.approx(-1.0)
+
+
+def test_mean_loglik_per_event_normalizes_per_event():
     seqs_a = [sequence_from_arrays([1.0, 2.0], [0, 0], 5.0)] * 3
     seqs_b = [sequence_from_arrays([1.0], [0], 5.0)]
     # scorer returns -1 per event, so both sets have the same per-event mean
     per_event = lambda s: -float(len(s))
-    assert E.likelihood_discrepancy(seqs_a, per_event, per_event, seqs_b) == pytest.approx(0.0)
+    assert E.mean_loglik_per_event(seqs_a, per_event) == pytest.approx(
+        E.mean_loglik_per_event(seqs_b, per_event))
 
 
-def test_delta_l_rejects_eventless_sets():
+def test_mean_loglik_per_event_rejects_eventless_sets():
     with pytest.raises(ValueError):
         E.mean_loglik_per_event([EventSequence((), 5.0)], lambda s: -1.0)
 

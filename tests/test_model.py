@@ -69,7 +69,7 @@ def encode_history(seq, ckpt):
 
 
 def decode(h, ckpt):
-    """The (mixture, mark distribution) pair of one history embedding, from
+    """The (mixture, mark probabilities) pair of one history embedding, from
     the sampling heads, written at position 0 of a fresh cache."""
     return M._head_rows(np.asarray(h, dtype=float), M.EncoderCache(ckpt), 0)
 
@@ -78,8 +78,7 @@ def as_distributions(log_w, mu, sigma, mark_logits):
     """The likelihood's head tensors as distributions: the weights as the
     exp of the log-weights, and the mark logits' softmax."""
     e = np.exp(mark_logits - np.max(mark_logits, axis=-1, keepdims=True))
-    return (M.MixtureParams(np.exp(log_w), mu, sigma),
-            M.MarkDistribution(e / np.sum(e, axis=-1, keepdims=True)))
+    return M.MixtureParams(np.exp(log_w), mu, sigma), e / np.sum(e, axis=-1, keepdims=True)
 
 
 # -- temporal encoding ---------------------------------------------------------
@@ -220,18 +219,18 @@ def test_mixture_and_mark_head_invariants_on_random_checkpoints():
     for i in range(1000):
         ckpt = random_checkpoint(config, seed=i, scale=3.0 if i % 3 else None)
         h = RngStream(10_000 + i).normal(8) * 2.0
-        mix, dist = decode(h, ckpt)
+        mix, probabilities = decode(h, ckpt)
         assert abs(float(np.sum(mix.weights)) - 1.0) < 1e-9
         assert np.all(mix.weights >= 0.0)
         assert np.all(mix.scales > 0.0)
-        assert abs(float(np.sum(dist.probabilities)) - 1.0) < 1e-9
-        assert np.all(dist.probabilities >= 0.0)
+        assert abs(float(np.sum(probabilities)) - 1.0) < 1e-9
+        assert np.all(probabilities >= 0.0)
 
 
 def test_mark_head_zero_weights_uniform():
     ckpt = zeroed(M.init_checkpoint(tiny_config(n_marks=5), RngStream(8)))
-    _, dist = decode(np.ones(8), ckpt)
-    assert dist.probabilities == pytest.approx(np.full(5, 0.2))
+    _, probabilities = decode(np.ones(8), ckpt)
+    assert probabilities == pytest.approx(np.full(5, 0.2))
 
 
 def test_mark_head_large_bias_concentrates():
@@ -239,8 +238,8 @@ def test_mark_head_large_bias_concentrates():
     bias = np.zeros(20)
     bias[0] = 10.0
     ckpt.params["mark_out_bias"] = bias
-    _, dist = decode(np.zeros(8), ckpt)
-    assert dist.probabilities[0] > 0.999
+    _, probabilities = decode(np.zeros(8), ckpt)
+    assert probabilities[0] > 0.999
 
 
 def reference_head_products(ctx, fused, config):
@@ -250,13 +249,14 @@ def reference_head_products(ctx, fused, config):
     puts in place of the fused heads; the pre-activations are joined in the
     fused product's order."""
     params, d = fused.heads, config.embed_dim
-    e = ad.matmul(ctx, params["decoder_proj"].T)
+    t = ad.transpose
+    e = ad.matmul(ctx, t(params["decoder_proj"]))
     e1, e2, e3 = e[..., :d], e[..., d:2 * d], e[..., 2 * d:]
-    w_logits = ad.add(ad.matmul(e1, params["mix_weight_proj"].T), params["mix_weight_bias"])
-    mu = ad.add(ad.matmul(e2, params["mix_mean_proj"].T), params["mix_mean_bias"])
-    log_sigma = ad.add(ad.matmul(e3, params["mix_scale_proj"].T), params["mix_scale_bias"])
-    hidden = ad.add(ad.matmul(ctx, params["mark_hidden_proj"].T), params["mark_hidden_bias"])
-    mark_logits = ad.add(ad.matmul(ad.tanh(hidden), params["mark_out_proj"].T),
+    w_logits = ad.add(ad.matmul(e1, t(params["mix_weight_proj"])), params["mix_weight_bias"])
+    mu = ad.add(ad.matmul(e2, t(params["mix_mean_proj"])), params["mix_mean_bias"])
+    log_sigma = ad.add(ad.matmul(e3, t(params["mix_scale_proj"])), params["mix_scale_bias"])
+    hidden = ad.add(ad.matmul(ctx, t(params["mark_hidden_proj"])), params["mark_hidden_bias"])
+    mark_logits = ad.add(ad.matmul(ad.tanh(hidden), t(params["mark_out_proj"])),
                          params["mark_out_bias"])
     return ad.concat([w_logits, mu, log_sigma, hidden], axis=-1), mark_logits
 
@@ -284,8 +284,8 @@ def with_random_biases(ckpt, seed):
 
 
 def head_arrays(pairs):
-    return [a for mix, marks in pairs
-            for a in (mix.weights, mix.means, mix.scales, marks.probabilities)]
+    return [a for mix, probabilities in pairs
+            for a in (mix.weights, mix.means, mix.scales, probabilities)]
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -441,7 +441,7 @@ def test_one_mixture_density_serves_training_and_sampling(monkeypatch):
     tensors = {name: ad.Tensor(value) for name, value in ckpt.params.items()}
     M._loglik_tensor(seq, M._fused_weights(tensors, config), config)
     (taped,) = terms
-    assert isinstance(taped, ad.Tensor) and taped.shape == (n,)
+    assert isinstance(taped, ad.Tensor) and taped.data.shape == (n,)
 
     ctx = M._context_tensor(seq.times, seq.marks, fused_weights(ckpt), config)
     log_w, mu, sigma, _ = M._head_tensors(ctx, fused_weights(ckpt), config)
@@ -608,9 +608,9 @@ def test_batched_forward_matches_prefix_forwards(encoding):
     config = tiny_config(encoding=encoding, n_layers=2, n_heads=2, n_marks=3)
     ckpt = random_checkpoint(config, seed=13)
     seq = sequence_from_arrays([0.2, 0.9, 1.5, 2.8], [0, 2, 1, 0], 10.0)
-    mixtures, mark_dists = M.position_distributions(seq, ckpt)
+    mixtures, probabilities = M.position_distributions(seq, ckpt)
     assert mixtures.weights.shape == (len(seq) + 1, 4)
-    assert mark_dists.probabilities.shape == (len(seq) + 1, 3)
+    assert probabilities.shape == (len(seq) + 1, 3)
     for i in range(len(seq) + 1):
         prefix = EventSequence(seq.events[:i], seq.t_end)
         mix_i, mark_i = M.next_event_distributions(prefix, ckpt)
@@ -618,7 +618,7 @@ def test_batched_forward_matches_prefix_forwards(encoding):
         assert np.allclose(mixtures.weights[i], mix_i.weights, atol=1e-12)
         assert np.allclose(mixtures.means[i], mix_i.means, atol=1e-12)
         assert np.allclose(mixtures.scales[i], mix_i.scales, atol=1e-12)
-        assert np.allclose(mark_dists.probabilities[i], mark_i.probabilities, atol=1e-12)
+        assert np.allclose(probabilities[i], mark_i, atol=1e-12)
 
 
 def test_position_distributions_constructs_one_stacked_pair(head_row_checks):
@@ -633,10 +633,10 @@ def test_position_distributions_constructs_one_stacked_pair(head_row_checks):
         # with a cache, rows start at the first position it did not hold
         for kwargs, rows in (({}, n + 1), ({"cache": cache}, n + 1 - held)):
             head_row_checks.update(head_rows=0)
-            mixtures, mark_dists = M.position_distributions(seq, ckpt, **kwargs)
+            mixtures, probabilities = M.position_distributions(seq, ckpt, **kwargs)
             assert mixtures.weights.shape == (rows, 4)
             assert mixtures.row(slice(0, rows)).weights.shape == (rows, 4)
-            assert mark_dists.row(rows - 1).probabilities.shape == (2,)
+            assert probabilities[rows - 1].shape == (2,)
             assert head_row_checks == {"head_rows": 1}
         held = n
 
@@ -751,11 +751,11 @@ def training_forward(seq, ckpt):
 
 
 def assert_rows_equal(got, want, rows):
-    """The trailing ``rows`` of two (mixture, mark distribution) pairs agree
+    """The trailing ``rows`` of two (mixture, mark probabilities) pairs agree
     to 1e-12; an unstacked pair is one row."""
     (mix, marks), (full_mix, full_marks) = got, want
     for a, b in ((mix.weights, full_mix.weights), (mix.means, full_mix.means),
-                 (mix.scales, full_mix.scales), (marks.probabilities, full_marks.probabilities)):
+                 (mix.scales, full_mix.scales), (marks, full_marks)):
         a = np.atleast_2d(a)
         assert a.shape[0] == rows
         assert np.allclose(a, b[b.shape[0] - rows:], rtol=0.0, atol=1e-12)
@@ -770,6 +770,8 @@ def run_extend_rewind_diverge_schedule(encoding, n_heads):
     rng = np.random.default_rng(21)
     cache = M.EncoderCache(ckpt)
     events = []
+    # the events of the cache's last forward, which it holds
+    passed = ()
     kinds = set()
     for step in range(40):
         kind = ("extend", "rewind", "diverge")[step % 4 % 3]
@@ -785,16 +787,16 @@ def run_extend_rewind_diverge_schedule(encoding, n_heads):
             t += float(rng.exponential(0.7))
             events.append(Event(t, int(rng.integers(3))))
         seq = EventSequence(tuple(events), math.inf)
-        held = list(zip(cache.times.tolist(), cache.marks.tolist()))
-        shared = next((i for i, (held_event, e) in enumerate(zip(held, events))
-                       if held_event != (e.time, e.mark)), min(len(held), len(events)))
+        shared = next((i for i, (held, e) in enumerate(zip(passed, events)) if held != e),
+                      min(len(passed), len(events)))
         if step % 2:
             got, rows = M.position_distributions(seq, ckpt, cache=cache), len(seq) + 1 - shared
         else:
             got, rows = M.next_event_distributions(seq, ckpt, cache=cache), 1
         assert_rows_equal(got, training_forward(seq, ckpt), rows)
         assert cache.last_encoded == len(seq) - shared
-        assert cache.size == len(seq) and np.array_equal(cache.times, seq.times)
+        assert cache.size == len(seq)
+        passed = seq.events
         kinds.add(kind)
     assert kinds == {"extend", "rewind", "diverge"}
 
@@ -946,8 +948,8 @@ def test_fused_attention_rows_equal_the_composed_ops_bit_for_bit(encoding, monke
         rows = [M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt,
                                            cache=cache) for n in spans]
         rows.append(M.position_distributions(seq, ckpt))
-        arrays = [a for mix, marks in rows
-                  for a in (mix.weights, mix.means, mix.scales, marks.probabilities)]
+        arrays = [a for mix, probabilities in rows
+                  for a in (mix.weights, mix.means, mix.scales, probabilities)]
         return arrays + [cache.hidden[:len(seq)], encode_history(seq, ckpt)]
 
     composed_calls = []
@@ -1063,7 +1065,7 @@ def test_sampling_forwards_call_no_autodiff_op(encoding, monkeypatch):
     mixture, marks = M.next_event_distributions(seq, ckpt, cache=cache)
     assert cache.last_encoded == 3
     assert np.array_equal(mixture.weights, want[0][0].weights)
-    assert np.array_equal(marks.probabilities, want[0][1].probabilities)
+    assert np.array_equal(marks, want[0][1])
     mixtures, _ = M.position_distributions(seq, ckpt)
     assert M.mixture_logpdf(seq.inter_event_times(), mixtures.row(slice(0, len(seq)))).shape \
         == (len(seq),)

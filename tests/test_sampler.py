@@ -143,17 +143,17 @@ def test_draft_records_consistent_densities():
     assert stats.draft_forward_passes == 4
     # the draft rows come stacked, one row per candidate
     assert batch.mixtures.weights.shape == (4, ckpt.config.n_components)
-    assert batch.mark_dists.probabilities.shape == (4, ckpt.config.n_marks)
+    assert batch.mark_probabilities.shape == (4, ckpt.config.n_marks)
     events = []
     for i in range(len(batch)):
-        mix, mark_dist = M.next_event_distributions(EventSequence(tuple(events), math.inf), ckpt)
+        mix, probabilities = M.next_event_distributions(EventSequence(tuple(events), math.inf),
+                                                        ckpt)
         assert batch.interval_logpdf[i] == pytest.approx(
             M.mixture_logpdf(batch.intervals[i], mix), abs=1e-12)
         for name in ("weights", "means", "scales"):
             assert np.allclose(getattr(batch.mixtures, name)[i], getattr(mix, name),
                                rtol=0.0, atol=1e-12)
-        assert np.allclose(batch.mark_dists.probabilities[i], mark_dist.probabilities,
-                           rtol=0.0, atol=1e-12)
+        assert np.allclose(batch.mark_probabilities[i], probabilities, rtol=0.0, atol=1e-12)
         events.append(Event(float(batch.times[i]), int(batch.marks[i])))
     times = batch.times.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
@@ -191,7 +191,7 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
     def recorded(events, checkpoint, _forward=S.next_event_distributions, **kwargs):
         mixture, marks = _forward(events, checkpoint, **kwargs)
         drawn.append([a.copy() for a in (mixture.weights, mixture.means, mixture.scales,
-                                         marks.probabilities)])
+                                         marks)])
         return mixture, marks
 
     monkeypatch.setattr(S, "next_event_distributions", recorded)
@@ -209,13 +209,13 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
                         S.SampleRunStats(), cache=cache)
         assert len(drawn) == gamma
         got = [batch.mixtures.weights, batch.mixtures.means, batch.mixtures.scales,
-               batch.mark_dists.probabilities]
+               batch.mark_probabilities]
         for i, rows in enumerate(drawn):
             for a, b in zip(got, rows):
                 assert a[i].tobytes() == b.tobytes()
         events.append(batch.times[:-1], batch.marks[:-1])
-        mixtures, mark_dists = M.position_distributions(events, ckpt)
-        want = [mixtures.weights, mixtures.means, mixtures.scales, mark_dists.probabilities]
+        mixtures, probabilities = M.position_distributions(events, ckpt)
+        want = [mixtures.weights, mixtures.means, mixtures.scales, probabilities]
         for a, b in zip(got, want):
             assert np.allclose(a, b[n:], rtol=0.0, atol=1e-12)
     assert len(cache.hidden) > 129
@@ -271,21 +271,19 @@ def test_draft_single_candidate():
 # -- residual distributions ----------------------------------------------------------
 
 def test_residual_mark_two_point():
-    f_t = M.MarkDistribution(np.array([0.8, 0.2]))
-    f_d = M.MarkDistribution(np.array([0.5, 0.5]))
+    f_t, f_d = np.array([0.8, 0.2]), np.array([0.5, 0.5])
     stream = RngStream(8)
     assert all(S.residual_mark_sample(f_t, f_d, stream) == 0 for _ in range(50))
 
 
 def test_residual_mark_three_point():
-    f_t = M.MarkDistribution(np.array([0.5, 0.3, 0.2]))
-    f_d = M.MarkDistribution(np.array([0.2, 0.5, 0.3]))
+    f_t, f_d = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.5, 0.3])
     stream = RngStream(9)
     assert all(S.residual_mark_sample(f_t, f_d, stream) == 0 for _ in range(50))
 
 
 def test_residual_mark_zero_mass_raises():
-    f = M.MarkDistribution(np.array([0.4, 0.6]))
+    f = np.array([0.4, 0.6])
     with pytest.raises(S.ZeroResidualError):
         S.residual_mark_sample(f, f, RngStream(10))
 
@@ -411,7 +409,7 @@ def doctored_batch(batch, log_density_shift=0.0):
     distributions, so every residual distribution is well defined."""
     mix = batch.mixtures
     shifted = M.MixtureParams(mix.weights, mix.means + 1.0, mix.scales)
-    gamma, k = batch.mark_dists.probabilities.shape
+    gamma, k = batch.mark_probabilities.shape
     probs = np.full((gamma, k), 0.1 / max(1, k - 1))
     probs[np.arange(gamma), batch.marks] = 0.9
     if log_density_shift == 0.0:
@@ -419,7 +417,7 @@ def doctored_batch(batch, log_density_shift=0.0):
     else:
         logpdfs = batch.interval_logpdf + log_density_shift
     return S.DraftBatch(batch.times, batch.marks, batch.intervals, logpdfs, shifted,
-                        M.MarkDistribution(probs / probs.sum(axis=-1, keepdims=True)))
+                        probs / probs.sum(axis=-1, keepdims=True))
 
 
 def draft_batch(ckpt, gamma, rng):
@@ -565,8 +563,8 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 
 # Python-level calls per candidate of one draft and one verify after a warm
-# step, on a 1-layer draft and a 2-layer, 2-head target: at most 20.0 and
-# 11.8 are counted, a verify with a residual interval draw included
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 18.8 and
+# 11.6 are counted, a verify with a residual interval draw included
 # (scripts/call_counts.py prints both)
 DRAFT_CALLS_PER_CANDIDATE = 21
 VERIFY_CALLS_PER_CANDIDATE = 13
@@ -858,6 +856,19 @@ def test_next_event_twice_on_shared_caches_repeats_its_event(speculative):
                      for _ in range(2))
     assert caches["target_cache"].size == len(history) + (2 if speculative else 0)
     assert second == first
+
+
+def test_sd_next_event_without_a_draft_cache_uses_a_fresh_one():
+    """A draft model with the default draft_cache steps through a fresh
+    draft cache: the event is the one a fresh EncoderCache gives."""
+    target, draft_model = make_checkpoint(39, n_layers=2), make_checkpoint(40, n_layers=2)
+    history = sequence_from_arrays([0.5, 1.1, 2.0], [0, 1, 1], math.inf)
+    for seed in range(4):
+        given = S.next_event(target, draft_model, history, 3, RngStream(seed),
+                             target_cache=M.EncoderCache(target),
+                             draft_cache=M.EncoderCache(draft_model))
+        assert S.next_event(target, draft_model, history, 3, RngStream(seed),
+                            target_cache=M.EncoderCache(target)) == given
 
 
 @pytest.mark.parametrize("gamma", [1, 4])
