@@ -125,10 +125,10 @@ def bound_test_worst(history):
             events, stats = sampler._RunState(history), sampler.SampleRunStats()
             target_cache, draft_cache = model.EncoderCache(target), model.EncoderCache(draft)
             sampler._sd_step(target, draft, gamma, sampler._sd_streams(RngStream(seed)),
-                             target_cache, draft_cache, events, stats)
+                             target_cache, draft_cache, stats, events)
             rng = RngStream(seed + 100)
             batch, drafted, _, _ = counted(sampler.draft, draft, events, gamma,
-                                           rng.child("draft"), stats, cache=draft_cache)
+                                           rng.child("draft"), cache=draft_cache)
             _, verified, _, _ = counted(sampler.verify, target, events, batch, rng.child("verify"),
                                         rng.child("residual"), stats, cache=target_cache)
             worst_draft = max(worst_draft, drafted / gamma)
@@ -191,9 +191,9 @@ def main() -> None:
     events, stats = sampler._RunState(history), sampler.SampleRunStats()
     caches = {"target_cache": model.EncoderCache(target), "draft_cache": model.EncoderCache(draft)}
     sampler._sd_step(target, draft, GAMMA, sampler._sd_streams(RngStream(SEED)),
-                     caches["target_cache"], caches["draft_cache"], events, stats)
+                     caches["target_cache"], caches["draft_cache"], stats, events)
     rng = RngStream(SEED).child("phases")
-    batch, p, b, _ = counted(sampler.draft, draft, events, GAMMA, rng.child("draft"), stats,
+    batch, p, b, _ = counted(sampler.draft, draft, events, GAMMA, rng.child("draft"),
                              cache=caches["draft_cache"])
     print(f"{'draft':<12} gamma {GAMMA}            {p:5d} Python-level calls  {b:5d} builtin calls")
     outcome, p, b, _ = counted(sampler.verify, target, events, batch, rng.child("verify"),

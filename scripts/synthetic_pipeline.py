@@ -48,7 +48,7 @@ def main() -> None:
     draft_config = ModelConfig(embed_dim=12, n_components=8, n_marks=1, n_heads=1,
                                n_layers=1, encoding=args.encoding)
     train_config = TrainConfig(learning_rate=0.005, max_epochs=args.epochs,
-                               patience=10, seed=args.seed + 1)
+                               patience=min(10, args.epochs), seed=args.seed + 1)
     print("training target model ...")
     target = train(train_seqs, val_seqs, target_config, train_config).checkpoint
     print("training draft model ...")

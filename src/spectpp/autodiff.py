@@ -243,20 +243,9 @@ normal_cdf = _unary("normal_cdf", lambda x: np.asarray(ndtr(x), dtype=float),
 
 # -- reductions ----------------------------------------------------------------
 
-def _sum(x):
-    """The sum of every entry."""
-    return np.add.reduce(x, axis=None)
-
-
-plain.tensor_sum = _sum
-
-
-def tensor_sum(a):
-    if not isinstance(a, Tensor):
-        return _sum(a)
-    x = a.data
-    # every entry gets the scalar adjoint
-    return Tensor(_sum(x), (a,), lambda g: _accumulate(a, np.broadcast_to(g, x.shape).copy()))
+# the sum of every entry; every entry gets the scalar adjoint
+tensor_sum = _unary("tensor_sum", lambda x: np.add.reduce(x, axis=None),
+                    lambda g, x, out: np.broadcast_to(g, x.shape).copy())
 
 
 def _logsumexp(x, axis: int = -1, keepdims: bool = False):

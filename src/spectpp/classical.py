@@ -124,16 +124,36 @@ class HawkesParams:
 GroundTruthProcess = Union[SinePoissonParams, HawkesParams]
 
 
+def _numbers(value, lists: bool) -> bool:
+    """Whether ``value`` is a JSON number, an int or a float but not a bool,
+    or, with ``lists``, a list of such values or of such lists."""
+    if lists and type(value) is list:
+        return all(_numbers(item, lists) for item in value)
+    return type(value) in (int, float)
+
+
+def _field(record: dict, name: str, lists: bool = False) -> np.ndarray:
+    """Field ``name`` of a process record as a float array. One that
+    _numbers refuses, a string or a bool too, or an int beyond the float
+    range raises ValueError naming it."""
+    value = record[name]
+    if _numbers(value, lists):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a float-range number{' or lists of them' if lists else ''}"
+                     f", got {value!r}")
+
+
 def process_from_record(record: dict) -> GroundTruthProcess:
     if not isinstance(record, dict):
         raise ValueError("a process record must be a JSON object")
     kind = record.get("kind")
     if kind == "sine_poisson":
-        return SinePoissonParams(float(record["A"]), float(record["b"]), float(record["omega"]))
+        return SinePoissonParams(*(float(_field(record, name)) for name in ("A", "b", "omega")))
     if kind == "hawkes":
-        return HawkesParams(np.asarray(record["mu"], dtype=float),
-                            np.asarray(record["alpha"], dtype=float),
-                            np.asarray(record["beta"], dtype=float))
+        return HawkesParams(*(_field(record, name, lists=True) for name in ("mu", "alpha", "beta")))
     raise ValueError(f"unknown process kind: {kind!r}")
 
 

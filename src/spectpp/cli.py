@@ -390,48 +390,47 @@ def main() -> None:
     _attach_log_handler()
 
 
+# an input file's option: its value is the path's os.path.realpath, as
+# Path.resolve() makes it, and so is the manifest's argument
+_INPUT = click.Path(resolve_path=True)
+
+
 @main.command()
-@click.option("--process", required=True, type=click.Path(), help="process parameter JSON")
+@click.option("--process", required=True, type=_INPUT, help="process parameter JSON")
 @click.option("--n", required=True, type=int, help="number of sequences")
 @click.option("--t-end", required=True, type=float, help="observation horizon")
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="output directory")
-def simulate(process, n, t_end, seed, out):
+def simulate(out, **args):
     """Simulate sequences from a classical process by thinning."""
-    _execute("simulate", {"process": str(Path(process).resolve()), "n": n,
-                          "t_end": t_end, "seed": seed}, out)
+    _execute("simulate", args, out)
 
 
 @main.command()
-@click.option("--data", required=True, type=click.Path(), help="sequence JSONL file")
-@click.option("--model-config", required=True, type=click.Path())
-@click.option("--train-config", required=True, type=click.Path())
+@click.option("--data", required=True, type=_INPUT, help="sequence JSONL file")
+@click.option("--model-config", required=True, type=_INPUT)
+@click.option("--train-config", required=True, type=_INPUT)
 @click.option("--out", required=True, type=click.Path())
-def train(data, model_config, train_config, out):
+def train(out, **args):
     """Train a checkpoint on an 80/10/10 split of the data."""
-    _execute("train", {"data": str(Path(data).resolve()),
-                       "model_config": str(Path(model_config).resolve()),
-                       "train_config": str(Path(train_config).resolve()),
-                       "seed": _load("TrainConfig file", _read_config(TrainConfig),
-                                     train_config).seed}, out)
+    config = _load("TrainConfig file", _read_config(TrainConfig), args["train_config"])
+    _execute("train", {**args, "seed": config.seed}, out)
 
 
 @main.command()
 @click.option("--mode", required=True, type=click.Choice(["ar", "sd"]))
-@click.option("--target", required=True, type=click.Path())
-@click.option("--draft", type=click.Path(), default=None)
+@click.option("--target", required=True, type=_INPUT)
+@click.option("--draft", type=_INPUT, default=None)
 @click.option("--gamma", default=10, type=int, show_default=True)
 @click.option("--t-end", required=True, type=float)
 @click.option("--runs", default=1, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def sample(mode, target, draft, gamma, t_end, runs, seed, out):
+def sample(out, **args):
     """Sample sequences autoregressively (ar) or speculatively (sd)."""
-    if mode == "sd" and draft is None:
+    if args["mode"] == "sd" and args["draft"] is None:
         raise click.UsageError("--mode sd requires --draft")
-    _execute("sample", {"mode": mode, "target": str(Path(target).resolve()),
-                        "draft": str(Path(draft).resolve()) if draft else None,
-                        "gamma": gamma, "t_end": t_end, "runs": runs, "seed": seed}, out)
+    _execute("sample", args, out)
 
 
 @main.group(name="eval")
@@ -440,52 +439,44 @@ def eval_group() -> None:
 
 
 @eval_group.command(name="ks")
-@click.option("--sequences", required=True, type=click.Path())
-@click.option("--process", required=True, type=click.Path())
+@click.option("--sequences", required=True, type=_INPUT)
+@click.option("--process", required=True, type=_INPUT)
 @click.option("--out", required=True, type=click.Path())
-def eval_ks(sequences, process, out):
+def eval_ks(out, **args):
     """Time-rescaling KS test of sequences against a classical process."""
-    _execute("eval-ks", {"sequences": str(Path(sequences).resolve()),
-                         "process": str(Path(process).resolve())}, out)
+    _execute("eval-ks", args, out)
 
 
 @eval_group.command(name="wasserstein")
-@click.option("--target", required=True, type=click.Path())
-@click.option("--draft", type=click.Path(), default=None,
+@click.option("--target", required=True, type=_INPUT)
+@click.option("--draft", type=_INPUT, default=None,
               help="omit to compare two independent AR runs")
-@click.option("--sequences", required=True, type=click.Path(),
+@click.option("--sequences", required=True, type=_INPUT,
               help="file providing the history prefix")
 @click.option("--m-hist", default=100, type=int, show_default=True)
 @click.option("--n-reps", default=100, type=int, show_default=True)
 @click.option("--gamma", default=10, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def eval_wasserstein(target, draft, sequences, m_hist, n_reps, gamma, seed, out):
+def eval_wasserstein(out, **args):
     """Next-event Wasserstein/EMD divergence between AR and SD sampling."""
-    _execute("eval-wasserstein",
-             {"target": str(Path(target).resolve()),
-              "draft": str(Path(draft).resolve()) if draft else None,
-              "sequences": str(Path(sequences).resolve()), "m_hist": m_hist,
-              "n_reps": n_reps, "gamma": gamma, "seed": seed}, out)
+    _execute("eval-wasserstein", args, out)
 
 
 @eval_group.command(name="loglik")
-@click.option("--sequences", required=True, type=click.Path())
-@click.option("--sequences-b", type=click.Path(), default=None)
+@click.option("--sequences", required=True, type=_INPUT)
+@click.option("--sequences-b", type=_INPUT, default=None)
 @click.option("--scorer-a", required=True, help="process:<file> or model:<file>")
 @click.option("--scorer-b", required=True, help="process:<file> or model:<file>")
 @click.option("--out", required=True, type=click.Path())
-def eval_loglik(sequences, sequences_b, scorer_a, scorer_b, out):
+def eval_loglik(out, **args):
     """Mean per-event log-likelihood discrepancy between two scorers."""
-    _execute("eval-loglik",
-             {"sequences": str(Path(sequences).resolve()),
-              "sequences_b": str(Path(sequences_b).resolve()) if sequences_b else None,
-              "scorer_a": scorer_a, "scorer_b": scorer_b}, out)
+    _execute("eval-loglik", args, out)
 
 
 @main.command()
-@click.option("--target", required=True, type=click.Path())
-@click.option("--draft", required=True, type=click.Path())
+@click.option("--target", required=True, type=_INPUT)
+@click.option("--draft", required=True, type=_INPUT)
 @click.option("--gamma-grid", default="1,5,10,20,40,60", show_default=True,
               help="comma-separated draft lengths")
 @click.option("--repetitions", default=3, type=int, show_default=True)
@@ -494,16 +485,13 @@ def eval_loglik(sequences, sequences_b, scorer_a, scorer_b, out):
 @click.option("--t-end", default=100.0, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def bench(target, draft, gamma_grid, repetitions, runs, t_end, seed, out):
+def bench(out, **args):
     """Draft-length ablation: acceptance rate and speedup per gamma."""
     try:
-        grid = [int(g) for g in gamma_grid.split(",") if g.strip()]
+        args["gamma_grid"] = [int(g) for g in args["gamma_grid"].split(",") if g.strip()]
     except ValueError:
         raise click.UsageError("--gamma-grid must be comma-separated integers")
-    _execute("bench", {"target": str(Path(target).resolve()),
-                       "draft": str(Path(draft).resolve()), "gamma_grid": grid,
-                       "repetitions": repetitions, "runs": runs, "t_end": t_end,
-                       "seed": seed}, out)
+    _execute("bench", args, out)
 
 
 @main.command()

@@ -443,6 +443,8 @@ class EncoderCache:
     forward of the cache writes the same positions. So a draft's gamma
     one-row passes leave the rows of all its candidates side by side, with
     no copy.
+    Over its life it counts its forwards in ``passes`` and the events they
+    encoded in ``rows_encoded``; a sampling run reports its caches' totals.
     Key and value buffers have shape (heads, capacity, head_dim); a cache
     that must hold n events grows to capacity max(2n, n + 128). So a
     sampling run sizes its caches once, at its first forward, with room for
@@ -457,8 +459,7 @@ class EncoderCache:
         self.checkpoint = checkpoint
         config = checkpoint.config
         self.weights = _fused_weights(checkpoint.params, config)
-        self.size = 0
-        self.last_encoded = 0
+        self.size = self.passes = self.rows_encoded = 0
         # the bytes of the last forward's times and marks; the first size events are held
         self._held = (b"", b"")
         self.hidden = np.empty((0, config.embed_dim))
@@ -519,7 +520,7 @@ class EncoderCache:
             self.hidden[new] = _encode_tensor(times[new], marks[new], self.weights,
                                               checkpoint.config, self)
             self.size = new.stop
-        self.last_encoded = n - start
+        self.passes, self.rows_encoded = self.passes + 1, self.rows_encoded + n - start
         if start:
             return self.hidden[start - 1:n]
         return np.concatenate([self.weights.initial_context, self.hidden[:n]])

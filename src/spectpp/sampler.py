@@ -11,11 +11,11 @@ model's next-event law.
 Autoregressive sampling is the same loop with another step. One run loop
 repeats a step, its run's caches and streams bound, on the run's events,
 held as times and marks in growing arrays that the forward reads as it
-reads an EventSequence's. AR, drafting and the residual fallback draw
-each interval with sample_interval, and AR and drafting draw each event
-alike, interval then mark; drafting and verifying append their candidates
-and truncate back, and emitting appends the accepted prefix and the
-replacement. The loop drops the events after t_end and builds the output once.
+reads an EventSequence's. A draft is gamma AR steps of the draft model.
+Drafting and verifying append their candidates and truncate back, and
+emitting appends the accepted prefix and the replacement. The loop drops
+the events after t_end, builds the output once and reports the passes and
+rows that its caches counted.
 """
 
 from __future__ import annotations
@@ -184,32 +184,37 @@ def check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
                          f"{target.config.n_marks} and {draft_model.config.n_marks}")
 
 
-def _ar_step(target: ModelCheckpoint, rng: RngStream, cache: EncoderCache, events: _RunState,
-             stats: SampleRunStats) -> None:
-    """One autoregressive step: one target forward, then the interval and
-    the mark drawn from its head rows on ``rng``, and the event appended."""
-    mixture, probabilities = next_event_distributions(events, target, cache=cache)
-    stats.target_forward_passes += 1
-    stats.target_rows_encoded += cache.last_encoded
+def _ar_step(model: ModelCheckpoint, rng: RngStream, cache: EncoderCache,
+             events: _RunState) -> float:
+    """One autoregressive step of ``model``: one forward through ``cache``,
+    which counts it, then the interval and the mark drawn from its head
+    rows on ``rng``, and the event appended; returns the interval."""
+    mixture, probabilities = next_event_distributions(events, model, cache=cache)
     tau = sample_interval(mixture, rng)
     events.append(advance_clock(events.last_time, tau), rng.categorical(probabilities))
+    return tau
 
 
-def _sample(step: Callable[[_RunState, SampleRunStats], None], t_end: float,
-            history: EventSequence | None) -> tuple[EventSequence, SampleRunStats]:
-    """The run loop: ``step(events, stats)`` until an event passes t_end,
-    then the events at or before t_end and the stats with the wall time;
-    raises if the run ended at a non-finite time."""
+def _sample(step: Callable[[_RunState], object], stats: SampleRunStats, t_end: float,
+            history: EventSequence | None, target_cache: EncoderCache,
+            draft_cache: EncoderCache | None = None) -> tuple[EventSequence, SampleRunStats]:
+    """The run loop: ``step(events)`` until an event passes t_end, then the
+    events at or before t_end and ``stats`` with the wall time and the
+    caches' pass and row totals; raises if the run ended at a non-finite time."""
     held = () if history is None else history.events
     events = _RunState(held)
-    stats = SampleRunStats()
     start = time.perf_counter()
     while events.last_time < t_end:
-        step(events, stats)
+        step(events)
     if not math.isfinite(events.last_time):
         raise FloatingPointError(f"non-finite event time {events.last_time}")
     kept = tuple(e for e in held if e.time <= t_end) + events.events(len(held), t_end)
     stats.wall_seconds = time.perf_counter() - start
+    stats.target_forward_passes = target_cache.passes
+    stats.target_rows_encoded = target_cache.rows_encoded
+    if draft_cache is not None:
+        stats.draft_forward_passes = draft_cache.passes
+        stats.draft_rows_encoded = draft_cache.rows_encoded
     return EventSequence(kept, t_end), stats
 
 
@@ -223,33 +228,27 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
     check_horizon(t_end)
     if history is not None:
         check_sequence(history, target.config.n_marks)
-    return _sample(partial(_ar_step, target, rng.child("ar"), EncoderCache(target)), t_end,
-                   history)
+    cache = EncoderCache(target)
+    return _sample(partial(_ar_step, target, rng.child("ar"), cache), SampleRunStats(), t_end,
+                   history, cache)
 
 
-def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngStream,
-          stats: SampleRunStats, *, cache: EncoderCache) -> DraftBatch:
+def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngStream, *,
+          cache: EncoderCache) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
     after the run's events, with the head rows of all of them and the
-    interval log-density at each. Each candidate is drawn as _ar_step draws
-    an event, on the draft model: one forward, which checks its head row
-    and writes it into the cache's head rows at the candidate's position,
-    then sample_interval's interval and categorical's mark on ``rng``, and
-    the event appended to the run's state for the next forward. The state
-    is truncated back before the call returns; the batch's rows are views
-    of the gamma positions, and all gamma intervals are scored against them
-    with one mixture_logpdf call."""
+    interval log-density at each. The candidates are gamma _ar_steps of the
+    draft model on ``rng`` and ``cache``, each forward writing its checked
+    head row into the cache's head rows at its candidate's position. The
+    run's state is truncated back before the call returns; the batch's rows
+    are views of the gamma positions, and all gamma intervals are scored
+    against them with one mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     n_hist = len(events)
     intervals = np.empty(gamma)
     for i in range(gamma):
-        mixture, probabilities = next_event_distributions(events, draft_model, cache=cache)
-        stats.draft_forward_passes += 1
-        stats.draft_rows_encoded += cache.last_encoded
-        tau = sample_interval(mixture, rng)
-        events.append(advance_clock(events.last_time, tau), rng.categorical(probabilities))
-        intervals[i] = tau
+        intervals[i] = _ar_step(draft_model, rng, cache, events)
     times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
     events.truncate(n_hist)
     rows = slice(n_hist, n_hist + gamma)
@@ -340,8 +339,6 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     events.append(batch.times[:-1], batch.marks[:-1])
     mixtures, probabilities = position_distributions(events, target, cache=cache)
     events.truncate(n_hist)
-    stats.target_forward_passes += 1
-    stats.target_rows_encoded += cache.last_encoded
     stats.iterations += 1
     stats.events_drafted += gamma
 
@@ -394,7 +391,7 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
 
 def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, gamma: int,
              streams: tuple[RngStream, RngStream, RngStream], target_cache: EncoderCache,
-             draft_cache: EncoderCache, events: _RunState, stats: SampleRunStats) -> None:
+             draft_cache: EncoderCache, stats: SampleRunStats, events: _RunState) -> None:
     """One draft-verify step after the run's events: appends to them the
     accepted prefix of the drafted events plus the replacement, if one was
     drawn. ``streams`` are the draft, verify and residual streams. After a
@@ -403,7 +400,7 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, gamma: int,
     rejected candidate."""
     draft_rng, verify_rng, residual_rng = streams
     start = time.perf_counter()
-    batch = draft(draft_model, events, gamma, draft_rng, stats, cache=draft_cache)
+    batch = draft(draft_model, events, gamma, draft_rng, cache=draft_cache)
     drafted = time.perf_counter()
     outcome = verify(target, events, batch, verify_rng, residual_rng, stats, cache=target_cache)
     stats.draft_seconds += drafted - start
@@ -436,9 +433,9 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
         raise ValueError("gamma must be >= 1")
     if history is not None:
         check_sequence(history, target.config.n_marks)
-    step = partial(_sd_step, target, draft_model, gamma, _sd_streams(rng), EncoderCache(target),
-                   EncoderCache(draft_model))
-    return _sample(step, t_end, history)
+    stats, caches = SampleRunStats(), (EncoderCache(target), EncoderCache(draft_model))
+    step = partial(_sd_step, target, draft_model, gamma, _sd_streams(rng), *caches, stats)
+    return _sample(step, stats, t_end, history, *caches)
 
 
 def next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint | None,
@@ -451,10 +448,10 @@ def next_event(target: ModelCheckpoint, draft_model: ModelCheckpoint | None,
     same history encode it only once."""
     events = _RunState(history)
     if draft_model is None:
-        _ar_step(target, rng, target_cache, events, SampleRunStats())
+        _ar_step(target, rng, target_cache, events)
     else:
         check_pair(target, draft_model)
         draft_cache = EncoderCache(draft_model) if draft_cache is None else draft_cache
-        _sd_step(target, draft_model, gamma, _sd_streams(rng), target_cache, draft_cache, events,
-                 SampleRunStats())
+        _sd_step(target, draft_model, gamma, _sd_streams(rng), target_cache, draft_cache,
+                 SampleRunStats(), events)
     return Event(float(events.times[len(history)]), int(events.marks[len(history)]))

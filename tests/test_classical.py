@@ -98,6 +98,23 @@ def test_a_non_finite_parameter_is_refused_by_its_name(field, bad):
         make()
 
 
+@pytest.mark.parametrize("field, bad", [("A", "5"), ("b", True), ("omega", [0.02]),
+                                        ("mu", ["2.5"]), ("alpha", [[False]]), ("beta", "2"),
+                                        ("A", 10 ** 400), ("beta", [[10 ** 400]])],
+                         ids=["A-string", "b-bool", "omega-list", "mu-string", "alpha-bool",
+                              "beta-string", "A-huge-int", "beta-huge-int"])
+def test_a_process_record_takes_only_float_range_json_numbers(field, bad):
+    """A record's parameter that is a string, a bool, a list where a number
+    belongs or an int beyond the float range is refused with its name,
+    where a string or a bool was read as a number."""
+    if field in ("A", "b", "omega"):
+        record = {"kind": "sine_poisson", "A": 5, "b": 1.0, "omega": 0.02, field: bad}
+    else:
+        record = {"kind": "hawkes", "mu": [2.5], "alpha": [[1]], "beta": [[2.0]], field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be a float-range number"):
+        process_from_record(record)
+
+
 def test_poisson_compensator_full_window():
     value = compensator(POISSON, 0.0, 100.0, EMPTY)[0]
     assert value == pytest.approx(500.0, rel=1e-12)

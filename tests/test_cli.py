@@ -621,6 +621,19 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
         {"kind": "hawkes", "mu": [2.5], "alpha": [[math.nan]], "beta": [[2.0]]})),
     ("--process", lambda ckpt: json.dumps(
         {"kind": "hawkes", "mu": [2.5], "alpha": [[1.0]], "beta": [[math.nan]]})),
+    # a parameter that is not a JSON number
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": "2", "b": 1.0, "omega": 0.5})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": 2.0, "b": True, "omega": 0.5})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "hawkes", "mu": ["0.4", 0.4], "alpha": [[1.0, 0.5], [0.1, 1.0]],
+         "beta": [[2.0, 2.0], [2.0, 2.0]]})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "hawkes", "mu": [0.4, 0.4], "alpha": [[1.0, 0.5], [0.1, True]],
+         "beta": [[2.0, 2.0], [2.0, 2.0]]})),
+    ("--process", lambda ckpt: json.dumps(
+        {"kind": "sine_poisson", "A": 10 ** 400, "b": 1.0, "omega": 0.5})),
     ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
     ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
 ], ids=["checkpoint-list", "params-list", "param-number", "shape-string", "data-object",
@@ -628,7 +641,8 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
         "config-float-embed-dim", "config-bool-n-heads", "config-zero-n-heads",
         "config-negative-n-heads", "no-config", "no-params", "process-list",
         "sine-omega-nan", "sine-omega-inf", "sine-a-nan", "sine-b-nan", "hawkes-mu-nan",
-        "hawkes-mu-inf", "hawkes-alpha-nan", "hawkes-beta-nan", "sequence-list",
+        "hawkes-mu-inf", "hawkes-alpha-nan", "hawkes-beta-nan", "sine-a-string",
+        "sine-b-bool", "hawkes-mu-string", "hawkes-alpha-bool", "sine-a-huge-int", "sequence-list",
         "events-number"])
 def test_malformed_json_input_exit_2(runner, workspace, flag, text):
     bad = workspace / "bad.json"

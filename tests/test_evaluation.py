@@ -249,9 +249,10 @@ def test_next_event_divergence_encodes_the_prefix_once(monkeypatch):
 
     def counted(forward):
         def wrapper(events, checkpoint, **kwargs):
-            out = forward(events, checkpoint, **kwargs)
             cache = kwargs.get("cache")
-            encoded = len(events) if cache is None else cache.last_encoded
+            held = 0 if cache is None else cache.rows_encoded
+            out = forward(events, checkpoint, **kwargs)
+            encoded = len(events) if cache is None else cache.rows_encoded - held
             rows[id(checkpoint)] = rows.get(id(checkpoint), 0) + encoded
             return out
         return wrapper

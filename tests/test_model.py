@@ -770,8 +770,8 @@ def run_extend_rewind_diverge_schedule(encoding, n_heads):
     rng = np.random.default_rng(21)
     cache = M.EncoderCache(ckpt)
     events = []
-    # the events of the cache's last forward, which it holds
-    passed = ()
+    # the events of the cache's last forward, which it holds, and the rows it has encoded
+    passed, encoded = (), 0
     kinds = set()
     for step in range(40):
         kind = ("extend", "rewind", "diverge")[step % 4 % 3]
@@ -794,7 +794,8 @@ def run_extend_rewind_diverge_schedule(encoding, n_heads):
         else:
             got, rows = M.next_event_distributions(seq, ckpt, cache=cache), 1
         assert_rows_equal(got, training_forward(seq, ckpt), rows)
-        assert cache.last_encoded == len(seq) - shared
+        assert cache.rows_encoded - encoded == len(seq) - shared
+        encoded = cache.rows_encoded
         assert cache.size == len(seq)
         passed = seq.events
         kinds.add(kind)
@@ -819,7 +820,7 @@ def test_blocked_encode_matches_full_forward(encoding, n_heads, monkeypatch):
                              seed=27)
     cache = M.EncoderCache(ckpt)
     got = M.position_distributions(seq, ckpt, cache=cache)
-    assert cache.last_encoded == cache.size == len(seq)
+    assert cache.rows_encoded == cache.size == len(seq)
     assert np.allclose(cache.hidden[:len(seq)], unshifted_attention_reference(seq, ckpt),
                        rtol=0.0, atol=1e-12)
     assert_rows_equal(got, training_forward(seq, ckpt), len(seq) + 1)
@@ -1034,7 +1035,7 @@ def test_cached_one_row_pass_calls_at_most_seven_ops_per_layer(n_layers, n_heads
         monkeypatch.setattr(ad.plain, name, lambda *args, _op=getattr(ad.plain, name),
                             _name=name, **kwargs: calls.append(_name) or _op(*args, **kwargs))
     M.next_event_distributions(seq, ckpt, cache=cache)
-    assert cache.last_encoded == 1
+    assert cache.rows_encoded == len(seq) and cache.passes == 2
     assert calls.count("attention") == n_layers
     assert len(calls) <= 7 * n_layers + OPS_OUTSIDE_LAYERS
     if (n_layers, n_heads) == (1, 1):
@@ -1063,7 +1064,7 @@ def test_sampling_forwards_call_no_autodiff_op(encoding, monkeypatch):
     M.next_event_distributions(EventSequence(seq.events[:6], seq.t_end), ckpt, cache=cache)
     M.next_event_distributions(EventSequence(seq.events[:7], seq.t_end), ckpt, cache=cache)
     mixture, marks = M.next_event_distributions(seq, ckpt, cache=cache)
-    assert cache.last_encoded == 3
+    assert cache.rows_encoded == len(seq) and cache.passes == 3
     assert np.array_equal(mixture.weights, want[0][0].weights)
     assert np.array_equal(marks, want[0][1])
     mixtures, _ = M.position_distributions(seq, ckpt)

@@ -137,10 +137,9 @@ def test_cached_ar_emits_the_uncached_events():
 
 def test_draft_records_consistent_densities():
     ckpt = make_checkpoint(5)
-    stats = S.SampleRunStats()
-    batch = S.draft(ckpt, S._RunState([]), gamma=4, rng=RngStream(6).child("draft"),
-                    stats=stats, cache=M.EncoderCache(ckpt))
-    assert stats.draft_forward_passes == 4
+    cache = M.EncoderCache(ckpt)
+    batch = S.draft(ckpt, S._RunState([]), gamma=4, rng=RngStream(6).child("draft"), cache=cache)
+    assert cache.passes == 4
     # the draft rows come stacked, one row per candidate
     assert batch.mixtures.weights.shape == (4, ckpt.config.n_components)
     assert batch.mark_probabilities.shape == (4, ckpt.config.n_marks)
@@ -167,11 +166,10 @@ def test_draft_scores_every_interval_once_with_the_scalar_density(head_row_check
     the gamma forwards checks its heads' pre-activations once, and the
     stacked views and the row cuts add no check."""
     ckpt = make_checkpoint(5, n_components=8)
-    stats = S.SampleRunStats()
-    batch = S.draft(ckpt, S._RunState([]), gamma, RngStream(6).child("draft"), stats,
-                    cache=M.EncoderCache(ckpt))
+    cache = M.EncoderCache(ckpt)
+    batch = S.draft(ckpt, S._RunState([]), gamma, RngStream(6).child("draft"), cache=cache)
     assert head_row_checks == {"head_rows": gamma}
-    assert stats.draft_forward_passes == gamma and batch.interval_logpdf.shape == (gamma,)
+    assert cache.passes == gamma and batch.interval_logpdf.shape == (gamma,)
     for i in range(gamma):
         row = batch.mixtures.row(i)
         assert isinstance(row, M.MixtureParams) and row.weights.shape == (8,)
@@ -205,8 +203,7 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
     for gamma in (10, 1, 4):
         drawn.clear()
         events = S._RunState(history)
-        batch = S.draft(ckpt, events, gamma, RngStream(gamma).child("draft"),
-                        S.SampleRunStats(), cache=cache)
+        batch = S.draft(ckpt, events, gamma, RngStream(gamma).child("draft"), cache=cache)
         assert len(drawn) == gamma
         got = [batch.mixtures.weights, batch.mixtures.means, batch.mixtures.scales,
                batch.mark_probabilities]
@@ -230,8 +227,7 @@ def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
     ckpt = make_checkpoint(5, n_layers=2, n_components=8, n_marks=3)
     history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 2], math.inf)
     drafted = RngStream(9).child("draft")
-    batch = S.draft(ckpt, S._RunState(history), gamma, drafted, S.SampleRunStats(),
-                    cache=M.EncoderCache(ckpt))
+    batch = S.draft(ckpt, S._RunState(history), gamma, drafted, cache=M.EncoderCache(ckpt))
     intervals = []
 
     def recorded(mixture, rng, _draw=S.sample_interval):
@@ -241,7 +237,7 @@ def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
     monkeypatch.setattr(S, "sample_interval", recorded)
     events, stepped, cache = S._RunState(history), RngStream(9).child("draft"), M.EncoderCache(ckpt)
     for _ in range(gamma):
-        S._ar_step(ckpt, stepped, cache, events, S.SampleRunStats())
+        S._ar_step(ckpt, stepped, cache, events)
     assert events.times[len(history):].tobytes() == batch.times.tobytes()
     assert events.marks[len(history):].tolist() == batch.marks.tolist()
     assert np.array(intervals).tobytes() == batch.intervals.tobytes()
@@ -253,19 +249,17 @@ def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
     first forward's checked pair, within the gamma passes."""
     ckpt = make_checkpoint(5)
     ckpt.params["mix_mean_bias"] = np.full_like(ckpt.params["mix_mean_bias"], np.nan)
-    stats = S.SampleRunStats()
+    cache = M.EncoderCache(ckpt)
     with pytest.raises(FloatingPointError):
-        S.draft(ckpt, S._RunState([]), 10, RngStream(6).child("draft"), stats,
-                cache=M.EncoderCache(ckpt))
-    assert stats.draft_forward_passes < 10
+        S.draft(ckpt, S._RunState([]), 10, RngStream(6).child("draft"), cache=cache)
+    assert cache.passes < 10
 
 
 def test_draft_single_candidate():
     ckpt = make_checkpoint(5)
-    stats = S.SampleRunStats()
-    batch = S.draft(ckpt, S._RunState([]), gamma=1, rng=RngStream(7), stats=stats,
-                    cache=M.EncoderCache(ckpt))
-    assert len(batch) == 1 and stats.draft_forward_passes == 1
+    cache = M.EncoderCache(ckpt)
+    batch = S.draft(ckpt, S._RunState([]), gamma=1, rng=RngStream(7), cache=cache)
+    assert len(batch) == 1 and cache.passes == 1
 
 
 # -- residual distributions ----------------------------------------------------------
@@ -390,16 +384,16 @@ def test_interval_acceptance_rate_matches_overlap_integral():
 
 def test_verify_identical_models_accepts_everything():
     ckpt = make_checkpoint(15)
-    stats = S.SampleRunStats()
+    stats, cache = S.SampleRunStats(), M.EncoderCache(ckpt)
     batch = S.draft(ckpt, S._RunState([]), gamma=6, rng=RngStream(16).child("draft"),
-                    stats=stats, cache=M.EncoderCache(ckpt))
+                    cache=M.EncoderCache(ckpt))
     outcome = S.verify(ckpt, S._RunState([]), batch, RngStream(16).child("verify"),
-                       RngStream(16).child("residual"), stats, cache=M.EncoderCache(ckpt))
+                       RngStream(16).child("residual"), stats, cache=cache)
     assert outcome.accepted_len == 6
     assert outcome.replacement is None
     assert outcome.interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
     assert outcome.mark_ratios == pytest.approx(np.ones(6), abs=1e-9)
-    assert stats.target_forward_passes == 1
+    assert cache.passes == 1
     assert stats.events_accepted == 6 and stats.events_drafted == 6
 
 
@@ -421,8 +415,7 @@ def doctored_batch(batch, log_density_shift=0.0):
 
 
 def draft_batch(ckpt, gamma, rng):
-    return S.draft(ckpt, S._RunState([]), gamma, rng, S.SampleRunStats(),
-                   cache=M.EncoderCache(ckpt))
+    return S.draft(ckpt, S._RunState([]), gamma, rng, cache=M.EncoderCache(ckpt))
 
 
 REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
@@ -525,7 +518,7 @@ def test_verify_with_a_cache_scores_the_same_rows():
     ckpt = make_checkpoint(15)
     history = S._RunState(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf))
     batch = doctored_batch(S.draft(ckpt, history, 4, RngStream(19).child("draft"),
-                                   S.SampleRunStats(), cache=M.EncoderCache(ckpt)))
+                                   cache=M.EncoderCache(ckpt)))
     uniforms = ([0.0] * 4, [0.0, 0.0, REJECT, 0.0])
     plain = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20),
                      S.SampleRunStats(), cache=M.EncoderCache(ckpt))
@@ -534,14 +527,14 @@ def test_verify_with_a_cache_scores_the_same_rows():
     stats = S.SampleRunStats()
     cached = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
                       cache=cache)
-    assert stats.target_rows_encoded == 3
+    assert cache.rows_encoded == len(history) + 3
     assert cached.accepted_len == plain.accepted_len == 2
     assert cached.replacement == plain.replacement
     assert np.allclose(cached.interval_ratios, plain.interval_ratios, rtol=1e-12, atol=0.0)
     assert np.allclose(cached.mark_ratios, plain.mark_ratios, rtol=1e-12, atol=0.0)
     again = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
                      cache=cache)
-    assert stats.target_rows_encoded == 6
+    assert cache.rows_encoded == len(history) + 6
     assert again.replacement == cached.replacement
     assert np.array_equal(again.interval_ratios, cached.interval_ratios)
     assert np.array_equal(again.mark_ratios, cached.mark_ratios)
@@ -550,7 +543,6 @@ def test_verify_with_a_cache_scores_the_same_rows():
 def test_verify_counts_one_target_pass_per_iteration():
     target = make_checkpoint(23, n_layers=2)
     draft_model = make_checkpoint(24)
-    stats = S.SampleRunStats()
     _, run_stats = S.tpp_sd_sample(target, draft_model, 20.0, gamma=5, rng=RngStream(25))
     assert run_stats.target_forward_passes == run_stats.iterations
     assert run_stats.draft_forward_passes == 5 * run_stats.iterations
@@ -563,7 +555,7 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 
 # Python-level calls per candidate of one draft and one verify after a warm
-# step, on a 1-layer draft and a 2-layer, 2-head target: at most 18.8 and
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 19.8 and
 # 11.6 are counted, a verify with a residual interval draw included
 # (scripts/call_counts.py prints both)
 DRAFT_CALLS_PER_CANDIDATE = 21
@@ -595,10 +587,10 @@ def test_draft_and_verify_calls_per_candidate_are_bounded(gamma):
         events, stats = S._RunState(history), S.SampleRunStats()
         caches = step_caches(target, draft_model)
         S._sd_step(target, draft_model, gamma, S._sd_streams(RngStream(seed)),
-                   caches["target_cache"], caches["draft_cache"], events, stats)
+                   caches["target_cache"], caches["draft_cache"], stats, events)
         rng = RngStream(seed + 100)
         batch, drafted = python_calls(S.draft, draft_model, events, gamma, rng.child("draft"),
-                                      stats, cache=caches["draft_cache"])
+                                      cache=caches["draft_cache"])
         _, verified = python_calls(S.verify, target, events, batch, rng.child("verify"),
                                    rng.child("residual"), stats, cache=caches["target_cache"])
         assert drafted <= DRAFT_CALLS_PER_CANDIDATE * gamma
@@ -635,16 +627,17 @@ def test_cached_sd_emits_the_uncached_events():
     seq, stats = S.tpp_sd_sample(target, draft_model, 30.0, 4, RngStream(6), history=history)
     assert stats.replacement_events > 0 and stats.events_accepted > 0
     streams = S._sd_streams(RngStream(6))
-    uncached = S.SampleRunStats()
+    uncached, target_caches = S.SampleRunStats(), []
     events = S._RunState(history)
     while events.last_time < 30.0:
-        S._sd_step(target, draft_model, 4, streams, M.EncoderCache(target),
-                   M.EncoderCache(draft_model), events, uncached)
+        target_caches.append(M.EncoderCache(target))
+        S._sd_step(target, draft_model, 4, streams, target_caches[-1],
+                   M.EncoderCache(draft_model), uncached, events)
     events = events.events(0, 30.0)
     assert [e.mark for e in events] == seq.marks.tolist()
     assert np.allclose([e.time for e in events], seq.times, rtol=1e-12, atol=0.0)
     assert uncached.events_accepted == stats.events_accepted
-    assert uncached.target_forward_passes == stats.target_forward_passes
+    assert sum(cache.passes for cache in target_caches) == stats.target_forward_passes
 
 
 def test_sd_rows_encoded_counts_only_uncached_events():
@@ -928,8 +921,7 @@ def test_next_event_helpers_are_the_first_step_of_their_loops():
         first = S.next_event(target, draft_model, history, 4, rng,
                              **step_caches(target, draft_model))
         assert first == sd_seq.events[2]
-        stats = S.SampleRunStats()
-        batch = S.draft(draft_model, S._RunState(history), 4, rng.child("draft"), stats,
+        batch = S.draft(draft_model, S._RunState(history), 4, rng.child("draft"),
                         cache=M.EncoderCache(draft_model))
         replaced += int(first.time != batch.times[0] or first.mark != batch.marks[0])
     assert 0 < replaced < 8
@@ -975,9 +967,19 @@ PINNED_DIGESTS = {
     "sd10": "a953c23e6a1d3e0bb8649d4c856903e8a49453c89c00d0be6bda55e75311ff33",
 }
 
+# The target passes, target rows encoded, draft passes and draft rows encoded
+# of each pinned run, in the order of pinned_samples.
+PINNED_COUNTS = {
+    "ar": [(36, 35, 0, 0), (27, 46, 0, 0)],
+    "sd1": [(35, 34, 35, 34), (29, 48, 29, 48)],
+    "sd5": [(13, 64, 65, 64), (10, 69, 50, 69)],
+    "sd10": [(7, 69, 70, 69), (4, 59, 40, 59)],
+}
 
-def pinned_runs(mode):
-    """The sequences that ``mode`` samples on the pinned pair and seeds."""
+
+def pinned_samples(mode):
+    """The sequences and stats that ``mode`` samples on the pinned pair and
+    seeds."""
     target = make_checkpoint(2301, n_layers=3, n_heads=2, n_marks=3)
     draft_model = make_checkpoint(2302, n_marks=3)
     assert np.abs(target.params["layers.0.v"]).min() > 0.0
@@ -985,11 +987,16 @@ def pinned_runs(mode):
     runs = []
     for seed, held in ((2303, None), (2304, history)):
         if mode == "ar":
-            runs.append(S.ar_sample(target, 60.0, RngStream(seed), history=held)[0])
+            runs.append(S.ar_sample(target, 60.0, RngStream(seed), history=held))
         else:
             runs.append(S.tpp_sd_sample(target, draft_model, 60.0, int(mode[2:]),
-                                        RngStream(seed), history=held)[0])
+                                        RngStream(seed), history=held))
     return runs
+
+
+def pinned_runs(mode):
+    """The sequences that ``mode`` samples on the pinned pair and seeds."""
+    return [seq for seq, _ in pinned_samples(mode)]
 
 
 @pytest.mark.parametrize("mode", list(PINNED_DIGESTS))
@@ -999,3 +1006,11 @@ def test_samplers_emit_their_pinned_events(mode):
         assert len(seq) > 20
         digest.update(seq.times.tobytes() + seq.marks.tobytes())
     assert digest.hexdigest() == PINNED_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", list(PINNED_COUNTS))
+def test_samplers_count_their_pinned_passes_and_rows(mode):
+    counts = [(stats.target_forward_passes, stats.target_rows_encoded,
+               stats.draft_forward_passes, stats.draft_rows_encoded)
+              for _, stats in pinned_samples(mode)]
+    assert counts == PINNED_COUNTS[mode]

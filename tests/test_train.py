@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +248,15 @@ def test_no_decision_reads_the_training_loglik_trace(monkeypatch):
     assert blind.best_epoch == plain.best_epoch
     for name, value in plain.checkpoint.params.items():
         assert np.array_equal(blind.checkpoint.params[name], value)
+
+
+def test_synthetic_pipeline_runs_below_ten_epochs(tmp_path):
+    """scripts/synthetic_pipeline.py keeps its patience within --epochs,
+    which TrainConfig requires; with a patience of 10 it refused any
+    --epochs below 10 with a traceback."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "synthetic_pipeline.py"
+    result = subprocess.run([sys.executable, str(script), "--n-sequences", "30", "--t-end", "5",
+                             "--sample-runs", "3", "--epochs", "2", "--target-layers", "1",
+                             "--out", str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "target.json").exists()
