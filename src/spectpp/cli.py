@@ -390,9 +390,10 @@ def main() -> None:
     _attach_log_handler()
 
 
-# an input file's option: its value is the path's os.path.realpath, as
-# Path.resolve() makes it, and so is the manifest's argument
-_INPUT = click.Path(resolve_path=True)
+# an input file's option: its value, and the manifest's argument, is the
+# path's os.path.realpath, as Path.resolve() makes it; a directory, which
+# an empty path names, is a usage error
+_INPUT = click.Path(dir_okay=False, resolve_path=True)
 
 
 @main.command()

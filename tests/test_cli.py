@@ -123,6 +123,19 @@ def test_sample_sd_requires_draft(runner, workspace):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("draft", ["", "."])
+def test_a_directory_for_an_input_file_is_a_usage_error(runner, workspace, draft):
+    """An input file that names a directory, as an empty path does, is
+    refused by its option's name; it raised IsADirectoryError, and an empty
+    --draft was taken as no draft."""
+    for command in (["sample", "--mode", "sd", "--t-end", "5"],
+                    ["eval", "wasserstein", "--sequences", str(workspace / "poisson.json")]):
+        result = runner.invoke(cli.main, [*command, "--target", str(workspace / "target.json"),
+                                          "--draft", draft, "--out", str(workspace / "x")])
+        assert result.exit_code == 1, result.output
+        assert "'--draft'" in result.output and "is a directory" in result.output
+
+
 def test_sample_sd_stats_include_alpha_and_t_sd(runner, workspace):
     out = workspace / "sd"
     result = runner.invoke(cli.main, ["sample", "--mode", "sd",
