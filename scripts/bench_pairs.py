@@ -14,7 +14,10 @@ the size of the change sits next to its timings. The ungated stage
 diagnostics that each run prints as ``metric`` lines (simulation,
 evaluation and sampling rates, seconds per training epoch) are summarised
 apart, under ``diagnostics``, so that a change in one stage reads apart
-from another's drift.
+from another's drift, and so is each run's count of minor page faults,
+``minor_faults``: the ``resource.getrusage(RUSAGE_CHILDREN).ru_minflt``
+delta around its ``subprocess.run``, a whole run's faults, setup
+included.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload sample-short \\
         --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -37,16 +41,19 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 DIAGNOSTICS = ("sim_events_per_s", "eval_events_per_s", "train_epoch_s", "ar_events_per_s",
-               "sd_events_per_s")
+               "sd_events_per_s", "minor_faults")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One unchanged perfbench run of ``tree``; its environment,
-    determinism and final result lines, and its stage diagnostics."""
+    determinism and final result lines, and its stage diagnostics with its
+    minor page faults."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
+    faults_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True,
                           timeout=4 * seconds + 300)
+    minor_faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults_before
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: {' '.join(command)} exited {proc.returncode}\n"
@@ -56,8 +63,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         found = [line[len(tag) + 1:] for line in lines if line.startswith(tag + " ")]
         return json.loads(found[0]) if found else None
 
+    diagnostics = diagnostic_metrics(lines)
+    diagnostics["minor_faults"] = {"value": float(minor_faults), "unit": "count"}
     return {"environment": tagged("environment"), "determinism": tagged("determinism"),
-            "result": json.loads(lines[-1]), "diagnostics": diagnostic_metrics(lines)}
+            "result": json.loads(lines[-1]), "diagnostics": diagnostics}
 
 
 def diagnostic_metrics(lines: list[str]) -> dict:

@@ -18,23 +18,32 @@ those the draws used; the target rows encoded per verify; and the encoder
 caches' growths per SD run, with the calls of ``grown``, which copies one
 buffer of a growing cache, per SD event. Before all of these it counts the
 calls of one ``save_checkpoint`` and one ``load_checkpoint`` of the target.
-Last, it prints the worst Python-level calls per candidate of one draft
+Then it prints the worst Python-level calls per candidate of one draft
 and one verify in the shape of ``tests/test_sampler.py``'s bound test, on
 its checkpoints, history, seeds and gammas, next to the test's bounds.
-It takes no options:
+Last, a sample-long section continues the first few of perfbench's
+250-event Hawkes histories with AR and SD on perfbench's streams, AR then
+SD on each history's one stream as a perfbench pass runs them. After one
+unmeasured warm pass over the same runs, it prints the minor page faults
+(``resource.getrusage``) per emitted event and per run of each mode, and
+the key and value bytes of each encoder cache that the runs made. It
+takes no options:
 
     python3 scripts/call_counts.py
 """
 
 import collections
 import pathlib
+import resource
 import sys
 import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
+import workloads
 from gamma_ablation import build_pair
 from spectpp import model, sampler
 from spectpp.core import Event, EventSequence, RngStream
@@ -48,6 +57,8 @@ TOP = 10
 # test_draft_and_verify_calls_per_candidate_are_bounded's seeds and gammas
 BOUND_SEEDS = range(4)
 BOUND_GAMMAS = (5, 10)
+# perfbench's sample-long histories that the fault counts continue
+LONG_SEQUENCES = 4
 # the qualname of every __init__ that dataclasses generates
 DATACLASS_INIT = "__create_fn__.<locals>.__init__"
 
@@ -136,11 +147,66 @@ def bound_test_worst(history):
     return worst_draft, worst_verify
 
 
+def sample_long_faults(target, draft):
+    """Per mode, the events and minor page faults of a pass over the first
+    LONG_SEQUENCES of perfbench's sample-long runs, taken after one warm
+    pass over the same runs; and the key and value bytes of each encoder
+    cache that a third pass made, by model. Only the third pass keeps its
+    caches to the end of each run, as reading their bytes needs, which
+    moves where the allocator puts the next run's arrays."""
+    shape = workloads.SAMPLE_SHAPES["sample-long"]
+    histories = [workloads._pinned_history(SEED, i, shape.history) for i in range(LONG_SEQUENCES)]
+    made = []
+
+    def recorded(checkpoint):
+        made.append(cache := model.EncoderCache(checkpoint))
+        return cache
+
+    def one_pass():
+        events, faults = {"ar": 0, "sd": 0}, {"ar": 0, "sd": 0}
+        kv_bytes = collections.defaultdict(list)
+        for i, prefix in enumerate(histories):
+            rng = RngStream(SEED).child(f"seq{i}")
+            for mode, horizon in (("ar", shape.ar_horizon), ("sd", shape.sd_horizon)):
+                t_end = prefix[-1].time + horizon
+                history = EventSequence(prefix, t_end)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                if mode == "ar":
+                    seq, _ = sampler.ar_sample(target, t_end, rng, history=history)
+                else:
+                    seq, _ = sampler.tpp_sd_sample(target, draft, t_end, workloads.GAMMA, rng,
+                                                   history=history)
+                faults[mode] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                events[mode] += len(seq) - len(prefix)
+                for cache in made:
+                    kv_bytes["target" if cache.checkpoint is target else "draft"].append(
+                        sum(b.nbytes for b in cache._keys + cache._values))
+                made.clear()
+        return events, faults, kv_bytes
+
+    one_pass()
+    events, faults, _ = one_pass()
+    sampler.EncoderCache = recorded
+    try:
+        return events, faults, one_pass()[2]
+    finally:
+        sampler.EncoderCache = model.EncoderCache
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         target_path, draft_path = build_pair(pathlib.Path(tmp), n_layers=20, embed_dim=48,
                                              noise=0.5, seed=100)
         target, draft = model.load_checkpoint(target_path), model.load_checkpoint(draft_path)
+        events, faults, kv_bytes = sample_long_faults(target, draft)
+        print(f"sample-long shape, {workloads.SAMPLE_SHAPES['sample-long'].history}-event "
+              f"histories, seed {SEED}, sequences 0-{LONG_SEQUENCES - 1}, after one warm pass")
+        for mode, label in (("ar", "AR"), ("sd", f"SD gamma={workloads.GAMMA}")):
+            print(f"{label:<12} {events[mode]:5d} events  {faults[mode] / events[mode]:8.2f} minor"
+                  f" faults per event  {faults[mode] / LONG_SEQUENCES:8.0f} per run")
+        for name, sizes in kv_bytes.items():
+            print(f"{name:<12} cache key/value bytes  "
+                  f"{' '.join(f'{size:,}' for size in sorted(set(sizes)))}  ({len(sizes)} caches)")
         floats = sum(value.size for value in target.params.values())
         for name, fn, args in (("save", model.save_checkpoint, (target_path, target)),
                                ("load", model.load_checkpoint, (target_path,))):

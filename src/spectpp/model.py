@@ -19,7 +19,14 @@ last row, as a long sequence's no-past forward in training does. An
 EncoderCache keeps every layer's keys and values, so a sampling forward
 encodes only the events that are new since the previous one, in blocks of
 at most ATTENTION_BLOCK rows that each attend over the rows held before
-them: the op gets one block per call. A forward reads its events' ``times`` and
+them: the op gets one block per call. It keeps them in one float64 array
+of shape (layers, 2, heads, capacity, head_dim), each head's keys
+contiguous over positions, which it grows with one allocation and one
+copy. At 4 MiB or more (layers * 2 * embed_dim * capacity * 8 bytes), as a
+20-layer target's after a 250-event history is, numpy asks for
+transparent huge pages and glibc reuses the one block from run to run, so
+the cache stops page-faulting; smaller caches neither gain nor lose. A
+capacity-first layout also stopped the faults but ran SD 3-8% slower. A forward reads its events' ``times`` and
 ``marks`` arrays only, so it takes an EventSequence or the sampler's run
 state, which keeps them in growing arrays. The cache keeps the bytes of
 its last forward's events, so an extension of the held events, the common
@@ -445,11 +452,28 @@ class EncoderCache:
     no copy.
     Over its life it counts its forwards in ``passes`` and the events they
     encoded in ``rows_encoded``; a sampling run reports its caches' totals.
-    Key and value buffers have shape (heads, capacity, head_dim); a cache
-    that must hold n events grows to capacity max(2n, n + 128). So a
-    sampling run sizes its caches once, at its first forward, with room for
-    the history and 128 more events, a dozen draft steps at gamma 10, and
-    the events sampled after a long history do not reallocate them. The
+    Every layer's keys and values live in one float64 array of shape
+    (layers, 2, heads, capacity, head_dim); layer l's keys are its [l, 0]
+    and its values its [l, 1], (heads, capacity, head_dim) views in which
+    each head's rows are contiguous over positions. A cache that must hold
+    n events grows to capacity max(2n, n + 128), with one allocation and
+    one copy, and rebuilds the views. So a sampling run sizes its caches
+    once, at its first forward, with room for the history and 128 more
+    events, a dozen draft steps at gamma 10, and the events sampled after a
+    long history do not reallocate them. One array rather than one per
+    layer and part is faster once it holds 4 MiB or more, that is
+    layers * 2 * embed_dim * capacity * 8 bytes >= 4 MiB: numpy asks the
+    kernel for transparent huge pages on an array that large, and glibc
+    reuses its one freed block for the next run's cache instead of mapping
+    and trimming 2 * layers small ones, each faulted in page by page.
+    perfbench's 20-layer target after a 250-event history holds about
+    7.7 MB (capacity 500): a sample-long pass of 12 AR and 24 SD runs took
+    about 14k and 37k minor page faults with one buffer per layer and
+    part, and takes next to none with one array. A target
+    sized by a short history (about 2 MB at capacity 129) and every
+    1-layer draft stay below the mark. A capacity-first layout,
+    (capacity, layers, 2, heads, head_dim), also removed the faults, but
+    SD ran 3-8% slower in 4 paired runs, its heads' rows strided apart. The
     checkpoint's parameters must not change while the cache is in use, nor
     the dtypes of the times and marks that its forwards read (float and
     int, as an EventSequence's and a sampling run's are).
@@ -466,9 +490,8 @@ class EncoderCache:
         m = config.n_components
         self.head_rows = (np.empty((1, m)), np.empty((1, m)), np.empty((1, m)),
                           np.empty((1, config.n_marks)))
-        shape = (config.n_heads, 0, self.weights.head_dim)
-        self._keys = [np.empty(shape) for _ in range(config.n_layers)]
-        self._values = [np.empty(shape) for _ in range(config.n_layers)]
+        self._kv = np.empty((config.n_layers, 2, config.n_heads, 0, self.weights.head_dim))
+        self._keys, self._values = list(self._kv[:, 0]), list(self._kv[:, 1])
 
     def _reserve(self, n: int) -> None:
         """Grow the buffers to capacity max(2n, n + _CACHE_ROOM), keeping the
@@ -485,8 +508,8 @@ class EncoderCache:
 
         self.hidden = grown(self.hidden)
         self.head_rows = tuple(grown(rows, extra=1) for rows in self.head_rows)
-        self._keys = [grown(b, 1) for b in self._keys]
-        self._values = [grown(b, 1) for b in self._values]
+        self._kv = grown(self._kv, 3)
+        self._keys, self._values = list(self._kv[:, 0]), list(self._kv[:, 1])
 
     def context(self, events: EventSequence, checkpoint: ModelCheckpoint) -> np.ndarray:
         """Context rows from the first position the cache does not hold up

@@ -115,3 +115,30 @@ def test_diagnostics_are_summarised_per_side_and_not_gated(bench_pairs):
     assert evaluation["change"]["median"] == 95.0
     assert summary["sim_events_per_s"]["change"]["values"] == [20.5, 19.0, 21.5]
     assert "gain_resolved" not in evaluation
+
+
+# writes one byte in each 4 KiB page of an anonymous mapping that asks for no huge pages
+FAKE_RUN = """import json, mmap
+if {mib}:
+    pages = mmap.mmap(-1, {mib} << 20)
+    pages.madvise(mmap.MADV_NOHUGEPAGE)
+    for i in range(0, len(pages), 4096):
+        pages[i] = 1
+print("environment {{}}")
+print("determinism {{}}")
+print(json.dumps({{"correct": True, "failed": 0, "attempted": 1, "metrics": {{}}}}))
+"""
+
+
+def test_a_run_records_its_minor_page_faults(bench_pairs, tmp_path):
+    """run_once counts the faults of its child alone: a fake perfbench
+    that writes 16 MiB more than another faults about 4096 pages more."""
+    faults = {}
+    for mib in (0, 16):
+        tree = tmp_path / f"tree{mib}"
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(mib=mib))
+        run = bench_pairs.run_once(tree, "sample-short", 1, 1.0)
+        assert run["diagnostics"]["minor_faults"]["unit"] == "count"
+        faults[mib] = run["diagnostics"]["minor_faults"]["value"]
+    assert faults[0] > 0 and faults[16] - faults[0] > 3000

@@ -851,10 +851,50 @@ def test_long_span_encodes_in_blocks_into_buffers_sized_once(monkeypatch):
     M.next_event_distributions(EventSequence(seq.events[:n], math.inf), ckpt, cache=cache)
     # one attention call per layer and block
     assert query_rows and max(query_rows) == block and sum(query_rows) == 2 * n
-    buffers = cache._keys + cache._values
+    buffer = cache._kv
     for end in range(n + 1, n + 9):
         M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
-    assert all(a is b for a, b in zip(cache._keys + cache._values, buffers))
+    assert cache._kv is buffer
+
+
+def test_every_layers_keys_and_values_are_views_of_one_array():
+    """A cache keeps every layer's keys and values in one (layers, 2,
+    heads, capacity, head_dim) array, before and after it grows: layer l's
+    keys are its [l, 0] and its values its [l, 1], each head's rows
+    contiguous over positions."""
+    config = tiny_config(n_layers=3, n_heads=2)
+    ckpt = random_checkpoint(config, seed=29)
+    seq = sequence_from_arrays(0.5 * np.arange(1, 201), np.arange(200) % 2, math.inf)
+    cache = M.EncoderCache(ckpt)
+    for end in (1, 200):
+        M.next_event_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
+        kv = cache._kv
+        assert kv.shape == (3, 2, 2, len(cache.hidden), config.head_dim)
+        for layer in range(3):
+            for part, view in enumerate((cache._keys[layer], cache._values[layer])):
+                assert view.base is kv and view.shape == kv.shape[2:]
+                assert (view.__array_interface__["data"][0]
+                        == kv[layer, part].__array_interface__["data"][0])
+                assert view.strides[1:] == (8 * config.head_dim, 8)
+
+
+def test_cache_growth_copies_every_held_row_exactly():
+    """A cache sized by a 1-event forward and grown by a 300-event one holds
+    the same bytes, in its keys, values, hidden rows and head rows, as one
+    reserved to 400 rows before the same two forwards, which never grows."""
+    ckpt = random_checkpoint(tiny_config(n_layers=2, n_heads=2), seed=30)
+    seq = sequence_from_arrays(0.25 * np.arange(1, 301), np.arange(300) % 2, math.inf)
+    grown, reserved = M.EncoderCache(ckpt), M.EncoderCache(ckpt)
+    reserved._reserve(200)
+    assert len(reserved.hidden) == 400
+    for cache in (grown, reserved):
+        for end in (1, 300):
+            M.position_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
+    assert len(grown.hidden) == 600 and len(reserved.hidden) == 400
+    assert grown._kv[..., :300, :].tobytes() == reserved._kv[..., :300, :].tobytes()
+    assert grown.hidden[:300].tobytes() == reserved.hidden[:300].tobytes()
+    for a, b in zip(grown.head_rows, reserved.head_rows):
+        assert a[:301].tobytes() == b[:301].tobytes()
 
 
 def test_no_past_forward_forms_scores_in_blocks(monkeypatch):
