@@ -19,16 +19,17 @@ last row, as a long sequence's no-past forward in training does. An
 EncoderCache keeps every layer's keys and values, so a sampling forward
 encodes only the events that are new since the previous one, in blocks of
 at most ATTENTION_BLOCK rows that each attend over the rows held before
-them: the op gets one block per call. It keeps them in one float64 array
-of shape (layers, 2, heads, capacity, head_dim), each head's keys
-contiguous over positions, which it grows with one allocation and one
-copy. At 4 MiB or more (layers * 2 * embed_dim * capacity * 8 bytes), as a
+them: the op gets one block per call. The cache holds them in one
+float64 array of shape (layers, 2, heads, capacity, head_dim), each
+head's keys contiguous over positions, which it grows with one allocation
+and one copy. At 4 MiB or more (layers * 2 * embed_dim * capacity * 8 bytes), as a
 20-layer target's after a 250-event history is, numpy asks for
 transparent huge pages and glibc reuses the one block from run to run, so
 the cache stops page-faulting; smaller caches neither gain nor lose. A
-capacity-first layout also stopped the faults but ran SD 3-8% slower. A forward reads its events' ``times`` and
-``marks`` arrays only, so it takes an EventSequence or the sampler's run
-state, which keeps them in growing arrays. The cache keeps the bytes of
+capacity-first layout also stopped the faults but ran SD slower. A
+forward reads its events' ``times`` and ``marks`` arrays only, so it
+takes an EventSequence or the sampler's run state, which keeps them in
+growing arrays. The cache keeps the bytes of
 its last forward's events, so an extension of the held events, the common
 case, keeps every held row after one memory compare per array, and a
 one-row pass runs the heads on its one context row, read from the cache's
@@ -473,7 +474,8 @@ class EncoderCache:
     sized by a short history (about 2 MB at capacity 129) and every
     1-layer draft stay below the mark. A capacity-first layout,
     (capacity, layers, 2, heads, head_dim), also removed the faults, but
-    SD ran 3-8% slower in 4 paired runs, its heads' rows strided apart. The
+    with each head's rows strided apart over positions SD ran 4-14% and
+    AR 2-11% slower in 4 of 4 paired 20-s sample-long runs. The
     checkpoint's parameters must not change while the cache is in use, nor
     the dtypes of the times and marks that its forwards read (float and
     int, as an EventSequence's and a sampling run's are).
