@@ -890,6 +890,8 @@ def test_cache_growth_copies_every_held_row_exactly():
     for cache in (grown, reserved):
         for end in (1, 300):
             M.position_distributions(EventSequence(seq.events[:end], math.inf), ckpt, cache=cache)
+            if end == 1:
+                assert len(cache.hidden) == (129 if cache is grown else 400)
     assert len(grown.hidden) == 600 and len(reserved.hidden) == 400
     assert grown._kv[..., :300, :].tobytes() == reserved._kv[..., :300, :].tobytes()
     assert grown.hidden[:300].tobytes() == reserved.hidden[:300].tobytes()
