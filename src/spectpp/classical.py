@@ -345,7 +345,10 @@ def total_compensator_increments(seq: EventSequence, process: GroundTruthProcess
     if isinstance(process, SinePoissonParams):
         w = process.omega * np.pi
         bounds = np.concatenate([[0.0], times])
-        anti = process.A * process.b * bounds - (process.A / w) * np.cos(w * bounds)
+        anti = process.A * process.b * bounds
+        if w:
+            # at omega = 0 the sine term vanishes: a homogeneous rate A*b
+            anti = anti - (process.A / w) * np.cos(w * bounds)
         return np.diff(anti)
     walk = _hawkes_walk(process, np.diff(times, prepend=0.0), marks.tolist())
     return np.array([increment for increment, _ in walk])
@@ -366,9 +369,11 @@ def ground_truth_loglik(seq: EventSequence, process: GroundTruthProcess) -> floa
         rates = process.rate(times)
         if np.any(rates <= 0.0):
             return float("-inf")
-        # the closed-form compensator A*b*t - (A/w)*cos(w*t), taken from 0 to t_end
+        # the closed-form compensator A*b*t - (A/w)*cos(w*t), taken from 0 to
+        # t_end; its sine term vanishes at omega = 0
         w, t_end = process.omega * np.pi, seq.t_end
-        total_comp = process.A * process.b * t_end - (process.A / w) * (math.cos(w * t_end) - 1.0)
+        sine = (process.A / w) * (math.cos(w * t_end) - 1.0) if w else 0.0
+        total_comp = process.A * process.b * t_end - sine
         return float(np.sum(np.log(rates))) - total_comp
     k, mu, alpha = process.n_marks, process.mu.tolist(), process.alpha.ravel().tolist()
     marks = marks.tolist()

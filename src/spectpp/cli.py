@@ -251,6 +251,9 @@ def run_bench(args: dict, out_dir: Path) -> dict:
     gamma_grid = args["gamma_grid"]
     reps, runs, t_end = args["repetitions"], args["runs"], args["t_end"]
     _require(len(gamma_grid) > 0 and min(gamma_grid) >= 1, "gamma_grid needs positive integers")
+    for i, gamma in enumerate(gamma_grid):
+        # a repeated gamma would pool its columns' runs under one key
+        _require(gamma not in gamma_grid[:i], f"gamma_grid repeats {gamma}")
     _require(reps >= 1 and runs >= 1, "repetitions and runs must be >= 1")
     target = _load("checkpoint", load_checkpoint, args["target"])
     draft = _load("checkpoint", load_checkpoint, args["draft"])

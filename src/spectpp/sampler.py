@@ -11,11 +11,11 @@ model's next-event law.
 Autoregressive sampling is the same loop with another step. One run loop
 repeats a step, its run's caches and streams bound, on the run's events,
 held as times and marks in growing arrays that the forward reads as it
-reads an EventSequence's. A draft is gamma AR steps of the draft model.
-Drafting and verifying append their candidates and truncate back, and
-emitting appends the accepted prefix and the replacement. The loop drops
-the events after t_end, builds the output once and reports the passes and
-rows that its caches counted.
+reads an EventSequence's. A draft is gamma AR steps of the draft model,
+which leave its candidates appended to the run's events; verify reads them
+there, cuts the events to the accepted prefix and appends the replacement.
+The loop drops the events after t_end, builds the output once and reports
+the passes and rows that its caches counted.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ class _RunState:
         self.last_time = float(self._times[end - 1]) if end else 0.0
 
     def truncate(self, size: int) -> None:
-        """Keep only the first ``size`` events."""
+        """Keep only the first ``size`` events. A size up to the end of the
+        last append holds again the events that no later append has
+        overwritten."""
         self.times, self.marks = self._times[:size], self._marks[:size]
         self.last_time = float(self._times[size - 1]) if size else 0.0
 
@@ -105,44 +107,34 @@ class _RunState:
 
 @dataclass(frozen=True)
 class DraftBatch:
-    """Gamma candidate events drafted autoregressively from the draft model:
-    their times, marks, intervals and interval log-densities as arrays, plus
-    the draft head rows each was sampled under, stacked like verify's target
+    """The draft law of gamma candidate events, which the run's events end
+    with: their intervals and interval log-densities as arrays, plus the
+    draft head rows each was sampled under, stacked like verify's target
     rows: a (gamma, M) MixtureParams and a (gamma, K) array of mark
     probabilities.
     The rows are views of the draft cache's head rows, where each of the
     gamma forwards wrote its own, so they hold until that cache's next
     forward at those positions, the next draft step's. draft makes the
-    times strictly increase, since advance_clock refuses a clock that does
-    not move, and the log-densities finite, since each interval is a
-    positive finite draw from a component of checked head rows with a scale
-    in [SIGMA_MIN, SIGMA_MAX]."""
+    log-densities finite, since each interval is a positive finite draw
+    from a component of checked head rows with a scale in
+    [SIGMA_MIN, SIGMA_MAX]."""
 
-    times: np.ndarray
-    marks: np.ndarray
     intervals: np.ndarray
     interval_logpdf: np.ndarray
     mixtures: MixtureParams
     mark_probabilities: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.intervals)
 
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    """Verified prefix length, the replacement event's time and mark when a
-    rejection occurred, and the per-position acceptance ratios and
-    uniforms. The sampler reads only the first two; the arrays cost nothing
-    extra, since verify makes them anyway, and the verify tests read the
-    cached and uncached ratios through them to 1e-12."""
+    """Verified prefix length, and the replacement event's time and mark
+    when a rejection occurred."""
 
     accepted_len: int
     replacement: tuple[float, int] | None
-    interval_ratios: np.ndarray
-    mark_ratios: np.ndarray
-    u_interval: np.ndarray
-    u_mark: np.ndarray
 
 
 @dataclass
@@ -236,25 +228,24 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
 def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngStream, *,
           cache: EncoderCache) -> DraftBatch:
     """Sample gamma candidate events autoregressively from the draft model
-    after the run's events, with the head rows of all of them and the
-    interval log-density at each. The candidates are gamma _ar_steps of the
-    draft model on ``rng`` and ``cache``, each forward writing its checked
-    head row into the cache's head rows at its candidate's position. The
-    run's state is truncated back before the call returns; the batch's rows
-    are views of the gamma positions, and all gamma intervals are scored
-    against them with one mixture_logpdf call."""
+    after the run's events, which end with them when the call returns, and
+    return their draft law: the head rows of all of them and the interval
+    log-density at each. The candidates are gamma _ar_steps of the draft
+    model on ``rng`` and ``cache``, each forward writing its checked head
+    row into the cache's head rows at its candidate's position, so their
+    times strictly increase, since advance_clock refuses a clock that does
+    not move. The batch's rows are views of the gamma positions, and all
+    gamma intervals are scored against them with one mixture_logpdf call."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     n_hist = len(events)
     intervals = np.empty(gamma)
     for i in range(gamma):
         intervals[i] = _ar_step(draft_model, rng, cache, events)
-    times, marks = events.times[n_hist:].copy(), events.marks[n_hist:].copy()
-    events.truncate(n_hist)
     rows = slice(n_hist, n_hist + gamma)
     weights, means, scales, probability_rows = cache.head_rows
     mixtures = MixtureParams(weights[rows], means[rows], scales[rows])
-    return DraftBatch(times, marks, intervals, mixture_logpdf(intervals, mixtures), mixtures,
+    return DraftBatch(intervals, mixture_logpdf(intervals, mixtures), mixtures,
                       probability_rows[rows])
 
 
@@ -317,12 +308,16 @@ def residual_mark_sample(f_target: np.ndarray, f_draft: np.ndarray, rng: RngStre
 def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: RngStream,
            residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache) -> VerificationOutcome:
-    """Verify a draft batch after the run's events with one batched target
-    forward pass, which encodes only the events the cache lacks. Every
-    candidate but the last is appended to the run's state for that
-    forward, since the row after the last one is never read, and the state
-    is truncated back right after it. The cache is first rolled back to at
-    most the run's events, so the appended candidates are always encoded.
+    """Verify the gamma candidates that the run's events end with, against
+    their draft law ``batch``, with one batched target forward pass, which
+    encodes only the events the cache lacks, and end the step: the events
+    are cut to the history and the accepted prefix, and at a rejection the
+    replacement is appended. The candidates are read in place. The forward
+    runs on the events cut before the last candidate, since the row after
+    it is never read; with no rejection the cut to the prefix holds all
+    gamma again, as no append has overwritten them. The cache is first
+    rolled back to at most the history, so the candidates are always
+    encoded.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -333,12 +328,13 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     mark from the residual mark distribution. Redrawing both after any
     rejection would be inexact, because it redraws marks that passed.
     """
-    n_hist, gamma = len(events), len(batch)
+    gamma = len(batch)
+    n_hist = len(events) - gamma
     # an earlier step's candidates on the same events would be held rows
     cache.size = min(cache.size, n_hist)
-    events.append(batch.times[:-1], batch.marks[:-1])
+    times, marks = events.times[n_hist:], events.marks[n_hist:]
+    events.truncate(n_hist + gamma - 1)
     mixtures, probabilities = position_distributions(events, target, cache=cache)
-    events.truncate(n_hist)
     stats.iterations += 1
     stats.events_drafted += gamma
 
@@ -349,8 +345,8 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     # by position n_hist + l, so the candidates are the last gamma rows.
     first = len(mixtures.weights) - gamma
     candidates = np.arange(gamma)
-    f_t = probabilities[candidates + first, batch.marks]
-    f_d = batch.mark_probabilities[candidates, batch.marks]
+    f_t = probabilities[candidates + first, marks]
+    f_d = batch.mark_probabilities[candidates, marks]
     # one error state for both densities: the intervals are positive draws,
     # and a target mark probability may be 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -364,38 +360,38 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     mark_ok = u_mark < mark_ratios
     rejected = (~(interval_ok & mark_ok)).nonzero()[0]
     accepted = int(rejected[0]) if rejected.size else gamma
+    events.truncate(n_hist + accepted)
     replacement = None
     if accepted < gamma:
         start = time.perf_counter()
-        event_time, mark = float(batch.times[accepted]), int(batch.marks[accepted])
+        event_time, mark = float(times[accepted]), int(marks[accepted])
         if not interval_ok[accepted]:
             tau, proposals, fell_back = _residual_interval_sample_info(
                 mixtures.row(first + accepted), batch.mixtures.row(accepted), residual_rng)
             stats.residual_proposals += proposals
             stats.residual_fallbacks += int(fell_back)
-            previous = float(batch.times[accepted - 1]) if accepted else events.last_time
-            event_time = advance_clock(previous, tau)
+            event_time = advance_clock(events.last_time, tau)
         if not mark_ok[accepted]:
             mark = residual_mark_sample(probabilities[first + accepted],
                                         batch.mark_probabilities[accepted], residual_rng)
         replacement = (event_time, mark)
+        events.append(event_time, mark)
         stats.residual_seconds += time.perf_counter() - start
     if len(stats.accepted_lengths) <= gamma:
         stats.accepted_lengths.extend([0] * (gamma + 1 - len(stats.accepted_lengths)))
     stats.accepted_lengths[accepted] += 1
     stats.events_accepted += accepted
     stats.replacement_events += int(replacement is not None)
-    return VerificationOutcome(accepted, replacement, interval_ratios, mark_ratios,
-                               u_interval, u_mark)
+    return VerificationOutcome(accepted, replacement)
 
 
 def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, gamma: int,
              streams: tuple[RngStream, RngStream, RngStream], target_cache: EncoderCache,
              draft_cache: EncoderCache, stats: SampleRunStats, events: _RunState) -> None:
-    """One draft-verify step after the run's events: appends to them the
-    accepted prefix of the drafted events plus the replacement, if one was
-    drawn. ``streams`` are the draft, verify and residual streams. After a
-    rejection both caches are cut to the kept prefix, so their next
+    """One draft-verify step after the run's events, which end it holding
+    the accepted prefix of the drafted events plus the replacement, if one
+    was drawn. ``streams`` are the draft, verify and residual streams.
+    After a rejection both caches are cut to the kept prefix, so their next
     forwards find it by the byte compare, not elementwise past the
     rejected candidate."""
     draft_rng, verify_rng, residual_rng = streams
@@ -405,13 +401,10 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, gamma: int,
     outcome = verify(target, events, batch, verify_rng, residual_rng, stats, cache=target_cache)
     stats.draft_seconds += drafted - start
     stats.verify_seconds += time.perf_counter() - drafted
-    n = outcome.accepted_len
-    events.append(batch.times[:n], batch.marks[:n])
     if outcome.replacement is not None:
-        kept = len(events)
+        kept = len(events) - 1
         target_cache.size, draft_cache.size = (min(target_cache.size, kept),
                                                min(draft_cache.size, kept))
-        events.append(*outcome.replacement)
 
 
 def _sd_streams(rng: RngStream) -> tuple[RngStream, RngStream, RngStream]:
@@ -422,7 +415,7 @@ def tpp_sd_sample(target: ModelCheckpoint, draft_model: ModelCheckpoint, t_end: 
                   gamma: int, rng: RngStream,
                   history: EventSequence | None = None) -> tuple[EventSequence, SampleRunStats]:
     """Speculative sampling loop: draft gamma events, verify in one target
-    pass, append the accepted prefix plus any replacement, repeat until the
+    pass, keep the accepted prefix plus any replacement, repeat until the
     horizon is passed, then drop events beyond t_end. The target and the
     draft each keep an encoder cache for the run; after a rejection the
     next forward reuses the accepted prefix and drops the rest. A history

@@ -122,6 +122,18 @@ def test_poisson_compensator_full_window():
     assert value == pytest.approx(oracle, rel=1e-8)
 
 
+def test_sine_poisson_at_omega_zero_scores_as_homogeneous_poisson():
+    """At omega = 0 the rate is A*b and the compensator's sine term is 0:
+    the increments are A*b*dt and the log-likelihood N*log(A*b) - A*b*t_end,
+    where the closed form used to divide by omega."""
+    process = SinePoissonParams(A=2.0, b=1.5, omega=0.0)
+    seq = sequence_from_arrays([0.5, 1.25, 4.0], [0, 0, 0], 6.0)
+    assert np.allclose(total_compensator_increments(seq, process), 3.0 * np.array([0.5, 0.75, 2.75]),
+                       rtol=1e-12, atol=0.0)
+    assert ground_truth_loglik(seq, process) == pytest.approx(3 * math.log(3.0) - 3.0 * 6.0,
+                                                              rel=1e-12)
+
+
 def test_homogeneous_compensator_is_rate_times_duration():
     proc = HawkesParams(mu=np.array([2.0]), alpha=np.array([[0.0]]), beta=np.array([[1.0]]))
     assert np.sum(compensator(proc, 3.0, 7.0, EMPTY)) == pytest.approx(8.0)

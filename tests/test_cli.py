@@ -267,6 +267,31 @@ def test_eval_loglik_identical_sides_zero(runner, workspace):
     assert float(row["delta_l"]) == 0.0
 
 
+def test_eval_scores_a_sine_poisson_process_at_omega_zero(runner, workspace):
+    """A sine-Poisson record with omega 0, a homogeneous Poisson process,
+    simulates, passes eval ks and scores in eval loglik with exit 0."""
+    process = workspace / "flat.json"
+    process.write_text(json.dumps({"kind": "sine_poisson", "A": 2.0, "b": 1.5, "omega": 0.0}))
+    sim = workspace / "flat_sim"
+    result = runner.invoke(cli.main, ["simulate", "--process", str(process), "--n", "20",
+                                      "--t-end", "20", "--seed", "4", "--out", str(sim)])
+    assert result.exit_code == 0, result.output
+    sequences = str(sim / "sequences.jsonl")
+    result = runner.invoke(cli.main, ["eval", "ks", "--sequences", sequences,
+                                      "--process", str(process), "--out", str(workspace / "ks")])
+    assert result.exit_code == 0, result.output
+    assert read_csv(workspace / "ks" / "ks.csv")[0]["passed"] == "1"
+    result = runner.invoke(cli.main, ["eval", "loglik", "--sequences", sequences,
+                                      "--scorer-a", f"process:{process}",
+                                      "--scorer-b", f"process:{process}",
+                                      "--out", str(workspace / "ll")])
+    assert result.exit_code == 0, result.output
+    # N*log(A*b) - A*b*t_end over the set, per event
+    n = sum(len(seq) for seq in read_sequences(sim / "sequences.jsonl"))
+    assert float(read_csv(workspace / "ll" / "loglik.csv")[0]["loglik_a"]) == pytest.approx(
+        math.log(3.0) - 3.0 * 20 * 20 / n, rel=1e-9)
+
+
 def test_eval_wasserstein_protocol(runner, workspace):
     sample_dir = workspace / "history"
     runner.invoke(cli.main, ["sample", "--mode", "ar", "--target",
@@ -892,6 +917,7 @@ def test_range_errors_exit_2_from_command_line_and_replay(runner, workspace):
     for argv, message in [(wasserstein + ["--n-reps", "0"], "n_reps must be >= 1"),
                           (wasserstein + ["--m-hist", "-1"], "m_hist must be >= 0"),
                           (bench + ["--gamma-grid", "0"], "gamma_grid needs positive integers"),
+                          (bench + ["--gamma-grid", "5,3,5"], "gamma_grid repeats 5"),
                           (bench + ["--repetitions", "0"], "repetitions and runs must be >= 1"),
                           (["sample", "--mode", "ar", "--target", str(workspace / "target.json"),
                             "--t-end", "5", "--runs", "0"], "runs must be >= 1")]:

@@ -137,9 +137,9 @@ def test_cached_ar_emits_the_uncached_events():
 
 def test_draft_records_consistent_densities():
     ckpt = make_checkpoint(5)
-    cache = M.EncoderCache(ckpt)
-    batch = S.draft(ckpt, S._RunState([]), gamma=4, rng=RngStream(6).child("draft"), cache=cache)
-    assert cache.passes == 4
+    cache, run = M.EncoderCache(ckpt), S._RunState([])
+    batch = S.draft(ckpt, run, gamma=4, rng=RngStream(6).child("draft"), cache=cache)
+    assert cache.passes == 4 and len(run) == 4
     # the draft rows come stacked, one row per candidate
     assert batch.mixtures.weights.shape == (4, ckpt.config.n_components)
     assert batch.mark_probabilities.shape == (4, ckpt.config.n_marks)
@@ -153,8 +153,8 @@ def test_draft_records_consistent_densities():
             assert np.allclose(getattr(batch.mixtures, name)[i], getattr(mix, name),
                                rtol=0.0, atol=1e-12)
         assert np.allclose(batch.mark_probabilities[i], probabilities, rtol=0.0, atol=1e-12)
-        events.append(Event(float(batch.times[i]), int(batch.marks[i])))
-    times = batch.times.tolist()
+        events.append(Event(float(run.times[i]), int(run.marks[i])))
+    times = run.times.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
     assert np.isfinite(batch.interval_logpdf).all()
 
@@ -210,7 +210,7 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
         for i, rows in enumerate(drawn):
             for a, b in zip(got, rows):
                 assert a[i].tobytes() == b.tobytes()
-        events.append(batch.times[:-1], batch.marks[:-1])
+        events.truncate(n + gamma - 1)
         mixtures, probabilities = M.position_distributions(events, ckpt)
         want = [mixtures.weights, mixtures.means, mixtures.scales, probabilities]
         for a, b in zip(got, want):
@@ -226,8 +226,8 @@ def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
     order, which leaves the two streams at one position."""
     ckpt = make_checkpoint(5, n_layers=2, n_components=8, n_marks=3)
     history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 2], math.inf)
-    drafted = RngStream(9).child("draft")
-    batch = S.draft(ckpt, S._RunState(history), gamma, drafted, cache=M.EncoderCache(ckpt))
+    drafted, run = RngStream(9).child("draft"), S._RunState(history)
+    batch = S.draft(ckpt, run, gamma, drafted, cache=M.EncoderCache(ckpt))
     intervals = []
 
     def recorded(mixture, rng, _draw=S.sample_interval):
@@ -238,8 +238,8 @@ def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
     events, stepped, cache = S._RunState(history), RngStream(9).child("draft"), M.EncoderCache(ckpt)
     for _ in range(gamma):
         S._ar_step(ckpt, stepped, cache, events)
-    assert events.times[len(history):].tobytes() == batch.times.tobytes()
-    assert events.marks[len(history):].tolist() == batch.marks.tolist()
+    assert events.times.tobytes() == run.times.tobytes()
+    assert events.marks.tolist() == run.marks.tolist()
     assert np.array(intervals).tobytes() == batch.intervals.tobytes()
     assert stepped.uniform() == drafted.uniform()
 
@@ -382,40 +382,91 @@ def test_interval_acceptance_rate_matches_overlap_integral():
 
 # -- verification ------------------------------------------------------------------
 
-def test_verify_identical_models_accepts_everything():
+def draft_batch(ckpt, gamma, rng, history=()):
+    """A run holding ``history`` and gamma candidates drafted after it, and
+    their draft law."""
+    run = S._RunState(history)
+    return run, S.draft(ckpt, run, gamma, rng, cache=M.EncoderCache(ckpt))
+
+
+def copied(run):
+    """A fresh run holding the events that ``run`` holds, for a verify that
+    must not cut ``run``'s."""
+    return S._RunState(run.events(0, math.inf))
+
+
+def recorded_rows(monkeypatch):
+    """Copies of the target rows that each later position_distributions
+    call of the sampler returns, one (mixtures, probabilities) per call."""
+    rows = []
+
+    def recorded(events, checkpoint, _forward=S.position_distributions, **kwargs):
+        mixtures, probabilities = _forward(events, checkpoint, **kwargs)
+        rows.append((M.MixtureParams(mixtures.weights.copy(), mixtures.means.copy(),
+                                     mixtures.scales.copy()), probabilities.copy()))
+        return mixtures, probabilities
+
+    monkeypatch.setattr(S, "position_distributions", recorded)
+    return rows
+
+
+def acceptance_ratios(rows, batch, marks):
+    """The interval and mark acceptance ratios of gamma candidates with the
+    given marks under their draft law ``batch``, from the target rows of one
+    verify's forward, whose last gamma rows score them."""
+    mixtures, probabilities = rows
+    gamma = len(batch)
+    first = len(probabilities) - gamma
+    g_t = M.mixture_logpdf(batch.intervals, mixtures.row(slice(first, None)))
+    f_t = probabilities[first + np.arange(gamma), marks]
+    f_d = batch.mark_probabilities[np.arange(gamma), marks]
+    return clamped_exp(g_t - batch.interval_logpdf), clamped_exp(np.log(f_t) - np.log(f_d))
+
+
+def test_verify_identical_models_accepts_everything(monkeypatch):
+    """Self-drafted candidates have acceptance ratios of 1 within 1e-9, so
+    uniforms just under 1 accept all of them, and the run ends holding
+    them all."""
+    rows = recorded_rows(monkeypatch)
     ckpt = make_checkpoint(15)
     stats, cache = S.SampleRunStats(), M.EncoderCache(ckpt)
-    batch = S.draft(ckpt, S._RunState([]), gamma=6, rng=RngStream(16).child("draft"),
-                    cache=M.EncoderCache(ckpt))
-    outcome = S.verify(ckpt, S._RunState([]), batch, RngStream(16).child("verify"),
+    run, batch = draft_batch(ckpt, 6, RngStream(16).child("draft"))
+    drafted = run.times.tobytes(), run.marks.tobytes()
+    almost_one = [1.0 - 1e-9] * 6
+    outcome = S.verify(ckpt, run, batch, FixedUniforms(almost_one, almost_one),
                        RngStream(16).child("residual"), stats, cache=cache)
     assert outcome.accepted_len == 6
     assert outcome.replacement is None
-    assert outcome.interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
-    assert outcome.mark_ratios == pytest.approx(np.ones(6), abs=1e-9)
+    assert (run.times.tobytes(), run.marks.tobytes()) == drafted
+    interval_ratios, mark_ratios = acceptance_ratios(rows[0], batch, run.marks)
+    assert interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
+    assert mark_ratios == pytest.approx(np.ones(6), abs=1e-9)
     assert cache.passes == 1
     assert stats.events_accepted == 6 and stats.events_drafted == 6
 
 
-def doctored_batch(batch, log_density_shift=0.0):
-    """Rewrite a self-drafted batch as if it came from a different draft
-    model: shift the recorded interval mixtures and concentrate the mark
-    distributions, so every residual distribution is well defined."""
+def doctored_batch(run, batch, log_density_shift=0.0):
+    """Rewrite the draft law of the self-drafted candidates that ``run``
+    ends with as if they came from a different draft model: shift the
+    recorded interval mixtures and concentrate the mark distributions, so
+    every residual distribution is well defined."""
     mix = batch.mixtures
     shifted = M.MixtureParams(mix.weights, mix.means + 1.0, mix.scales)
     gamma, k = batch.mark_probabilities.shape
     probs = np.full((gamma, k), 0.1 / max(1, k - 1))
-    probs[np.arange(gamma), batch.marks] = 0.9
+    probs[np.arange(gamma), run.marks[-gamma:]] = 0.9
     if log_density_shift == 0.0:
         logpdfs = M.mixture_logpdf(batch.intervals, shifted)
     else:
         logpdfs = batch.interval_logpdf + log_density_shift
-    return S.DraftBatch(batch.times, batch.marks, batch.intervals, logpdfs, shifted,
+    return S.DraftBatch(batch.intervals, logpdfs, shifted,
                         probs / probs.sum(axis=-1, keepdims=True))
 
 
-def draft_batch(ckpt, gamma, rng):
-    return S.draft(ckpt, S._RunState([]), gamma, rng, cache=M.EncoderCache(ckpt))
+def doctored_draft(ckpt, gamma, rng, history=()):
+    """draft_batch with the doctored draft law."""
+    run, batch = draft_batch(ckpt, gamma, rng, history)
+    return run, doctored_batch(run, batch)
 
 
 REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
@@ -423,16 +474,17 @@ REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
 
 def test_verify_injected_threshold_rejects():
     """A recorded ratio of 0.5 with an injected epsilon of 0.7 rejects at
-    the first position, leaving zero accepted and a replacement pending."""
+    the first position, leaving zero accepted and a replacement pending.
+    The ratios are 0.5 within 1e-9: an epsilon just under 0.5 accepts, one
+    just over rejects."""
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(draft_batch(ckpt, 2, RngStream(17).child("draft")),
-                           log_density_shift=math.log(2.0))
-    outcome = S.verify(ckpt, S._RunState([]), batch,
-                       FixedUniforms([0.7, 0.1], [0.0, 0.0]), RngStream(18), S.SampleRunStats(),
-                       cache=M.EncoderCache(ckpt))
-    assert outcome.interval_ratios[0] == pytest.approx(0.5, abs=1e-9)
-    assert outcome.accepted_len == 0
-    assert outcome.replacement is not None
+    run, batch = draft_batch(ckpt, 2, RngStream(17).child("draft"))
+    batch = doctored_batch(run, batch, log_density_shift=math.log(2.0))
+    for u_interval, accepted in (([0.7, 0.1], 0), ([0.5 - 1e-9, 0.5 + 1e-9], 1)):
+        outcome = S.verify(ckpt, copied(run), batch, FixedUniforms(u_interval, [0.0, 0.0]),
+                           RngStream(18), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
+        assert outcome.accepted_len == accepted
+        assert outcome.replacement is not None
 
 
 def test_verify_min_rule_interval_before_mark():
@@ -441,16 +493,17 @@ def test_verify_min_rule_interval_before_mark():
     Only the interval is redrawn; the drafted mark passed its test and
     stays."""
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
+    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
+    times, marks = run.times.copy(), run.marks.copy()
     u_interval = [0.0, REJECT, 0.0, 0.0]   # interval fails at index 1
     u_mark = [0.0, 0.0, REJECT, 0.0]       # mark would fail at index 2
-    outcome = S.verify(ckpt, S._RunState([]), batch, FixedUniforms(u_interval, u_mark),
+    outcome = S.verify(ckpt, run, batch, FixedUniforms(u_interval, u_mark),
                        RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
     replacement_time, replacement_mark = outcome.replacement
-    assert replacement_time != batch.times[1]
-    assert replacement_mark == batch.marks[1]
+    assert replacement_time != times[1]
+    assert replacement_mark == marks[1]
 
 
 def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
@@ -467,9 +520,9 @@ def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
 
     monkeypatch.setattr(S, "_residual_interval_sample_info", spied)
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
+    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
     stats = S.SampleRunStats()
-    S.verify(ckpt, S._RunState([]), batch, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
+    S.verify(ckpt, run, batch, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
              RngStream(20), stats, cache=M.EncoderCache(ckpt))
     assert len(used) == 1 and stats.residual_proposals == used[0] >= 1
     used.clear()
@@ -484,14 +537,14 @@ def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
 
 def test_verify_mark_only_rejection_keeps_interval():
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(draft_batch(ckpt, 3, RngStream(21).child("draft")))
-    outcome = S.verify(ckpt, S._RunState([]), batch,
-                       FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
+    run, batch = doctored_draft(ckpt, 3, RngStream(21).child("draft"))
+    drafted_time = float(run.times[1])
+    outcome = S.verify(ckpt, run, batch, FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
                        RngStream(22), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     # mark rejected at index 1: the drafted time stays
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
-    assert outcome.replacement[0] == batch.times[1]
+    assert outcome.replacement[0] == drafted_time
 
 
 def test_verify_builds_a_row_pair_only_at_a_rejection(head_row_checks):
@@ -500,44 +553,82 @@ def test_verify_builds_a_row_pair_only_at_a_rejection(head_row_checks):
     a rejection reads are cut from stacks that were checked already and
     are not checked again."""
     ckpt = make_checkpoint(15)
-    batch = doctored_batch(draft_batch(ckpt, 4, RngStream(19).child("draft")))
+    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
     for u_mark, accepted in (([0.0] * 4, 4), ([0.0, 0.0, REJECT, 0.0], 2)):
         head_row_checks.update(head_rows=0)
-        outcome = S.verify(ckpt, S._RunState([]), batch, FixedUniforms([0.0] * 4, u_mark),
+        outcome = S.verify(ckpt, copied(run), batch, FixedUniforms([0.0] * 4, u_mark),
                            RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
         assert outcome.accepted_len == accepted
         assert head_row_checks == {"head_rows": 1}
 
 
-def test_verify_with_a_cache_scores_the_same_rows():
+def test_verify_with_a_cache_scores_the_same_rows(monkeypatch):
     """With a cache holding only the history, verify reads the candidates
-    from the trailing rows and matches the uncached outcome, encoding every
-    candidate but the last, whose row it does not read; a cache that
-    already holds them is rolled back to the history and encodes them
-    again, with the same outcome."""
+    from the trailing rows and matches the uncached outcome and acceptance
+    ratios, encoding every candidate but the last, whose row it does not
+    read; a cache that already holds them is rolled back to the history and
+    encodes them again, with the same outcome."""
+    rows = recorded_rows(monkeypatch)
     ckpt = make_checkpoint(15)
-    history = S._RunState(sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf))
-    batch = doctored_batch(S.draft(ckpt, history, 4, RngStream(19).child("draft"),
-                                   cache=M.EncoderCache(ckpt)))
+    history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf)
+    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"), history)
+    marks = run.marks[len(history):].copy()
     uniforms = ([0.0] * 4, [0.0, 0.0, REJECT, 0.0])
-    plain = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20),
+    plain = S.verify(ckpt, copied(run), batch, FixedUniforms(*uniforms), RngStream(20),
                      S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     cache = M.EncoderCache(ckpt)
     M.next_event_distributions(history, ckpt, cache=cache)
     stats = S.SampleRunStats()
-    cached = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
+    cached = S.verify(ckpt, copied(run), batch, FixedUniforms(*uniforms), RngStream(20), stats,
                       cache=cache)
     assert cache.rows_encoded == len(history) + 3
     assert cached.accepted_len == plain.accepted_len == 2
     assert cached.replacement == plain.replacement
-    assert np.allclose(cached.interval_ratios, plain.interval_ratios, rtol=1e-12, atol=0.0)
-    assert np.allclose(cached.mark_ratios, plain.mark_ratios, rtol=1e-12, atol=0.0)
-    again = S.verify(ckpt, history, batch, FixedUniforms(*uniforms), RngStream(20), stats,
+    plain_ratios, cached_ratios = (acceptance_ratios(r, batch, marks) for r in rows)
+    for a, b in zip(cached_ratios, plain_ratios):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    again = S.verify(ckpt, copied(run), batch, FixedUniforms(*uniforms), RngStream(20), stats,
                      cache=cache)
     assert cache.rows_encoded == len(history) + 6
     assert again.replacement == cached.replacement
-    assert np.array_equal(again.interval_ratios, cached.interval_ratios)
-    assert np.array_equal(again.mark_ratios, cached.mark_ratios)
+    for a, b in zip(acceptance_ratios(rows[2], batch, marks), cached_ratios):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("u_interval, u_mark, accepted", [
+    ([0.0] * 4, [0.0] * 4, 4),
+    ([0.0] * 4, [0.0, 0.0, REJECT, 0.0], 2),
+    ([0.0, REJECT, 0.0, 0.0], [0.0] * 4, 1),
+], ids=["all", "mark", "interval"])
+def test_a_step_keeps_its_candidates_in_the_run_from_draft_to_emit(u_interval, u_mark,
+                                                                     accepted):
+    """After draft the run holds the history and gamma candidates, the
+    events of gamma _ar_steps of the draft model on the same stream. After
+    verify it holds the history, the accepted prefix, byte for byte the
+    drafted candidates, and at a rejection the replacement, whose redrawn
+    interval starts at the prefix's last event."""
+    ckpt = make_checkpoint(15)
+    history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf)
+    run, batch = draft_batch(ckpt, 4, RngStream(19).child("draft"), history)
+    stepped, rng, cache = S._RunState(history), RngStream(19).child("draft"), M.EncoderCache(ckpt)
+    for _ in range(4):
+        S._ar_step(ckpt, rng, cache, stepped)
+    assert run.times.tobytes() == stepped.times.tobytes()
+    assert run.marks.tobytes() == stepped.marks.tobytes()
+    batch = doctored_batch(run, batch)
+    times, marks = run.times.copy(), run.marks.copy()
+    outcome = S.verify(ckpt, run, batch, FixedUniforms(u_interval, u_mark), RngStream(20),
+                       S.SampleRunStats(), cache=M.EncoderCache(ckpt))
+    kept = len(history) + accepted
+    assert outcome.accepted_len == accepted
+    assert run.times[:kept].tobytes() == times[:kept].tobytes()
+    assert run.marks[:kept].tobytes() == marks[:kept].tobytes()
+    if accepted == 4:
+        assert outcome.replacement is None and len(run) == kept
+    else:
+        assert len(run) == kept + 1
+        assert (float(run.times[-1]), int(run.marks[-1])) == outcome.replacement
+        assert run.last_time == outcome.replacement[0] > times[kept - 1]
 
 
 def test_verify_counts_one_target_pass_per_iteration():
@@ -921,9 +1012,9 @@ def test_next_event_helpers_are_the_first_step_of_their_loops():
         first = S.next_event(target, draft_model, history, 4, rng,
                              **step_caches(target, draft_model))
         assert first == sd_seq.events[2]
-        batch = S.draft(draft_model, S._RunState(history), 4, rng.child("draft"),
-                        cache=M.EncoderCache(draft_model))
-        replaced += int(first.time != batch.times[0] or first.mark != batch.marks[0])
+        run = S._RunState(history)
+        S.draft(draft_model, run, 4, rng.child("draft"), cache=M.EncoderCache(draft_model))
+        replaced += int(first.time != run.times[2] or first.mark != run.marks[2])
     assert 0 < replaced < 8
 
 
