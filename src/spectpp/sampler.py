@@ -308,16 +308,14 @@ def residual_mark_sample(f_target: np.ndarray, f_draft: np.ndarray, rng: RngStre
 def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: RngStream,
            residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache) -> VerificationOutcome:
-    """Verify the gamma candidates that the run's events end with, against
-    their draft law ``batch``, with one batched target forward pass, which
-    encodes only the events the cache lacks, and end the step: the events
-    are cut to the history and the accepted prefix, and at a rejection the
-    replacement is appended. The candidates are read in place. The forward
-    runs on the events cut before the last candidate, since the row after
-    it is never read; with no rejection the cut to the prefix holds all
-    gamma again, as no append has overwritten them. The cache is first
-    rolled back to at most the history, so the candidates are always
-    encoded.
+    """Verify the gamma candidates that the run's events end with, read in
+    place, against their draft law ``batch`` with one batched target
+    forward pass, which encodes only the events the cache lacks, and end
+    the step: cut the events to the accepted prefix (with no rejection the
+    cut holds all gamma again) and at a rejection append the replacement.
+    The forward reads the events cut before the last candidate, whose row
+    is never read, after the cache is rolled back to at most the history,
+    so the candidates are always encoded.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -375,8 +373,8 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
             mark = residual_mark_sample(probabilities[first + accepted],
                                         batch.mark_probabilities[accepted], residual_rng)
         replacement = (event_time, mark)
-        events.append(event_time, mark)
         stats.residual_seconds += time.perf_counter() - start
+        events.append(event_time, mark)
     if len(stats.accepted_lengths) <= gamma:
         stats.accepted_lengths.extend([0] * (gamma + 1 - len(stats.accepted_lengths)))
     stats.accepted_lengths[accepted] += 1

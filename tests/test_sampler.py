@@ -646,8 +646,8 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 
 # Python-level calls per candidate of one draft and one verify after a warm
-# step, on a 1-layer draft and a 2-layer, 2-head target: at most 19.8 and
-# 11.6 are counted, a verify with a residual interval draw included
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 19.6 and
+# 11.8 are counted, a verify with a residual interval draw included
 # (scripts/call_counts.py prints both)
 DRAFT_CALLS_PER_CANDIDATE = 21
 VERIFY_CALLS_PER_CANDIDATE = 13
