@@ -472,19 +472,25 @@ def doctored_draft(ckpt, gamma, rng, history=()):
 REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
 
 
-def test_verify_injected_threshold_rejects():
+def test_verify_injected_threshold_rejects(monkeypatch):
     """A recorded ratio of 0.5 with an injected epsilon of 0.7 rejects at
     the first position, leaving zero accepted and a replacement pending.
-    The ratios are 0.5 within 1e-9: an epsilon just under 0.5 accepts, one
-    just over rejects."""
+    Both ratios are 0.5 within 1e-9, computed from the rows the forward
+    returned, and the uniforms agree on both sides: at the first position
+    an epsilon just over 0.5 rejects, and at the second one just under
+    accepts while one just over rejects."""
+    rows = recorded_rows(monkeypatch)
     ckpt = make_checkpoint(15)
     run, batch = draft_batch(ckpt, 2, RngStream(17).child("draft"))
     batch = doctored_batch(run, batch, log_density_shift=math.log(2.0))
-    for u_interval, accepted in (([0.7, 0.1], 0), ([0.5 - 1e-9, 0.5 + 1e-9], 1)):
+    cases = (([0.7, 0.1], 0), ([0.5 + 1e-9, 0.1], 0), ([0.5 - 1e-9, 0.5 + 1e-9], 1))
+    for u_interval, accepted in cases:
         outcome = S.verify(ckpt, copied(run), batch, FixedUniforms(u_interval, [0.0, 0.0]),
                            RngStream(18), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
         assert outcome.accepted_len == accepted
         assert outcome.replacement is not None
+    interval_ratios, _ = acceptance_ratios(rows[0], batch, run.marks)
+    assert interval_ratios == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_verify_min_rule_interval_before_mark():
