@@ -49,7 +49,6 @@ import numpy as np
 from .core import Event, EventSequence, RngStream, advance_clock, check_horizon, check_sequence
 
 logger = logging.getLogger(__name__)
-_RATE_CHECK_HORIZON = 1000.0  # a sine-Poisson rate must be non-negative on [0, this]
 
 
 class NonFiniteIntensityError(FloatingPointError):
@@ -70,9 +69,10 @@ class SinePoissonParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.A <= 0:
             raise ValueError("A must be positive")
-        grid = np.linspace(0.0, _RATE_CHECK_HORIZON, 4096)
-        if np.any(self.A * (self.b + np.sin(self.omega * np.pi * grid)) < 0):
-            raise ValueError("intensity A*(b + sin(omega*pi*t)) is negative on the horizon")
+        # for omega != 0 the sine reaches -1 at some t >= 0, so the rate is
+        # non-negative for all t >= 0 exactly when b >= 1
+        if self.b < (1.0 if self.omega else 0.0):
+            raise ValueError("intensity A*(b + sin(omega*pi*t)) is negative at some t >= 0")
 
     @property
     def n_marks(self) -> int:

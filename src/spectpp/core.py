@@ -226,10 +226,14 @@ def sequence_to_record(seq: EventSequence) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """A time or t_end that is not a JSON float: an integer as a float;
-    anything else, a string or a bool too, raises TypeError."""
+    """A time or t_end that is not a JSON float: an integer in the float
+    range as a float; anything else, a string, a bool or an integer beyond
+    the float range too, raises TypeError."""
     if type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise TypeError(f"{name} is an integer beyond the float range") from None
     raise TypeError(f"{name} {value!r} is not a number")
 
 

@@ -135,8 +135,8 @@ class MixtureParams:
     weights from one softmax of their logits and writes every row into the
     cache's head rows, which the returned arrays are views of. A mixture
     built elsewhere is not checked when it is made, but where it is used:
-    mixture_logpdf refuses tau <= 0 and a scale <= 0, and sample_interval
-    refuses a draw that is not positive and finite."""
+    _mixture_logpdf refuses a scale <= 0, and sample_interval refuses a
+    draw that is not positive and finite."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -665,34 +665,22 @@ def _mixture_log_density(log_tau, log_w, mu, sigma, ops):
 
 
 def _mixture_logpdf(tau: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """mixture_logpdf of an array of positive intervals, without its check
-    of tau or its error state: the caller ignores divide, over and invalid
-    floating-point errors."""
+    """Log-density of the log-normal mixture at an array of intervals tau > 0,
+    via log-sum-exp; -inf where every component's density underflows.
+    ``tau`` broadcasts against the leading (row) axes of the parameters:
+    many values against one mixture, or one value per stacked row. A scale
+    <= 0 raises ValueError (the plain log op refuses it); tau is not
+    checked and no error state is set: the caller passes positive intervals
+    and ignores divide, over and invalid floating-point errors."""
     out = _mixture_log_density(np.log(tau)[..., np.newaxis], np.log(params.weights),
                                params.means, params.scales, ad.plain)
     return np.where(np.isnan(out), -np.inf, out)
 
 
-def mixture_logpdf(tau, params: MixtureParams):
-    """Log-density of the log-normal mixture at tau > 0, via log-sum-exp;
-    -inf where every component's density underflows.
-
-    ``tau`` broadcasts against the leading (row) axes of the parameters:
-    many values against one mixture, or one value per stacked row. A scalar
-    against one mixture gives a float, anything else an array.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if not np.logical_and.reduce(tau > 0, axis=None):
-        raise ValueError("tau must be positive")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = _mixture_logpdf(tau, params)
-    return float(out) if out.ndim == 0 else out
-
-
 def sample_interval(params: MixtureParams, rng: RngStream) -> float:
     """Draw tau by picking a component then exponentiating a scaled normal.
     Only tau is returned: a caller that needs its density under the full
-    mixture scores all its draws with one mixture_logpdf call."""
+    mixture scores the intervals it holds with one _mixture_logpdf call."""
     component = rng.categorical(params.weights)
     eps = float(rng.normal())
     try:

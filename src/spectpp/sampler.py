@@ -12,8 +12,10 @@ Autoregressive sampling is the same loop with another step. One run loop
 repeats a step, its run's caches and streams bound, on the run's events,
 held as times and marks in growing arrays that the forward reads as it
 reads an EventSequence's. A draft is gamma AR steps of the draft model,
-which leave its candidates appended to the run's events; verify reads them
-there, cuts the events to the accepted prefix and appends the replacement.
+which leave its candidates appended to the run's events and return their
+draft law as a forward returns the target's, as head rows; verify reads
+the candidates there, scores the intervals the run holds under both laws,
+cuts the events to the accepted prefix and appends the replacement.
 The loop drops the events after t_end, builds the output once and reports
 the passes and rows that its caches counted.
 """
@@ -36,7 +38,6 @@ from .model import (
     MixtureParams,
     ModelCheckpoint,
     _mixture_logpdf,
-    mixture_logpdf,
     next_event_distributions,
     position_distributions,
     sample_interval,
@@ -106,29 +107,6 @@ class _RunState:
 
 
 @dataclass(frozen=True)
-class DraftBatch:
-    """The draft law of gamma candidate events, which the run's events end
-    with: their intervals and interval log-densities as arrays, plus the
-    draft head rows each was sampled under, stacked like verify's target
-    rows: a (gamma, M) MixtureParams and a (gamma, K) array of mark
-    probabilities.
-    The rows are views of the draft cache's head rows, where each of the
-    gamma forwards wrote its own, so they hold until that cache's next
-    forward at those positions, the next draft step's. draft makes the
-    log-densities finite, since each interval is a positive finite draw
-    from a component of checked head rows with a scale in
-    [SIGMA_MIN, SIGMA_MAX]."""
-
-    intervals: np.ndarray
-    interval_logpdf: np.ndarray
-    mixtures: MixtureParams
-    mark_probabilities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-
-@dataclass(frozen=True)
 class VerificationOutcome:
     """Verified prefix length, and the replacement event's time and mark
     when a rejection occurred."""
@@ -177,14 +155,13 @@ def check_pair(target: ModelCheckpoint, draft_model: ModelCheckpoint) -> None:
 
 
 def _ar_step(model: ModelCheckpoint, rng: RngStream, cache: EncoderCache,
-             events: _RunState) -> float:
+             events: _RunState) -> None:
     """One autoregressive step of ``model``: one forward through ``cache``,
     which counts it, then the interval and the mark drawn from its head
-    rows on ``rng``, and the event appended; returns the interval."""
+    rows on ``rng``, and the event appended."""
     mixture, probabilities = next_event_distributions(events, model, cache=cache)
-    tau = sample_interval(mixture, rng)
-    events.append(advance_clock(events.last_time, tau), rng.categorical(probabilities))
-    return tau
+    events.append(advance_clock(events.last_time, sample_interval(mixture, rng)),
+                  rng.categorical(probabilities))
 
 
 def _sample(step: Callable[[_RunState], object], stats: SampleRunStats, t_end: float,
@@ -226,27 +203,26 @@ def ar_sample(target: ModelCheckpoint, t_end: float, rng: RngStream,
 
 
 def draft(draft_model: ModelCheckpoint, events: _RunState, gamma: int, rng: RngStream, *,
-          cache: EncoderCache) -> DraftBatch:
+          cache: EncoderCache) -> tuple[MixtureParams, np.ndarray]:
     """Sample gamma candidate events autoregressively from the draft model
     after the run's events, which end with them when the call returns, and
-    return their draft law: the head rows of all of them and the interval
-    log-density at each. The candidates are gamma _ar_steps of the draft
-    model on ``rng`` and ``cache``, each forward writing its checked head
-    row into the cache's head rows at its candidate's position, so their
-    times strictly increase, since advance_clock refuses a clock that does
-    not move. The batch's rows are views of the gamma positions, and all
-    gamma intervals are scored against them with one mixture_logpdf call."""
+    return their draft law as position_distributions returns the target's:
+    a (gamma, M) MixtureParams and a (gamma, K) array of mark
+    probabilities, one row per candidate. The candidates are gamma
+    _ar_steps of the draft model on ``rng`` and ``cache``, each forward
+    writing its checked head row into the cache's head rows at its
+    candidate's position, so their times strictly increase, since
+    advance_clock refuses a clock that does not move. The returned rows
+    are views of the gamma positions, which hold until the draft cache's
+    next forward at those positions, the next draft step's."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     n_hist = len(events)
-    intervals = np.empty(gamma)
-    for i in range(gamma):
-        intervals[i] = _ar_step(draft_model, rng, cache, events)
+    for _ in range(gamma):
+        _ar_step(draft_model, rng, cache, events)
     rows = slice(n_hist, n_hist + gamma)
-    weights, means, scales, probability_rows = cache.head_rows
-    mixtures = MixtureParams(weights[rows], means[rows], scales[rows])
-    return DraftBatch(intervals, mixture_logpdf(intervals, mixtures), mixtures,
-                      probability_rows[rows])
+    weights, means, scales, probabilities = cache.head_rows
+    return MixtureParams(weights[rows], means[rows], scales[rows]), probabilities[rows]
 
 
 def _residual_interval_sample_info(g_target: MixtureParams, g_draft: MixtureParams,
@@ -305,17 +281,21 @@ def residual_mark_sample(f_target: np.ndarray, f_draft: np.ndarray, rng: RngStre
     return rng.categorical(residual / mass)
 
 
-def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: RngStream,
-           residual_rng: RngStream, stats: SampleRunStats, *,
+def verify(target: ModelCheckpoint, events: _RunState, draft_law: tuple[MixtureParams, np.ndarray],
+           rng: RngStream, residual_rng: RngStream, stats: SampleRunStats, *,
            cache: EncoderCache) -> VerificationOutcome:
     """Verify the gamma candidates that the run's events end with, read in
-    place, against their draft law ``batch`` with one batched target
-    forward pass, which encodes only the events the cache lacks, and end
-    the step: cut the events to the accepted prefix (with no rejection the
-    cut holds all gamma again) and at a rejection append the replacement.
-    The forward reads the events cut before the last candidate, whose row
-    is never read, after the cache is rolled back to at most the history,
-    so the candidates are always encoded.
+    place, against their draft law, the (gamma, M) mixtures and (gamma, K)
+    mark probabilities that draft returns, with one batched target forward
+    pass, which encodes only the events the cache lacks, and end the step:
+    cut the events to the accepted prefix (with no rejection the cut holds
+    all gamma again) and at a rejection append the replacement. The
+    forward reads the events cut before the last candidate, whose row is
+    never read, after the cache is rolled back to at most the history, so
+    the candidates are always encoded. Each candidate's interval is its
+    time minus the time of the event before it, the last history event or
+    0.0 for the first, and is scored under the target's and the draft's
+    rows alike.
 
     All 2*gamma acceptance uniforms are drawn upfront, so the verify
     stream's consumption never depends on the outcomes. At the first
@@ -326,11 +306,16 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     mark from the residual mark distribution. Redrawing both after any
     rejection would be inexact, because it redraws marks that passed.
     """
-    gamma = len(batch)
+    draft_mixtures, draft_probabilities = draft_law
+    gamma = len(draft_probabilities)
     n_hist = len(events) - gamma
     # an earlier step's candidates on the same events would be held rows
     cache.size = min(cache.size, n_hist)
     times, marks = events.times[n_hist:], events.marks[n_hist:]
+    intervals = times.copy()
+    intervals[1:] -= times[:-1]
+    if n_hist:
+        intervals[0] -= events.times[n_hist - 1]
     events.truncate(n_hist + gamma - 1)
     mixtures, probabilities = position_distributions(events, target, cache=cache)
     stats.iterations += 1
@@ -344,15 +329,17 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
     first = len(mixtures.weights) - gamma
     candidates = np.arange(gamma)
     f_t = probabilities[candidates + first, marks]
-    f_d = batch.mark_probabilities[candidates, marks]
-    # one error state for both densities: the intervals are positive draws,
-    # and a target mark probability may be 0
+    f_d = draft_probabilities[candidates, marks]
+    # one error state for the two interval densities, at the positive
+    # intervals the run holds, and the mark ratios: a target mark
+    # probability may be 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g_t = _mixture_logpdf(batch.intervals, mixtures.row(slice(first, first + gamma)))
+        g_t = _mixture_logpdf(intervals, mixtures.row(slice(first, first + gamma)))
+        g_d = _mixture_logpdf(intervals, draft_mixtures)
         mark_ratios = clamped_exp(np.log(f_t) - np.log(f_d))
     if not np.logical_and.reduce(g_t < np.inf):
         raise FloatingPointError("non-finite target interval density")
-    interval_ratios = clamped_exp(g_t - batch.interval_logpdf)
+    interval_ratios = clamped_exp(g_t - g_d)
 
     interval_ok = u_interval < interval_ratios
     mark_ok = u_mark < mark_ratios
@@ -365,13 +352,13 @@ def verify(target: ModelCheckpoint, events: _RunState, batch: DraftBatch, rng: R
         event_time, mark = float(times[accepted]), int(marks[accepted])
         if not interval_ok[accepted]:
             tau, proposals, fell_back = _residual_interval_sample_info(
-                mixtures.row(first + accepted), batch.mixtures.row(accepted), residual_rng)
+                mixtures.row(first + accepted), draft_mixtures.row(accepted), residual_rng)
             stats.residual_proposals += proposals
             stats.residual_fallbacks += int(fell_back)
             event_time = advance_clock(events.last_time, tau)
         if not mark_ok[accepted]:
             mark = residual_mark_sample(probabilities[first + accepted],
-                                        batch.mark_probabilities[accepted], residual_rng)
+                                        draft_probabilities[accepted], residual_rng)
         replacement = (event_time, mark)
         stats.residual_seconds += time.perf_counter() - start
         events.append(event_time, mark)
@@ -394,9 +381,10 @@ def _sd_step(target: ModelCheckpoint, draft_model: ModelCheckpoint, gamma: int,
     rejected candidate."""
     draft_rng, verify_rng, residual_rng = streams
     start = time.perf_counter()
-    batch = draft(draft_model, events, gamma, draft_rng, cache=draft_cache)
+    draft_law = draft(draft_model, events, gamma, draft_rng, cache=draft_cache)
     drafted = time.perf_counter()
-    outcome = verify(target, events, batch, verify_rng, residual_rng, stats, cache=target_cache)
+    outcome = verify(target, events, draft_law, verify_rng, residual_rng, stats,
+                     cache=target_cache)
     stats.draft_seconds += drafted - start
     stats.verify_seconds += time.perf_counter() - drafted
     if outcome.replacement is not None:

@@ -28,9 +28,9 @@ from spectpp.model import (
     ModelConfig,
     _fused_weights,
     _loglik_tensor,
+    _mixture_logpdf as mixture_logpdf,
     init_checkpoint,
     load_checkpoint,
-    mixture_logpdf,
 )
 
 from gradcheck import grad_check

@@ -77,9 +77,17 @@ def test_intensity_rejects_time_before_history_end():
         intensity(HAWKES_1D, 4.0, history)
 
 
-def test_negative_intensity_rejected_at_construction():
-    with pytest.raises(ValueError):
-        SinePoissonParams(A=5.0, b=0.5, omega=1.0 / 50.0)
+@pytest.mark.parametrize("A, b, omega", [(5.0, 0.5, 1.0 / 50.0), (1.0, 0.5, 8.19),
+                                         (1.0, 0.0, 0.0005), (1.0, -0.1, 0.0)],
+                         ids=["grid", "grid-on-zeros", "past-1000", "omega-zero"])
+def test_negative_intensity_rejected_at_construction(A, b, omega):
+    """A rate that is negative at any t >= 0 is refused, also where every
+    point of a 4,096-point grid on [0, 1000] lands on a zero of the sine
+    (omega 8.19) or the rate first goes negative after t = 1000 (omega
+    0.0005, -1 at t = 3000); at omega = 0 the rate is A*b."""
+    with pytest.raises(ValueError, match="negative at some t >= 0"):
+        SinePoissonParams(A=A, b=b, omega=omega)
+    SinePoissonParams(A=A, b=1.0 if omega else 0.0, omega=omega)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

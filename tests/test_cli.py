@@ -674,6 +674,7 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
         {"kind": "sine_poisson", "A": 10 ** 400, "b": 1.0, "omega": 0.5})),
     ("--data", lambda ckpt: json.dumps([2.0, [[0.5, 0]]]) + "\n"),
     ("--data", lambda ckpt: json.dumps({"t_end": 2.0, "events": 5}) + "\n"),
+    ("--data", lambda ckpt: json.dumps({"t_end": 10 ** 400, "events": [[1.0, 0]]}) + "\n"),
 ], ids=["checkpoint-list", "params-list", "param-number", "shape-string", "data-object",
         "data-misfit", "data-string", "data-bool", "data-nested", "data-huge-int",
         "config-float-embed-dim", "config-bool-n-heads", "config-zero-n-heads",
@@ -681,7 +682,7 @@ def test_bad_config_file_exit_2(runner, workspace, flag, config):
         "sine-omega-nan", "sine-omega-inf", "sine-a-nan", "sine-b-nan", "hawkes-mu-nan",
         "hawkes-mu-inf", "hawkes-alpha-nan", "hawkes-beta-nan", "sine-a-string",
         "sine-b-bool", "hawkes-mu-string", "hawkes-alpha-bool", "sine-a-huge-int", "sequence-list",
-        "events-number"])
+        "events-number", "t-end-huge-int"])
 def test_malformed_json_input_exit_2(runner, workspace, flag, text):
     bad = workspace / "bad.json"
     bad.write_text(text(json.loads((workspace / "target.json").read_text())))

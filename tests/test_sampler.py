@@ -40,8 +40,8 @@ def residual_cdf_grid(g_t, g_d):
     lo = min(float(np.min(g_t.means - 10 * g_t.scales)), float(np.min(g_d.means - 10 * g_d.scales)))
     hi = max(float(np.max(g_t.means + 10 * g_t.scales)), float(np.max(g_d.means + 10 * g_d.scales)))
     taus = np.exp(np.linspace(lo, hi, 40001))
-    dens = np.maximum(0.0, np.exp(M.mixture_logpdf(taus, g_t))
-                      - np.exp(M.mixture_logpdf(taus, g_d)))
+    dens = np.maximum(0.0, np.exp(M._mixture_logpdf(taus, g_t))
+                      - np.exp(M._mixture_logpdf(taus, g_d)))
     steps = np.diff(taus)
     masses = 0.5 * (dens[1:] + dens[:-1]) * steps
     cdf = np.concatenate([[0.0], np.cumsum(masses)])
@@ -138,47 +138,65 @@ def test_cached_ar_emits_the_uncached_events():
 def test_draft_records_consistent_densities():
     ckpt = make_checkpoint(5)
     cache, run = M.EncoderCache(ckpt), S._RunState([])
-    batch = S.draft(ckpt, run, gamma=4, rng=RngStream(6).child("draft"), cache=cache)
+    mixtures, probabilities = S.draft(ckpt, run, gamma=4, rng=RngStream(6).child("draft"),
+                                      cache=cache)
     assert cache.passes == 4 and len(run) == 4
     # the draft rows come stacked, one row per candidate
-    assert batch.mixtures.weights.shape == (4, ckpt.config.n_components)
-    assert batch.mark_probabilities.shape == (4, ckpt.config.n_marks)
+    assert mixtures.weights.shape == (4, ckpt.config.n_components)
+    assert probabilities.shape == (4, ckpt.config.n_marks)
     events = []
-    for i in range(len(batch)):
-        mix, probabilities = M.next_event_distributions(EventSequence(tuple(events), math.inf),
-                                                        ckpt)
-        assert batch.interval_logpdf[i] == pytest.approx(
-            M.mixture_logpdf(batch.intervals[i], mix), abs=1e-12)
+    for i in range(4):
+        mix, row = M.next_event_distributions(EventSequence(tuple(events), math.inf), ckpt)
         for name in ("weights", "means", "scales"):
-            assert np.allclose(getattr(batch.mixtures, name)[i], getattr(mix, name),
+            assert np.allclose(getattr(mixtures, name)[i], getattr(mix, name),
                                rtol=0.0, atol=1e-12)
-        assert np.allclose(batch.mark_probabilities[i], probabilities, rtol=0.0, atol=1e-12)
+        assert np.allclose(probabilities[i], row, rtol=0.0, atol=1e-12)
         events.append(Event(float(run.times[i]), int(run.marks[i])))
     times = run.times.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
-    assert np.isfinite(batch.interval_logpdf).all()
 
 
 @pytest.mark.parametrize("gamma", [1, 4, 10])
-def test_draft_scores_every_interval_once_with_the_scalar_density(head_row_checks, gamma):
-    """The interval log-densities come from one mixture_logpdf call over
-    the stacked rows and equal the per-row scalar density exactly; each of
-    the gamma forwards checks its heads' pre-activations once, and the
-    stacked views and the row cuts add no check."""
+def test_verify_scores_every_draft_interval_once_with_the_scalar_density(
+        monkeypatch, head_row_checks, gamma):
+    """verify scores the intervals the run holds, each candidate's time
+    minus the time of the event before it (the last history event, or 0.0
+    with none), under the draft rows with one _mixture_logpdf call, which
+    equals the per-row scalar density exactly and is finite. Each of the
+    gamma draft forwards checks its heads' pre-activations once, and
+    verify's forward once more; the stacked views and the row cuts add no
+    check."""
     ckpt = make_checkpoint(5, n_components=8)
-    cache = M.EncoderCache(ckpt)
-    batch = S.draft(ckpt, S._RunState([]), gamma, RngStream(6).child("draft"), cache=cache)
-    assert head_row_checks == {"head_rows": gamma}
-    assert cache.passes == gamma and batch.interval_logpdf.shape == (gamma,)
-    for i in range(gamma):
-        row = batch.mixtures.row(i)
-        assert isinstance(row, M.MixtureParams) and row.weights.shape == (8,)
-        assert batch.interval_logpdf[i] == M.mixture_logpdf(float(batch.intervals[i]), row)
-    assert head_row_checks == {"head_rows": gamma}
+    scored = []
+
+    def recorded(tau, params, _density=S._mixture_logpdf):
+        scored.append((tau.copy(), params, _density(tau, params)))
+        return scored[-1][2]
+
+    monkeypatch.setattr(S, "_mixture_logpdf", recorded)
+    for history in ((), sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf).events):
+        head_row_checks.update(head_rows=0)
+        scored.clear()
+        cache, run = M.EncoderCache(ckpt), S._RunState(history)
+        law = S.draft(ckpt, run, gamma, RngStream(6).child("draft"), cache=cache)
+        mixtures, probabilities = law
+        assert head_row_checks == {"head_rows": gamma}
+        assert cache.passes == gamma and probabilities.shape == (gamma, ckpt.config.n_marks)
+        times = np.concatenate([[0.0], run.times])[-gamma - 1:]
+        S.verify(ckpt, run, law, FixedUniforms([0.0] * gamma, [0.0] * gamma), RngStream(7),
+                 S.SampleRunStats(), cache=M.EncoderCache(ckpt))
+        assert head_row_checks == {"head_rows": gamma + 1}
+        (intervals, _, logpdf), = (call for call in scored if call[1] is mixtures)
+        assert intervals.tobytes() == np.diff(times).tobytes()
+        assert logpdf.shape == (gamma,) and np.isfinite(logpdf).all()
+        for i in range(gamma):
+            row = mixtures.row(i)
+            assert isinstance(row, M.MixtureParams) and row.weights.shape == (8,)
+            assert logpdf[i] == M._mixture_logpdf(float(intervals[i]), row)
 
 
-def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatch):
-    """Each DraftBatch row holds, bit for bit, the head rows that its
+def test_draft_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatch):
+    """Each draft row holds, bit for bit, the head rows that its
     candidate's forward returned and its draws read, also when the cache
     grows in the middle of the draft, and the rows agree with one uncached
     position_distributions of the history and the candidates within
@@ -203,10 +221,10 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
     for gamma in (10, 1, 4):
         drawn.clear()
         events = S._RunState(history)
-        batch = S.draft(ckpt, events, gamma, RngStream(gamma).child("draft"), cache=cache)
+        mixtures, probabilities = S.draft(ckpt, events, gamma, RngStream(gamma).child("draft"),
+                                          cache=cache)
         assert len(drawn) == gamma
-        got = [batch.mixtures.weights, batch.mixtures.means, batch.mixtures.scales,
-               batch.mark_probabilities]
+        got = [mixtures.weights, mixtures.means, mixtures.scales, probabilities]
         for i, rows in enumerate(drawn):
             for a, b in zip(got, rows):
                 assert a[i].tobytes() == b.tobytes()
@@ -219,7 +237,7 @@ def test_draft_batch_rows_are_the_rows_its_candidates_were_drawn_from(monkeypatc
 
 
 @pytest.mark.parametrize("gamma", [1, 5])
-def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
+def test_draft_draws_its_candidates_as_ar_steps_do(gamma):
     """draft's gamma candidates are, bit for bit, the events of gamma
     _ar_steps of the draft model on the same stream after the same history:
     one draw, sample_interval's interval then categorical's mark, in one
@@ -227,20 +245,12 @@ def test_draft_draws_its_candidates_as_ar_steps_do(monkeypatch, gamma):
     ckpt = make_checkpoint(5, n_layers=2, n_components=8, n_marks=3)
     history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 2], math.inf)
     drafted, run = RngStream(9).child("draft"), S._RunState(history)
-    batch = S.draft(ckpt, run, gamma, drafted, cache=M.EncoderCache(ckpt))
-    intervals = []
-
-    def recorded(mixture, rng, _draw=S.sample_interval):
-        intervals.append(_draw(mixture, rng))
-        return intervals[-1]
-
-    monkeypatch.setattr(S, "sample_interval", recorded)
+    S.draft(ckpt, run, gamma, drafted, cache=M.EncoderCache(ckpt))
     events, stepped, cache = S._RunState(history), RngStream(9).child("draft"), M.EncoderCache(ckpt)
     for _ in range(gamma):
-        S._ar_step(ckpt, stepped, cache, events)
+        assert S._ar_step(ckpt, stepped, cache, events) is None
     assert events.times.tobytes() == run.times.tobytes()
     assert events.marks.tolist() == run.marks.tolist()
-    assert np.array(intervals).tobytes() == batch.intervals.tobytes()
     assert stepped.uniform() == drafted.uniform()
 
 
@@ -258,8 +268,9 @@ def test_draft_on_a_non_finite_draft_model_raises_floating_point_error():
 def test_draft_single_candidate():
     ckpt = make_checkpoint(5)
     cache = M.EncoderCache(ckpt)
-    batch = S.draft(ckpt, S._RunState([]), gamma=1, rng=RngStream(7), cache=cache)
-    assert len(batch) == 1 and cache.passes == 1
+    mixtures, probabilities = S.draft(ckpt, S._RunState([]), gamma=1, rng=RngStream(7),
+                                      cache=cache)
+    assert mixtures.weights.shape[0] == len(probabilities) == 1 and cache.passes == 1
 
 
 # -- residual distributions ----------------------------------------------------------
@@ -366,14 +377,16 @@ def test_interval_acceptance_rate_matches_overlap_integral():
     the overlap integral of the two densities."""
     g_t = mixture([0.6, 0.4], [0.2, 1.0], [0.5, 0.7])
     g_d = mixture([1.0], [0.5], [0.6])
-    beta, _ = quad(lambda t: min(math.exp(M.mixture_logpdf(t, g_t)),
-                                 math.exp(M.mixture_logpdf(t, g_d))), 0.0, np.inf, limit=200)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta, _ = quad(lambda t: min(math.exp(M._mixture_logpdf(t, g_t)),
+                                     math.exp(M._mixture_logpdf(t, g_d))), 0.0, np.inf,
+                       limit=200)
     stream = RngStream(14)
     n = 10_000
     accepted = 0
     for _ in range(n):
         tau = M.sample_interval(g_d, stream)
-        ratio = clamped_exp(M.mixture_logpdf(tau, g_t) - M.mixture_logpdf(tau, g_d))
+        ratio = clamped_exp(M._mixture_logpdf(tau, g_t) - M._mixture_logpdf(tau, g_d))
         if stream.uniform() < ratio:
             accepted += 1
     sigma = math.sqrt(beta * (1.0 - beta) / n)
@@ -382,7 +395,7 @@ def test_interval_acceptance_rate_matches_overlap_integral():
 
 # -- verification ------------------------------------------------------------------
 
-def draft_batch(ckpt, gamma, rng, history=()):
+def draft_run(ckpt, gamma, rng, history=()):
     """A run holding ``history`` and gamma candidates drafted after it, and
     their draft law."""
     run = S._RunState(history)
@@ -410,17 +423,23 @@ def recorded_rows(monkeypatch):
     return rows
 
 
-def acceptance_ratios(rows, batch, marks):
-    """The interval and mark acceptance ratios of gamma candidates with the
-    given marks under their draft law ``batch``, from the target rows of one
-    verify's forward, whose last gamma rows score them."""
+def acceptance_ratios(rows, law, times, marks):
+    """The interval and mark acceptance ratios of the gamma candidates that
+    the events of the given times and marks end with, under their draft law,
+    from the target rows of one verify's forward, whose last gamma rows
+    score them. As verify does, each candidate's interval is its time minus
+    the time of the event before it, or 0.0 with none."""
     mixtures, probabilities = rows
-    gamma = len(batch)
+    draft_mixtures, draft_probabilities = law
+    gamma = len(draft_probabilities)
     first = len(probabilities) - gamma
-    g_t = M.mixture_logpdf(batch.intervals, mixtures.row(slice(first, None)))
+    intervals = np.diff(np.concatenate([[0.0], times])[-gamma - 1:])
+    marks = marks[-gamma:]
+    g_t = M._mixture_logpdf(intervals, mixtures.row(slice(first, None)))
+    g_d = M._mixture_logpdf(intervals, draft_mixtures)
     f_t = probabilities[first + np.arange(gamma), marks]
-    f_d = batch.mark_probabilities[np.arange(gamma), marks]
-    return clamped_exp(g_t - batch.interval_logpdf), clamped_exp(np.log(f_t) - np.log(f_d))
+    f_d = draft_probabilities[np.arange(gamma), marks]
+    return clamped_exp(g_t - g_d), clamped_exp(np.log(f_t) - np.log(f_d))
 
 
 def test_verify_identical_models_accepts_everything(monkeypatch):
@@ -430,66 +449,62 @@ def test_verify_identical_models_accepts_everything(monkeypatch):
     rows = recorded_rows(monkeypatch)
     ckpt = make_checkpoint(15)
     stats, cache = S.SampleRunStats(), M.EncoderCache(ckpt)
-    run, batch = draft_batch(ckpt, 6, RngStream(16).child("draft"))
-    drafted = run.times.tobytes(), run.marks.tobytes()
+    run, law = draft_run(ckpt, 6, RngStream(16).child("draft"))
+    drafted_events = run.times.tobytes(), run.marks.tobytes()
     almost_one = [1.0 - 1e-9] * 6
-    outcome = S.verify(ckpt, run, batch, FixedUniforms(almost_one, almost_one),
+    outcome = S.verify(ckpt, run, law, FixedUniforms(almost_one, almost_one),
                        RngStream(16).child("residual"), stats, cache=cache)
     assert outcome.accepted_len == 6
     assert outcome.replacement is None
-    assert (run.times.tobytes(), run.marks.tobytes()) == drafted
-    interval_ratios, mark_ratios = acceptance_ratios(rows[0], batch, run.marks)
+    assert (run.times.tobytes(), run.marks.tobytes()) == drafted_events
+    interval_ratios, mark_ratios = acceptance_ratios(rows[0], law, run.times, run.marks)
     assert interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
     assert mark_ratios == pytest.approx(np.ones(6), abs=1e-9)
     assert cache.passes == 1
     assert stats.events_accepted == 6 and stats.events_drafted == 6
 
 
-def doctored_batch(run, batch, log_density_shift=0.0):
+def doctored_law(run, law):
     """Rewrite the draft law of the self-drafted candidates that ``run``
     ends with as if they came from a different draft model: shift the
     recorded interval mixtures and concentrate the mark distributions, so
     every residual distribution is well defined."""
-    mix = batch.mixtures
+    mix, probabilities = law
     shifted = M.MixtureParams(mix.weights, mix.means + 1.0, mix.scales)
-    gamma, k = batch.mark_probabilities.shape
+    gamma, k = probabilities.shape
     probs = np.full((gamma, k), 0.1 / max(1, k - 1))
     probs[np.arange(gamma), run.marks[-gamma:]] = 0.9
-    if log_density_shift == 0.0:
-        logpdfs = M.mixture_logpdf(batch.intervals, shifted)
-    else:
-        logpdfs = batch.interval_logpdf + log_density_shift
-    return S.DraftBatch(batch.intervals, logpdfs, shifted,
-                        probs / probs.sum(axis=-1, keepdims=True))
+    return shifted, probs / probs.sum(axis=-1, keepdims=True)
 
 
 def doctored_draft(ckpt, gamma, rng, history=()):
-    """draft_batch with the doctored draft law."""
-    run, batch = draft_batch(ckpt, gamma, rng, history)
-    return run, doctored_batch(run, batch)
+    """draft_run with the doctored draft law."""
+    run, law = draft_run(ckpt, gamma, rng, history)
+    return run, doctored_law(run, law)
 
 
 REJECT = 1e308  # exceeds any clamped ratio, so the test always rejects
 
 
 def test_verify_injected_threshold_rejects(monkeypatch):
-    """A recorded ratio of 0.5 with an injected epsilon of 0.7 rejects at
-    the first position, leaving zero accepted and a replacement pending.
-    Both ratios are 0.5 within 1e-9, computed from the rows the forward
-    returned, and the uniforms agree on both sides: at the first position
-    an epsilon just over 0.5 rejects, and at the second one just under
-    accepts while one just over rejects."""
+    """Self-drafted rows with their weights doubled add log 2 to the draft's
+    interval log-density, so each interval ratio is 0.5, and an injected
+    epsilon of 0.7 rejects at the first position, leaving zero accepted and
+    a replacement pending. Both ratios are 0.5 within 1e-9, computed from
+    the rows the forward returned, and the uniforms agree on both sides: at
+    the first position an epsilon just over 0.5 rejects, and at the second
+    one just under accepts while one just over rejects."""
     rows = recorded_rows(monkeypatch)
     ckpt = make_checkpoint(15)
-    run, batch = draft_batch(ckpt, 2, RngStream(17).child("draft"))
-    batch = doctored_batch(run, batch, log_density_shift=math.log(2.0))
+    run, (mixtures, probabilities) = draft_run(ckpt, 2, RngStream(17).child("draft"))
+    law = M.MixtureParams(2.0 * mixtures.weights, mixtures.means, mixtures.scales), probabilities
     cases = (([0.7, 0.1], 0), ([0.5 + 1e-9, 0.1], 0), ([0.5 - 1e-9, 0.5 + 1e-9], 1))
     for u_interval, accepted in cases:
-        outcome = S.verify(ckpt, copied(run), batch, FixedUniforms(u_interval, [0.0, 0.0]),
+        outcome = S.verify(ckpt, copied(run), law, FixedUniforms(u_interval, [0.0, 0.0]),
                            RngStream(18), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
         assert outcome.accepted_len == accepted
         assert outcome.replacement is not None
-    interval_ratios, _ = acceptance_ratios(rows[0], batch, run.marks)
+    interval_ratios, _ = acceptance_ratios(rows[0], law, run.times, run.marks)
     assert interval_ratios == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
@@ -499,11 +514,11 @@ def test_verify_min_rule_interval_before_mark():
     Only the interval is redrawn; the drafted mark passed its test and
     stays."""
     ckpt = make_checkpoint(15)
-    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
+    run, law = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
     times, marks = run.times.copy(), run.marks.copy()
     u_interval = [0.0, REJECT, 0.0, 0.0]   # interval fails at index 1
     u_mark = [0.0, 0.0, REJECT, 0.0]       # mark would fail at index 2
-    outcome = S.verify(ckpt, run, batch, FixedUniforms(u_interval, u_mark),
+    outcome = S.verify(ckpt, run, law, FixedUniforms(u_interval, u_mark),
                        RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     assert outcome.accepted_len == 1
     assert outcome.replacement is not None
@@ -526,9 +541,9 @@ def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
 
     monkeypatch.setattr(S, "_residual_interval_sample_info", spied)
     ckpt = make_checkpoint(15)
-    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
+    run, law = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
     stats = S.SampleRunStats()
-    S.verify(ckpt, run, batch, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
+    S.verify(ckpt, run, law, FixedUniforms([0.0, REJECT, 0.0, 0.0], [0.0] * 4),
              RngStream(20), stats, cache=M.EncoderCache(ckpt))
     assert len(used) == 1 and stats.residual_proposals == used[0] >= 1
     used.clear()
@@ -543,9 +558,9 @@ def test_residual_proposals_are_counted_per_interval_redraw(monkeypatch):
 
 def test_verify_mark_only_rejection_keeps_interval():
     ckpt = make_checkpoint(15)
-    run, batch = doctored_draft(ckpt, 3, RngStream(21).child("draft"))
+    run, law = doctored_draft(ckpt, 3, RngStream(21).child("draft"))
     drafted_time = float(run.times[1])
-    outcome = S.verify(ckpt, run, batch, FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
+    outcome = S.verify(ckpt, run, law, FixedUniforms([0.0, 0.0, 0.0], [0.0, REJECT, 0.0]),
                        RngStream(22), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     # mark rejected at index 1: the drafted time stays
     assert outcome.accepted_len == 1
@@ -559,10 +574,10 @@ def test_verify_builds_a_row_pair_only_at_a_rejection(head_row_checks):
     a rejection reads are cut from stacks that were checked already and
     are not checked again."""
     ckpt = make_checkpoint(15)
-    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
+    run, law = doctored_draft(ckpt, 4, RngStream(19).child("draft"))
     for u_mark, accepted in (([0.0] * 4, 4), ([0.0, 0.0, REJECT, 0.0], 2)):
         head_row_checks.update(head_rows=0)
-        outcome = S.verify(ckpt, copied(run), batch, FixedUniforms([0.0] * 4, u_mark),
+        outcome = S.verify(ckpt, copied(run), law, FixedUniforms([0.0] * 4, u_mark),
                            RngStream(20), S.SampleRunStats(), cache=M.EncoderCache(ckpt))
         assert outcome.accepted_len == accepted
         assert head_row_checks == {"head_rows": 1}
@@ -577,27 +592,26 @@ def test_verify_with_a_cache_scores_the_same_rows(monkeypatch):
     rows = recorded_rows(monkeypatch)
     ckpt = make_checkpoint(15)
     history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf)
-    run, batch = doctored_draft(ckpt, 4, RngStream(19).child("draft"), history)
-    marks = run.marks[len(history):].copy()
+    run, law = doctored_draft(ckpt, 4, RngStream(19).child("draft"), history)
     uniforms = ([0.0] * 4, [0.0, 0.0, REJECT, 0.0])
-    plain = S.verify(ckpt, copied(run), batch, FixedUniforms(*uniforms), RngStream(20),
+    plain = S.verify(ckpt, copied(run), law, FixedUniforms(*uniforms), RngStream(20),
                      S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     cache = M.EncoderCache(ckpt)
     M.next_event_distributions(history, ckpt, cache=cache)
     stats = S.SampleRunStats()
-    cached = S.verify(ckpt, copied(run), batch, FixedUniforms(*uniforms), RngStream(20), stats,
+    cached = S.verify(ckpt, copied(run), law, FixedUniforms(*uniforms), RngStream(20), stats,
                       cache=cache)
     assert cache.rows_encoded == len(history) + 3
     assert cached.accepted_len == plain.accepted_len == 2
     assert cached.replacement == plain.replacement
-    plain_ratios, cached_ratios = (acceptance_ratios(r, batch, marks) for r in rows)
+    plain_ratios, cached_ratios = (acceptance_ratios(r, law, run.times, run.marks) for r in rows)
     for a, b in zip(cached_ratios, plain_ratios):
         assert np.allclose(a, b, rtol=1e-12, atol=0.0)
-    again = S.verify(ckpt, copied(run), batch, FixedUniforms(*uniforms), RngStream(20), stats,
+    again = S.verify(ckpt, copied(run), law, FixedUniforms(*uniforms), RngStream(20), stats,
                      cache=cache)
     assert cache.rows_encoded == len(history) + 6
     assert again.replacement == cached.replacement
-    for a, b in zip(acceptance_ratios(rows[2], batch, marks), cached_ratios):
+    for a, b in zip(acceptance_ratios(rows[2], law, run.times, run.marks), cached_ratios):
         assert np.array_equal(a, b)
 
 
@@ -615,15 +629,15 @@ def test_a_step_keeps_its_candidates_in_the_run_from_draft_to_emit(u_interval, u
     interval starts at the prefix's last event."""
     ckpt = make_checkpoint(15)
     history = sequence_from_arrays([0.4, 1.0, 1.7], [1, 0, 1], math.inf)
-    run, batch = draft_batch(ckpt, 4, RngStream(19).child("draft"), history)
+    run, law = draft_run(ckpt, 4, RngStream(19).child("draft"), history)
     stepped, rng, cache = S._RunState(history), RngStream(19).child("draft"), M.EncoderCache(ckpt)
     for _ in range(4):
         S._ar_step(ckpt, rng, cache, stepped)
     assert run.times.tobytes() == stepped.times.tobytes()
     assert run.marks.tobytes() == stepped.marks.tobytes()
-    batch = doctored_batch(run, batch)
+    law = doctored_law(run, law)
     times, marks = run.times.copy(), run.marks.copy()
-    outcome = S.verify(ckpt, run, batch, FixedUniforms(u_interval, u_mark), RngStream(20),
+    outcome = S.verify(ckpt, run, law, FixedUniforms(u_interval, u_mark), RngStream(20),
                        S.SampleRunStats(), cache=M.EncoderCache(ckpt))
     kept = len(history) + accepted
     assert outcome.accepted_len == accepted
@@ -652,8 +666,8 @@ def test_verify_counts_one_target_pass_per_iteration():
 
 
 # Python-level calls per candidate of one draft and one verify after a warm
-# step, on a 1-layer draft and a 2-layer, 2-head target: at most 19.6 and
-# 11.8 are counted, a verify with a residual interval draw included
+# step, on a 1-layer draft and a 2-layer, 2-head target: at most 17.6 and
+# 12.6 are counted, a verify with a residual interval draw included
 # (scripts/call_counts.py prints both)
 DRAFT_CALLS_PER_CANDIDATE = 21
 VERIFY_CALLS_PER_CANDIDATE = 13
