@@ -377,10 +377,8 @@ def test_interval_acceptance_rate_matches_overlap_integral():
     the overlap integral of the two densities."""
     g_t = mixture([0.6, 0.4], [0.2, 1.0], [0.5, 0.7])
     g_d = mixture([1.0], [0.5], [0.6])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        beta, _ = quad(lambda t: min(math.exp(M._mixture_logpdf(t, g_t)),
-                                     math.exp(M._mixture_logpdf(t, g_d))), 0.0, np.inf,
-                       limit=200)
+    beta, _ = quad(lambda t: min(math.exp(M._mixture_logpdf(t, g_t)),
+                                 math.exp(M._mixture_logpdf(t, g_d))), 0.0, np.inf, limit=200)
     stream = RngStream(14)
     n = 10_000
     accepted = 0
@@ -450,13 +448,13 @@ def test_verify_identical_models_accepts_everything(monkeypatch):
     ckpt = make_checkpoint(15)
     stats, cache = S.SampleRunStats(), M.EncoderCache(ckpt)
     run, law = draft_run(ckpt, 6, RngStream(16).child("draft"))
-    drafted_events = run.times.tobytes(), run.marks.tobytes()
+    drafted = run.times.tobytes(), run.marks.tobytes()
     almost_one = [1.0 - 1e-9] * 6
     outcome = S.verify(ckpt, run, law, FixedUniforms(almost_one, almost_one),
                        RngStream(16).child("residual"), stats, cache=cache)
     assert outcome.accepted_len == 6
     assert outcome.replacement is None
-    assert (run.times.tobytes(), run.marks.tobytes()) == drafted_events
+    assert (run.times.tobytes(), run.marks.tobytes()) == drafted
     interval_ratios, mark_ratios = acceptance_ratios(rows[0], law, run.times, run.marks)
     assert interval_ratios == pytest.approx(np.ones(6), abs=1e-9)
     assert mark_ratios == pytest.approx(np.ones(6), abs=1e-9)
